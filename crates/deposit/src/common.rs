@@ -446,16 +446,27 @@ pub fn stage_tile(
                     // order is compacted, gathers when GPMA-indexed. The
                     // lane-parallel mode prices both shapes by the
                     // state-free streaming model.
-                    for a in soa_addr {
-                        match (contiguous, simd) {
-                            (true, false) => m.v_touch_load(a.offset_f64(chunk[0]), lanes),
-                            (true, true) => m.v_touch_load_streamed(
-                                a.offset_f64(chunk[0]),
-                                lanes,
-                                soa_footprint,
-                            ),
-                            (false, false) => m.v_touch_gather(*a, chunk),
-                            (false, true) => m.v_touch_gather_streamed(*a, chunk, soa_footprint),
+                    match (contiguous, simd) {
+                        (true, false) => {
+                            for a in soa_addr {
+                                m.v_touch_load(a.offset_f64(chunk[0]), lanes);
+                            }
+                        }
+                        (true, true) => {
+                            for a in soa_addr {
+                                m.v_touch_load_streamed(
+                                    a.offset_f64(chunk[0]),
+                                    lanes,
+                                    soa_footprint,
+                                );
+                            }
+                        }
+                        // One index vector shared by all seven arrays.
+                        (false, false) => m.v_touch_gather_multi(soa_addr, chunk),
+                        (false, true) => {
+                            for a in soa_addr {
+                                m.v_touch_gather_streamed(*a, chunk, soa_footprint);
+                            }
                         }
                     }
                     // Arithmetic: gamma+velocity (6), locate (6), weights

@@ -32,7 +32,7 @@ impl CacheLevelConfig {
 }
 
 /// Hit/miss statistics for one level.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[must_use]
 pub struct CacheStats {
     /// Number of accesses that hit this level.
@@ -62,11 +62,55 @@ impl CacheStats {
 /// Sentinel slot marking the last-line memo as invalid.
 const MEMO_NONE: usize = usize::MAX;
 
+/// Index of the first element satisfying `pred` — what a front-to-back
+/// `position()` scan returns — without a data-dependent branch per
+/// element: each chunk of eight is tested into a byte mask (one byte per
+/// element) and `trailing_zeros` picks the first set byte. With the
+/// length known at compile time (fixed-size arrays, see
+/// [`CacheLevel::probe`]) the inner loop has a constant trip count and
+/// compiles to a few vector compares.
+#[inline(always)]
+fn first_where(vals: &[u64], pred: impl Fn(u64) -> bool) -> Option<usize> {
+    for (c, chunk) in vals.chunks(8).enumerate() {
+        let mut hits = [0u8; 8];
+        for (h, &v) in hits.iter_mut().zip(chunk) {
+            *h = u8::from(pred(v));
+        }
+        let hits = u64::from_le_bytes(hits);
+        if hits != 0 {
+            return Some(c * 8 + (hits.trailing_zeros() / 8) as usize);
+        }
+    }
+    None
+}
+
+/// Probes one set for `line` and leaves it resident and most recently
+/// used: on a hit the matching way's stamp is refreshed, on a miss the
+/// line is filled into the first empty way, else over the LRU way (the
+/// first way holding the smallest stamp). Returns `(way, hit)`.
+///
+/// The only set-probe body of the model: the array form and the slice
+/// fallback of [`CacheLevel::access`] both inline this function.
+#[inline(always)]
+fn probe_set(tags: &mut [u64], stamps: &mut [u64], line: u64, clock: u64) -> (usize, bool) {
+    debug_assert_eq!(tags.len(), stamps.len());
+    let hit = first_where(tags, |t| t == line);
+    let way = hit
+        .or_else(|| first_where(tags, |t| t == u64::MAX))
+        .unwrap_or_else(|| {
+            // A set has at least one way, so the minimum is always found.
+            let oldest = stamps.iter().fold(u64::MAX, |m, &s| m.min(s));
+            first_where(stamps, |s| s == oldest).unwrap_or(0)
+        });
+    tags[way] = line;
+    stamps[way] = clock;
+    (way, hit.is_some())
+}
+
 /// One set-associative level, tag-only with true LRU.
 #[derive(Debug, Clone)]
 struct CacheLevel {
-    cfg: CacheLevelConfig,
-    line_shift: u32,
+    ways: usize,
     set_mask: u64,
     /// `tags[set * ways + way]`; `u64::MAX` marks an empty way.
     tags: Vec<u64>,
@@ -96,8 +140,7 @@ impl CacheLevel {
         assert!(sets.is_power_of_two(), "set count must be 2^k");
         assert!(sets > 0 && cfg.ways > 0);
         Self {
-            cfg,
-            line_shift: cfg.line_bytes.trailing_zeros(),
+            ways: cfg.ways,
             set_mask: (sets - 1) as u64,
             tags: vec![u64::MAX; sets * cfg.ways],
             stamps: vec![0; sets * cfg.ways],
@@ -109,11 +152,25 @@ impl CacheLevel {
         }
     }
 
-    /// Looks up (and on miss, fills) the line containing `addr`.
-    /// Returns `true` on hit.
-    fn access(&mut self, addr: u64) -> bool {
+    /// [`probe_set`] on the `WAYS`-wide set starting at tag slot `base`,
+    /// handed over as fixed-size arrays so the body is compiled for that
+    /// associativity.
+    #[inline(always)]
+    fn probe<const WAYS: usize>(&mut self, base: usize, line: u64) -> (usize, bool) {
+        let tags: &mut [u64; WAYS] = (&mut self.tags[base..base + WAYS])
+            .try_into()
+            .expect("slice is WAYS long");
+        let stamps: &mut [u64; WAYS] = (&mut self.stamps[base..base + WAYS])
+            .try_into()
+            .expect("slice is WAYS long");
+        probe_set(tags, stamps, line, self.clock)
+    }
+
+    /// Looks up (and on miss, fills) cache line `line` (a line id:
+    /// byte address `>> line_shift`). Returns `true` on hit.
+    #[inline(always)]
+    fn access(&mut self, line: u64) -> bool {
         self.clock += 1;
-        let line = addr >> self.line_shift;
         // Last-line memo: hot kernels touch the same line many times in a
         // row (stencil node sweeps, staged attribute streams); the repeat
         // is a guaranteed hit whose only effects are the ones applied
@@ -123,38 +180,27 @@ impl CacheLevel {
             self.stats.hits += 1;
             return true;
         }
-        let set = (line & self.set_mask) as usize;
-        let base = set * self.cfg.ways;
-        let ways = &mut self.tags[base..base + self.cfg.ways];
-
-        if let Some(w) = ways.iter().position(|&t| t == line) {
-            self.stamps[base + w] = self.clock;
-            self.stats.hits += 1;
-            self.memo_line = line;
-            self.memo_slot = base + w;
-            return true;
-        }
-        self.stats.misses += 1;
-        // Fill: choose an empty way, else the LRU way.
-        let victim = match ways.iter().position(|&t| t == u64::MAX) {
-            Some(w) => w,
-            None => {
-                let mut lru = 0usize;
-                let mut lru_stamp = u64::MAX;
-                for w in 0..self.cfg.ways {
-                    if self.stamps[base + w] < lru_stamp {
-                        lru_stamp = self.stamps[base + w];
-                        lru = w;
-                    }
-                }
-                lru
-            }
+        let base = (line & self.set_mask) as usize * self.ways;
+        // The lx2 geometries (8-way L1, 16-way L2) get the array form;
+        // anything else runs the same body over a slice.
+        let (way, hit) = match self.ways {
+            8 => self.probe::<8>(base, line),
+            16 => self.probe::<16>(base, line),
+            ways => probe_set(
+                &mut self.tags[base..base + ways],
+                &mut self.stamps[base..base + ways],
+                line,
+                self.clock,
+            ),
         };
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.clock;
+        if hit {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+        }
         self.memo_line = line;
-        self.memo_slot = base + victim;
-        false
+        self.memo_slot = base + way;
+        hit
     }
 
     fn flush(&mut self) {
@@ -240,6 +286,11 @@ const STREAM_SLOTS: usize = 32;
 pub struct CacheSim {
     l1: CacheLevel,
     l2: CacheLevel,
+    /// `log2` of the line size both levels share.
+    line_shift: u32,
+    /// Accessed or imported since the last flush; a clean hierarchy
+    /// already equals its flushed state, so [`CacheSim::flush`] skips it.
+    dirty: bool,
     l1_hit_cy: f64,
     l2_hit_cy: f64,
     dram_cy: f64,
@@ -265,9 +316,15 @@ impl CacheSim {
         l2_hit_cy: f64,
         dram_cy: f64,
     ) -> Self {
+        assert_eq!(
+            l1.line_bytes, l2.line_bytes,
+            "both levels share one line size"
+        );
         Self {
             l1: CacheLevel::new(l1),
             l2: CacheLevel::new(l2),
+            line_shift: l1.line_bytes.trailing_zeros(),
+            dirty: false,
             l1_hit_cy,
             l2_hit_cy,
             dram_cy,
@@ -287,57 +344,65 @@ impl CacheSim {
         if bytes == 0 {
             return 0.0;
         }
-        let line = self.l1.cfg.line_bytes as u64;
-        let first = addr / line;
-        let last = (addr + bytes - 1) / line;
+        let first = addr >> self.line_shift;
+        let last = (addr + bytes - 1) >> self.line_shift;
         let mut cycles = 0.0;
-        for l in first..=last {
-            cycles += self.access_line(l * line);
+        for line in first..=last {
+            cycles += self.access_line_id(line);
         }
         cycles
     }
 
-    /// Touches a single line and returns its latency.
-    pub fn access_line(&mut self, line_addr: u64) -> f64 {
-        if self.l1.access(line_addr) {
+    /// Touches the single cache line with id `line` (byte address
+    /// `>> line_shift()`) and returns its latency. Callers that already
+    /// hold line ids — the gather/scatter walks — enter here instead of
+    /// converting line -> address -> line through [`CacheSim::access`].
+    #[inline]
+    pub fn access_line_id(&mut self, line: u64) -> f64 {
+        self.dirty = true;
+        if self.l1.access(line) {
             self.l1_hit_cy
-        } else if self.l2.access(line_addr) {
+        } else if self.l2.access(line) {
             self.l2_hit_cy
         } else {
-            let line = line_addr >> self.l1.line_shift;
-            // Stream detection: adjacent (within 2 lines ahead) of a
-            // tracked miss stream => prefetched.
-            for (last, conf) in &mut self.streams {
-                if *last != u64::MAX && line > *last && line - *last <= 2 {
-                    *last = line;
-                    *conf = (*conf + 1).min(64);
-                    self.streamed_misses += 1;
-                    return self.stream_cy;
-                }
-            }
-            // New potential stream: evict the least-confident slot so an
-            // established stream survives scattered one-off misses.
-            let victim = self
-                .streams
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, conf))| *conf)
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            self.streams[victim] = (line, 1);
-            // Periodic decay so stale streams eventually lose their slot
-            // (per-insertion decay would let concurrently-establishing
-            // streams evict each other before their second access).
-            self.decay_tick += 1;
-            if self.decay_tick >= 256 {
-                self.decay_tick = 0;
-                for (_, conf) in &mut self.streams {
-                    *conf = conf.saturating_sub(1);
-                }
-            }
-            self.random_misses += 1;
-            self.dram_cy
+            self.dram_access(line)
         }
+    }
+
+    /// Prices a miss of both levels and updates the stream prefetcher.
+    fn dram_access(&mut self, line: u64) -> f64 {
+        // Stream detection: adjacent (within 2 lines ahead) of a
+        // tracked miss stream => prefetched.
+        for (last, conf) in &mut self.streams {
+            if *last != u64::MAX && line > *last && line - *last <= 2 {
+                *last = line;
+                *conf = (*conf + 1).min(64);
+                self.streamed_misses += 1;
+                return self.stream_cy;
+            }
+        }
+        // New potential stream: evict the least-confident slot so an
+        // established stream survives scattered one-off misses.
+        let victim = self
+            .streams
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, (_, conf))| *conf)
+            .map(|(i, _)| i)
+            .unwrap_or(0);
+        self.streams[victim] = (line, 1);
+        // Periodic decay so stale streams eventually lose their slot
+        // (per-insertion decay would let concurrently-establishing
+        // streams evict each other before their second access).
+        self.decay_tick += 1;
+        if self.decay_tick >= 256 {
+            self.decay_tick = 0;
+            for (_, conf) in &mut self.streams {
+                *conf = conf.saturating_sub(1);
+            }
+        }
+        self.random_misses += 1;
+        self.dram_cy
     }
 
     /// L1 statistics.
@@ -356,7 +421,17 @@ impl CacheSim {
     /// the decay tick — so that the cost of an access sequence after a
     /// flush depends only on that sequence. This is what makes per-tile
     /// charging deterministic regardless of which worker ran the tile.
+    ///
+    /// Host-side shortcut: a hierarchy that was neither accessed nor
+    /// imported into since its last flush already is in the flushed
+    /// state (`flush` never touches LRU clocks or statistics), so the
+    /// per-tile flushes of phases that never walk the cache return
+    /// without refilling the tag arrays.
     pub fn flush(&mut self) {
+        if !self.dirty {
+            return;
+        }
+        self.dirty = false;
         self.l1.flush();
         self.l2.flush();
         self.streams = [(u64::MAX, 0); STREAM_SLOTS];
@@ -396,7 +471,7 @@ impl CacheSim {
 
     /// Line size in bytes (identical across levels).
     pub fn line_bytes(&self) -> u64 {
-        self.l1.cfg.line_bytes as u64
+        1 << self.line_shift
     }
 
     /// `log2(line_bytes)` — the line size is asserted to be a power of
@@ -404,7 +479,7 @@ impl CacheSim {
     /// `addr / line_bytes()` (hot paths use the shift to avoid a
     /// hardware divide per address).
     pub fn line_shift(&self) -> u32 {
-        self.l1.line_shift
+        self.line_shift
     }
 
     /// Exports the complete behavioural state (see [`CacheSimState`]).
@@ -439,6 +514,7 @@ impl CacheSim {
             return false;
         }
         assert!(self.l1.import_state(&s.l1) && self.l2.import_state(&s.l2));
+        self.dirty = true;
         for (dst, src) in self.streams.iter_mut().zip(&s.streams) {
             *dst = *src;
         }
@@ -447,8 +523,201 @@ impl CacheSim {
     }
 }
 
+/// The walk as it was before the fast path: a front-to-back `position()`
+/// over a runtime-length set, line ids by division, every call through
+/// the byte-address entry, and no host-side shortcut (last-line memo,
+/// clean-flush skip). Kept as the oracle the differential tests replay
+/// [`CacheSim`] against; the memo *fields* are still maintained, since
+/// they are part of the exported state.
+#[cfg(test)]
+mod reference {
+    use super::{CacheLevelConfig, CacheLevelState, CacheSimState, CacheStats, STREAM_SLOTS};
+
+    struct Level {
+        cfg: CacheLevelConfig,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        clock: u64,
+        stats: CacheStats,
+        memo_line: u64,
+        memo_slot: usize,
+    }
+
+    impl Level {
+        fn new(cfg: CacheLevelConfig) -> Self {
+            let slots = cfg.num_sets() * cfg.ways;
+            Self {
+                cfg,
+                tags: vec![u64::MAX; slots],
+                stamps: vec![0; slots],
+                clock: 0,
+                stats: CacheStats::default(),
+                memo_line: u64::MAX,
+                memo_slot: usize::MAX,
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.clock += 1;
+            let line = addr / self.cfg.line_bytes as u64;
+            let set = (line % self.cfg.num_sets() as u64) as usize;
+            let base = set * self.cfg.ways;
+            let ways = &mut self.tags[base..base + self.cfg.ways];
+            self.memo_line = line;
+            if let Some(w) = ways.iter().position(|&t| t == line) {
+                self.stamps[base + w] = self.clock;
+                self.stats.hits += 1;
+                self.memo_slot = base + w;
+                return true;
+            }
+            self.stats.misses += 1;
+            // Fill: choose an empty way, else the LRU way.
+            let victim = match ways.iter().position(|&t| t == u64::MAX) {
+                Some(w) => w,
+                None => {
+                    let mut lru = 0usize;
+                    let mut lru_stamp = u64::MAX;
+                    for w in 0..self.cfg.ways {
+                        if self.stamps[base + w] < lru_stamp {
+                            lru_stamp = self.stamps[base + w];
+                            lru = w;
+                        }
+                    }
+                    lru
+                }
+            };
+            self.tags[base + victim] = line;
+            self.stamps[base + victim] = self.clock;
+            self.memo_slot = base + victim;
+            false
+        }
+
+        fn flush(&mut self) {
+            self.tags.fill(u64::MAX);
+            self.stamps.fill(0);
+            self.memo_line = u64::MAX;
+            self.memo_slot = usize::MAX;
+        }
+
+        fn export_state(&self) -> CacheLevelState {
+            CacheLevelState {
+                tags: self.tags.clone(),
+                stamps: self.stamps.clone(),
+                clock: self.clock,
+                memo_line: self.memo_line,
+                memo_slot: self.memo_slot as u64,
+            }
+        }
+    }
+
+    pub struct RefSim {
+        l1: Level,
+        l2: Level,
+        latency: [f64; 3],
+        stream_cy: f64,
+        streams: [(u64, u32); STREAM_SLOTS],
+        decay_tick: u32,
+        pub streamed_misses: u64,
+        pub random_misses: u64,
+    }
+
+    impl RefSim {
+        pub fn new(l1: CacheLevelConfig, l2: CacheLevelConfig, latency: [f64; 3]) -> Self {
+            Self {
+                l1: Level::new(l1),
+                l2: Level::new(l2),
+                latency,
+                stream_cy: latency[2] * 0.15,
+                streams: [(u64::MAX, 0); STREAM_SLOTS],
+                decay_tick: 0,
+                streamed_misses: 0,
+                random_misses: 0,
+            }
+        }
+
+        pub fn access(&mut self, addr: u64, bytes: u64) -> f64 {
+            if bytes == 0 {
+                return 0.0;
+            }
+            let line = self.l1.cfg.line_bytes as u64;
+            let first = addr / line;
+            let last = (addr + bytes - 1) / line;
+            let mut cycles = 0.0;
+            for l in first..=last {
+                cycles += self.access_line(l * line);
+            }
+            cycles
+        }
+
+        fn access_line(&mut self, line_addr: u64) -> f64 {
+            if self.l1.access(line_addr) {
+                self.latency[0]
+            } else if self.l2.access(line_addr) {
+                self.latency[1]
+            } else {
+                let line = line_addr / self.l1.cfg.line_bytes as u64;
+                for (last, conf) in &mut self.streams {
+                    if *last != u64::MAX && line > *last && line - *last <= 2 {
+                        *last = line;
+                        *conf = (*conf + 1).min(64);
+                        self.streamed_misses += 1;
+                        return self.stream_cy;
+                    }
+                }
+                let victim = self
+                    .streams
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, (_, conf))| *conf)
+                    .map(|(i, _)| i)
+                    .unwrap_or(0);
+                self.streams[victim] = (line, 1);
+                self.decay_tick += 1;
+                if self.decay_tick >= 256 {
+                    self.decay_tick = 0;
+                    for (_, conf) in &mut self.streams {
+                        *conf = conf.saturating_sub(1);
+                    }
+                }
+                self.random_misses += 1;
+                self.latency[2]
+            }
+        }
+
+        pub fn flush(&mut self) {
+            self.l1.flush();
+            self.l2.flush();
+            self.streams = [(u64::MAX, 0); STREAM_SLOTS];
+            self.decay_tick = 0;
+        }
+
+        pub fn take_stats(&mut self) -> (CacheStats, CacheStats, u64, u64) {
+            (
+                std::mem::take(&mut self.l1.stats),
+                std::mem::take(&mut self.l2.stats),
+                std::mem::take(&mut self.streamed_misses),
+                std::mem::take(&mut self.random_misses),
+            )
+        }
+
+        pub fn stats(&self) -> (CacheStats, CacheStats) {
+            (self.l1.stats, self.l2.stats)
+        }
+
+        pub fn export_state(&self) -> CacheSimState {
+            CacheSimState {
+                l1: self.l1.export_state(),
+                l2: self.l2.export_state(),
+                streams: self.streams.to_vec(),
+                decay_tick: self.decay_tick,
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::RefSim;
     use super::*;
 
     fn small_sim() -> CacheSim {
@@ -563,6 +832,118 @@ mod tests {
     fn zero_byte_access_is_free() {
         let mut c = small_sim();
         assert_eq!(c.access(0, 0), 0.0);
+    }
+
+    /// Replays one randomised op stream through [`CacheSim`] and the
+    /// pre-fast-path [`RefSim`] and compares, after **every** op, the
+    /// returned cycles (bitwise), both levels' statistics, the miss split
+    /// and the complete exported state.
+    fn replay_against_reference(l1: CacheLevelConfig, l2: CacheLevelConfig, memo: bool, seed: u64) {
+        let latency = [0.5, 12.0, 100.0];
+        let geometry = format!("{l1:?} {l2:?} memo={memo} seed={seed}");
+        let mut fast = CacheSim::new(l1, l2, latency[0], latency[1], latency[2]);
+        fast.set_line_memo(memo);
+        let mut slow = RefSim::new(l1, l2, latency);
+        let mut rng = seed;
+        let mut next = move || {
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            rng >> 33
+        };
+        // A span a few times the L2 capacity, so every level evicts.
+        let span = 4 * l2.size_bytes as u64;
+        let mut addr = 0u64;
+        for op in 0..20_000u32 {
+            let r = next();
+            match r % 64 {
+                0 => {
+                    fast.flush();
+                    slow.flush();
+                }
+                1 => {
+                    // Twice in a row: the second flush finds it clean.
+                    fast.flush();
+                    fast.flush();
+                    slow.flush();
+                }
+                2 => {
+                    assert_eq!(fast.take_stats(), slow.take_stats(), "{geometry} op {op}");
+                }
+                3 => {
+                    // Through a fresh hierarchy, as restore does.
+                    let state = fast.export_state();
+                    let (l1s, l2s) = (fast.l1_stats(), fast.l2_stats());
+                    let (st, rd) = (fast.streamed_misses, fast.random_misses);
+                    fast = CacheSim::new(l1, l2, latency[0], latency[1], latency[2]);
+                    fast.set_line_memo(memo);
+                    assert!(fast.import_state(&state), "{geometry} op {op}");
+                    fast.absorb_stats(&l1s, &l2s, st, rd);
+                }
+                kind => {
+                    addr = match kind % 4 {
+                        0 => addr,                   // Repeat.
+                        1 => (addr + 8) % span,      // Unit stride.
+                        2 => (addr + 64 * 5) % span, // Line stride.
+                        _ => next() % span,          // Jump.
+                    };
+                    // Mostly one line; sometimes zero bytes or several lines.
+                    let bytes = match next() % 8 {
+                        0 => 0,
+                        1 => 1 + next() % 300,
+                        _ => 8,
+                    };
+                    let f = if bytes == 8 && addr % 64 <= 56 && next() % 2 == 0 {
+                        fast.access_line_id(addr >> fast.line_shift())
+                    } else {
+                        fast.access(addr, bytes)
+                    };
+                    let s = slow.access(addr, bytes);
+                    assert_eq!(f.to_bits(), s.to_bits(), "{geometry} op {op}: cycles");
+                }
+            }
+            assert_eq!(
+                (fast.l1_stats(), fast.l2_stats()),
+                slow.stats(),
+                "{geometry} op {op}: statistics"
+            );
+            assert_eq!(
+                (fast.streamed_misses, fast.random_misses),
+                (slow.streamed_misses, slow.random_misses),
+                "{geometry} op {op}: miss split"
+            );
+            assert_eq!(
+                fast.export_state(),
+                slow.export_state(),
+                "{geometry} op {op}: state"
+            );
+        }
+    }
+
+    /// The fast walk (array-form probe, line-id entry, memo, clean-flush
+    /// skip) is the reference walk, bit for bit: for the lx2 geometry,
+    /// which takes the 8- and 16-way array form, and for geometries that
+    /// take the slice fallback, down to a single set.
+    #[test]
+    fn conf_cache_walk_matches_reference_model() {
+        let level = |sets: usize, ways: usize| CacheLevelConfig {
+            size_bytes: sets * ways * 64,
+            ways,
+            line_bytes: 64,
+        };
+        let lx2 = crate::MachineConfig::lx2();
+        let mut geometries = vec![(lx2.l1, lx2.l2), (level(4, 8), level(2, 16))];
+        for ways in 1..=4 {
+            geometries.push((level(1, ways), level(1, ways + 1)));
+            geometries.push((level(2, ways), level(8, ways)));
+        }
+        // Wider than one eight-way chunk of the probe, and not a multiple.
+        geometries.push((level(2, 3), level(4, 20)));
+        for (g, &(l1, l2)) in geometries.iter().enumerate() {
+            for memo in [true, false] {
+                replay_against_reference(l1, l2, memo, 0x9e37_79b9 + g as u64);
+            }
+        }
     }
 
     /// Replays a pseudo-random access stream (heavy on consecutive

@@ -497,32 +497,20 @@ impl Machine {
     /// get no such discount).
     const GATHER_MLP: f64 = 0.15;
 
-    /// Memory cost of a hardware gather: one cache access per *distinct
-    /// line* touched (the gather unit coalesces same-line lanes), with
+    /// Memory cost of a hardware gather of `lanes` lanes over the sorted
+    /// line ids `lines` ([`Self::collect_lines`]), each displaced by
+    /// `delta` whole lines: one cache access per *distinct line*, in
+    /// ascending order (the gather unit coalesces same-line lanes), with
     /// miss latencies overlapped by [`Self::GATHER_MLP`], plus the
     /// per-lane issue penalty.
-    fn gather_mem_cost(&mut self, base: VAddr, idx: &[usize]) -> f64 {
-        let line = self.mem.line_bytes();
-        let shift = self.mem.line_shift();
-        // A gather touches at most VLANES distinct lines: dedup into a
-        // stack buffer (no heap traffic on this very hot path), then
-        // visit lines in ascending order as the coalescing unit would.
-        let mut lines = [0u64; VLANES];
-        let mut n = 0usize;
-        'lanes: for &i in idx {
-            let l = base.offset_f64(i).0 >> shift;
-            for &seen in &lines[..n] {
-                if seen == l {
-                    continue 'lanes;
-                }
+    fn walk_gather_lines(&mut self, lanes: usize, lines: &[u64], delta: u64) -> f64 {
+        let mut cy = self.cfg.gather_lane_cy * lanes as f64;
+        let mut prev = u64::MAX;
+        for &l in lines {
+            if l != prev {
+                cy += Self::GATHER_MLP * self.mem.access_line_id(l.wrapping_add(delta));
+                prev = l;
             }
-            lines[n] = l;
-            n += 1;
-        }
-        lines[..n].sort_unstable();
-        let mut cy = self.cfg.gather_lane_cy * idx.len() as f64;
-        for &l in &lines[..n] {
-            cy += Self::GATHER_MLP * self.mem.access(VAddr(l * line), 1);
         }
         cy
     }
@@ -540,7 +528,9 @@ impl Machine {
         for (l, &i) in idx.iter().enumerate() {
             r.0[l] = src[i];
         }
-        let cy = self.gather_mem_cost(base, idx);
+        let mut lines = [0u64; VLANES];
+        let n = Self::collect_lines(&mut lines, base, idx, self.mem.line_shift());
+        let cy = self.walk_gather_lines(idx.len(), &lines[..n], 0);
         self.ctr.add_cycles(self.phase, cy);
         r
     }
@@ -580,8 +570,7 @@ impl Machine {
         for (l, &i) in idx.iter().enumerate() {
             cy += self.mem.access(base.offset_f64(i), 8) + self.cfg.gather_lane_cy;
             // Conflict detection: lanes before `l` hitting the same index.
-            let conflicts = idx[..l].iter().filter(|&&j| j == i).count();
-            if conflicts > 0 {
+            if idx[..l].contains(&i) {
                 cy += self.cfg.conflict_lane_cy;
             }
         }
@@ -610,10 +599,39 @@ impl Machine {
     /// Charges an indexed gather's memory and issue cost (cost-only
     /// mirror of [`Machine::v_gather`]).
     pub fn v_touch_gather(&mut self, base: VAddr, idx: &[usize]) {
-        self.ctr.vector_ops += 1;
-        let take = idx.len().min(VLANES);
-        let cy = self.gather_mem_cost(base, &idx[..take]);
-        self.ctr.add_cycles(self.phase, cy);
+        self.v_touch_gather_multi(&[base], idx);
+    }
+
+    /// [`Machine::v_touch_gather`] of one shared index vector from each
+    /// of `bases` in turn — the per-particle gather's six field arrays,
+    /// the staging loop's seven SoA attributes. The cache sees exactly
+    /// the accesses of one call per base (`[base][ascending line]`, one
+    /// cycle charge per base), but bases congruent modulo the line size
+    /// (line-aligned allocations: the ubiquitous case) have line sets
+    /// that differ by a whole number of lines, so the sorted distinct
+    /// set is built once and replayed displaced. A base that is not
+    /// congruent to the set in hand gets its own. Host-side fast path
+    /// only: counters, cycles and cache state are bit-identical to the
+    /// separate calls.
+    pub fn v_touch_gather_multi(&mut self, bases: &[VAddr], idx: &[usize]) {
+        let Some(&(mut anchor)) = bases.first() else {
+            return;
+        };
+        let idx = &idx[..idx.len().min(VLANES)];
+        let shift = self.mem.line_shift();
+        let in_line = self.mem.line_bytes() - 1;
+        let mut lines = [0u64; VLANES];
+        let n = Self::collect_lines(&mut lines, anchor, idx, shift);
+        for &base in bases {
+            if (base.0 ^ anchor.0) & in_line != 0 {
+                anchor = base;
+                Self::collect_lines(&mut lines, anchor, idx, shift);
+            }
+            let delta = (base.0 >> shift).wrapping_sub(anchor.0 >> shift);
+            self.ctr.vector_ops += 1;
+            let cy = self.walk_gather_lines(idx.len(), &lines[..n], delta);
+            self.ctr.add_cycles(self.phase, cy);
+        }
     }
 
     /// Maximum elements of one run-scoped block touch (a QSP stencil
@@ -642,20 +660,12 @@ impl Machine {
             return;
         }
         self.ctr.vector_ops += idx.len().div_ceil(VLANES) as u64;
-        let line = self.mem.line_bytes();
         let shift = self.mem.line_shift();
         // Stack-resident line dedup: collect, sort, visit distinct lines
         // ascending (the order the coalescing unit would).
         let mut lines = [0u64; Self::RUN_BLOCK_MAX];
         let n = Self::collect_lines(&mut lines, base, idx, shift);
-        let mut cy = self.cfg.gather_lane_cy * idx.len() as f64;
-        let mut prev = u64::MAX;
-        for &l in &lines[..n] {
-            if l != prev {
-                cy += Self::GATHER_MLP * self.mem.access(VAddr(l * line), 1);
-                prev = l;
-            }
-        }
+        let cy = self.walk_gather_lines(idx.len(), &lines[..n], 0);
         self.ctr.add_cycles(self.phase, cy);
     }
 
@@ -802,12 +812,7 @@ impl Machine {
     /// the order (the common case on the hot path). `shift` is
     /// `log2(line_bytes)` ([`MemModel::line_shift`]): the shift is the
     /// exact power-of-two division, minus the per-node hardware divide.
-    fn collect_lines(
-        buf: &mut [u64; Self::RUN_BLOCK_MAX],
-        base: VAddr,
-        idx: &[usize],
-        shift: u32,
-    ) -> usize {
+    fn collect_lines(buf: &mut [u64], base: VAddr, idx: &[usize], shift: u32) -> usize {
         let mut sorted = true;
         let mut last = 0u64;
         for (slot, &i) in buf.iter_mut().zip(idx) {
@@ -1238,6 +1243,84 @@ mod tests {
         );
         assert_eq!(real.counters().flops_issued, touch.counters().flops_issued);
         assert_eq!(real.counters().vector_ops, touch.counters().vector_ops);
+    }
+
+    /// The gather touch as it was before line sets were shared: dedup,
+    /// sort, one byte-address access per distinct line.
+    fn reference_touch_gather(m: &mut Machine, base: VAddr, idx: &[usize]) {
+        let idx = &idx[..idx.len().min(VLANES)];
+        let line = m.mem.line_bytes();
+        let mut lines: Vec<u64> = idx.iter().map(|&i| base.offset_f64(i).0 / line).collect();
+        lines.sort_unstable();
+        lines.dedup();
+        let mut cy = m.cfg.gather_lane_cy * idx.len() as f64;
+        for l in lines {
+            cy += Machine::GATHER_MLP * m.mem.access(VAddr(l * line), 1);
+        }
+        m.ctr.vector_ops += 1;
+        m.ctr.add_cycles(m.phase, cy);
+    }
+
+    #[test]
+    fn touch_gather_multi_matches_one_gather_per_base_bitwise() {
+        // Shared random index vectors (duplicate lines, unsorted, ragged
+        // and over-long) gathered from several arrays: one multi call
+        // must leave counters and cache state exactly as one gather per
+        // base does — by the reference formula and by `v_touch_gather`
+        // — for line-congruent bases (the replayed line set) and for a
+        // mix with bases at odd byte offsets (own line sets).
+        let mut machines = [machine(), machine(), machine()];
+        let mut aligned = Vec::new();
+        for m in &mut machines {
+            aligned = (0..6).map(|_| m.mem().alloc_f64(4096)).collect();
+        }
+        let odd = |a: VAddr, by: u64| VAddr(a.0 + by);
+        let mixed = vec![
+            odd(aligned[0], 8),
+            aligned[1],
+            odd(aligned[2], 8),
+            odd(aligned[3], 40),
+            aligned[4],
+            odd(aligned[5], 40),
+        ];
+        let reversed: Vec<VAddr> = aligned.iter().rev().copied().collect();
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        for round in 0..2_000 {
+            let bases = [&aligned, &mixed, &reversed][round % 3];
+            let lanes = [VLANES, 1, 5, VLANES + 3][round % 4];
+            let idx: Vec<usize> = (0..lanes)
+                .map(|_| {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    // Clustered, so lanes often share a line.
+                    (rng % 64 + (rng >> 20) % 8 * 400) as usize
+                })
+                .collect();
+            for m in &mut machines {
+                m.set_phase(Phase::ALL[round % Phase::ALL.len()]);
+                if round % 500 == 0 {
+                    m.mem().flush_cache();
+                }
+            }
+            let [reference, single, multi] = &mut machines;
+            for &b in bases.iter() {
+                reference_touch_gather(reference, b, &idx);
+                single.v_touch_gather(b, &idx);
+            }
+            multi.v_touch_gather_multi(bases, &idx);
+        }
+        let [reference, single, multi] = &mut machines;
+        let want_state = reference.mem_ref().cache_state();
+        let want = reference.drain_counters();
+        assert!(want.l1.misses > 0 && want.l2.misses > 0 && want.l1.hits > 0);
+        for m in [single, multi] {
+            assert_eq!(m.mem_ref().cache_state(), want_state);
+            assert_eq!(format!("{:?}", m.drain_counters()), format!("{want:?}"));
+            // No base, no charge.
+            m.v_touch_gather_multi(&[], &[1, 2, 3]);
+            assert_eq!(m.counters().vector_ops, 0);
+        }
     }
 
     #[test]

@@ -71,6 +71,14 @@ impl MemSystem {
         self.cache.access(addr.0, bytes)
     }
 
+    /// Charges one access to the cache line with id `line` — a byte
+    /// address `>> line_shift()` — returning the latency in cycles; see
+    /// [`CacheSim::access_line_id`].
+    #[inline]
+    pub fn access_line_id(&mut self, line: u64) -> f64 {
+        self.cache.access_line_id(line)
+    }
+
     /// L1 statistics.
     pub fn l1_stats(&self) -> CacheStats {
         self.cache.l1_stats()

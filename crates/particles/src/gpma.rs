@@ -30,6 +30,10 @@ pub const INVALID_PARTICLE_ID: usize = usize::MAX;
 /// section 4.3.2's maintenance trigger).
 const MIN_EMPTY_RATIO: f64 = 0.02;
 
+/// Largest queue capacity (in moves) an apply cycle keeps allocated for
+/// the next.
+const PENDING_KEEP: usize = 64;
+
 /// Ceiling of `count * ratio` as a slot count — the one sanctioned
 /// float→integer crossing in this crate. A raw `(x).ceil() as usize`
 /// saturates silently on overflow and truncates NaN to zero, which is
@@ -357,7 +361,7 @@ impl Gpma {
     pub fn apply_pending_moves(&mut self, cells: &[usize]) -> MoveStats {
         let mut stats = MoveStats::default();
         self.was_rebuilt_this_step = false;
-        let pending = std::mem::take(&mut self.pending);
+        let mut pending = std::mem::take(&mut self.pending);
         stats.moves_applied = pending.len();
 
         // Phase 1: deletions free slots before insertions consume them.
@@ -367,19 +371,24 @@ impl Gpma {
             }
         }
 
-        // Phase 2: insertions; collect overflow on failure.
-        let mut overflow: Vec<(usize, usize)> = Vec::new();
+        // Phase 2: insertions; note overflow on failure.
+        let mut overflowed = false;
         for mv in &pending {
             if let Some(new) = mv.new_bin {
-                if !self.insert(mv.particle, new, &mut stats) {
-                    overflow.push((mv.particle, new));
-                }
+                overflowed |= !self.insert(mv.particle, new, &mut stats);
             }
+        }
+        // Hand a small emptied queue back so the one-move cycles of
+        // injections and cross-tile arrivals reuse its allocation; a bulk
+        // cycle's buffer is freed rather than kept resident per tile.
+        if pending.capacity() <= PENDING_KEEP {
+            pending.clear();
+            self.pending = pending;
         }
 
         // Rebuild triggers (section 4.3.2): mandatory when overflow
         // particles exist; optional when free slots are critically low.
-        if !overflow.is_empty() || self.empty_ratio() < self.min_empty_ratio {
+        if overflowed || self.empty_ratio() < self.min_empty_ratio {
             self.rebuild(cells, &mut stats);
         }
         stats
@@ -718,6 +727,34 @@ mod tests {
         assert_eq!(stats.rebuilds, 0);
         assert_eq!(g.bin_len(0), 1);
         assert_eq!(g.bin_len(1), 3);
+    }
+
+    #[test]
+    fn apply_hands_the_emptied_queue_back() {
+        // Every cross-tile arrival queues one insert and applies at once;
+        // the queue's allocation must survive the apply, with or without
+        // a rebuild.
+        let mut cells = vec![0, 0, 1, 1];
+        let mut g = Gpma::build(&cells, 2, 0.0);
+        let mut rebuilds = 0;
+        for arrival in 0..8 {
+            cells.push(arrival % 2);
+            g.queue_insert(cells.len() - 1, arrival % 2);
+            rebuilds += g.apply_pending_moves(&cells).rebuilds;
+            g.check_invariants(&cells);
+            assert_eq!(g.pending_len(), 0);
+            let kept = g.pending.capacity();
+            assert!(0 < kept && kept <= PENDING_KEEP, "kept {kept}");
+        }
+        assert!(rebuilds > 0, "the gapless build must overflow");
+        // A bulk cycle's buffer is freed, not kept.
+        for _ in 0..4 * PENDING_KEEP {
+            cells.push(0);
+            g.queue_insert(cells.len() - 1, 0);
+        }
+        let _ = g.apply_pending_moves(&cells);
+        g.check_invariants(&cells);
+        assert!(g.pending.capacity() <= PENDING_KEEP);
     }
 
     #[test]

@@ -379,15 +379,14 @@ pub fn charge_gather(
             // Six field arrays x nodes gathers; use the sampled node
             // index of each lane, offset per node to cover the stencil.
             // The lane indices are identical across the six arrays, so
-            // they are built once per node in a stack buffer.
+            // they — and the line set they touch — are built once per
+            // node.
             for node in 0..nodes.min(8) {
                 let mut idx = [0usize; 8];
                 for (l, i) in (p..p + lanes).enumerate() {
                     idx[l] = sample_idx[i.min(sample_idx.len() - 1)] + node;
                 }
-                for addr in field_addrs {
-                    m.v_touch_gather(*addr, &idx[..lanes]);
-                }
+                m.v_touch_gather_multi(field_addrs, &idx[..lanes]);
             }
             p += lanes;
         }
@@ -656,6 +655,53 @@ mod tests {
             batched.counters().flops_issued,
             "batching amortises memory, not useful FLOPs"
         );
+    }
+
+    #[test]
+    fn charge_gather_matches_one_gather_per_array_bitwise() {
+        // The per-particle charge over a shuffled tile (random cells per
+        // lane, ragged last chunk) shares one line set across the six
+        // field arrays; counters and cache state must equal the plain
+        // node x array x `v_touch_gather` sweep it replaces.
+        let cfg = mpic_machine::MachineConfig::lx2();
+        let mut shared = Machine::new(cfg.clone());
+        let mut plain = Machine::new(cfg);
+        let len = 20 * 20 * 20;
+        let addrs: [VAddr; 6] = std::array::from_fn(|_| shared.mem().alloc_f64(len));
+        for _ in 0..6 {
+            let _ = plain.mem().alloc_f64(len);
+        }
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        let sample_idx: Vec<usize> = (0..1003)
+            .map(|_| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng % (len as u64 - 8)) as usize
+            })
+            .collect();
+        let (n, nodes) = (sample_idx.len(), 8);
+        let cost = GatherCost::default();
+        charge_gather(&mut shared, cost, n, nodes, &addrs, &sample_idx);
+        plain.in_phase(Phase::Gather, |m| {
+            for chunk in sample_idx.chunks(8) {
+                m.v_ops(cost.v_ops_per_chunk);
+                for node in 0..nodes {
+                    let idx: Vec<usize> = chunk.iter().map(|i| i + node).collect();
+                    for addr in &addrs {
+                        m.v_touch_gather(*addr, &idx);
+                    }
+                }
+            }
+            m.record_flops((n * nodes * 6 * 2) as f64);
+        });
+        assert_eq!(
+            shared.mem_ref().cache_state(),
+            plain.mem_ref().cache_state()
+        );
+        let (a, b) = (shared.drain_counters(), plain.drain_counters());
+        assert!(b.l2.misses > 0 && b.l1.hits > 0);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]
