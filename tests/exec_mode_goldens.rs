@@ -1,0 +1,124 @@
+//! Absolute golden checksums of every execution mode.
+//!
+//! The self-consistency suites (`batched_hot_path.rs`, `snapshot.rs`,
+//! `parallel_determinism.rs`) compare modes against each other, and
+//! `BENCH_step.json` pins absolute emulated counters for FullOpt/CIC
+//! only — so a pricing slip in the rhocell or direct-scatter kernels, or
+//! at QSP/TSC, that moved every worker count the same way would pass all
+//! of them. This file pins the *whole* post-run state of each kernel
+//! family x shape order x execution mode to a constant: FNV-1a over
+//! `Simulation::snapshot()`, which covers fields, particles, GPMA,
+//! per-phase counters, cache statistics and behavioural state, and the
+//! run report. The loop holds no libm call (sqrt and division are IEEE
+//! correctly rounded), so the constants are host-independent.
+//!
+//! A constant only changes when the physics or the cost model changes;
+//! a refactor must reproduce every one of them unmodified.
+
+use matrix_pic::core::workloads;
+use matrix_pic::deposit::{KernelConfig, ShapeOrder};
+
+/// Ten particles per cell: every sorted same-cell run spans one full
+/// lane pack plus a masked tail, so both pack shapes are under the hash.
+const DIMS: [usize; 3] = [8, 8, 16];
+const PPC: usize = 10;
+const SEED: u64 = 20_260_930;
+const STEPS: usize = 3;
+
+/// `(batching, simd)`: per-particle, runs at the walk price, runs at the
+/// stream price.
+const MODES: [(bool, bool); 3] = [(false, false), (true, false), (true, true)];
+
+/// One row per kernel x shape; one checksum per entry of [`MODES`].
+/// `Baseline` is unsorted, so both knobs are no-ops and its three
+/// checksums coincide.
+const GOLDENS: [(KernelConfig, ShapeOrder, [u64; 3]); 9] = [
+    (
+        KernelConfig::FullOpt,
+        ShapeOrder::Cic,
+        [0x292f286c0d5851b4, 0xa49f29dbd96f5259, 0xf5bd2296a33f3a88],
+    ),
+    (
+        KernelConfig::FullOpt,
+        ShapeOrder::Qsp,
+        [0x8bbafd1cb59486c4, 0x5bcd61f0ed772ba1, 0xe0b6278181da160a],
+    ),
+    (
+        KernelConfig::FullOpt,
+        ShapeOrder::Tsc,
+        [0x3c2c424ab501df5f, 0x1f7f7f623e003999, 0xa3965d78058baf0e],
+    ),
+    (
+        KernelConfig::RhocellIncrSortVpu,
+        ShapeOrder::Cic,
+        [0x29c1d24704f5653d, 0x83bee238beabdd68, 0x7a8a40765efdce2b],
+    ),
+    (
+        KernelConfig::RhocellIncrSortVpu,
+        ShapeOrder::Qsp,
+        [0xadf046c373664eae, 0x10e33bfa103eafb8, 0x6c345736c23d0205],
+    ),
+    (
+        KernelConfig::BaselineIncrSort,
+        ShapeOrder::Cic,
+        [0x532caeba51eace9b, 0x1fb40ad3364dc13c, 0x8c5a03a2646cdd3c],
+    ),
+    (
+        KernelConfig::BaselineIncrSort,
+        ShapeOrder::Qsp,
+        [0xe3c88fc87a21a685, 0x95b32388b9a0a26f, 0x4f8f9ef133262cce],
+    ),
+    (
+        KernelConfig::Baseline,
+        ShapeOrder::Cic,
+        [0xfd4ba4a397d81eaf, 0xfd4ba4a397d81eaf, 0xfd4ba4a397d81eaf],
+    ),
+    (
+        KernelConfig::Baseline,
+        ShapeOrder::Qsp,
+        [0x8abeddfb0f9004b2, 0x8abeddfb0f9004b2, 0x8abeddfb0f9004b2],
+    ),
+];
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn checksum(kernel: KernelConfig, shape: ShapeOrder, batching: bool, simd: bool) -> u64 {
+    let mut sim = workloads::uniform_plasma_sim(DIMS, PPC, shape, kernel, SEED);
+    sim.cfg.batching = batching;
+    sim.cfg.simd = simd;
+    sim.run(STEPS);
+    fnv1a64(&sim.snapshot())
+}
+
+#[test]
+fn conf_exec_mode_goldens() {
+    let mut table = String::new();
+    let mut mismatches = Vec::new();
+    for (kernel, shape, want) in GOLDENS {
+        let got = MODES.map(|(batching, simd)| checksum(kernel, shape, batching, simd));
+        table.push_str(&format!(
+            "    (KernelConfig::{kernel:?}, ShapeOrder::{shape:?}, [{:#018x}, {:#018x}, {:#018x}]),\n",
+            got[0], got[1], got[2]
+        ));
+        for (m, (g, w)) in got.iter().zip(want).enumerate() {
+            if *g != w {
+                mismatches.push(format!(
+                    "{kernel:?}/{shape:?} (batching, simd) = {:?}: got {g:#018x}, want {w:#018x}",
+                    MODES[m]
+                ));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "execution-mode goldens moved:\n  {}\nfull table as computed:\n{table}",
+        mismatches.join("\n  ")
+    );
+}
