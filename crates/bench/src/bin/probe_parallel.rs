@@ -1,10 +1,10 @@
 //! Host-performance probe for the unified execution layer and the
-//! cell-run batched hot path: runs the uniform-plasma FullOpt workload
-//! at several worker counts under each scheduler policy — across the
-//! execution modes per-particle, batched-scalar and batched-SIMD —
-//! verifies the determinism contract, and records host wall-clock
-//! numbers in `BENCH_step.json` so the perf trajectory of the step
-//! loop is tracked in-repo.
+//! cell-run sweeps: runs the uniform-plasma FullOpt workload at several
+//! worker counts under each scheduler policy — across the execution
+//! modes per-particle (`off`), cell runs at the walk price (`on`) and
+//! cell runs at the stream price (`on+simd`) — verifies the determinism
+//! contract, and records host wall-clock numbers in `BENCH_step.json`
+//! so the perf trajectory of the step loop is tracked in-repo.
 //!
 //! Gates enforced (exit code nonzero on any failure, so every
 //! invocation doubles as a CI gate):
@@ -12,12 +12,12 @@
 //! * **Determinism** — within each execution mode, every (worker count,
 //!   scheduler) combination must reproduce the mode's first run bit for
 //!   bit: all nine field arrays AND per-phase emulated cycles.
-//! * **Cross-mode value parity** — FullOpt's batched path is value-exact
-//!   (the gather caches read-only node blocks; the matrix kernel is
-//!   run-based either way), and the lane-parallel SIMD path preserves
-//!   every add order bitwise — so currents and fields must match the
-//!   per-particle path bitwise across ALL modes. Cycles are excluded:
-//!   charging fewer of them is the point.
+//! * **Cross-mode value parity** — FullOpt's cell-run sweep is
+//!   value-exact (the gather caches read-only node blocks, its lane
+//!   packs preserve every add order, and the matrix kernel is run-based
+//!   either way) and the pricing never touches values — so currents and
+//!   fields must match the per-particle path bitwise across ALL modes.
+//!   Cycles are excluded: charging fewer of them is the point.
 //! * **Baseline counter parity** — the WarpX direct-scatter kernel runs
 //!   the same within-mode sweep (its batched currents regroup FP adds,
 //!   so no cross-mode bit check there).
@@ -27,11 +27,11 @@
 //!   the committed value (per execution mode) fails the probe. A
 //!   differing CPU count skips the gate (numbers from a different host
 //!   class are not comparable).
-//! * **SIMD floor** — the single-thread lane-parallel mode must beat
-//!   batched-scalar by at least [`SIMD_HOST_SPEEDUP_FLOOR`] on the
-//!   host clock. A silent fallback to the scalar loop would pass every
-//!   bit gate (identity is the contract), so only a speed floor
-//!   catches it.
+//! * **Cost model** — the emulated numbers are deterministic, so the
+//!   fresh single-thread `emulated_ms_per_step` of every mode and the
+//!   whole `phase_cycles_1w` block must reproduce the committed record
+//!   digit for digit (whatever the host); a cost-model change has to
+//!   re-record the file in the same reviewed change.
 //!
 //! When the host has too few CPUs to run the largest worker count in
 //! parallel, `thread_scaling` records `skipped-insufficient-cores` and
@@ -44,9 +44,9 @@
 //! batched-SIMD). Passing an explicit worker list or restricting the
 //! policy/batching/simd skips the `BENCH_step.json` write and the
 //! regression gate, so auxiliary runs never clobber the tracked
-//! record. `--simd on` implies the batched sweep: SIMD is a mode *of*
-//! the batched hot path, so the `(batching off, simd on)` combination
-//! is never run (it is a configuration no-op by contract).
+//! record. `--simd on` implies the cell-run sweep: it selects that
+//! sweep's pricing, so the `(batching off, simd on)` combination is
+//! never run (it is a configuration no-op by contract).
 
 use std::time::Instant;
 
@@ -70,18 +70,6 @@ const PHASE_DISPATCHES_PER_STEP: f64 = 5.0;
 /// ms/step more than this factor above the committed record fails.
 const GATE_TOLERANCE: f64 = 1.25;
 
-/// Host-speedup floor of the lane-parallel SIMD mode over batched
-/// scalar, single thread: the lane Boris push plus masked vector
-/// tails must buy at least this much on the canonical workload.
-/// The numerator (batched scalar) walks the cache simulator and the
-/// denominator streams, so a faster walk lowers the ratio with no SIMD
-/// regression: the floor is anchored to the ratio recorded with the
-/// current walk (~2.0x; five runs read 1.78-2.06x), about 20% under
-/// it so container noise does not trip it, but high enough that losing
-/// the lane push (falling back to a scalar loop, ratio 1.0) fails the
-/// probe.
-const SIMD_HOST_SPEEDUP_FLOOR: f64 = 1.55;
-
 fn batching_label(on: bool) -> &'static str {
     if on {
         "on"
@@ -91,7 +79,7 @@ fn batching_label(on: bool) -> &'static str {
 }
 
 /// Human/JSON label of an execution mode: `off` (per-particle), `on`
-/// (batched scalar), `on+simd` (batched lane-parallel).
+/// (cell runs, walked), `on+simd` (cell runs, streamed).
 fn mode_label(batching: bool, simd: bool) -> &'static str {
     match (batching, simd) {
         (false, _) => "off",
@@ -170,10 +158,10 @@ fn run_probe(
     }
 }
 
-/// Compares every run against the first **of its execution mode**
-/// (per-particle, batched-scalar or batched-SIMD): currents, fields
-/// and per-phase cycles must be bit-identical across worker counts and
-/// scheduler policies. Returns whether the whole set is clean.
+/// Compares every run against the first **of its execution mode**:
+/// currents, fields and per-phase cycles must be bit-identical across
+/// worker counts and scheduler policies. Returns whether the whole set
+/// is clean.
 fn check_parity(label: &str, results: &[ProbeResult]) -> bool {
     let mut ok = true;
     for (batching, simd) in [(false, false), (true, false), (true, true)] {
@@ -240,9 +228,9 @@ fn cross_mode_gate_sound(steps: usize) -> bool {
     1 + steps < min_interval
 }
 
-/// Cross-mode value parity: batched-scalar AND batched-SIMD FullOpt
-/// must agree bitwise with the per-particle path in currents AND
-/// fields (cycles excluded by design). Each mode present in the sweep
+/// Cross-mode value parity: FullOpt's cell-run sweep, at either
+/// pricing, must agree bitwise with the per-particle path in currents
+/// AND fields (cycles excluded by design). Each mode present in the sweep
 /// is compared against the first mode's representative; with fewer
 /// than two modes there is nothing to compare.
 fn check_cross_mode_values(label: &str, results: &[ProbeResult]) -> bool {
@@ -328,15 +316,76 @@ fn json_number_after(text: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Reads the committed BENCH_step.json and extracts the gate inputs:
+/// The `workload` line of BENCH_step.json.
+fn workload_json(ppc: usize, steps: usize, particles: usize) -> String {
+    format!(
+        "  \"workload\": {{\"cells\": [{}, {}, {}], \"ppc\": {ppc}, \"kernel\": \"FullOpt\", \"shape\": \"CIC\", \"measured_steps\": {steps}, \"particles\": {particles}}},\n",
+        CELLS[0], CELLS[1], CELLS[2]
+    )
+}
+
+/// The `emulated_ms_per_step` field closing a `results` row.
+fn emulated_json(r: &ProbeResult) -> String {
+    format!("\"emulated_ms_per_step\": {:.4}}}", r.emulated_ms_per_step)
+}
+
+/// One mode's row of the `phase_cycles_1w` block (no trailing comma).
+fn phase_cycles_json(r: &ProbeResult) -> String {
+    let cy = |p: Phase| r.cycles[Phase::ALL.iter().position(|q| *q == p).unwrap()];
+    format!(
+        "    \"{}\": {{\"push\": {:.1}, \"gather\": {:.1}, \"compute\": {:.1}, \"reduce\": {:.1}}}",
+        mode_label(r.batching, r.simd),
+        cy(Phase::Push),
+        cy(Phase::Gather),
+        cy(Phase::Compute),
+        cy(Phase::Reduce),
+    )
+}
+
+/// Cost-model gate: the emulated numbers are pure functions of (code,
+/// workload), so each mode's fresh single-thread record must appear in
+/// the committed BENCH_step.json (`text`) exactly as it would be
+/// written. `None` when the record holds a different workload.
+fn check_cost_model(text: &str, workload: &str, mode_runs: &[&ProbeResult]) -> Option<bool> {
+    if !text.contains(workload) {
+        return None;
+    }
+    let mut ok = true;
+    for r in mode_runs {
+        let mode = mode_label(r.batching, r.simd);
+        let row = text.lines().find(|l| {
+            l.contains("\"workers\": 1,")
+                && l.contains(&format!("\"batching\": \"{}\"", batching_label(r.batching)))
+                && l.contains(&format!("\"simd\": \"{}\"", batching_label(r.simd)))
+        });
+        if !row.is_some_and(|l| l.contains(&emulated_json(r))) {
+            eprintln!(
+                "FAIL [cost model]: mode={mode} emulated ms/step {:.4} is not the committed value ({})",
+                r.emulated_ms_per_step,
+                row.map_or("no such row", str::trim)
+            );
+            ok = false;
+        }
+        let cycles = phase_cycles_json(r);
+        if !text.lines().any(|l| l.trim_end_matches(',') == cycles) {
+            eprintln!(
+                "FAIL [cost model]: phase_cycles_1w row differs from the committed record: {}",
+                cycles.trim()
+            );
+            ok = false;
+        }
+    }
+    Some(ok)
+}
+
+/// Extracts the perf-gate inputs from the committed BENCH_step.json:
 /// the recorded host CPU count plus each single-thread (workers == 1)
 /// result as `(mode_label, host_ms_per_step)`. Records written before
 /// the batching sweep existed carry no `batching` field and are
 /// treated as per-particle ("off"); records written before the SIMD
 /// sweep carry no `simd` field and are treated as scalar.
-fn read_committed_gate(path: &str) -> Option<(usize, Vec<(String, f64)>)> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let cpus = json_number_after(&text, "\"host_cpus\"")? as usize;
+fn read_committed_gate(text: &str) -> Option<(usize, Vec<(String, f64)>)> {
+    let cpus = json_number_after(text, "\"host_cpus\"")? as usize;
     let mut entries = Vec::new();
     for line in text.lines() {
         // The trailing comma pins exactly 1 (not 10, 16, ...).
@@ -438,7 +487,8 @@ fn main() {
         .unwrap_or(1);
     // Read the committed record BEFORE measurements overwrite it: the
     // regression gate compares fresh numbers against it at the end.
-    let committed = read_committed_gate("BENCH_step.json");
+    let committed_text = std::fs::read_to_string("BENCH_step.json").ok();
+    let committed = committed_text.as_deref().and_then(read_committed_gate);
 
     let policy_labels: Vec<&str> = policies.iter().map(|p| p.label()).collect();
     let mode_labels: Vec<&str> = modes.iter().map(|&(b, s)| mode_label(b, s)).collect();
@@ -586,22 +636,18 @@ fn main() {
         batched_emulated_speedup = Some(emulated);
     }
 
-    // The headline of the SIMD sweep: single-thread batched-SIMD vs
-    // batched-scalar, host and emulated.
-    let mut simd_host_speedup = None;
+    // The headline of the pricing sweep: single-thread cell runs
+    // streamed vs walked. Emulated only — both run the same host
+    // arithmetic, so a host ratio would measure nothing but the cost
+    // model's own bookkeeping.
     let mut simd_emulated_speedup = None;
-    if let (Some(scalar), Some(simd)) = (single_thread(true, false), single_thread(true, true)) {
-        let host = scalar.host_ms_per_step / simd.host_ms_per_step;
-        let emulated = scalar.emulated_ms_per_step / simd.emulated_ms_per_step;
+    if let (Some(walk), Some(stream)) = (single_thread(true, false), single_thread(true, true)) {
+        let emulated = walk.emulated_ms_per_step / stream.emulated_ms_per_step;
         println!(
-            "single-thread batched-SIMD vs batched-scalar: host {host:.2}x, emulated {emulated:.2}x \
-             ({:.1} -> {:.1} host ms/step, {:.3} -> {:.3} emulated ms/step)",
-            scalar.host_ms_per_step,
-            simd.host_ms_per_step,
-            scalar.emulated_ms_per_step,
-            simd.emulated_ms_per_step
+            "single-thread streamed vs walked cell runs: emulated {emulated:.2}x \
+             ({:.3} -> {:.3} emulated ms/step)",
+            walk.emulated_ms_per_step, stream.emulated_ms_per_step
         );
-        simd_host_speedup = Some(host);
         simd_emulated_speedup = Some(emulated);
     }
 
@@ -648,8 +694,17 @@ fn main() {
     };
     let canary_assessable = canary.is_some();
 
-    // Perf-regression gate against the committed record (only for the
-    // canonical invocation, which is about to overwrite it).
+    // Each execution mode's single-thread run, and the workload line
+    // they were measured on: the deterministic part of the record.
+    let mode_runs: Vec<&ProbeResult> = modes
+        .iter()
+        .filter_map(|&(b, s)| single_thread(b, s))
+        .collect();
+    let workload = workload_json(ppc, steps, base.particles);
+
+    // Perf-regression and cost-model gates against the committed record
+    // (only for the canonical invocation, which is about to overwrite
+    // it).
     let mut gate_failed = false;
     if write_bench {
         match &committed {
@@ -679,21 +734,15 @@ fn main() {
                 }
             }
         }
-        // SIMD floor: the lane-parallel mode must actually be lane
-        // parallel. A silent fallback to the scalar loop would still
-        // pass every bit gate (the contract is bitwise identity), so
-        // only a host-speed floor catches it.
-        if let Some(h) = simd_host_speedup {
-            if h < SIMD_HOST_SPEEDUP_FLOOR {
-                eprintln!(
-                    "FAIL [perf gate]: single-thread SIMD host speedup {h:.2}x is below the {SIMD_HOST_SPEEDUP_FLOOR}x floor"
-                );
-                gate_failed = true;
-            } else {
-                println!(
-                    "perf gate: single-thread SIMD host speedup {h:.2}x meets the {SIMD_HOST_SPEEDUP_FLOOR}x floor"
-                );
-            }
+        let cost_model = committed_text
+            .as_deref()
+            .and_then(|text| check_cost_model(text, &workload, &mode_runs));
+        match cost_model {
+            None => println!("cost-model gate: no committed record of this workload — skipped"),
+            Some(true) => println!(
+                "cost-model gate: emulated ms/step and phase_cycles_1w reproduce the committed record exactly"
+            ),
+            Some(false) => gate_failed = true,
         }
     }
 
@@ -702,21 +751,18 @@ fn main() {
         let mut json = String::new();
         json.push_str("{\n");
         json.push_str("  \"bench\": \"probe_parallel\",\n");
-        json.push_str(&format!(
-            "  \"workload\": {{\"cells\": [{}, {}, {}], \"ppc\": {ppc}, \"kernel\": \"FullOpt\", \"shape\": \"CIC\", \"measured_steps\": {steps}, \"particles\": {}}},\n",
-            CELLS[0], CELLS[1], CELLS[2], base.particles
-        ));
+        json.push_str(&workload);
         json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
         json.push_str("  \"results\": [\n");
         for (i, r) in results.iter().enumerate() {
             json.push_str(&format!(
-                "    {{\"workers\": {}, \"scheduler\": \"{}\", \"batching\": \"{}\", \"simd\": \"{}\", \"host_ms_per_step\": {:.2}, \"emulated_ms_per_step\": {:.4}}}{}\n",
+                "    {{\"workers\": {}, \"scheduler\": \"{}\", \"batching\": \"{}\", \"simd\": \"{}\", \"host_ms_per_step\": {:.2}, {}{}\n",
                 r.workers,
                 r.policy.label(),
                 batching_label(r.batching),
                 batching_label(r.simd),
                 r.host_ms_per_step,
-                r.emulated_ms_per_step,
+                emulated_json(r),
                 if i + 1 < results.len() { "," } else { "" }
             ));
         }
@@ -725,22 +771,10 @@ fn main() {
         // single-thread run: mode-level totals hide where a PR moved
         // the cycles (e.g. the roofline crossover lowers Gather
         // specifically while Push stays bitwise pinned).
-        let mode_runs: Vec<&ProbeResult> = modes
-            .iter()
-            .filter_map(|&(b, s)| single_thread(b, s))
-            .collect();
         json.push_str("  \"phase_cycles_1w\": {\n");
         for (i, r) in mode_runs.iter().enumerate() {
-            let cy = |p: Phase| r.cycles[Phase::ALL.iter().position(|q| *q == p).unwrap()];
-            json.push_str(&format!(
-                "    \"{}\": {{\"push\": {:.1}, \"gather\": {:.1}, \"compute\": {:.1}, \"reduce\": {:.1}}}{}\n",
-                mode_label(r.batching, r.simd),
-                cy(Phase::Push),
-                cy(Phase::Gather),
-                cy(Phase::Compute),
-                cy(Phase::Reduce),
-                if i + 1 < mode_runs.len() { "," } else { "" }
-            ));
+            json.push_str(&phase_cycles_json(r));
+            json.push_str(if i + 1 < mode_runs.len() { ",\n" } else { "\n" });
         }
         json.push_str("  },\n");
         json.push_str(&format!(
@@ -751,9 +785,9 @@ fn main() {
                 "  \"speedup_batched_vs_per_particle_1w\": {{\"host\": {h:.3}, \"emulated\": {e:.3}}},\n"
             ));
         }
-        if let (Some(h), Some(e)) = (simd_host_speedup, simd_emulated_speedup) {
+        if let Some(e) = simd_emulated_speedup {
             json.push_str(&format!(
-                "  \"speedup_simd_vs_scalar_1w\": {{\"host\": {h:.3}, \"emulated\": {e:.3}}},\n"
+                "  \"speedup_simd_vs_scalar_1w\": {{\"emulated\": {e:.3}}},\n"
             ));
         }
         // A host too small to run the largest worker count in

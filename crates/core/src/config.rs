@@ -51,38 +51,37 @@ pub struct SimConfig {
     /// load-imbalanced workloads (LWFA's mostly-empty tiles). Results
     /// are bit-identical for either policy.
     pub scheduler: SchedulerPolicy,
-    /// Selects the cell-run batched hot path: the gather loads each
-    /// cell's stencil node block once per same-cell particle run
-    /// (value-exact — gathers are read-only), and the deposition kernels
-    /// accumulate each run into a stack-resident stencil block applied
-    /// to the tile accumulator once per run. Requires a sorting strategy
-    /// that provides cell-grouped order; unsorted configurations fall
-    /// back to the per-particle reference sweep regardless of this flag.
-    /// `false` (the default) keeps the per-particle reference paths and
-    /// the paper-figure cost model exactly as before; the batched path
-    /// is bit-identical across worker counts and scheduler policies, and
-    /// its gather/push values are bit-identical to the reference
-    /// (deposit regroups FP adds within a tight ULP bound on the
-    /// direct-scatter kernel only).
+    /// Selects the cell-run sweeps: particles are visited in GPMA-sorted
+    /// order, the gather loads each cell's stencil node block once per
+    /// same-cell particle run and interpolates + pushes the run in
+    /// lane-width packs (value-exact — gathers are read-only and every
+    /// lane keeps the per-particle operation order), and the deposition
+    /// kernels accumulate each run into a stack-resident stencil block
+    /// applied to the tile accumulator once per run. Requires a sorting
+    /// strategy that provides cell-grouped order; unsorted
+    /// configurations stay on the per-particle reference sweep
+    /// regardless of this flag (`Depositor::mode` is the one place that
+    /// decides). `false` (the default) keeps the per-particle reference
+    /// paths and the paper-figure cost model exactly as before; the
+    /// cell-run path is bit-identical across worker counts and
+    /// scheduler policies, and its gather/push values are bit-identical
+    /// to the reference (deposit regroups FP adds within a tight ULP
+    /// bound on the direct-scatter kernel only).
     pub batching: bool,
-    /// Selects the lane-parallel (SIMD) execution mode of the batched
-    /// hot kernels: the run gather interpolates `W`-wide chunks of
-    /// particles from the shared stencil node block at once, the batched
-    /// deposit kernels accumulate lanes of nodes per iteration, and the
-    /// rhocell→grid reduction folds each cell's components in one fused
-    /// traversal (priced by `Machine::v_touch_reduce_block`). ANDed with
-    /// [`SimConfig::batching`]: without the batched path there are no
-    /// runs to chunk, so `simd` alone is a no-op and the per-particle
-    /// path stays the bitwise reference. Values are bit-identical to the
-    /// batched-scalar path everywhere (the lane loops preserve the
-    /// per-particle association order). Emulated counters follow the
-    /// streaming-price contract: the memory-bound block transfers are
-    /// priced by the state-free streaming model instead of cache walks,
-    /// so `Preprocess`, `Compute` and `Gather` charge strictly fewer
-    /// cycles (as does `Reduce` on the rhocell-based kernels), while
-    /// `Sort`, `Push`, `FieldSolve` and `Other` stay bit-identical.
-    /// `false` is the default. Runtime knob: like `num_workers`, it may
-    /// differ freely between a snapshot's save and restore.
+    /// Selects `Pricing::Stream` for the cell-run sweeps: their
+    /// memory-bound block transfers — staging loads, run gathers,
+    /// rhocell accumulates, the incremental sorter's position scan and
+    /// the fused rhocell→grid reduction — are priced by the state-free
+    /// streaming model instead of cache walks. It changes no loop and no
+    /// value: fields, currents and particles are bit-identical to
+    /// `simd = false`, `Preprocess`, `Compute`, `Gather` and (on the
+    /// incremental-sort kernels) `Sort` charge strictly fewer cycles, as
+    /// does `Reduce` on the rhocell-based kernels, while `Push`,
+    /// `FieldSolve` and `Other` stay bit-identical. The pricing only
+    /// exists inside the cell-run sweeps, so without
+    /// [`SimConfig::batching`] (or on an unsorted strategy) the flag is a
+    /// no-op. `false` is the default. Runtime knob: like `num_workers`,
+    /// it may differ freely between a snapshot's save and restore.
     pub simd: bool,
 }
 

@@ -1,23 +1,17 @@
 //! The PIC simulation orchestrator: Algorithm 1 embedded in the standard
 //! gather -> push -> sort -> deposit -> field-solve loop.
 
-use mpic_deposit::{canonical_flops_per_particle, AddrMap, Depositor, ShapeOrder, SortStrategy};
+use mpic_deposit::{canonical_flops_per_particle, AddrMap, Depositor, SortStrategy};
 use mpic_grid::constants::C;
 use mpic_grid::{Array3, FieldArrays, GridGeometry, TileLayout};
 use mpic_machine::{
-    vect::W, CacheLevelState, CacheSimState, Lanes, Machine, PerfCounters, Phase, VAddr, WorkerPool,
+    CacheLevelState, CacheSimState, Machine, PerfCounters, Phase, VAddr, WorkerPool,
 };
 use mpic_particles::{
     Departure, Gpma, GpmaState, ParticleContainer, ParticleSoA, ParticleTile, PendingMove,
     RankSortStats, INVALID_PARTICLE_ID,
 };
-use mpic_push::boris::{boris_push, boris_push_lanes, charge_push, BorisCoeffs};
-use mpic_push::gather::{
-    charge_gather, charge_gather_run, charge_gather_run_reuse, gather_fields_with_cell,
-    gather_from_block, gather_from_block_lanes_masked, load_node_block, GatherCost, NodeBlock,
-    MAX_STENCIL_NODES,
-};
-use mpic_push::PushScratch;
+use mpic_push::{BorisCoeffs, PushCtx, PushScratch};
 use mpic_solver::{BoundaryKind, MaxwellSolver, SolverKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -231,11 +225,9 @@ impl Simulation {
     pub fn step(&mut self) -> StepTimings {
         let before = self.machine.counters().clone();
         self.sync_pool();
-        // The batching knob is read from cfg each step (probes retarget
-        // it between steps); the depositor ANDs it with its sorting
-        // strategy, so unsorted configurations keep the reference sweep.
-        // The simd knob rides the same re-read and is ANDed with
-        // batching inside the depositor and the push dispatch.
+        // Both mode knobs are read from cfg each step (probes retarget
+        // them between steps); `Depositor::mode` turns them into the
+        // step's execution mode.
         self.depositor.set_batching(self.cfg.batching);
         self.depositor.set_simd(self.cfg.simd);
 
@@ -329,86 +321,30 @@ impl Simulation {
     /// so positions, momenta and emulated cycles are bit-identical for
     /// any worker count or scheduler policy.
     ///
-    /// With [`SimConfig::batching`] set (and a sorting strategy that
-    /// keeps the GPMA cell-accurate), each tile runs the cell-run
-    /// batched sweep instead: particles are visited in GPMA-sorted
-    /// order, each same-cell run loads its stencil node block once and
-    /// every particle interpolates from the cached block — bit-identical
-    /// E/B values (gathers are read-only), ~ppc x fewer modelled node
-    /// loads.
+    /// The depositor's execution mode selects the tile sweep
+    /// ([`PushCtx::push_tile`]): the GPMA bins are position-accurate at
+    /// push time exactly when a sorting strategy maintains them for the
+    /// deposit kernels, so the push follows the deposit's mode.
     fn push_particles(&mut self) {
-        let order = self.cfg.shape;
-        let nodes = order.nodes_3d();
-        let absorbing = self.cfg.boundary == BoundaryKind::AbsorbingZ;
-        let zlo = self.geom.lo[2];
-        let zhi = self.geom.hi()[2];
-        // The GPMA bins are position-accurate at push time only when a
-        // sorting strategy maintains them for kernel consumption; the
-        // unsorted baseline keeps the per-particle reference sweep
-        // (whose sampled address stream is the paper's unsorted-gather
-        // cost signal) regardless of the knob.
-        let batched = self.cfg.batching && self.depositor.strategy().provides_sorted_order();
-        // SIMD is a mode *of* the batched sweep (lane-width packs over a
-        // run's particles), so it inherits the same sorted-order guard.
-        let simd = batched && self.cfg.simd;
+        let mode = self.depositor.mode();
         let workers = self.pool.workers();
         if self.push_scratch.len() < workers {
             self.push_scratch.resize_with(workers, PushScratch::default);
         }
-        let geom = &self.geom;
-        let fields = &self.fields;
-        let boris = self.boris;
-        let field_addrs = self.field_addrs;
+        let absorbing = self.cfg.boundary == BoundaryKind::AbsorbingZ;
+        let ctx = PushCtx {
+            geom: &self.geom,
+            order: self.cfg.shape,
+            fields: &self.fields,
+            field_addrs: self.field_addrs,
+            boris: self.boris,
+            absorb_z: absorbing.then(|| [self.geom.lo[2], self.geom.hi()[2]]),
+        };
         let counters = self.pool.exec(self.cfg.scheduler).run_counted(
             &self.machine,
             &mut self.electrons.tiles,
             &mut self.push_scratch,
-            |wm, _t, tile, scratch| {
-                if simd {
-                    push_tile_batched_simd(
-                        wm,
-                        geom,
-                        order,
-                        fields,
-                        &field_addrs,
-                        &boris,
-                        absorbing,
-                        zlo,
-                        zhi,
-                        tile,
-                        scratch,
-                    );
-                } else if batched {
-                    push_tile_batched(
-                        wm,
-                        geom,
-                        order,
-                        fields,
-                        &field_addrs,
-                        &boris,
-                        absorbing,
-                        zlo,
-                        zhi,
-                        tile,
-                        scratch,
-                    );
-                } else {
-                    push_tile(
-                        wm,
-                        geom,
-                        order,
-                        nodes,
-                        fields,
-                        &field_addrs,
-                        &boris,
-                        absorbing,
-                        zlo,
-                        zhi,
-                        tile,
-                        scratch,
-                    );
-                }
-            },
+            |wm, _t, tile, scratch| ctx.push_tile(wm, mode, tile, scratch),
         );
         // Deterministic fixed-order counter merge (tile order).
         for c in &counters {
@@ -1162,430 +1098,6 @@ fn shift_tile_window(tile: &mut ParticleTile, dz: f64, zlo: f64) {
     if !removals.is_empty() {
         let _ = tile.gpma.apply_pending_moves(&tile.cells);
     }
-}
-
-/// One tile's gather + Boris push + boundary handling, charged on the
-/// worker machine `wm` with a fresh per-tile cache. All mutation is
-/// tile-local; the field state is read-only.
-fn push_tile(
-    wm: &mut Machine,
-    geom: &GridGeometry,
-    order: ShapeOrder,
-    nodes: usize,
-    fields: &FieldArrays,
-    field_addrs: &[VAddr; 6],
-    boris: &BorisCoeffs,
-    absorbing: bool,
-    zlo: f64,
-    zhi: f64,
-    tile: &mut ParticleTile,
-    scratch: &mut PushScratch,
-) {
-    scratch.clear();
-    scratch.live.extend(tile.soa.live_indices());
-    if scratch.live.is_empty() {
-        return;
-    }
-    wm.mem().flush_cache();
-    for &p in &scratch.live {
-        let (e, b, cw) = gather_fields_with_cell(
-            geom,
-            order,
-            fields,
-            tile.soa.x[p],
-            tile.soa.y[p],
-            tile.soa.z[p],
-        );
-        scratch.sample_idx.push(fields.ex.idx(
-            cw[0] + geom.guard,
-            cw[1] + geom.guard,
-            cw[2] + geom.guard,
-        ));
-        let (mut x, mut y, mut z) = (tile.soa.x[p], tile.soa.y[p], tile.soa.z[p]);
-        let (mut ux, mut uy, mut uz) = (tile.soa.ux[p], tile.soa.uy[p], tile.soa.uz[p]);
-        boris_push(
-            boris, e, b, &mut ux, &mut uy, &mut uz, &mut x, &mut y, &mut z,
-        );
-        // Periodic wrap in x/y (and z when fully periodic).
-        let wrapped = geom.wrap_position([x, y, z]);
-        x = wrapped[0];
-        y = wrapped[1];
-        if absorbing {
-            if z < zlo || z >= zhi {
-                scratch.removals.push((p, tile.cells[p]));
-            }
-        } else {
-            z = wrapped[2];
-        }
-        tile.soa.x[p] = x;
-        tile.soa.y[p] = y;
-        tile.soa.z[p] = z;
-        tile.soa.ux[p] = ux;
-        tile.soa.uy[p] = uy;
-        tile.soa.uz[p] = uz;
-    }
-    for &(p, bin) in &scratch.removals {
-        tile.gpma.queue_remove(p, bin);
-        tile.cells[p] = INVALID_PARTICLE_ID;
-        tile.soa.remove(p);
-    }
-    if !scratch.removals.is_empty() {
-        let _ = tile.gpma.apply_pending_moves(&tile.cells);
-    }
-    charge_gather(
-        wm,
-        GatherCost::default(),
-        scratch.live.len(),
-        nodes,
-        field_addrs,
-        &scratch.sample_idx,
-    );
-    charge_push(wm, scratch.live.len());
-}
-
-/// The cell-run batched variant of [`push_tile`]: particles are visited
-/// in GPMA-sorted order (the grouping heuristic — same-bin particles
-/// are adjacent), each same-cell run loads its stencil node block once,
-/// and every particle of the run interpolates from the cached block.
-///
-/// Run boundaries come from each particle's **actual located cell**,
-/// not from its GPMA bin: the moving-window shift translates positions
-/// after the last maintenance pass, so bins can be one cell stale at
-/// push time — the located cell never is, and it is computed anyway for
-/// the interpolation weights. A uniformly stale order still groups
-/// perfectly, so the amortisation is unaffected.
-///
-/// Value-exact versus the per-particle gather — same node values, same
-/// weights, same accumulation order (gathers are read-only, so the
-/// cached block cannot go stale within a run) — while the cost model
-/// charges one run-scoped block gather per field array instead of a
-/// per-particle node sweep. Still a pure function of the tile: the
-/// iteration order, removals (queued in GPMA order rather than raw slot
-/// order) and all charges depend only on tile state, so worker-count
-/// and scheduler bit-identity hold exactly as for the reference path.
-fn push_tile_batched(
-    wm: &mut Machine,
-    geom: &GridGeometry,
-    order: ShapeOrder,
-    fields: &FieldArrays,
-    field_addrs: &[VAddr; 6],
-    boris: &BorisCoeffs,
-    absorbing: bool,
-    zlo: f64,
-    zhi: f64,
-    tile: &mut ParticleTile,
-    scratch: &mut PushScratch,
-) {
-    scratch.clear();
-    scratch.live.extend(tile.gpma.iter_sorted().map(|(_, p)| p));
-    if scratch.live.is_empty() {
-        return;
-    }
-    wm.mem().flush_cache();
-    let mut block = NodeBlock::new();
-    // No cell has this value after wrapping, so the first particle
-    // always opens a run.
-    let mut run_cell = [usize::MAX; 3];
-    let mut run_len = 0usize;
-    for &p in &scratch.live {
-        let (mut x, mut y, mut z) = (tile.soa.x[p], tile.soa.y[p], tile.soa.z[p]);
-        let (located, frac) = geom.locate(x, y, z);
-        let cell = geom.wrap_cell(located);
-        if cell != run_cell {
-            // Close the previous run's charge, then cache the new
-            // cell's stencil block (indices + six field node sets).
-            if run_len > 0 {
-                charge_gather_run(
-                    wm,
-                    GatherCost::default(),
-                    run_len,
-                    field_addrs,
-                    &block.idx[..block.nodes],
-                );
-            }
-            load_node_block(geom, order, fields, cell, &mut block);
-            run_cell = cell;
-            run_len = 0;
-        }
-        run_len += 1;
-        let (e, b) = gather_from_block(order, &block, frac);
-        let (mut ux, mut uy, mut uz) = (tile.soa.ux[p], tile.soa.uy[p], tile.soa.uz[p]);
-        boris_push(
-            boris, e, b, &mut ux, &mut uy, &mut uz, &mut x, &mut y, &mut z,
-        );
-        let wrapped = geom.wrap_position([x, y, z]);
-        x = wrapped[0];
-        y = wrapped[1];
-        if absorbing {
-            if z < zlo || z >= zhi {
-                scratch.removals.push((p, tile.cells[p]));
-            }
-        } else {
-            z = wrapped[2];
-        }
-        tile.soa.x[p] = x;
-        tile.soa.y[p] = y;
-        tile.soa.z[p] = z;
-        tile.soa.ux[p] = ux;
-        tile.soa.uy[p] = uy;
-        tile.soa.uz[p] = uz;
-    }
-    if run_len > 0 {
-        charge_gather_run(
-            wm,
-            GatherCost::default(),
-            run_len,
-            field_addrs,
-            &block.idx[..block.nodes],
-        );
-    }
-    for &(p, bin) in &scratch.removals {
-        tile.gpma.queue_remove(p, bin);
-        tile.cells[p] = INVALID_PARTICLE_ID;
-        tile.soa.remove(p);
-    }
-    if !scratch.removals.is_empty() {
-        let _ = tile.gpma.apply_pending_moves(&tile.cells);
-    }
-    charge_push(wm, scratch.live.len());
-}
-
-/// The lane-parallel variant of [`push_tile_batched`]
-/// ([`SimConfig::simd`]): same GPMA-sorted sweep and same run discovery
-/// from each particle's located cell, but a run's particles are buffered
-/// as `(slot, frac)` pairs and — when the run closes — interpolated AND
-/// Boris-pushed in lane-width packs: the masked lane gather
-/// ([`gather_from_block_lanes_masked`]) hands `(E, B)` to the
-/// lane-parallel push ([`boris_push_lanes`]) still in lane registers,
-/// and ragged tails run the same packs under a prefix mask instead of a
-/// scalar remainder loop. Each lane holds one particle end to end, and
-/// every lane operation is the correctly-rounded per-lane twin of its
-/// scalar counterpart, so E/B values, positions, momenta and removals
-/// are bit-identical to the batched-scalar sweep.
-/// *Pricing* is where the lane-parallel mode differs: the
-/// previous run's stencil block stays in lane registers across the
-/// run boundary, so [`charge_gather_run_reuse`] charges only the cache
-/// lines the new stencil adds — and it prices them with the state-free
-/// streaming model (a flat bandwidth cost per line, no cache-sim walk),
-/// so the charge is a pure function of the run's node indices
-/// (sorted-cell order makes consecutive stencils overlap heavily) plus
-/// the declared field-array footprint: grids small enough to sit in L1
-/// cross the roofline to the resident line price instead of being
-/// overcharged at the DRAM stream rate.
-/// The reuse state is tile-local — reset at tile start and advanced in
-/// run order, which the GPMA sweep fixes independently of worker count
-/// or scheduler policy — so Gather cycles stay bit-identical across
-/// workers x policies and never price above the scalar mode's walking
-/// charge on either side of the crossover. Deferring
-/// the Boris push to run close is safe: gathers are read-only and each
-/// particle's writeback touches only its own SoA slots, so no buffered
-/// particle can observe another's push.
-fn push_tile_batched_simd(
-    wm: &mut Machine,
-    geom: &GridGeometry,
-    order: ShapeOrder,
-    fields: &FieldArrays,
-    field_addrs: &[VAddr; 6],
-    boris: &BorisCoeffs,
-    absorbing: bool,
-    zlo: f64,
-    zhi: f64,
-    tile: &mut ParticleTile,
-    scratch: &mut PushScratch,
-) {
-    scratch.clear();
-    scratch.live.extend(tile.gpma.iter_sorted().map(|(_, p)| p));
-    if scratch.live.is_empty() {
-        return;
-    }
-    wm.mem().flush_cache();
-    let mut block = NodeBlock::new();
-    // Roofline footprint of one guarded field array: the whole array is
-    // swept by a tile's run sequence, so this is the operand span the
-    // streaming price compares against L1 capacity.
-    let dims = geom.dims_with_guard();
-    let field_footprint = (dims[0] * dims[1] * dims[2] * 8) as u64;
-    // Register-reuse state: the node list of the last flushed run's
-    // block. Tile-local and advanced in GPMA run order, so the charge
-    // stream is identical for every worker count and policy.
-    let mut prev_idx = [0usize; MAX_STENCIL_NODES];
-    let mut prev_n = 0usize;
-    // No cell has this value after wrapping, so the first particle
-    // always opens a run.
-    let mut run_cell = [usize::MAX; 3];
-    for &p in &scratch.live {
-        let (x, y, z) = (tile.soa.x[p], tile.soa.y[p], tile.soa.z[p]);
-        let (located, frac) = geom.locate(x, y, z);
-        let cell = geom.wrap_cell(located);
-        if cell != run_cell {
-            flush_run_simd(
-                wm,
-                geom,
-                order,
-                field_addrs,
-                boris,
-                absorbing,
-                zlo,
-                zhi,
-                tile,
-                &block,
-                &scratch.run_slots,
-                &scratch.run_frac,
-                &prev_idx[..prev_n],
-                field_footprint,
-                &mut scratch.removals,
-            );
-            if !scratch.run_slots.is_empty() {
-                prev_n = block.nodes;
-                prev_idx[..prev_n].copy_from_slice(&block.idx[..prev_n]);
-            }
-            scratch.run_slots.clear();
-            scratch.run_frac.clear();
-            load_node_block(geom, order, fields, cell, &mut block);
-            run_cell = cell;
-        }
-        scratch.run_slots.push(p);
-        scratch.run_frac.push(frac);
-    }
-    flush_run_simd(
-        wm,
-        geom,
-        order,
-        field_addrs,
-        boris,
-        absorbing,
-        zlo,
-        zhi,
-        tile,
-        &block,
-        &scratch.run_slots,
-        &scratch.run_frac,
-        &prev_idx[..prev_n],
-        field_footprint,
-        &mut scratch.removals,
-    );
-    scratch.run_slots.clear();
-    scratch.run_frac.clear();
-    for &(p, bin) in &scratch.removals {
-        tile.gpma.queue_remove(p, bin);
-        tile.cells[p] = INVALID_PARTICLE_ID;
-        tile.soa.remove(p);
-    }
-    if !scratch.removals.is_empty() {
-        let _ = tile.gpma.apply_pending_moves(&tile.cells);
-    }
-    charge_push(wm, scratch.live.len());
-}
-
-/// Closes one buffered same-cell run of the SIMD sweep: charges the run
-/// gather with run-to-run register reuse (`prev_idx` is the node list of
-/// the previously flushed block — cache lines it covers stay in lane
-/// registers and charge nothing; `field_footprint` feeds the roofline
-/// crossover), then interpolates and Boris-pushes the particles in
-/// lane-width packs. The final ragged pack — every run length that is
-/// not a multiple of [`W`] — runs the same lane kernels under a prefix
-/// mask ([`gather_from_block_lanes_masked`]): inactive tail lanes carry
-/// zeros through the gather and push (all operations stay finite on
-/// zeros) and are simply never written back. Active lanes are
-/// bit-identical to the scalar sweep, and particles retire in buffer
-/// (= GPMA) order so the removal sequence matches it too.
-fn flush_run_simd(
-    wm: &mut Machine,
-    geom: &GridGeometry,
-    order: ShapeOrder,
-    field_addrs: &[VAddr; 6],
-    boris: &BorisCoeffs,
-    absorbing: bool,
-    zlo: f64,
-    zhi: f64,
-    tile: &mut ParticleTile,
-    block: &NodeBlock,
-    slots: &[usize],
-    fracs: &[[f64; 3]],
-    prev_idx: &[usize],
-    field_footprint: u64,
-    removals: &mut Vec<(usize, usize)>,
-) {
-    if slots.is_empty() {
-        return;
-    }
-    charge_gather_run_reuse(
-        wm,
-        GatherCost::default(),
-        slots.len(),
-        field_addrs,
-        &block.idx[..block.nodes],
-        prev_idx,
-        field_footprint,
-    );
-    let mut i = 0;
-    while i < slots.len() {
-        let n = (slots.len() - i).min(W);
-        let pack = &slots[i..i + n];
-        let (e, b) = gather_from_block_lanes_masked(order, block, &fracs[i..i + n]);
-        // Transpose the pack's phase space into lane registers; tail
-        // lanes beyond `n` stay zero.
-        let mut u = [Lanes::zero(); 3];
-        let mut pos = [Lanes::zero(); 3];
-        for (l, &p) in pack.iter().enumerate() {
-            pos[0].0[l] = tile.soa.x[p];
-            pos[1].0[l] = tile.soa.y[p];
-            pos[2].0[l] = tile.soa.z[p];
-            u[0].0[l] = tile.soa.ux[p];
-            u[1].0[l] = tile.soa.uy[p];
-            u[2].0[l] = tile.soa.uz[p];
-        }
-        boris_push_lanes(boris, &e, &b, &mut u, &mut pos);
-        for (l, &p) in pack.iter().enumerate() {
-            finish_push(
-                geom,
-                absorbing,
-                zlo,
-                zhi,
-                tile,
-                removals,
-                p,
-                [pos[0].lane(l), pos[1].lane(l), pos[2].lane(l)],
-                [u[0].lane(l), u[1].lane(l), u[2].lane(l)],
-            );
-        }
-        i += n;
-    }
-}
-
-/// Boundary handling + SoA writeback of one already-pushed particle
-/// (post-push position `pos` and momentum `u`): statement-for-statement
-/// the tail of [`push_tile_batched`]'s particle loop after its
-/// [`boris_push`] call, factored out so every lane of the SIMD pack
-/// retires through the identical scalar epilogue.
-fn finish_push(
-    geom: &GridGeometry,
-    absorbing: bool,
-    zlo: f64,
-    zhi: f64,
-    tile: &mut ParticleTile,
-    removals: &mut Vec<(usize, usize)>,
-    p: usize,
-    pos: [f64; 3],
-    u: [f64; 3],
-) {
-    let wrapped = geom.wrap_position(pos);
-    let x = wrapped[0];
-    let y = wrapped[1];
-    let mut z = pos[2];
-    if absorbing {
-        if z < zlo || z >= zhi {
-            removals.push((p, tile.cells[p]));
-        }
-    } else {
-        z = wrapped[2];
-    }
-    tile.soa.x[p] = x;
-    tile.soa.y[p] = y;
-    tile.soa.z[p] = z;
-    tile.soa.ux[p] = u[0];
-    tile.soa.uy[p] = u[1];
-    tile.soa.uz[p] = u[2];
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 
 use mpic_grid::constants::C;
 use mpic_grid::{Array3, GridGeometry};
-use mpic_machine::{Machine, VAddr};
+use mpic_machine::{Machine, Pricing, VAddr};
 
 use crate::shape::{ShapeOrder, MAX_SUPPORT};
 
@@ -366,14 +366,13 @@ pub struct TileScratch {
 /// scattered chunks are charged as gathers, so the locality benefit of
 /// sorting is priced from the actual index stream.
 ///
-/// With `simd` set (the lane-parallel mode, see `SimConfig::simd`), the
-/// vectorised staging branches price their attribute loads by the
-/// state-free streaming model instead of walking the cache simulator:
-/// seven parallel unit-stride SoA streams are exactly what the
-/// prefetcher services at bandwidth, and the pure-function charge keeps
-/// the mode bit-reproducible from the tile data alone. The scalar
-/// staging style ignores the flag (a scalar loop has no lanes to
-/// stream).
+/// The vectorised staging branches price their attribute loads at
+/// `pricing`. Under [`Pricing::Stream`] that is the state-free
+/// streaming model instead of a cache walk: seven parallel unit-stride
+/// SoA streams are exactly what the prefetcher services at bandwidth,
+/// and the pure-function charge keeps the mode bit-reproducible from the
+/// tile data alone. The scalar staging style always walks (a scalar loop
+/// has no lanes to stream).
 ///
 /// Charged to [`Phase::Preprocess`].
 pub fn stage_tile(
@@ -385,12 +384,10 @@ pub fn stage_tile(
     soa: &mpic_particles::ParticleSoA,
     iteration: &[usize],
     soa_addr: &[VAddr; 7],
-    staging_addr: VAddr,
     prep: PrepStyle,
-    simd: bool,
+    pricing: Pricing,
     st: &mut Staging,
 ) {
-    let _ = staging_addr; // Retained for future cache-priced staging.
     use mpic_machine::Phase;
     let n = iteration.len();
     let support = order.support();
@@ -443,31 +440,15 @@ pub fn stage_tile(
                     let chunk = &iteration[p..p + lanes];
                     let contiguous = chunk.windows(2).all(|w| w[1] == w[0] + 1);
                     // 7 attribute loads: unit-stride when the iteration
-                    // order is compacted, gathers when GPMA-indexed. The
-                    // lane-parallel mode prices both shapes by the
-                    // state-free streaming model.
-                    match (contiguous, simd) {
-                        (true, false) => {
-                            for a in soa_addr {
-                                m.v_touch_load(a.offset_f64(chunk[0]), lanes);
-                            }
+                    // order is compacted, gathers (one index vector
+                    // shared by all seven arrays) when GPMA-indexed.
+                    if contiguous {
+                        for a in soa_addr {
+                            let addr = a.offset_f64(chunk[0]);
+                            m.v_touch_load_priced(pricing, addr, lanes, soa_footprint);
                         }
-                        (true, true) => {
-                            for a in soa_addr {
-                                m.v_touch_load_streamed(
-                                    a.offset_f64(chunk[0]),
-                                    lanes,
-                                    soa_footprint,
-                                );
-                            }
-                        }
-                        // One index vector shared by all seven arrays.
-                        (false, false) => m.v_touch_gather_multi(soa_addr, chunk),
-                        (false, true) => {
-                            for a in soa_addr {
-                                m.v_touch_gather_streamed(*a, chunk, soa_footprint);
-                            }
-                        }
+                    } else {
+                        m.v_touch_gather_priced(pricing, soa_addr, chunk, soa_footprint);
                     }
                     // Arithmetic: gamma+velocity (6), locate (6), weights
                     // (per dim), effective currents (4), index math (3).

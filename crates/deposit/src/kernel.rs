@@ -8,7 +8,7 @@
 //! Algorithm 1's phases, charging each to its [`Phase`] bucket.
 
 use mpic_grid::{Array3, FieldArrays, GridGeometry, Tile, TileLayout};
-use mpic_machine::{Exec, Machine, Phase, SchedulerPolicy, VAddr, WorkerPool};
+use mpic_machine::{Exec, Machine, Phase, Pricing, SchedulerPolicy, VAddr, WorkerPool};
 use mpic_particles::{MoveStats, ParticleContainer, SortPolicy, SortStats};
 
 use crate::common::{
@@ -45,6 +45,34 @@ pub enum TileOutput<'a> {
     },
 }
 
+/// How the particle kernels (tile push, staging, deposit) execute this
+/// step. Derived by [`Depositor::mode`] — the one place the
+/// `SimConfig::{batching, simd}` knobs and the sorting strategy are
+/// combined — and never set directly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecMode {
+    /// One particle at a time, every access walking the cache
+    /// simulator. The reference every bitwise test compares against, the
+    /// path of every paper-figure bin, and the only path for unsorted
+    /// input (length-1 runs have nothing to amortise).
+    PerParticle,
+    /// Same-cell particle runs in lane-width packs: each run loads its
+    /// stencil block once and touches the tile accumulator once, with
+    /// memory traffic priced as given. Requires cell-grouped order.
+    Runs(Pricing),
+}
+
+impl ExecMode {
+    /// The pricing of this mode's memory-bound primitives (the
+    /// per-particle path always walks).
+    pub fn pricing(self) -> Pricing {
+        match self {
+            ExecMode::PerParticle => Pricing::Walk,
+            ExecMode::Runs(pricing) => pricing,
+        }
+    }
+}
+
 /// Per-tile context handed to kernels.
 pub struct TileCtx<'a> {
     /// Grid geometry.
@@ -53,25 +81,11 @@ pub struct TileCtx<'a> {
     pub tile: &'a Tile,
     /// Shape order in use.
     pub order: ShapeOrder,
-    /// Staging scratch base address.
-    pub staging_addr: VAddr,
-    /// Whether the kernel should take its cell-run batched path:
-    /// accumulate each same-cell particle run into a stack-resident
-    /// stencil block and touch the tile accumulator once per run. Only
-    /// set when the sorting strategy guarantees cell-grouped staging
-    /// order (unsorted input falls back to the per-particle reference
-    /// sweep — run batching cannot amortise length-1 runs).
-    pub batched: bool,
-    /// Whether the batched path should run its lane-parallel (SIMD)
-    /// inner loops: `W`-wide node chunks in the run-block accumulation,
-    /// state-free streamed pricing of the staging loads and rhocell
-    /// accumulate passes, and the fused rhocell→grid reduction charge.
-    /// Only ever set together with `batched` (the per-particle path has
-    /// no runs to chunk). Deposited values are bit-identical to the
-    /// batched-scalar path; the memory-bound phase charges (Preprocess,
-    /// Compute on rhocell kernels, Reduce) are strictly cheaper under
-    /// the streaming prices. See `SimConfig::simd`.
-    pub simd: bool,
+    /// Execution mode of this step. Deposited values are bit-identical
+    /// across the two pricings of [`ExecMode::Runs`]; the memory-bound
+    /// phase charges (Preprocess, Compute on rhocell kernels, Reduce)
+    /// are strictly cheaper under [`Pricing::Stream`].
+    pub mode: ExecMode,
 }
 
 /// A current-deposition kernel variant.
@@ -134,11 +148,9 @@ pub struct Depositor {
     addrs: Option<AddrMap>,
     rhocells: Vec<Rhocell>,
     order: ShapeOrder,
-    /// Whether kernels run their cell-run batched hot path (see
-    /// [`Depositor::set_batching`]).
+    /// The two user-facing mode knobs, combined with `strategy` by
+    /// [`Depositor::mode`] and read nowhere else.
     batching: bool,
-    /// Whether the batched path runs its lane-parallel inner loops (see
-    /// [`Depositor::set_simd`]).
     simd: bool,
     /// Per-worker reusable tile buffers (index = worker id).
     scratch: Vec<TileScratch>,
@@ -171,34 +183,38 @@ impl Depositor {
         self.kernel.name()
     }
 
-    /// Selects the cell-run batched kernel paths (`SimConfig::batching`).
-    ///
-    /// Batching only engages when the sorting strategy provides
-    /// cell-grouped iteration order; with an unsorted strategy the
-    /// per-particle reference sweep runs regardless of this flag, so
-    /// enabling batching on an unsorted configuration is a no-op rather
-    /// than a correctness hazard.
+    /// Selects the cell-run sweeps (`SimConfig::batching`): see
+    /// [`Depositor::mode`] for when the request engages.
     pub fn set_batching(&mut self, batching: bool) {
         self.batching = batching;
     }
 
-    /// Whether the batched kernel paths are selected.
+    /// Whether the cell-run sweeps were requested.
     pub fn batching(&self) -> bool {
         self.batching
     }
 
-    /// Selects the lane-parallel (SIMD) inner loops of the batched
-    /// kernel paths (`SimConfig::simd`). ANDed with batching: the flag
-    /// engages only where a cell-run batched sweep runs at all, so
-    /// `simd` without `batching` (or on an unsorted strategy) is a
-    /// no-op, and the per-particle path stays the bitwise reference.
+    /// Selects [`Pricing::Stream`] for the cell-run sweeps
+    /// (`SimConfig::simd`); a no-op wherever they do not run.
     pub fn set_simd(&mut self, simd: bool) {
         self.simd = simd;
     }
 
-    /// Whether the lane-parallel batched inner loops are selected.
-    pub fn simd(&self) -> bool {
-        self.simd
+    /// The execution mode of this step — the single policy site.
+    /// Cell-run sweeps need cell-grouped order, so they engage only on
+    /// a sorting strategy: an unsorted configuration stays on the
+    /// per-particle reference path whatever the knobs say (a no-op
+    /// rather than a correctness hazard, and the unsorted gather's
+    /// sampled address stream is the paper's cost signal). The pricing
+    /// knob only exists inside the cell-run sweeps.
+    pub fn mode(&self) -> ExecMode {
+        if !(self.batching && self.strategy.provides_sorted_order()) {
+            ExecMode::PerParticle
+        } else if self.simd {
+            ExecMode::Runs(Pricing::Stream)
+        } else {
+            ExecMode::Runs(Pricing::Walk)
+        }
     }
 
     /// Shape order in use.
@@ -322,11 +338,9 @@ impl Depositor {
             }
             SortStrategy::Incremental(_) => {
                 let addrs = self.addrs.as_ref().expect("prepare() not called");
-                // The lane-parallel mode prices this sweep — three
-                // unit-stride position streams — by the state-free
-                // streaming model like every other memory-bound phase;
-                // the scalar mode walks the cache simulator.
-                let simd = self.simd && self.batching;
+                // Three unit-stride position streams, priced like every
+                // other memory-bound phase of the step's mode.
+                let pricing = self.mode().pricing();
                 // Stream-touch the position arrays: the sweep reads x,y,z
                 // of every particle (VPU-vectorised, Algorithm 1 line 13).
                 m.in_phase(Phase::Sort, |m| {
@@ -339,11 +353,7 @@ impl Depositor {
                         while p < n {
                             for d in 0..3 {
                                 let a = addrs.soa[t][d].offset_f64(p);
-                                if simd {
-                                    m.v_touch_load_streamed(a, 8, footprint);
-                                } else {
-                                    m.v_touch_load(a, 8);
-                                }
+                                m.v_touch_load_priced(pricing, a, 8, footprint);
                             }
                             m.v_ops(4); // Cell compare + mask bookkeeping.
                             p += 8;
@@ -418,33 +428,29 @@ impl Depositor {
     ) {
         fields.clear_currents();
         let addrs = self.addrs.as_ref().expect("prepare() not called");
-        let sorted = self.strategy.provides_sorted_order();
-        // Unsorted-input fallback: run batching needs cell-grouped
-        // staging order, so the knob only engages on sorted strategies.
-        let batched = self.batching && sorted;
-        // SIMD only exists inside the batched sweeps; per-particle mode
-        // ignores the knob entirely.
-        let simd = self.simd && batched;
-        let j_addr = [addrs.jx, addrs.jy, addrs.jz];
         let n_tiles = container.tiles.len();
         let workers = exec.workers().clamp(1, n_tiles.max(1));
         if self.scratch.len() < workers {
             self.scratch.resize_with(workers, TileScratch::default);
         }
-        let order = self.order;
-        let kernel: &dyn DepositionKernel = &*self.kernel;
+        let step = StepCtx {
+            kernel: &*self.kernel,
+            order: self.order,
+            sorted: self.strategy.provides_sorted_order(),
+            mode: self.mode(),
+            geom,
+            layout,
+            container,
+            addrs,
+            j_addr: [addrs.jx, addrs.jy, addrs.jz],
+        };
 
-        if kernel.uses_rhocell() {
+        if step.kernel.uses_rhocell() {
             let counters = exec.run_counted(
                 m,
                 &mut self.rhocells,
                 &mut self.scratch,
-                |wm, t, rho, scratch| {
-                    deposit_tile_worker(
-                        wm, kernel, order, sorted, batched, simd, geom, layout, container, addrs,
-                        j_addr, t, rho, scratch,
-                    );
-                },
+                |wm, t, rho, scratch| step.deposit_tile(wm, t, rho, scratch),
             );
             // Fixed-order merges: tile-order counter absorption, then
             // tile-order grid application — both independent of sharding.
@@ -474,12 +480,7 @@ impl Depositor {
                 m,
                 &mut self.tile_currents[..n_tiles],
                 &mut self.scratch,
-                |wm, t, tj, scratch| {
-                    scatter_tile_worker(
-                        wm, kernel, order, sorted, batched, simd, geom, layout, container, addrs,
-                        j_addr, t, tj, scratch,
-                    );
-                },
+                |wm, t, tj, scratch| step.scatter_tile(wm, t, tj, scratch),
             );
             for c in &counters {
                 m.absorb_counters(c);
@@ -491,176 +492,149 @@ impl Depositor {
     }
 }
 
-/// Stages one tile into the worker's pooled buffers: collects the
-/// iteration order (GPMA-sorted or raw live slots) and runs the charged
-/// preprocessing sweep.
-fn stage_tile_scratch(
-    wm: &mut Machine,
+/// What every tile of one deposit step shares.
+struct StepCtx<'a> {
+    kernel: &'a dyn DepositionKernel,
     order: ShapeOrder,
+    /// Whether tiles are staged in GPMA-sorted order (any sorting
+    /// strategy, in either execution mode) or raw live-slot order.
     sorted: bool,
-    simd: bool,
-    geom: &GridGeometry,
-    tile: &Tile,
-    container: &ParticleContainer,
-    addrs: &AddrMap,
-    t: usize,
-    kernel: &dyn DepositionKernel,
-    scratch: &mut TileScratch,
-) {
-    let ptile = &container.tiles[t];
-    scratch.iteration.clear();
-    if sorted {
-        scratch
-            .iteration
-            .extend(ptile.gpma.iter_sorted().map(|(_, p)| p));
-    } else {
-        scratch.iteration.extend(ptile.soa.live_indices());
-    }
-    stage_tile(
-        wm,
-        geom,
-        tile,
-        order,
-        container.charge,
-        &ptile.soa,
-        &scratch.iteration,
-        &addrs.soa[t],
-        addrs.staging,
-        kernel.prep_style(),
-        simd,
-        &mut scratch.staging,
-    );
+    mode: ExecMode,
+    geom: &'a GridGeometry,
+    layout: &'a TileLayout,
+    container: &'a ParticleContainer,
+    addrs: &'a AddrMap,
+    j_addr: [VAddr; 3],
 }
 
-/// Processes one tile end-to-end on a worker: per-tile cold cache, then
-/// staging, the kernel sweep into the tile's private rhocell, and the
-/// reduction cost charge. Grid values are *not* written here — the
-/// orchestrator applies rhocells in tile order afterwards.
-fn deposit_tile_worker(
-    wm: &mut Machine,
-    kernel: &dyn DepositionKernel,
-    order: ShapeOrder,
-    sorted: bool,
-    batched: bool,
-    simd: bool,
-    geom: &GridGeometry,
-    layout: &TileLayout,
-    container: &ParticleContainer,
-    addrs: &AddrMap,
-    j_addr: [VAddr; 3],
-    t: usize,
-    rho: &mut Rhocell,
-    scratch: &mut TileScratch,
-) {
-    if container.tiles[t].is_empty() {
-        return;
+impl<'a> StepCtx<'a> {
+    /// The head both tile workers share: per-tile cold cache, the
+    /// iteration order, the charged preprocessing sweep into the
+    /// worker's pooled staging buffers, and the kernel's context. `None`
+    /// for an empty tile, which charges nothing.
+    fn stage(&self, wm: &mut Machine, t: usize, scratch: &mut TileScratch) -> Option<TileCtx<'a>> {
+        let ptile = &self.container.tiles[t];
+        if ptile.is_empty() {
+            return None;
+        }
+        wm.mem().flush_cache();
+        let tile = self.layout.tile(t);
+        scratch.iteration.clear();
+        if self.sorted {
+            scratch
+                .iteration
+                .extend(ptile.gpma.iter_sorted().map(|(_, p)| p));
+        } else {
+            scratch.iteration.extend(ptile.soa.live_indices());
+        }
+        stage_tile(
+            wm,
+            self.geom,
+            tile,
+            self.order,
+            self.container.charge,
+            &ptile.soa,
+            &scratch.iteration,
+            &self.addrs.soa[t],
+            self.kernel.prep_style(),
+            self.mode.pricing(),
+            &mut scratch.staging,
+        );
+        Some(TileCtx {
+            geom: self.geom,
+            tile,
+            order: self.order,
+            mode: self.mode,
+        })
     }
-    wm.mem().flush_cache();
-    let tile = layout.tile(t);
-    stage_tile_scratch(
-        wm, order, sorted, simd, geom, tile, container, addrs, t, kernel, scratch,
-    );
-    let ctx = TileCtx {
-        geom,
-        tile,
-        order,
-        staging_addr: addrs.staging,
-        batched,
-        simd,
-    };
-    rho.clear();
-    {
-        let mut out = TileOutput::Rho {
-            rho_addr: addrs.rhocell[t],
-            rho: &mut *rho,
+
+    /// Processes one tile end-to-end on a worker: staging, the kernel
+    /// sweep into the tile's private rhocell, and the reduction cost
+    /// charge. Grid values are *not* written here — the orchestrator
+    /// applies rhocells in tile order afterwards.
+    fn deposit_tile(
+        &self,
+        wm: &mut Machine,
+        t: usize,
+        rho: &mut Rhocell,
+        scratch: &mut TileScratch,
+    ) {
+        let Some(ctx) = self.stage(wm, t, scratch) else {
+            return;
         };
-        kernel.deposit_tile(wm, &ctx, &scratch.staging, &mut out);
+        let rho_addr = self.addrs.rhocell[t];
+        rho.clear();
+        {
+            let mut out = TileOutput::Rho {
+                rho_addr,
+                rho: &mut *rho,
+            };
+            self.kernel
+                .deposit_tile(wm, &ctx, &scratch.staging, &mut out);
+        }
+        rho.charge_reduce(
+            wm,
+            self.mode.pricing(),
+            self.geom,
+            ctx.tile,
+            rho_addr,
+            self.j_addr,
+        );
     }
-    // The SIMD mode folds all three components per cell in one fused
-    // traversal; the scalar mode sweeps per component. Same functional
-    // result (values are applied in `apply_to_grid` either way) — only
-    // the Reduce-phase charge differs.
-    if simd {
-        rho.charge_reduction_fused(wm, geom, tile, addrs.rhocell[t], j_addr);
-    } else {
-        rho.charge_reduction(wm, geom, tile, addrs.rhocell[t], j_addr);
-    }
-}
 
-/// Processes one tile end-to-end on a worker for a direct-scatter
-/// kernel: per-tile cold cache, staging, then the kernel's scatter sweep
-/// into the worker's private dense accumulators. The touched nodes are
-/// extracted into the tile's sparse [`TileCurrents`] (first-touch order)
-/// and the accumulators re-zeroed, leaving the output a pure function of
-/// the tile. Grid values are *not* written here — the orchestrator
-/// applies tile outputs in tile order afterwards.
-fn scatter_tile_worker(
-    wm: &mut Machine,
-    kernel: &dyn DepositionKernel,
-    order: ShapeOrder,
-    sorted: bool,
-    batched: bool,
-    simd: bool,
-    geom: &GridGeometry,
-    layout: &TileLayout,
-    container: &ParticleContainer,
-    addrs: &AddrMap,
-    j_addr: [VAddr; 3],
-    t: usize,
-    tj: &mut TileCurrents,
-    scratch: &mut TileScratch,
-) {
-    tj.clear();
-    if container.tiles[t].is_empty() {
-        return;
-    }
-    wm.mem().flush_cache();
-    let tile = layout.tile(t);
-    stage_tile_scratch(
-        wm, order, sorted, simd, geom, tile, container, addrs, t, kernel, scratch,
-    );
-    let ctx = TileCtx {
-        geom,
-        tile,
-        order,
-        staging_addr: addrs.staging,
-        batched,
-        simd,
-    };
-    let dims = geom.dims_with_guard();
-    // Disjoint field borrows: the kernel reads `staging` while writing
-    // the accumulators and the touched tracker.
-    let TileScratch {
-        staging,
-        accum,
-        touched,
-        ..
-    } = scratch;
-    if accum.as_ref().is_none_or(|a| a[0].shape() != dims) {
-        *accum = Some(std::array::from_fn(|_| {
-            mpic_grid::Array3::zeros(dims[0], dims[1], dims[2])
-        }));
-    }
-    let [jx, jy, jz] = accum.as_mut().unwrap();
-    touched.reset(jx.len());
-    {
-        let mut out = TileOutput::Grid {
-            j_addr,
-            jx,
-            jy,
-            jz,
+    /// Processes one tile end-to-end on a worker for a direct-scatter
+    /// kernel: staging, then the kernel's scatter sweep into the
+    /// worker's private dense accumulators. The touched nodes are
+    /// extracted into the tile's sparse [`TileCurrents`] (first-touch
+    /// order) and the accumulators re-zeroed, leaving the output a pure
+    /// function of the tile. Grid values are *not* written here — the
+    /// orchestrator applies tile outputs in tile order afterwards.
+    fn scatter_tile(
+        &self,
+        wm: &mut Machine,
+        t: usize,
+        tj: &mut TileCurrents,
+        scratch: &mut TileScratch,
+    ) {
+        tj.clear();
+        let Some(ctx) = self.stage(wm, t, scratch) else {
+            return;
+        };
+        let dims = self.geom.dims_with_guard();
+        // Disjoint field borrows: the kernel reads `staging` while writing
+        // the accumulators and the touched tracker.
+        let TileScratch {
+            staging,
+            accum,
             touched,
-        };
-        kernel.deposit_tile(wm, &ctx, &*staging, &mut out);
-    }
-    // Dense -> sparse extraction; re-zeroing only the touched nodes keeps
-    // the accumulators clean for the worker's next tile.
-    for &i in &touched.idx {
-        tj.idx.push(i);
-        for (comp, arr) in [&mut *jx, &mut *jy, &mut *jz].into_iter().enumerate() {
-            let slot = &mut arr.as_mut_slice()[i];
-            tj.j[comp].push(*slot);
-            *slot = 0.0;
+            ..
+        } = scratch;
+        if accum.as_ref().is_none_or(|a| a[0].shape() != dims) {
+            *accum = Some(std::array::from_fn(|_| {
+                mpic_grid::Array3::zeros(dims[0], dims[1], dims[2])
+            }));
+        }
+        let [jx, jy, jz] = accum.as_mut().unwrap();
+        touched.reset(jx.len());
+        {
+            let mut out = TileOutput::Grid {
+                j_addr: self.j_addr,
+                jx,
+                jy,
+                jz,
+                touched,
+            };
+            self.kernel.deposit_tile(wm, &ctx, &*staging, &mut out);
+        }
+        // Dense -> sparse extraction; re-zeroing only the touched nodes keeps
+        // the accumulators clean for the worker's next tile.
+        for &i in &touched.idx {
+            tj.idx.push(i);
+            for (comp, arr) in [&mut *jx, &mut *jy, &mut *jz].into_iter().enumerate() {
+                let slot = &mut arr.as_mut_slice()[i];
+                tj.j[comp].push(*slot);
+                *slot = 0.0;
+            }
         }
     }
 }
@@ -717,5 +691,43 @@ mod tests {
         assert!(!SortStrategy::None.provides_sorted_order());
         assert!(SortStrategy::GlobalEveryStep.provides_sorted_order());
         assert!(SortStrategy::Incremental(SortPolicy::default()).provides_sorted_order());
+    }
+
+    #[test]
+    fn mode_is_per_particle_on_every_unsorted_strategy_whatever_the_flags() {
+        use crate::configs::KernelConfig;
+        const FLAGS: [(bool, bool); 4] =
+            [(false, false), (false, true), (true, false), (true, true)];
+        let mut unsorted = 0;
+        for cfg in KernelConfig::ALL {
+            let mut dep = cfg.build(ShapeOrder::Cic);
+            if dep.strategy().provides_sorted_order() {
+                continue;
+            }
+            unsorted += 1;
+            for (batching, stream) in FLAGS {
+                dep.set_batching(batching);
+                dep.set_simd(stream);
+                assert_eq!(dep.mode(), ExecMode::PerParticle, "{cfg:?}");
+                assert_eq!(dep.mode().pricing(), Pricing::Walk);
+            }
+        }
+        assert_eq!(unsorted, 4, "Baseline, Rhocell, MatrixOnly, HybridNoSort");
+        // On a sorted strategy batching engages the run sweeps and the
+        // pricing knob only exists inside them.
+        let want = [
+            ExecMode::PerParticle,
+            ExecMode::PerParticle,
+            ExecMode::Runs(Pricing::Walk),
+            ExecMode::Runs(Pricing::Stream),
+        ];
+        for cfg in [KernelConfig::FullOpt, KernelConfig::HybridGlobalSort] {
+            let mut dep = cfg.build(ShapeOrder::Cic);
+            for ((batching, stream), want) in FLAGS.into_iter().zip(want) {
+                dep.set_batching(batching);
+                dep.set_simd(stream);
+                assert_eq!(dep.mode(), want, "{cfg:?}");
+            }
+        }
     }
 }

@@ -33,7 +33,7 @@ pub use common::{
     stage_particle, velocity_from_u, AddrMap, PrepStyle, Staged, Staging, TileScratch,
 };
 pub use configs::KernelConfig;
-pub use kernel::{DepositionKernel, Depositor, SortStrategy, StepSortReport};
+pub use kernel::{DepositionKernel, Depositor, ExecMode, SortStrategy, StepSortReport};
 pub use matrix::MatrixKernel;
 pub use rhocell::Rhocell;
 pub use rhocell_vec::RhocellKernel;

@@ -32,7 +32,7 @@
 //! extraction per pair — reproducing the `Hybrid-noSort` degradation of
 //! the ablation study (Figure 10).
 
-use mpic_machine::{Machine, Phase, TileId, VReg};
+use mpic_machine::{Machine, Phase, Pricing, TileId, VReg};
 use mpic_particles::cell_runs;
 
 use crate::common::{PrepStyle, Staging};
@@ -88,6 +88,9 @@ impl DepositionKernel for MatrixKernel {
         let TileOutput::Rho { rho_addr, rho } = out else {
             panic!("matrix kernel requires a rhocell output");
         };
+        // Run-batched by design, so the mode only selects the price of
+        // the per-run rhocell accumulate.
+        let pricing = ctx.mode.pricing();
         m.in_phase(Phase::Compute, |m| {
             // Process maximal runs of identical cell id via the shared
             // run iterator (sorted input => one run per occupied cell;
@@ -99,13 +102,19 @@ impl DepositionKernel for MatrixKernel {
             for run in cell_runs(&st.cell_local[..st.n]) {
                 match ctx.order {
                     ShapeOrder::Cic => {
-                        deposit_run_cic(m, ctx, st, run.start, run.end, run.cell, *rho_addr, rho);
+                        deposit_run_cic(
+                            m, pricing, st, run.start, run.end, run.cell, *rho_addr, rho,
+                        );
                     }
                     ShapeOrder::Qsp => {
-                        deposit_run_qsp(m, ctx, st, run.start, run.end, run.cell, *rho_addr, rho);
+                        deposit_run_qsp(
+                            m, pricing, st, run.start, run.end, run.cell, *rho_addr, rho,
+                        );
                     }
                     ShapeOrder::Tsc => {
-                        deposit_run_tsc(m, ctx, st, run.start, run.end, run.cell, *rho_addr, rho);
+                        deposit_run_tsc(
+                            m, pricing, st, run.start, run.end, run.cell, *rho_addr, rho,
+                        );
                     }
                 }
             }
@@ -116,7 +125,7 @@ impl DepositionKernel for MatrixKernel {
 /// CIC: one MOPA per pair per component; tile resident across the run.
 fn deposit_run_cic(
     m: &mut Machine,
-    ctx: &TileCtx,
+    pricing: Pricing,
     st: &Staging,
     run_start: usize,
     run_end: usize,
@@ -183,25 +192,7 @@ fn deposit_run_cic(
             }
         }
         m.v_ops(2); // Block add + interleave shuffle.
-        let contrib = VReg(vals);
-        let base = rho.index(comp, cell, 0);
-        let addr = rho_addr.offset_f64(base);
-        // Rhocell accumulate: sorted runs visit consecutive cells, so
-        // these slices form an ascending dense sweep — the lane-parallel
-        // mode prices it as a stream instead of walking the cache.
-        let cur = if ctx.simd {
-            m.v_load_streamed(addr, rho.cell_slice(comp, cell), rho.footprint_bytes())
-        } else {
-            m.v_load(addr, rho.cell_slice(comp, cell))
-        };
-        let sum = m.v_add(cur, contrib);
-        let fp = rho.footprint_bytes();
-        let slice = rho.cell_slice_mut(comp, cell);
-        if ctx.simd {
-            m.v_store_streamed(addr, sum, slice, 8, fp);
-        } else {
-            m.v_store(addr, sum, slice, 8);
-        }
+        rho.accumulate(m, pricing, rho_addr, comp, cell, 0, 8, VReg(vals));
     }
 }
 
@@ -209,7 +200,7 @@ fn deposit_run_cic(
 /// the run for one component at a time.
 fn deposit_run_qsp(
     m: &mut Machine,
-    ctx: &TileCtx,
+    pricing: Pricing,
     st: &Staging,
     run_start: usize,
     run_end: usize,
@@ -282,27 +273,7 @@ fn deposit_run_qsp(
                     }
                 }
                 m.v_ops(2);
-                let contrib = VReg(vals);
-                let base = rho.index(comp, cell, node0);
-                let addr = rho_addr.offset_f64(base);
-                // Streamed under SIMD, as in the CIC extraction.
-                let cur = if ctx.simd {
-                    m.v_load_streamed(
-                        addr,
-                        &rho.cell_slice(comp, cell)[node0..node0 + 8],
-                        rho.footprint_bytes(),
-                    )
-                } else {
-                    m.v_load(addr, &rho.cell_slice(comp, cell)[node0..node0 + 8])
-                };
-                let sum = m.v_add(cur, contrib);
-                let fp = rho.footprint_bytes();
-                let slice = rho.cell_slice_mut(comp, cell);
-                if ctx.simd {
-                    m.v_store_streamed(addr, sum, &mut slice[node0..node0 + 8], 8, fp);
-                } else {
-                    m.v_store(addr, sum, &mut slice[node0..node0 + 8], 8);
-                }
+                rho.accumulate(m, pricing, rho_addr, comp, cell, node0, 8, VReg(vals));
             }
         }
     }
@@ -312,7 +283,7 @@ fn deposit_run_qsp(
 /// three z-slab MOPAs per pair per component at 2x9/64 = 28% utilisation.
 fn deposit_run_tsc(
     m: &mut Machine,
-    ctx: &TileCtx,
+    pricing: Pricing,
     st: &Staging,
     run_start: usize,
     run_end: usize,
@@ -371,27 +342,7 @@ fn deposit_run_tsc(
                     vals[a] = block[a][b] + block[4 + a][4 + b];
                 }
                 m.v_ops(2);
-                let contrib = VReg(vals);
-                let base = rho.index(comp, cell, node0);
-                let addr = rho_addr.offset_f64(base);
-                // Streamed under SIMD, as in the CIC extraction.
-                let cur = if ctx.simd {
-                    m.v_load_streamed(
-                        addr,
-                        &rho.cell_slice(comp, cell)[node0..node0 + 3],
-                        rho.footprint_bytes(),
-                    )
-                } else {
-                    m.v_load(addr, &rho.cell_slice(comp, cell)[node0..node0 + 3])
-                };
-                let sum = m.v_add(cur, contrib);
-                let fp = rho.footprint_bytes();
-                let slice = rho.cell_slice_mut(comp, cell);
-                if ctx.simd {
-                    m.v_store_streamed(addr, sum, &mut slice[node0..node0 + 3], 3, fp);
-                } else {
-                    m.v_store(addr, sum, &mut slice[node0..node0 + 3], 3);
-                }
+                rho.accumulate(m, pricing, rho_addr, comp, cell, node0, 3, VReg(vals));
             }
         }
     }

@@ -10,7 +10,7 @@
 //! arrays (equation 5).
 
 use mpic_grid::{Array3, GridGeometry, Tile};
-use mpic_machine::{Machine, Phase, VAddr, VLANES};
+use mpic_machine::{Machine, Phase, Pricing, VAddr, VReg, VLANES};
 
 use crate::common::node_coord;
 use crate::shape::ShapeOrder;
@@ -54,10 +54,9 @@ impl Rhocell {
 
     /// Byte footprint of the whole accumulator (all three components) —
     /// the operand span the roofline crossover compares against L1
-    /// capacity when the SIMD paths stream the cell slices (the sweep
-    /// interleaves components per cell, so the resident set is the full
-    /// array). Passed as the `footprint` argument of the streamed
-    /// machine prices.
+    /// capacity when the cell slices are streamed (the sweep interleaves
+    /// components per cell, so the resident set is the full array).
+    /// Passed as the `footprint` argument of the priced machine calls.
     pub fn footprint_bytes(&self) -> u64 {
         (self.data.len() * 8) as u64
     }
@@ -104,6 +103,32 @@ impl Rhocell {
     pub fn cell_slice(&self, comp: usize, cell: usize) -> &[f64] {
         let i = self.index(comp, cell, 0);
         &self.data[i..i + self.nodes]
+    }
+
+    /// Adds the first `w` lanes of `contrib` onto the accumulator slice
+    /// `(comp, cell, node..node + w)`: the load / add / store pass every
+    /// rhocell kernel retires a run (or a particle) with, priced at
+    /// `pricing`. `rho_addr` is the accumulator's base address. Sorted
+    /// runs visit consecutive cells, so under [`Pricing::Stream`] the
+    /// passes form a dense ascending sweep priced as a stream instead of
+    /// a cache walk.
+    pub fn accumulate(
+        &mut self,
+        m: &mut Machine,
+        pricing: Pricing,
+        rho_addr: VAddr,
+        comp: usize,
+        cell: usize,
+        node: usize,
+        w: usize,
+        contrib: VReg,
+    ) {
+        let i = self.index(comp, cell, node);
+        let addr = rho_addr.offset_f64(i);
+        let footprint = self.footprint_bytes();
+        let cur = m.v_load_priced(pricing, addr, &self.data[i..i + w], footprint);
+        let sum = m.v_add(cur, contrib);
+        m.v_store_priced(pricing, addr, sum, &mut self.data[i..i + w], w, footprint);
     }
 
     /// Sum over all accumulators of one component (diagnostics).
@@ -154,27 +179,27 @@ impl Rhocell {
         }
     }
 
-    /// VPU-based reduction of the accumulators onto the global current
-    /// arrays (Algorithm 2 Stage 3): for every cell and component, loads
-    /// the contiguous node vector and scatter-adds it to the grid.
-    ///
-    /// Equivalent to [`Rhocell::charge_reduction`] followed by
-    /// [`Rhocell::apply_to_grid`]; the parallel driver calls the two
-    /// halves separately (cost charged per worker, values applied in
-    /// deterministic tile order).
-    pub fn reduce_to_grid(
+    /// Charges the reduction of the accumulators onto the global current
+    /// arrays (Algorithm 2 Stage 3) at `pricing`: the per-component
+    /// sweep of [`Rhocell::charge_reduction`] walked, the fused
+    /// traversal of [`Rhocell::charge_reduction_fused`] streamed. The
+    /// functional half is [`Rhocell::apply_to_grid`] either way — the
+    /// parallel driver charges per worker and applies values in
+    /// deterministic tile order — so the pricing changes *only* the
+    /// [`Phase::Reduce`] counters.
+    pub fn charge_reduce(
         &self,
         m: &mut Machine,
+        pricing: Pricing,
         geom: &GridGeometry,
         tile: &Tile,
         rho_addr: VAddr,
         j_addr: [VAddr; 3],
-        jx: &mut Array3,
-        jy: &mut Array3,
-        jz: &mut Array3,
     ) {
-        self.charge_reduction(m, geom, tile, rho_addr, j_addr);
-        self.apply_to_grid(geom, tile, jx, jy, jz);
+        match pricing {
+            Pricing::Walk => self.charge_reduction(m, geom, tile, rho_addr, j_addr),
+            Pricing::Stream => self.charge_reduction_fused(m, geom, tile, rho_addr, j_addr),
+        }
     }
 
     /// Charges the full instruction and memory stream of the reduction —
@@ -223,25 +248,21 @@ impl Rhocell {
     }
 
     /// Fused-traversal cost mirror of [`Rhocell::charge_reduction`]: the
-    /// lane-parallel (SIMD) reduction folds each cell's per-node vectors
-    /// across **all active components in one pass** instead of sweeping
-    /// the cell once per component, and this charge prices that stream
-    /// through [`Machine::v_touch_reduce_block`] — scatter address
+    /// streamed reduction folds each cell's per-node vectors across
+    /// **all active components in one pass** instead of sweeping the
+    /// cell once per component, and this charge prices that stream
+    /// through [`Machine::v_touch_reduce_block_reuse`] — scatter address
     /// generation paid once per node (not once per node per component)
     /// and each component's distinct destination cache lines charged
-    /// once. The functional values are identical either way (the grid
-    /// writes happen in [`Rhocell::apply_to_grid`], which both modes
-    /// share), so selecting this charge changes *only* the
-    /// [`Phase::Reduce`] counters. The all-zero skip test and its
-    /// `s_ops(1)` charge are replicated per component exactly as in the
-    /// per-component sweep, so sparse-tile pricing stays aligned.
+    /// once. The all-zero skip test and its `s_ops(1)` charge are
+    /// replicated per component exactly as in the per-component sweep,
+    /// so sparse-tile pricing stays aligned.
     ///
     /// Consecutive cells in the sweep have heavily overlapping stencils,
     /// and the fused fold keeps the previous cell's destination lines in
     /// the store buffer: when the preceding folded cell had the **same
     /// active-component set**, its node list is passed as the reuse block
-    /// and already-written lines charge nothing
-    /// ([`Machine::v_touch_reduce_block_reuse`]). The reuse state lives
+    /// and already-written lines charge nothing. The reuse state lives
     /// inside one invocation (per tile, per call), advancing in cell
     /// order, so the charge stream is deterministic across worker counts
     /// and scheduler policies.
@@ -267,7 +288,7 @@ impl Rhocell {
             let dst_footprint = (dims[0] * dims[1] * dims[2] * 8) as u64;
             for cell in 0..self.n_cells {
                 // Partial-active cells fold only their live components:
-                // the component pair lists feed v_touch_reduce_block.
+                // the component pair lists feed the fused touch.
                 let mut srcs = [VAddr(0); 3];
                 let mut dsts = [VAddr(0); 3];
                 let mut active = 0usize;
@@ -406,9 +427,8 @@ mod tests {
             m.mem().alloc_f64(len),
             m.mem().alloc_f64(len),
         ];
-        r.reduce_to_grid(
-            &mut m, &geom, &tile, rho_addr, ja, &mut jx, &mut jy, &mut jz,
-        );
+        r.charge_reduction(&mut m, &geom, &tile, rho_addr, ja);
+        r.apply_to_grid(&geom, &tile, &mut jx, &mut jy, &mut jz);
         assert_eq!(jx.get(3, 3, 3), 7.0);
         assert_eq!(jx.sum(), 7.0);
         assert_eq!(jy.sum(), 0.0);
@@ -433,9 +453,8 @@ mod tests {
             m.mem().alloc_f64(len),
             m.mem().alloc_f64(len),
         ];
-        r.reduce_to_grid(
-            &mut m, &geom, &tile, rho_addr, ja, &mut jx, &mut jy, &mut jz,
-        );
+        r.charge_reduction(&mut m, &geom, &tile, rho_addr, ja);
+        r.apply_to_grid(&geom, &tile, &mut jx, &mut jy, &mut jz);
         assert_eq!(jz.get(9, 9, 9), 1.5);
     }
 
@@ -451,7 +470,7 @@ mod tests {
         // Same accumulator content, fresh machines: the fused traversal
         // must charge strictly fewer Reduce cycles — shared address
         // generation and once-per-line destination touches are the
-        // saving the SIMD reduction mode claims.
+        // saving the streamed reduction claims.
         let (geom, tile, _) = setup();
         let mut r = Rhocell::new(ShapeOrder::Cic, tile.num_cells());
         // A mix of fully-active and partial-active cells.

@@ -16,11 +16,11 @@
 //! iteration the rhocell working set stays cache-resident, which is the
 //! paper's `Rhocell+IncrSort` observation.
 
-use mpic_machine::{LaneMask, Lanes, Machine, Phase, VAddr, VReg, VLANES};
+use mpic_machine::{LaneMask, Lanes, Machine, Phase, Pricing, VAddr, VReg, VLANES};
 use mpic_particles::cell_runs;
 
 use crate::common::{PrepStyle, Staging};
-use crate::kernel::{DepositionKernel, TileCtx, TileOutput};
+use crate::kernel::{DepositionKernel, ExecMode, TileCtx, TileOutput};
 use crate::rhocell::Rhocell;
 use crate::shape::{MAX_NODES_3D, MAX_SUPPORT};
 
@@ -57,9 +57,8 @@ impl DepositionKernel for RhocellKernel {
         let TileOutput::Rho { rho_addr, rho } = out else {
             panic!("rhocell kernel requires a rhocell output");
         };
-        let _ = ctx.staging_addr;
-        if ctx.batched {
-            deposit_tile_batched(m, ctx, st, *rho_addr, rho, self.hand_tuned);
+        if let ExecMode::Runs(pricing) = ctx.mode {
+            deposit_tile_runs(m, ctx, st, pricing, *rho_addr, rho, self.hand_tuned);
             return;
         }
         let s = ctx.order.support();
@@ -111,14 +110,7 @@ impl DepositionKernel for RhocellKernel {
                     let sreg = m.v_mul(VReg::from_slice(&svals[..w]), VReg::splat(1.0));
                     for comp in 0..3 {
                         let contrib = m.v_mul(sreg, wq_reg[comp]);
-                        // rhocell accumulate: load + add + store of the
-                        // cell's contiguous node slice.
-                        let base = rho.index(comp, cell, node);
-                        let addr = rho_addr.offset_f64(base);
-                        let cur = m.v_load(addr, &rho.cell_slice(comp, cell)[node..node + w]);
-                        let sum = m.v_add(cur, contrib);
-                        let slice = rho.cell_slice_mut(comp, cell);
-                        m.v_store(addr, sum, &mut slice[node..node + w], w);
+                        rho.accumulate(m, Pricing::Walk, *rho_addr, comp, cell, node, w, contrib);
                     }
                     node += w;
                 }
@@ -128,19 +120,20 @@ impl DepositionKernel for RhocellKernel {
     }
 }
 
-/// The cell-run batched rhocell sweep: each same-cell run accumulates
-/// into a stack-resident stencil block (per-particle adds in particle
-/// order, products identical to the per-particle kernel's lane
-/// arithmetic) and the block is folded into the tile rhocell **once per
-/// run** — one load/add/store pass per cell instead of one per particle.
-/// Because a sorted tile has exactly one run per occupied cell and the
-/// rhocell slice starts at +0.0, regrouping through the block reproduces
-/// the per-particle accumulation bit for bit (the `batched_*`
-/// equivalence tests pin this).
-fn deposit_tile_batched(
+/// The cell-run rhocell sweep: each same-cell run accumulates into a
+/// stack-resident stencil block (per-particle adds in particle order,
+/// products identical to the per-particle kernel's lane arithmetic) and
+/// the block is folded into the tile rhocell **once per run** — one
+/// load/add/store pass per cell instead of one per particle, priced at
+/// `pricing`. Because a sorted tile has exactly one run per occupied
+/// cell and the rhocell slice starts at +0.0, regrouping through the
+/// block reproduces the per-particle accumulation bit for bit (the
+/// `batched_*` equivalence tests pin this).
+fn deposit_tile_runs(
     m: &mut Machine,
     ctx: &TileCtx,
     st: &Staging,
+    pricing: Pricing,
     rho_addr: VAddr,
     rho: &mut Rhocell,
     hand_tuned: bool,
@@ -175,70 +168,38 @@ fn deposit_tile_batched(
                 while node < nodes {
                     let w = (nodes - node).min(VLANES);
                     m.v_ops(1); // Fold sz into the chunk.
-                    if ctx.simd {
-                        // Lane-parallel block accumulate: same products,
-                        // same per-(comp, node) add order, identical
-                        // charge calls — bitwise equal to the scalar arm.
-                        // Ragged final chunks run masked (QSP's 64 nodes
-                        // split evenly, TSC's 27 leave a 3-wide tail):
-                        // inactive lanes never read or write past `w`.
-                        let mask = LaneMask::prefix(w);
-                        let mut svals = [0.0; VLANES];
-                        for (l, v) in svals.iter_mut().enumerate().take(w) {
-                            let nd = node + l;
-                            *v = sxy[nd % (s * s)] * st.s(2, nd / (s * s), p);
-                        }
-                        let svals = Lanes(svals);
-                        for comp in 0..3 {
-                            m.v_ops(1); // Effective-current multiply.
-                            m.v_issue(1); // Block accumulate (L1-resident).
-                            Lanes::load_masked(&block[comp][node..node + w], mask)
-                                .mul_acc_masked(svals, Lanes::splat(wq[comp]), mask)
-                                .store_masked(&mut block[comp][node..node + w], mask);
-                        }
-                    } else {
-                        for comp in 0..3 {
-                            m.v_ops(1); // Effective-current multiply.
-                            m.v_issue(1); // Block accumulate (L1-resident).
-                            for l in 0..w {
-                                let nd = node + l;
-                                let ab = nd % (s * s);
-                                let c = nd / (s * s);
-                                let sval = sxy[ab] * st.s(2, c, p);
-                                block[comp][nd] += sval * wq[comp];
-                            }
-                        }
+
+                    // Lane-parallel block accumulate: per (comp, node)
+                    // the adds land in particle order with the
+                    // per-particle kernel's `(sx*sy)*sz` association.
+                    // Ragged final chunks run masked (QSP's 64 nodes
+                    // split evenly, TSC's 27 leave a 3-wide tail):
+                    // inactive lanes never read or write past `w`.
+                    let mask = LaneMask::prefix(w);
+                    let mut svals = [0.0; VLANES];
+                    for (l, v) in svals.iter_mut().enumerate().take(w) {
+                        let nd = node + l;
+                        *v = sxy[nd % (s * s)] * st.s(2, nd / (s * s), p);
+                    }
+                    let svals = Lanes(svals);
+                    for comp in 0..3 {
+                        m.v_ops(1); // Effective-current multiply.
+                        m.v_issue(1); // Block accumulate (L1-resident).
+                        Lanes::load_masked(&block[comp][node..node + w], mask)
+                            .mul_acc_masked(svals, Lanes::splat(wq[comp]), mask)
+                            .store_masked(&mut block[comp][node..node + w], mask);
                     }
                     node += w;
                 }
             }
             // One load/add/store pass over the cell's rhocell slice per
-            // run — the per-particle path pays this per particle. Sorted
-            // runs visit consecutive cells, so under SIMD the pass is
-            // priced as a dense ascending stream instead of a cache walk.
+            // run — the per-particle path pays this per particle.
             for comp in 0..3 {
                 let mut node = 0;
                 while node < nodes {
                     let w = (nodes - node).min(VLANES);
-                    let base = rho.index(comp, cell, node);
-                    let addr = rho_addr.offset_f64(base);
-                    let cur = if ctx.simd {
-                        m.v_load_streamed(
-                            addr,
-                            &rho.cell_slice(comp, cell)[node..node + w],
-                            rho.footprint_bytes(),
-                        )
-                    } else {
-                        m.v_load(addr, &rho.cell_slice(comp, cell)[node..node + w])
-                    };
-                    let sum = m.v_add(cur, VReg::from_slice(&block[comp][node..node + w]));
-                    let fp = rho.footprint_bytes();
-                    let slice = rho.cell_slice_mut(comp, cell);
-                    if ctx.simd {
-                        m.v_store_streamed(addr, sum, &mut slice[node..node + w], w, fp);
-                    } else {
-                        m.v_store(addr, sum, &mut slice[node..node + w], w);
-                    }
+                    let contrib = VReg::from_slice(&block[comp][node..node + w]);
+                    rho.accumulate(m, pricing, rho_addr, comp, cell, node, w, contrib);
                     node += w;
                 }
             }
@@ -304,7 +265,6 @@ mod tests {
         for hand_tuned in [false, true] {
             let mut m = Machine::new(MachineConfig::lx2());
             let soa_addr = std::array::from_fn(|_| m.mem().alloc_f64(64));
-            let staging = m.mem().alloc_f64(65536);
             let rho_addr = m.mem().alloc_f64(3 * 64 * 8);
             let tile = layout.tile(0);
             let iter: Vec<usize> = c.tiles[0].soa.live_indices().collect();
@@ -318,13 +278,12 @@ mod tests {
                 &c.tiles[0].soa,
                 &iter,
                 &soa_addr,
-                staging,
                 if hand_tuned {
                     PrepStyle::VpuIntrinsics
                 } else {
                     PrepStyle::Autovec
                 },
-                false,
+                Pricing::Walk,
                 &mut st,
             );
             let mut rho = crate::rhocell::Rhocell::new(ShapeOrder::Cic, tile.num_cells());
@@ -333,9 +292,7 @@ mod tests {
                 geom: &geom,
                 tile,
                 order: ShapeOrder::Cic,
-                staging_addr: staging,
-                batched: false,
-                simd: false,
+                mode: ExecMode::PerParticle,
             };
             let mut out = TileOutput::Rho {
                 rho_addr,

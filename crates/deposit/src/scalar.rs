@@ -19,7 +19,7 @@ use mpic_machine::{Lanes, Machine, Phase, VReg, VLANES};
 use mpic_particles::{cell_runs, ParticleContainer};
 
 use crate::common::{node_index, stage_particle, PrepStyle, Staging, TouchedNodes};
-use crate::kernel::{DepositionKernel, TileCtx, TileOutput};
+use crate::kernel::{DepositionKernel, ExecMode, TileCtx, TileOutput};
 use crate::shape::{ShapeOrder, MAX_NODES_3D, MAX_SUPPORT};
 
 /// Computes the exact current deposition of every live particle onto
@@ -92,8 +92,10 @@ impl DepositionKernel for BaselineKernel {
         else {
             panic!("baseline kernel writes the grid directly");
         };
-        if ctx.batched {
-            deposit_tile_batched(m, ctx, st, *j_addr, jx, jy, jz, touched);
+        // Nothing below the staging loads is priced by mode: the block
+        // accumulate is L1-resident and the scatter always walks.
+        if let ExecMode::Runs(_) = ctx.mode {
+            deposit_tile_runs(m, ctx, st, *j_addr, jx, jy, jz, touched);
             return;
         }
         let s = ctx.order.support();
@@ -155,7 +157,7 @@ impl DepositionKernel for BaselineKernel {
     }
 }
 
-/// The cell-run batched direct-scatter sweep: each same-cell particle
+/// The cell-run direct-scatter sweep: each same-cell particle
 /// run accumulates its `support^3 x 3` nodal contributions into a
 /// stack-resident stencil block (per-particle adds in particle order, so
 /// within-run sums match the per-particle kernel bit for bit), and the
@@ -164,7 +166,7 @@ impl DepositionKernel for BaselineKernel {
 /// roughly the run length. Cross-run contributions to a shared grid node
 /// regroup the FP adds (run subtotals instead of interleaved particles),
 /// which is the tight-ULP deviation the equivalence tests pin.
-fn deposit_tile_batched(
+fn deposit_tile_runs(
     m: &mut Machine,
     ctx: &TileCtx,
     st: &Staging,
@@ -206,32 +208,7 @@ fn deposit_tile_batched(
             // Accumulate the run into the block in particle order; the
             // block is stack/L1-resident, so only arithmetic and issue
             // costs are charged — the memory the batching saves.
-            if ctx.simd {
-                accumulate_run_simd(m, st, s, nodes, run.start, run.end, &mut block);
-            } else {
-                let mut p0 = run.start;
-                while p0 < run.end {
-                    let lanes = (run.end - p0).min(VLANES);
-                    m.v_issue(3 * s + 3); // Staged re-loads (cache-blocked).
-                    for c in 0..s {
-                        for b in 0..s {
-                            for a in 0..s {
-                                let nd = (c * s + b) * s + a;
-                                m.v_ops(2); // Tensor shape product per chunk.
-                                m.v_ops(3); // Effective-current multiplies.
-                                m.v_issue(3); // Block accumulates (L1-resident).
-                                for p in p0..p0 + lanes {
-                                    let w = st.s(0, a, p) * st.s(1, b, p) * st.s(2, c, p);
-                                    for comp in 0..3 {
-                                        block[comp][nd] += w * st.wq[comp][p];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    p0 += lanes;
-                }
-            }
+            accumulate_run(m, st, s, nodes, run.start, run.end, &mut block);
             // Apply the block to the accumulator once per run: the only
             // scattered grid traffic left, priced per distinct node with
             // no intra-vector conflicts (each node appears once).
@@ -256,14 +233,14 @@ fn deposit_tile_batched(
 }
 
 /// Lane-parallel accumulation of one same-cell run into the stencil
-/// block ([`TileCtx::simd`]). Values are computed particle-outer with
-/// node-chunked [`Lanes`] arithmetic: for every (component, node) pair
-/// the adds still land in ascending particle order and the shape
-/// product keeps the scalar path's `(sx*sy)*sz` association, so the
-/// finished block is bit-identical to the scalar accumulation. The
-/// charge stream mirrors the scalar chunk loop call for call, so every
-/// Compute-phase counter is bitwise unchanged by the mode.
-fn accumulate_run_simd(
+/// block. Values are computed particle-outer with node-chunked
+/// [`Lanes`] arithmetic: for every (component, node) pair the adds land
+/// in ascending particle order and the shape product keeps the
+/// per-particle kernel's `(sx*sy)*sz` association. The charge stream is
+/// that of a particle-chunked vector loop: per [`VLANES`] particles,
+/// one round of staged re-loads plus product / multiply / accumulate
+/// per stencil node.
+fn accumulate_run(
     m: &mut Machine,
     st: &Staging,
     s: usize,

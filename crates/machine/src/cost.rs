@@ -60,8 +60,8 @@ pub struct MachineConfig {
     /// Cycles for a DRAM access after overlap (memory-level parallelism).
     pub dram_cy: f64,
     /// Bandwidth-limited cycles per cache line charged by the
-    /// *state-free streaming* price of lane-parallel block transfers
-    /// (the `SimConfig::simd` hot paths). Wide loads and stores issued
+    /// *state-free streaming* price of block transfers
+    /// (`Pricing::Stream`). Wide loads and stores issued
     /// back to back behave like an established prefetch stream: the fill
     /// pipeline hides per-line latency and only the line's share of
     /// sustained bandwidth remains. Matches the cache model's streamed

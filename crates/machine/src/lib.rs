@@ -63,7 +63,7 @@ pub use exec::{
     INLINE_ITEM_THRESHOLD,
 };
 pub use gpu::{GpuConfig, GpuDepositionReport, GpuModel};
-pub use machine::{Machine, TileId};
+pub use machine::{Machine, Pricing, TileId};
 pub use mem::{MemSystem, VAddr};
 pub use partition::Partition;
 pub use shard::shard_bounds;

@@ -20,6 +20,24 @@ pub struct TileId(pub usize);
 /// Number of architecturally visible MPU tile registers.
 pub const NUM_TILES: usize = 4;
 
+/// How the memory-bound primitives of a cell-run sweep are priced — the
+/// timing-model half of an execution mode, independent of the functional
+/// arithmetic (which is the same lane sweep either way).
+///
+/// Never set directly: derived from `SimConfig::{batching, simd}` by
+/// `Depositor::mode()` and handed to the `*_priced` entry points, which
+/// are the only places that branch on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pricing {
+    /// Every access walks the cache simulator: cost depends on (and
+    /// updates) which lines are resident.
+    Walk,
+    /// State-free streaming model: a flat bandwidth cost per spanned
+    /// line with a footprint roofline crossover, a pure function of the
+    /// call operands (see the streaming-price section below).
+    Stream,
+}
+
 /// The emulated core.
 #[derive(Debug, Clone)]
 pub struct Machine {
@@ -369,10 +387,10 @@ impl Machine {
     }
 
     // ------------------------------------------------------------------
-    // State-free streaming prices (the `SimConfig::simd` hot paths)
+    // State-free streaming prices (`Pricing::Stream`)
     // ------------------------------------------------------------------
     //
-    // The lane-parallel mode prices its memory traffic as *streams*, not
+    // The streaming mode prices its memory traffic as *streams*, not
     // as individual cache transactions: wide accesses issued back to
     // back overlap their fills like an established prefetch stream, so
     // each spanned line charges its share of sustained bandwidth
@@ -380,8 +398,8 @@ impl Machine {
     // read streams) instead of a latency that depends on what happens to
     // be resident. The charge is a pure function of the address stream —
     // no cache-simulator state is read or written — which both prices
-    // the mode's deep out-of-order overlap and keeps every SIMD charge
-    // bit-reproducible from the tile data alone.
+    // the mode's deep out-of-order overlap and keeps every streamed
+    // charge bit-reproducible from the tile data alone.
 
     /// Number of cache lines spanned by `[addr, addr + bytes)` — the
     /// address-only counterpart of a cache access, used by the
@@ -414,17 +432,13 @@ impl Machine {
     }
 
     /// Contiguous vector load at the state-free streaming price
-    /// (functional twin of [`Machine::v_load`] for the SIMD hot paths).
+    /// (functional twin of [`Machine::v_load`]).
     /// `footprint` is the byte span of the whole source array for the
     /// roofline crossover ([`Machine::stream_line_price`]); pass 0 when
     /// unknown.
-    pub fn v_load_streamed(&mut self, addr: VAddr, src: &[f64], footprint: u64) -> VReg {
+    fn v_load_streamed(&mut self, addr: VAddr, src: &[f64], footprint: u64) -> VReg {
         let n = src.len().min(VLANES);
-        let cy = Self::GATHER_MLP
-            * self.stream_line_price(footprint)
-            * self.lines_spanned(addr, (n * 8) as u64) as f64;
-        self.ctr.add_cycles(self.phase, cy);
-        self.ctr.vector_ops += 1;
+        self.v_touch_load_streamed(addr, n, footprint);
         VReg::from_slice(&src[..n])
     }
 
@@ -438,7 +452,7 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if `n > VLANES` or `dst.len() < n`.
-    pub fn v_store_streamed(
+    fn v_store_streamed(
         &mut self,
         addr: VAddr,
         reg: VReg,
@@ -447,17 +461,15 @@ impl Machine {
         footprint: u64,
     ) {
         assert!(n <= VLANES);
-        let cy = Self::GATHER_MLP
-            * self.stream_line_price(footprint)
-            * self.lines_spanned(addr, (n * 8) as u64) as f64;
-        self.ctr.add_cycles(self.phase, cy);
-        self.ctr.vector_ops += 1;
+        // Same per-line price and issue accounting as a read stream.
+        self.v_touch_load_streamed(addr, n, footprint);
         dst[..n].copy_from_slice(&reg.0[..n]);
     }
 
     /// Cost-only contiguous vector load at the state-free streaming
-    /// price (twin of [`Machine::v_touch_load`]). `footprint` as in
-    /// [`Machine::v_load_streamed`].
+    /// price (twin of [`Machine::v_touch_load`]). `footprint` is the
+    /// byte span of the whole source array for the roofline crossover;
+    /// pass 0 when unknown.
     pub fn v_touch_load_streamed(&mut self, addr: VAddr, lanes: usize, footprint: u64) {
         let cy = Self::GATHER_MLP
             * self.stream_line_price(footprint)
@@ -470,7 +482,7 @@ impl Machine {
     /// of [`Machine::v_touch_gather`]): per-lane issue cost plus each
     /// distinct line at the overlapped stream price. `footprint` as in
     /// [`Machine::v_load_streamed`].
-    pub fn v_touch_gather_streamed(&mut self, base: VAddr, idx: &[usize], footprint: u64) {
+    fn v_touch_gather_streamed(&mut self, base: VAddr, idx: &[usize], footprint: u64) {
         self.ctr.vector_ops += 1;
         let take = idx.len().min(VLANES);
         let shift = self.mem.line_shift();
@@ -588,14 +600,6 @@ impl Machine {
         self.ctr.vector_ops += 1;
     }
 
-    /// Charges a contiguous vector store (cost-only mirror of
-    /// [`Machine::v_store`]).
-    pub fn v_touch_store(&mut self, addr: VAddr, lanes: usize) {
-        let cy = self.mem.access(addr, (lanes.min(VLANES) * 8) as u64);
-        self.ctr.add_cycles(self.phase, cy);
-        self.ctr.vector_ops += 1;
-    }
-
     /// Charges an indexed gather's memory and issue cost (cost-only
     /// mirror of [`Machine::v_gather`]).
     pub fn v_touch_gather(&mut self, base: VAddr, idx: &[usize]) {
@@ -651,7 +655,7 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if `idx.len() > RUN_BLOCK_MAX`.
-    pub fn v_touch_gather_block(&mut self, base: VAddr, idx: &[usize]) {
+    fn v_touch_gather_block(&mut self, base: VAddr, idx: &[usize]) {
         assert!(
             idx.len() <= Self::RUN_BLOCK_MAX,
             "block exceeds RUN_BLOCK_MAX"
@@ -669,11 +673,12 @@ impl Machine {
         self.ctr.add_cycles(self.phase, cy);
     }
 
-    /// Reuse-aware run-scoped gather touch — the SIMD hot path's pricing
-    /// of consecutive same-tile runs. Like
+    /// Reuse-aware run-scoped gather touch over several arrays sharing
+    /// one node list — the [`Pricing::Stream`] price of a run's stencil
+    /// block load (the run gather's six field components). Like
     /// [`Machine::v_touch_gather_block`] it charges per distinct cache
     /// line of the block, with two differences that together are what
-    /// the lane-parallel mode buys:
+    /// the streaming mode buys:
     ///
     /// * lines already covered by `prev_idx` (the preceding run's
     ///   stencil block, which the kernel keeps resident in lane
@@ -689,71 +694,23 @@ impl Machine {
     ///   prefetcher services at bandwidth. `footprint` declares one
     ///   field array's byte span so L1-resident grids cross over to the
     ///   resident line price (0 = unknown, DRAM stream). The charge is a
-    ///   pure function of `(base, idx, prev_idx, footprint)`.
+    ///   pure function of `(bases, idx, prev_idx, footprint)`.
     ///
     /// Per-lane gather issue cost is still paid for every element of
     /// `idx` — address generation does not amortise.
+    ///
+    /// Each base is charged separately (one counter update per array),
+    /// but bases congruent modulo the line size — line-aligned
+    /// allocations, the ubiquitous case — have line sets that differ by
+    /// a whole number of lines, so the new-line count is computed once
+    /// and replayed; a base that is not congruent to the one in hand
+    /// gets its own count, as in [`Machine::v_touch_gather_multi`].
     ///
     /// # Panics
     ///
     /// Panics if `idx.len()` or `prev_idx.len()` exceeds
     /// [`Machine::RUN_BLOCK_MAX`].
-    pub fn v_touch_gather_block_reuse(
-        &mut self,
-        base: VAddr,
-        idx: &[usize],
-        prev_idx: &[usize],
-        footprint: u64,
-    ) {
-        assert!(
-            idx.len() <= Self::RUN_BLOCK_MAX && prev_idx.len() <= Self::RUN_BLOCK_MAX,
-            "block exceeds RUN_BLOCK_MAX"
-        );
-        if idx.is_empty() {
-            return;
-        }
-        self.ctr.vector_ops += idx.len().div_ceil(VLANES) as u64;
-        let shift = self.mem.line_shift();
-        let mut cur = [0u64; Self::RUN_BLOCK_MAX];
-        let cur_n = Self::collect_lines(&mut cur, base, idx, shift);
-        let mut prev = [0u64; Self::RUN_BLOCK_MAX];
-        let prev_n = Self::collect_lines(&mut prev, base, prev_idx, shift);
-        let mut cy = self.cfg.gather_lane_cy * idx.len() as f64;
-        let new_line_cy = Self::GATHER_MLP * self.stream_line_price(footprint);
-        let mut p = 0usize;
-        let mut last = u64::MAX;
-        for &l in &cur[..cur_n] {
-            if l == last {
-                continue;
-            }
-            last = l;
-            while p < prev_n && prev[p] < l {
-                p += 1;
-            }
-            if p < prev_n && prev[p] == l {
-                continue; // Register-resident from the previous run.
-            }
-            cy += new_line_cy;
-        }
-        self.ctr.add_cycles(self.phase, cy);
-    }
-
-    /// [`Machine::v_touch_gather_block_reuse`] over several equally
-    /// line-aligned arrays sharing one node list — the SIMD run gather's
-    /// six field components. When every base is congruent modulo the
-    /// line size (the allocator returns line-aligned arrays, so this is
-    /// the ubiquitous case), each array's line set is the first array's
-    /// shifted by a whole number of lines: the dedup/merge result is
-    /// identical, so it is computed once and the per-array charge —
-    /// bitwise the same accumulation the per-array calls would make — is
-    /// replayed for each base. Incongruent bases fall back to the exact
-    /// per-array walk. Host-side fast path only; counters and cycles are
-    /// bit-identical to six separate calls either way.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Machine::v_touch_gather_block_reuse`].
-    pub fn v_touch_gather_block_reuse_multi(
+    fn v_touch_gather_block_reuse_multi(
         &mut self,
         bases: &[VAddr],
         idx: &[usize],
@@ -764,28 +721,40 @@ impl Machine {
             idx.len() <= Self::RUN_BLOCK_MAX && prev_idx.len() <= Self::RUN_BLOCK_MAX,
             "block exceeds RUN_BLOCK_MAX"
         );
-        if idx.is_empty() || bases.is_empty() {
+        let Some(&(mut anchor)) = bases.first() else {
+            return;
+        };
+        if idx.is_empty() {
             return;
         }
-        let line = self.mem.line_bytes();
-        if !bases.iter().all(|b| b.0 % line == bases[0].0 % line) {
-            for &b in bases {
-                self.v_touch_gather_block_reuse(b, idx, prev_idx, footprint);
+        let in_line = self.mem.line_bytes() - 1;
+        let lane_cy = self.cfg.gather_lane_cy * idx.len() as f64;
+        let new_line_cy = Self::GATHER_MLP * self.stream_line_price(footprint);
+        // One add per new line: a multiply-by-count could round
+        // differently.
+        let charge = |new: usize| (0..new).fold(lane_cy, |cy, _| cy + new_line_cy);
+        let mut cy = charge(self.new_lines(anchor, idx, prev_idx));
+        for &base in bases {
+            if (base.0 ^ anchor.0) & in_line != 0 {
+                anchor = base;
+                cy = charge(self.new_lines(anchor, idx, prev_idx));
             }
-            return;
+            self.ctr.vector_ops += idx.len().div_ceil(VLANES) as u64;
+            self.ctr.add_cycles(self.phase, cy);
         }
+    }
+
+    /// Distinct cache lines of `base[idx]` that `base[prev_idx]` does not
+    /// cover — the lines a reuse-aware block touch still has to move.
+    fn new_lines(&self, base: VAddr, idx: &[usize], prev_idx: &[usize]) -> usize {
         let shift = self.mem.line_shift();
         let mut cur = [0u64; Self::RUN_BLOCK_MAX];
-        let cur_n = Self::collect_lines(&mut cur, bases[0], idx, shift);
+        let cur_n = Self::collect_lines(&mut cur, base, idx, shift);
         let mut prev = [0u64; Self::RUN_BLOCK_MAX];
-        let prev_n = Self::collect_lines(&mut prev, bases[0], prev_idx, shift);
-        // The same merge walk as the single-array call, accumulating the
-        // identical `cy` one new line at a time (a multiply-by-count
-        // could round differently).
-        let mut cy = self.cfg.gather_lane_cy * idx.len() as f64;
-        let new_line_cy = Self::GATHER_MLP * self.stream_line_price(footprint);
+        let prev_n = Self::collect_lines(&mut prev, base, prev_idx, shift);
         let mut p = 0usize;
         let mut last = u64::MAX;
+        let mut new = 0usize;
         for &l in &cur[..cur_n] {
             if l == last {
                 continue;
@@ -795,14 +764,11 @@ impl Machine {
                 p += 1;
             }
             if p < prev_n && prev[p] == l {
-                continue; // Register-resident from the previous run.
+                continue; // Still resident from the previous block.
             }
-            cy += new_line_cy;
+            new += 1;
         }
-        for _ in bases {
-            self.ctr.vector_ops += idx.len().div_ceil(VLANES) as u64;
-            self.ctr.add_cycles(self.phase, cy);
-        }
+        new
     }
 
     /// Fills `buf` with the (sorted, possibly duplicated) cache-line ids
@@ -830,9 +796,9 @@ impl Machine {
     /// Fused rhocell→grid reduction touch: charges folding one cell's
     /// per-node source vectors into up to three scattered destination
     /// components in a **single traversal** of the node list, instead of
-    /// one sweep per component. The fusion is what the SIMD reduction
-    /// path buys, and this mirror is how the emulated cost model sees
-    /// it:
+    /// one sweep per component. The fusion is what the streaming
+    /// reduction buys, and this mirror is how the emulated cost model
+    /// sees it:
     ///
     /// * per-lane scatter address generation (`gather_lane_cy`) is paid
     ///   **once** across all components — the node indices are shared,
@@ -845,45 +811,32 @@ impl Machine {
     /// * each component's **distinct destination cache lines** are
     ///   charged one full stream-line cost each — read-modify-write
     ///   traffic gets no overlap discount, but a line shared by several
-    ///   stencil nodes is touched once instead of once per node.
+    ///   stencil nodes is touched once instead of once per node;
+    /// * the reduction sweeps a tile's cells in order and consecutive
+    ///   cells' stencils overlap — destination lines already folded by
+    ///   the preceding cell (`prev_idx`, its node list) still sit in the
+    ///   store buffer, so the kernel merges into them without a fresh
+    ///   read-modify-write transaction and they charge nothing. Callers
+    ///   must only pass `prev_idx` when the preceding fold covered the
+    ///   same components (empty = no reuse); the contiguous per-cell
+    ///   source streams never reuse (each cell owns its slice).
     ///
-    /// Like every SIMD-mode price, the charge is a pure function of the
+    /// Like every streaming price, the charge is a pure function of the
     /// call's inputs: no cache-simulator state is read or written.
     ///
     /// `srcs[k]`/`dsts[k]` pair component `k`'s contiguous source base
     /// with its scattered destination base; passing fewer than three
     /// pairs prices a partial-component fold. `idx` holds the
-    /// destination offsets shared by every component. Empty `idx` is
-    /// free.
+    /// destination offsets shared by every component; empty `idx` is
+    /// free. `src_footprint`/`dst_footprint` declare the byte spans of
+    /// one source array and one destination array for the roofline
+    /// crossover ([`Machine::stream_line_price`]); pass 0 when unknown.
     ///
     /// # Panics
     ///
     /// Panics if `srcs.len() != dsts.len()`, if no components are given,
-    /// or if `idx.len() > RUN_BLOCK_MAX`.
-    pub fn v_touch_reduce_block(&mut self, srcs: &[VAddr], dsts: &[VAddr], idx: &[usize]) {
-        self.v_touch_reduce_block_reuse(srcs, dsts, idx, &[], 0, 0);
-    }
-
-    /// Reuse-aware variant of [`Machine::v_touch_reduce_block`]: the SIMD
-    /// reduction sweeps a tile's cells in order, and consecutive cells'
-    /// stencils overlap — destination cache lines already folded by the
-    /// preceding cell (`prev_idx`, its node list) still sit in the store
-    /// buffer, so the lane-parallel kernel merges into them without a
-    /// fresh read-modify-write transaction. Those lines charge nothing;
-    /// every other line is priced by the state-free streaming model (an
-    /// empty `prev_idx` is bitwise identical to the plain fused reduce).
-    /// Callers must only pass `prev_idx` when the preceding fold covered
-    /// the same components; the contiguous per-cell source streams never
-    /// reuse (each cell owns its slice).
-    ///
-    /// `src_footprint`/`dst_footprint` declare the byte spans of one
-    /// source array and one destination array for the roofline crossover
-    /// ([`Machine::stream_line_price`]); pass 0 when unknown.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Machine::v_touch_reduce_block`], plus
-    /// `prev_idx.len() <= RUN_BLOCK_MAX`.
+    /// or if `idx.len()` or `prev_idx.len()` exceeds
+    /// [`Machine::RUN_BLOCK_MAX`].
     pub fn v_touch_reduce_block_reuse(
         &mut self,
         srcs: &[VAddr],
@@ -928,50 +881,126 @@ impl Machine {
         // component at the full stream cost — read-modify-write traffic
         // gets no read-overlap discount — unless the preceding cell's
         // fold left the line in the store buffer.
-        let line = self.mem.line_bytes();
-        let shift = self.mem.line_shift();
         let dst_line_cy = self.stream_line_price(dst_footprint);
         // Component arrays are line-aligned allocations, so their line
         // sets differ by whole lines and every component sees the same
-        // number of new lines: walk the merge once and replay the
-        // per-line adds per component (the adds must stay one-at-a-time
-        // — a multiply could round differently). Incongruent bases take
-        // the exact per-component walk.
-        let congruent = dsts.iter().all(|d| d.0 % line == dsts[0].0 % line);
-        let mut shared_new = 0usize;
-        for (k, &dst) in dsts.iter().enumerate() {
-            let new = if congruent && k > 0 {
-                shared_new
-            } else {
-                let mut lines = [0u64; Self::RUN_BLOCK_MAX];
-                let n = Self::collect_lines(&mut lines, dst, idx, shift);
-                let mut prev_lines = [0u64; Self::RUN_BLOCK_MAX];
-                let prev_n = Self::collect_lines(&mut prev_lines, dst, prev_idx, shift);
-                let mut p = 0usize;
-                let mut last = u64::MAX;
-                let mut new = 0usize;
-                for &l in &lines[..n] {
-                    if l == last {
-                        continue;
-                    }
-                    last = l;
-                    while p < prev_n && prev_lines[p] < l {
-                        p += 1;
-                    }
-                    if p < prev_n && prev_lines[p] == l {
-                        continue; // Store-buffer resident from the last fold.
-                    }
-                    new += 1;
-                }
-                shared_new = new;
-                new
-            };
+        // number of new lines: count once and replay the per-line adds
+        // per component (the adds must stay one-at-a-time — a multiply
+        // could round differently). An incongruent base gets its own
+        // count.
+        let in_line = self.mem.line_bytes() - 1;
+        let mut anchor = dsts[0];
+        let mut new = self.new_lines(anchor, idx, prev_idx);
+        for &dst in dsts {
+            if (dst.0 ^ anchor.0) & in_line != 0 {
+                anchor = dst;
+                new = self.new_lines(anchor, idx, prev_idx);
+            }
             for _ in 0..new {
                 cy += dst_line_cy;
             }
         }
         self.ctr.flops_issued += (comps * idx.len()) as f64;
         self.ctr.add_cycles(self.phase, cy);
+    }
+
+    // ------------------------------------------------------------------
+    // Priced entry points
+    // ------------------------------------------------------------------
+    //
+    // The one place a [`Pricing`] selects between a cache walk and its
+    // state-free streaming twin, one entry point per primitive family.
+    // Kernels that run in both pricings call these and never branch on
+    // the mode themselves. `footprint` (and `prev_idx`) feed the
+    // streaming arm only; the walk arm prices from cache state.
+
+    /// [`Machine::v_load`] at the given pricing.
+    pub fn v_load_priced(
+        &mut self,
+        pricing: Pricing,
+        addr: VAddr,
+        src: &[f64],
+        footprint: u64,
+    ) -> VReg {
+        match pricing {
+            Pricing::Walk => self.v_load(addr, src),
+            Pricing::Stream => self.v_load_streamed(addr, src, footprint),
+        }
+    }
+
+    /// [`Machine::v_store`] at the given pricing.
+    pub fn v_store_priced(
+        &mut self,
+        pricing: Pricing,
+        addr: VAddr,
+        reg: VReg,
+        dst: &mut [f64],
+        n: usize,
+        footprint: u64,
+    ) {
+        match pricing {
+            Pricing::Walk => self.v_store(addr, reg, dst, n),
+            Pricing::Stream => self.v_store_streamed(addr, reg, dst, n, footprint),
+        }
+    }
+
+    /// [`Machine::v_touch_load`] at the given pricing.
+    pub fn v_touch_load_priced(
+        &mut self,
+        pricing: Pricing,
+        addr: VAddr,
+        lanes: usize,
+        footprint: u64,
+    ) {
+        match pricing {
+            Pricing::Walk => self.v_touch_load(addr, lanes),
+            Pricing::Stream => self.v_touch_load_streamed(addr, lanes, footprint),
+        }
+    }
+
+    /// [`Machine::v_touch_gather_multi`] — one shared index vector
+    /// gathered from each of `bases` — at the given pricing.
+    pub fn v_touch_gather_priced(
+        &mut self,
+        pricing: Pricing,
+        bases: &[VAddr],
+        idx: &[usize],
+        footprint: u64,
+    ) {
+        match pricing {
+            Pricing::Walk => self.v_touch_gather_multi(bases, idx),
+            Pricing::Stream => {
+                for &base in bases {
+                    self.v_touch_gather_streamed(base, idx, footprint);
+                }
+            }
+        }
+    }
+
+    /// Run-scoped block gather of one node list (up to
+    /// [`Machine::RUN_BLOCK_MAX`] elements) from each of `bases`, each
+    /// distinct cache line charged once per base. Walked, every run
+    /// starts from whatever the cache holds; streamed, lines covered by
+    /// `prev_idx` (the preceding run's block, still in lane registers)
+    /// charge nothing.
+    pub fn v_touch_gather_block_priced(
+        &mut self,
+        pricing: Pricing,
+        bases: &[VAddr],
+        idx: &[usize],
+        prev_idx: &[usize],
+        footprint: u64,
+    ) {
+        match pricing {
+            Pricing::Walk => {
+                for &base in bases {
+                    self.v_touch_gather_block(base, idx);
+                }
+            }
+            Pricing::Stream => {
+                self.v_touch_gather_block_reuse_multi(bases, idx, prev_idx, footprint);
+            }
+        }
     }
 
     /// Charges `n` generic vector ALU operations without data (companion
@@ -1392,7 +1421,7 @@ mod tests {
         let mut m = machine();
         let src = m.mem().alloc_f64(64);
         let dst = m.mem().alloc_f64(64);
-        m.v_touch_reduce_block(&[src], &[dst], &[]);
+        m.v_touch_reduce_block_reuse(&[src], &[dst], &[], &[], 0, 0);
         assert_eq!(m.counters().total_cycles(), 0.0);
         assert_eq!(m.counters().vector_ops, 0);
     }
@@ -1404,7 +1433,7 @@ mod tests {
         let src = m.mem().alloc_f64(128);
         let dst = m.mem().alloc_f64(128);
         let idx = vec![0usize; Machine::RUN_BLOCK_MAX + 1];
-        m.v_touch_reduce_block(&[src], &[dst], &idx);
+        m.v_touch_reduce_block_reuse(&[src], &[dst], &idx, &[], 0, 0);
     }
 
     #[test]
@@ -1413,7 +1442,7 @@ mod tests {
         let mut m = machine();
         let src = m.mem().alloc_f64(8);
         let dst = m.mem().alloc_f64(8);
-        m.v_touch_reduce_block(&[src, src], &[dst], &[0, 1]);
+        m.v_touch_reduce_block_reuse(&[src, src], &[dst], &[0, 1], &[], 0, 0);
     }
 
     #[test]
@@ -1424,7 +1453,7 @@ mod tests {
         let dsts: Vec<VAddr> = (0..3).map(|_| m.mem().alloc_f64(4096)).collect();
         let idx: Vec<usize> = (0..12).collect();
         m.set_phase(Phase::Reduce);
-        m.v_touch_reduce_block(&srcs, &dsts, &idx);
+        m.v_touch_reduce_block_reuse(&srcs, &dsts, &idx, &[], 0, 0);
         assert_eq!(m.counters().flops_issued, 36.0);
         assert_eq!(m.counters().vector_ops, 3 * 2);
         assert!(m.counters().cycles(Phase::Reduce) > 0.0);
@@ -1447,7 +1476,7 @@ mod tests {
         let idx: Vec<usize> = [0usize, 1, 33, 34, 1089, 1090, 1122, 1123].to_vec();
         fused.set_phase(Phase::Reduce);
         swept.set_phase(Phase::Reduce);
-        fused.v_touch_reduce_block(&fsrcs, &fdsts, &idx);
+        fused.v_touch_reduce_block_reuse(&fsrcs, &fdsts, &idx, &[], 0, 0);
         for comp in 0..3 {
             let mut node = 0;
             while node < idx.len() {
@@ -1466,7 +1495,7 @@ mod tests {
 
     #[test]
     fn streamed_reuse_touches_are_state_free_and_undercut_cold_walks() {
-        // The SIMD block touches are pure functions of their inputs:
+        // The streamed block touches are pure functions of their inputs:
         // the same call charges bit-identical cycles on a cold machine
         // and on one whose cache was warmed over the very same region,
         // and it neither reads nor perturbs cache statistics. The
@@ -1485,8 +1514,8 @@ mod tests {
         let idx = [0usize, 1, 33, 34, 1089, 1090, 1122, 1123, 5, 6];
         cold.set_phase(Phase::Gather);
         warm.set_phase(Phase::Gather);
-        cold.v_touch_gather_block_reuse(cb, &idx, &[], 0);
-        warm.v_touch_gather_block_reuse(wb, &idx, &[], 0);
+        cold.v_touch_gather_block_reuse_multi(&[cb], &idx, &[], 0);
+        warm.v_touch_gather_block_reuse_multi(&[wb], &idx, &[], 0);
         let csrc = cold.mem().alloc_f64(16);
         let wsrc = warm.mem().alloc_f64(16);
         cold.set_phase(Phase::Reduce);
@@ -1502,25 +1531,59 @@ mod tests {
         // No cache transactions were issued by either touch.
         let after = warm.mem().l1_stats();
         assert_eq!(warm_l1.hits + warm_l1.misses, after.hits + after.misses);
-        // Plain reduce is defined as reuse with an empty carried block.
+        // The streaming gather price undercuts the cold cache walk.
         let mut plain = Machine::new(cfg);
         let pb = plain.mem().alloc_f64(4096);
         plain.set_phase(Phase::Gather);
         plain.v_touch_gather_block(pb, &idx);
-        let psrc = plain.mem().alloc_f64(16);
-        plain.set_phase(Phase::Reduce);
-        plain.v_touch_reduce_block(&[psrc], &[pb], &idx);
-        assert_eq!(
-            plain.counters().cycles(Phase::Reduce).to_bits(),
-            cold.counters().cycles(Phase::Reduce).to_bits()
-        );
-        // The streaming gather price undercuts the cold cache walk.
         assert!(
             cold.counters().cycles(Phase::Gather) < plain.counters().cycles(Phase::Gather),
             "streamed {} must undercut cold walk {}",
             cold.counters().cycles(Phase::Gather),
             plain.counters().cycles(Phase::Gather)
         );
+    }
+
+    #[test]
+    fn reuse_multi_on_incongruent_bases_matches_per_base_charges() {
+        // Bases at odd byte offsets have line sets that are not whole-
+        // line shifts of each other (5 new lines at offset 0, 3 at +8
+        // and +40 for this block), so each congruence class needs its
+        // own new-line count. The expected counters are the per-base sum
+        // of the former single-base `v_touch_gather_block_reuse`,
+        // recorded from it before it was folded into this function.
+        let mut m = machine();
+        let a: Vec<VAddr> = (0..4).map(|_| m.mem().alloc_f64(8192)).collect();
+        let bases = [
+            a[0],
+            VAddr(a[1].0 + 8),
+            a[2],
+            VAddr(a[3].0 + 40),
+            VAddr(a[0].0 + 40),
+        ];
+        // A TSC stencil straddling a periodic wrap of an 18^3 guarded
+        // grid (so the node list is unsorted) and its x-neighbour as the
+        // carried block.
+        let idx: Vec<usize> = (0..27)
+            .map(|nd| {
+                let (a, b, c) = (nd % 3, nd / 3 % 3, nd / 9);
+                ((c + 17) % 18 * 18 + (b + 5)) * 18 + (a + 16) % 18
+            })
+            .collect();
+        let prev: Vec<usize> = idx
+            .iter()
+            .map(|i| i - i % 18 + (i % 18 + 17) % 18)
+            .collect();
+        m.set_phase(Phase::Gather);
+        m.v_touch_gather_block_reuse_multi(&bases, &idx, &prev, 0);
+        m.v_touch_gather_block_reuse_multi(&bases, &idx, &[], 18 * 18 * 18 * 8);
+        m.v_touch_gather_block_reuse_multi(&bases[1..2], &prev, &idx, 0);
+        assert_eq!(
+            m.counters().cycles(Phase::Gather).to_bits(),
+            0x4069_5733_3333_3334
+        );
+        assert_eq!(m.counters().vector_ops, 44);
+        assert_eq!(m.counters().flops_issued, 0.0);
     }
 
     #[test]
@@ -1535,7 +1598,7 @@ mod tests {
         let base = m.mem().alloc_f64(4096);
         let idx = [0usize, 1, 33, 34, 1089, 1090, 1122, 1123];
         m.set_phase(Phase::Gather);
-        m.v_touch_gather_block_reuse(base, &idx, &idx, 0);
+        m.v_touch_gather_block_reuse_multi(&[base], &idx, &idx, 0);
         let full = m.counters().cycles(Phase::Gather);
         assert!(
             (full - lane * idx.len() as f64).abs() < 1e-12,
@@ -1545,7 +1608,7 @@ mod tests {
         let mut part = Machine::new(cfg.clone());
         let pb = part.mem().alloc_f64(4096);
         part.set_phase(Phase::Gather);
-        part.v_touch_gather_block_reuse(pb, &idx, &[0, 1, 33, 34], 0);
+        part.v_touch_gather_block_reuse_multi(&[pb], &idx, &[0, 1, 33, 34], 0);
         let mut none = Machine::new(cfg);
         let nb = none.mem().alloc_f64(4096);
         none.set_phase(Phase::Gather);
@@ -1567,7 +1630,7 @@ mod tests {
         let rd: Vec<VAddr> = (0..3).map(|_| reused.mem().alloc_f64(65536)).collect();
         fresh.set_phase(Phase::Reduce);
         reused.set_phase(Phase::Reduce);
-        fresh.v_touch_reduce_block(&fs, &fd, &idx);
+        fresh.v_touch_reduce_block_reuse(&fs, &fd, &idx, &[], 0, 0);
         reused.v_touch_reduce_block_reuse(&rs, &rd, &idx, &idx, 0, 0);
         let f = fresh.counters().cycles(Phase::Reduce);
         let r = reused.counters().cycles(Phase::Reduce);
@@ -1597,7 +1660,7 @@ mod tests {
             let src = m.mem().alloc_f64(64);
             let mut out = [0.0; 4];
             m.set_phase(Phase::Gather);
-            m.v_touch_gather_block_reuse(base, &idx, &[], footprint);
+            m.v_touch_gather_block_reuse_multi(&[base], &idx, &[], footprint);
             out[0] = m.counters().cycles(Phase::Gather);
             m.set_phase(Phase::Reduce);
             m.v_touch_reduce_block_reuse(&[src], &[base], &idx, &[], footprint, footprint);
@@ -1649,7 +1712,7 @@ mod tests {
         let mut streamed = Machine::new(cfg.clone());
         let sb = streamed.mem().alloc_f64(1728); // 12^3 guarded 8^3 grid
         streamed.set_phase(Phase::Gather);
-        streamed.v_touch_gather_block_reuse(sb, &idx, &[], 1728 * 8);
+        streamed.v_touch_gather_block_reuse_multi(&[sb], &idx, &[], 1728 * 8);
         let mut walk = Machine::new(cfg);
         let wb = walk.mem().alloc_f64(1728);
         walk.set_phase(Phase::Gather);

@@ -16,9 +16,9 @@
 //!
 //! The wrapper exists for *host* throughput only. Emulated-cost vector
 //! state lives in [`crate::VReg`], whose operations charge the cycle
-//! model; `Lanes` arithmetic is cost-free by design, because the SIMD
-//! execution mode must replicate the scalar mode's charge stream
-//! call-for-call (the bit-identity contract covers counters too).
+//! model; `Lanes` arithmetic is cost-free by design: what a lane loop
+//! is charged is decided separately, by the sweep's explicit charge
+//! calls (the bit-identity contract covers counters too).
 
 /// Host SIMD lane width, in `f64` lanes, of every lane-parallel hot
 /// loop in the workspace — and the **only** place a lane width may be

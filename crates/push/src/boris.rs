@@ -92,9 +92,9 @@ pub fn boris_push(
 /// discards them.
 ///
 /// Cost-model note: this routine charges nothing, exactly like the
-/// scalar [`boris_push`]; both execution modes price the push through
+/// scalar [`boris_push`]; every execution mode prices the push through
 /// [`charge_push`], which is how `Push` cycles stay bitwise identical
-/// across scalar and SIMD modes.
+/// across modes.
 pub fn boris_push_lanes(
     c: &BorisCoeffs,
     e: &[Lanes; 3],

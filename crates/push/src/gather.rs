@@ -2,7 +2,7 @@
 
 use mpic_deposit::{stage_particle, ShapeOrder};
 use mpic_grid::{FieldArrays, GridGeometry};
-use mpic_machine::{vect::W, LaneMask, Lanes, Machine, Phase, VAddr};
+use mpic_machine::{vect::W, LaneMask, Lanes, Machine, Phase, Pricing, VAddr};
 
 /// Per-step cost parameters of the gather sweep (charged coarsely: the
 //  gather is not the paper's optimisation target, but its time must
@@ -108,7 +108,7 @@ pub const MAX_STENCIL_NODES: usize = mpic_deposit::shape::MAX_NODES_3D;
 /// node order `(c*s + b)*s + a` with `a` fastest — the same traversal
 /// [`gather_fields`] uses, so interpolating from the block is bit-exact.
 ///
-/// Loaded once per same-cell particle run by the batched hot path and
+/// Loaded once per same-cell particle run by the cell-run sweep and
 /// reused for every particle of the run (gathers are read-only, so the
 /// cached values cannot go stale within a run).
 #[derive(Debug, Clone)]
@@ -182,87 +182,20 @@ pub fn load_node_block(
     }
 }
 
-/// Interpolates `(E, B)` for one particle from a cached [`NodeBlock`],
-/// given the particle's intra-cell offsets `frac`. Bit-identical to
-/// [`gather_fields`] at the same position: the weights come from the
-/// same [`ShapeOrder::weights`] evaluation, the node values are the same
-/// loads, and the accumulation runs in the same `(c, b, a)` order with
-/// the same `(sx * sy) * sz` association.
-pub fn gather_from_block(
-    order: ShapeOrder,
-    block: &NodeBlock,
-    frac: [f64; 3],
-) -> ([f64; 3], [f64; 3]) {
-    let s = order.support();
-    let mut sx = [0.0; 4];
-    let mut sy = [0.0; 4];
-    let mut sz = [0.0; 4];
-    order.weights(frac[0], &mut sx);
-    order.weights(frac[1], &mut sy);
-    order.weights(frac[2], &mut sz);
-    let mut e = [0.0; 3];
-    let mut b = [0.0; 3];
-    for c in 0..s {
-        for bb in 0..s {
-            for a in 0..s {
-                let w = sx[a] * sy[bb] * sz[c];
-                let nd = (c * s + bb) * s + a;
-                e[0] += w * block.vals[0][nd];
-                e[1] += w * block.vals[1][nd];
-                e[2] += w * block.vals[2][nd];
-                b[0] += w * block.vals[3][nd];
-                b[1] += w * block.vals[4][nd];
-                b[2] += w * block.vals[5][nd];
-            }
-        }
-    }
-    (e, b)
-}
-
-/// Interpolates `(E, B)` for up to [`W`] particles at once from a cached
-/// [`NodeBlock`] — the lane-parallel half of the SIMD gather
-/// (`SimConfig::simd`). Each lane is one particle: the six accumulators
-/// are per lane, the node loop runs in the same `(c, b, a)` order as
-/// [`gather_from_block`], and each lane's weight keeps the
-/// `(sx * sy) * sz` association, so every particle's result is
-/// bit-identical to its own [`gather_from_block`] call (no cross-lane
-/// arithmetic exists to regroup). `fracs.len()` selects the active lane
-/// count; callers chunk runs into full-width packs and finish ragged
-/// tails with the scalar routine.
-///
-/// # Panics
-/// If `fracs` is wider than a lane pack or the output slices are
-/// shorter than `fracs`.
-pub fn gather_from_block_lanes(
-    order: ShapeOrder,
-    block: &NodeBlock,
-    fracs: &[[f64; 3]],
-    e_out: &mut [[f64; 3]],
-    b_out: &mut [[f64; 3]],
-) {
-    let n = fracs.len();
-    assert!(
-        e_out.len() >= n && b_out.len() >= n,
-        "output slices shorter than the lane pack"
-    );
-    let (e, b) = gather_from_block_lanes_masked(order, block, fracs);
-    for l in 0..n {
-        for d in 0..3 {
-            e_out[l][d] = e[d].lane(l);
-            b_out[l][d] = b[d].lane(l);
-        }
-    }
-}
-
-/// Masked core of the lane gather: interpolates `(E, B)` for
-/// `fracs.len()` particles (at most [`W`]) and returns the results still
-/// in lane-register layout (`[Lanes; 3]` per field, lane `l` = particle
-/// `l`) for the lane-parallel Boris push to consume directly — no
-/// transpose through memory. Ragged run tails stay on this path: the
-/// accumulation runs under a [`LaneMask::prefix`] mask, so inactive tail
-/// lanes hold exact zeros on return while every active lane is
-/// bit-identical to its own [`gather_from_block`] call (masking selects
-/// lanes; it never regroups arithmetic).
+/// The lane gather: interpolates `(E, B)` from a cached [`NodeBlock`]
+/// for `fracs.len()` particles (at most [`W`]), given their intra-cell
+/// offsets, and returns the results still in lane-register layout
+/// (`[Lanes; 3]` per field, lane `l` = particle `l`) for the
+/// lane-parallel Boris push to consume directly — no transpose through
+/// memory. Each lane is one particle: the six accumulators are per
+/// lane, the weights come from the same [`ShapeOrder::weights`]
+/// evaluation as [`gather_fields`], the node loop runs in its `(c, b, a)`
+/// order and each lane's weight keeps the `(sx * sy) * sz` association,
+/// so every active lane is bit-identical to the per-particle gather at
+/// that position (no cross-lane arithmetic exists to regroup). Ragged
+/// run tails stay on this path: the accumulation runs under a
+/// [`LaneMask::prefix`] mask, so inactive tail lanes hold exact zeros on
+/// return (masking selects lanes; it never regroups arithmetic).
 ///
 /// # Panics
 /// If `fracs` is wider than a lane pack.
@@ -274,8 +207,8 @@ pub fn gather_from_block_lanes_masked(
     let s = order.support();
     let n = fracs.len();
     let mask = LaneMask::prefix(n);
-    // Per-lane shape weights, evaluated exactly as the scalar gather
-    // evaluates them.
+    // Per-lane shape weights, evaluated exactly as the per-particle
+    // gather evaluates them.
     let mut sw = [[[0.0f64; 4]; 3]; W];
     for (l, f) in fracs.iter().enumerate() {
         order.weights(f[0], &mut sw[l][0]);
@@ -304,44 +237,27 @@ pub fn gather_from_block_lanes_masked(
 
 /// Charges the gather cost of one same-cell run of `n` particles whose
 /// stencil block (node indices `node_idx`) was loaded **once** for the
-/// whole run: each field array pays one run-scoped block gather (every
-/// distinct cache line charged once, see
-/// [`Machine::v_touch_gather_block`]) instead of a per-particle node
-/// sweep, while the interpolation arithmetic is still charged per
+/// whole run: the six field arrays pay one run-scoped block gather
+/// (every distinct cache line charged once per array, see
+/// [`Machine::v_touch_gather_block_priced`]) instead of a per-particle
+/// node sweep, while the interpolation arithmetic is still charged per
 /// particle — batching amortises memory traffic, not FLOPs.
+///
+/// `pricing` selects only the memory price. Streamed, the sweep walks a
+/// tile's runs in sorted-cell order, so the previous run's block
+/// (`prev_idx`, its node list) is still resident in lane registers —
+/// cache lines it covers are rotated in place instead of re-gathered,
+/// and only the **new** lines are charged, at the state-free streaming
+/// price: the block loads of consecutive sorted runs sweep the field
+/// arrays in ascending order, which the stream prefetcher services at
+/// bandwidth. `footprint` is the byte span of one field array (guarded
+/// grid x 8), which the machine's roofline crossover compares against
+/// L1 capacity — small L1-resident grids are charged at the resident
+/// line price instead of the DRAM stream price. Walked, both are
+/// ignored and the cache simulator decides.
 pub fn charge_gather_run(
     m: &mut Machine,
-    cost: GatherCost,
-    n: usize,
-    field_addrs: &[VAddr; 6],
-    node_idx: &[usize],
-) {
-    m.in_phase(Phase::Gather, |m| {
-        for addr in field_addrs {
-            m.v_touch_gather_block(*addr, node_idx);
-        }
-        let chunks = n.div_ceil(8);
-        m.v_ops(cost.v_ops_per_chunk * chunks);
-        m.record_flops((n * node_idx.len() * 6 * 2) as f64);
-    });
-}
-
-/// Reuse-aware variant of [`charge_gather_run`] for the lane-parallel
-/// path: the SIMD push walks a tile's runs in sorted-cell order, so the
-/// previous run's stencil block (`prev_idx`, its node list) is still
-/// resident in lane registers — cache lines it covers are rotated in
-/// place instead of re-gathered, and only the **new** lines are charged,
-/// at the state-free streaming price (see
-/// [`Machine::v_touch_gather_block_reuse`]): the block loads of
-/// consecutive sorted runs sweep the field arrays in ascending order,
-/// which the stream prefetcher services at bandwidth. `footprint` is the
-/// byte span of one field array (guarded grid x 8), which the machine's
-/// roofline crossover compares against L1 capacity — small L1-resident
-/// grids are charged at the resident line price instead of the DRAM
-/// stream price. The functional accounting (vector ops, FLOPs) matches
-/// [`charge_gather_run`] exactly; only the memory price differs.
-pub fn charge_gather_run_reuse(
-    m: &mut Machine,
+    pricing: Pricing,
     cost: GatherCost,
     n: usize,
     field_addrs: &[VAddr; 6],
@@ -350,9 +266,7 @@ pub fn charge_gather_run_reuse(
     footprint: u64,
 ) {
     m.in_phase(Phase::Gather, |m| {
-        // One line-set walk shared by all six (line-aligned) field
-        // arrays; bit-identical to six per-array calls.
-        m.v_touch_gather_block_reuse_multi(field_addrs, node_idx, prev_idx, footprint);
+        m.v_touch_gather_block_priced(pricing, field_addrs, node_idx, prev_idx, footprint);
         let chunks = n.div_ceil(8);
         m.v_ops(cost.v_ops_per_chunk * chunks);
         m.record_flops((n * node_idx.len() * 6 * 2) as f64);
@@ -438,9 +352,9 @@ mod tests {
     #[test]
     fn block_gather_is_bit_identical_to_per_particle_gather() {
         // Fill the fields with an irregular pattern and compare the
-        // batched (block-cached) gather against the per-particle
-        // reference at many positions inside one cell: the tentpole's
-        // value-exactness claim, pinned bitwise.
+        // block-cached gather (a one-particle pack) against the
+        // per-particle reference at many positions inside one cell: the
+        // cell-run sweep's value-exactness claim, pinned bitwise.
         let (geom, mut fields) = setup();
         let [nx, ny, nz] = fields.ex.shape();
         for k in 0..nz {
@@ -469,19 +383,49 @@ mod tests {
                 let cell = geom.wrap_cell(cell);
                 load_node_block(&geom, order, &fields, cell, &mut block);
                 let (e_want, b_want) = gather_fields(&geom, order, &fields, x, y, z);
-                let (e_got, b_got) = gather_from_block(order, &block, frac);
+                let (e_got, b_got) = gather_from_block_lanes_masked(order, &block, &[frac]);
                 for d in 0..3 {
-                    assert_eq!(e_got[d].to_bits(), e_want[d].to_bits(), "{order:?} E[{d}]");
-                    assert_eq!(b_got[d].to_bits(), b_want[d].to_bits(), "{order:?} B[{d}]");
+                    assert_eq!(
+                        e_got[d].lane(0).to_bits(),
+                        e_want[d].to_bits(),
+                        "{order:?} E[{d}]"
+                    );
+                    assert_eq!(
+                        b_got[d].lane(0).to_bits(),
+                        b_want[d].to_bits(),
+                        "{order:?} B[{d}]"
+                    );
                 }
             }
         }
     }
 
+    /// A full pack of positions inside the cell holding `anchor`, as
+    /// `(position, located frac)` — the lane gather consumes the fracs,
+    /// the per-particle reference the positions.
+    fn pack_in_cell(
+        geom: &GridGeometry,
+        anchor: [f64; 3],
+        offset: impl Fn(f64) -> [f64; 3],
+    ) -> ([usize; 3], Vec<[f64; 3]>, Vec<[f64; 3]>) {
+        let (cell, _) = geom.locate(anchor[0], anchor[1], anchor[2]);
+        let mut pos = Vec::new();
+        let mut fracs = Vec::new();
+        for t in 0..W {
+            let f = offset(t as f64 / W as f64);
+            let x: [f64; 3] = std::array::from_fn(|d| (cell[d] as f64 + f[d]) * geom.dx[d]);
+            let (at, frac) = geom.locate(x[0], x[1], x[2]);
+            assert_eq!(at, cell, "test position left the anchor cell");
+            pos.push(x);
+            fracs.push(frac);
+        }
+        (geom.wrap_cell(cell), pos, fracs)
+    }
+
     #[test]
     fn lane_gather_matches_scalar_block_gather_bitwise() {
-        // Every lane of the SIMD gather must reproduce its own scalar
-        // gather_from_block result bit for bit, at full width and on
+        // Every lane of the lane gather must reproduce the per-particle
+        // gather of its own particle bit for bit, at full width and on
         // ragged tails (1, W-1, W lanes).
         let (geom, mut fields) = setup();
         let [nx, ny, nz] = fields.ex.shape();
@@ -500,29 +444,22 @@ mod tests {
         }
         for order in [ShapeOrder::Cic, ShapeOrder::Tsc, ShapeOrder::Qsp] {
             let mut block = NodeBlock::new();
-            let (cell, _) = geom.locate(3.4e-6, 4.1e-6, 1.9e-6);
-            let cell = geom.wrap_cell(cell);
+            let (cell, pos, fracs) = pack_in_cell(&geom, [3.4e-6, 4.1e-6, 1.9e-6], |f| {
+                [f * 0.9 + 0.05, (1.0 - f) * 0.8 + 0.1, f * f * 0.7 + 0.2]
+            });
             load_node_block(&geom, order, &fields, cell, &mut block);
-            let fracs: Vec<[f64; 3]> = (0..W)
-                .map(|t| {
-                    let f = t as f64 / W as f64;
-                    [f * 0.9 + 0.05, (1.0 - f) * 0.8 + 0.1, f * f * 0.7 + 0.2]
-                })
-                .collect();
             for n in [1, W - 1, W] {
-                let mut e = vec![[0.0; 3]; n];
-                let mut b = vec![[0.0; 3]; n];
-                gather_from_block_lanes(order, &block, &fracs[..n], &mut e, &mut b);
-                for (l, frac) in fracs[..n].iter().enumerate() {
-                    let (e_want, b_want) = gather_from_block(order, &block, *frac);
+                let (e, b) = gather_from_block_lanes_masked(order, &block, &fracs[..n]);
+                for (l, x) in pos[..n].iter().enumerate() {
+                    let (e_want, b_want) = gather_fields(&geom, order, &fields, x[0], x[1], x[2]);
                     for d in 0..3 {
                         assert_eq!(
-                            e[l][d].to_bits(),
+                            e[d].lane(l).to_bits(),
                             e_want[d].to_bits(),
                             "{order:?} n={n} lane {l} E[{d}]"
                         );
                         assert_eq!(
-                            b[l][d].to_bits(),
+                            b[d].lane(l).to_bits(),
                             b_want[d].to_bits(),
                             "{order:?} n={n} lane {l} B[{d}]"
                         );
@@ -534,10 +471,11 @@ mod tests {
 
     #[test]
     fn conf_masked_tail_gather_matches_scalar_bitwise() {
-        // The masked core must return, for EVERY tail width 1..=W, active
-        // lanes bit-identical to the scalar gather and exact zeros in the
-        // inactive tail lanes — the contract that lets the push consume
-        // ragged runs without a scalar remainder loop.
+        // The lane gather must return, for EVERY tail width 1..=W, active
+        // lanes bit-identical to the per-particle gather (the scalar
+        // reference) and exact zeros in the inactive tail lanes — the
+        // contract that lets the push consume ragged runs without a
+        // scalar remainder loop.
         let (geom, mut fields) = setup();
         let [nx, ny, nz] = fields.ex.shape();
         for k in 0..nz {
@@ -555,19 +493,14 @@ mod tests {
         }
         for order in [ShapeOrder::Cic, ShapeOrder::Tsc, ShapeOrder::Qsp] {
             let mut block = NodeBlock::new();
-            let (cell, _) = geom.locate(2.6e-6, 5.2e-6, 3.8e-6);
-            let cell = geom.wrap_cell(cell);
+            let (cell, pos, fracs) = pack_in_cell(&geom, [2.6e-6, 5.2e-6, 3.8e-6], |f| {
+                [f * 0.85 + 0.05, (1.0 - f) * 0.7 + 0.15, f * f * 0.6 + 0.25]
+            });
             load_node_block(&geom, order, &fields, cell, &mut block);
-            let fracs: Vec<[f64; 3]> = (0..W)
-                .map(|t| {
-                    let f = t as f64 / W as f64;
-                    [f * 0.85 + 0.05, (1.0 - f) * 0.7 + 0.15, f * f * 0.6 + 0.25]
-                })
-                .collect();
             for n in 1..=W {
                 let (e, b) = gather_from_block_lanes_masked(order, &block, &fracs[..n]);
-                for (l, frac) in fracs[..n].iter().enumerate() {
-                    let (e_want, b_want) = gather_from_block(order, &block, *frac);
+                for (l, x) in pos[..n].iter().enumerate() {
+                    let (e_want, b_want) = gather_fields(&geom, order, &fields, x[0], x[1], x[2]);
                     for d in 0..3 {
                         assert_eq!(
                             e[d].lane(l).to_bits(),
@@ -595,11 +528,9 @@ mod tests {
     fn lane_gather_rejects_oversized_packs() {
         let block = NodeBlock::new();
         let fracs = vec![[0.5; 3]; W + 1];
-        let mut e = vec![[0.0; 3]; W + 1];
-        let mut b = vec![[0.0; 3]; W + 1];
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            gather_from_block_lanes(ShapeOrder::Cic, &block, &fracs, &mut e, &mut b);
-        }));
+        let r = std::panic::catch_unwind(|| {
+            gather_from_block_lanes_masked(ShapeOrder::Cic, &block, &fracs)
+        });
         assert!(r.is_err(), "packs wider than W lanes must be rejected");
     }
 
@@ -614,9 +545,9 @@ mod tests {
         load_node_block(&geom, ShapeOrder::Qsp, &fields, [0, 7, 0], &mut block);
         assert_eq!(block.nodes, 64);
         let (_, frac) = geom.locate(0.4e-6, 7.6e-6, 0.1e-6);
-        let (e, _) = gather_from_block(ShapeOrder::Qsp, &block, frac);
+        let (e, _) = gather_from_block_lanes_masked(ShapeOrder::Qsp, &block, &[frac]);
         assert!(
-            (e[2] - 3.25).abs() < 1e-12,
+            (e[2].lane(0) - 3.25).abs() < 1e-12,
             "weights must sum to 1 over wrapped nodes"
         );
     }
@@ -641,7 +572,16 @@ mod tests {
             &addrs_a,
             &[100; 64],
         );
-        charge_gather_run(&mut batched, GatherCost::default(), 64, &addrs_b, &node_idx);
+        charge_gather_run(
+            &mut batched,
+            Pricing::Walk,
+            GatherCost::default(),
+            64,
+            &addrs_b,
+            &node_idx,
+            &[],
+            0,
+        );
         let (pp, bt) = (
             per_particle.counters().cycles(Phase::Gather),
             batched.counters().cycles(Phase::Gather),

@@ -9,7 +9,9 @@
 pub mod boris;
 pub mod gather;
 pub mod scratch;
+pub mod sweep;
 
 pub use boris::{boris_push, BorisCoeffs};
 pub use gather::{gather_fields, GatherCost};
 pub use scratch::PushScratch;
+pub use sweep::PushCtx;

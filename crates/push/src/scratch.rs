@@ -9,17 +9,17 @@
 #[derive(Debug, Clone, Default)]
 pub struct PushScratch {
     /// Live SoA slot indices of the tile being processed (raw liveness
-    /// order for the per-particle path; GPMA-sorted order for the
-    /// batched path).
+    /// order for the per-particle sweep; GPMA-sorted order for the
+    /// cell-run sweep).
     pub live: Vec<usize>,
     /// Per-particle sampled grid node index (drives the gather's emulated
     /// address stream).
     pub sample_idx: Vec<usize>,
     /// Particles leaving the domain this step, as `(slot, gpma_bin)`.
     pub removals: Vec<(usize, usize)>,
-    /// SoA slots of the currently open same-cell run (SIMD gather only:
-    /// the lane-parallel sweep buffers a run and interpolates it in
-    /// lane-width packs when the run closes).
+    /// SoA slots of the currently open same-cell run (cell-run sweep
+    /// only: it buffers a run and interpolates it in lane-width packs
+    /// when the run closes).
     pub run_slots: Vec<usize>,
     /// Intra-cell offsets of the currently open run, parallel to
     /// [`PushScratch::run_slots`].

@@ -1,5 +1,14 @@
-//! The cell-run batched hot path versus the per-particle reference
-//! paths, end to end through `Simulation::step`.
+//! The cell-run sweeps versus the per-particle reference paths, and the
+//! two pricings of the cell-run sweeps against each other, end to end
+//! through `Simulation::step`.
+//!
+//! There is one cell-run implementation (lane packs over same-cell
+//! runs); `batching` selects it and `simd` selects its price model.
+//! Lane-vs-reference *value* coverage therefore lives in the
+//! `batched_*` tests below (run sweep vs per-particle), in
+//! `conf_lane_boris_push_matches_scalar_bitwise` and in the gather unit
+//! tests; the `conf_simd_*` tests compare the same arithmetic under two
+//! pricings and guard the *pricing* contract.
 //!
 //! Contract under test (the PR 2-4 determinism contract extended to the
 //! batched path, plus the batched-vs-reference value claims):
@@ -266,15 +275,19 @@ fn uniform_simd(kernel: KernelConfig, batching: bool, simd: bool) -> Simulation 
     sim
 }
 
-/// The SIMD-on equivalence contract: deposited values are bitwise; the
-/// memory-bound phases the lane-parallel mode re-prices through the
-/// state-free streaming model — Preprocess (streamed staging loads),
-/// Compute (streamed rhocell accumulates / a prefetcher left clean for
-/// the scatter sweep), Sort (the incremental sweep's three unit-stride
-/// position streams), Gather (register-reuse block gathers) and, for
-/// rhocell-based kernels, Reduce (the fused rhocell→grid traversal) —
-/// charge strictly fewer cycles; every remaining phase (Push,
-/// FieldSolve, Other) is bitwise.
+/// The cross-pricing contract of the cell-run sweeps (`simd` off =
+/// `Pricing::Walk`, on = `Pricing::Stream`). Both sides run the same
+/// lane arithmetic, so the value half — every field and current equal
+/// bit for bit — now pins that a pricing never leaks into a value (a
+/// charge call that also moved data, or a price-dependent sort
+/// schedule, would show here). The pricing half is the live contract:
+/// the memory-bound phases the streaming model re-prices — Preprocess
+/// (streamed staging loads), Compute (streamed rhocell accumulates / a
+/// prefetcher left clean for the scatter sweep), Sort (the incremental
+/// sweep's three unit-stride position streams), Gather (register-reuse
+/// block gathers) and, for rhocell-based kernels, Reduce (the fused
+/// rhocell→grid traversal) — charge strictly fewer cycles; every
+/// remaining phase (Push, FieldSolve, Other) is bitwise.
 fn assert_simd_streaming_contract(
     label: &str,
     scalar: &(FieldArrays, [f64; 8], usize),
@@ -310,11 +323,12 @@ fn assert_simd_streaming_contract(
 
 #[test]
 fn conf_simd_fullopt_values_bitwise_memory_phases_cheaper() {
-    // The tentpole's SIMD contract, single-step and multi-step: the
-    // lane-parallel mode reproduces every batched-scalar value bit for
-    // bit (lane packs preserve per-particle/per-node association and add
-    // order) while the four memory-bound phases charge strictly fewer
-    // cycles under the state-free streaming prices.
+    // Single-step and multi-step: values are equal across the two
+    // pricings while the memory-bound phases charge strictly fewer
+    // cycles under the state-free streaming prices. (That the lane
+    // packs themselves preserve per-particle/per-node association and
+    // add order is pinned against the per-particle path by
+    // `conf_batched_fullopt_values_match_per_particle_bitwise`.)
     for steps in [1usize, 3] {
         let scalar = run(
             uniform_simd(KernelConfig::FullOpt, true, false),
@@ -405,9 +419,10 @@ fn conf_simd_path_is_bit_identical_across_workers_and_policies() {
 
 #[test]
 fn conf_simd_without_batching_is_a_bitwise_noop() {
-    // simd is ANDed with batching: without the batched path there are no
-    // runs to chunk, so the knob must change nothing — values AND
-    // cycles, on both a sorted and an unsorted kernel config.
+    // The pricing only exists inside the cell-run sweeps: without
+    // batching `Depositor::mode` stays `PerParticle`, so the knob must
+    // change nothing — values AND cycles, on both a sorted and an
+    // unsorted kernel config.
     for kernel in [KernelConfig::FullOpt, KernelConfig::HybridNoSort] {
         let off = run(
             uniform_simd(kernel, false, false),

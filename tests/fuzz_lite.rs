@@ -11,6 +11,7 @@
 //! GPMA's incremental maintenance.
 
 use matrix_pic::deposit::ShapeOrder;
+use matrix_pic::grid::{FieldArrays, GridGeometry};
 use matrix_pic::machine::vect::W;
 use matrix_pic::machine::{SchedulerPolicy, WorkerPool, INLINE_ITEM_THRESHOLD};
 use matrix_pic::particles::{
@@ -18,7 +19,7 @@ use matrix_pic::particles::{
     INVALID_PARTICLE_ID,
 };
 use matrix_pic::push::gather::{
-    gather_from_block, gather_from_block_lanes, gather_from_block_lanes_masked, NodeBlock,
+    gather_fields_with_cell, gather_from_block_lanes_masked, load_node_block, NodeBlock,
 };
 use proptest::prelude::*;
 
@@ -124,27 +125,23 @@ fn fuzz_sharded_sort_matches_sequential_for_all_workers_and_policies() {
     });
 }
 
-/// The SIMD gather's lane-pack decomposition must be bit-identical to
-/// the per-particle block gather for every run length — empty, 1,
-/// `W-1`, `W`, `W+1` and ragged multi-run tiles — across shape orders
-/// and arbitrary field values, under BOTH decompositions the hot path
-/// has used: full `W`-wide packs with a scalar remainder (masked off,
-/// the pre-masked-tail flush) and masked packs of `min(W, remaining)`
-/// through `gather_from_block_lanes_masked` (masked on, the current
-/// flush). The lane-boundary lengths `kW-1`, `kW`, `kW+1` run on every
-/// case in addition to the randomly drawn tiles, and masked tail packs
-/// must additionally leave every inactive lane at exactly 0.0 bits.
+/// The run flush's lane-pack decomposition — masked packs of
+/// `min(W, remaining)` lanes through `gather_from_block_lanes_masked` —
+/// must be bit-identical to the per-particle `gather_fields_with_cell`
+/// (the reference path) for every run length — empty, 1, `W-1`, `W`,
+/// `W+1` and ragged multi-run tiles — across shape orders, cells
+/// (periodic seams included) and arbitrary field values. The
+/// lane-boundary lengths `kW-1`, `kW`, `kW+1` run on every case in
+/// addition to the randomly drawn tiles, and tail packs must
+/// additionally leave every inactive lane at exactly 0.0 bits.
 #[test]
 fn fuzz_lane_remainder_gather_matches_scalar_bitwise() {
     proptest!(ProptestConfig::with_cases(fuzz_cases(64)).with_corpus("lane_remainder"), |(
         run_lens in prop::collection::vec(0usize..(2 * W + 2), 1..6),
         order_pick in 0usize..3,
-        masked in 0u8..2,
         seed in 0u64..1_000_000,
     )| {
         let order = [ShapeOrder::Cic, ShapeOrder::Tsc, ShapeOrder::Qsp][order_pick];
-        let s = order.support();
-        let masked = masked == 1;
         // Lane-boundary lengths kW-1 / kW / kW+1 ride along on every
         // case: they are exactly where a masked-tail bug would hide.
         let boundary = [W - 1, W, W + 1, 2 * W - 1, 2 * W, 2 * W + 1];
@@ -156,80 +153,68 @@ fn fuzz_lane_remainder_gather_matches_scalar_bitwise() {
                 .wrapping_add(1442695040888963407);
             ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
         };
+        const N: usize = 6;
+        let geom = GridGeometry::new([N; 3], [0.0; 3], [1.0e-6; 3], 2);
+        let mut fields = FieldArrays::new(&geom);
+        for arr in [
+            &mut fields.ex, &mut fields.ey, &mut fields.ez,
+            &mut fields.bx, &mut fields.by, &mut fields.bz,
+        ] {
+            for v in arr.as_mut_slice() {
+                *v = next() * 3.0;
+            }
+        }
+        let mut block = NodeBlock::new();
         for &len in &run_lens {
-            // A fresh pseudo-random node block per run (a ragged tile's
-            // runs sit in different cells, so each sees its own stencil).
-            let mut block = NodeBlock::new();
-            block.nodes = s * s * s;
-            for comp in 0..6 {
-                for nd in 0..block.nodes {
-                    block.vals[comp][nd] = next() * 3.0;
-                }
-            }
-            let fracs: Vec<[f64; 3]> = (0..len)
-                .map(|_| [next() + 0.5, next() + 0.5, next() + 0.5])
+            // Each run sits in its own cell (as a ragged tile's runs do),
+            // so each sees its own stencil.
+            let cell: [usize; 3] = std::array::from_fn(|_| ((next() + 0.5) * N as f64) as usize);
+            load_node_block(&geom, order, &fields, cell, &mut block);
+            let pos: Vec<[f64; 3]> = (0..len)
+                .map(|_| {
+                    std::array::from_fn(|d| {
+                        (cell[d] as f64 + 0.001 + 0.998 * (next() + 0.5)) * geom.dx[d]
+                    })
+                })
                 .collect();
-            let mut got_e = vec![[0.0; 3]; len];
-            let mut got_b = vec![[0.0; 3]; len];
-            if masked {
-                // Decompose exactly as the current run flush does:
-                // masked packs of min(W, remaining) lanes.
-                let mut i = 0;
-                while i < len {
-                    let n = (len - i).min(W);
-                    let (e, b) = gather_from_block_lanes_masked(order, &block, &fracs[i..i + n]);
-                    for l in 0..n {
-                        for d in 0..3 {
-                            got_e[i + l][d] = e[d].lane(l);
-                            got_b[i + l][d] = b[d].lane(l);
-                        }
+            let fracs: Vec<[f64; 3]> = pos
+                .iter()
+                .map(|x| {
+                    let (at, frac) = geom.locate(x[0], x[1], x[2]);
+                    assert_eq!(geom.wrap_cell(at), cell, "position left its cell");
+                    frac
+                })
+                .collect();
+            // Decompose exactly as the run flush does.
+            for (pack, pack_pos) in fracs.chunks(W).zip(pos.chunks(W)) {
+                let (e, b) = gather_from_block_lanes_masked(order, &block, pack);
+                for (l, x) in pack_pos.iter().enumerate() {
+                    let (e_want, b_want, at) =
+                        gather_fields_with_cell(&geom, order, &fields, x[0], x[1], x[2]);
+                    prop_assert_eq!(at, cell);
+                    for d in 0..3 {
+                        prop_assert_eq!(
+                            e[d].lane(l).to_bits(),
+                            e_want[d].to_bits(),
+                            "{:?} len={} lane={} E[{}]",
+                            order, len, l, d
+                        );
+                        prop_assert_eq!(
+                            b[d].lane(l).to_bits(),
+                            b_want[d].to_bits(),
+                            "{:?} len={} lane={} B[{}]",
+                            order, len, l, d
+                        );
                     }
-                    // Inactive lanes of a tail pack must be exactly
-                    // zero: a masked accumulator that leaks a partial
-                    // product would show up here.
-                    for l in n..W {
-                        for d in 0..3 {
-                            prop_assert_eq!(e[d].lane(l).to_bits(), 0, "tail lane {} E[{}]", l, d);
-                            prop_assert_eq!(b[d].lane(l).to_bits(), 0, "tail lane {} B[{}]", l, d);
-                        }
+                }
+                // Inactive lanes of a tail pack must be exactly zero: a
+                // masked accumulator that leaks a partial product would
+                // show up here.
+                for l in pack.len()..W {
+                    for d in 0..3 {
+                        prop_assert_eq!(e[d].lane(l).to_bits(), 0, "tail lane {} E[{}]", l, d);
+                        prop_assert_eq!(b[d].lane(l).to_bits(), 0, "tail lane {} B[{}]", l, d);
                     }
-                    i += n;
-                }
-            } else {
-                // The pre-masked-tail decomposition: full W-wide packs,
-                // then the scalar remainder.
-                let mut i = 0;
-                while i + W <= len {
-                    gather_from_block_lanes(
-                        order,
-                        &block,
-                        &fracs[i..i + W],
-                        &mut got_e[i..i + W],
-                        &mut got_b[i..i + W],
-                    );
-                    i += W;
-                }
-                for l in i..len {
-                    let (e, b) = gather_from_block(order, &block, fracs[l]);
-                    got_e[l] = e;
-                    got_b[l] = b;
-                }
-            }
-            for (l, frac) in fracs.iter().enumerate() {
-                let (e_want, b_want) = gather_from_block(order, &block, *frac);
-                for d in 0..3 {
-                    prop_assert_eq!(
-                        got_e[l][d].to_bits(),
-                        e_want[d].to_bits(),
-                        "{:?} len={} lane={} E[{}]",
-                        order, len, l, d
-                    );
-                    prop_assert_eq!(
-                        got_b[l][d].to_bits(),
-                        b_want[d].to_bits(),
-                        "{:?} len={} lane={} B[{}]",
-                        order, len, l, d
-                    );
                 }
             }
         }

@@ -132,8 +132,8 @@ fn uniform_simd_sim(workers: usize, policy: SchedulerPolicy) -> Simulation {
     sim
 }
 
-/// Snapshot -> restore -> N steps under the lane-parallel mode
-/// (`SimConfig::simd`) is bit-identical to the uninterrupted SIMD run —
+/// Snapshot -> restore -> N steps of streamed cell runs
+/// (`SimConfig::simd`) is bit-identical to the uninterrupted run —
 /// total state, counters included, across worker counts and policies.
 #[test]
 fn conf_snapshot_restore_bit_identical_with_simd() {
@@ -150,11 +150,11 @@ fn conf_snapshot_restore_bit_identical_with_simd() {
     }
 }
 
-/// A checkpoint is simd-agnostic for *state*: a snapshot written under the
-/// batched-scalar mode restores into a simd-on simulation and continues
-/// with bit-identical field values. The writer's two scalar-mode steps
-/// charge the cache-walking prices in the memory-bound phases the SIMD
-/// mode re-prices through the state-free streaming model, so the resumed
+/// A checkpoint is simd-agnostic for *state*: a snapshot written by
+/// walked cell runs (`simd` off) restores into a simd-on simulation and
+/// continues with bit-identical field values. The writer's two walked
+/// steps charge the cache-walking prices in the memory-bound phases
+/// `simd` re-prices through the state-free streaming model, so the resumed
 /// run carries a strictly higher Preprocess/Compute/Reduce/Gather/Sort
 /// history than the uninterrupted simd-on run. (Gather joined the
 /// strictly-cheaper set with the roofline crossover: this 8^3 grid's
