@@ -5,10 +5,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpic_core::workloads;
-use mpic_deposit::{KernelConfig, ShapeOrder};
-use mpic_grid::{FieldArrays, GridGeometry, TileLayout};
+use mpic_deposit::{KernelConfig, Rhocell, ShapeOrder};
+use mpic_grid::{FieldArrays, GridGeometry, Tile, TileLayout};
 use mpic_machine::{Machine, MachineConfig};
 use mpic_particles::Gpma;
+use mpic_solver::{MaxwellSolver, SolverKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -99,11 +100,79 @@ fn bench_full_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `lwfa_sparse` grid (32x32x128, non-cubic cells, guard 2) with
+/// every element of the nine arrays non-zero.
+fn lwfa_grid() -> (GridGeometry, FieldArrays) {
+    let geom = GridGeometry::new([32, 32, 128], [0.0; 3], [0.5e-6, 0.5e-6, 0.25e-6], 2);
+    let mut fields = FieldArrays::new(&geom);
+    let mut rng = StdRng::seed_from_u64(14);
+    let FieldArrays {
+        ex,
+        ey,
+        ez,
+        bx,
+        by,
+        bz,
+        jx,
+        jy,
+        jz,
+        ..
+    } = &mut fields;
+    for arr in [ex, ey, ez, bx, by, bz, jx, jy, jz] {
+        for v in arr.as_mut_slice() {
+            *v = rng.gen_range(-1.0..1.0);
+        }
+    }
+    (geom, fields)
+}
+
+/// The grid-proportional passes of one step, on the `lwfa_sparse` grid:
+/// the CKC leapfrog with its three guard exchanges, one guard exchange
+/// alone, and one tile's rhocell -> grid reduction.
+fn bench_grid_passes(c: &mut Criterion) {
+    c.bench_function("maxwell_step_ckc_32x32x128", |b| {
+        let (geom, mut fields) = lwfa_grid();
+        let solver = MaxwellSolver::new(SolverKind::Ckc, &geom);
+        let dt = 0.5 * solver.max_dt(&geom);
+        let mut m = Machine::new(MachineConfig::lx2());
+        b.iter(|| {
+            solver.step(&mut m, &geom, &mut fields, dt);
+            std::hint::black_box(fields.ex.get(2, 2, 2))
+        });
+    });
+    c.bench_function("fill_guards_32x32x128", |b| {
+        let (_, mut fields) = lwfa_grid();
+        b.iter(|| {
+            fields.fill_guards_periodic();
+            std::hint::black_box(fields.bz.get(0, 0, 0))
+        });
+    });
+    c.bench_function("rhocell_apply_8x8x64_cic", |b| {
+        let (geom, mut fields) = lwfa_grid();
+        let tile = Tile {
+            lo: [8, 16, 64],
+            hi: [16, 24, 128],
+        };
+        let mut rho = Rhocell::new(ShapeOrder::Cic, tile.num_cells());
+        for comp in 0..3 {
+            for cell in 0..tile.num_cells() {
+                rho.cell_slice_mut(comp, cell).fill(1.0e-3);
+            }
+        }
+        b.iter(|| {
+            let FieldArrays { jx, jy, jz, .. } = &mut fields;
+            rho.apply_to_grid(&geom, &tile, jx, jy, jz);
+            std::hint::black_box(fields.jx.get(10, 18, 66))
+        });
+    });
+}
+
 criterion_group!(
     benches,
     bench_deposition_kernels,
     bench_gpma_maintenance,
     bench_counting_sort,
-    bench_full_step
+    bench_full_step,
+    bench_grid_passes
 );
 criterion_main!(benches);

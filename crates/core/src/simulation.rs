@@ -284,7 +284,6 @@ impl Simulation {
             laser.inject(&self.geom, &mut self.fields, self.time);
         }
         if self.cfg.boundary == BoundaryKind::AbsorbingZ {
-            self.machine.in_phase(Phase::Other, |_| {});
             self.cfg.absorber.apply(&self.geom, &mut self.fields);
         }
 

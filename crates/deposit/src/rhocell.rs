@@ -139,18 +139,29 @@ impl Rhocell {
             .sum()
     }
 
+    /// The one cell walk of the reduction — both charge traversals and
+    /// [`Rhocell::apply_to_grid`]: `(accumulator cell, physical cell)`
+    /// over the tile this accumulator was sized for, in cell order.
+    /// Driven with `for_each`, which runs the nested ranges as plain
+    /// nested loops (a `for` would step the flattened iterator's state
+    /// machine once per cell).
+    fn cells(&self, tile: &Tile) -> impl Iterator<Item = (usize, [usize; 3])> {
+        debug_assert_eq!(self.n_cells, tile.num_cells());
+        tile.cells()
+    }
+
     /// Maximum nodes per cell across shape orders (QSP: 4^3 = 64), sizing
     /// the stack-resident node-index buffer of the reduction.
     const MAX_NODES: usize = 64;
 
-    /// Grid node indices of every accumulator slot of `cell`, in node
-    /// order (shared by all three components, whose arrays are congruent).
-    /// Written into a caller-provided stack buffer — no allocation.
+    /// Grid node indices of every accumulator slot of the cell at
+    /// physical coordinates `gc`, in node order (shared by all three
+    /// components, whose arrays are congruent). Written into a
+    /// caller-provided stack buffer — no allocation.
     fn cell_node_indices(
         &self,
         geom: &GridGeometry,
-        tile: &Tile,
-        cell: usize,
+        gc: [usize; 3],
         idx: &mut [usize; Self::MAX_NODES],
     ) {
         let s = self.order.support();
@@ -158,8 +169,7 @@ impl Rhocell {
         // cell, and within the cell each axis contributes only `s`
         // distinct wrapped coordinates — compute those once per axis and
         // expand the s^3 product without any per-node div/mod (this runs
-        // per cell in the reduction, three times per step).
-        let gc = tile.global_cell(cell);
+        // per cell in the reduction, twice per step).
         let dims = geom.dims_with_guard();
         let mut coord = [[0usize; 4]; 3];
         for (d, cd) in coord.iter_mut().enumerate() {
@@ -218,7 +228,7 @@ impl Rhocell {
     ) {
         m.in_phase(Phase::Reduce, |m| {
             let mut idx = [0usize; Self::MAX_NODES];
-            for cell in 0..self.n_cells {
+            self.cells(tile).for_each(|(cell, gc)| {
                 let mut indices_ready = false;
                 for comp in 0..3 {
                     let slice_start = self.index(comp, cell, 0);
@@ -230,7 +240,7 @@ impl Rhocell {
                         continue;
                     }
                     if !indices_ready {
-                        self.cell_node_indices(geom, tile, cell, &mut idx);
+                        self.cell_node_indices(geom, gc, &mut idx);
                         indices_ready = true;
                     }
                     // Process the cell's node vector in full-width chunks:
@@ -243,7 +253,7 @@ impl Rhocell {
                         node += n;
                     }
                 }
-            }
+            });
         });
     }
 
@@ -286,7 +296,7 @@ impl Rhocell {
             let src_footprint = self.footprint_bytes();
             let dims = geom.dims_with_guard();
             let dst_footprint = (dims[0] * dims[1] * dims[2] * 8) as u64;
-            for cell in 0..self.n_cells {
+            self.cells(tile).for_each(|(cell, gc)| {
                 // Partial-active cells fold only their live components:
                 // the component pair lists feed the fused touch.
                 let mut srcs = [VAddr(0); 3];
@@ -306,9 +316,9 @@ impl Rhocell {
                     mask |= 1 << comp;
                 }
                 if active == 0 {
-                    continue;
+                    return;
                 }
-                self.cell_node_indices(geom, tile, cell, &mut idx);
+                self.cell_node_indices(geom, gc, &mut idx);
                 // Reuse is only sound when the destination list pairs up
                 // with the previous fold's — i.e. the same components
                 // were live there.
@@ -328,7 +338,7 @@ impl Rhocell {
                 prev_idx[..self.nodes].copy_from_slice(&idx[..self.nodes]);
                 prev_live = true;
                 prev_mask = mask;
-            }
+            });
         });
     }
 
@@ -346,7 +356,7 @@ impl Rhocell {
         jz: &mut Array3,
     ) {
         let mut idx = [0usize; Self::MAX_NODES];
-        for cell in 0..self.n_cells {
+        self.cells(tile).for_each(|(cell, gc)| {
             let mut indices_ready = false;
             for (comp, arr) in [&mut *jx, &mut *jy, &mut *jz].into_iter().enumerate() {
                 let slice_start = self.index(comp, cell, 0);
@@ -355,7 +365,7 @@ impl Rhocell {
                     continue;
                 }
                 if !indices_ready {
-                    self.cell_node_indices(geom, tile, cell, &mut idx);
+                    self.cell_node_indices(geom, gc, &mut idx);
                     indices_ready = true;
                 }
                 let dst = arr.as_mut_slice();
@@ -363,7 +373,7 @@ impl Rhocell {
                     dst[idx[nd]] += v;
                 }
             }
-        }
+        });
     }
 }
 
@@ -456,6 +466,48 @@ mod tests {
         r.charge_reduction(&mut m, &geom, &tile, rho_addr, ja);
         r.apply_to_grid(&geom, &tile, &mut jx, &mut jy, &mut jz);
         assert_eq!(jz.get(9, 9, 9), 1.5);
+    }
+
+    /// The shared cell walk visits `(id, Tile::global_cell(id))` for
+    /// every id in order, and the node lists built from its cells are
+    /// the per-node `node_coord` products — on clipped edge tiles and
+    /// for every shape order.
+    #[test]
+    fn conf_rhocell_cell_walk_matches_global_cell() {
+        let geom = GridGeometry::new([10, 10, 10], [0.0; 3], [1.0e-6; 3], 2);
+        let layout = mpic_grid::TileLayout::new(&geom, [8, 8, 8]);
+        let dims = geom.dims_with_guard();
+        for order in [ShapeOrder::Cic, ShapeOrder::Tsc, ShapeOrder::Qsp] {
+            let s = order.support();
+            for tile in layout.iter() {
+                let r = Rhocell::new(order, tile.num_cells());
+                let walk: Vec<_> = r.cells(tile).collect();
+                let want: Vec<_> = (0..tile.num_cells())
+                    .map(|id| (id, tile.global_cell(id)))
+                    .collect();
+                assert_eq!(walk, want, "{tile:?}");
+                // Mutant: the same cells with y fastest.
+                let [sx, sy, sz] = tile.size();
+                let y_fastest: Vec<_> = (0..sz)
+                    .flat_map(|k| (0..sx).flat_map(move |i| (0..sy).map(move |j| [i, j, k])))
+                    .map(|[i, j, k]| [tile.lo[0] + i, tile.lo[1] + j, tile.lo[2] + k])
+                    .enumerate()
+                    .collect();
+                assert_eq!(y_fastest.len(), want.len());
+                assert_ne!(y_fastest, want, "{tile:?}: walk order must matter");
+                let mut idx = [0usize; Rhocell::MAX_NODES];
+                for (id, gc) in walk {
+                    r.cell_node_indices(&geom, gc, &mut idx);
+                    let gc = tile.global_cell(id);
+                    for (nd, &got) in idx[..r.nodes].iter().enumerate() {
+                        let (a, b, c) = (nd % s, nd / s % s, nd / (s * s));
+                        let node = |d: usize, off: usize| node_coord(&geom, order, d, gc[d], off);
+                        let want = (node(2, c) * dims[1] + node(1, b)) * dims[0] + node(0, a);
+                        assert_eq!(got, want, "{order:?} {tile:?} cell {id} node {nd}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! All nine arrays share the guarded node dimensions; Yee staggering
 //! (Ex at (i+1/2, j, k), Bx at (i, j+1/2, k+1/2), J co-located with E)
 //! is carried in the interpretation of the indices, as is conventional in
-//! guard-cell PIC codes. Guard exchange provides the two operations a
-//! single-rank periodic run needs: folding deposited guard current back
-//! into the interior, and mirroring interior field values into guards for
-//! gather and stencil sweeps.
+//! guard-cell PIC codes. Guard exchange is the one operation a
+//! single-rank periodic run needs: mirroring interior field values into
+//! the guards for gather and stencil sweeps (deposits wrap into the
+//! interior node by node, so no current ever lands in a guard).
 
 use crate::array3::Array3;
 use crate::geometry::GridGeometry;
-use mpic_machine::{Exec, Partition, INLINE_ITEM_THRESHOLD};
+use mpic_machine::{Exec, INLINE_ITEM_THRESHOLD};
 
 /// Identifies one of the nine field arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,85 +122,37 @@ impl FieldArrays {
         self.jz.fill(0.0);
     }
 
-    /// Folds guard-cell current deposits back into the periodic interior
-    /// and zeroes the guards. Call once after deposition.
-    pub fn fold_guards_periodic(&mut self) {
-        for c in [FieldComponent::Jx, FieldComponent::Jy, FieldComponent::Jz] {
-            let g = self.guard;
-            let n = self.n_cells;
-            let arr = self.get_mut(c);
-            let [dx, dy, dz] = arr.shape();
-            for k in 0..dz {
-                for j in 0..dy {
-                    for i in 0..dx {
-                        let inside = |v: usize, g: usize, n: usize| v >= g && v < g + n;
-                        if inside(i, g, n[0]) && inside(j, g, n[1]) && inside(k, g, n[2]) {
-                            continue;
-                        }
-                        let v = arr.get(i, j, k);
-                        if v == 0.0 {
-                            continue;
-                        }
-                        let wrap = |v: usize, g: usize, n: usize| {
-                            ((v as i64 - g as i64).rem_euclid(n as i64)) as usize + g
-                        };
-                        let (wi, wj, wk) = (wrap(i, g, n[0]), wrap(j, g, n[1]), wrap(k, g, n[2]));
-                        arr.add(wi, wj, wk, v);
-                        arr.set(i, j, k, 0.0);
-                    }
-                }
-            }
-        }
-    }
-
     /// Copies interior values into guard cells periodically for the six
     /// E/B components. Call after every field solve.
     ///
-    /// The guard shell is walked as six disjoint face slabs (whole z
-    /// guard planes, then y guard rows of interior planes, then x guard
-    /// columns), so only guard cells are visited — the interior is never
-    /// scanned. [`FieldArrays::fill_guards_periodic_exec`] distributes
-    /// the same component x face items over the worker pool.
+    /// Every guard cell receives the interior cell it wraps onto, by
+    /// whole-line copies per component: the x guards of each interior
+    /// row, then the y guard rows of each interior plane, then the z
+    /// guard planes (`fill_component`). The interior is never scanned.
     pub fn fill_guards_periodic(&mut self) {
-        let g = self.guard;
-        let n = self.n_cells;
-        let faces = guard_faces(g, n, self.ex.shape());
+        let (g, n) = (self.guard, self.n_cells);
         for arr in self.eb_components_mut() {
-            let grid = GuardGrid::new(arr);
-            for face in faces {
-                fill_guard_face(&grid, g, n, face);
-            }
+            fill_component(arr, g, n);
         }
     }
 
-    /// [`FieldArrays::fill_guards_periodic`] with the 6 components x 6
-    /// guard faces sharded across the persistent worker pool.
+    /// [`FieldArrays::fill_guards_periodic`] with the six components
+    /// sharded across the persistent worker pool.
     ///
     /// Bit-identical to the sequential fill for any worker count or
-    /// scheduler policy: every guard cell belongs to exactly one face
-    /// item and is *copied* (not accumulated) from an interior cell that
-    /// no item writes, so there is no ordering to preserve. Small shells
-    /// (fewer total guard cells than the shared
-    /// [`INLINE_ITEM_THRESHOLD`]) run inline, like the sharded sort's
-    /// small-input path.
+    /// scheduler policy: a component's fill touches only that
+    /// component's array. Small shells (fewer total guard cells than
+    /// the shared [`INLINE_ITEM_THRESHOLD`]) run inline, like the
+    /// sharded sort's small-input path.
     pub fn fill_guards_periodic_exec(&mut self, exec: Exec<'_>) {
-        let g = self.guard;
-        let n = self.n_cells;
-        let [dx, dy, dz] = self.ex.shape();
-        let shell = dx * dy * dz - n[0] * n[1] * n[2];
+        let (g, n) = (self.guard, self.n_cells);
+        let shell = self.ex.len() - n[0] * n[1] * n[2];
         if exec.workers() == 1 || 6 * shell < INLINE_ITEM_THRESHOLD {
             self.fill_guards_periodic();
             return;
         }
-        let faces = guard_faces(g, n, [dx, dy, dz]);
-        let grids: [GuardGrid<'_>; 6] = self.eb_components_mut().map(GuardGrid::new);
-        let mut items: Vec<(&GuardGrid<'_>, GuardFace)> = grids
-            .iter()
-            .flat_map(|grid| faces.iter().map(move |&f| (grid, f)))
-            .collect();
-        exec.for_each(&mut items, |_, (grid, face)| {
-            fill_guard_face(grid, g, n, *face);
-        });
+        let mut comps = self.eb_components_mut();
+        exec.for_each(&mut comps, |_, arr| fill_component(arr, g, n));
     }
 
     /// The six E/B component arrays, in canonical order.
@@ -220,17 +172,19 @@ impl FieldArrays {
     pub fn field_energy(&self, geom: &GridGeometry) -> f64 {
         let g = self.guard;
         let n = self.n_cells;
+        let [sx, sy, _] = self.ex.shape();
+        let [ex, ey, ez, bx, by, bz] =
+            [&self.ex, &self.ey, &self.ez, &self.bx, &self.by, &self.bz].map(Array3::as_slice);
         let mut e2 = 0.0;
         let mut b2 = 0.0;
         for k in g..g + n[2] {
             for j in g..g + n[1] {
-                for i in g..g + n[0] {
-                    e2 += self.ex.get(i, j, k).powi(2)
-                        + self.ey.get(i, j, k).powi(2)
-                        + self.ez.get(i, j, k).powi(2);
-                    b2 += self.bx.get(i, j, k).powi(2)
-                        + self.by.get(i, j, k).powi(2)
-                        + self.bz.get(i, j, k).powi(2);
+                // One running sum per quantity, cell after cell along the
+                // row: the result is order-dependent and pinned bitwise.
+                let at = (k * sy + j) * sx + g;
+                for c in at..at + n[0] {
+                    e2 += ex[c].powi(2) + ey[c].powi(2) + ez[c].powi(2);
+                    b2 += bx[c].powi(2) + by[c].powi(2) + bz[c].powi(2);
                 }
             }
         }
@@ -275,116 +229,54 @@ impl FieldArrays {
     }
 }
 
-/// One face slab of the guard shell: half-open index ranges per axis.
+/// Fills the guard shell of one component from its periodic interior
+/// (`n` cells behind `g` guard layers per axis).
 ///
-/// The six faces *partition* the shell — z faces take whole guard
-/// planes, y faces take the guard rows of interior planes, x faces take
-/// the guard columns of interior rows — so every guard cell belongs to
-/// exactly one face and parallel face workers never write the same cell.
-#[derive(Debug, Clone, Copy)]
-struct GuardFace {
-    i: (usize, usize),
-    j: (usize, usize),
-    k: (usize, usize),
-}
-
-/// The six disjoint guard faces of a `dims`-shaped array with `n`
-/// interior cells behind `g` guard layers.
-fn guard_faces(g: usize, n: [usize; 3], dims: [usize; 3]) -> [GuardFace; 6] {
-    let full = |d: usize| (0, dims[d]);
-    let interior = |d: usize| (g, g + n[d]);
-    [
-        // z-low / z-high slabs: whole guard planes.
-        GuardFace {
-            i: full(0),
-            j: full(1),
-            k: (0, g),
-        },
-        GuardFace {
-            i: full(0),
-            j: full(1),
-            k: (g + n[2], dims[2]),
-        },
-        // y-low / y-high rows of the interior-z planes.
-        GuardFace {
-            i: full(0),
-            j: (0, g),
-            k: interior(2),
-        },
-        GuardFace {
-            i: full(0),
-            j: (g + n[1], dims[1]),
-            k: interior(2),
-        },
-        // x-low / x-high columns of the interior-z/y rows.
-        GuardFace {
-            i: (0, g),
-            j: interior(1),
-            k: interior(2),
-        },
-        GuardFace {
-            i: (g + n[0], dims[0]),
-            j: interior(1),
-            k: interior(2),
-        },
-    ]
-}
-
-/// Checked shared view of one field component for guard-face workers:
-/// a [`Partition`] over the component's flat element buffer plus the
-/// strides to index it.
-///
-/// Guard faces partition the write set (every guard cell belongs to
-/// exactly one face) and every read is of an interior cell, which no
-/// face writes — in debug builds the partition's claim bitmap verifies
-/// both halves of that argument on every fill.
-struct GuardGrid<'a> {
-    part: Partition<'a, f64>,
-    nx: usize,
-    ny: usize,
-}
-
-impl<'a> GuardGrid<'a> {
-    fn new(arr: &'a mut Array3) -> Self {
-        let [nx, ny, _] = arr.shape();
-        Self {
-            part: Partition::new(arr.as_mut_slice()),
-            nx,
-            ny,
-        }
-    }
-
-    #[inline]
-    fn idx(&self, i: usize, j: usize, k: usize) -> usize {
-        (k * self.ny + j) * self.nx + i
-    }
-}
-
-/// Fills one guard face of one component: each guard cell copies the
-/// periodically wrapped interior cell.
-// Writes go through checked Partition grants (guard cells, face-unique)
-// and reads through unclaimed Partition reads (interior cells).
-#[allow(unsafe_code)]
-fn fill_guard_face(grid: &GuardGrid<'_>, g: usize, n: [usize; 3], face: GuardFace) {
-    let wrap =
-        |v: usize, g: usize, n: usize| ((v as i64 - g as i64).rem_euclid(n as i64)) as usize + g;
-    for k in face.k.0..face.k.1 {
-        let wk = wrap(k, g, n[2]);
-        for j in face.j.0..face.j.1 {
-            let wj = wrap(j, g, n[1]);
-            for i in face.i.0..face.i.1 {
-                let wi = wrap(i, g, n[0]);
-                // SAFETY: indices are in bounds by face construction;
-                // the source is interior (wrapped into `g..g+n`, never
-                // granted by any face) and the destination guard cell
-                // belongs to this face alone, so its grant is unique —
-                // both claims are what the debug bitmap checks.
-                unsafe {
-                    let v = grid.part.read(grid.idx(wi, wj, wk));
-                    *grid.part.grant(grid.idx(i, j, k)) = v;
-                }
+/// Three passes of whole-line copies, each reading only cells that are
+/// interior or already filled: the `2 g` x-guard cells of every interior
+/// row; then, per interior plane, the y-guard rows (whole rows, x guards
+/// included); then the z-guard planes (whole planes). A guard cell thus
+/// ends up with the interior value at its wrapped `(i, j, k)` whatever
+/// the relation of `g` to `n`.
+fn fill_component(arr: &mut Array3, g: usize, n: [usize; 3]) {
+    let [sx, sy, _] = arr.shape();
+    let plane = sx * sy;
+    let data = arr.as_mut_slice();
+    for p in data[g * plane..(g + n[2]) * plane].chunks_exact_mut(plane) {
+        for row in p[g * sx..(g + n[1]) * sx].chunks_exact_mut(sx) {
+            // `extend_periodic` cell by cell: a `copy_within` call per
+            // row end would cost more than the `g` cells it moves.
+            for i in (0..g).rev() {
+                row[i] = row[i + n[0]];
+            }
+            for i in g + n[0]..sx {
+                row[i] = row[i - n[0]];
             }
         }
+        extend_periodic(p, sx, g, n[1]);
+    }
+    extend_periodic(data, plane, g, n[2]);
+}
+
+/// Extends the `n` periodic items at `[g, g + n)` of `line` — each item
+/// `unit` contiguous values — into the `g` guard items on either side.
+///
+/// The low guard is filled downwards and the high guard upwards in
+/// blocks of at most one period, so a block's source (one period away)
+/// is interior or an already-filled guard block: item `v` receives item
+/// `g + (v - g) mod n` with no division, also when `g > n`.
+fn extend_periodic(line: &mut [f64], unit: usize, g: usize, n: usize) {
+    let mut lo = g;
+    while lo > 0 {
+        let c = lo.min(n);
+        lo -= c;
+        line.copy_within((lo + n) * unit..(lo + n + c) * unit, lo * unit);
+    }
+    let (mut hi, end) = (g + n, n + 2 * g);
+    while hi < end {
+        let c = (end - hi).min(n);
+        line.copy_within((hi - n) * unit..(hi - n + c) * unit, hi * unit);
+        hi += c;
     }
 }
 
@@ -403,34 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn fold_guards_wraps_current() {
-        let g = geom();
-        let mut f = FieldArrays::new(&g);
-        // Deposit into the guard cell just below the interior in x:
-        // index 1 should fold onto interior index 1 + 4 = 5.
-        f.jx.set(1, 2, 2, 3.0);
-        f.fold_guards_periodic();
-        assert_eq!(f.jx.get(1, 2, 2), 0.0);
-        assert_eq!(f.jx.get(5, 2, 2), 3.0);
-    }
-
-    #[test]
-    fn fold_guards_preserves_total() {
-        let g = geom();
-        let mut f = FieldArrays::new(&g);
-        f.jy.set(0, 0, 0, 1.0);
-        f.jy.set(7, 7, 7, 2.0);
-        f.jy.set(3, 3, 3, 4.0); // Interior; must stay.
-        let before = f.jy.sum();
-        f.fold_guards_periodic();
-        assert!((f.jy.sum() - before).abs() < 1e-15);
-        // Guard (7,7,7) wraps onto interior (3,3,3): 4 + 2.
-        assert_eq!(f.jy.get(3, 3, 3), 6.0);
-        // Guard (0,0,0) wraps onto interior (4,4,4).
-        assert_eq!(f.jy.get(4, 4, 4), 1.0);
-    }
-
-    #[test]
     fn fill_guards_mirrors_interior() {
         let g = geom();
         let mut f = FieldArrays::new(&g);
@@ -439,6 +303,108 @@ mod tests {
         // Guard cell at (6, 2, 2) wraps to interior (2,2,2)? 6-2=4 -> wraps
         // to 0 -> interior index 2. Yes.
         assert_eq!(f.ex.get(6, 2, 2), 7.0);
+    }
+
+    /// Fills every element of the six E/B arrays from a fixed LCG stream.
+    fn randomise(f: &mut FieldArrays, seed: u64) {
+        let mut state = seed;
+        for arr in f.eb_components_mut() {
+            for v in arr.as_mut_slice() {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                *v = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            }
+        }
+    }
+
+    /// The guard fill one cell at a time: every non-interior cell copies
+    /// the interior cell `wrap` maps each of its coordinates to.
+    fn fill_cell_by_cell(f: &mut FieldArrays, wrap: fn(usize, usize, usize) -> usize) {
+        let (g, n) = (f.guard, f.n_cells);
+        for arr in f.eb_components_mut() {
+            let [sx, sy, sz] = arr.shape();
+            for k in 0..sz {
+                for j in 0..sy {
+                    for i in 0..sx {
+                        let (wi, wj, wk) = (wrap(i, g, n[0]), wrap(j, g, n[1]), wrap(k, g, n[2]));
+                        if (wi, wj, wk) != (i, j, k) {
+                            let v = arr.get(wi, wj, wk);
+                            arr.set(i, j, k, v);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn wrap_modulo(v: usize, g: usize, n: usize) -> usize {
+        ((v as i64 - g as i64).rem_euclid(n as i64)) as usize + g
+    }
+
+    /// Mutant: one period's shift, which is the modulo only while `g <= n`.
+    fn wrap_one_period(v: usize, g: usize, n: usize) -> usize {
+        if v < g {
+            v + n
+        } else if v >= g + n {
+            v - n
+        } else {
+            v
+        }
+    }
+
+    /// The row/plane copies leave every guard cell equal to its wrapped
+    /// interior cell, as a cell-by-cell `rem_euclid` fill does — for
+    /// guards wider than the interior too — sequentially and sharded.
+    #[test]
+    fn conf_guard_fill_rows_match_cell_wrap() {
+        use mpic_machine::{SchedulerPolicy, WorkerPool};
+        let shapes = [
+            ([1, 1, 1], 2),
+            ([1, 3, 2], 2),
+            ([3, 1, 5], 3),
+            ([4, 4, 4], 2),
+            ([5, 3, 7], 1),
+            ([33, 2, 3], 2),
+            // Large enough for the pooled path (6 * shell >= threshold).
+            ([24, 20, 16], 2),
+        ];
+        for (case, (n, g)) in shapes.into_iter().enumerate() {
+            let geom = GridGeometry::new(n, [0.0; 3], [1.0; 3], g);
+            let mut base = FieldArrays::new(&geom);
+            randomise(&mut base, 0x9e37_79b9 + case as u64);
+            let mut want = base.clone();
+            fill_cell_by_cell(&mut want, wrap_modulo);
+            let mut got = base.clone();
+            got.fill_guards_periodic();
+            assert!(eb_equal(&got, &want), "n {n:?} g {g}: sequential fill");
+            for workers in [1usize, 3] {
+                for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
+                    let pool = WorkerPool::new(workers);
+                    let mut got = base.clone();
+                    got.fill_guards_periodic_exec(pool.exec(policy));
+                    assert!(eb_equal(&got, &want), "n {n:?} g {g}: {workers} {policy:?}");
+                }
+            }
+            let mut mutant = base.clone();
+            fill_cell_by_cell(&mut mutant, wrap_one_period);
+            let needs_modulo = n.iter().any(|&nd| g > nd);
+            assert_eq!(
+                !eb_equal(&mutant, &want),
+                needs_modulo,
+                "n {n:?} g {g}: mutant"
+            );
+        }
+    }
+
+    fn eb_equal(a: &FieldArrays, b: &FieldArrays) -> bool {
+        let bits = |f: &FieldArrays| -> Vec<u64> {
+            [&f.ex, &f.ey, &f.ez, &f.bx, &f.by, &f.bz]
+                .iter()
+                .flat_map(|arr| arr.as_slice().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        bits(a) == bits(b)
     }
 
     #[test]
@@ -462,6 +428,33 @@ mod tests {
         f.ez.set(3, 3, 3, 4.0);
         let e2 = f.field_energy(&g);
         assert!((e2 / e1 - 4.0).abs() < 1e-12, "energy ~ E^2");
+    }
+
+    /// The row-slice sum is the per-cell triple loop's sum, bit for bit.
+    #[test]
+    fn field_energy_matches_cell_loop_bitwise() {
+        for (n, guard) in [([5, 3, 7], 1), ([13, 4, 2], 2), ([33, 2, 3], 2)] {
+            let geom = GridGeometry::new(n, [0.0; 3], [0.5e-6, 0.5e-6, 0.25e-6], guard);
+            let mut f = FieldArrays::new(&geom);
+            randomise(&mut f, 0x5eed);
+            let (mut e2, mut b2) = (0.0, 0.0);
+            for k in guard..guard + n[2] {
+                for j in guard..guard + n[1] {
+                    for i in guard..guard + n[0] {
+                        e2 += f.ex.get(i, j, k).powi(2)
+                            + f.ey.get(i, j, k).powi(2)
+                            + f.ez.get(i, j, k).powi(2);
+                        b2 += f.bx.get(i, j, k).powi(2)
+                            + f.by.get(i, j, k).powi(2)
+                            + f.bz.get(i, j, k).powi(2);
+                    }
+                }
+            }
+            let vol = geom.cell_volume();
+            let want =
+                0.5 * crate::constants::EPS0 * e2 * vol + 0.5 / crate::constants::MU0 * b2 * vol;
+            assert_eq!(f.field_energy(&geom).to_bits(), want.to_bits(), "{n:?}");
+        }
     }
 
     #[test]

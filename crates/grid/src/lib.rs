@@ -18,10 +18,7 @@
 //! assert!((frac[0] - 0.5).abs() < 1e-12);
 //! ```
 
-// The guard exchange's Partition-backed fill is the crate's only unsafe
-// code; each unsafe operation must be wrapped and SAFETY-commented even
-// inside `unsafe fn`.
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod array3;
 pub mod constants;

@@ -62,6 +62,18 @@ impl Tile {
         let k = local / (s[0] * s[1]);
         [self.lo[0] + i, self.lo[1] + j, self.lo[2] + k]
     }
+
+    /// Every cell of the tile as `(local id, physical cell)` in local-id
+    /// order (x fastest): [`Tile::global_cell`] for a whole-tile sweep,
+    /// without its divisions.
+    pub fn cells(&self) -> impl Iterator<Item = (usize, [usize; 3])> {
+        let (lo, hi) = (self.lo, self.hi);
+        (lo[2]..hi[2])
+            .flat_map(move |k| {
+                (lo[1]..hi[1]).flat_map(move |j| (lo[0]..hi[0]).map(move |i| [i, j, k]))
+            })
+            .enumerate()
+    }
 }
 
 /// Decomposition of a geometry into tiles.

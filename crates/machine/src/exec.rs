@@ -34,7 +34,7 @@
 //! [`Stealing`]: SchedulerPolicy::Stealing
 
 // The execution layer is one of the two places in the workspace allowed
-// to use `unsafe` (the other is the guard exchange): erasing the borrow
+// to use `unsafe` (the other is `partition.rs`): erasing the borrow
 // lifetime of a dispatched closure (bounded by the pool's completion
 // barrier) and handing out disjoint `&mut` slice elements through the
 // checked [`Partition`] abstraction. Every unsafe item below carries a

@@ -17,8 +17,7 @@
 //! * [`Partition::grant`] — claim index `i` and get `&mut` to it
 //!   (at most once per index per partition, debug-checked);
 //! * [`Partition::read`] — read an index that is *never* granted
-//!   (shared input cells, e.g. the interior cells the guard fill
-//!   copies from; debug-checked against the claim set).
+//!   (shared input cells; debug-checked against the claim set).
 //!
 //! Both are `unsafe fn`s: the check only exists in debug builds, so the
 //! caller must still uphold the contract in release. What changes is

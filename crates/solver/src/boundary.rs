@@ -62,6 +62,8 @@ impl AbsorbingLayer {
     pub fn apply(&self, geom: &GridGeometry, f: &mut FieldArrays) {
         let g = geom.guard;
         let n = geom.n_cells;
+        let [sx, sy, _] = f.ex.shape();
+        let plane = sx * sy;
         for depth in 0..self.thickness.min(n[2]) {
             let fac = self.factor(depth);
             if fac >= 1.0 {
@@ -71,12 +73,8 @@ impl AbsorbingLayer {
                 for arr in [
                     &mut f.ex, &mut f.ey, &mut f.ez, &mut f.bx, &mut f.by, &mut f.bz,
                 ] {
-                    let [sx, sy, _] = arr.shape();
-                    for j in 0..sy {
-                        for i in 0..sx {
-                            let v = arr.get(i, j, kk);
-                            arr.set(i, j, kk, v * fac);
-                        }
+                    for v in &mut arr.as_mut_slice()[kk * plane..(kk + 1) * plane] {
+                        *v *= fac;
                     }
                 }
             }

@@ -85,7 +85,7 @@ impl MaxwellSolver {
 
     /// [`MaxwellSolver::step`] with each of the three stencil sweeps
     /// sharded across the persistent worker pool by Z-slab
-    /// decomposition, and each guard exchange sharded by component/face.
+    /// decomposition, and each guard exchange sharded by component.
     ///
     /// Every cell update reads only the *previous* half-step's arrays and
     /// writes its own cell exactly once, so slab workers touch disjoint
@@ -117,10 +117,11 @@ impl MaxwellSolver {
         });
     }
 
-    /// B update: `B -= dt curl E` (Faraday), sharded over Z slabs.
+    /// B update: `B -= dt curl E` (Faraday), sharded over Z slabs and
+    /// evaluated one contiguous x-row at a time.
     fn push_b(&self, geom: &GridGeometry, f: &mut FieldArrays, dt: f64, exec: Exec<'_>) {
         let g = geom.guard;
-        let n = geom.n_cells;
+        let [n0, n1, _] = geom.n_cells;
         let [dx, dy, dz] = geom.dx;
         let FieldArrays {
             ex,
@@ -131,81 +132,57 @@ impl MaxwellSolver {
             bz,
             ..
         } = f;
-        let (ex, ey, ez) = (&*ex, &*ey, &*ez);
+        let [sx, sy, _] = ex.shape();
+        let plane = sx * sy;
+        let (ex, ey, ez) = (ex.as_slice(), ey.as_slice(), ez.as_slice());
         for_each_z_slab(
             geom,
             exec,
             [bx, by, bz],
             move |(k0, k1), [sbx, sby, sbz]| {
-                let plane = plane_len(ex);
                 for k in k0..k1 {
-                    for j in g..g + n[1] {
-                        for i in g..g + n[0] {
-                            let curl_x = (ez.get(i, j + 1, k) - ez.get(i, j, k)) / dy
-                                - (ey.get(i, j, k + 1) - ey.get(i, j, k)) / dz;
-                            let curl_y = (ex.get(i, j, k + 1) - ex.get(i, j, k)) / dz
-                                - (ez.get(i + 1, j, k) - ez.get(i, j, k)) / dx;
-                            let curl_z = (ey.get(i + 1, j, k) - ey.get(i, j, k)) / dx
-                                - (ex.get(i, j + 1, k) - ex.get(i, j, k)) / dy;
-                            let at = ex.idx(i, j, k) - k0 * plane;
-                            sbx[at] += -dt * curl_x;
-                            sby[at] += -dt * curl_y;
-                            sbz[at] += -dt * curl_z;
-                        }
+                    for j in g..g + n1 {
+                        let at = (k * sy + j) * sx + g;
+                        let out = at - k0 * plane..at - k0 * plane + n0;
+                        // Each term: (array, forward stride, cell size).
+                        let (x, y, z) = ((1, dx), (sx, dy), (plane, dz));
+                        add_curl_row(&mut sbx[out.clone()], -dt, at, (ez, y), (ey, z));
+                        add_curl_row(&mut sby[out.clone()], -dt, at, (ex, z), (ez, x));
+                        add_curl_row(&mut sbz[out], -dt, at, (ey, x), (ex, y));
                     }
                 }
             },
         );
     }
 
-    /// Backward difference of `arr` along `axis` at (i, j, k), optionally
-    /// CKC-smoothed transversally.
-    #[inline]
-    fn diff_back(
-        &self,
-        arr: &Array3,
-        i: usize,
-        j: usize,
-        k: usize,
-        axis: usize,
-        inv_d: f64,
-    ) -> f64 {
-        let shift = |i: usize, j: usize, k: usize, ax: usize, by: i64| -> (usize, usize, usize) {
-            let mut c = [i as i64, j as i64, k as i64];
-            c[ax] += by;
-            (c[0] as usize, c[1] as usize, c[2] as usize)
+    /// The backward difference along `axis` with everything the row loop
+    /// would otherwise re-derive per cell resolved once per sweep.
+    fn back_diff(&self, axis: usize, strides: [usize; 3], dx: [f64; 3]) -> BackDiff {
+        let [t0, t1] = match axis {
+            0 => [1, 2],
+            1 => [0, 2],
+            _ => [0, 1],
         };
-        let d0 = {
-            let (pi, pj, pk) = shift(i, j, k, axis, -1);
-            arr.get(i, j, k) - arr.get(pi, pj, pk)
-        };
-        match self.kind {
-            SolverKind::Yee => d0 * inv_d,
-            SolverKind::Ckc => {
-                let mut acc = self.alpha[axis] * d0;
-                for t in 0..3 {
-                    if t == axis || self.beta[axis][t] == 0.0 {
-                        continue;
-                    }
-                    for s in [-1i64, 1] {
-                        let (si, sj, sk) = shift(i, j, k, t, s);
-                        let (pi, pj, pk) = shift(si, sj, sk, axis, -1);
-                        acc += self.beta[axis][t] * (arr.get(si, sj, sk) - arr.get(pi, pj, pk));
-                    }
-                }
-                acc * inv_d
-            }
+        BackDiff {
+            kind: self.kind,
+            stride: strides[axis],
+            inv_d: 1.0 / dx[axis],
+            alpha: self.alpha[axis],
+            taps: [
+                (self.beta[axis][t0], strides[t0]),
+                (self.beta[axis][t1], strides[t1]),
+            ],
         }
     }
 
     /// E update: `E += dt (c^2 curl B - J / eps0)` (Ampere-Maxwell),
     /// sharded over Z slabs. Curls read B, current reads J, writes go to
-    /// E — slab-disjoint.
+    /// E — slab-disjoint. Each x-row is differenced in blocks of at most
+    /// [`ROW_BLOCK`] cells into two stack rows, then folded into E.
     fn push_e(&self, geom: &GridGeometry, f: &mut FieldArrays, dt: f64, exec: Exec<'_>) {
         let g = geom.guard;
-        let n = geom.n_cells;
-        let [dx, dy, dz] = geom.dx;
-        let c2 = C * C;
+        let [n0, n1, _] = geom.n_cells;
+        let dtc2 = dt * (C * C);
         let je = dt / EPS0;
         let FieldArrays {
             ex,
@@ -219,32 +196,125 @@ impl MaxwellSolver {
             jz,
             ..
         } = f;
-        let (bx, by, bz) = (&*bx, &*by, &*bz);
-        let (jx, jy, jz) = (&*jx, &*jy, &*jz);
+        let [sx, sy, _] = bx.shape();
+        let plane = sx * sy;
+        let diff: [BackDiff; 3] =
+            std::array::from_fn(|axis| self.back_diff(axis, [1, sx, plane], geom.dx));
+        let (bx, by, bz) = (bx.as_slice(), by.as_slice(), bz.as_slice());
+        let (jx, jy, jz) = (jx.as_slice(), jy.as_slice(), jz.as_slice());
         for_each_z_slab(
             geom,
             exec,
             [ex, ey, ez],
             move |(k0, k1), [sex, sey, sez]| {
-                let plane = plane_len(bx);
+                let (mut da, mut db) = ([0.0; ROW_BLOCK], [0.0; ROW_BLOCK]);
                 for k in k0..k1 {
-                    for j in g..g + n[1] {
-                        for i in g..g + n[0] {
-                            let curl_x = self.diff_back(bz, i, j, k, 1, 1.0 / dy)
-                                - self.diff_back(by, i, j, k, 2, 1.0 / dz);
-                            let curl_y = self.diff_back(bx, i, j, k, 2, 1.0 / dz)
-                                - self.diff_back(bz, i, j, k, 0, 1.0 / dx);
-                            let curl_z = self.diff_back(by, i, j, k, 0, 1.0 / dx)
-                                - self.diff_back(bx, i, j, k, 1, 1.0 / dy);
-                            let at = bx.idx(i, j, k) - k0 * plane;
-                            sex[at] += dt * c2 * curl_x - je * jx.get(i, j, k);
-                            sey[at] += dt * c2 * curl_y - je * jy.get(i, j, k);
-                            sez[at] += dt * c2 * curl_z - je * jz.get(i, j, k);
+                    for j in g..g + n1 {
+                        for x0 in (0..n0).step_by(ROW_BLOCK) {
+                            let w = (n0 - x0).min(ROW_BLOCK);
+                            let at = (k * sy + j) * sx + g + x0;
+                            let out = at - k0 * plane;
+                            let (da, db) = (&mut da[..w], &mut db[..w]);
+                            // E component, its curl as (array, axis) minus
+                            // (array, axis), and its current.
+                            for (e, (pa, a), (pb, b), cur) in [
+                                (&mut *sex, (bz, 1), (by, 2), jx),
+                                (&mut *sey, (bx, 2), (bz, 0), jy),
+                                (&mut *sez, (by, 0), (bx, 1), jz),
+                            ] {
+                                diff[a].row(pa, at, da);
+                                diff[b].row(pb, at, db);
+                                let e = &mut e[out..out + w];
+                                add_ampere_row(e, dtc2, da, db, je, &cur[at..at + w]);
+                            }
                         }
                     }
                 }
             },
         );
+    }
+}
+
+/// Widest stretch of an x-row the E update differences at once: its two
+/// difference rows are stack arrays (2 x 2 KiB), wider rows go in blocks.
+const ROW_BLOCK: usize = 256;
+
+/// One axis' backward difference, optionally CKC-smoothed transversally:
+/// the axis stride, `1 / d`, the centre weight and the two transverse
+/// taps `(beta, stride)` in ascending axis order.
+struct BackDiff {
+    kind: SolverKind,
+    stride: usize,
+    inv_d: f64,
+    alpha: f64,
+    taps: [(f64, usize); 2],
+}
+
+impl BackDiff {
+    /// Differences the `out.len()` cells of `arr` starting at flat index
+    /// `at`. Per cell this is the expression tree of the per-cell form
+    /// (`reference::diff_back`), with the loops over taps and cells
+    /// interchanged: `alpha d0`, then per live tap the `-1` and the `+1`
+    /// neighbour, then `* inv_d`.
+    fn row(&self, arr: &[f64], at: usize, out: &mut [f64]) {
+        let n = out.len();
+        let pair = |c: usize| (&arr[c..c + n], &arr[c - self.stride..c - self.stride + n]);
+        let (hi, lo) = pair(at);
+        match self.kind {
+            SolverKind::Yee => {
+                for x in 0..n {
+                    out[x] = (hi[x] - lo[x]) * self.inv_d;
+                }
+            }
+            SolverKind::Ckc => {
+                for x in 0..n {
+                    out[x] = self.alpha * (hi[x] - lo[x]);
+                }
+                for (beta, st) in self.taps {
+                    if beta == 0.0 {
+                        continue;
+                    }
+                    for c in [at - st, at + st] {
+                        let (hi, lo) = pair(c);
+                        for x in 0..n {
+                            out[x] += beta * (hi[x] - lo[x]);
+                        }
+                    }
+                }
+                for v in out {
+                    *v *= self.inv_d;
+                }
+            }
+        }
+    }
+}
+
+/// `out += coef * (d(a) / da - d(b) / db)` over the `out.len()` cells from
+/// flat index `at`, where `d(p)` is the forward difference of array `p`
+/// along the axis with stride `sp` and cell size `dp`: one component of
+/// the Faraday update over one x-row. The divisions stay divisions.
+fn add_curl_row(
+    out: &mut [f64],
+    coef: f64,
+    at: usize,
+    (a, (sa, da)): (&[f64], (usize, f64)),
+    (b, (sb, db)): (&[f64], (usize, f64)),
+) {
+    let n = out.len();
+    let (a_hi, a_lo) = (&a[at + sa..at + sa + n], &a[at..at + n]);
+    let (b_hi, b_lo) = (&b[at + sb..at + sb + n], &b[at..at + n]);
+    for x in 0..n {
+        out[x] += coef * ((a_hi[x] - a_lo[x]) / da - (b_hi[x] - b_lo[x]) / db);
+    }
+}
+
+/// `e += dtc2 * (da - db) - je * cur`, cell by cell: one component of
+/// the Ampere-Maxwell update over one block of an x-row.
+fn add_ampere_row(e: &mut [f64], dtc2: f64, da: &[f64], db: &[f64], je: f64, cur: &[f64]) {
+    let n = e.len();
+    let (da, db, cur) = (&da[..n], &db[..n], &cur[..n]);
+    for x in 0..n {
+        e[x] += dtc2 * (da[x] - db[x]) - je * cur[x];
     }
 }
 
@@ -315,8 +385,132 @@ where
     });
 }
 
+/// The per-cell, `get`-indexed form of the two sweeps that the row
+/// kernels replaced: what `conf_solver_rows_match_reference_bitwise`
+/// holds them to, and — through [`reference::Mutant`] — the near misses
+/// that test must tell apart.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// A deliberate one-rounding deviation from the reference.
+    #[derive(Clone, Copy)]
+    pub enum Mutant {
+        None,
+        /// Faraday multiplies by `1 / d` instead of dividing by `d`.
+        Reciprocal,
+        /// CKC adds the `+1` transverse neighbour before the `-1` one.
+        PlusTapFirst,
+    }
+
+    /// `B -= dt/2 curl E; E += ...; B -= dt/2 curl E` with guard fills,
+    /// as `MaxwellSolver::step_sharded` sequences it.
+    pub fn step(s: &MaxwellSolver, geom: &GridGeometry, f: &mut FieldArrays, dt: f64, m: Mutant) {
+        push_b(geom, f, 0.5 * dt, m);
+        f.fill_guards_periodic();
+        push_e(s, geom, f, dt, m);
+        f.fill_guards_periodic();
+        push_b(geom, f, 0.5 * dt, m);
+        f.fill_guards_periodic();
+    }
+
+    fn push_b(geom: &GridGeometry, f: &mut FieldArrays, dt: f64, m: Mutant) {
+        let g = geom.guard;
+        let n = geom.n_cells;
+        let [dx, dy, dz] = geom.dx;
+        let div = |v: f64, d: f64| match m {
+            Mutant::Reciprocal => v * (1.0 / d),
+            _ => v / d,
+        };
+        let (ex, ey, ez) = (&f.ex, &f.ey, &f.ez);
+        for k in g..g + n[2] {
+            for j in g..g + n[1] {
+                for i in g..g + n[0] {
+                    let curl_x = div(ez.get(i, j + 1, k) - ez.get(i, j, k), dy)
+                        - div(ey.get(i, j, k + 1) - ey.get(i, j, k), dz);
+                    let curl_y = div(ex.get(i, j, k + 1) - ex.get(i, j, k), dz)
+                        - div(ez.get(i + 1, j, k) - ez.get(i, j, k), dx);
+                    let curl_z = div(ey.get(i + 1, j, k) - ey.get(i, j, k), dx)
+                        - div(ex.get(i, j + 1, k) - ex.get(i, j, k), dy);
+                    f.bx.add(i, j, k, -dt * curl_x);
+                    f.by.add(i, j, k, -dt * curl_y);
+                    f.bz.add(i, j, k, -dt * curl_z);
+                }
+            }
+        }
+    }
+
+    /// Backward difference of `arr` along `axis` at (i, j, k), optionally
+    /// CKC-smoothed transversally.
+    fn diff_back(
+        s: &MaxwellSolver,
+        arr: &Array3,
+        [i, j, k]: [usize; 3],
+        axis: usize,
+        inv_d: f64,
+        m: Mutant,
+    ) -> f64 {
+        let shift = |i: usize, j: usize, k: usize, ax: usize, by: i64| -> (usize, usize, usize) {
+            let mut c = [i as i64, j as i64, k as i64];
+            c[ax] += by;
+            (c[0] as usize, c[1] as usize, c[2] as usize)
+        };
+        let d0 = {
+            let (pi, pj, pk) = shift(i, j, k, axis, -1);
+            arr.get(i, j, k) - arr.get(pi, pj, pk)
+        };
+        match s.kind {
+            SolverKind::Yee => d0 * inv_d,
+            SolverKind::Ckc => {
+                let mut acc = s.alpha[axis] * d0;
+                for t in 0..3 {
+                    if t == axis || s.beta[axis][t] == 0.0 {
+                        continue;
+                    }
+                    let signs = match m {
+                        Mutant::PlusTapFirst => [1i64, -1],
+                        _ => [-1, 1],
+                    };
+                    for sg in signs {
+                        let (si, sj, sk) = shift(i, j, k, t, sg);
+                        let (pi, pj, pk) = shift(si, sj, sk, axis, -1);
+                        acc += s.beta[axis][t] * (arr.get(si, sj, sk) - arr.get(pi, pj, pk));
+                    }
+                }
+                acc * inv_d
+            }
+        }
+    }
+
+    fn push_e(s: &MaxwellSolver, geom: &GridGeometry, f: &mut FieldArrays, dt: f64, m: Mutant) {
+        let g = geom.guard;
+        let n = geom.n_cells;
+        let [dx, dy, dz] = geom.dx;
+        let c2 = C * C;
+        let je = dt / EPS0;
+        let (bx, by, bz) = (&f.bx, &f.by, &f.bz);
+        let d = |arr: &Array3, at: [usize; 3], axis: usize, inv_d: f64| {
+            diff_back(s, arr, at, axis, inv_d, m)
+        };
+        for k in g..g + n[2] {
+            for j in g..g + n[1] {
+                for i in g..g + n[0] {
+                    let at = [i, j, k];
+                    let curl_x = d(bz, at, 1, 1.0 / dy) - d(by, at, 2, 1.0 / dz);
+                    let curl_y = d(bx, at, 2, 1.0 / dz) - d(bz, at, 0, 1.0 / dx);
+                    let curl_z = d(by, at, 0, 1.0 / dx) - d(bx, at, 1, 1.0 / dy);
+                    f.ex.add(i, j, k, dt * c2 * curl_x - je * f.jx.get(i, j, k));
+                    f.ey.add(i, j, k, dt * c2 * curl_y - je * f.jy.get(i, j, k));
+                    f.ez.add(i, j, k, dt * c2 * curl_z - je * f.jz.get(i, j, k));
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::Mutant;
     use super::*;
     use mpic_machine::MachineConfig;
 
@@ -463,6 +657,111 @@ mod tests {
                         cw.to_bits(),
                         "{kind:?} cycles diverged ({workers} workers, {policy:?})"
                     );
+                }
+            }
+        }
+    }
+
+    /// Fills all nine arrays (guards included) from a fixed LCG stream.
+    fn randomise(f: &mut FieldArrays, seed: u64) {
+        let mut state = seed;
+        let FieldArrays {
+            ex,
+            ey,
+            ez,
+            bx,
+            by,
+            bz,
+            jx,
+            jy,
+            jz,
+            ..
+        } = f;
+        for (arr, scale) in [
+            (ex, 1.0e9),
+            (ey, 1.0e9),
+            (ez, 1.0e9),
+            (bx, 3.0),
+            (by, 3.0),
+            (bz, 3.0),
+            (jx, 1.0e12),
+            (jy, 1.0e12),
+            (jz, 1.0e12),
+        ] {
+            for v in arr.as_mut_slice() {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                *v = ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * scale;
+            }
+        }
+    }
+
+    fn eb_bits(f: &FieldArrays) -> Vec<u64> {
+        [&f.ex, &f.ey, &f.ez, &f.bx, &f.by, &f.bz]
+            .iter()
+            .flat_map(|a| a.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    /// The row kernels are the per-cell reference, bit for bit: both
+    /// solver kinds, cubic and LWFA cells, x widths around the vector
+    /// width (ragged tails, and past one `ROW_BLOCK`), both guard widths,
+    /// sequential and 3-worker slabs under both schedulers.
+    #[test]
+    fn conf_solver_rows_match_reference_bitwise() {
+        let cells = [[1.0e-6; 3], [0.5e-6, 0.5e-6, 0.25e-6]];
+        let mut case = 0u64;
+        for kind in [SolverKind::Yee, SolverKind::Ckc] {
+            for dx in cells {
+                for width in [1usize, 5, 8, 13, 33, ROW_BLOCK + 3] {
+                    for guard in [1usize, 2] {
+                        case += 1;
+                        let geom = GridGeometry::new([width, 3, 7], [0.0; 3], dx, guard);
+                        let solver = MaxwellSolver::new(kind, &geom);
+                        if kind == SolverKind::Ckc {
+                            assert!(
+                                solver.beta.iter().flatten().filter(|b| **b != 0.0).count() == 6
+                            );
+                        }
+                        let dt = 0.5 * solver.max_dt(&geom);
+                        let mut base = FieldArrays::new(&geom);
+                        randomise(&mut base, 0x9e37_79b9 + case);
+                        let reference = |m: Mutant| {
+                            let mut f = base.clone();
+                            for _ in 0..3 {
+                                reference::step(&solver, &geom, &mut f, dt, m);
+                            }
+                            eb_bits(&f)
+                        };
+                        let rows = |workers: usize, policy: SchedulerPolicy| {
+                            let mut f = base.clone();
+                            let mut m = Machine::new(MachineConfig::lx2());
+                            let pool = WorkerPool::new(workers);
+                            for _ in 0..3 {
+                                solver.step_sharded(&mut m, &geom, &mut f, dt, pool.exec(policy));
+                            }
+                            (
+                                eb_bits(&f),
+                                m.counters().cycles(Phase::FieldSolve).to_bits(),
+                            )
+                        };
+                        let what = format!("{kind:?} dx {dx:?} width {width} guard {guard}");
+                        let want = reference(Mutant::None);
+                        let (got, cycles) = rows(1, SchedulerPolicy::Static);
+                        assert!(got == want, "{what}: rows diverged from the reference");
+                        for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
+                            let (got_w, cycles_w) = rows(3, policy);
+                            assert!(got_w == want, "{what}: 3-worker {policy:?} rows diverged");
+                            assert_eq!(cycles_w, cycles, "{what}: FieldSolve cycles moved");
+                        }
+                        // The comparison must be sharp enough to catch a
+                        // single changed rounding.
+                        assert!(reference(Mutant::Reciprocal) != want, "{what}: reciprocal");
+                        if kind == SolverKind::Ckc {
+                            assert!(reference(Mutant::PlusTapFirst) != want, "{what}: tap order");
+                        }
+                    }
                 }
             }
         }
