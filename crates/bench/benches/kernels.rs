@@ -71,6 +71,77 @@ fn bench_gpma_maintenance(c: &mut Criterion) {
     });
 }
 
+/// The per-step maintenance path on the `uniform_cic` workload (32^3,
+/// ppc 8, FullOpt + simd) at steady state — step 81, where ~94 % of the
+/// particles change cell and ~18 % change tile every step. Neither bench
+/// clones inside the timed loop: each iteration moves the particles (a
+/// contiguous pass, the same on any two commits) and re-sorts, so the
+/// state stays at the same churn indefinitely.
+fn bench_incremental_sort(c: &mut Criterion) {
+    let mut sim =
+        workloads::uniform_plasma_sim([32, 32, 32], 8, ShapeOrder::Cic, KernelConfig::FullOpt, 42);
+    sim.cfg.batching = true;
+    sim.cfg.simd = true;
+    for _ in 0..80 {
+        sim.step();
+    }
+    let (geom, layout) = (&sim.geom, &sim.layout);
+    let step = mpic_grid::constants::C * sim.dt();
+
+    // Whole `incremental_sort` after a ballistic drift of every particle:
+    // locate pass + fused walk + re-homing at the real step's churn.
+    c.bench_function("incremental_sort_uniform32_steady", |b| {
+        let mut electrons = sim.electrons.clone();
+        b.iter(|| {
+            for tile in &mut electrons.tiles {
+                let soa = &mut tile.soa;
+                for p in 0..soa.slots() {
+                    let u = [soa.ux[p], soa.uy[p], soa.uz[p]];
+                    let drift = step / (1.0 + u[0] * u[0] + u[1] * u[1] + u[2] * u[2]).sqrt();
+                    let pos = [
+                        soa.x[p] + drift * u[0],
+                        soa.y[p] + drift * u[1],
+                        soa.z[p] + drift * u[2],
+                    ];
+                    [soa.x[p], soa.y[p], soa.z[p]] = geom.wrap_position(pos);
+                }
+            }
+            std::hint::black_box(electrons.incremental_sort(layout, geom))
+        });
+    });
+
+    // Re-homing in isolation: only the two x-face cell layers of every
+    // tile move, one cell outwards, so a quarter of the particles change
+    // tile (each face cell trades its population with the neighbour's
+    // opposite face — density and gap headroom stay as they are) and
+    // everything else stays in its bin.
+    c.bench_function("rehome_departures_uniform32", |b| {
+        let mut electrons = sim.electrons.clone();
+        let nx = layout.tile_size[0];
+        b.iter(|| {
+            for tile in &mut electrons.tiles {
+                for p in 0..tile.soa.slots() {
+                    if !tile.soa.alive[p] {
+                        continue;
+                    }
+                    // `cells[p]` is the tile-local cell id, x fastest.
+                    let i = tile.cells[p] % nx;
+                    let hop = if i == 0 {
+                        -geom.dx[0]
+                    } else if i == nx - 1 {
+                        geom.dx[0]
+                    } else {
+                        continue;
+                    };
+                    let pos = [tile.soa.x[p] + hop, tile.soa.y[p], tile.soa.z[p]];
+                    tile.soa.x[p] = geom.wrap_position(pos)[0];
+                }
+            }
+            std::hint::black_box(electrons.incremental_sort(layout, geom))
+        });
+    });
+}
+
 fn bench_counting_sort(c: &mut Criterion) {
     c.bench_function("counting_sort_64k", |b| {
         let mut rng = StdRng::seed_from_u64(4);
@@ -171,6 +242,7 @@ criterion_group!(
     benches,
     bench_deposition_kernels,
     bench_gpma_maintenance,
+    bench_incremental_sort,
     bench_counting_sort,
     bench_full_step,
     bench_grid_passes

@@ -21,7 +21,7 @@ fn main() {
             let iter: Vec<usize> = if kernel == KernelConfig::Baseline {
                 t.soa.live_indices().collect()
             } else {
-                t.gpma.iter_sorted().map(|(_, p)| p).collect()
+                t.gpma.sorted_particles().collect()
             };
             for ch in iter.chunks(8) {
                 chunks += 1;

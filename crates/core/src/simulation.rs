@@ -1079,24 +1079,16 @@ fn decode_cache_level(s: &mut SectionReader<'_>) -> Result<CacheLevelState, Snap
 /// trailing edge. All mutation is tile-local, so the result is a pure
 /// function of the tile regardless of which pool worker runs it.
 fn shift_tile_window(tile: &mut ParticleTile, dz: f64, zlo: f64) {
-    let mut removals: Vec<(usize, usize)> = Vec::new();
     for p in 0..tile.soa.slots() {
         if !tile.soa.alive[p] {
             continue;
         }
         tile.soa.z[p] -= dz;
         if tile.soa.z[p] < zlo {
-            removals.push((p, tile.cells[p]));
+            tile.queue_removal(p);
         }
     }
-    for &(p, bin) in &removals {
-        tile.gpma.queue_remove(p, bin);
-        tile.cells[p] = INVALID_PARTICLE_ID;
-        tile.soa.remove(p);
-    }
-    if !removals.is_empty() {
-        let _ = tile.gpma.apply_pending_moves(&tile.cells);
-    }
+    tile.apply_removals();
 }
 
 #[cfg(test)]

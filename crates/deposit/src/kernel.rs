@@ -521,9 +521,7 @@ impl<'a> StepCtx<'a> {
         let tile = self.layout.tile(t);
         scratch.iteration.clear();
         if self.sorted {
-            scratch
-                .iteration
-                .extend(ptile.gpma.iter_sorted().map(|(_, p)| p));
+            scratch.iteration.extend(ptile.gpma.sorted_particles());
         } else {
             scratch.iteration.extend(ptile.soa.live_indices());
         }

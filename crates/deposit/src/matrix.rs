@@ -159,15 +159,19 @@ fn deposit_run_cic(
         m.v_ops(2); // The two shuffles.
         let b_vec = m.v_mul(VReg(sy8), VReg(sz8));
 
+        // A = [wq*sx0, wq*sx1 | p2...] (p2's lanes stay zero for a solo
+        // trailing particle); the sx factor is shared by the components.
+        let mut sx4 = [0.0; 8];
+        for (half, part) in pair.iter().enumerate() {
+            if let Some(q) = part {
+                sx4[half * 2] = st.s(0, 0, *q);
+                sx4[half * 2 + 1] = st.s(0, 1, *q);
+            }
+        }
         for comp in 0..3 {
-            // A = [wq*sx0, wq*sx1 | p2...] (lanes 4.. stay zero for a
-            // solo trailing particle).
-            let mut sx4 = [0.0; 8];
             let mut wq4 = [0.0; 8];
             for (half, part) in pair.iter().enumerate() {
                 if let Some(q) = part {
-                    sx4[half * 2] = st.s(0, 0, *q);
-                    sx4[half * 2 + 1] = st.s(0, 1, *q);
                     wq4[half * 2] = st.wq[comp][*q];
                     wq4[half * 2 + 1] = st.wq[comp][*q];
                 }
@@ -219,12 +223,15 @@ fn deposit_run_qsp(
             let pair: [Option<usize>; 2] = [Some(p), (p + 1 < run_end).then_some(p + 1)];
             m.v_issue(2);
 
-            // B = [sy0..3(p1) | sy0..3(p2)] — pure staged data.
+            // B = [sy0..3(p1) | sy0..3(p2)] and the sx lanes of every
+            // A_c — pure staged data, shared by the pair's four slabs.
             let mut by = [0.0; 8];
+            let mut ax = [0.0; 8];
             for (half, part) in pair.iter().enumerate() {
                 if let Some(q) = part {
-                    for b in 0..4 {
-                        by[half * 4 + b] = st.s(1, b, *q);
+                    for t in 0..4 {
+                        by[half * 4 + t] = st.s(1, t, *q);
+                        ax[half * 4 + t] = st.s(0, t, *q);
                     }
                 }
             }
@@ -233,15 +240,11 @@ fn deposit_run_qsp(
 
             for c in 0..4 {
                 // A_c = [wq*sz[c]*sx0..3(p1) | same p2].
-                let mut ax = [0.0; 8];
                 let mut scale = [0.0; 8];
                 for (half, part) in pair.iter().enumerate() {
                     if let Some(q) = part {
                         let f = st.wq[comp][*q] * st.s(2, c, *q);
-                        for a in 0..4 {
-                            ax[half * 4 + a] = st.s(0, a, *q);
-                            scale[half * 4 + a] = f;
-                        }
+                        scale[half * 4..half * 4 + 4].fill(f);
                     }
                 }
                 m.v_ops(1); // wq*sz broadcast.
@@ -300,25 +303,23 @@ fn deposit_run_tsc(
             let pair: [Option<usize>; 2] = [Some(p), (p + 1 < run_end).then_some(p + 1)];
             m.v_issue(2);
             let mut by = [0.0; 8];
+            let mut ax = [0.0; 8];
             for (half, part) in pair.iter().enumerate() {
                 if let Some(q) = part {
-                    for b in 0..3 {
-                        by[half * 4 + b] = st.s(1, b, *q);
+                    for t in 0..3 {
+                        by[half * 4 + t] = st.s(1, t, *q);
+                        ax[half * 4 + t] = st.s(0, t, *q);
                     }
                 }
             }
             m.v_ops(1);
             let b_vec = VReg(by);
             for c in 0..3 {
-                let mut ax = [0.0; 8];
                 let mut scale = [0.0; 8];
                 for (half, part) in pair.iter().enumerate() {
                     if let Some(q) = part {
                         let f = st.wq[comp][*q] * st.s(2, c, *q);
-                        for a in 0..3 {
-                            ax[half * 4 + a] = st.s(0, a, *q);
-                            scale[half * 4 + a] = f;
-                        }
+                        scale[half * 4..half * 4 + 3].fill(f);
                     }
                 }
                 m.v_ops(1);

@@ -2,9 +2,9 @@
 //! operations Algorithm 1 performs on them (global counting sort,
 //! per-step incremental sweep, cross-tile migration).
 
-use crate::gpma::{Gpma, MoveStats, INVALID_PARTICLE_ID};
+use crate::gpma::{Gpma, MoveStats, INVALID_PARTICLE_ID, LEAVES_TILE};
 use crate::soa::ParticleSoA;
-use crate::sort::{counting_sort_keys_sharded, SortScratch, SortStats};
+use crate::sort::{counting_sort_keys_into, counting_sort_keys_sharded, SortScratch, SortStats};
 use mpic_grid::{GridGeometry, Tile, TileLayout};
 use mpic_machine::{Exec, SchedulerPolicy, WorkerPool};
 
@@ -40,6 +40,18 @@ pub struct Departure {
     pub uz: f64,
     /// Macro-particle weight.
     pub w: f64,
+}
+
+/// A tile-leaver as the incremental sweep's locate pass records it: the
+/// particle and the home it located for it.
+#[derive(Debug, Clone, Copy)]
+pub struct Leaver {
+    /// The particle's data, read in slot order.
+    pub particle: Departure,
+    /// Destination tile.
+    pub tile: usize,
+    /// Destination bin (tile-local cell of `tile`).
+    pub bin: usize,
 }
 
 impl ParticleTile {
@@ -111,49 +123,74 @@ impl ParticleTile {
         stats
     }
 
-    /// Phase 1 of Algorithm 1: scans particles in sorted order, queues
-    /// moved particles, extracts tile-leavers, then applies pending moves.
-    /// The scan snapshot comes from `scratch.scan` and tile-leavers are
-    /// appended to `scratch.departures`, so a warm scratch keeps the
-    /// per-step sweep allocation-free.
+    /// Phase 1 of Algorithm 1 for tile `t`: re-bins every particle that
+    /// changed cell and extracts tile-leavers, in two passes.
+    ///
+    /// The *locate pass* runs in SoA slot order — a contiguous sweep over
+    /// the position arrays, one location per particle — and writes each
+    /// live slot's new bin into `scratch.new_bin`. A particle that left
+    /// the tile is copied out right there, while the attribute arrays
+    /// stream by, together with the destination tile and bin: it is
+    /// appended to `scratch.leavers` and its word is [`LEAVES_TILE`] plus
+    /// its index there, so it is never located again. The *walk*
+    /// ([`Gpma::sweep`]) runs in bin order, because the order of deletes,
+    /// inserts and departures is part of the state: it appends each
+    /// leaver's index to `scratch.leave_order` (and its destination tile
+    /// to `scratch.leave_dest`) as it meets it. A warm scratch keeps the
+    /// sweep allocation-free.
     ///
     /// Returns the GPMA operation stats and the number of particles
     /// scanned.
     pub fn incremental_sort_sweep(
         &mut self,
-        tile: &Tile,
+        t: usize,
+        layout: &TileLayout,
         geom: &GridGeometry,
         scratch: &mut SortScratch,
     ) -> (MoveStats, usize) {
-        scratch.scan.clear();
-        scratch.scan.extend(self.gpma.iter_sorted());
-        let scanned = scratch.scan.len();
-        for &(old_bin, p) in &scratch.scan {
-            let (cell, _) = geom.locate(self.soa.x[p], self.soa.y[p], self.soa.z[p]);
-            let cell = geom.wrap_cell(cell);
+        let tile = layout.tile(t);
+        let scanned = self.gpma.num_particles();
+        let SortScratch {
+            new_bin,
+            inserts,
+            leavers,
+            leave_order,
+            leave_dest,
+            ..
+        } = scratch;
+        let Self { soa, gpma, cells } = self;
+        new_bin.clear();
+        new_bin.extend((0..soa.slots()).map(|p| {
+            if !soa.alive[p] {
+                return INVALID_PARTICLE_ID;
+            }
+            let (x, y, z) = (soa.x[p], soa.y[p], soa.z[p]);
+            let cell = geom.wrap_cell(geom.locate(x, y, z).0);
             if tile.contains(cell) {
-                let new_bin = tile.local_cell_id(cell);
-                if new_bin != old_bin {
-                    self.gpma.queue_move(p, old_bin, new_bin);
-                    self.cells[p] = new_bin;
-                }
-            } else {
-                let (x, y, z, ux, uy, uz, w) = self.soa.get(p);
-                scratch.departures.push(Departure {
+                return tile.local_cell_id(cell);
+            }
+            let to = layout.tile_of_cell(cell);
+            leavers.push(Leaver {
+                particle: Departure {
                     x,
                     y,
                     z,
-                    ux,
-                    uy,
-                    uz,
-                    w,
-                });
-                self.gpma.queue_remove(p, old_bin);
-                self.cells[p] = INVALID_PARTICLE_ID;
-                self.soa.remove(p);
-            }
-        }
-        let stats = self.gpma.apply_pending_moves(&self.cells);
+                    ux: soa.ux[p],
+                    uy: soa.uy[p],
+                    uz: soa.uz[p],
+                    w: soa.w[p],
+                },
+                tile: to,
+                bin: layout.tile(to).local_cell_id(cell),
+            });
+            LEAVES_TILE | (leavers.len() - 1)
+        }));
+        let stats = gpma.sweep(new_bin, cells, inserts, |p, word| {
+            let leaver = word & !LEAVES_TILE;
+            leave_order.push(leaver);
+            leave_dest.push(leavers[leaver].tile);
+            soa.remove(p);
+        });
         (stats, scanned)
     }
 
@@ -162,14 +199,37 @@ impl ParticleTile {
         let (cell, _) = geom.locate(d.x, d.y, d.z);
         let cell = geom.wrap_cell(cell);
         debug_assert!(tile.contains(cell), "insert routed to wrong tile");
-        let bin = tile.local_cell_id(cell);
+        let mut stats = MoveStats::default();
+        self.insert_in_bin(d, tile.local_cell_id(cell), &mut stats);
+        stats
+    }
+
+    /// [`ParticleTile::insert`] with the bin already located, adding its
+    /// GPMA operation counts to `stats`.
+    fn insert_in_bin(&mut self, d: Departure, bin: usize, stats: &mut MoveStats) {
         let p = self.soa.push(d.x, d.y, d.z, d.ux, d.uy, d.uz, d.w);
         if p >= self.cells.len() {
             self.cells.resize(p + 1, INVALID_PARTICLE_ID);
         }
         self.cells[p] = bin;
-        self.gpma.queue_insert(p, bin);
-        self.gpma.apply_pending_moves(&self.cells)
+        self.gpma.insert_now(p, bin, &self.cells, stats);
+    }
+
+    /// Queues the removal of live slot `p` from the tile (a particle
+    /// absorbed at a boundary or dropped by the moving window); the
+    /// batch takes effect at [`ParticleTile::apply_removals`].
+    pub fn queue_removal(&mut self, p: usize) {
+        self.gpma.queue_remove(p, self.cells[p]);
+        self.cells[p] = INVALID_PARTICLE_ID;
+        self.soa.remove(p);
+    }
+
+    /// Applies the removals queued since the last call as one GPMA
+    /// maintenance cycle; a no-op when there are none.
+    pub fn apply_removals(&mut self) {
+        if self.gpma.pending_len() > 0 {
+            let _ = self.gpma.apply_pending_moves(&self.cells);
+        }
     }
 
     /// Validates GPMA invariants against the authoritative bins.
@@ -188,8 +248,9 @@ pub struct ParticleContainer {
     /// Per-tile storage, indexed like `TileLayout`.
     pub tiles: Vec<ParticleTile>,
     gap_ratio: f64,
-    /// Pooled buffers for the sequential sort paths (sweep snapshots,
-    /// counting-sort histograms, permutation gathers).
+    /// Pooled buffers for the sequential sort paths (the sweep's located
+    /// bins, insert and departure lists; counting-sort histograms;
+    /// permutation gathers).
     scratch: SortScratch,
 }
 
@@ -272,6 +333,14 @@ impl ParticleContainer {
 
     /// Incremental sweep of every tile followed by re-homing of
     /// departures. Returns merged GPMA stats and particles scanned.
+    ///
+    /// Departures are re-homed grouped by destination tile (a stable
+    /// counting sort on the tile id the sweep recorded), each into the
+    /// bin the sweep located for it. Tiles are independent and every
+    /// tile still receives its arrivals in source-tile-then-walk order,
+    /// one maintenance cycle per arrival, so the state is the one the
+    /// ungrouped loop produces — reached without bouncing between the
+    /// indices of all tiles.
     pub fn incremental_sort(
         &mut self,
         layout: &TileLayout,
@@ -279,20 +348,25 @@ impl ParticleContainer {
     ) -> (MoveStats, usize) {
         let mut stats = MoveStats::default();
         let mut scanned = 0;
-        self.scratch.departures.clear();
-        for (t, tile) in self.tiles.iter_mut().enumerate() {
-            let (s, n) = tile.incremental_sort_sweep(layout.tile(t), geom, &mut self.scratch);
+        let Self { tiles, scratch, .. } = self;
+        scratch.leavers.clear();
+        scratch.leave_order.clear();
+        scratch.leave_dest.clear();
+        for (t, tile) in tiles.iter_mut().enumerate() {
+            let (s, n) = tile.incremental_sort_sweep(t, layout, geom, scratch);
             stats.merge(&s);
             scanned += n;
         }
-        // Re-home tile-leavers; take the buffer so `inject` can borrow
-        // `self` (its capacity is restored afterwards).
-        let mut departures = std::mem::take(&mut self.scratch.departures);
-        for d in departures.drain(..) {
-            let s = self.inject(layout, geom, d);
-            stats.merge(&s);
+        let _ = counting_sort_keys_into(
+            &scratch.leave_dest,
+            tiles.len(),
+            &mut scratch.perm,
+            &mut scratch.counts,
+        );
+        for &i in &scratch.perm {
+            let leaver = &scratch.leavers[scratch.leave_order[i]];
+            tiles[leaver.tile].insert_in_bin(leaver.particle, leaver.bin, &mut stats);
         }
-        self.scratch.departures = departures;
         (stats, scanned)
     }
 
@@ -334,6 +408,9 @@ impl ParticleContainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, departure_bits, state, Mutant};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup() -> (GridGeometry, TileLayout, ParticleContainer) {
         let geom = GridGeometry::new([8, 8, 8], [0.0; 3], [1.0; 3], 1);
@@ -448,6 +525,354 @@ mod tests {
                     assert_eq!(tw.soa.w, tg.soa.w, "workers {workers} {policy:?}");
                     assert_eq!(tw.cells, tg.cells, "workers {workers} {policy:?}");
                 }
+            }
+        }
+    }
+
+    /// What a scenario does to the particles before each sort.
+    #[derive(Debug, Clone, Copy)]
+    enum Motion {
+        /// Nothing moves.
+        Stay,
+        /// Every particle jumps by up to this many cells per axis; odd
+        /// slots stay unwrapped so `wrap_cell` sees out-of-domain cells.
+        Churn(f64),
+        /// Every particle jumps one tile width in x.
+        LeaveAll,
+        /// Three quarters of each tile pile into its first (even steps)
+        /// or last (odd steps) cell: borrow chains right, then left.
+        PileUp,
+        /// Absorb a tenth, inject as many anywhere, then churn.
+        Lwfa(f64),
+        /// A third of all particles jump into one tile (a different one
+        /// each step), the rest churn: arrivals outnumber free slots.
+        Converge(f64),
+    }
+
+    struct Scenario {
+        name: &'static str,
+        n_cells: [usize; 3],
+        tile_size: [usize; 3],
+        ppc: usize,
+        gap_ratio: f64,
+        motion: Motion,
+        steps: usize,
+    }
+
+    /// Non-trivial origin and spacing, so the locate division matters.
+    const LO: [f64; 3] = [-0.3, 0.2, 1.0];
+    const DX: [f64; 3] = [0.5, 0.25, 1.0];
+
+    fn random_particle(rng: &mut StdRng, n_cells: [usize; 3]) -> Departure {
+        let mut pos = [0.0; 3];
+        for d in 0..3 {
+            pos[d] = LO[d] + rng.gen::<f64>() * n_cells[d] as f64 * DX[d];
+        }
+        Departure {
+            x: pos[0],
+            y: pos[1],
+            z: pos[2],
+            ux: rng.gen::<f64>() - 0.5,
+            uy: rng.gen::<f64>() - 0.5,
+            uz: rng.gen::<f64>() - 0.5,
+            w: 1.0 + rng.gen::<f64>(),
+        }
+    }
+
+    impl Scenario {
+        fn build(&self) -> (GridGeometry, TileLayout, ParticleContainer) {
+            let geom = GridGeometry::new(self.n_cells, LO, DX, 1);
+            let layout = TileLayout::new(&geom, self.tile_size);
+            let mut c = ParticleContainer::new(&layout, -1.0, 1.0);
+            c.set_gap_ratio(self.gap_ratio);
+            let mut rng = StdRng::seed_from_u64(7);
+            for _ in 0..self.ppc * geom.total_cells() {
+                let _ = c.inject(&layout, &geom, random_particle(&mut rng, self.n_cells));
+            }
+            // Lays every tile out with the scenario's gap ratio.
+            let _ = c.global_sort(&layout, &geom);
+            (geom, layout, c)
+        }
+
+        fn perturb(
+            &self,
+            step: usize,
+            geom: &GridGeometry,
+            layout: &TileLayout,
+            c: &mut ParticleContainer,
+            rng: &mut StdRng,
+        ) {
+            if let Motion::Lwfa(_) = self.motion {
+                let mut absorbed = 0;
+                for pt in &mut c.tiles {
+                    for p in 0..pt.soa.slots() {
+                        if pt.soa.alive[p] && rng.gen_range(0..10) == 0 {
+                            pt.queue_removal(p);
+                            absorbed += 1;
+                        }
+                    }
+                    pt.apply_removals();
+                }
+                for _ in 0..absorbed {
+                    let _ = c.inject(layout, geom, random_particle(rng, self.n_cells));
+                }
+            }
+            for (t, pt) in c.tiles.iter_mut().enumerate() {
+                let tile = layout.tile(t);
+                let corner = if step % 2 == 0 {
+                    tile.lo
+                } else {
+                    tile.hi.map(|h| h - 1)
+                };
+                let sink = layout.tile(step % layout.num_tiles());
+                for p in 0..pt.soa.slots() {
+                    if !pt.soa.alive[p] {
+                        continue;
+                    }
+                    let mut pos = [pt.soa.x[p], pt.soa.y[p], pt.soa.z[p]];
+                    match self.motion {
+                        Motion::Stay => {}
+                        Motion::Converge(_) if p % 3 == 0 => {
+                            for d in 0..3 {
+                                let cell =
+                                    sink.lo[d] as f64 + rng.gen::<f64>() * sink.size()[d] as f64;
+                                pos[d] = LO[d] + cell * DX[d];
+                            }
+                        }
+                        Motion::Churn(amp) | Motion::Lwfa(amp) | Motion::Converge(amp) => {
+                            for d in 0..3 {
+                                pos[d] += amp * (2.0 * rng.gen::<f64>() - 1.0) * DX[d];
+                            }
+                            if p % 2 == 0 {
+                                pos = geom.wrap_position(pos);
+                            }
+                        }
+                        Motion::LeaveAll => pos[0] += self.tile_size[0] as f64 * DX[0],
+                        Motion::PileUp if p % 4 != 0 => {
+                            for d in 0..3 {
+                                pos[d] = LO[d] + (corner[d] as f64 + rng.gen::<f64>()) * DX[d];
+                            }
+                        }
+                        Motion::PileUp => {}
+                    }
+                    [pt.soa.x[p], pt.soa.y[p], pt.soa.z[p]] = pos;
+                }
+            }
+        }
+    }
+
+    const SCENARIOS: [Scenario; 8] = [
+        Scenario {
+            name: "uniform churn, ~100 % movers",
+            n_cells: [16, 16, 8],
+            tile_size: [8, 8, 8],
+            ppc: 4,
+            gap_ratio: DEFAULT_GAP_RATIO,
+            motion: Motion::Churn(1.0),
+            steps: 4,
+        },
+        Scenario {
+            name: "all stay",
+            n_cells: [8, 8, 8],
+            tile_size: [4, 4, 4],
+            ppc: 3,
+            gap_ratio: DEFAULT_GAP_RATIO,
+            motion: Motion::Stay,
+            steps: 2,
+        },
+        Scenario {
+            name: "all leave",
+            n_cells: [8, 8, 8],
+            tile_size: [4, 4, 4],
+            ppc: 3,
+            gap_ratio: DEFAULT_GAP_RATIO,
+            motion: Motion::LeaveAll,
+            steps: 3,
+        },
+        Scenario {
+            name: "bins past capacity: borrow chains right and left",
+            n_cells: [8, 8, 4],
+            tile_size: [4, 4, 4],
+            ppc: 4,
+            gap_ratio: DEFAULT_GAP_RATIO,
+            motion: Motion::PileUp,
+            steps: 4,
+        },
+        Scenario {
+            name: "one gapless dense tile: rebuild inside the sweep",
+            n_cells: [4, 4, 4],
+            tile_size: [4, 4, 4],
+            ppc: 60,
+            gap_ratio: 0.0,
+            motion: Motion::Churn(0.6),
+            steps: 3,
+        },
+        Scenario {
+            name: "clipped tiles",
+            n_cells: [10, 10, 10],
+            tile_size: [8, 8, 8],
+            ppc: 3,
+            gap_ratio: 0.25,
+            motion: Motion::Churn(0.8),
+            steps: 3,
+        },
+        Scenario {
+            name: "lwfa inserts and removes, dead slots",
+            n_cells: [8, 8, 16],
+            tile_size: [8, 8, 8],
+            ppc: 3,
+            gap_ratio: DEFAULT_GAP_RATIO,
+            motion: Motion::Lwfa(0.4),
+            steps: 4,
+        },
+        GAPLESS_REHOMING,
+    ];
+
+    /// Arrivals outnumber a tile's free slots: overflow rebuilds fire in
+    /// the middle of its arrival batch.
+    const GAPLESS_REHOMING: Scenario = Scenario {
+        name: "gapless re-homing: rebuilds mid-batch",
+        n_cells: [8, 8, 8],
+        tile_size: [4, 4, 4],
+        ppc: 6,
+        gap_ratio: 0.0,
+        motion: Motion::Converge(0.5),
+        steps: 3,
+    };
+
+    /// Totals a scenario must reach to count as covering its case.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        stats: MoveStats,
+        dead_slots_swept: usize,
+        rebuilds_in_sweep: usize,
+        /// Per mutant: diverged from the reference at least once.
+        caught: Vec<bool>,
+    }
+
+    /// Runs `sc` on the fast path and on the queue-based reference side
+    /// by side, demanding equal stats and bit-identical state after every
+    /// sweep and every sort.
+    fn run_against_reference(sc: &Scenario, mutants: &[Mutant]) -> Coverage {
+        let (geom, layout, mut fast) = sc.build();
+        let mut slow = fast.clone();
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut cov = Coverage {
+            caught: vec![false; mutants.len()],
+            ..Coverage::default()
+        };
+        for step in 0..sc.steps {
+            sc.perturb(step, &geom, &layout, &mut fast, &mut rng.clone());
+            sc.perturb(step, &geom, &layout, &mut slow, &mut rng);
+            // Tile by tile: the sweep alone, departure order included.
+            let mut scratch = SortScratch::default();
+            for t in 0..fast.tiles.len() {
+                let at = format!("{}: step {step} tile {t}", sc.name);
+                let (mut a, mut b) = (fast.tiles[t].clone(), slow.tiles[t].clone());
+                cov.dead_slots_swept += a.soa.slots() - a.soa.len();
+                let got = a.incremental_sort_sweep(t, &layout, &geom, &mut scratch);
+                let mut departures = Vec::new();
+                let tile = layout.tile(t);
+                let want = reference::sweep(&mut b, tile, &geom, &mut departures, Mutant::None);
+                assert_eq!(got, want, "{at}: stats");
+                cov.rebuilds_in_sweep += got.0.rebuilds;
+                assert_eq!(
+                    scratch
+                        .leave_order
+                        .iter()
+                        .map(|&k| departure_bits(&scratch.leavers[k].particle))
+                        .collect::<Vec<_>>(),
+                    departures.iter().map(departure_bits).collect::<Vec<_>>(),
+                    "{at}: departure order"
+                );
+                for (i, d) in departures.iter().enumerate() {
+                    let cell = geom.wrap_cell(geom.locate(d.x, d.y, d.z).0);
+                    let to = layout.tile_of_cell(cell);
+                    let leaver = &scratch.leavers[scratch.leave_order[i]];
+                    assert_eq!(scratch.leave_dest[i], to, "{at}: destination tile");
+                    assert_eq!(leaver.tile, to, "{at}: destination tile");
+                    assert_eq!(leaver.bin, layout.tile(to).local_cell_id(cell));
+                }
+                scratch.leavers.clear();
+                scratch.leave_order.clear();
+                scratch.leave_dest.clear();
+                assert_eq!(state(&[a]), state(&[b]), "{at}: state");
+            }
+            let before = slow.clone();
+            let got = fast.incremental_sort(&layout, &geom);
+            let want = reference::incremental_sort(&mut slow, &layout, &geom, Mutant::None);
+            assert_eq!(got, want, "{}: step {step} stats", sc.name);
+            assert_eq!(
+                state(&fast.tiles),
+                state(&slow.tiles),
+                "{}: step {step}",
+                sc.name
+            );
+            fast.check_invariants();
+            cov.stats.merge(&got.0);
+            for (m, caught) in mutants.iter().zip(&mut cov.caught) {
+                let mut broken = before.clone();
+                let _ = reference::incremental_sort(&mut broken, &layout, &geom, *m);
+                *caught |= state(&broken.tiles) != state(&slow.tiles);
+            }
+        }
+        cov
+    }
+
+    #[test]
+    fn conf_fused_sweep_matches_queue_apply_bitwise() {
+        let mutants = [Mutant::InsertsBeforeDeletes, Mutant::DeletesInSlotOrder];
+        for (i, sc) in SCENARIOS.iter().enumerate() {
+            let cov = run_against_reference(sc, &mutants);
+            let s = cov.stats;
+            match i {
+                0 => {
+                    assert!(s.deletions > 3 * 4 * 2048, "{}: {s:?}", sc.name);
+                    assert_eq!(cov.caught, [true, true], "{}: order mutants", sc.name);
+                }
+                1 => assert_eq!(s, MoveStats::default(), "{}", sc.name),
+                2 => assert_eq!(s.deletions, 3 * 3 * 512, "{}", sc.name),
+                3 => assert!(
+                    s.borrow_shifts > 0 && s.bins_scanned > 0,
+                    "{}: {s:?}",
+                    sc.name
+                ),
+                4 => assert!(cov.rebuilds_in_sweep > 0, "{}", sc.name),
+                6 => assert!(cov.dead_slots_swept > 0, "{}", sc.name),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn conf_rehoming_matches_sequential_inject_bitwise() {
+        let sc = &GAPLESS_REHOMING;
+        let mutants = [Mutant::UnstableGrouping, Mutant::RebuildCheckPerBatch];
+        let cov = run_against_reference(sc, &mutants);
+        assert!(
+            cov.stats.rebuilds > cov.rebuilds_in_sweep,
+            "{:?}",
+            cov.stats
+        );
+        assert_eq!(cov.caught, [true, true], "re-homing order mutants");
+        // The re-homing that precedes a global sort, under every exec
+        // configuration: the sorted SoA order depends on arrival order.
+        for workers in [1usize, 3] {
+            let pool = WorkerPool::new(workers);
+            for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
+                let (geom, layout, mut fast) = sc.build();
+                let mut slow = fast.clone();
+                let mut rng = StdRng::seed_from_u64(13);
+                sc.perturb(0, &geom, &layout, &mut fast, &mut rng.clone());
+                sc.perturb(0, &geom, &layout, &mut slow, &mut rng);
+                let _ = fast.global_sort_parallel(&layout, &geom, pool.exec(policy));
+                let _ = reference::incremental_sort(&mut slow, &layout, &geom, Mutant::None);
+                let _ = slow.global_sort(&layout, &geom);
+                assert_eq!(
+                    state(&fast.tiles),
+                    state(&slow.tiles),
+                    "workers {workers} {policy:?}"
+                );
             }
         }
     }

@@ -20,6 +20,23 @@
 //! Actual data movement is deferred to the global re-sort
 //! ([`crate::sort::counting_sort_keys`] driven by [`crate::policy`]).
 //!
+//! Delete, insert (with its borrow chain) and rebuild each exist once,
+//! as private primitives; three drivers run a maintenance cycle over
+//! them, all with the same shape — reset `was_rebuilt_this_step`, every
+//! delete, then every insert, then one rebuild check:
+//!
+//! * [`Gpma::sweep`] — the per-step cycle. It walks `local_index` in
+//!   sorted order, compares each particle's freshly located bin with the
+//!   bin under the cursor and deletes movers *in place at the cursor
+//!   slot*, so no move is ever queued and no slot is looked up twice;
+//! * [`Gpma::insert_now`] — the one-particle cycle of an injection or a
+//!   cross-tile arrival;
+//! * [`Gpma::apply_pending_moves`] — the queue-based cycle
+//!   (`queue_move` / `queue_insert` / `queue_remove`) for callers that
+//!   name particles rather than walk them: boundary and window removals,
+//!   external users, tests. Its deletes find their slot through the
+//!   `slot_of` reverse map.
+//!
 //! All operations tally [`MoveStats`] so kernel drivers can charge the
 //! emulated machine for the work performed.
 
@@ -30,9 +47,9 @@ pub const INVALID_PARTICLE_ID: usize = usize::MAX;
 /// section 4.3.2's maintenance trigger).
 const MIN_EMPTY_RATIO: f64 = 0.02;
 
-/// Largest queue capacity (in moves) an apply cycle keeps allocated for
-/// the next.
-const PENDING_KEEP: usize = 64;
+/// Words of [`Gpma::sweep`]'s `new_bin` at or above this mark a particle
+/// that leaves the tile; the low bits are the caller's payload.
+pub const LEAVES_TILE: usize = !(usize::MAX >> 1);
 
 /// Ceiling of `count * ratio` as a slot count — the one sanctioned
 /// float→integer crossing in this crate. A raw `(x).ceil() as usize`
@@ -144,10 +161,15 @@ pub struct Gpma {
     bin_lengths: Vec<usize>,
     /// Per-bin stacks of empty slot indices (the paper's
     /// `m_empty_slots_stack`, kept per bin so an O(1) pop lands in the
-    /// correct region).
-    bin_free: Vec<Vec<usize>>,
-    /// Reverse map: particle index -> slot (enables O(1) deletion; the
-    /// in-kernel equivalent knows the slot from the iteration cursor).
+    /// correct region), stored flat: bin `c`'s stack is
+    /// `free_slots[bin_offsets[c]..bin_offsets[c + 1] - bin_lengths[c]]`,
+    /// bottom first. A bin has as many free slots as its region has
+    /// slots it does not fill, so each stack lives in the shadow of its
+    /// own region — one array per tile instead of one heap buffer per
+    /// bin, and no length to keep.
+    free_slots: Vec<usize>,
+    /// Reverse map: particle index -> slot (O(1) deletion of a *named*
+    /// particle; the per-step sweep knows the slot from its cursor).
     slot_of: Vec<usize>,
     num_particles: usize,
     num_empty_slots: usize,
@@ -179,7 +201,7 @@ impl Gpma {
             local_index: Vec::new(),
             bin_offsets: vec![0; n_bins + 1],
             bin_lengths: vec![0; n_bins],
-            bin_free: vec![Vec::new(); n_bins],
+            free_slots: Vec::new(),
             slot_of: Vec::new(),
             num_particles: 0,
             num_empty_slots: 0,
@@ -227,18 +249,18 @@ impl Gpma {
             slot_of[p] = cursor[c];
             cursor[c] += 1;
         }
-        let mut free = vec![Vec::new(); n_bins];
-        for (c, f) in free.iter_mut().enumerate() {
+        let mut free = vec![INVALID_PARTICLE_ID; capacity];
+        for c in 0..n_bins {
             // Push high slots first so pops fill the region front-to-back.
-            for s in (cursor[c]..offsets[c + 1]).rev() {
-                f.push(s);
+            for (k, s) in (cursor[c]..offsets[c + 1]).rev().enumerate() {
+                free[offsets[c] + k] = s;
             }
         }
         self.num_empty_slots = capacity - live;
         self.local_index = index;
         self.bin_offsets = offsets;
         self.bin_lengths = counts;
-        self.bin_free = free;
+        self.free_slots = free;
         self.slot_of = slot_of;
         self.num_particles = live;
         stats.rebuild_particles += live;
@@ -278,6 +300,16 @@ impl Gpma {
         self.bin_lengths[c]
     }
 
+    /// One past the top of bin `c`'s free stack in `free_slots`.
+    fn stack_end(&self, c: usize) -> usize {
+        self.bin_offsets[c + 1] - self.bin_lengths[c]
+    }
+
+    /// Bin `c`'s stack of free slots, bottom first.
+    fn free_stack(&self, c: usize) -> &[usize] {
+        &self.free_slots[self.bin_offsets[c]..self.stack_end(c)]
+    }
+
     /// Raw slot view of bin `c` including `INVALID_PARTICLE_ID` gaps —
     /// exactly what the VPU sweep of Algorithm 1 iterates.
     pub fn bin_slots(&self, c: usize) -> &[usize] {
@@ -292,8 +324,18 @@ impl Gpma {
             .filter(|&p| p != INVALID_PARTICLE_ID)
     }
 
-    /// Iterator over all valid particle indices in bin order (the sorted
-    /// traversal the deposition kernel relies on).
+    /// All valid particle indices in sorted order (the traversal the push
+    /// and deposition kernels rely on). Bin regions tile `local_index`
+    /// contiguously, so sorted order is one linear pass over it.
+    pub fn sorted_particles(&self) -> impl Iterator<Item = usize> + '_ {
+        self.local_index
+            .iter()
+            .copied()
+            .filter(|&p| p != INVALID_PARTICLE_ID)
+    }
+
+    /// [`Gpma::sorted_particles`] as `(bin, particle)` pairs: the same
+    /// walk, cut at the `bin_offsets` windows.
     pub fn iter_sorted(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.num_bins()).flat_map(move |c| self.iter_bin(c).map(move |p| (c, p)))
     }
@@ -367,7 +409,13 @@ impl Gpma {
         // Phase 1: deletions free slots before insertions consume them.
         for mv in &pending {
             if let Some(old) = mv.old_bin {
-                self.delete(mv.particle, old, &mut stats);
+                let slot = self.slot_of[mv.particle];
+                assert_ne!(
+                    slot, INVALID_PARTICLE_ID,
+                    "particle {} not indexed",
+                    mv.particle
+                );
+                self.delete(slot, mv.particle, old, &mut stats);
             }
         }
 
@@ -378,20 +426,100 @@ impl Gpma {
                 overflowed |= !self.insert(mv.particle, new, &mut stats);
             }
         }
-        // Hand a small emptied queue back so the one-move cycles of
-        // injections and cross-tile arrivals reuse its allocation; a bulk
-        // cycle's buffer is freed rather than kept resident per tile.
-        if pending.capacity() <= PENDING_KEEP {
-            pending.clear();
-            self.pending = pending;
-        }
-
-        // Rebuild triggers (section 4.3.2): mandatory when overflow
-        // particles exist; optional when free slots are critically low.
-        if overflowed || self.empty_ratio() < self.min_empty_ratio {
-            self.rebuild(cells, &mut stats);
-        }
+        // Hand the emptied queue back so the next cycle reuses it.
+        pending.clear();
+        self.pending = pending;
+        self.settle(overflowed, cells, &mut stats);
         stats
+    }
+
+    /// The per-step maintenance cycle, driven from the sorted walk
+    /// instead of a move queue (Algorithm 1's sweep fused with its
+    /// `ApplyPendingMoves`).
+    ///
+    /// `new_bin[p]` is the freshly located bin of every live particle
+    /// `p`, or a word `>=` [`LEAVES_TILE`] if it left the tile. The walk
+    /// visits particles in sorted order; one whose word differs from the
+    /// bin under the cursor is deleted in place at the cursor slot, and
+    /// then either gets `cells[p]` updated and `(p, new bin)` appended to
+    /// `inserts` (cleared first), or `cells[p]` invalidated and
+    /// `on_leave(p, word)` called — the caller extracts it there. The
+    /// collected inserts then run in walk order, followed by the rebuild
+    /// check: the state and the [`MoveStats`] are exactly those of
+    /// queueing every mover in walk order and calling
+    /// [`Gpma::apply_pending_moves`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if moves are still queued: they belong to a cycle of their
+    /// own.
+    pub fn sweep(
+        &mut self,
+        new_bin: &[usize],
+        cells: &mut [usize],
+        inserts: &mut Vec<(usize, usize)>,
+        mut on_leave: impl FnMut(usize, usize),
+    ) -> MoveStats {
+        assert!(self.pending.is_empty(), "sweep with moves still queued");
+        let mut stats = MoveStats::default();
+        self.was_rebuilt_this_step = false;
+        inserts.clear();
+        for bin in 0..self.num_bins() {
+            for slot in self.bin_offsets[bin]..self.bin_offsets[bin + 1] {
+                let p = self.local_index[slot];
+                if p == INVALID_PARTICLE_ID || new_bin[p] == bin {
+                    continue;
+                }
+                self.delete(slot, p, bin, &mut stats);
+                let to = new_bin[p];
+                if to < LEAVES_TILE {
+                    cells[p] = to;
+                    inserts.push((p, to));
+                } else {
+                    cells[p] = INVALID_PARTICLE_ID;
+                    on_leave(p, to);
+                }
+            }
+        }
+        stats.moves_applied = stats.deletions;
+        let mut overflowed = false;
+        for &(p, to) in inserts.iter() {
+            overflowed |= !self.insert(p, to, &mut stats);
+        }
+        self.settle(overflowed, cells, &mut stats);
+        stats
+    }
+
+    /// Inserts one new particle as a maintenance cycle of its own,
+    /// adding to `stats` what `queue_insert` +
+    /// [`Gpma::apply_pending_moves`] would report — same state, no queue.
+    /// `cells` as for `apply_pending_moves`.
+    pub fn insert_now(
+        &mut self,
+        particle: usize,
+        new_bin: usize,
+        cells: &[usize],
+        stats: &mut MoveStats,
+    ) {
+        if !self.pending.is_empty() {
+            // Queued moves share the cycle, ahead of the insert.
+            self.queue_insert(particle, new_bin);
+            stats.merge(&self.apply_pending_moves(cells));
+            return;
+        }
+        stats.moves_applied += 1;
+        self.was_rebuilt_this_step = false;
+        let overflowed = !self.insert(particle, new_bin, stats);
+        self.settle(overflowed, cells, stats);
+    }
+
+    /// End of a maintenance cycle — the rebuild triggers of section
+    /// 4.3.2: mandatory when overflow particles exist, optional when free
+    /// slots are critically low.
+    fn settle(&mut self, overflowed: bool, cells: &[usize], stats: &mut MoveStats) {
+        if overflowed || self.empty_ratio() < self.min_empty_ratio {
+            self.rebuild(cells, stats);
+        }
     }
 
     fn grow_slot_map(&mut self, particle: usize) {
@@ -400,9 +528,8 @@ impl Gpma {
         }
     }
 
-    fn delete(&mut self, particle: usize, old_bin: usize, stats: &mut MoveStats) {
-        let slot = self.slot_of[particle];
-        assert_ne!(slot, INVALID_PARTICLE_ID, "particle {particle} not indexed");
+    /// Frees `slot`, which holds `particle` and lies in `old_bin`.
+    fn delete(&mut self, slot: usize, particle: usize, old_bin: usize, stats: &mut MoveStats) {
         debug_assert_eq!(self.local_index[slot], particle);
         debug_assert!(
             slot >= self.bin_offsets[old_bin] && slot < self.bin_offsets[old_bin + 1],
@@ -410,7 +537,9 @@ impl Gpma {
         );
         self.local_index[slot] = INVALID_PARTICLE_ID;
         self.slot_of[particle] = INVALID_PARTICLE_ID;
-        self.bin_free[old_bin].push(slot);
+        // Push: the shrinking bin length is what grows the stack.
+        let end = self.stack_end(old_bin);
+        self.free_slots[end] = slot;
         self.bin_lengths[old_bin] -= 1;
         self.num_particles -= 1;
         self.num_empty_slots += 1;
@@ -423,59 +552,67 @@ impl Gpma {
         self.grow_slot_map(particle);
         stats.insertions += 1;
         // Fast path: a gap inside the target bin.
-        if let Some(slot) = self.bin_free[new_bin].pop() {
+        if let Some(&slot) = self.free_stack(new_bin).last() {
             self.place(particle, new_bin, slot);
             stats.o1_inserts += 1;
             return true;
         }
-        // Borrow: find the nearest bin (right, then left) with a free slot
-        // and migrate the boundary slot bin-by-bin towards `new_bin`.
+        // Borrow: the nearest bin (right, then left) with a free slot
+        // gives up the end slot of its region that faces `new_bin`, and
+        // every bin in between hands it on by moving its boundary one
+        // slot — relocating at most one particle per bin (in-bin order is
+        // irrelevant: all particles in a bin share the sort key). The
+        // bins in between have no free slot of their own, or one of them
+        // would be the donor, so the slot travels past their empty
+        // stacks and ends up as `new_bin`'s only free slot.
         let n = self.num_bins();
-        let mut donor: Option<usize> = None;
-        for b in new_bin + 1..n {
-            stats.bins_scanned += 1;
-            if !self.bin_free[b].is_empty() {
-                donor = Some(b);
-                break;
+        let slot = if let Some(donor) = (new_bin + 1..n).find(|&b| self.has_free(b)) {
+            stats.bins_scanned += donor - new_bin;
+            let mut slot = self.bin_offsets[donor];
+            let top = self.vacate(donor, slot, stats);
+            // The donor's region, and with it its stack storage, starts
+            // one slot later now (a handful of words at most: cheaper
+            // moved here than by a call).
+            for k in (slot..top).rev() {
+                self.free_slots[k + 1] = self.free_slots[k];
             }
-        }
-        let donor_right = donor.is_some();
-        if donor.is_none() {
-            for b in (0..new_bin).rev() {
-                stats.bins_scanned += 1;
-                if !self.bin_free[b].is_empty() {
-                    donor = Some(b);
-                    break;
-                }
+            self.bin_offsets[donor] += 1;
+            for b in (new_bin + 1..donor).rev() {
+                let boundary = self.bin_offsets[b];
+                self.evict(boundary, slot, stats);
+                self.bin_offsets[b] += 1;
+                slot = boundary;
             }
-        }
-        let Some(donor) = donor else {
-            return false;
-        };
-        // Walk the free slot from the donor to the target bin. Moving the
-        // boundary by one slot per intervening bin relocates at most one
-        // particle per bin (in-bin order is irrelevant: all particles in a
-        // bin share the sort key).
-        if donor_right {
-            let mut b = donor;
-            while b > new_bin {
-                self.shift_boundary_left(b, stats);
-                b -= 1;
-            }
+            slot
         } else {
-            let mut b = donor;
-            while b < new_bin {
-                self.shift_boundary_right(b, stats);
-                b += 1;
+            stats.bins_scanned += n - new_bin - 1;
+            let Some(donor) = (0..new_bin).rev().find(|&b| self.has_free(b)) else {
+                stats.bins_scanned += new_bin;
+                return false;
+            };
+            stats.bins_scanned += new_bin - donor;
+            let mut slot = self.bin_offsets[donor + 1] - 1;
+            self.vacate(donor, slot, stats);
+            self.bin_offsets[donor + 1] -= 1;
+            for b in donor + 1..new_bin {
+                let boundary = self.bin_offsets[b + 1] - 1;
+                self.evict(boundary, slot, stats);
+                self.bin_offsets[b + 1] -= 1;
+                slot = boundary;
             }
-        }
-        let slot = self.bin_free[new_bin]
-            .pop()
-            .expect("borrow must leave a free slot in the target bin");
+            slot
+        };
         self.place(particle, new_bin, slot);
         true
     }
 
+    /// Whether bin `b` has a free slot.
+    fn has_free(&self, b: usize) -> bool {
+        self.stack_end(b) > self.bin_offsets[b]
+    }
+
+    /// Puts `particle` into `slot`, the top of `bin`'s free stack; the
+    /// growing bin length is what pops it.
     fn place(&mut self, particle: usize, bin: usize, slot: usize) {
         debug_assert_eq!(self.local_index[slot], INVALID_PARTICLE_ID);
         self.local_index[slot] = particle;
@@ -485,61 +622,40 @@ impl Gpma {
         self.num_empty_slots -= 1;
     }
 
-    /// Donates bin `b`'s first slot to bin `b-1`: ensures the slot at
-    /// `bin_offsets[b]` is free (relocating its occupant into one of `b`'s
-    /// free slots if needed), then moves the boundary so the freed slot
-    /// becomes the last slot of bin `b-1`.
-    fn shift_boundary_left(&mut self, b: usize, stats: &mut MoveStats) {
-        let boundary = self.bin_offsets[b];
-        let occupant = self.local_index[boundary];
-        if occupant == INVALID_PARTICLE_ID {
-            // The boundary slot is already free: remove it from b's stack.
-            let pos = self.bin_free[b]
+    /// Takes `boundary`, an end slot of the donor bin `b`'s region, off
+    /// `b`'s stack: an occupant moves into the top free slot, an empty
+    /// boundary is swapped out. Returns the index of the vacated stack
+    /// top in `free_slots`; the slots `b` keeps stay below it, and the
+    /// caller moves the boundary, which is what shortens the stack.
+    fn vacate(&mut self, b: usize, boundary: usize, stats: &mut MoveStats) -> usize {
+        let lo = self.bin_offsets[b];
+        let end = self.stack_end(b);
+        assert!(lo < end, "a donor has a free slot");
+        let top = end - 1;
+        if !self.evict(boundary, self.free_slots[top], stats) {
+            let pos = self.free_slots[lo..end]
                 .iter()
                 .position(|&s| s == boundary)
                 .expect("free boundary slot must be on the stack");
-            self.bin_free[b].swap_remove(pos);
-            stats.bins_scanned += 1;
-        } else {
-            // Relocate the occupant into a free slot of bin b.
-            let dst = self.bin_free[b]
-                .pop()
-                .expect("donor chain guarantees a free slot");
-            debug_assert_ne!(dst, boundary);
-            self.local_index[dst] = occupant;
-            self.slot_of[occupant] = dst;
-            self.local_index[boundary] = INVALID_PARTICLE_ID;
-            stats.borrow_shifts += 1;
+            self.free_slots[lo + pos] = self.free_slots[top];
         }
-        // Hand the boundary slot to bin b-1.
-        self.bin_offsets[b] += 1;
-        self.bin_free[b - 1].push(boundary);
+        top
     }
 
-    /// Mirror image of [`Gpma::shift_boundary_left`]: donates bin `b`'s
-    /// last slot to bin `b+1`.
-    fn shift_boundary_right(&mut self, b: usize, stats: &mut MoveStats) {
-        let boundary = self.bin_offsets[b + 1] - 1;
+    /// Empties the slot `boundary` by moving its occupant to the free
+    /// slot `dst`; returns false if it was empty already.
+    fn evict(&mut self, boundary: usize, dst: usize, stats: &mut MoveStats) -> bool {
         let occupant = self.local_index[boundary];
         if occupant == INVALID_PARTICLE_ID {
-            let pos = self.bin_free[b]
-                .iter()
-                .position(|&s| s == boundary)
-                .expect("free boundary slot must be on the stack");
-            self.bin_free[b].swap_remove(pos);
             stats.bins_scanned += 1;
-        } else {
-            let dst = self.bin_free[b]
-                .pop()
-                .expect("donor chain guarantees a free slot");
-            debug_assert_ne!(dst, boundary);
-            self.local_index[dst] = occupant;
-            self.slot_of[occupant] = dst;
-            self.local_index[boundary] = INVALID_PARTICLE_ID;
-            stats.borrow_shifts += 1;
+            return false;
         }
-        self.bin_offsets[b + 1] -= 1;
-        self.bin_free[b + 1].push(boundary);
+        debug_assert_ne!(dst, boundary);
+        self.local_index[dst] = occupant;
+        self.slot_of[occupant] = dst;
+        self.local_index[boundary] = INVALID_PARTICLE_ID;
+        stats.borrow_shifts += 1;
+        true
     }
 
     /// Local rebuild: re-lays-out the whole tile with fresh gaps
@@ -560,7 +676,9 @@ impl Gpma {
             local_index: self.local_index.clone(),
             bin_offsets: self.bin_offsets.clone(),
             bin_lengths: self.bin_lengths.clone(),
-            bin_free: self.bin_free.clone(),
+            bin_free: (0..self.num_bins())
+                .map(|c| self.free_stack(c).to_vec())
+                .collect(),
             slot_of: self.slot_of.clone(),
             num_particles: self.num_particles,
             num_empty_slots: self.num_empty_slots,
@@ -625,6 +743,10 @@ impl Gpma {
                 on_stack[f] = true;
             }
         }
+        let mut free_slots = vec![INVALID_PARTICLE_ID; s.local_index.len()];
+        for (stack, &lo) in s.bin_free.iter().zip(&s.bin_offsets) {
+            free_slots[lo..lo + stack.len()].copy_from_slice(stack);
+        }
         for mv in &s.pending {
             let bin_ok = |b: Option<usize>| b.is_none_or(|b| b < n_bins);
             if !bin_ok(mv.old_bin) || !bin_ok(mv.new_bin) {
@@ -635,7 +757,7 @@ impl Gpma {
             local_index: s.local_index,
             bin_offsets: s.bin_offsets,
             bin_lengths: s.bin_lengths,
-            bin_free: s.bin_free,
+            free_slots,
             slot_of: s.slot_of,
             num_particles: s.num_particles,
             num_empty_slots: s.num_empty_slots,
@@ -668,30 +790,33 @@ impl Gpma {
         assert_eq!(self.num_particles, live_expected, "particle count");
         let mut total_free = 0;
         for c in 0..self.num_bins() {
+            let lo = self.bin_offsets[c];
             let mut valid = 0;
             for (off, &p) in self.bin_slots(c).iter().enumerate() {
-                let slot = self.bin_offsets[c] + off;
                 if p == INVALID_PARTICLE_ID {
-                    assert!(
-                        self.bin_free[c].contains(&slot),
-                        "gap slot {slot} missing from bin {c} stack"
-                    );
-                    total_free += 1;
-                } else {
-                    assert!(p < cells.len(), "particle id {p} out of range");
-                    assert!(!seen[p], "particle {p} appears twice");
-                    seen[p] = true;
-                    assert_eq!(cells[p], c, "particle {p} in wrong bin");
-                    assert_eq!(self.slot_of[p], slot, "slot map stale for {p}");
-                    valid += 1;
+                    continue;
                 }
+                assert!(p < cells.len(), "particle id {p} out of range");
+                assert!(!seen[p], "particle {p} appears twice");
+                seen[p] = true;
+                assert_eq!(cells[p], c, "particle {p} in wrong bin");
+                assert_eq!(self.slot_of[p], lo + off, "slot map stale for {p}");
+                valid += 1;
             }
             assert_eq!(valid, self.bin_lengths[c], "bin {c} length");
-            assert_eq!(
-                self.bin_free[c].len(),
-                self.bin_slots(c).len() - valid,
-                "bin {c} free stack size"
-            );
+            // With the length right the stack is as long as the bin has
+            // gaps, so holding every gap makes it exactly the gap set.
+            let stack = self.free_stack(c);
+            for (off, &p) in self.bin_slots(c).iter().enumerate() {
+                if p == INVALID_PARTICLE_ID {
+                    let slot = lo + off;
+                    assert!(
+                        stack.contains(&slot),
+                        "gap slot {slot} missing from bin {c} stack"
+                    );
+                }
+            }
+            total_free += stack.len();
         }
         let seen_count = seen.iter().filter(|&&s| s).count();
         assert_eq!(seen_count, live_expected, "all particles indexed");
@@ -731,8 +856,7 @@ mod tests {
 
     #[test]
     fn apply_hands_the_emptied_queue_back() {
-        // Every cross-tile arrival queues one insert and applies at once;
-        // the queue's allocation must survive the apply, with or without
+        // The queue's allocation must survive the apply, with or without
         // a rebuild.
         let mut cells = vec![0, 0, 1, 1];
         let mut g = Gpma::build(&cells, 2, 0.0);
@@ -740,21 +864,35 @@ mod tests {
         for arrival in 0..8 {
             cells.push(arrival % 2);
             g.queue_insert(cells.len() - 1, arrival % 2);
+            let kept = g.pending.capacity();
             rebuilds += g.apply_pending_moves(&cells).rebuilds;
             g.check_invariants(&cells);
             assert_eq!(g.pending_len(), 0);
-            let kept = g.pending.capacity();
-            assert!(0 < kept && kept <= PENDING_KEEP, "kept {kept}");
+            assert_eq!(g.pending.capacity(), kept);
         }
         assert!(rebuilds > 0, "the gapless build must overflow");
-        // A bulk cycle's buffer is freed, not kept.
-        for _ in 0..4 * PENDING_KEEP {
-            cells.push(0);
-            g.queue_insert(cells.len() - 1, 0);
+    }
+
+    #[test]
+    fn insert_now_is_a_one_entry_apply_cycle() {
+        // Gapless build: arrivals overflow, borrow and rebuild mid-batch.
+        let mut cells = vec![0, 0, 1, 1, 2];
+        let mut queued = Gpma::build(&cells, 3, 0.0);
+        let mut direct = queued.clone();
+        let mut rebuilds = 0;
+        for arrival in 0..12 {
+            let bin = (arrival * 2) % 3;
+            cells.push(bin);
+            let p = cells.len() - 1;
+            queued.queue_insert(p, bin);
+            let want = queued.apply_pending_moves(&cells);
+            let mut got = MoveStats::default();
+            direct.insert_now(p, bin, &cells, &mut got);
+            assert_eq!(got, want);
+            assert_eq!(direct.export_state(), queued.export_state());
+            rebuilds += want.rebuilds;
         }
-        let _ = g.apply_pending_moves(&cells);
-        g.check_invariants(&cells);
-        assert!(g.pending.capacity() <= PENDING_KEEP);
+        assert!(rebuilds > 0, "the gapless build must overflow");
     }
 
     #[test]
@@ -925,6 +1063,76 @@ mod tests {
             new_bin: None,
         });
         assert!(Gpma::from_state(bad).is_err(), "pending bin range");
+    }
+
+    #[test]
+    fn free_stack_order_is_pinned_through_borrow_chains_and_rebuilds() {
+        // Constants recorded from the `Vec<Vec<usize>>` free stacks this
+        // layout replaced: LIFO pops, `swap_remove` of a free boundary slot.
+        let n_bins = 6;
+        let mut cells: Vec<usize> = (0..24).map(|p| p % n_bins).collect();
+        let mut g = Gpma::build(&cells, n_bins, 0.5);
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng >> 33) as usize % n
+        };
+        let (mut hash, mut shifts, mut scanned, mut rebuilds) = (0xcbf2_9ce4_8422_2325u64, 0, 0, 0);
+        for cycle in 0..60 {
+            // Pile into one end bin (alternating), drain the others.
+            let sink = if cycle % 2 == 0 { 0 } else { n_bins - 1 };
+            let mut touched = vec![false; cells.len() + 8];
+            for _ in 0..8 {
+                let p = next(cells.len() + 2);
+                if touched[p] {
+                    continue;
+                }
+                touched[p] = true;
+                if p >= cells.len() {
+                    cells.resize(p + 1, INVALID_PARTICLE_ID);
+                }
+                let to = if next(3) == 0 { next(n_bins) } else { sink };
+                match cells[p] {
+                    INVALID_PARTICLE_ID => g.queue_insert(p, to),
+                    from if next(4) == 0 => {
+                        g.queue_remove(p, from);
+                        cells[p] = INVALID_PARTICLE_ID;
+                        continue;
+                    }
+                    from if from == to => continue,
+                    from => g.queue_move(p, from, to),
+                }
+                cells[p] = to;
+            }
+            let stats = g.apply_pending_moves(&cells);
+            g.check_invariants(&cells);
+            shifts += stats.borrow_shifts;
+            scanned += stats.bins_scanned;
+            rebuilds += stats.rebuilds;
+            let s = g.export_state();
+            for w in s
+                .bin_free
+                .iter()
+                .flatten()
+                .chain(&s.bin_offsets)
+                .chain(&s.local_index)
+            {
+                hash = (hash ^ *w as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!((shifts, scanned, rebuilds), (63, 134, 1));
+        assert_eq!(hash, 0x0cce_a80b_d19f_4dc8, "a free stack left LIFO order");
+        let expected: [&[usize]; 6] = [
+            &[19, 1, 16],
+            &[22, 21, 20],
+            &[27],
+            &[],
+            &[32, 33, 30],
+            &[55, 41],
+        ];
+        assert_eq!(g.export_state().bin_free, expected);
     }
 
     #[test]

@@ -30,6 +30,8 @@
 pub mod container;
 pub mod gpma;
 pub mod policy;
+#[cfg(test)]
+mod reference;
 pub mod runs;
 pub mod soa;
 pub mod sort;

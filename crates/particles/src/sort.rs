@@ -35,7 +35,9 @@ pub struct SortStats {
 /// Reusable buffers for the global counting sort and the incremental
 /// sweep, pooled so the per-step and per-sort hot paths perform no heap
 /// allocation in steady state. One instance per worker (or per
-/// container when sorting is sequential).
+/// container when sorting is sequential). The incremental sweep's
+/// per-tile buffers grow to the largest tile, its leaver lists to one
+/// step's tile-leavers; re-homing groups them through `perm`/`counts`.
 #[derive(Debug, Clone, Default)]
 pub struct SortScratch {
     /// Live SoA slot indices gathered before keying.
@@ -57,10 +59,22 @@ pub struct SortScratch {
     /// Per-attribute gather buffers for
     /// [`crate::ParticleSoA::permute_sharded`] (up to one per attribute).
     pub attr_bufs: Vec<Vec<f64>>,
-    /// Snapshot of the GPMA iteration order for the incremental sweep.
-    pub scan: Vec<(usize, usize)>,
-    /// Departures accumulated across tiles during a sweep.
-    pub departures: Vec<crate::container::Departure>,
+    /// Incremental sweep, per tile: the freshly located bin of every SoA
+    /// slot (`INVALID_PARTICLE_ID` for dead slots), or a
+    /// [`crate::gpma::LEAVES_TILE`] word indexing `leavers`.
+    pub new_bin: Vec<usize>,
+    /// Incremental sweep, per tile: `(particle, new bin)` of each mover,
+    /// in walk order — the insert half of the maintenance cycle.
+    pub inserts: Vec<(usize, usize)>,
+    /// Every particle the locate passes of one step found outside its
+    /// tile, with its destination, in source-tile-then-slot order.
+    pub leavers: Vec<crate::container::Leaver>,
+    /// Indices into `leavers` in source-tile-then-walk order: the order
+    /// in which departures happen and arrivals are re-homed.
+    pub leave_order: Vec<usize>,
+    /// Destination tile of each `leave_order` entry (the re-homing sort
+    /// key).
+    pub leave_dest: Vec<usize>,
 }
 
 /// Computes the stable counting-sort permutation of `keys` over

@@ -15,8 +15,6 @@ pub struct PushScratch {
     /// Per-particle sampled grid node index (drives the gather's emulated
     /// address stream).
     pub sample_idx: Vec<usize>,
-    /// Particles leaving the domain this step, as `(slot, gpma_bin)`.
-    pub removals: Vec<(usize, usize)>,
     /// SoA slots of the currently open same-cell run (cell-run sweep
     /// only: it buffers a run and interpolates it in lane-width packs
     /// when the run closes).
@@ -31,7 +29,6 @@ impl PushScratch {
     pub fn clear(&mut self) {
         self.live.clear();
         self.sample_idx.clear();
-        self.removals.clear();
         self.run_slots.clear();
         self.run_frac.clear();
     }
@@ -46,12 +43,11 @@ mod tests {
         let mut s = PushScratch::default();
         s.live.extend(0..100);
         s.sample_idx.extend(0..100);
-        s.removals.push((1, 2));
         s.run_slots.push(7);
         s.run_frac.push([0.5; 3]);
         let cap = s.live.capacity();
         s.clear();
-        assert!(s.live.is_empty() && s.sample_idx.is_empty() && s.removals.is_empty());
+        assert!(s.live.is_empty() && s.sample_idx.is_empty());
         assert!(s.run_slots.is_empty() && s.run_frac.is_empty());
         assert_eq!(s.live.capacity(), cap);
     }

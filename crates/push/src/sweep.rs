@@ -10,7 +10,7 @@
 use mpic_deposit::{ExecMode, ShapeOrder};
 use mpic_grid::{FieldArrays, GridGeometry};
 use mpic_machine::{vect::W, Lanes, Machine, Pricing, VAddr};
-use mpic_particles::{ParticleTile, INVALID_PARTICLE_ID};
+use mpic_particles::ParticleTile;
 
 use crate::boris::{boris_push, boris_push_lanes, charge_push, BorisCoeffs};
 use crate::gather::{
@@ -88,9 +88,9 @@ impl PushCtx<'_> {
                 &mut y,
                 &mut z,
             );
-            self.finish_push(tile, &mut scratch.removals, p, [x, y, z], [ux, uy, uz]);
+            self.finish_push(tile, p, [x, y, z], [ux, uy, uz]);
         }
-        retire_removals(tile, &scratch.removals);
+        tile.apply_removals();
         charge_gather(
             wm,
             GatherCost::default(),
@@ -141,7 +141,7 @@ impl PushCtx<'_> {
         scratch: &mut PushScratch,
     ) {
         scratch.clear();
-        scratch.live.extend(tile.gpma.iter_sorted().map(|(_, p)| p));
+        scratch.live.extend(tile.gpma.sorted_particles());
         if scratch.live.is_empty() {
             return;
         }
@@ -190,17 +190,11 @@ impl PushCtx<'_> {
                 &prev_idx[..prev_n],
                 footprint,
             );
-            self.flush_run(
-                tile,
-                &block,
-                &scratch.run_slots,
-                &scratch.run_frac,
-                &mut scratch.removals,
-            );
+            self.flush_run(tile, &block, &scratch.run_slots, &scratch.run_frac);
             prev_n = block.nodes;
             prev_idx[..prev_n].copy_from_slice(&block.idx[..prev_n]);
         }
-        retire_removals(tile, &scratch.removals);
+        tile.apply_removals();
         charge_push(wm, scratch.live.len());
     }
 
@@ -221,7 +215,6 @@ impl PushCtx<'_> {
         block: &NodeBlock,
         slots: &[usize],
         fracs: &[[f64; 3]],
-        removals: &mut Vec<(usize, usize)>,
     ) {
         for (pack, fracs) in slots.chunks(W).zip(fracs.chunks(W)) {
             let (e, b) = gather_from_block_lanes_masked(self.order, block, fracs);
@@ -241,7 +234,6 @@ impl PushCtx<'_> {
             for (l, &p) in pack.iter().enumerate() {
                 self.finish_push(
                     tile,
-                    removals,
                     p,
                     [pos[0].lane(l), pos[1].lane(l), pos[2].lane(l)],
                     [u[0].lane(l), u[1].lane(l), u[2].lane(l)],
@@ -255,20 +247,13 @@ impl PushCtx<'_> {
     /// every particle of either sweep retires through: periodic wrap in
     /// x/y, and in z either the wrap or, with absorbing boundaries, a
     /// queued removal once the particle left the z extent.
-    fn finish_push(
-        &self,
-        tile: &mut ParticleTile,
-        removals: &mut Vec<(usize, usize)>,
-        p: usize,
-        pos: [f64; 3],
-        u: [f64; 3],
-    ) {
+    fn finish_push(&self, tile: &mut ParticleTile, p: usize, pos: [f64; 3], u: [f64; 3]) {
         let wrapped = self.geom.wrap_position(pos);
         let mut z = pos[2];
         match self.absorb_z {
             Some([zlo, zhi]) => {
                 if z < zlo || z >= zhi {
-                    removals.push((p, tile.cells[p]));
+                    tile.queue_removal(p);
                 }
             }
             None => z = wrapped[2],
@@ -279,18 +264,5 @@ impl PushCtx<'_> {
         tile.soa.ux[p] = u[0];
         tile.soa.uy[p] = u[1];
         tile.soa.uz[p] = u[2];
-    }
-}
-
-/// Removes the particles a sweep queued as `(slot, gpma_bin)` from the
-/// tile's SoA and GPMA.
-fn retire_removals(tile: &mut ParticleTile, removals: &[(usize, usize)]) {
-    for &(p, bin) in removals {
-        tile.gpma.queue_remove(p, bin);
-        tile.cells[p] = INVALID_PARTICLE_ID;
-        tile.soa.remove(p);
-    }
-    if !removals.is_empty() {
-        let _ = tile.gpma.apply_pending_moves(&tile.cells);
     }
 }

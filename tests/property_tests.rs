@@ -89,6 +89,79 @@ fn gpma_survives_insert_remove_churn() {
     });
 }
 
+/// The same churn through the container path — inject, boundary
+/// removal, displacement across cells and tiles, then the per-step
+/// `incremental_sort` (locate pass, fused GPMA walk, tile-grouped
+/// re-homing): nothing is lost or duplicated, every particle ends up in
+/// the tile and bin its position names, and the reported stats add up.
+#[test]
+fn container_survives_insert_remove_churn() {
+    use matrix_pic::grid::TileLayout;
+    use matrix_pic::particles::{Departure, ParticleContainer};
+    proptest!(ProptestConfig::with_cases(48), |(
+        ops in prop::collection::vec(
+            (0u8..4, 0usize..4096, -2.0f64..10.0, -2.0f64..10.0, -2.0f64..10.0),
+            1..200),
+    )| {
+        // 6^3 cells in 4^3 tiles: clipped edge tiles, periodic wrap for
+        // the positions drawn outside [0, 6).
+        let geom = GridGeometry::new([6, 6, 6], [0.0; 3], [1.0; 3], 1);
+        let layout = TileLayout::new(&geom, [4, 4, 4]);
+        let mut c = ParticleContainer::new(&layout, -1.0, 1.0);
+        let mut live = 0usize;
+        for chunk in ops.chunks(25) {
+            for &(op, pick, x, y, z) in chunk {
+                // Slot `pick` of tile `pick % tiles`, when it is live.
+                let t = pick % c.tiles.len();
+                let tile = &mut c.tiles[t];
+                let p = pick / 8 % tile.soa.slots().max(1);
+                let target = p < tile.soa.slots() && tile.soa.alive[p];
+                match op {
+                    0 | 1 => {
+                        let d = Departure { x, y, z, ux: 0.0, uy: 0.0, uz: 0.0, w: 1.0 };
+                        // Flushes this tile's queued removals with it.
+                        let _ = c.inject(&layout, &geom, d);
+                        live += 1;
+                    }
+                    2 if target => {
+                        tile.queue_removal(p);
+                        live -= 1;
+                    }
+                    3 if target => {
+                        [tile.soa.x[p], tile.soa.y[p], tile.soa.z[p]] = [x, y, z];
+                    }
+                    _ => {}
+                }
+            }
+            let owner = |tile: &matrix_pic::particles::ParticleTile, p: usize| {
+                let (x, y, z) = (tile.soa.x[p], tile.soa.y[p], tile.soa.z[p]);
+                layout.tile_of_cell(geom.wrap_cell(geom.locate(x, y, z).0))
+            };
+            let mut arrivals = 0;
+            for (t, tile) in c.tiles.iter_mut().enumerate() {
+                tile.apply_removals();
+                arrivals += tile.soa.live_indices().filter(|&p| owner(tile, p) != t).count();
+            }
+            let (stats, scanned) = c.incremental_sort(&layout, &geom);
+            c.check_invariants();
+            prop_assert_eq!(scanned, live);
+            prop_assert_eq!(c.total_particles(), live);
+            // Every mover is deleted once; all but the tile-leavers are
+            // re-inserted by the sweep, and the leavers on arrival.
+            prop_assert_eq!(stats.insertions, stats.deletions);
+            prop_assert_eq!(stats.moves_applied, stats.deletions + arrivals);
+            for (t, tile) in c.tiles.iter().enumerate() {
+                for p in tile.soa.live_indices() {
+                    prop_assert_eq!(owner(tile, p), t);
+                    let (x, y, z) = (tile.soa.x[p], tile.soa.y[p], tile.soa.z[p]);
+                    let cell = geom.wrap_cell(geom.locate(x, y, z).0);
+                    prop_assert_eq!(tile.cells[p], layout.tile(t).local_cell_id(cell));
+                }
+            }
+        }
+    });
+}
+
 /// Counting sort always produces a stable permutation that sorts.
 #[test]
 fn counting_sort_is_stable_bijection() {
