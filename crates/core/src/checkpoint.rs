@@ -1,0 +1,690 @@
+//! Checkpoint/restore of a [`Simulation`]: which state goes into which
+//! section of the container format of [`crate::snapshot`], one
+//! encode/decode pair per section.
+//!
+//! The serialized inventory is everything `step()` reads or writes: the
+//! nine field arrays, every tile's SoA + GPMA + bin map, the RNG
+//! stream, the sort-policy counters, the per-phase performance counters
+//! and cache statistics, the behavioural cache state (tags, LRU stamps,
+//! stream detectors), the virtual address map with the allocator mark,
+//! and the accumulated run report. Everything else a simulation owns is
+//! either pure configuration (solver coefficients, Boris coefficients,
+//! dt, geometry — rederived from `SimConfig`) or scratch that is cleared
+//! before each use.
+//!
+//! The contract (pinned in `tests/snapshot.rs`): `restore` onto a fresh
+//! simulation built from the same `SimConfig`, followed by `step()`, is
+//! **bit-identical** to stepping the original — fields, currents,
+//! particle data, per-phase cycle counters and the final report — for
+//! any worker count, scheduler policy and batching mode.
+
+use mpic_deposit::AddrMap;
+use mpic_grid::{Array3, FieldArrays};
+use mpic_machine::{
+    CacheLevelState, CacheSimState, CacheStats, MachineCounters, PerfCounters, Phase, VAddr,
+};
+use mpic_particles::{
+    Gpma, GpmaState, ParticleSoA, ParticleTile, PendingMove, RankSortStats, INVALID_PARTICLE_ID,
+};
+use mpic_push::BorisCoeffs;
+use mpic_solver::SolverKind;
+use rand::rngs::StdRng;
+
+use crate::simulation::Simulation;
+use crate::snapshot::{section, SectionReader, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::timings::{RunReport, StepTimings};
+
+/// The decoded `PARTICLES` section.
+struct Particles {
+    charge: f64,
+    mass: f64,
+    gap_ratio: f64,
+    tiles: Vec<ParticleTile>,
+}
+
+/// The decoded `DRIVER` section.
+struct DriverState {
+    sort_stats: RankSortStats,
+    pending_global_sort: bool,
+    window_accum: f64,
+    time: f64,
+    step_index: u64,
+}
+
+/// The decoded `ADDRS` section.
+struct Addrs {
+    alloc_mark: u64,
+    field_addrs: [VAddr; 6],
+    addr_map: AddrMap,
+}
+
+impl Simulation {
+    /// Serializes the complete mutable state into the versioned snapshot
+    /// format (see [`crate::snapshot`]). Non-destructive: the simulation
+    /// is not perturbed, so snapshots can be taken mid-run at any step
+    /// boundary.
+    pub fn snapshot(&self) -> Vec<u8> {
+        let mut wtr = SnapshotWriter::new();
+        self.encode_meta(&mut wtr);
+        self.encode_fields(&mut wtr);
+        self.encode_particles(&mut wtr);
+        self.encode_rng(&mut wtr);
+        self.encode_driver(&mut wtr);
+        self.encode_counters(&mut wtr);
+        self.encode_cache(&mut wtr);
+        self.encode_addrs(&mut wtr);
+        self.encode_report(&mut wtr);
+        wtr.finish()
+    }
+
+    /// Restores the state captured by [`Simulation::snapshot`] into this
+    /// simulation, which must have been built from the same
+    /// configuration (geometry, solver, kernel, timestep — runtime knobs
+    /// like `num_workers`, `scheduler`, `batching` and `simd` may
+    /// differ; they shape host execution, not simulation state).
+    ///
+    /// Corrupt, truncated or incompatible input returns a structured
+    /// [`SnapshotError`] and never panics. Every fallible decode and
+    /// validation runs before the first write to `self`, so a failed
+    /// restore leaves the simulation exactly as it was.
+    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        let rdr = SnapshotReader::new(bytes)?;
+        self.decode_meta(rdr.section(section::META)?)?;
+        let field_data = self.decode_fields(rdr.section(section::FIELDS)?)?;
+        let particles = self.decode_particles(rdr.section(section::PARTICLES)?)?;
+        let rng_state = rdr.section(section::RNG)?.get_u64()?;
+        let driver = decode_driver(rdr.section(section::DRIVER)?)?;
+        let counters = decode_counters(rdr.section(section::COUNTERS)?)?;
+        let cache_state = decode_cache(rdr.section(section::CACHE)?)?;
+        let addrs = self.decode_addrs(rdr.section(section::ADDRS)?)?;
+        let report = decode_report(rdr.section(section::REPORT)?)?;
+
+        // --- Apply. The cache import is the one remaining fallible
+        // step; it validates geometry before mutating anything, so a
+        // failure here still leaves `self` untouched. Everything after
+        // it is infallible.
+        if !self.machine.mem().restore_cache_state(&cache_state) {
+            return Err(SnapshotError::Malformed {
+                section: section::CACHE,
+                reason: "cache state rejected by geometry validation",
+            });
+        }
+        for (arr, data) in field_array_muts(&mut self.fields)
+            .into_iter()
+            .zip(&field_data)
+        {
+            arr.as_mut_slice().copy_from_slice(data);
+        }
+        self.electrons.charge = particles.charge;
+        self.electrons.mass = particles.mass;
+        self.electrons.set_gap_ratio(particles.gap_ratio);
+        self.electrons.tiles = particles.tiles;
+        // Derived from species parameters — rebuilt, not serialized.
+        self.boris = BorisCoeffs::new(particles.charge, particles.mass, self.dt);
+        self.rng = StdRng::from_state(rng_state);
+        self.sort_stats = driver.sort_stats;
+        self.pending_global_sort = driver.pending_global_sort;
+        self.window_accum = driver.window_accum;
+        self.time = driver.time;
+        self.step_index = driver.step_index;
+        *self.machine.counters_mut() = counters.perf;
+        // Zero the accumulated cache statistics, then seed them with the
+        // captured totals through the worker-merge path.
+        let _ = self.machine.mem().take_stats();
+        self.machine.mem().absorb_stats(
+            &counters.l1,
+            &counters.l2,
+            counters.streamed_misses,
+            counters.random_misses,
+        );
+        self.machine.mem().restore_alloc_mark(addrs.alloc_mark);
+        self.machine.reset_execution_state();
+        self.field_addrs = addrs.field_addrs;
+        self.depositor.restore_addr_map(addrs.addr_map);
+        self.report = report;
+        Ok(())
+    }
+
+    /// `META`: the configuration fingerprint.
+    fn encode_meta(&self, wtr: &mut SnapshotWriter) {
+        wtr.begin_section(section::META);
+        for d in 0..3 {
+            wtr.put_usize(self.cfg.n_cells[d]);
+        }
+        for d in 0..3 {
+            wtr.put_f64(self.cfg.dx[d]);
+        }
+        for d in 0..3 {
+            wtr.put_usize(self.cfg.tile_size[d]);
+        }
+        wtr.put_usize(self.cfg.guard);
+        wtr.put_u32(solver_kind_id(self.solver.kind()));
+        wtr.put_usize(self.cfg.shape.order());
+        wtr.put_str(self.kernel_name());
+        wtr.put_f64(self.dt);
+        wtr.put_usize(self.electrons.tiles.len());
+        wtr.put_usize(self.fields.ex.as_slice().len());
+        wtr.end_section();
+    }
+
+    /// Checks a snapshot's fingerprint against this simulation's.
+    fn decode_meta(&self, mut s: SectionReader<'_>) -> Result<(), SnapshotError> {
+        for d in 0..3 {
+            if s.get_usize()? != self.cfg.n_cells[d] {
+                return Err(SnapshotError::Incompatible { reason: "n_cells" });
+            }
+        }
+        for d in 0..3 {
+            if s.get_f64()?.to_bits() != self.cfg.dx[d].to_bits() {
+                return Err(SnapshotError::Incompatible { reason: "dx" });
+            }
+        }
+        for d in 0..3 {
+            if s.get_usize()? != self.cfg.tile_size[d] {
+                return Err(SnapshotError::Incompatible {
+                    reason: "tile_size",
+                });
+            }
+        }
+        if s.get_usize()? != self.cfg.guard {
+            return Err(SnapshotError::Incompatible { reason: "guard" });
+        }
+        if s.get_u32()? != solver_kind_id(self.solver.kind()) {
+            return Err(SnapshotError::Incompatible { reason: "solver" });
+        }
+        if s.get_usize()? != self.cfg.shape.order() {
+            return Err(SnapshotError::Incompatible {
+                reason: "shape order",
+            });
+        }
+        if s.get_string()? != self.kernel_name() {
+            return Err(SnapshotError::Incompatible { reason: "kernel" });
+        }
+        if s.get_f64()?.to_bits() != self.dt.to_bits() {
+            return Err(SnapshotError::Incompatible { reason: "dt" });
+        }
+        if s.get_usize()? != self.electrons.tiles.len() {
+            return Err(SnapshotError::Incompatible {
+                reason: "tile count",
+            });
+        }
+        if s.get_usize()? != self.fields.ex.as_slice().len() {
+            return Err(SnapshotError::Incompatible {
+                reason: "field length",
+            });
+        }
+        Ok(())
+    }
+
+    /// `FIELDS`: the nine guarded field arrays.
+    fn encode_fields(&self, wtr: &mut SnapshotWriter) {
+        wtr.begin_section(section::FIELDS);
+        for arr in field_array_refs(&self.fields) {
+            wtr.put_vec_f64(arr.as_slice());
+        }
+        wtr.end_section();
+    }
+
+    fn decode_fields(&self, mut s: SectionReader<'_>) -> Result<Vec<Vec<f64>>, SnapshotError> {
+        let field_len = self.fields.ex.as_slice().len();
+        let mut field_data = Vec::with_capacity(9);
+        for _ in 0..9 {
+            let v = s.get_vec_f64()?;
+            if v.len() != field_len {
+                return Err(SnapshotError::Malformed {
+                    section: section::FIELDS,
+                    reason: "field array length mismatch",
+                });
+            }
+            field_data.push(v);
+        }
+        Ok(field_data)
+    }
+
+    /// `PARTICLES`: per-tile SoA + GPMA + authoritative bin maps.
+    fn encode_particles(&self, wtr: &mut SnapshotWriter) {
+        wtr.begin_section(section::PARTICLES);
+        wtr.put_f64(self.electrons.charge);
+        wtr.put_f64(self.electrons.mass);
+        wtr.put_f64(self.electrons.gap_ratio());
+        wtr.put_usize(self.electrons.tiles.len());
+        for tile in &self.electrons.tiles {
+            for attr in [
+                &tile.soa.x,
+                &tile.soa.y,
+                &tile.soa.z,
+                &tile.soa.ux,
+                &tile.soa.uy,
+                &tile.soa.uz,
+                &tile.soa.w,
+            ] {
+                wtr.put_vec_f64(attr);
+            }
+            wtr.put_vec_bool(&tile.soa.alive);
+            wtr.put_vec_usize(tile.soa.free_slots());
+            wtr.put_vec_usize(&tile.cells);
+            let g = tile.gpma.export_state();
+            wtr.put_vec_usize(&g.local_index);
+            wtr.put_vec_usize(&g.bin_offsets);
+            wtr.put_vec_usize(&g.bin_lengths);
+            wtr.put_usize(g.bin_free.len());
+            for stack in &g.bin_free {
+                wtr.put_vec_usize(stack);
+            }
+            wtr.put_vec_usize(&g.slot_of);
+            wtr.put_usize(g.num_particles);
+            wtr.put_usize(g.num_empty_slots);
+            wtr.put_f64(g.gap_ratio);
+            wtr.put_usize(g.pending.len());
+            for p in &g.pending {
+                wtr.put_usize(p.particle);
+                put_opt_usize(wtr, p.old_bin);
+                put_opt_usize(wtr, p.new_bin);
+            }
+            wtr.put_bool(g.was_rebuilt_this_step);
+            wtr.put_u64(g.rebuild_count);
+        }
+        wtr.end_section();
+    }
+
+    fn decode_particles(&self, mut s: SectionReader<'_>) -> Result<Particles, SnapshotError> {
+        let bad = |reason| SnapshotError::Malformed {
+            section: section::PARTICLES,
+            reason,
+        };
+        let charge = s.get_f64()?;
+        let mass = s.get_f64()?;
+        let gap_ratio = s.get_f64()?;
+        if !gap_ratio.is_finite() || gap_ratio < 0.0 {
+            return Err(bad("gap ratio outside [0, inf)"));
+        }
+        let n_tiles = self.electrons.tiles.len();
+        if s.get_usize()? != n_tiles {
+            return Err(bad("tile count disagrees with META"));
+        }
+        let mut tiles = Vec::with_capacity(n_tiles);
+        for t in 0..n_tiles {
+            let mut attrs = Vec::with_capacity(7);
+            for _ in 0..7 {
+                attrs.push(s.get_vec_f64()?);
+            }
+            let alive = s.get_vec_bool()?;
+            let free = s.get_vec_usize()?;
+            let cells = s.get_vec_usize()?;
+            let local_index = s.get_vec_usize()?;
+            let bin_offsets = s.get_vec_usize()?;
+            let bin_lengths = s.get_vec_usize()?;
+            let n_stacks = s.get_usize()?;
+            if n_stacks != bin_lengths.len() {
+                return Err(bad("free-stack count disagrees with bin count"));
+            }
+            let mut bin_free = Vec::with_capacity(n_stacks);
+            for _ in 0..n_stacks {
+                bin_free.push(s.get_vec_usize()?);
+            }
+            let slot_of = s.get_vec_usize()?;
+            let num_particles = s.get_usize()?;
+            let num_empty_slots = s.get_usize()?;
+            let g_gap_ratio = s.get_f64()?;
+            let n_pending = s.get_usize()?;
+            let mut pending = Vec::with_capacity(n_pending.min(s.remaining() / 17));
+            for _ in 0..n_pending {
+                pending.push(PendingMove {
+                    particle: s.get_usize()?,
+                    old_bin: get_opt_usize(&mut s)?,
+                    new_bin: get_opt_usize(&mut s)?,
+                });
+            }
+            let was_rebuilt_this_step = s.get_bool()?;
+            let rebuild_count = s.get_u64()?;
+            let n_bins = bin_lengths.len();
+            if n_bins != self.layout.tile(t).num_cells() {
+                return Err(bad("GPMA bin count disagrees with the tile layout"));
+            }
+            if cells
+                .iter()
+                .any(|&c| c != INVALID_PARTICLE_ID && c >= n_bins)
+            {
+                return Err(bad("cell bin out of range"));
+            }
+            let [x, y, z, ux, uy, uz, w]: [Vec<f64>; 7] =
+                attrs.try_into().expect("seven attribute arrays");
+            let soa = ParticleSoA::from_parts(x, y, z, ux, uy, uz, w, alive, free).map_err(bad)?;
+            let gpma = Gpma::from_state(GpmaState {
+                local_index,
+                bin_offsets,
+                bin_lengths,
+                bin_free,
+                slot_of,
+                num_particles,
+                num_empty_slots,
+                gap_ratio: g_gap_ratio,
+                pending,
+                was_rebuilt_this_step,
+                rebuild_count,
+            })
+            .map_err(bad)?;
+            tiles.push(ParticleTile { soa, gpma, cells });
+        }
+        Ok(Particles {
+            charge,
+            mass,
+            gap_ratio,
+            tiles,
+        })
+    }
+
+    /// `RNG`: the stream position (decoded inline: one `u64`).
+    fn encode_rng(&self, wtr: &mut SnapshotWriter) {
+        wtr.begin_section(section::RNG);
+        wtr.put_u64(self.rng.state());
+        wtr.end_section();
+    }
+
+    /// `DRIVER`: sort-policy counters, window, time, step index.
+    fn encode_driver(&self, wtr: &mut SnapshotWriter) {
+        wtr.begin_section(section::DRIVER);
+        wtr.put_u64(self.sort_stats.steps_since_sort);
+        wtr.put_u64(self.sort_stats.rebuilds_accum);
+        wtr.put_f64(self.sort_stats.empty_ratio);
+        wtr.put_f64(self.sort_stats.perf_metric);
+        wtr.put_f64(self.sort_stats.baseline_perf);
+        wtr.put_bool(self.pending_global_sort);
+        wtr.put_f64(self.window_accum);
+        wtr.put_f64(self.time);
+        wtr.put_u64(self.step_index);
+        wtr.end_section();
+    }
+
+    /// `COUNTERS`: per-phase performance counters and cache statistics.
+    fn encode_counters(&self, wtr: &mut SnapshotWriter) {
+        wtr.begin_section(section::COUNTERS);
+        let ctr = self.machine.counters();
+        for p in Phase::ALL {
+            wtr.put_f64(ctr.cycles(p));
+        }
+        wtr.put_f64(ctr.flops_issued);
+        wtr.put_f64(ctr.useful_flops);
+        wtr.put_u64(ctr.scalar_ops);
+        wtr.put_u64(ctr.vector_ops);
+        wtr.put_u64(ctr.mopa_ops);
+        wtr.put_u64(ctr.tile_transfers);
+        let mem = self.machine.mem_ref();
+        for stats in [mem.l1_stats(), mem.l2_stats()] {
+            wtr.put_u64(stats.hits);
+            wtr.put_u64(stats.misses);
+        }
+        let (streamed, random) = mem.miss_split();
+        wtr.put_u64(streamed);
+        wtr.put_u64(random);
+        wtr.end_section();
+    }
+
+    /// `CACHE`: behavioural cache-hierarchy state (tags, LRU, streams).
+    fn encode_cache(&self, wtr: &mut SnapshotWriter) {
+        wtr.begin_section(section::CACHE);
+        let cache = self.machine.mem_ref().cache_state();
+        for lvl in [&cache.l1, &cache.l2] {
+            wtr.put_vec_u64(&lvl.tags);
+            wtr.put_vec_u64(&lvl.stamps);
+            wtr.put_u64(lvl.clock);
+            wtr.put_u64(lvl.memo_line);
+            wtr.put_u64(lvl.memo_slot);
+        }
+        wtr.put_usize(cache.streams.len());
+        for &(tag, count) in &cache.streams {
+            wtr.put_u64(tag);
+            wtr.put_u32(count);
+        }
+        wtr.put_u32(cache.decay_tick);
+        wtr.end_section();
+    }
+
+    /// `ADDRS`: the virtual address map and allocator mark.
+    fn encode_addrs(&self, wtr: &mut SnapshotWriter) {
+        wtr.begin_section(section::ADDRS);
+        wtr.put_u64(self.machine.mem_ref().alloc_mark());
+        for a in self.field_addrs {
+            wtr.put_u64(a.0);
+        }
+        let am = self
+            .depositor
+            .addr_map()
+            .expect("depositor prepared at construction");
+        wtr.put_u64(am.jx.0);
+        wtr.put_u64(am.jy.0);
+        wtr.put_u64(am.jz.0);
+        wtr.put_usize(am.soa.len());
+        for tile in &am.soa {
+            for a in tile {
+                wtr.put_u64(a.0);
+            }
+        }
+        wtr.put_usize(am.local_index.len());
+        for a in &am.local_index {
+            wtr.put_u64(a.0);
+        }
+        wtr.put_usize(am.rhocell.len());
+        for a in &am.rhocell {
+            wtr.put_u64(a.0);
+        }
+        wtr.put_u64(am.staging.0);
+        wtr.end_section();
+    }
+
+    fn decode_addrs(&self, mut s: SectionReader<'_>) -> Result<Addrs, SnapshotError> {
+        let bad_addr = |reason| SnapshotError::Malformed {
+            section: section::ADDRS,
+            reason,
+        };
+        let n_tiles = self.electrons.tiles.len();
+        let alloc_mark = s.get_u64()?;
+        let mut field_addrs = [VAddr(0); 6];
+        for a in &mut field_addrs {
+            *a = VAddr(s.get_u64()?);
+        }
+        let jx = VAddr(s.get_u64()?);
+        let jy = VAddr(s.get_u64()?);
+        let jz = VAddr(s.get_u64()?);
+        if s.get_usize()? != n_tiles {
+            return Err(bad_addr("SoA address table length"));
+        }
+        let mut soa_addrs = Vec::with_capacity(n_tiles);
+        for _ in 0..n_tiles {
+            let mut tile_addrs = [VAddr(0); 7];
+            for a in &mut tile_addrs {
+                *a = VAddr(s.get_u64()?);
+            }
+            soa_addrs.push(tile_addrs);
+        }
+        if s.get_usize()? != n_tiles {
+            return Err(bad_addr("local-index address table length"));
+        }
+        let mut local_index_addrs = Vec::with_capacity(n_tiles);
+        for _ in 0..n_tiles {
+            local_index_addrs.push(VAddr(s.get_u64()?));
+        }
+        if s.get_usize()? != n_tiles {
+            return Err(bad_addr("rhocell address table length"));
+        }
+        let mut rhocell_addrs = Vec::with_capacity(n_tiles);
+        for _ in 0..n_tiles {
+            rhocell_addrs.push(VAddr(s.get_u64()?));
+        }
+        let staging = VAddr(s.get_u64()?);
+        Ok(Addrs {
+            alloc_mark,
+            field_addrs,
+            addr_map: AddrMap {
+                jx,
+                jy,
+                jz,
+                soa: soa_addrs,
+                local_index: local_index_addrs,
+                rhocell: rhocell_addrs,
+                staging,
+            },
+        })
+    }
+
+    /// `REPORT`: the accumulated timing report.
+    fn encode_report(&self, wtr: &mut SnapshotWriter) {
+        wtr.begin_section(section::REPORT);
+        wtr.put_f64(self.report.useful_flops);
+        wtr.put_usize(self.report.steps.len());
+        for s in &self.report.steps {
+            for c in s.cycles {
+                wtr.put_f64(c);
+            }
+            wtr.put_usize(s.particles);
+        }
+        wtr.end_section();
+    }
+}
+
+fn decode_driver(mut s: SectionReader<'_>) -> Result<DriverState, SnapshotError> {
+    Ok(DriverState {
+        sort_stats: RankSortStats {
+            steps_since_sort: s.get_u64()?,
+            rebuilds_accum: s.get_u64()?,
+            empty_ratio: s.get_f64()?,
+            perf_metric: s.get_f64()?,
+            baseline_perf: s.get_f64()?,
+        },
+        pending_global_sort: s.get_bool()?,
+        window_accum: s.get_f64()?,
+        time: s.get_f64()?,
+        step_index: s.get_u64()?,
+    })
+}
+
+fn decode_counters(mut s: SectionReader<'_>) -> Result<MachineCounters, SnapshotError> {
+    let mut perf = PerfCounters::new();
+    for p in Phase::ALL {
+        perf.add_cycles(p, s.get_f64()?);
+    }
+    perf.flops_issued = s.get_f64()?;
+    perf.useful_flops = s.get_f64()?;
+    perf.scalar_ops = s.get_u64()?;
+    perf.vector_ops = s.get_u64()?;
+    perf.mopa_ops = s.get_u64()?;
+    perf.tile_transfers = s.get_u64()?;
+    let mut level_stats = [CacheStats::default(); 2];
+    for stats in &mut level_stats {
+        stats.hits = s.get_u64()?;
+        stats.misses = s.get_u64()?;
+    }
+    Ok(MachineCounters {
+        perf,
+        l1: level_stats[0],
+        l2: level_stats[1],
+        streamed_misses: s.get_u64()?,
+        random_misses: s.get_u64()?,
+    })
+}
+
+fn decode_cache(mut s: SectionReader<'_>) -> Result<CacheSimState, SnapshotError> {
+    let l1 = decode_cache_level(&mut s)?;
+    let l2 = decode_cache_level(&mut s)?;
+    let n_streams = s.get_usize()?;
+    if n_streams > s.remaining() / 12 + 1 {
+        return Err(SnapshotError::Malformed {
+            section: section::CACHE,
+            reason: "stream table length exceeds the section",
+        });
+    }
+    let mut streams = Vec::with_capacity(n_streams);
+    for _ in 0..n_streams {
+        let tag = s.get_u64()?;
+        let count = s.get_u32()?;
+        streams.push((tag, count));
+    }
+    let decay_tick = s.get_u32()?;
+    Ok(CacheSimState {
+        l1,
+        l2,
+        streams,
+        decay_tick,
+    })
+}
+
+fn decode_report(mut s: SectionReader<'_>) -> Result<RunReport, SnapshotError> {
+    let useful_flops = s.get_f64()?;
+    let n_steps = s.get_usize()?;
+    if n_steps > s.remaining() / 72 + 1 {
+        return Err(SnapshotError::Malformed {
+            section: section::REPORT,
+            reason: "step count exceeds the section",
+        });
+    }
+    let mut steps = Vec::with_capacity(n_steps);
+    for _ in 0..n_steps {
+        let mut cy = [0.0f64; 8];
+        for c in &mut cy {
+            *c = s.get_f64()?;
+        }
+        let particles = s.get_usize()?;
+        steps.push(StepTimings {
+            cycles: cy,
+            particles,
+        });
+    }
+    Ok(RunReport {
+        steps,
+        useful_flops,
+    })
+}
+
+/// Stable on-disk discriminant for the solver kind.
+fn solver_kind_id(k: SolverKind) -> u32 {
+    match k {
+        SolverKind::Yee => 0,
+        SolverKind::Ckc => 1,
+    }
+}
+
+/// The nine field arrays in serialization order.
+fn field_array_refs(f: &FieldArrays) -> [&Array3; 9] {
+    [
+        &f.ex, &f.ey, &f.ez, &f.bx, &f.by, &f.bz, &f.jx, &f.jy, &f.jz,
+    ]
+}
+
+/// Mutable view of the nine field arrays in serialization order.
+fn field_array_muts(f: &mut FieldArrays) -> [&mut Array3; 9] {
+    [
+        &mut f.ex, &mut f.ey, &mut f.ez, &mut f.bx, &mut f.by, &mut f.bz, &mut f.jx, &mut f.jy,
+        &mut f.jz,
+    ]
+}
+
+/// `Option<usize>` as a tag byte plus the value when present.
+fn put_opt_usize(wtr: &mut SnapshotWriter, v: Option<usize>) {
+    match v {
+        Some(x) => {
+            wtr.put_bool(true);
+            wtr.put_usize(x);
+        }
+        None => wtr.put_bool(false),
+    }
+}
+
+/// Inverse of [`put_opt_usize`].
+fn get_opt_usize(s: &mut SectionReader<'_>) -> Result<Option<usize>, SnapshotError> {
+    Ok(if s.get_bool()? {
+        Some(s.get_usize()?)
+    } else {
+        None
+    })
+}
+
+/// Decodes one cache level's behavioural state.
+fn decode_cache_level(s: &mut SectionReader<'_>) -> Result<CacheLevelState, SnapshotError> {
+    Ok(CacheLevelState {
+        tags: s.get_vec_u64()?,
+        stamps: s.get_vec_u64()?,
+        clock: s.get_u64()?,
+        memo_line: s.get_u64()?,
+        memo_slot: s.get_u64()?,
+    })
+}

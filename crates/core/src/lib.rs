@@ -27,6 +27,7 @@
 //! assert!(sim.report().deposition_cycles() > 0.0);
 //! ```
 
+mod checkpoint;
 pub mod config;
 pub mod driver;
 pub mod simulation;

@@ -1,23 +1,17 @@
 //! The PIC simulation orchestrator: Algorithm 1 embedded in the standard
 //! gather -> push -> sort -> deposit -> field-solve loop.
 
-use mpic_deposit::{canonical_flops_per_particle, AddrMap, Depositor, SortStrategy};
+use mpic_deposit::{canonical_flops_per_particle, Depositor, SortStrategy};
 use mpic_grid::constants::C;
-use mpic_grid::{Array3, FieldArrays, GridGeometry, TileLayout};
-use mpic_machine::{
-    CacheLevelState, CacheSimState, Machine, PerfCounters, Phase, VAddr, WorkerPool,
-};
-use mpic_particles::{
-    Departure, Gpma, GpmaState, ParticleContainer, ParticleSoA, ParticleTile, PendingMove,
-    RankSortStats, INVALID_PARTICLE_ID,
-};
+use mpic_grid::{FieldArrays, GridGeometry, TileLayout};
+use mpic_machine::{Machine, Phase, VAddr, WorkerPool};
+use mpic_particles::{Departure, ParticleContainer, ParticleTile, RankSortStats};
 use mpic_push::{BorisCoeffs, PushCtx, PushScratch};
-use mpic_solver::{BoundaryKind, MaxwellSolver, SolverKind};
+use mpic_solver::{BoundaryKind, MaxwellSolver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::SimConfig;
-use crate::snapshot::{section, SectionReader, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::timings::{RunReport, StepTimings};
 
 /// Plasma parameters used when the moving window injects fresh particles
@@ -46,19 +40,20 @@ pub struct Simulation {
     pub electrons: ParticleContainer,
     /// The emulated machine accumulating all costs.
     pub machine: Machine,
-    solver: MaxwellSolver,
-    depositor: Depositor,
-    sort_stats: RankSortStats,
-    pending_global_sort: bool,
     window_plasma: Option<PlasmaSpec>,
-    window_accum: f64,
-    boris: BorisCoeffs,
-    dt: f64,
-    time: f64,
-    step_index: u64,
-    field_addrs: [VAddr; 6],
-    rng: StdRng,
-    report: RunReport,
+    // `pub(crate)`: `crate::checkpoint` serializes and restores these.
+    pub(crate) solver: MaxwellSolver,
+    pub(crate) depositor: Depositor,
+    pub(crate) sort_stats: RankSortStats,
+    pub(crate) pending_global_sort: bool,
+    pub(crate) window_accum: f64,
+    pub(crate) boris: BorisCoeffs,
+    pub(crate) dt: f64,
+    pub(crate) time: f64,
+    pub(crate) step_index: u64,
+    pub(crate) field_addrs: [VAddr; 6],
+    pub(crate) rng: StdRng,
+    pub(crate) report: RunReport,
     /// Per-worker reusable gather/push buffers (index = worker id).
     push_scratch: Vec<PushScratch>,
     /// Per-tile departure buckets reused by every moving-window
@@ -478,600 +473,6 @@ impl Simulation {
             self.pending_global_sort = true;
         }
     }
-}
-
-/// Checkpoint/restore. The serialized inventory is everything `step()`
-/// reads or writes: the nine field arrays, every tile's SoA + GPMA +
-/// bin map, the RNG stream, the sort-policy counters, the per-phase
-/// performance counters and cache statistics, the behavioural cache
-/// state (tags, LRU stamps, stream detectors), the virtual address map
-/// with the allocator mark, and the accumulated run report. Everything
-/// else a simulation owns is either pure configuration (solver
-/// coefficients, Boris coefficients, dt, geometry — rederived from
-/// `SimConfig`) or scratch that is cleared before each use.
-///
-/// The contract (pinned in `tests/snapshot.rs`): `restore` onto a fresh
-/// simulation built from the same `SimConfig`, followed by `step()`, is
-/// **bit-identical** to stepping the original — fields, currents,
-/// particle data, per-phase cycle counters and the final report — for
-/// any worker count, scheduler policy and batching mode.
-impl Simulation {
-    /// Serializes the complete mutable state into the versioned snapshot
-    /// format (see [`crate::snapshot`]). Non-destructive: the simulation
-    /// is not perturbed, so snapshots can be taken mid-run at any step
-    /// boundary.
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut wtr = SnapshotWriter::new();
-
-        wtr.begin_section(section::META);
-        for d in 0..3 {
-            wtr.put_usize(self.cfg.n_cells[d]);
-        }
-        for d in 0..3 {
-            wtr.put_f64(self.cfg.dx[d]);
-        }
-        for d in 0..3 {
-            wtr.put_usize(self.cfg.tile_size[d]);
-        }
-        wtr.put_usize(self.cfg.guard);
-        wtr.put_u32(solver_kind_id(self.solver.kind()));
-        wtr.put_usize(self.cfg.shape.order());
-        wtr.put_str(self.kernel_name());
-        wtr.put_f64(self.dt);
-        wtr.put_usize(self.electrons.tiles.len());
-        wtr.put_usize(self.fields.ex.as_slice().len());
-        wtr.end_section();
-
-        wtr.begin_section(section::FIELDS);
-        for arr in field_array_refs(&self.fields) {
-            wtr.put_vec_f64(arr.as_slice());
-        }
-        wtr.end_section();
-
-        wtr.begin_section(section::PARTICLES);
-        wtr.put_f64(self.electrons.charge);
-        wtr.put_f64(self.electrons.mass);
-        wtr.put_f64(self.electrons.gap_ratio());
-        wtr.put_usize(self.electrons.tiles.len());
-        for tile in &self.electrons.tiles {
-            for attr in [
-                &tile.soa.x,
-                &tile.soa.y,
-                &tile.soa.z,
-                &tile.soa.ux,
-                &tile.soa.uy,
-                &tile.soa.uz,
-                &tile.soa.w,
-            ] {
-                wtr.put_vec_f64(attr);
-            }
-            wtr.put_vec_bool(&tile.soa.alive);
-            wtr.put_vec_usize(tile.soa.free_slots());
-            wtr.put_vec_usize(&tile.cells);
-            let g = tile.gpma.export_state();
-            wtr.put_vec_usize(&g.local_index);
-            wtr.put_vec_usize(&g.bin_offsets);
-            wtr.put_vec_usize(&g.bin_lengths);
-            wtr.put_usize(g.bin_free.len());
-            for stack in &g.bin_free {
-                wtr.put_vec_usize(stack);
-            }
-            wtr.put_vec_usize(&g.slot_of);
-            wtr.put_usize(g.num_particles);
-            wtr.put_usize(g.num_empty_slots);
-            wtr.put_f64(g.gap_ratio);
-            wtr.put_usize(g.pending.len());
-            for p in &g.pending {
-                wtr.put_usize(p.particle);
-                put_opt_usize(&mut wtr, p.old_bin);
-                put_opt_usize(&mut wtr, p.new_bin);
-            }
-            wtr.put_bool(g.was_rebuilt_this_step);
-            wtr.put_u64(g.rebuild_count);
-        }
-        wtr.end_section();
-
-        wtr.begin_section(section::RNG);
-        wtr.put_u64(self.rng.state());
-        wtr.end_section();
-
-        wtr.begin_section(section::DRIVER);
-        wtr.put_u64(self.sort_stats.steps_since_sort);
-        wtr.put_u64(self.sort_stats.rebuilds_accum);
-        wtr.put_f64(self.sort_stats.empty_ratio);
-        wtr.put_f64(self.sort_stats.perf_metric);
-        wtr.put_f64(self.sort_stats.baseline_perf);
-        wtr.put_bool(self.pending_global_sort);
-        wtr.put_f64(self.window_accum);
-        wtr.put_f64(self.time);
-        wtr.put_u64(self.step_index);
-        wtr.end_section();
-
-        wtr.begin_section(section::COUNTERS);
-        let ctr = self.machine.counters();
-        for p in Phase::ALL {
-            wtr.put_f64(ctr.cycles(p));
-        }
-        wtr.put_f64(ctr.flops_issued);
-        wtr.put_f64(ctr.useful_flops);
-        wtr.put_u64(ctr.scalar_ops);
-        wtr.put_u64(ctr.vector_ops);
-        wtr.put_u64(ctr.mopa_ops);
-        wtr.put_u64(ctr.tile_transfers);
-        let mem = self.machine.mem_ref();
-        for stats in [mem.l1_stats(), mem.l2_stats()] {
-            wtr.put_u64(stats.hits);
-            wtr.put_u64(stats.misses);
-        }
-        let (streamed, random) = mem.miss_split();
-        wtr.put_u64(streamed);
-        wtr.put_u64(random);
-        wtr.end_section();
-
-        wtr.begin_section(section::CACHE);
-        let cache = self.machine.mem_ref().cache_state();
-        for lvl in [&cache.l1, &cache.l2] {
-            wtr.put_vec_u64(&lvl.tags);
-            wtr.put_vec_u64(&lvl.stamps);
-            wtr.put_u64(lvl.clock);
-            wtr.put_u64(lvl.memo_line);
-            wtr.put_u64(lvl.memo_slot);
-        }
-        wtr.put_usize(cache.streams.len());
-        for &(tag, count) in &cache.streams {
-            wtr.put_u64(tag);
-            wtr.put_u32(count);
-        }
-        wtr.put_u32(cache.decay_tick);
-        wtr.end_section();
-
-        wtr.begin_section(section::ADDRS);
-        wtr.put_u64(self.machine.mem_ref().alloc_mark());
-        for a in self.field_addrs {
-            wtr.put_u64(a.0);
-        }
-        let am = self
-            .depositor
-            .addr_map()
-            .expect("depositor prepared at construction");
-        wtr.put_u64(am.jx.0);
-        wtr.put_u64(am.jy.0);
-        wtr.put_u64(am.jz.0);
-        wtr.put_usize(am.soa.len());
-        for tile in &am.soa {
-            for a in tile {
-                wtr.put_u64(a.0);
-            }
-        }
-        wtr.put_usize(am.local_index.len());
-        for a in &am.local_index {
-            wtr.put_u64(a.0);
-        }
-        wtr.put_usize(am.rhocell.len());
-        for a in &am.rhocell {
-            wtr.put_u64(a.0);
-        }
-        wtr.put_u64(am.staging.0);
-        wtr.end_section();
-
-        wtr.begin_section(section::REPORT);
-        wtr.put_f64(self.report.useful_flops);
-        wtr.put_usize(self.report.steps.len());
-        for s in &self.report.steps {
-            for c in s.cycles {
-                wtr.put_f64(c);
-            }
-            wtr.put_usize(s.particles);
-        }
-        wtr.end_section();
-
-        wtr.finish()
-    }
-
-    /// Restores the state captured by [`Simulation::snapshot`] into this
-    /// simulation, which must have been built from the same
-    /// configuration (geometry, solver, kernel, timestep — runtime knobs
-    /// like `num_workers`, `scheduler`, `batching` and `simd` may
-    /// differ; they shape host execution, not simulation state).
-    ///
-    /// Corrupt, truncated or incompatible input returns a structured
-    /// [`SnapshotError`] and never panics. Every fallible decode and
-    /// validation runs before the first write to `self`, so a failed
-    /// restore leaves the simulation exactly as it was.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let rdr = SnapshotReader::new(bytes)?;
-
-        // --- META: configuration fingerprint --------------------------
-        let mut s = rdr.section(section::META)?;
-        for d in 0..3 {
-            if s.get_usize()? != self.cfg.n_cells[d] {
-                return Err(SnapshotError::Incompatible { reason: "n_cells" });
-            }
-        }
-        for d in 0..3 {
-            if s.get_f64()?.to_bits() != self.cfg.dx[d].to_bits() {
-                return Err(SnapshotError::Incompatible { reason: "dx" });
-            }
-        }
-        for d in 0..3 {
-            if s.get_usize()? != self.cfg.tile_size[d] {
-                return Err(SnapshotError::Incompatible {
-                    reason: "tile_size",
-                });
-            }
-        }
-        if s.get_usize()? != self.cfg.guard {
-            return Err(SnapshotError::Incompatible { reason: "guard" });
-        }
-        if s.get_u32()? != solver_kind_id(self.solver.kind()) {
-            return Err(SnapshotError::Incompatible { reason: "solver" });
-        }
-        if s.get_usize()? != self.cfg.shape.order() {
-            return Err(SnapshotError::Incompatible {
-                reason: "shape order",
-            });
-        }
-        if s.get_string()? != self.kernel_name() {
-            return Err(SnapshotError::Incompatible { reason: "kernel" });
-        }
-        if s.get_f64()?.to_bits() != self.dt.to_bits() {
-            return Err(SnapshotError::Incompatible { reason: "dt" });
-        }
-        let n_tiles = self.electrons.tiles.len();
-        if s.get_usize()? != n_tiles {
-            return Err(SnapshotError::Incompatible {
-                reason: "tile count",
-            });
-        }
-        let field_len = self.fields.ex.as_slice().len();
-        if s.get_usize()? != field_len {
-            return Err(SnapshotError::Incompatible {
-                reason: "field length",
-            });
-        }
-
-        // --- FIELDS ----------------------------------------------------
-        let mut s = rdr.section(section::FIELDS)?;
-        let mut field_data = Vec::with_capacity(9);
-        for _ in 0..9 {
-            let v = s.get_vec_f64()?;
-            if v.len() != field_len {
-                return Err(SnapshotError::Malformed {
-                    section: section::FIELDS,
-                    reason: "field array length mismatch",
-                });
-            }
-            field_data.push(v);
-        }
-
-        // --- PARTICLES -------------------------------------------------
-        let mut s = rdr.section(section::PARTICLES)?;
-        let bad = |reason| SnapshotError::Malformed {
-            section: section::PARTICLES,
-            reason,
-        };
-        let charge = s.get_f64()?;
-        let mass = s.get_f64()?;
-        let gap_ratio = s.get_f64()?;
-        if !gap_ratio.is_finite() || gap_ratio < 0.0 {
-            return Err(bad("gap ratio outside [0, inf)"));
-        }
-        if s.get_usize()? != n_tiles {
-            return Err(bad("tile count disagrees with META"));
-        }
-        let mut tiles = Vec::with_capacity(n_tiles);
-        for t in 0..n_tiles {
-            let mut attrs = Vec::with_capacity(7);
-            for _ in 0..7 {
-                attrs.push(s.get_vec_f64()?);
-            }
-            let alive = s.get_vec_bool()?;
-            let free = s.get_vec_usize()?;
-            let cells = s.get_vec_usize()?;
-            let local_index = s.get_vec_usize()?;
-            let bin_offsets = s.get_vec_usize()?;
-            let bin_lengths = s.get_vec_usize()?;
-            let n_stacks = s.get_usize()?;
-            if n_stacks != bin_lengths.len() {
-                return Err(bad("free-stack count disagrees with bin count"));
-            }
-            let mut bin_free = Vec::with_capacity(n_stacks);
-            for _ in 0..n_stacks {
-                bin_free.push(s.get_vec_usize()?);
-            }
-            let slot_of = s.get_vec_usize()?;
-            let num_particles = s.get_usize()?;
-            let num_empty_slots = s.get_usize()?;
-            let g_gap_ratio = s.get_f64()?;
-            let n_pending = s.get_usize()?;
-            let mut pending = Vec::with_capacity(n_pending.min(s.remaining() / 17));
-            for _ in 0..n_pending {
-                pending.push(PendingMove {
-                    particle: s.get_usize()?,
-                    old_bin: get_opt_usize(&mut s)?,
-                    new_bin: get_opt_usize(&mut s)?,
-                });
-            }
-            let was_rebuilt_this_step = s.get_bool()?;
-            let rebuild_count = s.get_u64()?;
-            let n_bins = bin_lengths.len();
-            if n_bins != self.layout.tile(t).num_cells() {
-                return Err(bad("GPMA bin count disagrees with the tile layout"));
-            }
-            if cells
-                .iter()
-                .any(|&c| c != INVALID_PARTICLE_ID && c >= n_bins)
-            {
-                return Err(bad("cell bin out of range"));
-            }
-            let [x, y, z, ux, uy, uz, w]: [Vec<f64>; 7] =
-                attrs.try_into().expect("seven attribute arrays");
-            let soa = ParticleSoA::from_parts(x, y, z, ux, uy, uz, w, alive, free).map_err(bad)?;
-            let gpma = Gpma::from_state(GpmaState {
-                local_index,
-                bin_offsets,
-                bin_lengths,
-                bin_free,
-                slot_of,
-                num_particles,
-                num_empty_slots,
-                gap_ratio: g_gap_ratio,
-                pending,
-                was_rebuilt_this_step,
-                rebuild_count,
-            })
-            .map_err(bad)?;
-            tiles.push(ParticleTile { soa, gpma, cells });
-        }
-
-        // --- RNG -------------------------------------------------------
-        let mut s = rdr.section(section::RNG)?;
-        let rng_state = s.get_u64()?;
-
-        // --- DRIVER ----------------------------------------------------
-        let mut s = rdr.section(section::DRIVER)?;
-        let sort_stats = RankSortStats {
-            steps_since_sort: s.get_u64()?,
-            rebuilds_accum: s.get_u64()?,
-            empty_ratio: s.get_f64()?,
-            perf_metric: s.get_f64()?,
-            baseline_perf: s.get_f64()?,
-        };
-        let pending_global_sort = s.get_bool()?;
-        let window_accum = s.get_f64()?;
-        let time = s.get_f64()?;
-        let step_index = s.get_u64()?;
-
-        // --- COUNTERS --------------------------------------------------
-        let mut s = rdr.section(section::COUNTERS)?;
-        let mut cycles = [0.0f64; 8];
-        for c in &mut cycles {
-            *c = s.get_f64()?;
-        }
-        let flops_issued = s.get_f64()?;
-        let useful_flops = s.get_f64()?;
-        let scalar_ops = s.get_u64()?;
-        let vector_ops = s.get_u64()?;
-        let mopa_ops = s.get_u64()?;
-        let tile_transfers = s.get_u64()?;
-        let mut level_stats = [mpic_machine::CacheStats::default(); 2];
-        for stats in &mut level_stats {
-            stats.hits = s.get_u64()?;
-            stats.misses = s.get_u64()?;
-        }
-        let streamed_misses = s.get_u64()?;
-        let random_misses = s.get_u64()?;
-
-        // --- CACHE -----------------------------------------------------
-        let mut s = rdr.section(section::CACHE)?;
-        let l1 = decode_cache_level(&mut s)?;
-        let l2 = decode_cache_level(&mut s)?;
-        let n_streams = s.get_usize()?;
-        if n_streams > s.remaining() / 12 + 1 {
-            return Err(SnapshotError::Malformed {
-                section: section::CACHE,
-                reason: "stream table length exceeds the section",
-            });
-        }
-        let mut streams = Vec::with_capacity(n_streams);
-        for _ in 0..n_streams {
-            let tag = s.get_u64()?;
-            let count = s.get_u32()?;
-            streams.push((tag, count));
-        }
-        let decay_tick = s.get_u32()?;
-        let cache_state = CacheSimState {
-            l1,
-            l2,
-            streams,
-            decay_tick,
-        };
-
-        // --- ADDRS -----------------------------------------------------
-        let mut s = rdr.section(section::ADDRS)?;
-        let bad_addr = |reason| SnapshotError::Malformed {
-            section: section::ADDRS,
-            reason,
-        };
-        let alloc_mark = s.get_u64()?;
-        let mut field_addrs = [VAddr(0); 6];
-        for a in &mut field_addrs {
-            *a = VAddr(s.get_u64()?);
-        }
-        let jx = VAddr(s.get_u64()?);
-        let jy = VAddr(s.get_u64()?);
-        let jz = VAddr(s.get_u64()?);
-        if s.get_usize()? != n_tiles {
-            return Err(bad_addr("SoA address table length"));
-        }
-        let mut soa_addrs = Vec::with_capacity(n_tiles);
-        for _ in 0..n_tiles {
-            let mut tile_addrs = [VAddr(0); 7];
-            for a in &mut tile_addrs {
-                *a = VAddr(s.get_u64()?);
-            }
-            soa_addrs.push(tile_addrs);
-        }
-        if s.get_usize()? != n_tiles {
-            return Err(bad_addr("local-index address table length"));
-        }
-        let mut local_index_addrs = Vec::with_capacity(n_tiles);
-        for _ in 0..n_tiles {
-            local_index_addrs.push(VAddr(s.get_u64()?));
-        }
-        if s.get_usize()? != n_tiles {
-            return Err(bad_addr("rhocell address table length"));
-        }
-        let mut rhocell_addrs = Vec::with_capacity(n_tiles);
-        for _ in 0..n_tiles {
-            rhocell_addrs.push(VAddr(s.get_u64()?));
-        }
-        let staging = VAddr(s.get_u64()?);
-        let addr_map = AddrMap {
-            jx,
-            jy,
-            jz,
-            soa: soa_addrs,
-            local_index: local_index_addrs,
-            rhocell: rhocell_addrs,
-            staging,
-        };
-
-        // --- REPORT ----------------------------------------------------
-        let mut s = rdr.section(section::REPORT)?;
-        let report_useful_flops = s.get_f64()?;
-        let n_steps = s.get_usize()?;
-        if n_steps > s.remaining() / 72 + 1 {
-            return Err(SnapshotError::Malformed {
-                section: section::REPORT,
-                reason: "step count exceeds the section",
-            });
-        }
-        let mut steps = Vec::with_capacity(n_steps);
-        for _ in 0..n_steps {
-            let mut cy = [0.0f64; 8];
-            for c in &mut cy {
-                *c = s.get_f64()?;
-            }
-            let particles = s.get_usize()?;
-            steps.push(StepTimings {
-                cycles: cy,
-                particles,
-            });
-        }
-
-        // --- Apply. The cache import is the one remaining fallible
-        // step; it validates geometry before mutating anything, so a
-        // failure here still leaves `self` untouched. Everything after
-        // it is infallible.
-        if !self.machine.mem().restore_cache_state(&cache_state) {
-            return Err(SnapshotError::Malformed {
-                section: section::CACHE,
-                reason: "cache state rejected by geometry validation",
-            });
-        }
-        for (arr, data) in field_array_muts(&mut self.fields)
-            .into_iter()
-            .zip(&field_data)
-        {
-            arr.as_mut_slice().copy_from_slice(data);
-        }
-        self.electrons.charge = charge;
-        self.electrons.mass = mass;
-        self.electrons.set_gap_ratio(gap_ratio);
-        self.electrons.tiles = tiles;
-        // Derived from species parameters — rebuilt, not serialized.
-        self.boris = BorisCoeffs::new(charge, mass, self.dt);
-        self.rng = StdRng::from_state(rng_state);
-        self.sort_stats = sort_stats;
-        self.pending_global_sort = pending_global_sort;
-        self.window_accum = window_accum;
-        self.time = time;
-        self.step_index = step_index;
-        let ctr = self.machine.counters_mut();
-        *ctr = PerfCounters::new();
-        for (p, c) in Phase::ALL.iter().zip(cycles) {
-            ctr.add_cycles(*p, c);
-        }
-        ctr.flops_issued = flops_issued;
-        ctr.useful_flops = useful_flops;
-        ctr.scalar_ops = scalar_ops;
-        ctr.vector_ops = vector_ops;
-        ctr.mopa_ops = mopa_ops;
-        ctr.tile_transfers = tile_transfers;
-        // Zero the accumulated cache statistics, then seed them with the
-        // captured totals through the worker-merge path.
-        let _ = self.machine.mem().take_stats();
-        self.machine.mem().absorb_stats(
-            &level_stats[0],
-            &level_stats[1],
-            streamed_misses,
-            random_misses,
-        );
-        self.machine.mem().restore_alloc_mark(alloc_mark);
-        self.machine.reset_execution_state();
-        self.field_addrs = field_addrs;
-        self.depositor.restore_addr_map(addr_map);
-        self.report = RunReport {
-            steps,
-            useful_flops: report_useful_flops,
-        };
-        Ok(())
-    }
-}
-
-/// Stable on-disk discriminant for the solver kind.
-fn solver_kind_id(k: SolverKind) -> u32 {
-    match k {
-        SolverKind::Yee => 0,
-        SolverKind::Ckc => 1,
-    }
-}
-
-/// The nine field arrays in serialization order.
-fn field_array_refs(f: &FieldArrays) -> [&Array3; 9] {
-    [
-        &f.ex, &f.ey, &f.ez, &f.bx, &f.by, &f.bz, &f.jx, &f.jy, &f.jz,
-    ]
-}
-
-/// Mutable view of the nine field arrays in serialization order.
-fn field_array_muts(f: &mut FieldArrays) -> [&mut Array3; 9] {
-    [
-        &mut f.ex, &mut f.ey, &mut f.ez, &mut f.bx, &mut f.by, &mut f.bz, &mut f.jx, &mut f.jy,
-        &mut f.jz,
-    ]
-}
-
-/// `Option<usize>` as a tag byte plus the value when present.
-fn put_opt_usize(wtr: &mut SnapshotWriter, v: Option<usize>) {
-    match v {
-        Some(x) => {
-            wtr.put_bool(true);
-            wtr.put_usize(x);
-        }
-        None => wtr.put_bool(false),
-    }
-}
-
-/// Inverse of [`put_opt_usize`].
-fn get_opt_usize(s: &mut SectionReader<'_>) -> Result<Option<usize>, SnapshotError> {
-    Ok(if s.get_bool()? {
-        Some(s.get_usize()?)
-    } else {
-        None
-    })
-}
-
-/// Decodes one cache level's behavioural state.
-fn decode_cache_level(s: &mut SectionReader<'_>) -> Result<CacheLevelState, SnapshotError> {
-    Ok(CacheLevelState {
-        tags: s.get_vec_u64()?,
-        stamps: s.get_vec_u64()?,
-        clock: s.get_u64()?,
-        memo_line: s.get_u64()?,
-        memo_slot: s.get_u64()?,
-    })
 }
 
 /// One tile's share of the moving-window shift: translate every live

@@ -21,6 +21,7 @@
 //! `A_c = [wq1*sz1[c]*sx0..3(p1) | wq2*sz2[c]*sx0..3(p2)]` against
 //! `B = [sy0..3(p1) | sy0..3(p2)]`, so each MOPA carries 2 x 16 = 32
 //! useful slots of 64 — the 50% utilisation the paper quotes for QSP.
+//! TSC (order 2) runs the same slab kernel over a 3-wide support.
 //!
 //! # Cell residency
 //!
@@ -107,12 +108,12 @@ impl DepositionKernel for MatrixKernel {
                         );
                     }
                     ShapeOrder::Qsp => {
-                        deposit_run_qsp(
+                        deposit_run_slabs::<4>(
                             m, pricing, st, run.start, run.end, run.cell, *rho_addr, rho,
                         );
                     }
                     ShapeOrder::Tsc => {
-                        deposit_run_tsc(
+                        deposit_run_slabs::<3>(
                             m, pricing, st, run.start, run.end, run.cell, *rho_addr, rho,
                         );
                     }
@@ -200,9 +201,11 @@ fn deposit_run_cic(
     }
 }
 
-/// QSP: four z-slab MOPAs per pair per component; tiles resident across
-/// the run for one component at a time.
-fn deposit_run_qsp(
+/// QSP and TSC: one z-slab MOPA per support layer per pair per
+/// component, over support `S` = 4 (QSP) or 3 (TSC, 2x9/64 = 28%
+/// utilisation); tiles resident across the run for one component at a
+/// time. `S` is a const so each order keeps fixed-trip-count loops.
+fn deposit_run_slabs<const S: usize>(
     m: &mut Machine,
     pricing: Pricing,
     st: &Staging,
@@ -212,10 +215,13 @@ fn deposit_run_qsp(
     rho_addr: mpic_machine::VAddr,
     rho: &mut Rhocell,
 ) {
-    // One component at a time so the four z-slab tiles fit in the
+    // Extraction packing: QSP's b-rows are 4 lanes, so two of them fill
+    // one 8-wide accumulate pass; TSC's 3-lane rows go one per pass.
+    let rows_per_pass = if S == 4 { 2 } else { 1 };
+    // One component at a time so the z-slab tiles fit in the
     // architectural tile registers (TileId 0..3).
     for comp in 0..3 {
-        for c in 0..4 {
+        for c in 0..S {
             m.t_zero(TileId(c));
         }
         let mut p = run_start;
@@ -223,13 +229,13 @@ fn deposit_run_qsp(
             let pair: [Option<usize>; 2] = [Some(p), (p + 1 < run_end).then_some(p + 1)];
             m.v_issue(2);
 
-            // B = [sy0..3(p1) | sy0..3(p2)] and the sx lanes of every
-            // A_c — pure staged data, shared by the pair's four slabs.
+            // B = [sy0..S(p1) | sy0..S(p2)] and the sx lanes of every
+            // A_c — pure staged data, shared by the pair's slabs.
             let mut by = [0.0; 8];
             let mut ax = [0.0; 8];
             for (half, part) in pair.iter().enumerate() {
                 if let Some(q) = part {
-                    for t in 0..4 {
+                    for t in 0..S {
                         by[half * 4 + t] = st.s(1, t, *q);
                         ax[half * 4 + t] = st.s(0, t, *q);
                     }
@@ -238,13 +244,13 @@ fn deposit_run_qsp(
             m.v_ops(1);
             let b_vec = VReg(by);
 
-            for c in 0..4 {
-                // A_c = [wq*sz[c]*sx0..3(p1) | same p2].
+            for c in 0..S {
+                // A_c = [wq*sz[c]*sx0..S(p1) | same p2].
                 let mut scale = [0.0; 8];
                 for (half, part) in pair.iter().enumerate() {
                     if let Some(q) = part {
                         let f = st.wq[comp][*q] * st.s(2, c, *q);
-                        scale[half * 4..half * 4 + 4].fill(f);
+                        scale[half * 4..half * 4 + S].fill(f);
                     }
                 }
                 m.v_ops(1); // wq*sz broadcast.
@@ -254,9 +260,9 @@ fn deposit_run_qsp(
             p += 2;
         }
         // Extraction once per run per component: slab tile `c` holds, for
-        // each particle half, the 4x4 block sx (x) sy scaled by wq*sz[c];
-        // node id = (c*4 + b)*4 + a.
-        for c in 0..4 {
+        // each particle half, the S x S block sx (x) sy scaled by
+        // wq*sz[c]; node id = (c*S + b)*S + a.
+        for c in 0..S {
             let mut block = [[0.0; 8]; 8];
             for (r, row) in block.iter_mut().enumerate().take(8) {
                 let reg = m.t_read_row(TileId(c), r);
@@ -264,86 +270,17 @@ fn deposit_run_qsp(
                     *v = reg.lane(col);
                 }
             }
-            // Two 8-wide accumulate passes cover the 16 nodes of slab c.
-            for half_b in 0..2 {
-                let node0 = (c * 4 + half_b * 2) * 4;
+            for b0 in (0..S).step_by(rows_per_pass) {
                 let mut vals = [0.0; 8];
-                for b in 0..2 {
-                    for a in 0..4 {
+                for b in 0..rows_per_pass {
+                    for a in 0..S {
                         // p1 block rows 0-3 cols 0-3; p2 rows 4-7 cols 4-7.
-                        vals[b * 4 + a] =
-                            block[a][half_b * 2 + b] + block[4 + a][4 + half_b * 2 + b];
+                        vals[b * S + a] = block[a][b0 + b] + block[4 + a][4 + b0 + b];
                     }
                 }
                 m.v_ops(2);
-                rho.accumulate(m, pricing, rho_addr, comp, cell, node0, 8, VReg(vals));
-            }
-        }
-    }
-}
-
-/// TSC (order 2): handled with the QSP machinery over a 3-wide support —
-/// three z-slab MOPAs per pair per component at 2x9/64 = 28% utilisation.
-fn deposit_run_tsc(
-    m: &mut Machine,
-    pricing: Pricing,
-    st: &Staging,
-    run_start: usize,
-    run_end: usize,
-    cell: usize,
-    rho_addr: mpic_machine::VAddr,
-    rho: &mut Rhocell,
-) {
-    for comp in 0..3 {
-        for c in 0..3 {
-            m.t_zero(TileId(c));
-        }
-        let mut p = run_start;
-        while p < run_end {
-            let pair: [Option<usize>; 2] = [Some(p), (p + 1 < run_end).then_some(p + 1)];
-            m.v_issue(2);
-            let mut by = [0.0; 8];
-            let mut ax = [0.0; 8];
-            for (half, part) in pair.iter().enumerate() {
-                if let Some(q) = part {
-                    for t in 0..3 {
-                        by[half * 4 + t] = st.s(1, t, *q);
-                        ax[half * 4 + t] = st.s(0, t, *q);
-                    }
-                }
-            }
-            m.v_ops(1);
-            let b_vec = VReg(by);
-            for c in 0..3 {
-                let mut scale = [0.0; 8];
-                for (half, part) in pair.iter().enumerate() {
-                    if let Some(q) = part {
-                        let f = st.wq[comp][*q] * st.s(2, c, *q);
-                        scale[half * 4..half * 4 + 3].fill(f);
-                    }
-                }
-                m.v_ops(1);
-                let a_vec = m.v_mul(VReg(ax), VReg(scale));
-                m.t_mopa(TileId(c), a_vec, b_vec);
-            }
-            p += 2;
-        }
-        for c in 0..3 {
-            let mut block = [[0.0; 8]; 8];
-            for (r, row) in block.iter_mut().enumerate().take(8) {
-                let reg = m.t_read_row(TileId(c), r);
-                for (col, v) in row.iter_mut().enumerate() {
-                    *v = reg.lane(col);
-                }
-            }
-            for b in 0..3 {
-                let node0 = (c * 3 + b) * 3;
-                let mut vals = [0.0; 8];
-                for a in 0..3 {
-                    vals[a] = block[a][b] + block[4 + a][4 + b];
-                }
-                m.v_ops(2);
-                rho.accumulate(m, pricing, rho_addr, comp, cell, node0, 3, VReg(vals));
+                let (node0, w) = ((c * S + b0) * S, rows_per_pass * S);
+                rho.accumulate(m, pricing, rho_addr, comp, cell, node0, w, VReg(vals));
             }
         }
     }

@@ -7,7 +7,9 @@
 //! fastest, 64-byte aligned via the virtual address map), eliminating
 //! write conflicts during the particle loop. A single O(N_cells)
 //! reduction then scatter-adds the accumulators onto the global current
-//! arrays (equation 5).
+//! arrays (equation 5): [`Rhocell::charge_reduce`] is its one cost
+//! traversal, at the walked or the streamed price, and
+//! [`Rhocell::apply_to_grid`] its functional half.
 
 use mpic_grid::{Array3, GridGeometry, Tile};
 use mpic_machine::{Machine, Phase, Pricing, VAddr, VReg, VLANES};
@@ -139,8 +141,8 @@ impl Rhocell {
             .sum()
     }
 
-    /// The one cell walk of the reduction — both charge traversals and
-    /// [`Rhocell::apply_to_grid`]: `(accumulator cell, physical cell)`
+    /// The one cell walk of the reduction — [`Rhocell::charge_reduce`]
+    /// and [`Rhocell::apply_to_grid`]: `(accumulator cell, physical cell)`
     /// over the tile this accumulator was sized for, in cell order.
     /// Driven with `for_each`, which runs the nested ranges as plain
     /// nested loops (a `for` would step the flattened iterator's state
@@ -190,13 +192,38 @@ impl Rhocell {
     }
 
     /// Charges the reduction of the accumulators onto the global current
-    /// arrays (Algorithm 2 Stage 3) at `pricing`: the per-component
-    /// sweep of [`Rhocell::charge_reduction`] walked, the fused
-    /// traversal of [`Rhocell::charge_reduction_fused`] streamed. The
+    /// arrays (Algorithm 2 Stage 3) to [`Phase::Reduce`] without touching
+    /// grid data: one walk over the tile's cells, two prices. The
     /// functional half is [`Rhocell::apply_to_grid`] either way — the
     /// parallel driver charges per worker and applies values in
     /// deterministic tile order — so the pricing changes *only* the
-    /// [`Phase::Reduce`] counters.
+    /// counters. `rho_addr` is the tile's rhocell base; `j_addr` the
+    /// three grid bases.
+    ///
+    /// Every component of every cell pays one masked all-zero test
+    /// (`s_ops(1)`; all-zero cells are common in sparse tiles and skip
+    /// everything else), so sparse-tile pricing is the same in both
+    /// modes. A live component is then charged as follows.
+    ///
+    /// * [`Pricing::Walk`] — the per-component sweep, right where the
+    ///   component is met: the cell's node vector in full-width chunks
+    ///   (CIC's 8 nodes are one register, QSP's 64 are eight), each a
+    ///   walked node-vector load plus a grid scatter-add with conflict
+    ///   pricing.
+    /// * [`Pricing::Stream`] — the cell's live components are folded in
+    ///   **one pass** priced by [`Machine::v_touch_reduce_block_reuse`]:
+    ///   scatter address generation paid once per node (not once per
+    ///   node per component) and each component's distinct destination
+    ///   cache lines charged once. Consecutive cells in the sweep have
+    ///   heavily overlapping stencils, and the fused fold keeps the
+    ///   previous cell's destination lines in the store buffer: when the
+    ///   preceding folded cell had the **same live-component set** — the
+    ///   only case in which the destination lists pair up — its node
+    ///   list is passed as the reuse block and already-written lines
+    ///   charge nothing. The reuse state lives inside one invocation
+    ///   (per tile, per call), advancing in cell order, so the charge
+    ///   stream is deterministic across worker counts and scheduler
+    ///   policies.
     pub fn charge_reduce(
         &self,
         m: &mut Machine,
@@ -206,88 +233,10 @@ impl Rhocell {
         rho_addr: VAddr,
         j_addr: [VAddr; 3],
     ) {
-        match pricing {
-            Pricing::Walk => self.charge_reduction(m, geom, tile, rho_addr, j_addr),
-            Pricing::Stream => self.charge_reduction_fused(m, geom, tile, rho_addr, j_addr),
-        }
-    }
-
-    /// Charges the full instruction and memory stream of the reduction —
-    /// node-vector loads plus grid scatter-adds with conflict pricing —
-    /// without touching grid data. Charged to [`Phase::Reduce`].
-    ///
-    /// `rho_addr` is the tile's rhocell base; `j_addr` the three grid
-    /// bases.
-    pub fn charge_reduction(
-        &self,
-        m: &mut Machine,
-        geom: &GridGeometry,
-        tile: &Tile,
-        rho_addr: VAddr,
-        j_addr: [VAddr; 3],
-    ) {
-        m.in_phase(Phase::Reduce, |m| {
-            let mut idx = [0usize; Self::MAX_NODES];
-            self.cells(tile).for_each(|(cell, gc)| {
-                let mut indices_ready = false;
-                for comp in 0..3 {
-                    let slice_start = self.index(comp, cell, 0);
-                    let src = &self.data[slice_start..slice_start + self.nodes];
-                    // Skip all-zero cells (common in sparse tiles) with a
-                    // single masked test.
-                    if src.iter().all(|&v| v == 0.0) {
-                        m.s_ops(1);
-                        continue;
-                    }
-                    if !indices_ready {
-                        self.cell_node_indices(geom, gc, &mut idx);
-                        indices_ready = true;
-                    }
-                    // Process the cell's node vector in full-width chunks:
-                    // CIC's 8 nodes are one register, QSP's 64 are eight.
-                    let mut node = 0;
-                    while node < self.nodes {
-                        let n = (self.nodes - node).min(VLANES);
-                        m.v_touch_load(rho_addr.offset_f64(slice_start + node), n);
-                        m.v_touch_scatter_add(j_addr[comp], &idx[node..node + n]);
-                        node += n;
-                    }
-                }
-            });
-        });
-    }
-
-    /// Fused-traversal cost mirror of [`Rhocell::charge_reduction`]: the
-    /// streamed reduction folds each cell's per-node vectors across
-    /// **all active components in one pass** instead of sweeping the
-    /// cell once per component, and this charge prices that stream
-    /// through [`Machine::v_touch_reduce_block_reuse`] — scatter address
-    /// generation paid once per node (not once per node per component)
-    /// and each component's distinct destination cache lines charged
-    /// once. The all-zero skip test and its `s_ops(1)` charge are
-    /// replicated per component exactly as in the per-component sweep,
-    /// so sparse-tile pricing stays aligned.
-    ///
-    /// Consecutive cells in the sweep have heavily overlapping stencils,
-    /// and the fused fold keeps the previous cell's destination lines in
-    /// the store buffer: when the preceding folded cell had the **same
-    /// active-component set**, its node list is passed as the reuse block
-    /// and already-written lines charge nothing. The reuse state lives
-    /// inside one invocation (per tile, per call), advancing in cell
-    /// order, so the charge stream is deterministic across worker counts
-    /// and scheduler policies.
-    pub fn charge_reduction_fused(
-        &self,
-        m: &mut Machine,
-        geom: &GridGeometry,
-        tile: &Tile,
-        rho_addr: VAddr,
-        j_addr: [VAddr; 3],
-    ) {
         m.in_phase(Phase::Reduce, |m| {
             let mut idx = [0usize; Self::MAX_NODES];
             let mut prev_idx = [0usize; Self::MAX_NODES];
-            let mut prev_live = false;
+            // Live-component set of the preceding folded cell (0: none).
             let mut prev_mask = 0u8;
             // Roofline footprints for the streamed prices: the whole
             // accumulator on the source side (the sweep interleaves
@@ -297,8 +246,6 @@ impl Rhocell {
             let dims = geom.dims_with_guard();
             let dst_footprint = (dims[0] * dims[1] * dims[2] * 8) as u64;
             self.cells(tile).for_each(|(cell, gc)| {
-                // Partial-active cells fold only their live components:
-                // the component pair lists feed the fused touch.
                 let mut srcs = [VAddr(0); 3];
                 let mut dsts = [VAddr(0); 3];
                 let mut active = 0usize;
@@ -310,34 +257,44 @@ impl Rhocell {
                         m.s_ops(1);
                         continue;
                     }
-                    srcs[active] = rho_addr.offset_f64(slice_start);
-                    dsts[active] = j_addr[comp];
-                    active += 1;
+                    if mask == 0 {
+                        self.cell_node_indices(geom, gc, &mut idx);
+                    }
                     mask |= 1 << comp;
+                    match pricing {
+                        Pricing::Walk => {
+                            let mut node = 0;
+                            while node < self.nodes {
+                                let n = (self.nodes - node).min(VLANES);
+                                m.v_touch_load(rho_addr.offset_f64(slice_start + node), n);
+                                m.v_touch_scatter_add(j_addr[comp], &idx[node..node + n]);
+                                node += n;
+                            }
+                        }
+                        Pricing::Stream => {
+                            srcs[active] = rho_addr.offset_f64(slice_start);
+                            dsts[active] = j_addr[comp];
+                            active += 1;
+                        }
+                    }
                 }
-                if active == 0 {
-                    return;
+                if active > 0 {
+                    let prev = if prev_mask == mask {
+                        &prev_idx[..self.nodes]
+                    } else {
+                        &[][..]
+                    };
+                    m.v_touch_reduce_block_reuse(
+                        &srcs[..active],
+                        &dsts[..active],
+                        &idx[..self.nodes],
+                        prev,
+                        src_footprint,
+                        dst_footprint,
+                    );
+                    prev_idx[..self.nodes].copy_from_slice(&idx[..self.nodes]);
+                    prev_mask = mask;
                 }
-                self.cell_node_indices(geom, gc, &mut idx);
-                // Reuse is only sound when the destination list pairs up
-                // with the previous fold's — i.e. the same components
-                // were live there.
-                let prev = if prev_live && prev_mask == mask {
-                    &prev_idx[..self.nodes]
-                } else {
-                    &[][..]
-                };
-                m.v_touch_reduce_block_reuse(
-                    &srcs[..active],
-                    &dsts[..active],
-                    &idx[..self.nodes],
-                    prev,
-                    src_footprint,
-                    dst_footprint,
-                );
-                prev_idx[..self.nodes].copy_from_slice(&idx[..self.nodes]);
-                prev_live = true;
-                prev_mask = mask;
             });
         });
     }
@@ -373,6 +330,135 @@ impl Rhocell {
                     dst[idx[nd]] += v;
                 }
             }
+        });
+    }
+}
+
+#[cfg(test)]
+/// The two charge traversals [`Rhocell::charge_reduce`] replaced — the
+/// walked per-component sweep and the streamed fused fold, each with its
+/// own cell walk — kept as the executable specification
+/// `conf_rhocell_reduce_matches_reference_bitwise` holds the single
+/// traversal to, and — through [`reference::Mutant`] — the near misses
+/// that test must reject.
+mod reference {
+    use super::*;
+
+    /// A deliberate defect the bitwise test must catch.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Mutant {
+        None,
+        /// A cell's three zero-test `s_ops(1)` charged before any live
+        /// component's loads and scatters.
+        HoistedZeroTests,
+        /// The previous cell's node list passed as the reuse block even
+        /// when its live-component set differs.
+        ReuseAcrossMaskChange,
+    }
+
+    pub fn charge_reduction(
+        r: &Rhocell,
+        m: &mut Machine,
+        geom: &GridGeometry,
+        tile: &Tile,
+        rho_addr: VAddr,
+        j_addr: [VAddr; 3],
+        mutant: Mutant,
+    ) {
+        m.in_phase(Phase::Reduce, |m| {
+            let mut idx = [0usize; Rhocell::MAX_NODES];
+            r.cells(tile).for_each(|(cell, gc)| {
+                let zero = |comp: usize| {
+                    let slice_start = r.index(comp, cell, 0);
+                    let src = &r.data[slice_start..slice_start + r.nodes];
+                    src.iter().all(|&v| v == 0.0)
+                };
+                if mutant == Mutant::HoistedZeroTests {
+                    for _ in (0..3).filter(|&comp| zero(comp)) {
+                        m.s_ops(1);
+                    }
+                }
+                let mut indices_ready = false;
+                for comp in 0..3 {
+                    let slice_start = r.index(comp, cell, 0);
+                    if zero(comp) {
+                        if mutant != Mutant::HoistedZeroTests {
+                            m.s_ops(1);
+                        }
+                        continue;
+                    }
+                    if !indices_ready {
+                        r.cell_node_indices(geom, gc, &mut idx);
+                        indices_ready = true;
+                    }
+                    let mut node = 0;
+                    while node < r.nodes {
+                        let n = (r.nodes - node).min(VLANES);
+                        m.v_touch_load(rho_addr.offset_f64(slice_start + node), n);
+                        m.v_touch_scatter_add(j_addr[comp], &idx[node..node + n]);
+                        node += n;
+                    }
+                }
+            });
+        });
+    }
+
+    pub fn charge_reduction_fused(
+        r: &Rhocell,
+        m: &mut Machine,
+        geom: &GridGeometry,
+        tile: &Tile,
+        rho_addr: VAddr,
+        j_addr: [VAddr; 3],
+        mutant: Mutant,
+    ) {
+        m.in_phase(Phase::Reduce, |m| {
+            let mut idx = [0usize; Rhocell::MAX_NODES];
+            let mut prev_idx = [0usize; Rhocell::MAX_NODES];
+            let mut prev_live = false;
+            let mut prev_mask = 0u8;
+            let src_footprint = r.footprint_bytes();
+            let dims = geom.dims_with_guard();
+            let dst_footprint = (dims[0] * dims[1] * dims[2] * 8) as u64;
+            r.cells(tile).for_each(|(cell, gc)| {
+                let mut srcs = [VAddr(0); 3];
+                let mut dsts = [VAddr(0); 3];
+                let mut active = 0usize;
+                let mut mask = 0u8;
+                for comp in 0..3 {
+                    let slice_start = r.index(comp, cell, 0);
+                    let src = &r.data[slice_start..slice_start + r.nodes];
+                    if src.iter().all(|&v| v == 0.0) {
+                        m.s_ops(1);
+                        continue;
+                    }
+                    srcs[active] = rho_addr.offset_f64(slice_start);
+                    dsts[active] = j_addr[comp];
+                    active += 1;
+                    mask |= 1 << comp;
+                }
+                if active == 0 {
+                    return;
+                }
+                r.cell_node_indices(geom, gc, &mut idx);
+                let same = prev_mask == mask || mutant == Mutant::ReuseAcrossMaskChange;
+                let prev = if prev_live && same {
+                    &prev_idx[..r.nodes]
+                } else {
+                    &[][..]
+                };
+                m.v_touch_reduce_block_reuse(
+                    &srcs[..active],
+                    &dsts[..active],
+                    &idx[..r.nodes],
+                    prev,
+                    src_footprint,
+                    dst_footprint,
+                );
+                prev_idx[..r.nodes].copy_from_slice(&idx[..r.nodes]);
+                prev_live = true;
+                prev_mask = mask;
+            });
         });
     }
 }
@@ -437,7 +523,7 @@ mod tests {
             m.mem().alloc_f64(len),
             m.mem().alloc_f64(len),
         ];
-        r.charge_reduction(&mut m, &geom, &tile, rho_addr, ja);
+        r.charge_reduce(&mut m, Pricing::Walk, &geom, &tile, rho_addr, ja);
         r.apply_to_grid(&geom, &tile, &mut jx, &mut jy, &mut jz);
         assert_eq!(jx.get(3, 3, 3), 7.0);
         assert_eq!(jx.sum(), 7.0);
@@ -463,7 +549,7 @@ mod tests {
             m.mem().alloc_f64(len),
             m.mem().alloc_f64(len),
         ];
-        r.charge_reduction(&mut m, &geom, &tile, rho_addr, ja);
+        r.charge_reduce(&mut m, Pricing::Walk, &geom, &tile, rho_addr, ja);
         r.apply_to_grid(&geom, &tile, &mut jx, &mut jy, &mut jz);
         assert_eq!(jz.get(9, 9, 9), 1.5);
     }
@@ -538,7 +624,7 @@ mod tests {
         }
         let dims = geom.dims_with_guard();
         let len = dims[0] * dims[1] * dims[2];
-        let charge = |fused: bool| -> f64 {
+        let charge = |pricing: Pricing| -> f64 {
             let mut m = Machine::new(MachineConfig::lx2());
             let rho_addr = m.mem().alloc_f64(r.len());
             let ja = [
@@ -546,15 +632,11 @@ mod tests {
                 m.mem().alloc_f64(len),
                 m.mem().alloc_f64(len),
             ];
-            if fused {
-                r.charge_reduction_fused(&mut m, &geom, &tile, rho_addr, ja);
-            } else {
-                r.charge_reduction(&mut m, &geom, &tile, rho_addr, ja);
-            }
+            r.charge_reduce(&mut m, pricing, &geom, &tile, rho_addr, ja);
             m.counters().cycles(Phase::Reduce)
         };
-        let swept = charge(false);
-        let fused = charge(true);
+        let swept = charge(Pricing::Walk);
+        let fused = charge(Pricing::Stream);
         assert!(
             fused < swept,
             "fused {fused} must undercut per-component {swept}"
@@ -569,7 +651,7 @@ mod tests {
         let r = Rhocell::new(ShapeOrder::Cic, tile.num_cells());
         let dims = geom.dims_with_guard();
         let len = dims[0] * dims[1] * dims[2];
-        let charge = |fused: bool| -> u64 {
+        let charge = |pricing: Pricing| -> u64 {
             let mut m = Machine::new(MachineConfig::lx2());
             let rho_addr = m.mem().alloc_f64(r.len());
             let ja = [
@@ -577,13 +659,93 @@ mod tests {
                 m.mem().alloc_f64(len),
                 m.mem().alloc_f64(len),
             ];
-            if fused {
-                r.charge_reduction_fused(&mut m, &geom, &tile, rho_addr, ja);
-            } else {
-                r.charge_reduction(&mut m, &geom, &tile, rho_addr, ja);
-            }
+            r.charge_reduce(&mut m, pricing, &geom, &tile, rho_addr, ja);
             m.counters().cycles(Phase::Reduce).to_bits()
         };
-        assert_eq!(charge(false), charge(true));
+        assert_eq!(charge(Pricing::Walk), charge(Pricing::Stream));
+    }
+
+    /// The single traversal against both traversals it replaced, on
+    /// twin machines: counters and cache state after every tile, for
+    /// CIC and QSP accumulators over clipped edge tiles whose cells run
+    /// through all-zero and every partial live-component set, changing
+    /// between neighbours.
+    #[test]
+    fn conf_rhocell_reduce_matches_reference_bitwise() {
+        use reference::Mutant;
+        let geom = GridGeometry::new([10, 10, 10], [0.0; 3], [1.0e-6; 3], 2);
+        let layout = mpic_grid::TileLayout::new(&geom, [8, 8, 8]);
+        let dims = geom.dims_with_guard();
+        let len = dims[0] * dims[1] * dims[2];
+        let mut caught = [false; 2];
+        // The LX2 prices are all dyadic, so their sums are exact in any
+        // order; a scalar price that is not makes the add order of the
+        // zero tests visible, as any retuned cost table would.
+        let cfg = MachineConfig {
+            scalar_arith_cy: 0.3,
+            ..MachineConfig::lx2()
+        };
+        for order in [ShapeOrder::Cic, ShapeOrder::Qsp] {
+            let mut new = Machine::new(cfg.clone());
+            let mut old = Machine::new(cfg.clone());
+            let mut tiles = Vec::new();
+            for m in [&mut new, &mut old] {
+                tiles = layout
+                    .iter()
+                    .map(|tile| (tile, m.mem().alloc_f64(3 * tile.num_cells() * 64)))
+                    .collect();
+            }
+            let mut ja = [VAddr(0); 3];
+            for m in [&mut new, &mut old] {
+                ja = std::array::from_fn(|_| m.mem().alloc_f64(len));
+            }
+            let mut masks = [false; 8];
+            for (t, &(tile, rho_addr)) in tiles.iter().enumerate() {
+                let mut r = Rhocell::new(order, tile.num_cells());
+                for cell in 0..tile.num_cells() {
+                    // Runs of equal masks (reuse granted) broken by
+                    // every other mask, 0 = an all-zero cell.
+                    let mask = (cell / 2 * 5 + cell / 14 + t) % 8;
+                    masks[mask] = true;
+                    for comp in (0..3).filter(|comp| mask >> comp & 1 == 1) {
+                        for node in (cell % 3..r.nodes).step_by(3) {
+                            r.add(comp, cell, node, 0.5 + (cell + node) as f64);
+                        }
+                    }
+                }
+                for pricing in [Pricing::Walk, Pricing::Stream] {
+                    let reference = |m: &mut Machine, mutant: Mutant| {
+                        match pricing {
+                            Pricing::Walk => reference::charge_reduction(
+                                &r, m, &geom, tile, rho_addr, ja, mutant,
+                            ),
+                            Pricing::Stream => reference::charge_reduction_fused(
+                                &r, m, &geom, tile, rho_addr, ja, mutant,
+                            ),
+                        }
+                        format!("{:?}", m.drain_counters())
+                    };
+                    for (mutant, caught) in
+                        [Mutant::HoistedZeroTests, Mutant::ReuseAcrossMaskChange]
+                            .into_iter()
+                            .zip(&mut caught)
+                    {
+                        let (mut a, mut b) = (old.clone(), old.clone());
+                        *caught |= reference(&mut a, mutant) != reference(&mut b, Mutant::None);
+                    }
+                    let want = reference(&mut old, Mutant::None);
+                    r.charge_reduce(&mut new, pricing, &geom, tile, rho_addr, ja);
+                    let what = format!("{order:?} {pricing:?} {tile:?}");
+                    assert_eq!(format!("{:?}", new.drain_counters()), want, "{what}");
+                    assert_eq!(
+                        new.mem_ref().cache_state(),
+                        old.mem_ref().cache_state(),
+                        "{what}"
+                    );
+                }
+            }
+            assert_eq!(masks, [true; 8], "{order:?}: every component mask");
+        }
+        assert_eq!(caught, [true; 2], "hoisted zero tests, reuse across masks");
     }
 }

@@ -69,4 +69,4 @@ pub use partition::Partition;
 pub use shard::shard_bounds;
 pub use sync::{StdSync, SyncPrims};
 pub use vect::{LaneMask, Lanes};
-pub use vreg::{VMask, VReg, VLANES};
+pub use vreg::{VReg, VLANES};

@@ -1,17 +1,21 @@
 //! The emulated LX2 core: scalar pipe, VPU, MPU and memory system behind a
 //! single mutable facade.
 //!
-//! Kernels call instruction-shaped methods (`v_fma`, `v_gather`, `t_mopa`,
-//! ...). Each method performs the real arithmetic on host data *and*
-//! charges the cost model, so a kernel is simultaneously its own functional
-//! implementation and its own performance model. The currently active
-//! [`Phase`] determines which counter bucket receives the cycles, matching
-//! the per-phase breakdowns of the paper's Tables 1 and 2.
+//! Kernels call instruction-shaped methods (`v_mul`, `t_mopa`,
+//! `v_touch_gather_priced`, ...), and nothing else charges a cycle: the
+//! public surface of [`Machine`] is the cost model's closed input
+//! language (README, "The two prices of a run", tabulates every op by
+//! class and caller). Value-returning methods perform the real
+//! arithmetic on host data *and* charge the cost model, so a kernel is
+//! simultaneously its own functional implementation and its own
+//! performance model; `v_touch_*` methods charge only. The currently
+//! active [`Phase`] determines which counter bucket receives the cycles,
+//! matching the per-phase breakdowns of the paper's Tables 1 and 2.
 
 use crate::cost::MachineConfig;
 use crate::counters::{MachineCounters, PerfCounters, Phase};
 use crate::mem::{MemSystem, VAddr};
-use crate::vreg::{VMask, VReg, VLANES};
+use crate::vreg::{VReg, VLANES};
 
 /// Identifier of an MPU tile register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +56,60 @@ pub struct Machine {
     tiles: [[[f64; VLANES]; VLANES]; NUM_TILES],
 }
 
+/// The sorted distinct cache-line ids of `base[idx]`, minus those of
+/// `base[prev_idx]` — the lines a gather or reduce touch still has to
+/// move. Stack-resident and sized by the caller: `N = VLANES` on the
+/// per-particle path, [`Machine::RUN_BLOCK_MAX`] on the run path.
+struct LineSet<const N: usize> {
+    lines: [u64; N],
+    len: usize,
+}
+
+impl<const N: usize> LineSet<N> {
+    /// Rebuilds the set in place for `base` (on the run path the
+    /// buffers are 64 words: they are never moved). `shift` is
+    /// [`MemSystem::line_shift`], the exact power-of-two division minus
+    /// the per-node hardware divide. Panics if a list is longer than `N`.
+    fn fill(&mut self, base: VAddr, idx: &[usize], prev_idx: &[usize], shift: u32) {
+        Self::sorted_lines(&mut self.lines, base, idx, shift);
+        let mut prev = [0u64; N];
+        Self::sorted_lines(&mut prev, base, prev_idx, shift);
+        let (mut p, mut len) = (0, 0);
+        for i in 0..idx.len() {
+            let l = self.lines[i];
+            while p < prev_idx.len() && prev[p] < l {
+                p += 1;
+            }
+            let kept = len > 0 && self.lines[len - 1] == l;
+            let resident = p < prev_idx.len() && prev[p] == l;
+            if !kept && !resident {
+                self.lines[len] = l;
+                len += 1;
+            }
+        }
+        self.len = len;
+    }
+
+    /// Writes the line ids of `base[idx]`, ascending with duplicates,
+    /// into `buf[..idx.len()]`. Stencil node lists arrive ascending
+    /// except for cells straddling a periodic wrap, so the sort is
+    /// skipped when one pass confirms the order (the common case).
+    fn sorted_lines(buf: &mut [u64; N], base: VAddr, idx: &[usize], shift: u32) {
+        assert!(idx.len() <= N, "index list exceeds the line-set capacity");
+        let mut sorted = true;
+        let mut last = 0u64;
+        for (slot, &i) in buf.iter_mut().zip(idx) {
+            let l = base.offset_f64(i).0 >> shift;
+            sorted &= l >= last;
+            last = l;
+            *slot = l;
+        }
+        if !sorted {
+            buf[..idx.len()].sort_unstable();
+        }
+    }
+}
+
 impl Machine {
     /// Builds a machine from a configuration.
     pub fn new(cfg: MachineConfig) -> Self {
@@ -82,9 +140,7 @@ impl Machine {
         w.ctr = PerfCounters::new();
         w.mem.flush_cache();
         let _ = w.mem.take_stats();
-        w.phase = Phase::Other;
-        w.throughput_penalty = 1.0;
-        w.tiles = [[[0.0; VLANES]; VLANES]; NUM_TILES];
+        w.reset_execution_state();
         w
     }
 
@@ -138,12 +194,6 @@ impl Machine {
         &self.mem
     }
 
-    /// The current arithmetic throughput penalty (see
-    /// [`Machine::set_throughput_penalty`]).
-    pub fn throughput_penalty(&self) -> f64 {
-        self.throughput_penalty
-    }
-
     /// Resets the transient execution state — phase, throughput penalty
     /// and MPU tile registers — to the post-construction values. Used by
     /// snapshot restore: tile registers and the penalty are dead between
@@ -160,11 +210,6 @@ impl Machine {
         self.phase = phase;
     }
 
-    /// Currently active phase.
-    pub fn phase(&self) -> Phase {
-        self.phase
-    }
-
     /// Runs `f` with the given phase active, restoring the previous phase.
     pub fn in_phase<R>(&mut self, phase: Phase, f: impl FnOnce(&mut Machine) -> R) -> R {
         let prev = self.phase;
@@ -174,14 +219,8 @@ impl Machine {
         r
     }
 
-    /// Sets the arithmetic throughput penalty (1.0 = hand-tuned
-    /// intrinsics; `1.0 / autovec_efficiency` = compiler auto-vectorised).
-    pub fn set_throughput_penalty(&mut self, penalty: f64) {
-        assert!(penalty >= 1.0, "penalty is a slowdown multiplier");
-        self.throughput_penalty = penalty;
-    }
-
-    /// Convenience: applies the configured auto-vectorisation penalty.
+    /// Applies the configured auto-vectorisation penalty to arithmetic
+    /// charges (`1.0 / autovec_efficiency`; 1.0 = hand-tuned intrinsics).
     pub fn use_autovec_model(&mut self) {
         self.throughput_penalty = 1.0 / self.cfg.autovec_efficiency;
     }
@@ -210,29 +249,8 @@ impl Machine {
     }
 
     // ------------------------------------------------------------------
-    // Scalar pipe
+    // Arithmetic (scalar pipe and VPU)
     // ------------------------------------------------------------------
-
-    /// Scalar fused multiply-add `a*b + c`.
-    pub fn s_fma(&mut self, a: f64, b: f64, c: f64) -> f64 {
-        self.ctr.scalar_ops += 1;
-        self.charge_arith(self.cfg.scalar_arith_cy, 2.0);
-        a.mul_add(b, c)
-    }
-
-    /// Scalar multiply.
-    pub fn s_mul(&mut self, a: f64, b: f64) -> f64 {
-        self.ctr.scalar_ops += 1;
-        self.charge_arith(self.cfg.scalar_arith_cy, 1.0);
-        a * b
-    }
-
-    /// Scalar add.
-    pub fn s_add(&mut self, a: f64, b: f64) -> f64 {
-        self.ctr.scalar_ops += 1;
-        self.charge_arith(self.cfg.scalar_arith_cy, 1.0);
-        a + b
-    }
 
     /// Charges `n` generic scalar ALU operations (address math, compares).
     pub fn s_ops(&mut self, n: usize) {
@@ -242,22 +260,6 @@ impl Machine {
             self.cfg.scalar_arith_cy * n as f64 * self.throughput_penalty,
         );
     }
-
-    /// Scalar load of `bytes` at `addr` (data itself lives in host arrays).
-    pub fn s_load(&mut self, addr: VAddr, bytes: u64) {
-        let cy = self.mem.access(addr, bytes);
-        self.ctr.add_cycles(self.phase, cy);
-    }
-
-    /// Scalar store of `bytes` at `addr`.
-    pub fn s_store(&mut self, addr: VAddr, bytes: u64) {
-        let cy = self.mem.access(addr, bytes);
-        self.ctr.add_cycles(self.phase, cy);
-    }
-
-    // ------------------------------------------------------------------
-    // VPU
-    // ------------------------------------------------------------------
 
     /// Broadcasts a scalar to all lanes.
     pub fn v_splat(&mut self, x: f64) -> VReg {
@@ -277,17 +279,6 @@ impl Machine {
         r
     }
 
-    /// Lane-wise subtraction.
-    pub fn v_sub(&mut self, a: VReg, b: VReg) -> VReg {
-        self.ctr.vector_ops += 1;
-        self.charge_arith(self.cfg.vpu_arith_cy, VLANES as f64);
-        let mut r = VReg::zero();
-        for i in 0..VLANES {
-            r.0[i] = a.0[i] - b.0[i];
-        }
-        r
-    }
-
     /// Lane-wise multiplication.
     pub fn v_mul(&mut self, a: VReg, b: VReg) -> VReg {
         self.ctr.vector_ops += 1;
@@ -299,107 +290,47 @@ impl Machine {
         r
     }
 
-    /// Lane-wise fused multiply-add `a*b + c`.
-    pub fn v_fma(&mut self, a: VReg, b: VReg, c: VReg) -> VReg {
-        self.ctr.vector_ops += 1;
-        self.charge_arith(self.cfg.vpu_arith_cy, 2.0 * VLANES as f64);
-        let mut r = VReg::zero();
-        for i in 0..VLANES {
-            r.0[i] = a.0[i].mul_add(b.0[i], c.0[i]);
-        }
-        r
+    /// Charges `n` generic vector ALU operations without data (companion
+    /// of [`Machine::s_ops`] for modelled vector instruction streams).
+    pub fn v_ops(&mut self, n: usize) {
+        self.ctr.vector_ops += n as u64;
+        self.charge_arith(self.cfg.vpu_arith_cy * n as f64, (n * VLANES) as f64);
     }
 
-    /// Lane-wise floor (used for cell-index computation).
-    pub fn v_floor(&mut self, a: VReg) -> VReg {
-        self.ctr.vector_ops += 1;
-        self.charge_arith(self.cfg.vpu_arith_cy, VLANES as f64);
-        let mut r = VReg::zero();
-        for i in 0..VLANES {
-            r.0[i] = a.0[i].floor();
-        }
-        r
-    }
-
-    /// Lane-wise compare `a < b`.
-    pub fn v_cmp_lt(&mut self, a: VReg, b: VReg) -> VMask {
-        self.ctr.vector_ops += 1;
-        self.charge_arith(self.cfg.vpu_arith_cy, 0.0);
-        let mut m = VMask::none();
-        for i in 0..VLANES {
-            m.0[i] = a.0[i] < b.0[i];
-        }
-        m
-    }
-
-    /// Lane-wise compare `a != b`.
-    pub fn v_cmp_ne(&mut self, a: VReg, b: VReg) -> VMask {
-        self.ctr.vector_ops += 1;
-        self.charge_arith(self.cfg.vpu_arith_cy, 0.0);
-        let mut m = VMask::none();
-        for i in 0..VLANES {
-            m.0[i] = a.0[i] != b.0[i];
-        }
-        m
-    }
-
-    /// Lane-wise select: `mask ? a : b`.
-    pub fn v_select(&mut self, mask: VMask, a: VReg, b: VReg) -> VReg {
-        self.ctr.vector_ops += 1;
-        self.charge_arith(self.cfg.vpu_arith_cy, 0.0);
-        let mut r = VReg::zero();
-        for i in 0..VLANES {
-            r.0[i] = if mask.0[i] { a.0[i] } else { b.0[i] };
-        }
-        r
-    }
-
-    /// Horizontal sum of a register (log2(VLANES) shuffle+add steps).
-    pub fn v_reduce_add(&mut self, a: VReg) -> f64 {
-        // VLANES is a power of two, so this is exactly log2(VLANES).
-        let steps = VLANES.trailing_zeros() as u64;
-        self.ctr.vector_ops += steps;
-        self.charge_arith(self.cfg.vpu_arith_cy * steps as f64, (VLANES - 1) as f64);
-        a.sum()
-    }
-
-    /// Contiguous vector load of up to [`VLANES`] values from `src`,
-    /// zero-padding the tail.
-    pub fn v_load(&mut self, addr: VAddr, src: &[f64]) -> VReg {
-        let n = src.len().min(VLANES);
-        let cy = self.mem.access(addr, (n * 8) as u64);
-        self.ctr.add_cycles(self.phase, cy);
-        self.ctr.vector_ops += 1;
-        VReg::from_slice(&src[..n])
-    }
-
-    /// Contiguous vector store of the first `n` lanes into `dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > VLANES` or `dst.len() < n`.
-    pub fn v_store(&mut self, addr: VAddr, reg: VReg, dst: &mut [f64], n: usize) {
-        assert!(n <= VLANES);
-        let cy = self.mem.access(addr, (n * 8) as u64);
-        self.ctr.add_cycles(self.phase, cy);
-        self.ctr.vector_ops += 1;
-        dst[..n].copy_from_slice(&reg.0[..n]);
+    /// Charges the issue cost of `n` vector memory instructions whose
+    /// data is cache-blocked scratch (staging buffers processed in
+    /// L1-resident blocks): no cache simulation, no FLOPs — just pipeline
+    /// occupancy.
+    pub fn v_issue(&mut self, n: usize) {
+        self.ctr.vector_ops += n as u64;
+        self.ctr.add_cycles(
+            self.phase,
+            self.cfg.vpu_arith_cy * n as f64 * self.throughput_penalty,
+        );
     }
 
     // ------------------------------------------------------------------
-    // State-free streaming prices (`Pricing::Stream`)
+    // Contiguous loads and stores, walked or streamed
     // ------------------------------------------------------------------
     //
-    // The streaming mode prices its memory traffic as *streams*, not
-    // as individual cache transactions: wide accesses issued back to
-    // back overlap their fills like an established prefetch stream, so
-    // each spanned line charges its share of sustained bandwidth
+    // `Pricing::Stream` prices memory traffic as *streams*, not as
+    // individual cache transactions: wide accesses issued back to back
+    // overlap their fills like an established prefetch stream, so each
+    // spanned line charges its share of sustained bandwidth
     // (`simd_stream_line_cy`, further overlapped by `GATHER_MLP` for
     // read streams) instead of a latency that depends on what happens to
     // be resident. The charge is a pure function of the address stream —
     // no cache-simulator state is read or written — which both prices
     // the mode's deep out-of-order overlap and keeps every streamed
     // charge bit-reproducible from the tile data alone.
+    // `footprint` (and `prev_idx`) feed only the streaming arm of a
+    // `*_priced` entry point; the walk arm prices from cache state.
+
+    /// Scalar load of `bytes` at `addr` (data itself lives in host arrays).
+    pub fn s_load(&mut self, addr: VAddr, bytes: u64) {
+        let cy = self.mem.access(addr, bytes);
+        self.ctr.add_cycles(self.phase, cy);
+    }
 
     /// Number of cache lines spanned by `[addr, addr + bytes)` — the
     /// address-only counterpart of a cache access, used by the
@@ -431,45 +362,21 @@ impl Machine {
         }
     }
 
-    /// Contiguous vector load at the state-free streaming price
-    /// (functional twin of [`Machine::v_load`]).
-    /// `footprint` is the byte span of the whole source array for the
-    /// roofline crossover ([`Machine::stream_line_price`]); pass 0 when
-    /// unknown.
-    fn v_load_streamed(&mut self, addr: VAddr, src: &[f64], footprint: u64) -> VReg {
-        let n = src.len().min(VLANES);
-        self.v_touch_load_streamed(addr, n, footprint);
-        VReg::from_slice(&src[..n])
-    }
-
-    /// Contiguous vector store at the state-free streaming price
-    /// (functional twin of [`Machine::v_store`]): write-combining
-    /// buffers retire back-to-back wide stores at stream bandwidth, so
-    /// stores get the same overlap discount as read streams. `footprint`
-    /// is the destination array's byte span for the roofline crossover;
-    /// pass 0 when unknown.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > VLANES` or `dst.len() < n`.
-    fn v_store_streamed(
-        &mut self,
-        addr: VAddr,
-        reg: VReg,
-        dst: &mut [f64],
-        n: usize,
-        footprint: u64,
-    ) {
-        assert!(n <= VLANES);
-        // Same per-line price and issue accounting as a read stream.
-        self.v_touch_load_streamed(addr, n, footprint);
-        dst[..n].copy_from_slice(&reg.0[..n]);
+    /// Charges a contiguous vector load's issue and memory cost without
+    /// returning data, walking the cache. Used when a kernel's
+    /// functional values are already staged but the address stream must
+    /// still be priced (e.g. replaying the load pattern of a
+    /// preprocessing loop).
+    pub fn v_touch_load(&mut self, addr: VAddr, lanes: usize) {
+        let cy = self.mem.access(addr, (lanes.min(VLANES) * 8) as u64);
+        self.ctr.add_cycles(self.phase, cy);
+        self.ctr.vector_ops += 1;
     }
 
     /// Cost-only contiguous vector load at the state-free streaming
     /// price (twin of [`Machine::v_touch_load`]). `footprint` is the
-    /// byte span of the whole source array for the roofline crossover;
-    /// pass 0 when unknown.
+    /// byte span of the whole source array for the roofline crossover
+    /// ([`Machine::stream_line_price`]); pass 0 when unknown.
     pub fn v_touch_load_streamed(&mut self, addr: VAddr, lanes: usize, footprint: u64) {
         let cy = Self::GATHER_MLP
             * self.stream_line_price(footprint)
@@ -478,30 +385,65 @@ impl Machine {
         self.ctr.vector_ops += 1;
     }
 
-    /// Cost-only indexed gather at the state-free streaming price (twin
-    /// of [`Machine::v_touch_gather`]): per-lane issue cost plus each
-    /// distinct line at the overlapped stream price. `footprint` as in
-    /// [`Machine::v_load_streamed`].
-    fn v_touch_gather_streamed(&mut self, base: VAddr, idx: &[usize], footprint: u64) {
-        self.ctr.vector_ops += 1;
-        let take = idx.len().min(VLANES);
-        let shift = self.mem.line_shift();
-        let mut lines = [0u64; VLANES];
-        let mut n = 0usize;
-        'lanes: for &i in &idx[..take] {
-            let l = base.offset_f64(i).0 >> shift;
-            for &seen in &lines[..n] {
-                if seen == l {
-                    continue 'lanes;
-                }
-            }
-            lines[n] = l;
-            n += 1;
+    /// [`Machine::v_touch_load`] walked, or
+    /// [`Machine::v_touch_load_streamed`] streamed.
+    pub fn v_touch_load_priced(
+        &mut self,
+        pricing: Pricing,
+        addr: VAddr,
+        lanes: usize,
+        footprint: u64,
+    ) {
+        match pricing {
+            Pricing::Walk => self.v_touch_load(addr, lanes),
+            Pricing::Stream => self.v_touch_load_streamed(addr, lanes, footprint),
         }
-        let cy = self.cfg.gather_lane_cy * take as f64
-            + Self::GATHER_MLP * self.stream_line_price(footprint) * n as f64;
-        self.ctr.add_cycles(self.phase, cy);
     }
+
+    /// Contiguous vector load of up to [`VLANES`] values from `src`,
+    /// zero-padding the tail, charged as
+    /// [`Machine::v_touch_load_priced`]. `footprint` is the byte span of
+    /// the whole source array for the roofline crossover; pass 0 when
+    /// unknown.
+    pub fn v_load_priced(
+        &mut self,
+        pricing: Pricing,
+        addr: VAddr,
+        src: &[f64],
+        footprint: u64,
+    ) -> VReg {
+        let n = src.len().min(VLANES);
+        self.v_touch_load_priced(pricing, addr, n, footprint);
+        VReg::from_slice(&src[..n])
+    }
+
+    /// Contiguous vector store of the first `n` lanes into `dst`.
+    /// Streamed, write-combining buffers retire back-to-back wide stores
+    /// at stream bandwidth, so a store gets the same per-line price and
+    /// issue accounting as a read stream; walked, it is one cache
+    /// access. `footprint` is the destination array's byte span for the
+    /// roofline crossover; pass 0 when unknown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > VLANES` or `dst.len() < n`.
+    pub fn v_store_priced(
+        &mut self,
+        pricing: Pricing,
+        addr: VAddr,
+        reg: VReg,
+        dst: &mut [f64],
+        n: usize,
+        footprint: u64,
+    ) {
+        assert!(n <= VLANES);
+        self.v_touch_load_priced(pricing, addr, n, footprint);
+        dst[..n].copy_from_slice(&reg.0[..n]);
+    }
+
+    // ------------------------------------------------------------------
+    // Gathers: one price per distinct cache line
+    // ------------------------------------------------------------------
 
     /// Memory-level-parallelism factor of the gather unit: the per-line
     /// miss latencies of one gather overlap, so only this fraction of
@@ -509,176 +451,105 @@ impl Machine {
     /// get no such discount).
     const GATHER_MLP: f64 = 0.15;
 
-    /// Memory cost of a hardware gather of `lanes` lanes over the sorted
-    /// line ids `lines` ([`Self::collect_lines`]), each displaced by
-    /// `delta` whole lines: one cache access per *distinct line*, in
-    /// ascending order (the gather unit coalesces same-line lanes), with
-    /// miss latencies overlapped by [`Self::GATHER_MLP`], plus the
-    /// per-lane issue penalty.
-    fn walk_gather_lines(&mut self, lanes: usize, lines: &[u64], delta: u64) -> f64 {
-        let mut cy = self.cfg.gather_lane_cy * lanes as f64;
-        let mut prev = u64::MAX;
-        for &l in lines {
-            if l != prev {
-                cy += Self::GATHER_MLP * self.mem.access_line_id(l.wrapping_add(delta));
-                prev = l;
-            }
-        }
-        cy
-    }
-
-    /// Indexed gather: lane `l` reads `src[idx[l]]`. Charges one cache
-    /// access per distinct line plus the per-lane gather penalty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx.len() > VLANES` or any index is out of bounds.
-    pub fn v_gather(&mut self, base: VAddr, idx: &[usize], src: &[f64]) -> VReg {
-        assert!(idx.len() <= VLANES);
-        self.ctr.vector_ops += 1;
-        let mut r = VReg::zero();
-        for (l, &i) in idx.iter().enumerate() {
-            r.0[l] = src[i];
-        }
-        let mut lines = [0u64; VLANES];
-        let n = Self::collect_lines(&mut lines, base, idx, self.mem.line_shift());
-        let cy = self.walk_gather_lines(idx.len(), &lines[..n], 0);
-        self.ctr.add_cycles(self.phase, cy);
-        r
-    }
-
-    /// Indexed scatter-add: lane `l` performs `dst[idx[l]] += reg[l]`.
-    ///
-    /// Duplicate indices within the vector are handled correctly (all
-    /// contributions land) but charge the conflict-serialisation penalty
-    /// of equation 2 in the paper: each lane beyond the first targeting
-    /// the same element costs `conflict_lane_cy` extra.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx.len() > VLANES` or any index is out of bounds.
-    pub fn v_scatter_add(&mut self, base: VAddr, idx: &[usize], reg: VReg, dst: &mut [f64]) {
-        assert!(idx.len() <= VLANES);
-        for (l, &i) in idx.iter().enumerate() {
-            dst[i] += reg.0[l];
-        }
-        self.charge_scatter_add(base, idx);
-    }
-
-    /// Charges an indexed scatter-add's memory, issue and conflict cost
-    /// without writing data (cost-only mirror of
-    /// [`Machine::v_scatter_add`]). Used when the functional accumulation
-    /// is applied separately — e.g. the parallel rhocell reduction, where
-    /// workers price the scatter stream per tile while the actual grid
-    /// writes happen in a deterministic fixed-order pass.
-    pub fn v_touch_scatter_add(&mut self, base: VAddr, idx: &[usize]) {
-        assert!(idx.len() <= VLANES);
-        self.charge_scatter_add(base, idx);
-    }
-
-    fn charge_scatter_add(&mut self, base: VAddr, idx: &[usize]) {
-        self.ctr.vector_ops += 1;
-        let mut cy = 0.0;
-        for (l, &i) in idx.iter().enumerate() {
-            cy += self.mem.access(base.offset_f64(i), 8) + self.cfg.gather_lane_cy;
-            // Conflict detection: lanes before `l` hitting the same index.
-            if idx[..l].contains(&i) {
-                cy += self.cfg.conflict_lane_cy;
-            }
-        }
-        self.ctr.flops_issued += idx.len() as f64;
-        self.ctr.add_cycles(self.phase, cy);
-    }
-
-    /// Charges a contiguous vector load's issue and memory cost without
-    /// returning data. Used when a kernel's functional values are already
-    /// staged but the address stream must still be priced (e.g. replaying
-    /// the load pattern of a preprocessing loop).
-    pub fn v_touch_load(&mut self, addr: VAddr, lanes: usize) {
-        let cy = self.mem.access(addr, (lanes.min(VLANES) * 8) as u64);
-        self.ctr.add_cycles(self.phase, cy);
-        self.ctr.vector_ops += 1;
-    }
-
-    /// Charges an indexed gather's memory and issue cost (cost-only
-    /// mirror of [`Machine::v_gather`]).
-    pub fn v_touch_gather(&mut self, base: VAddr, idx: &[usize]) {
-        self.v_touch_gather_multi(&[base], idx);
-    }
-
-    /// [`Machine::v_touch_gather`] of one shared index vector from each
-    /// of `bases` in turn — the per-particle gather's six field arrays,
-    /// the staging loop's seven SoA attributes. The cache sees exactly
-    /// the accesses of one call per base (`[base][ascending line]`, one
-    /// cycle charge per base), but bases congruent modulo the line size
-    /// (line-aligned allocations: the ubiquitous case) have line sets
-    /// that differ by a whole number of lines, so the sorted distinct
-    /// set is built once and replayed displaced. A base that is not
-    /// congruent to the set in hand gets its own. Host-side fast path
-    /// only: counters, cycles and cache state are bit-identical to the
-    /// separate calls.
-    pub fn v_touch_gather_multi(&mut self, bases: &[VAddr], idx: &[usize]) {
-        let Some(&(mut anchor)) = bases.first() else {
-            return;
-        };
-        let idx = &idx[..idx.len().min(VLANES)];
-        let shift = self.mem.line_shift();
-        let in_line = self.mem.line_bytes() - 1;
-        let mut lines = [0u64; VLANES];
-        let n = Self::collect_lines(&mut lines, anchor, idx, shift);
-        for &base in bases {
-            if (base.0 ^ anchor.0) & in_line != 0 {
-                anchor = base;
-                Self::collect_lines(&mut lines, anchor, idx, shift);
-            }
-            let delta = (base.0 >> shift).wrapping_sub(anchor.0 >> shift);
-            self.ctr.vector_ops += 1;
-            let cy = self.walk_gather_lines(idx.len(), &lines[..n], delta);
-            self.ctr.add_cycles(self.phase, cy);
-        }
-    }
-
     /// Maximum elements of one run-scoped block touch (a QSP stencil
     /// block: 4^3 nodes).
     pub const RUN_BLOCK_MAX: usize = 64;
 
-    /// Run-scoped gather touch: charges loading an index block of up to
-    /// [`Machine::RUN_BLOCK_MAX`] elements from `base` with **each
-    /// distinct cache line charged once** — the memory stream of a
-    /// kernel that loads a cell's stencil node block into registers once
-    /// per same-cell particle run and reuses it for every particle of
-    /// the run. Per-lane gather issue cost is still paid per element;
-    /// line misses overlap under the same memory-level parallelism as
-    /// [`Machine::v_touch_gather`], whose per-vector semantics this
-    /// generalises beyond [`VLANES`] lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx.len() > RUN_BLOCK_MAX`.
-    fn v_touch_gather_block(&mut self, base: VAddr, idx: &[usize]) {
-        assert!(
-            idx.len() <= Self::RUN_BLOCK_MAX,
-            "block exceeds RUN_BLOCK_MAX"
-        );
-        if idx.is_empty() {
+    /// Calls `price(self, lines, delta)` once per base, in order: the
+    /// [`LineSet`] of `base[idx]` minus `base[prev_idx]` is `lines`
+    /// displaced by `delta` whole lines. Bases congruent modulo the line
+    /// size (line-aligned allocations: the ubiquitous case) have line
+    /// sets that differ by a whole number of lines, so the set is built
+    /// once and replayed displaced; a base that is not congruent to the
+    /// set in hand gets its own. Host-side sharing only.
+    fn for_each_line_set<const N: usize>(
+        &mut self,
+        bases: &[VAddr],
+        idx: &[usize],
+        prev_idx: &[usize],
+        mut price: impl FnMut(&mut Self, &[u64], u64),
+    ) {
+        let Some(&(mut anchor)) = bases.first() else {
             return;
-        }
-        self.ctr.vector_ops += idx.len().div_ceil(VLANES) as u64;
+        };
         let shift = self.mem.line_shift();
-        // Stack-resident line dedup: collect, sort, visit distinct lines
-        // ascending (the order the coalescing unit would).
-        let mut lines = [0u64; Self::RUN_BLOCK_MAX];
-        let n = Self::collect_lines(&mut lines, base, idx, shift);
-        let cy = self.walk_gather_lines(idx.len(), &lines[..n], 0);
-        self.ctr.add_cycles(self.phase, cy);
+        let in_line = self.mem.line_bytes() - 1;
+        let mut set = LineSet::<N> {
+            lines: [0; N],
+            len: 0,
+        };
+        set.fill(anchor, idx, prev_idx, shift);
+        for &base in bases {
+            if (base.0 ^ anchor.0) & in_line != 0 {
+                anchor = base;
+                set.fill(anchor, idx, prev_idx, shift);
+            }
+            let delta = (base.0 >> shift).wrapping_sub(anchor.0 >> shift);
+            price(self, &set.lines[..set.len], delta);
+        }
     }
 
-    /// Reuse-aware run-scoped gather touch over several arrays sharing
-    /// one node list — the [`Pricing::Stream`] price of a run's stencil
-    /// block load (the run gather's six field components). Like
-    /// [`Machine::v_touch_gather_block`] it charges per distinct cache
-    /// line of the block, with two differences that together are what
-    /// the streaming mode buys:
+    /// The walked gather price: `lane_cy` of per-lane issue plus one
+    /// cache access per line of `lines` displaced by `delta`, in
+    /// ascending order (the gather unit coalesces same-line lanes), with
+    /// miss latencies overlapped by [`Self::GATHER_MLP`].
+    fn walk_gather_lines(&mut self, lane_cy: f64, lines: &[u64], delta: u64) -> f64 {
+        let mut cy = lane_cy;
+        for &l in lines {
+            cy += Self::GATHER_MLP * self.mem.access_line_id(l.wrapping_add(delta));
+        }
+        cy
+    }
+
+    /// Charges an indexed gather of up to [`VLANES`] lanes — lane `l`
+    /// reads `base[idx[l]]` — walking the cache: one access per distinct
+    /// line plus the per-lane gather penalty.
+    pub fn v_touch_gather(&mut self, base: VAddr, idx: &[usize]) {
+        self.v_touch_gather_priced(Pricing::Walk, &[base], idx, 0);
+    }
+
+    /// [`Machine::v_touch_gather`] of one shared index vector from each
+    /// of `bases` in turn — the per-particle gather's six field arrays,
+    /// the staging loop's seven SoA attributes — one vector instruction
+    /// and one cycle charge per base (an empty index vector still
+    /// issues). Walked, the cache sees `[base][ascending line]`;
+    /// streamed, each distinct line charges the overlapped stream price
+    /// at `footprint`'s side of the roofline crossover (0 = unknown).
+    pub fn v_touch_gather_priced(
+        &mut self,
+        pricing: Pricing,
+        bases: &[VAddr],
+        idx: &[usize],
+        footprint: u64,
+    ) {
+        let idx = &idx[..idx.len().min(VLANES)];
+        let lane_cy = self.cfg.gather_lane_cy * idx.len() as f64;
+        let line_cy = Self::GATHER_MLP * self.stream_line_price(footprint);
+        self.for_each_line_set::<VLANES>(bases, idx, &[], |m, lines, delta| {
+            m.ctr.vector_ops += 1;
+            let cy = match pricing {
+                Pricing::Walk => m.walk_gather_lines(lane_cy, lines, delta),
+                Pricing::Stream => lane_cy + line_cy * lines.len() as f64,
+            };
+            m.ctr.add_cycles(m.phase, cy);
+        });
+    }
+
+    /// Run-scoped block gather: charges loading one node list of up to
+    /// [`Machine::RUN_BLOCK_MAX`] elements from each of `bases` with
+    /// **each distinct cache line charged once** per base — the memory
+    /// stream of a kernel that loads a cell's stencil node block into
+    /// registers once per same-cell particle run and reuses it for every
+    /// particle of the run (the run gather's six field components).
+    /// Per-lane gather issue cost is still paid for every element of
+    /// `idx` — address generation does not amortise — and an empty block
+    /// is free.
+    ///
+    /// Walked, every run starts from whatever the cache holds and line
+    /// misses overlap as in [`Machine::v_touch_gather`], whose
+    /// per-vector semantics this generalises beyond [`VLANES`] lanes.
+    /// Streamed, two things differ, and together they are what the
+    /// streaming mode buys:
     ///
     /// * lines already covered by `prev_idx` (the preceding run's
     ///   stencil block, which the kernel keeps resident in lane
@@ -696,101 +567,86 @@ impl Machine {
     ///   resident line price (0 = unknown, DRAM stream). The charge is a
     ///   pure function of `(bases, idx, prev_idx, footprint)`.
     ///
-    /// Per-lane gather issue cost is still paid for every element of
-    /// `idx` — address generation does not amortise.
-    ///
-    /// Each base is charged separately (one counter update per array),
-    /// but bases congruent modulo the line size — line-aligned
-    /// allocations, the ubiquitous case — have line sets that differ by
-    /// a whole number of lines, so the new-line count is computed once
-    /// and replayed; a base that is not congruent to the one in hand
-    /// gets its own count, as in [`Machine::v_touch_gather_multi`].
-    ///
     /// # Panics
     ///
-    /// Panics if `idx.len()` or `prev_idx.len()` exceeds
+    /// Panics if `idx.len()` — or, streamed, `prev_idx.len()` — exceeds
     /// [`Machine::RUN_BLOCK_MAX`].
-    fn v_touch_gather_block_reuse_multi(
+    pub fn v_touch_gather_block_priced(
         &mut self,
+        pricing: Pricing,
         bases: &[VAddr],
         idx: &[usize],
         prev_idx: &[usize],
         footprint: u64,
     ) {
+        let prev_idx = match pricing {
+            Pricing::Walk => &[],
+            Pricing::Stream => prev_idx,
+        };
         assert!(
             idx.len() <= Self::RUN_BLOCK_MAX && prev_idx.len() <= Self::RUN_BLOCK_MAX,
             "block exceeds RUN_BLOCK_MAX"
         );
-        let Some(&(mut anchor)) = bases.first() else {
-            return;
-        };
         if idx.is_empty() {
             return;
         }
-        let in_line = self.mem.line_bytes() - 1;
+        let issues = idx.len().div_ceil(VLANES) as u64;
         let lane_cy = self.cfg.gather_lane_cy * idx.len() as f64;
-        let new_line_cy = Self::GATHER_MLP * self.stream_line_price(footprint);
-        // One add per new line: a multiply-by-count could round
-        // differently.
-        let charge = |new: usize| (0..new).fold(lane_cy, |cy, _| cy + new_line_cy);
-        let mut cy = charge(self.new_lines(anchor, idx, prev_idx));
-        for &base in bases {
-            if (base.0 ^ anchor.0) & in_line != 0 {
-                anchor = base;
-                cy = charge(self.new_lines(anchor, idx, prev_idx));
-            }
-            self.ctr.vector_ops += idx.len().div_ceil(VLANES) as u64;
-            self.ctr.add_cycles(self.phase, cy);
-        }
+        let line_cy = Self::GATHER_MLP * self.stream_line_price(footprint);
+        let price = |m: &mut Self, lines: &[u64], delta: u64| {
+            m.ctr.vector_ops += issues;
+            let cy = match pricing {
+                Pricing::Walk => m.walk_gather_lines(lane_cy, lines, delta),
+                // One add per new line: a multiply-by-count could round
+                // differently.
+                Pricing::Stream => lines.iter().fold(lane_cy, |cy, _| cy + line_cy),
+            };
+            m.ctr.add_cycles(m.phase, cy);
+        };
+        self.for_each_line_set::<{ Self::RUN_BLOCK_MAX }>(bases, idx, prev_idx, price);
     }
 
-    /// Distinct cache lines of `base[idx]` that `base[prev_idx]` does not
-    /// cover — the lines a reuse-aware block touch still has to move.
-    fn new_lines(&self, base: VAddr, idx: &[usize], prev_idx: &[usize]) -> usize {
-        let shift = self.mem.line_shift();
-        let mut cur = [0u64; Self::RUN_BLOCK_MAX];
-        let cur_n = Self::collect_lines(&mut cur, base, idx, shift);
-        let mut prev = [0u64; Self::RUN_BLOCK_MAX];
-        let prev_n = Self::collect_lines(&mut prev, base, prev_idx, shift);
-        let mut p = 0usize;
-        let mut last = u64::MAX;
-        let mut new = 0usize;
-        for &l in &cur[..cur_n] {
-            if l == last {
-                continue;
-            }
-            last = l;
-            while p < prev_n && prev[p] < l {
-                p += 1;
-            }
-            if p < prev_n && prev[p] == l {
-                continue; // Still resident from the previous block.
-            }
-            new += 1;
+    // ------------------------------------------------------------------
+    // Scatters
+    // ------------------------------------------------------------------
+
+    /// Indexed scatter-add: lane `l` performs `dst[idx[l]] += reg[l]`.
+    ///
+    /// Duplicate indices within the vector are handled correctly (all
+    /// contributions land) but charge the conflict-serialisation penalty
+    /// of equation 2 in the paper: each lane beyond the first targeting
+    /// the same element costs `conflict_lane_cy` extra.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx.len() > VLANES` or any index is out of bounds.
+    pub fn v_scatter_add(&mut self, base: VAddr, idx: &[usize], reg: VReg, dst: &mut [f64]) {
+        assert!(idx.len() <= VLANES);
+        for (l, &i) in idx.iter().enumerate() {
+            dst[i] += reg.0[l];
         }
-        new
+        self.v_touch_scatter_add(base, idx);
     }
 
-    /// Fills `buf` with the (sorted, possibly duplicated) cache-line ids
-    /// of `base[idx]`; callers skip duplicates while walking ascending.
-    /// Stencil node lists arrive ascending except for cells straddling a
-    /// periodic wrap, so the sort is skipped when a single pass confirms
-    /// the order (the common case on the hot path). `shift` is
-    /// `log2(line_bytes)` ([`MemModel::line_shift`]): the shift is the
-    /// exact power-of-two division, minus the per-node hardware divide.
-    fn collect_lines(buf: &mut [u64], base: VAddr, idx: &[usize], shift: u32) -> usize {
-        let mut sorted = true;
-        let mut last = 0u64;
-        for (slot, &i) in buf.iter_mut().zip(idx) {
-            let l = base.offset_f64(i).0 >> shift;
-            sorted &= l >= last;
-            last = l;
-            *slot = l;
+    /// Charges an indexed scatter-add's memory, issue and conflict cost
+    /// without writing data (cost-only mirror of
+    /// [`Machine::v_scatter_add`]). Used when the functional accumulation
+    /// is applied separately — e.g. the parallel rhocell reduction, where
+    /// workers price the scatter stream per tile while the actual grid
+    /// writes happen in a deterministic fixed-order pass.
+    pub fn v_touch_scatter_add(&mut self, base: VAddr, idx: &[usize]) {
+        assert!(idx.len() <= VLANES);
+        self.ctr.vector_ops += 1;
+        let mut cy = 0.0;
+        for (l, &i) in idx.iter().enumerate() {
+            cy += self.mem.access(base.offset_f64(i), 8) + self.cfg.gather_lane_cy;
+            // Conflict detection: lanes before `l` hitting the same index.
+            if idx[..l].contains(&i) {
+                cy += self.cfg.conflict_lane_cy;
+            }
         }
-        if !sorted {
-            buf[..idx.len()].sort_unstable();
-        }
-        idx.len()
+        self.ctr.flops_issued += idx.len() as f64;
+        self.ctr.add_cycles(self.phase, cy);
     }
 
     /// Fused rhocell→grid reduction touch: charges folding one cell's
@@ -880,146 +736,17 @@ impl Machine {
         // Scattered destinations: each distinct new line once per
         // component at the full stream cost — read-modify-write traffic
         // gets no read-overlap discount — unless the preceding cell's
-        // fold left the line in the store buffer.
+        // fold left the line in the store buffer. The adds stay
+        // one-at-a-time onto the running total: a multiply could round
+        // differently.
         let dst_line_cy = self.stream_line_price(dst_footprint);
-        // Component arrays are line-aligned allocations, so their line
-        // sets differ by whole lines and every component sees the same
-        // number of new lines: count once and replay the per-line adds
-        // per component (the adds must stay one-at-a-time — a multiply
-        // could round differently). An incongruent base gets its own
-        // count.
-        let in_line = self.mem.line_bytes() - 1;
-        let mut anchor = dsts[0];
-        let mut new = self.new_lines(anchor, idx, prev_idx);
-        for &dst in dsts {
-            if (dst.0 ^ anchor.0) & in_line != 0 {
-                anchor = dst;
-                new = self.new_lines(anchor, idx, prev_idx);
-            }
-            for _ in 0..new {
+        self.for_each_line_set::<{ Self::RUN_BLOCK_MAX }>(dsts, idx, prev_idx, |_, lines, _| {
+            for _ in lines {
                 cy += dst_line_cy;
             }
-        }
+        });
         self.ctr.flops_issued += (comps * idx.len()) as f64;
         self.ctr.add_cycles(self.phase, cy);
-    }
-
-    // ------------------------------------------------------------------
-    // Priced entry points
-    // ------------------------------------------------------------------
-    //
-    // The one place a [`Pricing`] selects between a cache walk and its
-    // state-free streaming twin, one entry point per primitive family.
-    // Kernels that run in both pricings call these and never branch on
-    // the mode themselves. `footprint` (and `prev_idx`) feed the
-    // streaming arm only; the walk arm prices from cache state.
-
-    /// [`Machine::v_load`] at the given pricing.
-    pub fn v_load_priced(
-        &mut self,
-        pricing: Pricing,
-        addr: VAddr,
-        src: &[f64],
-        footprint: u64,
-    ) -> VReg {
-        match pricing {
-            Pricing::Walk => self.v_load(addr, src),
-            Pricing::Stream => self.v_load_streamed(addr, src, footprint),
-        }
-    }
-
-    /// [`Machine::v_store`] at the given pricing.
-    pub fn v_store_priced(
-        &mut self,
-        pricing: Pricing,
-        addr: VAddr,
-        reg: VReg,
-        dst: &mut [f64],
-        n: usize,
-        footprint: u64,
-    ) {
-        match pricing {
-            Pricing::Walk => self.v_store(addr, reg, dst, n),
-            Pricing::Stream => self.v_store_streamed(addr, reg, dst, n, footprint),
-        }
-    }
-
-    /// [`Machine::v_touch_load`] at the given pricing.
-    pub fn v_touch_load_priced(
-        &mut self,
-        pricing: Pricing,
-        addr: VAddr,
-        lanes: usize,
-        footprint: u64,
-    ) {
-        match pricing {
-            Pricing::Walk => self.v_touch_load(addr, lanes),
-            Pricing::Stream => self.v_touch_load_streamed(addr, lanes, footprint),
-        }
-    }
-
-    /// [`Machine::v_touch_gather_multi`] — one shared index vector
-    /// gathered from each of `bases` — at the given pricing.
-    pub fn v_touch_gather_priced(
-        &mut self,
-        pricing: Pricing,
-        bases: &[VAddr],
-        idx: &[usize],
-        footprint: u64,
-    ) {
-        match pricing {
-            Pricing::Walk => self.v_touch_gather_multi(bases, idx),
-            Pricing::Stream => {
-                for &base in bases {
-                    self.v_touch_gather_streamed(base, idx, footprint);
-                }
-            }
-        }
-    }
-
-    /// Run-scoped block gather of one node list (up to
-    /// [`Machine::RUN_BLOCK_MAX`] elements) from each of `bases`, each
-    /// distinct cache line charged once per base. Walked, every run
-    /// starts from whatever the cache holds; streamed, lines covered by
-    /// `prev_idx` (the preceding run's block, still in lane registers)
-    /// charge nothing.
-    pub fn v_touch_gather_block_priced(
-        &mut self,
-        pricing: Pricing,
-        bases: &[VAddr],
-        idx: &[usize],
-        prev_idx: &[usize],
-        footprint: u64,
-    ) {
-        match pricing {
-            Pricing::Walk => {
-                for &base in bases {
-                    self.v_touch_gather_block(base, idx);
-                }
-            }
-            Pricing::Stream => {
-                self.v_touch_gather_block_reuse_multi(bases, idx, prev_idx, footprint);
-            }
-        }
-    }
-
-    /// Charges `n` generic vector ALU operations without data (companion
-    /// of [`Machine::s_ops`] for modelled vector instruction streams).
-    pub fn v_ops(&mut self, n: usize) {
-        self.ctr.vector_ops += n as u64;
-        self.charge_arith(self.cfg.vpu_arith_cy * n as f64, (n * VLANES) as f64);
-    }
-
-    /// Charges the issue cost of `n` vector memory instructions whose
-    /// data is cache-blocked scratch (staging buffers processed in
-    /// L1-resident blocks): no cache simulation, no FLOPs — just pipeline
-    /// occupancy.
-    pub fn v_issue(&mut self, n: usize) {
-        self.ctr.vector_ops += n as u64;
-        self.ctr.add_cycles(
-            self.phase,
-            self.cfg.vpu_arith_cy * n as f64 * self.throughput_penalty,
-        );
     }
 
     // ------------------------------------------------------------------
@@ -1069,10 +796,272 @@ impl Machine {
     pub fn tile_value(&self, tile: TileId, row: usize, col: usize) -> f64 {
         self.tiles[tile.0][row][col]
     }
+}
 
-    /// Seconds corresponding to the cycles charged so far.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.cfg.cycles_to_seconds(self.ctr.total_cycles())
+#[cfg(test)]
+/// The line-set touch family as it stood before [`LineSet`] — five
+/// separately written collect / dedup / subtract / replay loops and the
+/// load/store triple — kept as the executable specification
+/// `conf_line_set_touches_match_reference_bitwise` holds the rewritten
+/// entry points to, and — through [`reference::Mutant`] — the near
+/// misses that test must reject.
+mod reference {
+    use super::*;
+
+    /// A deliberate defect the bitwise test must catch.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Mutant {
+        None,
+        /// `lane_cy + line_cy * new` in place of one add per new line.
+        MultiplyByCount,
+        /// The anchor's line set replayed on a base that is not
+        /// congruent to it modulo the line size.
+        ReplayOnIncongruentBase,
+        /// `vector_ops += 1` per block instead of one per `VLANES`
+        /// elements.
+        OneIssuePerBlock,
+    }
+
+    pub fn v_load(m: &mut Machine, addr: VAddr, src: &[f64]) -> VReg {
+        let n = src.len().min(VLANES);
+        let cy = m.mem.access(addr, (n * 8) as u64);
+        m.ctr.add_cycles(m.phase, cy);
+        m.ctr.vector_ops += 1;
+        VReg::from_slice(&src[..n])
+    }
+
+    pub fn v_store(m: &mut Machine, addr: VAddr, reg: VReg, dst: &mut [f64], n: usize) {
+        assert!(n <= VLANES);
+        let cy = m.mem.access(addr, (n * 8) as u64);
+        m.ctr.add_cycles(m.phase, cy);
+        m.ctr.vector_ops += 1;
+        dst[..n].copy_from_slice(&reg.0[..n]);
+    }
+
+    pub fn v_load_streamed(m: &mut Machine, addr: VAddr, src: &[f64], footprint: u64) -> VReg {
+        let n = src.len().min(VLANES);
+        m.v_touch_load_streamed(addr, n, footprint);
+        VReg::from_slice(&src[..n])
+    }
+
+    pub fn v_store_streamed(
+        m: &mut Machine,
+        addr: VAddr,
+        reg: VReg,
+        dst: &mut [f64],
+        n: usize,
+        footprint: u64,
+    ) {
+        assert!(n <= VLANES);
+        m.v_touch_load_streamed(addr, n, footprint);
+        dst[..n].copy_from_slice(&reg.0[..n]);
+    }
+
+    pub fn v_touch_gather_streamed(m: &mut Machine, base: VAddr, idx: &[usize], footprint: u64) {
+        m.ctr.vector_ops += 1;
+        let take = idx.len().min(VLANES);
+        let shift = m.mem.line_shift();
+        let mut lines = [0u64; VLANES];
+        let mut n = 0usize;
+        'lanes: for &i in &idx[..take] {
+            let l = base.offset_f64(i).0 >> shift;
+            for &seen in &lines[..n] {
+                if seen == l {
+                    continue 'lanes;
+                }
+            }
+            lines[n] = l;
+            n += 1;
+        }
+        let cy = m.cfg.gather_lane_cy * take as f64
+            + Machine::GATHER_MLP * m.stream_line_price(footprint) * n as f64;
+        m.ctr.add_cycles(m.phase, cy);
+    }
+
+    fn walk_gather_lines(m: &mut Machine, lanes: usize, lines: &[u64], delta: u64) -> f64 {
+        let mut cy = m.cfg.gather_lane_cy * lanes as f64;
+        let mut prev = u64::MAX;
+        for &l in lines {
+            if l != prev {
+                cy += Machine::GATHER_MLP * m.mem.access_line_id(l.wrapping_add(delta));
+                prev = l;
+            }
+        }
+        cy
+    }
+
+    pub fn v_touch_gather_multi(m: &mut Machine, bases: &[VAddr], idx: &[usize], mutant: Mutant) {
+        let Some(&(mut anchor)) = bases.first() else {
+            return;
+        };
+        let idx = &idx[..idx.len().min(VLANES)];
+        let shift = m.mem.line_shift();
+        let in_line = m.mem.line_bytes() - 1;
+        let mut lines = [0u64; VLANES];
+        let n = collect_lines(&mut lines, anchor, idx, shift);
+        for &base in bases {
+            if (base.0 ^ anchor.0) & in_line != 0 && mutant != Mutant::ReplayOnIncongruentBase {
+                anchor = base;
+                collect_lines(&mut lines, anchor, idx, shift);
+            }
+            let delta = (base.0 >> shift).wrapping_sub(anchor.0 >> shift);
+            m.ctr.vector_ops += 1;
+            let cy = walk_gather_lines(m, idx.len(), &lines[..n], delta);
+            m.ctr.add_cycles(m.phase, cy);
+        }
+    }
+
+    pub fn v_touch_gather_block(m: &mut Machine, base: VAddr, idx: &[usize], mutant: Mutant) {
+        assert!(
+            idx.len() <= Machine::RUN_BLOCK_MAX,
+            "block exceeds RUN_BLOCK_MAX"
+        );
+        if idx.is_empty() {
+            return;
+        }
+        m.ctr.vector_ops += match mutant {
+            Mutant::OneIssuePerBlock => 1,
+            _ => idx.len().div_ceil(VLANES) as u64,
+        };
+        let shift = m.mem.line_shift();
+        let mut lines = [0u64; Machine::RUN_BLOCK_MAX];
+        let n = collect_lines(&mut lines, base, idx, shift);
+        let cy = walk_gather_lines(m, idx.len(), &lines[..n], 0);
+        m.ctr.add_cycles(m.phase, cy);
+    }
+
+    pub fn v_touch_gather_block_reuse_multi(
+        m: &mut Machine,
+        bases: &[VAddr],
+        idx: &[usize],
+        prev_idx: &[usize],
+        footprint: u64,
+        mutant: Mutant,
+    ) {
+        assert!(
+            idx.len() <= Machine::RUN_BLOCK_MAX && prev_idx.len() <= Machine::RUN_BLOCK_MAX,
+            "block exceeds RUN_BLOCK_MAX"
+        );
+        let Some(&(mut anchor)) = bases.first() else {
+            return;
+        };
+        if idx.is_empty() {
+            return;
+        }
+        let in_line = m.mem.line_bytes() - 1;
+        let lane_cy = m.cfg.gather_lane_cy * idx.len() as f64;
+        let new_line_cy = Machine::GATHER_MLP * m.stream_line_price(footprint);
+        let charge = |new: usize| match mutant {
+            Mutant::MultiplyByCount => lane_cy + new_line_cy * new as f64,
+            _ => (0..new).fold(lane_cy, |cy, _| cy + new_line_cy),
+        };
+        let mut cy = charge(new_lines(m, anchor, idx, prev_idx));
+        for &base in bases {
+            if (base.0 ^ anchor.0) & in_line != 0 && mutant != Mutant::ReplayOnIncongruentBase {
+                anchor = base;
+                cy = charge(new_lines(m, anchor, idx, prev_idx));
+            }
+            m.ctr.vector_ops += match mutant {
+                Mutant::OneIssuePerBlock => 1,
+                _ => idx.len().div_ceil(VLANES) as u64,
+            };
+            m.ctr.add_cycles(m.phase, cy);
+        }
+    }
+
+    fn new_lines(m: &Machine, base: VAddr, idx: &[usize], prev_idx: &[usize]) -> usize {
+        let shift = m.mem.line_shift();
+        let mut cur = [0u64; Machine::RUN_BLOCK_MAX];
+        let cur_n = collect_lines(&mut cur, base, idx, shift);
+        let mut prev = [0u64; Machine::RUN_BLOCK_MAX];
+        let prev_n = collect_lines(&mut prev, base, prev_idx, shift);
+        let mut p = 0usize;
+        let mut last = u64::MAX;
+        let mut new = 0usize;
+        for &l in &cur[..cur_n] {
+            if l == last {
+                continue;
+            }
+            last = l;
+            while p < prev_n && prev[p] < l {
+                p += 1;
+            }
+            if p < prev_n && prev[p] == l {
+                continue; // Still resident from the previous block.
+            }
+            new += 1;
+        }
+        new
+    }
+
+    fn collect_lines(buf: &mut [u64], base: VAddr, idx: &[usize], shift: u32) -> usize {
+        let mut sorted = true;
+        let mut last = 0u64;
+        for (slot, &i) in buf.iter_mut().zip(idx) {
+            let l = base.offset_f64(i).0 >> shift;
+            sorted &= l >= last;
+            last = l;
+            *slot = l;
+        }
+        if !sorted {
+            buf[..idx.len()].sort_unstable();
+        }
+        idx.len()
+    }
+
+    pub fn v_touch_reduce_block_reuse(
+        m: &mut Machine,
+        srcs: &[VAddr],
+        dsts: &[VAddr],
+        idx: &[usize],
+        prev_idx: &[usize],
+        src_footprint: u64,
+        dst_footprint: u64,
+        mutant: Mutant,
+    ) {
+        assert_eq!(
+            srcs.len(),
+            dsts.len(),
+            "source/destination component lists must pair up"
+        );
+        assert!(!srcs.is_empty(), "reduce needs at least one component");
+        assert!(
+            idx.len() <= Machine::RUN_BLOCK_MAX && prev_idx.len() <= Machine::RUN_BLOCK_MAX,
+            "block exceeds RUN_BLOCK_MAX"
+        );
+        if idx.is_empty() {
+            return;
+        }
+        let comps = srcs.len();
+        m.ctr.vector_ops += match mutant {
+            Mutant::OneIssuePerBlock => comps as u64,
+            _ => (comps * idx.len().div_ceil(VLANES)) as u64,
+        };
+        let mut cy = m.cfg.gather_lane_cy * idx.len() as f64;
+        let src_line_cy = Machine::GATHER_MLP * m.stream_line_price(src_footprint);
+        for &src in srcs {
+            let mut node = 0;
+            while node < idx.len() {
+                let n = (idx.len() - node).min(VLANES);
+                cy += src_line_cy * m.lines_spanned(src.offset_f64(node), (n * 8) as u64) as f64;
+                node += n;
+            }
+        }
+        let dst_line_cy = m.stream_line_price(dst_footprint);
+        let in_line = m.mem.line_bytes() - 1;
+        let mut anchor = dsts[0];
+        let mut new = new_lines(m, anchor, idx, prev_idx);
+        for &dst in dsts {
+            if (dst.0 ^ anchor.0) & in_line != 0 && mutant != Mutant::ReplayOnIncongruentBase {
+                anchor = dst;
+                new = new_lines(m, anchor, idx, prev_idx);
+            }
+            for _ in 0..new {
+                cy += dst_line_cy;
+            }
+        }
+        m.ctr.flops_issued += (comps * idx.len()) as f64;
+        m.ctr.add_cycles(m.phase, cy);
     }
 }
 
@@ -1089,7 +1078,8 @@ mod tests {
         let mut m = machine();
         let a = VReg::from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         let b = m.v_splat(2.0);
-        let c = m.v_fma(a, b, a);
+        let c = m.v_mul(a, b);
+        let c = m.v_add(c, a);
         for i in 0..VLANES {
             assert_eq!(c.lane(i), (i + 1) as f64 * 3.0);
         }
@@ -1109,7 +1099,7 @@ mod tests {
         let mut m = machine();
         m.set_phase(Phase::Push);
         m.in_phase(Phase::Reduce, |m| m.s_ops(1));
-        assert_eq!(m.phase(), Phase::Push);
+        assert_eq!(m.phase, Phase::Push);
         assert!(m.counters().cycles(Phase::Reduce) > 0.0);
     }
 
@@ -1167,18 +1157,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_reads_indexed_elements() {
-        let mut m = machine();
-        let base = m.mem().alloc_f64(10);
-        let src: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let r = m.v_gather(base, &[9, 0, 5], &src);
-        assert_eq!(r.lane(0), 9.0);
-        assert_eq!(r.lane(1), 0.0);
-        assert_eq!(r.lane(2), 5.0);
-        assert_eq!(r.lane(3), 0.0);
-    }
-
-    #[test]
     fn autovec_penalty_slows_arith() {
         let cfg = MachineConfig::lx2();
         let mut tuned = Machine::new(cfg.clone());
@@ -1186,17 +1164,10 @@ mod tests {
         autovec.use_autovec_model();
         let a = VReg::splat(1.0);
         for _ in 0..100 {
-            tuned.v_fma(a, a, a);
-            autovec.v_fma(a, a, a);
+            tuned.v_mul(a, a);
+            autovec.v_mul(a, a);
         }
         assert!(autovec.counters().total_cycles() > tuned.counters().total_cycles());
-    }
-
-    #[test]
-    fn reduce_add_sums_lanes() {
-        let mut m = machine();
-        let r = VReg::from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.v_reduce_add(r), 10.0);
     }
 
     #[test]
@@ -1205,18 +1176,11 @@ mod tests {
         let base = m.mem().alloc_f64(8);
         let src = vec![1.0; 8];
         m.set_phase(Phase::Compute);
-        m.v_load(base, &src);
+        m.v_load_priced(Pricing::Walk, base, &src, 0);
         let cold = m.counters().cycles(Phase::Compute);
-        m.v_load(base, &src);
+        m.v_load_priced(Pricing::Walk, base, &src, 0);
         let warm = m.counters().cycles(Phase::Compute) - cold;
         assert!(warm < cold, "second load must hit cache");
-    }
-
-    #[test]
-    fn elapsed_seconds_scales_with_clock() {
-        let mut m = machine();
-        m.charge(1.3e9);
-        assert!((m.elapsed_seconds() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1227,7 +1191,7 @@ mod tests {
         m.s_ops(100);
         let mut w = m.fork_worker();
         assert_eq!(w.counters().total_cycles(), 0.0, "fork has zero cycles");
-        assert_eq!(w.phase(), Phase::Other);
+        assert_eq!(w.phase, Phase::Other);
         // Allocations continue past the parent's, never aliasing.
         let next = w.mem().alloc_f64(8);
         assert!(next.0 >= base.0 + 64 * 8);
@@ -1337,7 +1301,7 @@ mod tests {
                 reference_touch_gather(reference, b, &idx);
                 single.v_touch_gather(b, &idx);
             }
-            multi.v_touch_gather_multi(bases, &idx);
+            multi.v_touch_gather_priced(Pricing::Walk, bases, &idx, 0);
         }
         let [reference, single, multi] = &mut machines;
         let want_state = reference.mem_ref().cache_state();
@@ -1347,7 +1311,7 @@ mod tests {
             assert_eq!(m.mem_ref().cache_state(), want_state);
             assert_eq!(format!("{:?}", m.drain_counters()), format!("{want:?}"));
             // No base, no charge.
-            m.v_touch_gather_multi(&[], &[1, 2, 3]);
+            m.v_touch_gather_priced(Pricing::Walk, &[], &[1, 2, 3], 0);
             assert_eq!(m.counters().vector_ops, 0);
         }
     }
@@ -1365,7 +1329,7 @@ mod tests {
         let b2 = block.mem().alloc_f64(1024);
         let idx = [0usize, 1, 9, 64, 65, 200, 201, 3];
         vec.v_touch_gather(b1, &idx);
-        block.v_touch_gather_block(b2, &idx);
+        block.v_touch_gather_block_priced(Pricing::Walk, &[b2], &idx, &[], 0);
         assert_eq!(
             vec.counters().total_cycles().to_bits(),
             block.counters().total_cycles().to_bits()
@@ -1382,7 +1346,7 @@ mod tests {
         let base = m.mem().alloc_f64(1024);
         let idx: Vec<usize> = (0..64).map(|i| i % 16).collect(); // Lines 0 and 1.
         m.set_phase(Phase::Compute);
-        m.v_touch_gather_block(base, &idx);
+        m.v_touch_gather_block_priced(Pricing::Walk, &[base], &idx, &[], 0);
         let mut expect = Machine::new(MachineConfig::lx2());
         let eb = expect.mem().alloc_f64(1024);
         let line_cost: f64 = (0..2)
@@ -1402,7 +1366,8 @@ mod tests {
     fn touch_gather_block_empty_is_free() {
         let mut m = machine();
         let base = m.mem().alloc_f64(8);
-        m.v_touch_gather_block(base, &[]);
+        m.v_touch_gather_block_priced(Pricing::Walk, &[base], &[], &[], 0);
+        m.v_touch_gather_block_priced(Pricing::Stream, &[base], &[], &[1], 0);
         assert_eq!(m.counters().total_cycles(), 0.0);
         assert_eq!(m.counters().vector_ops, 0);
     }
@@ -1413,7 +1378,7 @@ mod tests {
         let mut m = machine();
         let base = m.mem().alloc_f64(128);
         let idx = vec![0usize; Machine::RUN_BLOCK_MAX + 1];
-        m.v_touch_gather_block(base, &idx);
+        m.v_touch_gather_block_priced(Pricing::Walk, &[base], &idx, &[], 0);
     }
 
     #[test]
@@ -1514,8 +1479,8 @@ mod tests {
         let idx = [0usize, 1, 33, 34, 1089, 1090, 1122, 1123, 5, 6];
         cold.set_phase(Phase::Gather);
         warm.set_phase(Phase::Gather);
-        cold.v_touch_gather_block_reuse_multi(&[cb], &idx, &[], 0);
-        warm.v_touch_gather_block_reuse_multi(&[wb], &idx, &[], 0);
+        cold.v_touch_gather_block_priced(Pricing::Stream, &[cb], &idx, &[], 0);
+        warm.v_touch_gather_block_priced(Pricing::Stream, &[wb], &idx, &[], 0);
         let csrc = cold.mem().alloc_f64(16);
         let wsrc = warm.mem().alloc_f64(16);
         cold.set_phase(Phase::Reduce);
@@ -1535,7 +1500,7 @@ mod tests {
         let mut plain = Machine::new(cfg);
         let pb = plain.mem().alloc_f64(4096);
         plain.set_phase(Phase::Gather);
-        plain.v_touch_gather_block(pb, &idx);
+        plain.v_touch_gather_block_priced(Pricing::Walk, &[pb], &idx, &[], 0);
         assert!(
             cold.counters().cycles(Phase::Gather) < plain.counters().cycles(Phase::Gather),
             "streamed {} must undercut cold walk {}",
@@ -1575,9 +1540,9 @@ mod tests {
             .map(|i| i - i % 18 + (i % 18 + 17) % 18)
             .collect();
         m.set_phase(Phase::Gather);
-        m.v_touch_gather_block_reuse_multi(&bases, &idx, &prev, 0);
-        m.v_touch_gather_block_reuse_multi(&bases, &idx, &[], 18 * 18 * 18 * 8);
-        m.v_touch_gather_block_reuse_multi(&bases[1..2], &prev, &idx, 0);
+        m.v_touch_gather_block_priced(Pricing::Stream, &bases, &idx, &prev, 0);
+        m.v_touch_gather_block_priced(Pricing::Stream, &bases, &idx, &[], 18 * 18 * 18 * 8);
+        m.v_touch_gather_block_priced(Pricing::Stream, &bases[1..2], &prev, &idx, 0);
         assert_eq!(
             m.counters().cycles(Phase::Gather).to_bits(),
             0x4069_5733_3333_3334
@@ -1598,7 +1563,7 @@ mod tests {
         let base = m.mem().alloc_f64(4096);
         let idx = [0usize, 1, 33, 34, 1089, 1090, 1122, 1123];
         m.set_phase(Phase::Gather);
-        m.v_touch_gather_block_reuse_multi(&[base], &idx, &idx, 0);
+        m.v_touch_gather_block_priced(Pricing::Stream, &[base], &idx, &idx, 0);
         let full = m.counters().cycles(Phase::Gather);
         assert!(
             (full - lane * idx.len() as f64).abs() < 1e-12,
@@ -1608,11 +1573,11 @@ mod tests {
         let mut part = Machine::new(cfg.clone());
         let pb = part.mem().alloc_f64(4096);
         part.set_phase(Phase::Gather);
-        part.v_touch_gather_block_reuse_multi(&[pb], &idx, &[0, 1, 33, 34], 0);
+        part.v_touch_gather_block_priced(Pricing::Stream, &[pb], &idx, &[0, 1, 33, 34], 0);
         let mut none = Machine::new(cfg);
         let nb = none.mem().alloc_f64(4096);
         none.set_phase(Phase::Gather);
-        none.v_touch_gather_block(nb, &idx);
+        none.v_touch_gather_block_priced(Pricing::Walk, &[nb], &idx, &[], 0);
         let p = part.counters().cycles(Phase::Gather);
         let n = none.counters().cycles(Phase::Gather);
         assert!(full < p && p < n, "expected {full} < {p} < {n}");
@@ -1660,20 +1625,20 @@ mod tests {
             let src = m.mem().alloc_f64(64);
             let mut out = [0.0; 4];
             m.set_phase(Phase::Gather);
-            m.v_touch_gather_block_reuse_multi(&[base], &idx, &[], footprint);
+            m.v_touch_gather_block_priced(Pricing::Stream, &[base], &idx, &[], footprint);
             out[0] = m.counters().cycles(Phase::Gather);
             m.set_phase(Phase::Reduce);
             m.v_touch_reduce_block_reuse(&[src], &[base], &idx, &[], footprint, footprint);
             out[1] = m.counters().cycles(Phase::Reduce);
             m.set_phase(Phase::Preprocess);
             m.v_touch_load_streamed(base, 8, footprint);
-            m.v_touch_gather_streamed(base, &idx, footprint);
+            m.v_touch_gather_priced(Pricing::Stream, &[base], &idx, footprint);
             out[2] = m.counters().cycles(Phase::Preprocess);
             m.set_phase(Phase::Compute);
             let data = vec![1.5; 8];
             let mut dst = vec![0.0; 8];
-            let r = m.v_load_streamed(base, &data, footprint);
-            m.v_store_streamed(base, r, &mut dst, 8, footprint);
+            let r = m.v_load_priced(Pricing::Stream, base, &data, footprint);
+            m.v_store_priced(Pricing::Stream, base, r, &mut dst, 8, footprint);
             out[3] = m.counters().cycles(Phase::Compute);
             out
         };
@@ -1712,11 +1677,11 @@ mod tests {
         let mut streamed = Machine::new(cfg.clone());
         let sb = streamed.mem().alloc_f64(1728); // 12^3 guarded 8^3 grid
         streamed.set_phase(Phase::Gather);
-        streamed.v_touch_gather_block_reuse_multi(&[sb], &idx, &[], 1728 * 8);
+        streamed.v_touch_gather_block_priced(Pricing::Stream, &[sb], &idx, &[], 1728 * 8);
         let mut walk = Machine::new(cfg);
         let wb = walk.mem().alloc_f64(1728);
         walk.set_phase(Phase::Gather);
-        walk.v_touch_gather_block(wb, &idx);
+        walk.v_touch_gather_block_priced(Pricing::Walk, &[wb], &idx, &[], 0);
         let s = streamed.counters().cycles(Phase::Gather);
         let w = walk.counters().cycles(Phase::Gather);
         assert!(
@@ -1749,5 +1714,184 @@ mod tests {
             cold.counters().cycles(Phase::Compute),
             warm.counters().cycles(Phase::Compute)
         );
+    }
+
+    /// One operand combination of the line-set sweep.
+    struct Case {
+        pricing: Pricing,
+        incongruent: bool,
+        bases: Vec<VAddr>,
+        srcs: Vec<VAddr>,
+        idx: Vec<usize>,
+        prev: Vec<usize>,
+        footprint: u64,
+    }
+
+    /// Every line-set entry point once, through the rewritten machine
+    /// (`mutant == None`) or the reference family; returns the loaded
+    /// lanes so the functional half is compared too.
+    fn run_case(m: &mut Machine, c: &Case, mutant: Option<reference::Mutant>) -> VReg {
+        let Case {
+            pricing,
+            bases,
+            srcs,
+            idx,
+            prev,
+            footprint: fp,
+            ..
+        } = c;
+        let (pricing, fp) = (*pricing, *fp);
+        let data = [1.5, -2.0, 0.25, 8.0, 3.0, -0.5, 7.0, 9.0, 11.0];
+        let w = idx.len().min(data.len());
+        let addr = bases[0].offset_f64(idx.first().copied().unwrap_or(3));
+        let mut out = [0.0; VLANES];
+        let Some(mutant) = mutant else {
+            m.v_touch_gather_priced(pricing, bases, idx, fp);
+            m.v_touch_gather(bases[0], idx);
+            m.v_touch_gather_block_priced(pricing, bases, idx, prev, fp);
+            m.v_touch_reduce_block_reuse(srcs, bases, idx, prev, fp, fp);
+            let r = m.v_load_priced(pricing, addr, &data[..w], fp);
+            m.v_store_priced(pricing, addr, r, &mut out, w.min(VLANES), fp);
+            assert_eq!(out, r.0);
+            return r;
+        };
+        match pricing {
+            Pricing::Walk => reference::v_touch_gather_multi(m, bases, idx, mutant),
+            Pricing::Stream => {
+                for &b in bases {
+                    reference::v_touch_gather_streamed(m, b, idx, fp);
+                }
+            }
+        }
+        reference::v_touch_gather_multi(m, &bases[..1], idx, mutant);
+        match pricing {
+            Pricing::Walk => {
+                for &b in bases {
+                    reference::v_touch_gather_block(m, b, idx, mutant);
+                }
+            }
+            Pricing::Stream => {
+                reference::v_touch_gather_block_reuse_multi(m, bases, idx, prev, fp, mutant);
+            }
+        }
+        reference::v_touch_reduce_block_reuse(m, srcs, bases, idx, prev, fp, fp, mutant);
+        let r = match pricing {
+            Pricing::Walk => reference::v_load(m, addr, &data[..w]),
+            Pricing::Stream => reference::v_load_streamed(m, addr, &data[..w], fp),
+        };
+        match pricing {
+            Pricing::Walk => reference::v_store(m, addr, r, &mut out, w.min(VLANES)),
+            Pricing::Stream => {
+                reference::v_store_streamed(m, addr, r, &mut out, w.min(VLANES), fp);
+            }
+        }
+        r
+    }
+
+    #[test]
+    fn conf_line_set_touches_match_reference_bitwise() {
+        use reference::Mutant;
+        // Twin machines with one shared cache history: `new` issues the
+        // rewritten entry points, `old` the reference family. Each
+        // mutant runs every case on a clone of `old` taken just before
+        // it, so a case catches a mutant on its own operands, not on a
+        // cache state an earlier case bent.
+        let mut new = machine();
+        let mut old = machine();
+        let (mut arrays, mut srcs) = (Vec::new(), Vec::new());
+        for m in [&mut new, &mut old] {
+            arrays = (0..7).map(|_| m.mem().alloc_f64(8192)).collect();
+            srcs = (0..7).map(|_| m.mem().alloc_f64(64)).collect();
+        }
+        let xover = new.cfg().stream_crossover_bytes;
+        // A 4^3 stencil block of an 18^3 guarded grid, ascending — or
+        // straddling the periodic wrap in x and z, so unsorted.
+        let node = |k: usize, wrap: bool| {
+            let (a, b, c) = (k % 4, k / 4 % 4, k / 16);
+            match wrap {
+                false => (c * 18 + b) * 18 + a + 100,
+                true => ((17 + c) % 18 * 18 + b + 5) * 18 + (16 + a) % 18,
+            }
+        };
+        let mutants = [
+            Mutant::MultiplyByCount,
+            Mutant::ReplayOnIncongruentBase,
+            Mutant::OneIssuePerBlock,
+        ];
+        let mut caught: [Vec<usize>; 3] = Default::default();
+        let mut cases = Vec::new();
+        for pricing in [Pricing::Walk, Pricing::Stream] {
+            for len in [0usize, 1, 8, 9, 27, 64] {
+                for wrap in [false, true] {
+                    let idx: Vec<usize> = (0..len).map(|k| node(k, wrap)).collect();
+                    for n_bases in [1usize, 3, 6, 7] {
+                        for incongruent in [false, true] {
+                            let odd = |i: usize| [0, 8, 0, 40, 8, 0, 40][i] * incongruent as u64;
+                            let bases: Vec<VAddr> =
+                                (0..n_bases).map(|i| VAddr(arrays[i].0 + odd(i))).collect();
+                            // Empty, disjoint, partial, covering.
+                            for prev in [
+                                Vec::new(),
+                                idx.iter().map(|i| i + 4096).collect(),
+                                idx[..len / 2].to_vec(),
+                                idx.iter().rev().copied().collect(),
+                            ] {
+                                for footprint in [0, 64, xover + 1] {
+                                    cases.push(Case {
+                                        pricing,
+                                        incongruent: incongruent && n_bases > 1,
+                                        bases: bases.clone(),
+                                        srcs: srcs[..n_bases].to_vec(),
+                                        idx: idx.clone(),
+                                        prev: prev.clone(),
+                                        footprint,
+                                    });
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        for (n, c) in cases.iter().enumerate() {
+            let phase = Phase::ALL[n % Phase::ALL.len()];
+            new.set_phase(phase);
+            old.set_phase(phase);
+            if n % 97 == 0 {
+                new.mem().flush_cache();
+                old.mem().flush_cache();
+            }
+            let mut twins: Vec<Machine> = mutants.iter().map(|_| old.clone()).collect();
+            let got = run_case(&mut new, c, None);
+            let want = run_case(&mut old, c, Some(Mutant::None));
+            assert_eq!(got, want, "case {n}: loaded lanes");
+            let want = format!("{:?}", old.drain_counters());
+            assert_eq!(format!("{:?}", new.drain_counters()), want, "case {n}");
+            for ((twin, &mutant), caught) in twins.iter_mut().zip(&mutants).zip(&mut caught) {
+                run_case(twin, c, Some(mutant));
+                if format!("{:?}", twin.drain_counters()) != want {
+                    caught.push(n);
+                }
+            }
+            if n % 64 == 0 || n + 1 == cases.len() {
+                assert_eq!(
+                    new.mem_ref().cache_state(),
+                    old.mem_ref().cache_state(),
+                    "case {n}: cache state"
+                );
+            }
+        }
+        let [multiply, replay, one_issue] = caught;
+        assert!(!multiply.is_empty(), "multiply-by-count must be rejected");
+        assert!(multiply
+            .iter()
+            .all(|&n| cases[n].pricing == Pricing::Stream && cases[n].idx.len() > 1));
+        assert!(!replay.is_empty(), "incongruent replay must be rejected");
+        assert!(replay.iter().all(|&n| cases[n].incongruent));
+        assert!(
+            one_issue.iter().any(|&n| cases[n].idx.len() == 9),
+            "one issue for a 9-element block must be rejected"
+        );
+        assert!(one_issue.iter().all(|&n| cases[n].idx.len() > VLANES));
     }
 }

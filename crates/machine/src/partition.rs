@@ -12,17 +12,13 @@
 //! builds compile the bitmap out entirely; a grant is exactly the old
 //! pointer add.
 //!
-//! The API is deliberately tiny:
-//!
-//! * [`Partition::grant`] — claim index `i` and get `&mut` to it
-//!   (at most once per index per partition, debug-checked);
-//! * [`Partition::read`] — read an index that is *never* granted
-//!   (shared input cells; debug-checked against the claim set).
-//!
-//! Both are `unsafe fn`s: the check only exists in debug builds, so the
-//! caller must still uphold the contract in release. What changes is
-//! that the contract is now *exercised* — every `cargo test` run (debug
-//! profile) walks the full claim history of every sharded phase.
+//! The API is deliberately tiny: [`Partition::grant`] claims index `i`
+//! and returns `&mut` to it (at most once per index per partition,
+//! debug-checked). It is an `unsafe fn`: the check only exists in debug
+//! builds, so the caller must still uphold the contract in release.
+//! What changes is that the contract is now *exercised* — every
+//! `cargo test` run (debug profile) walks the full claim history of
+//! every sharded phase.
 
 use std::marker::PhantomData;
 #[cfg(debug_assertions)]
@@ -100,36 +96,6 @@ impl<'a, T> Partition<'a, T> {
         unsafe { &mut *self.ptr.add(i) }
     }
 
-    /// Reads element `i` without claiming it.
-    ///
-    /// # Safety
-    ///
-    /// `i` must be in bounds and must never be granted over the
-    /// partition's lifetime — reads are for the shared, never-written
-    /// portion of the slice (debug builds panic if `i` was already
-    /// granted at read time).
-    #[allow(unsafe_code)]
-    pub unsafe fn read(&self, i: usize) -> T
-    where
-        T: Copy,
-    {
-        debug_assert!(i < self.len, "read({i}) out of bounds (len {})", self.len);
-        #[cfg(debug_assertions)]
-        {
-            let (word, bit) = (i / 64, 1u64 << (i % 64));
-            assert!(
-                // Relaxed ordering: the bitmap detects overlap through
-                // RMW atomicity in `claim`, not through ordering, and
-                // this debug probe publishes nothing.
-                self.claims[word].load(Ordering::Relaxed) & bit == 0,
-                "Partition read({i}) of an index that was granted &mut"
-            );
-        }
-        // SAFETY: `i` is in bounds and no `&mut` to it exists (never
-        // granted, per the caller contract checked above in debug).
-        unsafe { *self.ptr.add(i) }
-    }
-
     /// Records the claim of index `i`, panicking if it was already
     /// claimed. `fetch_or` is an atomic read-modify-write, so of two
     /// racing claimants exactly one observes the bit clear — the overlap
@@ -170,7 +136,7 @@ mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
-    // Exercises the unsafe grant/read API directly; every site
+    // Exercises the unsafe grant API directly; every site
     // below carries its own SAFETY comment.
     #[allow(unsafe_code)]
     fn disjoint_grants_mutate_their_own_elements() {
@@ -189,27 +155,10 @@ mod tests {
         assert!(data.iter().enumerate().all(|(i, &v)| v == i + 1));
     }
 
-    #[test]
-    // Exercises the unsafe grant/read API directly; every site
-    // below carries its own SAFETY comment.
-    #[allow(unsafe_code)]
-    fn reads_of_ungranted_indices_see_current_values() {
-        let mut data = vec![3.5f64, 7.0, -1.0];
-        let part = Partition::new(&mut data);
-        // SAFETY: index 1 is in bounds and never granted.
-        assert_eq!(unsafe { part.read(1) }, 7.0);
-        // SAFETY: index 0 granted once; index 1 only ever read.
-        let v = unsafe { part.read(1) };
-        // SAFETY: first and only grant of index 0.
-        unsafe { *part.grant(0) = v };
-        // SAFETY: in bounds, never granted.
-        assert_eq!(unsafe { part.read(1) }, 7.0);
-    }
-
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "granted twice")]
-    // Exercises the unsafe grant/read API directly; every site
+    // Exercises the unsafe grant API directly; every site
     // below carries its own SAFETY comment.
     #[allow(unsafe_code)]
     fn overlapping_grant_panics_in_debug() {
@@ -223,28 +172,11 @@ mod tests {
         }
     }
 
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "granted &mut")]
-    // Exercises the unsafe grant/read API directly; every site
-    // below carries its own SAFETY comment.
-    #[allow(unsafe_code)]
-    fn read_of_granted_index_panics_in_debug() {
-        let mut data = vec![0u8; 8];
-        let part = Partition::new(&mut data);
-        // SAFETY: legal grant; the read then violates the never-granted
-        // contract on purpose.
-        unsafe {
-            *part.grant(2) = 1;
-            let _ = part.read(2);
-        }
-    }
-
     /// The cross-thread detection path: two pool workers claim the same
     /// index, one must panic (and the pool propagates it).
     #[cfg(debug_assertions)]
     #[test]
-    // Exercises the unsafe grant/read API directly; every site
+    // Exercises the unsafe grant API directly; every site
     // below carries its own SAFETY comment.
     #[allow(unsafe_code)]
     fn overlapping_grants_across_pool_workers_are_detected() {

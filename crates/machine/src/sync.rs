@@ -11,8 +11,8 @@
 //!   trait item is a direct re-export or one-line delegation to `std`.
 //!   The pool is monomorphised over it ([`crate::exec::WorkerPool`] *is*
 //!   `PoolCore<StdSync>`), so the facade compiles to the identical
-//!   `std::sync` primitives — zero cost, verified by the existing
-//!   BENCH_step.json perf gate.
+//!   `std::sync` primitives — zero cost (`machine.exec_dispatch_us`
+//!   in `benchmark/` is the number that would show otherwise).
 //! * `ShimSync` (in the `mpic-check` crate): instrumented shim types
 //!   whose every operation yields to a deterministic mock scheduler, so
 //!   a loom-style model checker can exhaustively explore bounded

@@ -48,18 +48,7 @@ impl VReg {
         self.0[i]
     }
 
-    /// Mutable lane accessor.
-    pub fn lane_mut(&mut self, i: usize) -> &mut f64 {
-        &mut self.0[i]
-    }
-
-    /// Copies the register into a slice (must be at least VLANES long).
-    pub fn write_to(&self, out: &mut [f64]) {
-        out[..VLANES].copy_from_slice(&self.0);
-    }
-
-    /// Horizontal sum of all lanes (cost-free; use
-    /// [`crate::Machine::v_reduce_add`] inside emulated kernels).
+    /// Horizontal sum of all lanes (cost-free).
     pub fn sum(&self) -> f64 {
         self.0.iter().sum()
     }
@@ -68,49 +57,6 @@ impl VReg {
 impl Default for VReg {
     fn default() -> Self {
         Self::zero()
-    }
-}
-
-/// A per-lane boolean mask produced by vector compares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VMask(pub [bool; VLANES]);
-
-impl VMask {
-    /// All-false mask.
-    pub fn none() -> Self {
-        VMask([false; VLANES])
-    }
-
-    /// All-true mask.
-    pub fn all() -> Self {
-        VMask([true; VLANES])
-    }
-
-    /// Mask with the first `n` lanes set (used for loop tails).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > VLANES`.
-    pub fn first(n: usize) -> Self {
-        assert!(n <= VLANES);
-        let mut m = [false; VLANES];
-        m[..n].fill(true);
-        VMask(m)
-    }
-
-    /// Number of set lanes.
-    pub fn count(&self) -> usize {
-        self.0.iter().filter(|&&b| b).count()
-    }
-
-    /// Whether any lane is set.
-    pub fn any(&self) -> bool {
-        self.0.iter().any(|&b| b)
-    }
-
-    /// Lane accessor.
-    pub fn lane(&self, i: usize) -> bool {
-        self.0[i]
     }
 }
 
@@ -136,15 +82,5 @@ mod tests {
     fn sum_is_horizontal_add() {
         let r = VReg::from_slice(&[1.0, 2.0, 3.0]);
         assert_eq!(r.sum(), 6.0);
-    }
-
-    #[test]
-    fn mask_first_counts() {
-        let m = VMask::first(3);
-        assert_eq!(m.count(), 3);
-        assert!(m.lane(2));
-        assert!(!m.lane(3));
-        assert!(m.any());
-        assert!(!VMask::none().any());
     }
 }

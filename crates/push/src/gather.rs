@@ -300,7 +300,7 @@ pub fn charge_gather(
                 for (l, i) in (p..p + lanes).enumerate() {
                     idx[l] = sample_idx[i.min(sample_idx.len() - 1)] + node;
                 }
-                m.v_touch_gather_multi(field_addrs, &idx[..lanes]);
+                m.v_touch_gather_priced(Pricing::Walk, field_addrs, &idx[..lanes], 0);
             }
             p += lanes;
         }
