@@ -3,12 +3,13 @@
 //! kernels (useful for tracking the emulator's own performance); the
 //! paper-figure regeneration uses the cycle-model harness bins instead.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use mpic_core::workloads;
-use mpic_deposit::{KernelConfig, Rhocell, ShapeOrder};
+use mpic_deposit::{ExecMode, KernelConfig, Rhocell, ShapeOrder};
 use mpic_grid::{FieldArrays, GridGeometry, Tile, TileLayout};
-use mpic_machine::{Machine, MachineConfig};
+use mpic_machine::{Machine, MachineConfig, Pricing};
 use mpic_particles::Gpma;
+use mpic_push::{BorisCoeffs, PushCtx, PushScratch};
 use mpic_solver::{MaxwellSolver, SolverKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -142,6 +143,65 @@ fn bench_incremental_sort(c: &mut Criterion) {
     });
 }
 
+/// The two particle layers of the `uniform_qsp` configuration (QSP,
+/// FullOpt, cell runs at the streamed price) in isolation, on a 16^3
+/// ppc 8 plasma 40 steps in: the sort + deposit pair as the CIC group
+/// times it, and the run sweep — block gather, lane gather, lane push —
+/// over every tile, which `benchmark/`'s per-particle `push.kernels`
+/// span does not reach.
+fn bench_qsp_streamed_layers(c: &mut Criterion) {
+    let mut sim =
+        workloads::uniform_plasma_sim([16, 16, 16], 8, ShapeOrder::Qsp, KernelConfig::FullOpt, 42);
+    sim.cfg.batching = true;
+    sim.cfg.simd = true;
+    for _ in 0..40 {
+        sim.step();
+    }
+    let (geom, layout) = (&sim.geom, &sim.layout);
+
+    c.bench_function("deposit_qsp_fullopt_streamed", |b| {
+        let mut m = Machine::new(MachineConfig::lx2());
+        let mut dep = KernelConfig::FullOpt.build(ShapeOrder::Qsp);
+        let mut electrons = sim.electrons.clone();
+        dep.prepare(&mut m, geom, layout, &mut electrons);
+        dep.set_batching(true);
+        dep.set_simd(true);
+        let mut fields = sim.fields.clone();
+        b.iter(|| {
+            dep.sort_step(&mut m, geom, layout, &mut electrons, false);
+            dep.deposit_step(&mut m, geom, layout, &electrons, &mut fields);
+            std::hint::black_box(fields.jx.sum())
+        });
+    });
+
+    c.bench_function("push_runs_qsp_streamed", |b| {
+        let mut m = Machine::new(MachineConfig::lx2());
+        let len = sim.fields.ex.len();
+        let ctx = PushCtx {
+            geom,
+            order: ShapeOrder::Qsp,
+            fields: &sim.fields,
+            field_addrs: std::array::from_fn(|_| m.mem().alloc_f64(len)),
+            boris: BorisCoeffs::new(sim.electrons.charge, sim.electrons.mass, sim.dt()),
+            absorb_z: None,
+        };
+        let mut scratch = PushScratch::default();
+        // Every iteration pushes the same sorted state: a pushed tile's
+        // particles have left their cells, so the next sweep over it
+        // would see shorter runs.
+        b.iter_batched(
+            || sim.electrons.tiles.clone(),
+            |mut tiles| {
+                for tile in &mut tiles {
+                    ctx.push_tile(&mut m, ExecMode::Runs(Pricing::Stream), tile, &mut scratch);
+                }
+                tiles
+            },
+            BatchSize::LargeInput,
+        );
+    });
+}
+
 fn bench_counting_sort(c: &mut Criterion) {
     c.bench_function("counting_sort_64k", |b| {
         let mut rng = StdRng::seed_from_u64(4);
@@ -243,6 +303,7 @@ criterion_group!(
     bench_deposition_kernels,
     bench_gpma_maintenance,
     bench_incremental_sort,
+    bench_qsp_streamed_layers,
     bench_counting_sort,
     bench_full_step,
     bench_grid_passes

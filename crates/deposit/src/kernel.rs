@@ -8,7 +8,9 @@
 //! Algorithm 1's phases, charging each to its [`Phase`] bucket.
 
 use mpic_grid::{Array3, FieldArrays, GridGeometry, Tile, TileLayout};
-use mpic_machine::{Exec, Machine, Phase, Pricing, SchedulerPolicy, VAddr, WorkerPool};
+use mpic_machine::{
+    Exec, Machine, Meter, Phase, Pricing, SchedulerPolicy, VAddr, WorkerPool, VLANES,
+};
 use mpic_particles::{MoveStats, ParticleContainer, SortPolicy, SortStats};
 
 use crate::common::{
@@ -353,10 +355,10 @@ impl Depositor {
                         while p < n {
                             for d in 0..3 {
                                 let a = addrs.soa[t][d].offset_f64(p);
-                                m.v_touch_load_priced(pricing, a, 8, footprint);
+                                m.v_touch_load_priced(pricing, a, VLANES, footprint);
                             }
                             m.v_ops(4); // Cell compare + mask bookkeeping.
-                            p += 8;
+                            p += VLANES;
                         }
                     }
                 });
@@ -645,7 +647,7 @@ impl<'a> StepCtx<'a> {
 /// random-access DRAM latency each under memory-level parallelism. This
 /// is what makes `Hybrid-GlobalSort` (a full sort every step) lose to
 /// the incremental sorter at scale — Figure 10's central observation.
-fn charge_global_sort(m: &mut Machine, stats: &SortStats) {
+fn charge_global_sort(m: &mut Meter<'_>, stats: &SortStats) {
     let n = stats.n as f64;
     // Histogram + prefix sum + permutation index pass.
     m.s_ops(op_count(6.0 * n));
@@ -669,7 +671,7 @@ fn op_count(x: f64) -> usize {
 }
 
 /// Charges the GPMA maintenance work reported by the sweep.
-fn charge_gpma(m: &mut Machine, s: &MoveStats) {
+fn charge_gpma(m: &mut Meter<'_>, s: &MoveStats) {
     // Queue handling + index updates: ~8 scalar ops per applied move.
     m.s_ops(8 * s.moves_applied);
     // Deletions and O(1) inserts are a handful of ops each.

@@ -33,7 +33,7 @@
 //! extraction per pair — reproducing the `Hybrid-noSort` degradation of
 //! the ablation study (Figure 10).
 
-use mpic_machine::{Machine, Phase, Pricing, TileId, VReg};
+use mpic_machine::{Machine, Meter, Phase, Pricing, TileId, VReg, VLANES};
 use mpic_particles::cell_runs;
 
 use crate::common::{PrepStyle, Staging};
@@ -124,8 +124,11 @@ impl DepositionKernel for MatrixKernel {
 }
 
 /// CIC: one MOPA per pair per component; tile resident across the run.
+/// Inlined into the scope's run loop so the meter stays in registers
+/// (see [`Machine::in_phase`]); so is [`deposit_run_slabs`].
+#[inline(always)]
 fn deposit_run_cic(
-    m: &mut Machine,
+    m: &mut Meter<'_>,
     pricing: Pricing,
     st: &Staging,
     run_start: usize,
@@ -145,8 +148,8 @@ fn deposit_run_cic(
 
         // B = [sy0sz0, sy1sz0, sy0sz1, sy1sz1 | p2...] : one multiply of
         // a shuffled sy vector by a shuffled sz vector.
-        let mut sy8 = [0.0; 8];
-        let mut sz8 = [0.0; 8];
+        let mut sy8 = [0.0; VLANES];
+        let mut sz8 = [0.0; VLANES];
         for (half, part) in pair.iter().enumerate() {
             if let Some(q) = part {
                 for c in 0..2 {
@@ -162,7 +165,7 @@ fn deposit_run_cic(
 
         // A = [wq*sx0, wq*sx1 | p2...] (p2's lanes stay zero for a solo
         // trailing particle); the sx factor is shared by the components.
-        let mut sx4 = [0.0; 8];
+        let mut sx4 = [0.0; VLANES];
         for (half, part) in pair.iter().enumerate() {
             if let Some(q) = part {
                 sx4[half * 2] = st.s(0, 0, *q);
@@ -170,7 +173,7 @@ fn deposit_run_cic(
             }
         }
         for comp in 0..3 {
-            let mut wq4 = [0.0; 8];
+            let mut wq4 = [0.0; VLANES];
             for (half, part) in pair.iter().enumerate() {
                 if let Some(q) = part {
                     wq4[half * 2] = st.wq[comp][*q];
@@ -190,7 +193,7 @@ fn deposit_run_cic(
         for (r, row) in rows.iter_mut().enumerate() {
             *row = m.t_read_row(COMP_TILE[comp], r);
         }
-        let mut vals = [0.0; 8];
+        let mut vals = [0.0; VLANES];
         for col in 0..4 {
             for row in 0..2 {
                 vals[col * 2 + row] = rows[row].lane(col) + rows[2 + row].lane(4 + col);
@@ -205,8 +208,9 @@ fn deposit_run_cic(
 /// component, over support `S` = 4 (QSP) or 3 (TSC, 2x9/64 = 28%
 /// utilisation); tiles resident across the run for one component at a
 /// time. `S` is a const so each order keeps fixed-trip-count loops.
+#[inline(always)]
 fn deposit_run_slabs<const S: usize>(
-    m: &mut Machine,
+    m: &mut Meter<'_>,
     pricing: Pricing,
     st: &Staging,
     run_start: usize,
@@ -231,8 +235,8 @@ fn deposit_run_slabs<const S: usize>(
 
             // B = [sy0..S(p1) | sy0..S(p2)] and the sx lanes of every
             // A_c — pure staged data, shared by the pair's slabs.
-            let mut by = [0.0; 8];
-            let mut ax = [0.0; 8];
+            let mut by = [0.0; VLANES];
+            let mut ax = [0.0; VLANES];
             for (half, part) in pair.iter().enumerate() {
                 if let Some(q) = part {
                     for t in 0..S {
@@ -246,7 +250,7 @@ fn deposit_run_slabs<const S: usize>(
 
             for c in 0..S {
                 // A_c = [wq*sz[c]*sx0..S(p1) | same p2].
-                let mut scale = [0.0; 8];
+                let mut scale = [0.0; VLANES];
                 for (half, part) in pair.iter().enumerate() {
                     if let Some(q) = part {
                         let f = st.wq[comp][*q] * st.s(2, c, *q);
@@ -263,15 +267,15 @@ fn deposit_run_slabs<const S: usize>(
         // each particle half, the S x S block sx (x) sy scaled by
         // wq*sz[c]; node id = (c*S + b)*S + a.
         for c in 0..S {
-            let mut block = [[0.0; 8]; 8];
-            for (r, row) in block.iter_mut().enumerate().take(8) {
+            let mut block = [[0.0; VLANES]; VLANES];
+            for (r, row) in block.iter_mut().enumerate().take(VLANES) {
                 let reg = m.t_read_row(TileId(c), r);
                 for (col, v) in row.iter_mut().enumerate() {
                     *v = reg.lane(col);
                 }
             }
             for b0 in (0..S).step_by(rows_per_pass) {
-                let mut vals = [0.0; 8];
+                let mut vals = [0.0; VLANES];
                 for b in 0..rows_per_pass {
                     for a in 0..S {
                         // p1 block rows 0-3 cols 0-3; p2 rows 4-7 cols 4-7.

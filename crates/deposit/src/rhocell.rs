@@ -12,7 +12,7 @@
 //! [`Rhocell::apply_to_grid`] its functional half.
 
 use mpic_grid::{Array3, GridGeometry, Tile};
-use mpic_machine::{Machine, Phase, Pricing, VAddr, VReg, VLANES};
+use mpic_machine::{Machine, Meter, Phase, Pricing, VAddr, VReg, VLANES};
 
 use crate::common::node_coord;
 use crate::shape::ShapeOrder;
@@ -42,11 +42,6 @@ impl Rhocell {
     /// Shape order the accumulator was built for.
     pub fn order(&self) -> ShapeOrder {
         self.order
-    }
-
-    /// Nodes per cell per component.
-    pub fn nodes_per_cell(&self) -> usize {
-        self.nodes
     }
 
     /// Total f64 footprint (for address-map sizing).
@@ -101,22 +96,18 @@ impl Rhocell {
         &mut self.data[i..i + n]
     }
 
-    /// Immutable view of one cell's accumulator for one component.
-    pub fn cell_slice(&self, comp: usize, cell: usize) -> &[f64] {
-        let i = self.index(comp, cell, 0);
-        &self.data[i..i + self.nodes]
-    }
-
     /// Adds the first `w` lanes of `contrib` onto the accumulator slice
     /// `(comp, cell, node..node + w)`: the load / add / store pass every
     /// rhocell kernel retires a run (or a particle) with, priced at
     /// `pricing`. `rho_addr` is the accumulator's base address. Sorted
     /// runs visit consecutive cells, so under [`Pricing::Stream`] the
     /// passes form a dense ascending sweep priced as a stream instead of
-    /// a cache walk.
+    /// a cache walk. Called per run inside the kernels' Compute scope,
+    /// so inlined into it (see [`Machine::in_phase`]).
+    #[inline(always)]
     pub fn accumulate(
         &mut self,
-        m: &mut Machine,
+        m: &mut Meter<'_>,
         pricing: Pricing,
         rho_addr: VAddr,
         comp: usize,
@@ -131,14 +122,6 @@ impl Rhocell {
         let cur = m.v_load_priced(pricing, addr, &self.data[i..i + w], footprint);
         let sum = m.v_add(cur, contrib);
         m.v_store_priced(pricing, addr, sum, &mut self.data[i..i + w], w, footprint);
-    }
-
-    /// Sum over all accumulators of one component (diagnostics).
-    pub fn component_sum(&self, comp: usize) -> f64 {
-        let base = comp * self.n_cells * self.nodes;
-        self.data[base..base + self.n_cells * self.nodes]
-            .iter()
-            .sum()
     }
 
     /// The one cell walk of the reduction — [`Rhocell::charge_reduce`]
@@ -211,7 +194,7 @@ impl Rhocell {
     ///   walked node-vector load plus a grid scatter-add with conflict
     ///   pricing.
     /// * [`Pricing::Stream`] — the cell's live components are folded in
-    ///   **one pass** priced by [`Machine::v_touch_reduce_block_reuse`]:
+    ///   **one pass** priced by [`Meter::v_touch_reduce_block_reuse`]:
     ///   scatter address generation paid once per node (not once per
     ///   node per component) and each component's distinct destination
     ///   cache lines charged once. Consecutive cells in the sweep have
@@ -497,11 +480,10 @@ mod tests {
     fn add_and_slices() {
         let mut r = Rhocell::new(ShapeOrder::Cic, 2);
         r.add(1, 1, 3, 2.5);
-        assert_eq!(r.cell_slice(1, 1)[3], 2.5);
-        assert_eq!(r.component_sum(1), 2.5);
-        assert_eq!(r.component_sum(0), 0.0);
+        assert_eq!(r.cell_slice_mut(1, 1)[3], 2.5);
+        assert_eq!(r.data.iter().sum::<f64>(), 2.5, "and nowhere else");
         r.clear();
-        assert_eq!(r.component_sum(1), 0.0);
+        assert!(r.data.iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -598,9 +580,9 @@ mod tests {
 
     #[test]
     fn qsp_footprint() {
-        let r = Rhocell::new(ShapeOrder::Qsp, 512);
+        let mut r = Rhocell::new(ShapeOrder::Qsp, 512);
         assert_eq!(r.len(), 3 * 512 * 64);
-        assert_eq!(r.nodes_per_cell(), 64);
+        assert_eq!(r.cell_slice_mut(2, 511).len(), 64);
     }
 
     #[test]

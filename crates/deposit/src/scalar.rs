@@ -15,7 +15,7 @@
 //! even though it was designed without sorting in mind.
 
 use mpic_grid::{Array3, GridGeometry};
-use mpic_machine::{Lanes, Machine, Phase, VReg, VLANES};
+use mpic_machine::{Lanes, Machine, Meter, Phase, VReg, VLANES};
 use mpic_particles::{cell_runs, ParticleContainer};
 
 use crate::common::{node_index, stage_particle, PrepStyle, Staging, TouchedNodes};
@@ -240,8 +240,9 @@ fn deposit_tile_runs(
 /// that of a particle-chunked vector loop: per [`VLANES`] particles,
 /// one round of staged re-loads plus product / multiply / accumulate
 /// per stencil node.
+#[inline]
 fn accumulate_run(
-    m: &mut Machine,
+    m: &mut Meter<'_>,
     st: &Staging,
     s: usize,
     nodes: usize,

@@ -8,6 +8,13 @@
 //! `flops_issued` (what the emulated hardware actually executed, including
 //! zero-padded MPU tile slots) and `useful_flops` (canonical work set by the
 //! harness).
+//!
+//! [`PerfCounters`] is the counters' *home*, not where the hot loops add:
+//! a phase scope ([`crate::Machine::in_phase`]) checks the active phase's
+//! cycle bucket, `flops_issued` and the four instruction counts out into a
+//! [`crate::Meter`], charges there, and stores the running totals back
+//! when the scope closes. Between scopes everything is here, which is
+//! what [`crate::Machine::drain_counters`] and the checkpoint read.
 
 /// Execution phases of a PIC timestep.
 ///
@@ -150,6 +157,19 @@ pub struct PerfCounters {
     pub tile_transfers: u64,
 }
 
+/// The counters an op can add to, as a phase scope holds them while it
+/// runs: one phase's cycle bucket and everything phase-independent
+/// except `useful_flops`, which only the harness credits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Totals {
+    pub(crate) cycles: f64,
+    pub(crate) flops_issued: f64,
+    pub(crate) scalar_ops: u64,
+    pub(crate) vector_ops: u64,
+    pub(crate) mopa_ops: u64,
+    pub(crate) tile_transfers: u64,
+}
+
 impl PerfCounters {
     /// Creates zeroed counters.
     pub fn new() -> Self {
@@ -164,6 +184,30 @@ impl PerfCounters {
     /// Cycles charged to one phase.
     pub fn cycles(&self, phase: Phase) -> f64 {
         self.cycles[phase.index()]
+    }
+
+    /// What a scope of `phase` checks out into its [`crate::Meter`].
+    #[inline]
+    pub(crate) fn check_out(&self, phase: Phase) -> Totals {
+        Totals {
+            cycles: self.cycles[phase.index()],
+            flops_issued: self.flops_issued,
+            scalar_ops: self.scalar_ops,
+            vector_ops: self.vector_ops,
+            mopa_ops: self.mopa_ops,
+            tile_transfers: self.tile_transfers,
+        }
+    }
+
+    /// Stores a scope's totals back, `cycles` into `phase`'s bucket.
+    #[inline]
+    pub(crate) fn commit(&mut self, phase: Phase, t: Totals) {
+        self.cycles[phase.index()] = t.cycles;
+        self.flops_issued = t.flops_issued;
+        self.scalar_ops = t.scalar_ops;
+        self.vector_ops = t.vector_ops;
+        self.mopa_ops = t.mopa_ops;
+        self.tile_transfers = t.tile_transfers;
     }
 
     /// Total cycles across all phases.

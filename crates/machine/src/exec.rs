@@ -891,9 +891,8 @@ mod tests {
     fn charge_item(wm: &mut Machine, t: usize, item: &mut f64, scratch: &mut Vec<u64>) {
         wm.mem().flush_cache();
         scratch.push(t as u64);
-        wm.set_phase(Phase::Compute);
         // Cost depends only on the item: deterministic per tile.
-        wm.s_ops(t + 1);
+        wm.in_phase(Phase::Compute, |k| k.s_ops(t + 1));
         *item = t as f64;
     }
 

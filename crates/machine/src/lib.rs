@@ -12,7 +12,9 @@
 //!   a scalar reference;
 //! * every instruction simultaneously charges cycles from a parameterised
 //!   cost model ([`MachineConfig`]) into per-phase performance counters
-//!   ([`PerfCounters`]), and memory operations consult a two-level
+//!   ([`PerfCounters`]) — through the [`Meter`] of an open phase scope
+//!   ([`Machine::in_phase`]), which holds the counters it adds to for as
+//!   long as the scope runs — and memory operations consult a two-level
 //!   set-associative cache simulation ([`CacheSim`]) so that data-locality
 //!   effects (the whole point of the paper's incremental sorter) are
 //!   reflected in the reported cycle counts.
@@ -29,10 +31,11 @@
 //! use mpic_machine::{Machine, MachineConfig, Phase};
 //!
 //! let mut m = Machine::new(MachineConfig::lx2());
-//! m.set_phase(Phase::Compute);
-//! let a = m.v_splat(2.0);
-//! let b = m.v_splat(3.0);
-//! let c = m.v_mul(a, b);
+//! let c = m.in_phase(Phase::Compute, |k| {
+//!     let a = k.v_splat(2.0);
+//!     let b = k.v_splat(3.0);
+//!     k.v_mul(a, b)
+//! });
 //! assert_eq!(c.lane(0), 6.0);
 //! assert!(m.counters().cycles(Phase::Compute) > 0.0);
 //! ```
@@ -63,7 +66,7 @@ pub use exec::{
     INLINE_ITEM_THRESHOLD,
 };
 pub use gpu::{GpuConfig, GpuDepositionReport, GpuModel};
-pub use machine::{Machine, Pricing, TileId};
+pub use machine::{Machine, Meter, Pricing, TileId};
 pub use mem::{MemSystem, VAddr};
 pub use partition::Partition;
 pub use shard::shard_bounds;

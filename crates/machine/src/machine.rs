@@ -1,19 +1,31 @@
 //! The emulated LX2 core: scalar pipe, VPU, MPU and memory system behind a
-//! single mutable facade.
+//! single mutable facade, and the [`Meter`] its phase scopes charge.
 //!
 //! Kernels call instruction-shaped methods (`v_mul`, `t_mopa`,
-//! `v_touch_gather_priced`, ...), and nothing else charges a cycle: the
-//! public surface of [`Machine`] is the cost model's closed input
-//! language (README, "The two prices of a run", tabulates every op by
-//! class and caller). Value-returning methods perform the real
-//! arithmetic on host data *and* charge the cost model, so a kernel is
-//! simultaneously its own functional implementation and its own
-//! performance model; `v_touch_*` methods charge only. The currently
-//! active [`Phase`] determines which counter bucket receives the cycles,
-//! matching the per-phase breakdowns of the paper's Tables 1 and 2.
+//! `v_touch_gather_priced`, ...), and nothing else charges a cycle: that
+//! closed op set is the cost model's input language (README, "The two
+//! prices of a run", tabulates every op by class and caller).
+//! Value-returning ops perform the real arithmetic on host data *and*
+//! charge the cost model, so a kernel is simultaneously its own
+//! functional implementation and its own performance model; `v_touch_*`
+//! ops charge only.
+//!
+//! The body of every op lives **once**, on [`Meter`].
+//! [`Machine::in_phase`] opens a phase scope: it checks the counters the
+//! ops add to — the phase's cycle bucket (the per-phase breakdowns of
+//! the paper's Tables 1 and 2), `flops_issued` and the four instruction
+//! counts — out of [`PerfCounters`] into a by-value `Meter`, hands it to
+//! the scope's closure, and stores the totals back when the closure
+//! returns. A kernel's charges are then adds on locals the optimiser
+//! keeps in registers instead of read-modify-writes behind
+//! `&mut Machine`, one strictly dependent store-forwarded chain per
+//! counter. The ops `Machine` itself still offers are one-line
+//! delegations — a scope around a single op — for callers that issue an
+//! isolated op (tests, probes); anything that charges in a loop takes
+//! the meter.
 
 use crate::cost::MachineConfig;
-use crate::counters::{MachineCounters, PerfCounters, Phase};
+use crate::counters::{MachineCounters, PerfCounters, Phase, Totals};
 use crate::mem::{MemSystem, VAddr};
 use crate::vreg::{VReg, VLANES};
 
@@ -48,6 +60,8 @@ pub struct Machine {
     cfg: MachineConfig,
     ctr: PerfCounters,
     mem: MemSystem,
+    /// The bucket of the open phase scope — or, outside any scope, of
+    /// the next delegated op ([`Phase::Other`] from construction on).
     phase: Phase,
     /// Multiplier applied to arithmetic-op charges; >1 models code the
     /// compiler auto-vectorises poorly (see
@@ -205,16 +219,35 @@ impl Machine {
         self.tiles = [[[0.0; VLANES]; VLANES]; NUM_TILES];
     }
 
-    /// Sets the phase that subsequent charges are attributed to.
-    pub fn set_phase(&mut self, phase: Phase) {
-        self.phase = phase;
-    }
-
-    /// Runs `f` with the given phase active, restoring the previous phase.
-    pub fn in_phase<R>(&mut self, phase: Phase, f: impl FnOnce(&mut Machine) -> R) -> R {
-        let prev = self.phase;
-        self.phase = phase;
-        let r = f(self);
+    /// Opens a phase scope: runs `f` with `phase` active and the
+    /// counters checked out into the [`Meter`] it is handed, then stores
+    /// them back and restores the previous phase.
+    ///
+    /// Every function `f` calls in a per-run or per-pair loop must take
+    /// the meter and be `#[inline]`: the meter is meant to stay one
+    /// scalar-replaced local, and a non-inlined callee that receives
+    /// `&mut Meter` forces it to memory — the compiler cannot prove the
+    /// machine pointer inside does not alias it — which puts that loop
+    /// back on the store-forwarded chain the scope exists to remove. A
+    /// helper that has to stay out of line takes what it works on (the
+    /// memory system, a tile register), not the meter.
+    ///
+    /// A panic inside `f` unwinds past the commit: the scope's charges
+    /// are dropped and the phase stays switched, exactly as an unwinding
+    /// scope has always left it. Nothing reads a machine in that state —
+    /// a faulted worker fork is discarded, and `ResilientDriver` restores
+    /// the main machine's counters from the checkpoint
+    /// ([`Machine::reset_execution_state`] resets the phase).
+    #[inline]
+    pub fn in_phase<R>(&mut self, phase: Phase, f: impl FnOnce(&mut Meter<'_>) -> R) -> R {
+        let prev = std::mem::replace(&mut self.phase, phase);
+        let mut k = Meter {
+            t: self.ctr.check_out(phase),
+            m: self,
+        };
+        let r = f(&mut k);
+        let t = k.t;
+        self.ctr.commit(phase, t);
         self.phase = prev;
         r
     }
@@ -230,107 +263,20 @@ impl Machine {
         self.throughput_penalty = 1.0;
     }
 
-    /// Charges raw cycles to the active phase (used by coarse-grained
-    /// instrumentation in the solver and pusher).
-    pub fn charge(&mut self, cycles: f64) {
-        self.ctr.add_cycles(self.phase, cycles);
+    /// Direct tile inspection for tests (cost-free).
+    pub fn tile_value(&self, tile: TileId, row: usize, col: usize) -> f64 {
+        self.tiles[tile.0][row][col]
     }
 
-    /// Records FLOPs executed without charging cycles (paired with
-    /// [`Machine::charge`] by coarse-grained instrumentation).
-    pub fn record_flops(&mut self, flops: f64) {
-        self.ctr.flops_issued += flops;
-    }
+    /// Memory-level-parallelism factor of the gather unit: the per-line
+    /// miss latencies of one gather overlap, so only this fraction of
+    /// each line's cost is charged (scatters, being read-modify-write,
+    /// get no such discount).
+    const GATHER_MLP: f64 = 0.15;
 
-    fn charge_arith(&mut self, base_cy: f64, flops: f64) {
-        self.ctr
-            .add_cycles(self.phase, base_cy * self.throughput_penalty);
-        self.ctr.flops_issued += flops;
-    }
-
-    // ------------------------------------------------------------------
-    // Arithmetic (scalar pipe and VPU)
-    // ------------------------------------------------------------------
-
-    /// Charges `n` generic scalar ALU operations (address math, compares).
-    pub fn s_ops(&mut self, n: usize) {
-        self.ctr.scalar_ops += n as u64;
-        self.ctr.add_cycles(
-            self.phase,
-            self.cfg.scalar_arith_cy * n as f64 * self.throughput_penalty,
-        );
-    }
-
-    /// Broadcasts a scalar to all lanes.
-    pub fn v_splat(&mut self, x: f64) -> VReg {
-        self.ctr.vector_ops += 1;
-        self.charge_arith(self.cfg.vpu_arith_cy, 0.0);
-        VReg::splat(x)
-    }
-
-    /// Lane-wise addition.
-    pub fn v_add(&mut self, a: VReg, b: VReg) -> VReg {
-        self.ctr.vector_ops += 1;
-        self.charge_arith(self.cfg.vpu_arith_cy, VLANES as f64);
-        let mut r = VReg::zero();
-        for i in 0..VLANES {
-            r.0[i] = a.0[i] + b.0[i];
-        }
-        r
-    }
-
-    /// Lane-wise multiplication.
-    pub fn v_mul(&mut self, a: VReg, b: VReg) -> VReg {
-        self.ctr.vector_ops += 1;
-        self.charge_arith(self.cfg.vpu_arith_cy, VLANES as f64);
-        let mut r = VReg::zero();
-        for i in 0..VLANES {
-            r.0[i] = a.0[i] * b.0[i];
-        }
-        r
-    }
-
-    /// Charges `n` generic vector ALU operations without data (companion
-    /// of [`Machine::s_ops`] for modelled vector instruction streams).
-    pub fn v_ops(&mut self, n: usize) {
-        self.ctr.vector_ops += n as u64;
-        self.charge_arith(self.cfg.vpu_arith_cy * n as f64, (n * VLANES) as f64);
-    }
-
-    /// Charges the issue cost of `n` vector memory instructions whose
-    /// data is cache-blocked scratch (staging buffers processed in
-    /// L1-resident blocks): no cache simulation, no FLOPs — just pipeline
-    /// occupancy.
-    pub fn v_issue(&mut self, n: usize) {
-        self.ctr.vector_ops += n as u64;
-        self.ctr.add_cycles(
-            self.phase,
-            self.cfg.vpu_arith_cy * n as f64 * self.throughput_penalty,
-        );
-    }
-
-    // ------------------------------------------------------------------
-    // Contiguous loads and stores, walked or streamed
-    // ------------------------------------------------------------------
-    //
-    // `Pricing::Stream` prices memory traffic as *streams*, not as
-    // individual cache transactions: wide accesses issued back to back
-    // overlap their fills like an established prefetch stream, so each
-    // spanned line charges its share of sustained bandwidth
-    // (`simd_stream_line_cy`, further overlapped by `GATHER_MLP` for
-    // read streams) instead of a latency that depends on what happens to
-    // be resident. The charge is a pure function of the address stream —
-    // no cache-simulator state is read or written — which both prices
-    // the mode's deep out-of-order overlap and keeps every streamed
-    // charge bit-reproducible from the tile data alone.
-    // `footprint` (and `prev_idx`) feed only the streaming arm of a
-    // `*_priced` entry point; the walk arm prices from cache state.
-
-    /// Scalar load of `bytes` at `addr` (data itself lives in host arrays).
-    pub fn s_load(&mut self, addr: VAddr, bytes: u64) {
-        let cy = self.mem.access(addr, bytes);
-        self.ctr.add_cycles(self.phase, cy);
-    }
+    /// Maximum elements of one run-scoped block touch (a QSP stencil
+    /// block: 4^3 nodes).
+    pub const RUN_BLOCK_MAX: usize = 64;
 
     /// Number of cache lines spanned by `[addr, addr + bytes)` — the
     /// address-only counterpart of a cache access, used by the
@@ -361,32 +307,188 @@ impl Machine {
             self.cfg.simd_stream_line_cy
         }
     }
+}
+
+/// The charging end of an open phase scope ([`Machine::in_phase`]) and
+/// the one home of the cost model's op bodies.
+///
+/// Holds the machine plus the scope's counters as **running totals** —
+/// loaded when the scope opens, stored back when it closes — not as
+/// deltas from zero: every add then has the operands it would have had
+/// on the counters themselves, in the same order, so the totals are
+/// bit-identical to per-op read-modify-writes for any price table
+/// (a delta added at commit regroups the f64 sum, and the stream prices
+/// are not dyadic). Pure ops add to the local totals only; walked ops
+/// reach the cache simulator and the tile registers through the held
+/// machine, and the throughput penalty is read from it at every use, so
+/// [`Meter::use_autovec_model`] takes effect mid-scope.
+#[derive(Debug)]
+pub struct Meter<'m> {
+    m: &'m mut Machine,
+    t: Totals,
+}
+
+impl Meter<'_> {
+    /// The machine configuration.
+    #[inline]
+    pub fn cfg(&self) -> &MachineConfig {
+        &self.m.cfg
+    }
+
+    /// A nested scope: commits this scope's totals, runs `f` in a scope
+    /// of `phase`, and checks this scope's counters out again (the inner
+    /// scope moved the shared ones).
+    #[inline]
+    pub fn in_phase<R>(&mut self, phase: Phase, f: impl FnOnce(&mut Meter<'_>) -> R) -> R {
+        self.m.ctr.commit(self.m.phase, self.t);
+        let r = self.m.in_phase(phase, f);
+        self.t = self.m.ctr.check_out(self.m.phase);
+        r
+    }
+
+    /// [`Machine::use_autovec_model`], effective from the next op.
+    #[inline]
+    pub fn use_autovec_model(&mut self) {
+        self.m.use_autovec_model();
+    }
+
+    /// [`Machine::use_intrinsics_model`], effective from the next op.
+    #[inline]
+    pub fn use_intrinsics_model(&mut self) {
+        self.m.use_intrinsics_model();
+    }
+
+    /// Charges raw cycles to the active phase (used by coarse-grained
+    /// instrumentation in the solver and pusher).
+    #[inline]
+    pub fn charge(&mut self, cycles: f64) {
+        self.t.cycles += cycles;
+    }
+
+    /// Records FLOPs executed without charging cycles (paired with
+    /// [`Meter::charge`] by coarse-grained instrumentation).
+    #[inline]
+    pub fn record_flops(&mut self, flops: f64) {
+        self.t.flops_issued += flops;
+    }
+
+    #[inline]
+    fn charge_arith(&mut self, base_cy: f64, flops: f64) {
+        self.t.cycles += base_cy * self.m.throughput_penalty;
+        self.t.flops_issued += flops;
+    }
+
+    // ------------------------------------------------------------------
+    // Arithmetic (scalar pipe and VPU)
+    // ------------------------------------------------------------------
+
+    /// Charges `n` generic scalar ALU operations (address math, compares).
+    #[inline]
+    pub fn s_ops(&mut self, n: usize) {
+        self.t.scalar_ops += n as u64;
+        self.t.cycles += self.m.cfg.scalar_arith_cy * n as f64 * self.m.throughput_penalty;
+    }
+
+    /// Broadcasts a scalar to all lanes.
+    #[inline]
+    pub fn v_splat(&mut self, x: f64) -> VReg {
+        self.t.vector_ops += 1;
+        self.charge_arith(self.m.cfg.vpu_arith_cy, 0.0);
+        VReg::splat(x)
+    }
+
+    /// Lane-wise addition.
+    #[inline]
+    pub fn v_add(&mut self, a: VReg, b: VReg) -> VReg {
+        self.t.vector_ops += 1;
+        self.charge_arith(self.m.cfg.vpu_arith_cy, VLANES as f64);
+        let mut r = VReg::zero();
+        for i in 0..VLANES {
+            r.0[i] = a.0[i] + b.0[i];
+        }
+        r
+    }
+
+    /// Lane-wise multiplication.
+    #[inline]
+    pub fn v_mul(&mut self, a: VReg, b: VReg) -> VReg {
+        self.t.vector_ops += 1;
+        self.charge_arith(self.m.cfg.vpu_arith_cy, VLANES as f64);
+        let mut r = VReg::zero();
+        for i in 0..VLANES {
+            r.0[i] = a.0[i] * b.0[i];
+        }
+        r
+    }
+
+    /// Charges `n` generic vector ALU operations without data (companion
+    /// of [`Meter::s_ops`] for modelled vector instruction streams).
+    #[inline]
+    pub fn v_ops(&mut self, n: usize) {
+        self.t.vector_ops += n as u64;
+        self.charge_arith(self.m.cfg.vpu_arith_cy * n as f64, (n * VLANES) as f64);
+    }
+
+    /// Charges the issue cost of `n` vector memory instructions whose
+    /// data is cache-blocked scratch (staging buffers processed in
+    /// L1-resident blocks): no cache simulation, no FLOPs — just pipeline
+    /// occupancy.
+    #[inline]
+    pub fn v_issue(&mut self, n: usize) {
+        self.t.vector_ops += n as u64;
+        self.t.cycles += self.m.cfg.vpu_arith_cy * n as f64 * self.m.throughput_penalty;
+    }
+
+    // ------------------------------------------------------------------
+    // Contiguous loads and stores, walked or streamed
+    // ------------------------------------------------------------------
+    //
+    // `Pricing::Stream` prices memory traffic as *streams*, not as
+    // individual cache transactions: wide accesses issued back to back
+    // overlap their fills like an established prefetch stream, so each
+    // spanned line charges its share of sustained bandwidth
+    // (`simd_stream_line_cy`, further overlapped by `GATHER_MLP` for
+    // read streams) instead of a latency that depends on what happens to
+    // be resident. The charge is a pure function of the address stream —
+    // no cache-simulator state is read or written — which both prices
+    // the mode's deep out-of-order overlap and keeps every streamed
+    // charge bit-reproducible from the tile data alone.
+    // `footprint` (and `prev_idx`) feed only the streaming arm of a
+    // `*_priced` entry point; the walk arm prices from cache state.
+
+    /// Scalar load of `bytes` at `addr` (data itself lives in host arrays).
+    #[inline]
+    pub fn s_load(&mut self, addr: VAddr, bytes: u64) {
+        self.t.cycles += self.m.mem.access(addr, bytes);
+    }
 
     /// Charges a contiguous vector load's issue and memory cost without
     /// returning data, walking the cache. Used when a kernel's
     /// functional values are already staged but the address stream must
     /// still be priced (e.g. replaying the load pattern of a
     /// preprocessing loop).
+    #[inline]
     pub fn v_touch_load(&mut self, addr: VAddr, lanes: usize) {
-        let cy = self.mem.access(addr, (lanes.min(VLANES) * 8) as u64);
-        self.ctr.add_cycles(self.phase, cy);
-        self.ctr.vector_ops += 1;
+        self.t.cycles += self.m.mem.access(addr, (lanes.min(VLANES) * 8) as u64);
+        self.t.vector_ops += 1;
     }
 
     /// Cost-only contiguous vector load at the state-free streaming
-    /// price (twin of [`Machine::v_touch_load`]). `footprint` is the
+    /// price (twin of [`Meter::v_touch_load`]). `footprint` is the
     /// byte span of the whole source array for the roofline crossover
     /// ([`Machine::stream_line_price`]); pass 0 when unknown.
+    #[inline]
     pub fn v_touch_load_streamed(&mut self, addr: VAddr, lanes: usize, footprint: u64) {
-        let cy = Self::GATHER_MLP
-            * self.stream_line_price(footprint)
-            * self.lines_spanned(addr, (lanes.min(VLANES) * 8) as u64) as f64;
-        self.ctr.add_cycles(self.phase, cy);
-        self.ctr.vector_ops += 1;
+        let cy = Machine::GATHER_MLP
+            * self.m.stream_line_price(footprint)
+            * self.m.lines_spanned(addr, (lanes.min(VLANES) * 8) as u64) as f64;
+        self.t.cycles += cy;
+        self.t.vector_ops += 1;
     }
 
-    /// [`Machine::v_touch_load`] walked, or
-    /// [`Machine::v_touch_load_streamed`] streamed.
+    /// [`Meter::v_touch_load`] walked, or
+    /// [`Meter::v_touch_load_streamed`] streamed.
+    #[inline]
     pub fn v_touch_load_priced(
         &mut self,
         pricing: Pricing,
@@ -402,9 +504,10 @@ impl Machine {
 
     /// Contiguous vector load of up to [`VLANES`] values from `src`,
     /// zero-padding the tail, charged as
-    /// [`Machine::v_touch_load_priced`]. `footprint` is the byte span of
+    /// [`Meter::v_touch_load_priced`]. `footprint` is the byte span of
     /// the whole source array for the roofline crossover; pass 0 when
     /// unknown.
+    #[inline]
     pub fn v_load_priced(
         &mut self,
         pricing: Pricing,
@@ -427,6 +530,7 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if `n > VLANES` or `dst.len() < n`.
+    #[inline]
     pub fn v_store_priced(
         &mut self,
         pricing: Pricing,
@@ -445,16 +549,6 @@ impl Machine {
     // Gathers: one price per distinct cache line
     // ------------------------------------------------------------------
 
-    /// Memory-level-parallelism factor of the gather unit: the per-line
-    /// miss latencies of one gather overlap, so only this fraction of
-    /// each line's cost is charged (scatters, being read-modify-write,
-    /// get no such discount).
-    const GATHER_MLP: f64 = 0.15;
-
-    /// Maximum elements of one run-scoped block touch (a QSP stencil
-    /// block: 4^3 nodes).
-    pub const RUN_BLOCK_MAX: usize = 64;
-
     /// Calls `price(self, lines, delta)` once per base, in order: the
     /// [`LineSet`] of `base[idx]` minus `base[prev_idx]` is `lines`
     /// displaced by `delta` whole lines. Bases congruent modulo the line
@@ -462,6 +556,7 @@ impl Machine {
     /// sets that differ by a whole number of lines, so the set is built
     /// once and replayed displaced; a base that is not congruent to the
     /// set in hand gets its own. Host-side sharing only.
+    #[inline]
     fn for_each_line_set<const N: usize>(
         &mut self,
         bases: &[VAddr],
@@ -472,8 +567,8 @@ impl Machine {
         let Some(&(mut anchor)) = bases.first() else {
             return;
         };
-        let shift = self.mem.line_shift();
-        let in_line = self.mem.line_bytes() - 1;
+        let shift = self.m.mem.line_shift();
+        let in_line = self.m.mem.line_bytes() - 1;
         let mut set = LineSet::<N> {
             lines: [0; N],
             len: 0,
@@ -492,11 +587,12 @@ impl Machine {
     /// The walked gather price: `lane_cy` of per-lane issue plus one
     /// cache access per line of `lines` displaced by `delta`, in
     /// ascending order (the gather unit coalesces same-line lanes), with
-    /// miss latencies overlapped by [`Self::GATHER_MLP`].
-    fn walk_gather_lines(&mut self, lane_cy: f64, lines: &[u64], delta: u64) -> f64 {
+    /// miss latencies overlapped by [`Machine::GATHER_MLP`]. Takes the
+    /// memory system, not the meter: this loop may stay out of line.
+    fn walk_gather_lines(mem: &mut MemSystem, lane_cy: f64, lines: &[u64], delta: u64) -> f64 {
         let mut cy = lane_cy;
         for &l in lines {
-            cy += Self::GATHER_MLP * self.mem.access_line_id(l.wrapping_add(delta));
+            cy += Machine::GATHER_MLP * mem.access_line_id(l.wrapping_add(delta));
         }
         cy
     }
@@ -504,17 +600,19 @@ impl Machine {
     /// Charges an indexed gather of up to [`VLANES`] lanes — lane `l`
     /// reads `base[idx[l]]` — walking the cache: one access per distinct
     /// line plus the per-lane gather penalty.
+    #[inline]
     pub fn v_touch_gather(&mut self, base: VAddr, idx: &[usize]) {
         self.v_touch_gather_priced(Pricing::Walk, &[base], idx, 0);
     }
 
-    /// [`Machine::v_touch_gather`] of one shared index vector from each
+    /// [`Meter::v_touch_gather`] of one shared index vector from each
     /// of `bases` in turn — the per-particle gather's six field arrays,
     /// the staging loop's seven SoA attributes — one vector instruction
     /// and one cycle charge per base (an empty index vector still
     /// issues). Walked, the cache sees `[base][ascending line]`;
     /// streamed, each distinct line charges the overlapped stream price
     /// at `footprint`'s side of the roofline crossover (0 = unknown).
+    #[inline]
     pub fn v_touch_gather_priced(
         &mut self,
         pricing: Pricing,
@@ -523,15 +621,15 @@ impl Machine {
         footprint: u64,
     ) {
         let idx = &idx[..idx.len().min(VLANES)];
-        let lane_cy = self.cfg.gather_lane_cy * idx.len() as f64;
-        let line_cy = Self::GATHER_MLP * self.stream_line_price(footprint);
-        self.for_each_line_set::<VLANES>(bases, idx, &[], |m, lines, delta| {
-            m.ctr.vector_ops += 1;
+        let lane_cy = self.m.cfg.gather_lane_cy * idx.len() as f64;
+        let line_cy = Machine::GATHER_MLP * self.m.stream_line_price(footprint);
+        self.for_each_line_set::<VLANES>(bases, idx, &[], |k, lines, delta| {
+            k.t.vector_ops += 1;
             let cy = match pricing {
-                Pricing::Walk => m.walk_gather_lines(lane_cy, lines, delta),
+                Pricing::Walk => Self::walk_gather_lines(&mut k.m.mem, lane_cy, lines, delta),
                 Pricing::Stream => lane_cy + line_cy * lines.len() as f64,
             };
-            m.ctr.add_cycles(m.phase, cy);
+            k.t.cycles += cy;
         });
     }
 
@@ -546,7 +644,7 @@ impl Machine {
     /// is free.
     ///
     /// Walked, every run starts from whatever the cache holds and line
-    /// misses overlap as in [`Machine::v_touch_gather`], whose
+    /// misses overlap as in [`Meter::v_touch_gather`], whose
     /// per-vector semantics this generalises beyond [`VLANES`] lanes.
     /// Streamed, two things differ, and together they are what the
     /// streaming mode buys:
@@ -571,6 +669,7 @@ impl Machine {
     ///
     /// Panics if `idx.len()` — or, streamed, `prev_idx.len()` — exceeds
     /// [`Machine::RUN_BLOCK_MAX`].
+    #[inline]
     pub fn v_touch_gather_block_priced(
         &mut self,
         pricing: Pricing,
@@ -584,26 +683,26 @@ impl Machine {
             Pricing::Stream => prev_idx,
         };
         assert!(
-            idx.len() <= Self::RUN_BLOCK_MAX && prev_idx.len() <= Self::RUN_BLOCK_MAX,
+            idx.len() <= Machine::RUN_BLOCK_MAX && prev_idx.len() <= Machine::RUN_BLOCK_MAX,
             "block exceeds RUN_BLOCK_MAX"
         );
         if idx.is_empty() {
             return;
         }
         let issues = idx.len().div_ceil(VLANES) as u64;
-        let lane_cy = self.cfg.gather_lane_cy * idx.len() as f64;
-        let line_cy = Self::GATHER_MLP * self.stream_line_price(footprint);
-        let price = |m: &mut Self, lines: &[u64], delta: u64| {
-            m.ctr.vector_ops += issues;
+        let lane_cy = self.m.cfg.gather_lane_cy * idx.len() as f64;
+        let line_cy = Machine::GATHER_MLP * self.m.stream_line_price(footprint);
+        let price = |k: &mut Self, lines: &[u64], delta: u64| {
+            k.t.vector_ops += issues;
             let cy = match pricing {
-                Pricing::Walk => m.walk_gather_lines(lane_cy, lines, delta),
+                Pricing::Walk => Self::walk_gather_lines(&mut k.m.mem, lane_cy, lines, delta),
                 // One add per new line: a multiply-by-count could round
                 // differently.
                 Pricing::Stream => lines.iter().fold(lane_cy, |cy, _| cy + line_cy),
             };
-            m.ctr.add_cycles(m.phase, cy);
+            k.t.cycles += cy;
         };
-        self.for_each_line_set::<{ Self::RUN_BLOCK_MAX }>(bases, idx, prev_idx, price);
+        self.for_each_line_set::<{ Machine::RUN_BLOCK_MAX }>(bases, idx, prev_idx, price);
     }
 
     // ------------------------------------------------------------------
@@ -620,6 +719,7 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if `idx.len() > VLANES` or any index is out of bounds.
+    #[inline]
     pub fn v_scatter_add(&mut self, base: VAddr, idx: &[usize], reg: VReg, dst: &mut [f64]) {
         assert!(idx.len() <= VLANES);
         for (l, &i) in idx.iter().enumerate() {
@@ -630,23 +730,24 @@ impl Machine {
 
     /// Charges an indexed scatter-add's memory, issue and conflict cost
     /// without writing data (cost-only mirror of
-    /// [`Machine::v_scatter_add`]). Used when the functional accumulation
+    /// [`Meter::v_scatter_add`]). Used when the functional accumulation
     /// is applied separately — e.g. the parallel rhocell reduction, where
     /// workers price the scatter stream per tile while the actual grid
     /// writes happen in a deterministic fixed-order pass.
+    #[inline]
     pub fn v_touch_scatter_add(&mut self, base: VAddr, idx: &[usize]) {
         assert!(idx.len() <= VLANES);
-        self.ctr.vector_ops += 1;
+        self.t.vector_ops += 1;
         let mut cy = 0.0;
         for (l, &i) in idx.iter().enumerate() {
-            cy += self.mem.access(base.offset_f64(i), 8) + self.cfg.gather_lane_cy;
+            cy += self.m.mem.access(base.offset_f64(i), 8) + self.m.cfg.gather_lane_cy;
             // Conflict detection: lanes before `l` hitting the same index.
             if idx[..l].contains(&i) {
-                cy += self.cfg.conflict_lane_cy;
+                cy += self.m.cfg.conflict_lane_cy;
             }
         }
-        self.ctr.flops_issued += idx.len() as f64;
-        self.ctr.add_cycles(self.phase, cy);
+        self.t.flops_issued += idx.len() as f64;
+        self.t.cycles += cy;
     }
 
     /// Fused rhocell→grid reduction touch: charges folding one cell's
@@ -693,6 +794,7 @@ impl Machine {
     /// Panics if `srcs.len() != dsts.len()`, if no components are given,
     /// or if `idx.len()` or `prev_idx.len()` exceeds
     /// [`Machine::RUN_BLOCK_MAX`].
+    #[inline]
     pub fn v_touch_reduce_block_reuse(
         &mut self,
         srcs: &[VAddr],
@@ -709,27 +811,28 @@ impl Machine {
         );
         assert!(!srcs.is_empty(), "reduce needs at least one component");
         assert!(
-            idx.len() <= Self::RUN_BLOCK_MAX && prev_idx.len() <= Self::RUN_BLOCK_MAX,
+            idx.len() <= Machine::RUN_BLOCK_MAX && prev_idx.len() <= Machine::RUN_BLOCK_MAX,
             "block exceeds RUN_BLOCK_MAX"
         );
         if idx.is_empty() {
             return;
         }
         let comps = srcs.len();
-        self.ctr.vector_ops += (comps * idx.len().div_ceil(VLANES)) as u64;
+        self.t.vector_ops += (comps * idx.len().div_ceil(VLANES)) as u64;
         // Shared address generation: one lane penalty per node, not per
         // node per component.
-        let mut cy = self.cfg.gather_lane_cy * idx.len() as f64;
+        let mut cy = self.m.cfg.gather_lane_cy * idx.len() as f64;
         // Contiguous source streams, one per component: the rhocell
         // layout keeps each cell's node slice dense, and the cell sweep
         // walks those slices in ascending order — a textbook stream,
         // charged per spanned line with read-stream overlap.
-        let src_line_cy = Self::GATHER_MLP * self.stream_line_price(src_footprint);
+        let src_line_cy = Machine::GATHER_MLP * self.m.stream_line_price(src_footprint);
         for &src in srcs {
             let mut node = 0;
             while node < idx.len() {
                 let n = (idx.len() - node).min(VLANES);
-                cy += src_line_cy * self.lines_spanned(src.offset_f64(node), (n * 8) as u64) as f64;
+                cy +=
+                    src_line_cy * self.m.lines_spanned(src.offset_f64(node), (n * 8) as u64) as f64;
                 node += n;
             }
         }
@@ -739,14 +842,14 @@ impl Machine {
         // fold left the line in the store buffer. The adds stay
         // one-at-a-time onto the running total: a multiply could round
         // differently.
-        let dst_line_cy = self.stream_line_price(dst_footprint);
-        self.for_each_line_set::<{ Self::RUN_BLOCK_MAX }>(dsts, idx, prev_idx, |_, lines, _| {
+        let dst_line_cy = self.m.stream_line_price(dst_footprint);
+        self.for_each_line_set::<{ Machine::RUN_BLOCK_MAX }>(dsts, idx, prev_idx, |_, lines, _| {
             for _ in lines {
                 cy += dst_line_cy;
             }
         });
-        self.ctr.flops_issued += (comps * idx.len()) as f64;
-        self.ctr.add_cycles(self.phase, cy);
+        self.t.flops_issued += (comps * idx.len()) as f64;
+        self.t.cycles += cy;
     }
 
     // ------------------------------------------------------------------
@@ -754,10 +857,10 @@ impl Machine {
     // ------------------------------------------------------------------
 
     /// Zeroes an MPU tile register.
+    #[inline]
     pub fn t_zero(&mut self, tile: TileId) {
-        self.ctr
-            .add_cycles(self.phase, self.cfg.tile_zero_cy * self.throughput_penalty);
-        self.tiles[tile.0] = [[0.0; VLANES]; VLANES];
+        self.t.cycles += self.m.cfg.tile_zero_cy * self.m.throughput_penalty;
+        self.m.tiles[tile.0] = [[0.0; VLANES]; VLANES];
     }
 
     /// MOPA: `C += a (x) b`, the full 8x8 rank-1 update of equation 3.
@@ -765,10 +868,17 @@ impl Machine {
     /// The instruction always charges the full tile (128 FLOPs issued);
     /// utilisation of the tile by *useful* work is exactly what the paper's
     /// CIC (25%) vs QSP (50%) analysis is about.
+    ///
+    /// Always inlined: the matrix kernel issues it once per slab inside
+    /// its pair loop, and a call there — any call, the ABI has no
+    /// callee-saved vector registers — spills the meter's f64 totals to
+    /// the stack and reloads them, which is the store-forwarded chain
+    /// again.
+    #[inline(always)]
     pub fn t_mopa(&mut self, tile: TileId, a: VReg, b: VReg) {
-        self.ctr.mopa_ops += 1;
-        self.charge_arith(self.cfg.mopa_cy, (VLANES * VLANES * 2) as f64);
-        let t = &mut self.tiles[tile.0];
+        self.t.mopa_ops += 1;
+        self.charge_arith(self.m.cfg.mopa_cy, (VLANES * VLANES * 2) as f64);
+        let t = &mut self.m.tiles[tile.0];
         for i in 0..VLANES {
             if a.0[i] == 0.0 {
                 continue; // Arithmetic shortcut only; cost already charged.
@@ -782,33 +892,74 @@ impl Machine {
     /// Reads one tile row into a VPU register (charged as MPU->VPU
     /// transfer; this is the data-movement cost the paper identifies as
     /// the gap between anticipated and observed speedup).
+    #[inline]
     pub fn t_read_row(&mut self, tile: TileId, row: usize) -> VReg {
         assert!(row < VLANES);
-        self.ctr.tile_transfers += 1;
-        self.ctr.add_cycles(
-            self.phase,
-            self.cfg.tile_row_xfer_cy * self.throughput_penalty,
-        );
-        VReg(self.tiles[tile.0][row])
-    }
-
-    /// Direct tile inspection for tests (cost-free).
-    pub fn tile_value(&self, tile: TileId, row: usize, col: usize) -> f64 {
-        self.tiles[tile.0][row][col]
+        self.t.tile_transfers += 1;
+        self.t.cycles += self.m.cfg.tile_row_xfer_cy * self.m.throughput_penalty;
+        VReg(self.m.tiles[tile.0][row])
     }
 }
 
+/// The op set on [`Machine`] itself: each a phase scope around the one
+/// [`Meter`] op of the same name, charged to the machine's current phase.
+/// For an isolated op outside any scope — never in a loop, which opens
+/// the scope once and issues on the meter.
+macro_rules! delegate_ops {
+    ($($name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?;)*) => {
+        impl Machine {
+            $(
+                #[doc = concat!("[`Meter::", stringify!($name), "`] in a scope of its own.")]
+                #[inline]
+                pub fn $name(&mut self, $($arg: $ty),*) $(-> $ret)? {
+                    self.in_phase(self.phase, |k| k.$name($($arg),*))
+                }
+            )*
+        }
+    };
+}
+
+delegate_ops! {
+    charge(cycles: f64);
+    record_flops(flops: f64);
+    s_ops(n: usize);
+    v_splat(x: f64) -> VReg;
+    v_add(a: VReg, b: VReg) -> VReg;
+    v_mul(a: VReg, b: VReg) -> VReg;
+    v_ops(n: usize);
+    v_issue(n: usize);
+    s_load(addr: VAddr, bytes: u64);
+    v_touch_load(addr: VAddr, lanes: usize);
+    v_touch_load_streamed(addr: VAddr, lanes: usize, footprint: u64);
+    v_touch_load_priced(pricing: Pricing, addr: VAddr, lanes: usize, footprint: u64);
+    v_load_priced(pricing: Pricing, addr: VAddr, src: &[f64], footprint: u64) -> VReg;
+    v_store_priced(pricing: Pricing, addr: VAddr, reg: VReg, dst: &mut [f64], n: usize, footprint: u64);
+    v_touch_gather(base: VAddr, idx: &[usize]);
+    v_touch_gather_priced(pricing: Pricing, bases: &[VAddr], idx: &[usize], footprint: u64);
+    v_touch_gather_block_priced(pricing: Pricing, bases: &[VAddr], idx: &[usize], prev_idx: &[usize], footprint: u64);
+    v_scatter_add(base: VAddr, idx: &[usize], reg: VReg, dst: &mut [f64]);
+    v_touch_scatter_add(base: VAddr, idx: &[usize]);
+    v_touch_reduce_block_reuse(srcs: &[VAddr], dsts: &[VAddr], idx: &[usize], prev_idx: &[usize], src_footprint: u64, dst_footprint: u64);
+    t_zero(tile: TileId);
+    t_mopa(tile: TileId, a: VReg, b: VReg);
+    t_read_row(tile: TileId, row: usize) -> VReg;
+}
+
 #[cfg(test)]
-/// The line-set touch family as it stood before [`LineSet`] — five
-/// separately written collect / dedup / subtract / replay loops and the
-/// load/store triple — kept as the executable specification
+/// The op set as it charged before the [`Meter`]: every op a
+/// read-modify-write of the machine's own counters ([`reference::PerOp`],
+/// the executable specification
+/// `conf_meter_scope_matches_per_op_charges_bitwise` holds the scopes
+/// to), over the line-set touch family as it stood before [`LineSet`] —
+/// five separately written collect / dedup / subtract / replay loops and
+/// the load/store triple, which
 /// `conf_line_set_touches_match_reference_bitwise` holds the rewritten
-/// entry points to, and — through [`reference::Mutant`] — the near
-/// misses that test must reject.
+/// entry points to — and, through [`reference::Mutant`], the near misses
+/// those tests must reject.
 mod reference {
     use super::*;
 
-    /// A deliberate defect the bitwise test must catch.
+    /// A deliberate defect the bitwise tests must catch.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum Mutant {
         None,
@@ -820,6 +971,350 @@ mod reference {
         /// `vector_ops += 1` per block instead of one per `VLANES`
         /// elements.
         OneIssuePerBlock,
+        /// A scope that sums its charges from 0.0 and adds the delta to
+        /// the counters when it closes.
+        DeltaFromZero,
+        /// The throughput penalty read once, when the scope opens.
+        PenaltyAtCheckout,
+        /// A nested scope opened without committing the outer one: the
+        /// inner scope checks out stale totals and the outer scope's
+        /// charges so far are lost to the reload.
+        NestedWithoutCommit,
+    }
+
+    /// What an open scope of [`PerOp`] remembers for the scope mutants.
+    struct Level {
+        /// The checked-out counters as they were when the scope opened
+        /// (or last re-opened after a nested scope).
+        entry: Totals,
+        penalty: f64,
+    }
+
+    fn plus(a: Totals, b: Totals) -> Totals {
+        Totals {
+            cycles: a.cycles + b.cycles,
+            flops_issued: a.flops_issued + b.flops_issued,
+            scalar_ops: a.scalar_ops + b.scalar_ops,
+            vector_ops: a.vector_ops + b.vector_ops,
+            mopa_ops: a.mopa_ops + b.mopa_ops,
+            tile_transfers: a.tile_transfers + b.tile_transfers,
+        }
+    }
+
+    const ZERO: Totals = Totals {
+        cycles: 0.0,
+        flops_issued: 0.0,
+        scalar_ops: 0,
+        vector_ops: 0,
+        mopa_ops: 0,
+        tile_transfers: 0,
+    };
+
+    /// The op set charging the machine's counters one op at a time, as
+    /// `impl Machine` did: same names and signatures as [`Meter`], so one
+    /// op stream can be issued on either. A scope is only a phase switch
+    /// here — unless a scope mutant gives it a meter's bookkeeping with
+    /// that mutant's defect.
+    pub struct PerOp<'a> {
+        pub m: &'a mut Machine,
+        mutant: Mutant,
+        open: Vec<Level>,
+    }
+
+    impl<'a> PerOp<'a> {
+        pub fn new(m: &'a mut Machine, mutant: Mutant) -> Self {
+            PerOp {
+                m,
+                mutant,
+                open: Vec::new(),
+            }
+        }
+
+        pub fn in_phase<R>(&mut self, phase: Phase, f: impl FnOnce(&mut Self) -> R) -> R {
+            // The enclosing scope's commit.
+            match (self.mutant, self.open.last()) {
+                (Mutant::NestedWithoutCommit, Some(outer)) => self.set_totals(outer.entry),
+                (Mutant::DeltaFromZero, Some(outer)) => {
+                    self.set_totals(plus(outer.entry, self.totals()));
+                }
+                _ => {}
+            }
+            let prev = std::mem::replace(&mut self.m.phase, phase);
+            self.open.push(Level {
+                entry: self.totals(),
+                penalty: self.m.throughput_penalty,
+            });
+            if self.mutant == Mutant::DeltaFromZero {
+                self.set_totals(ZERO);
+            }
+            let r = f(self);
+            let level = self.open.pop().expect("scope is open");
+            if self.mutant == Mutant::DeltaFromZero {
+                self.set_totals(plus(level.entry, self.totals()));
+            }
+            self.m.phase = prev;
+            // The enclosing scope's reload.
+            let reloaded = self.totals();
+            if let Some(outer) = self.open.last_mut() {
+                outer.entry = reloaded;
+                if self.mutant == Mutant::DeltaFromZero {
+                    self.set_totals(ZERO);
+                }
+            }
+            r
+        }
+
+        fn totals(&self) -> Totals {
+            self.m.ctr.check_out(self.m.phase)
+        }
+
+        fn set_totals(&mut self, t: Totals) {
+            self.m.ctr.commit(self.m.phase, t);
+        }
+
+        fn penalty(&self) -> f64 {
+            match (self.mutant, self.open.last()) {
+                (Mutant::PenaltyAtCheckout, Some(level)) => level.penalty,
+                _ => self.m.throughput_penalty,
+            }
+        }
+
+        fn add_cycles(&mut self, cy: f64) {
+            self.m.ctr.add_cycles(self.m.phase, cy);
+        }
+
+        pub fn use_autovec_model(&mut self) {
+            self.m.use_autovec_model();
+        }
+
+        pub fn use_intrinsics_model(&mut self) {
+            self.m.use_intrinsics_model();
+        }
+
+        pub fn charge(&mut self, cycles: f64) {
+            self.add_cycles(cycles);
+        }
+
+        pub fn record_flops(&mut self, flops: f64) {
+            self.m.ctr.flops_issued += flops;
+        }
+
+        fn charge_arith(&mut self, base_cy: f64, flops: f64) {
+            self.add_cycles(base_cy * self.penalty());
+            self.m.ctr.flops_issued += flops;
+        }
+
+        pub fn s_ops(&mut self, n: usize) {
+            self.m.ctr.scalar_ops += n as u64;
+            self.add_cycles(self.m.cfg.scalar_arith_cy * n as f64 * self.penalty());
+        }
+
+        pub fn v_splat(&mut self, x: f64) -> VReg {
+            self.m.ctr.vector_ops += 1;
+            self.charge_arith(self.m.cfg.vpu_arith_cy, 0.0);
+            VReg::splat(x)
+        }
+
+        pub fn v_add(&mut self, a: VReg, b: VReg) -> VReg {
+            self.m.ctr.vector_ops += 1;
+            self.charge_arith(self.m.cfg.vpu_arith_cy, VLANES as f64);
+            VReg(std::array::from_fn(|i| a.0[i] + b.0[i]))
+        }
+
+        pub fn v_mul(&mut self, a: VReg, b: VReg) -> VReg {
+            self.m.ctr.vector_ops += 1;
+            self.charge_arith(self.m.cfg.vpu_arith_cy, VLANES as f64);
+            VReg(std::array::from_fn(|i| a.0[i] * b.0[i]))
+        }
+
+        pub fn v_ops(&mut self, n: usize) {
+            self.m.ctr.vector_ops += n as u64;
+            self.charge_arith(self.m.cfg.vpu_arith_cy * n as f64, (n * VLANES) as f64);
+        }
+
+        pub fn v_issue(&mut self, n: usize) {
+            self.m.ctr.vector_ops += n as u64;
+            self.add_cycles(self.m.cfg.vpu_arith_cy * n as f64 * self.penalty());
+        }
+
+        pub fn s_load(&mut self, addr: VAddr, bytes: u64) {
+            let cy = self.m.mem.access(addr, bytes);
+            self.add_cycles(cy);
+        }
+
+        pub fn v_touch_load(&mut self, addr: VAddr, lanes: usize) {
+            let cy = self.m.mem.access(addr, (lanes.min(VLANES) * 8) as u64);
+            self.add_cycles(cy);
+            self.m.ctr.vector_ops += 1;
+        }
+
+        pub fn v_touch_load_streamed(&mut self, addr: VAddr, lanes: usize, footprint: u64) {
+            v_touch_load_streamed(self.m, addr, lanes, footprint);
+        }
+
+        pub fn v_touch_load_priced(
+            &mut self,
+            pricing: Pricing,
+            addr: VAddr,
+            lanes: usize,
+            footprint: u64,
+        ) {
+            match pricing {
+                Pricing::Walk => self.v_touch_load(addr, lanes),
+                Pricing::Stream => self.v_touch_load_streamed(addr, lanes, footprint),
+            }
+        }
+
+        pub fn v_load_priced(
+            &mut self,
+            pricing: Pricing,
+            addr: VAddr,
+            src: &[f64],
+            footprint: u64,
+        ) -> VReg {
+            match pricing {
+                Pricing::Walk => v_load(self.m, addr, src),
+                Pricing::Stream => v_load_streamed(self.m, addr, src, footprint),
+            }
+        }
+
+        pub fn v_store_priced(
+            &mut self,
+            pricing: Pricing,
+            addr: VAddr,
+            reg: VReg,
+            dst: &mut [f64],
+            n: usize,
+            footprint: u64,
+        ) {
+            match pricing {
+                Pricing::Walk => v_store(self.m, addr, reg, dst, n),
+                Pricing::Stream => v_store_streamed(self.m, addr, reg, dst, n, footprint),
+            }
+        }
+
+        pub fn v_touch_gather(&mut self, base: VAddr, idx: &[usize]) {
+            v_touch_gather_multi(self.m, &[base], idx, self.mutant);
+        }
+
+        pub fn v_touch_gather_priced(
+            &mut self,
+            pricing: Pricing,
+            bases: &[VAddr],
+            idx: &[usize],
+            footprint: u64,
+        ) {
+            match pricing {
+                Pricing::Walk => v_touch_gather_multi(self.m, bases, idx, self.mutant),
+                Pricing::Stream => {
+                    for &b in bases {
+                        v_touch_gather_streamed(self.m, b, idx, footprint);
+                    }
+                }
+            }
+        }
+
+        pub fn v_touch_gather_block_priced(
+            &mut self,
+            pricing: Pricing,
+            bases: &[VAddr],
+            idx: &[usize],
+            prev_idx: &[usize],
+            footprint: u64,
+        ) {
+            match pricing {
+                Pricing::Walk => {
+                    for &b in bases {
+                        v_touch_gather_block(self.m, b, idx, self.mutant);
+                    }
+                }
+                Pricing::Stream => v_touch_gather_block_reuse_multi(
+                    self.m,
+                    bases,
+                    idx,
+                    prev_idx,
+                    footprint,
+                    self.mutant,
+                ),
+            }
+        }
+
+        pub fn v_scatter_add(&mut self, base: VAddr, idx: &[usize], reg: VReg, dst: &mut [f64]) {
+            assert!(idx.len() <= VLANES);
+            for (l, &i) in idx.iter().enumerate() {
+                dst[i] += reg.0[l];
+            }
+            self.v_touch_scatter_add(base, idx);
+        }
+
+        pub fn v_touch_scatter_add(&mut self, base: VAddr, idx: &[usize]) {
+            assert!(idx.len() <= VLANES);
+            self.m.ctr.vector_ops += 1;
+            let mut cy = 0.0;
+            for (l, &i) in idx.iter().enumerate() {
+                cy += self.m.mem.access(base.offset_f64(i), 8) + self.m.cfg.gather_lane_cy;
+                if idx[..l].contains(&i) {
+                    cy += self.m.cfg.conflict_lane_cy;
+                }
+            }
+            self.m.ctr.flops_issued += idx.len() as f64;
+            self.add_cycles(cy);
+        }
+
+        pub fn v_touch_reduce_block_reuse(
+            &mut self,
+            srcs: &[VAddr],
+            dsts: &[VAddr],
+            idx: &[usize],
+            prev_idx: &[usize],
+            src_footprint: u64,
+            dst_footprint: u64,
+        ) {
+            v_touch_reduce_block_reuse(
+                self.m,
+                srcs,
+                dsts,
+                idx,
+                prev_idx,
+                src_footprint,
+                dst_footprint,
+                self.mutant,
+            );
+        }
+
+        pub fn t_zero(&mut self, tile: TileId) {
+            self.add_cycles(self.m.cfg.tile_zero_cy * self.penalty());
+            self.m.tiles[tile.0] = [[0.0; VLANES]; VLANES];
+        }
+
+        pub fn t_mopa(&mut self, tile: TileId, a: VReg, b: VReg) {
+            self.m.ctr.mopa_ops += 1;
+            self.charge_arith(self.m.cfg.mopa_cy, (VLANES * VLANES * 2) as f64);
+            let t = &mut self.m.tiles[tile.0];
+            for i in 0..VLANES {
+                if a.0[i] == 0.0 {
+                    continue;
+                }
+                for j in 0..VLANES {
+                    t[i][j] = a.0[i].mul_add(b.0[j], t[i][j]);
+                }
+            }
+        }
+
+        pub fn t_read_row(&mut self, tile: TileId, row: usize) -> VReg {
+            assert!(row < VLANES);
+            self.m.ctr.tile_transfers += 1;
+            self.add_cycles(self.m.cfg.tile_row_xfer_cy * self.penalty());
+            VReg(self.m.tiles[tile.0][row])
+        }
+    }
+
+    pub fn v_touch_load_streamed(m: &mut Machine, addr: VAddr, lanes: usize, footprint: u64) {
+        let cy = Machine::GATHER_MLP
+            * m.stream_line_price(footprint)
+            * m.lines_spanned(addr, (lanes.min(VLANES) * 8) as u64) as f64;
+        m.ctr.add_cycles(m.phase, cy);
+        m.ctr.vector_ops += 1;
     }
 
     pub fn v_load(m: &mut Machine, addr: VAddr, src: &[f64]) -> VReg {
@@ -840,7 +1335,7 @@ mod reference {
 
     pub fn v_load_streamed(m: &mut Machine, addr: VAddr, src: &[f64], footprint: u64) -> VReg {
         let n = src.len().min(VLANES);
-        m.v_touch_load_streamed(addr, n, footprint);
+        v_touch_load_streamed(m, addr, n, footprint);
         VReg::from_slice(&src[..n])
     }
 
@@ -853,7 +1348,7 @@ mod reference {
         footprint: u64,
     ) {
         assert!(n <= VLANES);
-        m.v_touch_load_streamed(addr, n, footprint);
+        v_touch_load_streamed(m, addr, n, footprint);
         dst[..n].copy_from_slice(&reg.0[..n]);
     }
 
@@ -1088,8 +1583,7 @@ mod tests {
     #[test]
     fn phases_receive_charges() {
         let mut m = machine();
-        m.set_phase(Phase::Sort);
-        m.s_ops(10);
+        m.in_phase(Phase::Sort, |k| k.s_ops(10));
         assert!(m.counters().cycles(Phase::Sort) > 0.0);
         assert_eq!(m.counters().cycles(Phase::Compute), 0.0);
     }
@@ -1097,10 +1591,18 @@ mod tests {
     #[test]
     fn in_phase_restores_previous() {
         let mut m = machine();
-        m.set_phase(Phase::Push);
-        m.in_phase(Phase::Reduce, |m| m.s_ops(1));
-        assert_eq!(m.phase, Phase::Push);
-        assert!(m.counters().cycles(Phase::Reduce) > 0.0);
+        m.in_phase(Phase::Push, |k| {
+            k.in_phase(Phase::Reduce, |k| k.s_ops(1));
+            k.s_ops(2);
+        });
+        assert_eq!(m.phase, Phase::Other);
+        let c = m.counters();
+        assert_eq!(c.cycles(Phase::Push), 2.0 * c.cycles(Phase::Reduce));
+        assert!(c.cycles(Phase::Reduce) > 0.0);
+        assert_eq!(
+            c.scalar_ops, 3,
+            "the nested scope's count survives the outer commit"
+        );
     }
 
     #[test]
@@ -1175,11 +1677,14 @@ mod tests {
         let mut m = machine();
         let base = m.mem().alloc_f64(8);
         let src = vec![1.0; 8];
-        m.set_phase(Phase::Compute);
-        m.v_load_priced(Pricing::Walk, base, &src, 0);
-        let cold = m.counters().cycles(Phase::Compute);
-        m.v_load_priced(Pricing::Walk, base, &src, 0);
-        let warm = m.counters().cycles(Phase::Compute) - cold;
+        let mut load = || {
+            m.in_phase(Phase::Compute, |k| {
+                k.v_load_priced(Pricing::Walk, base, &src, 0)
+            });
+            m.counters().cycles(Phase::Compute)
+        };
+        let cold = load();
+        let warm = load() - cold;
         assert!(warm < cold, "second load must hit cache");
     }
 
@@ -1187,8 +1692,7 @@ mod tests {
     fn fork_worker_starts_clean_and_shares_addresses() {
         let mut m = machine();
         let base = m.mem().alloc_f64(64);
-        m.set_phase(Phase::Compute);
-        m.s_ops(100);
+        m.in_phase(Phase::Compute, |k| k.s_ops(100));
         let mut w = m.fork_worker();
         assert_eq!(w.counters().total_cycles(), 0.0, "fork has zero cycles");
         assert_eq!(w.phase, Phase::Other);
@@ -1201,10 +1705,11 @@ mod tests {
     fn drain_and_absorb_round_trip() {
         let mut m = machine();
         let mut w = m.fork_worker();
-        w.set_phase(Phase::Reduce);
         let base = w.mem().alloc_f64(8);
-        w.s_load(base, 64);
-        w.s_ops(4);
+        w.in_phase(Phase::Reduce, |k| {
+            k.s_load(base, 64);
+            k.s_ops(4);
+        });
         let c = w.drain_counters();
         assert_eq!(
             w.counters().total_cycles(),
@@ -1290,18 +1795,25 @@ mod tests {
                     (rng % 64 + (rng >> 20) % 8 * 400) as usize
                 })
                 .collect();
+            let phase = Phase::ALL[round % Phase::ALL.len()];
             for m in &mut machines {
-                m.set_phase(Phase::ALL[round % Phase::ALL.len()]);
                 if round % 500 == 0 {
                     m.mem().flush_cache();
                 }
             }
             let [reference, single, multi] = &mut machines;
+            reference.phase = phase;
             for &b in bases.iter() {
                 reference_touch_gather(reference, b, &idx);
-                single.v_touch_gather(b, &idx);
             }
-            multi.v_touch_gather_priced(Pricing::Walk, bases, &idx, 0);
+            single.in_phase(phase, |k| {
+                for &b in bases.iter() {
+                    k.v_touch_gather(b, &idx);
+                }
+            });
+            multi.in_phase(phase, |k| {
+                k.v_touch_gather_priced(Pricing::Walk, bases, &idx, 0)
+            });
         }
         let [reference, single, multi] = &mut machines;
         let want_state = reference.mem_ref().cache_state();
@@ -1345,8 +1857,9 @@ mod tests {
         let mut m = Machine::new(cfg);
         let base = m.mem().alloc_f64(1024);
         let idx: Vec<usize> = (0..64).map(|i| i % 16).collect(); // Lines 0 and 1.
-        m.set_phase(Phase::Compute);
-        m.v_touch_gather_block_priced(Pricing::Walk, &[base], &idx, &[], 0);
+        m.in_phase(Phase::Compute, |k| {
+            k.v_touch_gather_block_priced(Pricing::Walk, &[base], &idx, &[], 0)
+        });
         let mut expect = Machine::new(MachineConfig::lx2());
         let eb = expect.mem().alloc_f64(1024);
         let line_cost: f64 = (0..2)
@@ -1417,8 +1930,9 @@ mod tests {
         let srcs: Vec<VAddr> = (0..3).map(|_| m.mem().alloc_f64(16)).collect();
         let dsts: Vec<VAddr> = (0..3).map(|_| m.mem().alloc_f64(4096)).collect();
         let idx: Vec<usize> = (0..12).collect();
-        m.set_phase(Phase::Reduce);
-        m.v_touch_reduce_block_reuse(&srcs, &dsts, &idx, &[], 0, 0);
+        m.in_phase(Phase::Reduce, |k| {
+            k.v_touch_reduce_block_reuse(&srcs, &dsts, &idx, &[], 0, 0)
+        });
         assert_eq!(m.counters().flops_issued, 36.0);
         assert_eq!(m.counters().vector_ops, 3 * 2);
         assert!(m.counters().cycles(Phase::Reduce) > 0.0);
@@ -1439,18 +1953,20 @@ mod tests {
         let sdsts: Vec<VAddr> = (0..3).map(|_| swept.mem().alloc_f64(65536)).collect();
         // A CIC stencil's 8 nodes: two x-neighbours per (y, z) corner.
         let idx: Vec<usize> = [0usize, 1, 33, 34, 1089, 1090, 1122, 1123].to_vec();
-        fused.set_phase(Phase::Reduce);
-        swept.set_phase(Phase::Reduce);
-        fused.v_touch_reduce_block_reuse(&fsrcs, &fdsts, &idx, &[], 0, 0);
-        for comp in 0..3 {
-            let mut node = 0;
-            while node < idx.len() {
-                let n = (idx.len() - node).min(VLANES);
-                swept.v_touch_load(ssrcs[comp].offset_f64(node), n);
-                swept.v_touch_scatter_add(sdsts[comp], &idx[node..node + n]);
-                node += n;
+        fused.in_phase(Phase::Reduce, |k| {
+            k.v_touch_reduce_block_reuse(&fsrcs, &fdsts, &idx, &[], 0, 0)
+        });
+        swept.in_phase(Phase::Reduce, |k| {
+            for comp in 0..3 {
+                let mut node = 0;
+                while node < idx.len() {
+                    let n = (idx.len() - node).min(VLANES);
+                    k.v_touch_load(ssrcs[comp].offset_f64(node), n);
+                    k.v_touch_scatter_add(sdsts[comp], &idx[node..node + n]);
+                    node += n;
+                }
             }
-        }
+        });
         let f = fused.counters().cycles(Phase::Reduce);
         let s = swept.counters().cycles(Phase::Reduce);
         assert!(f < s, "fused {f} must undercut swept {s}");
@@ -1477,16 +1993,15 @@ mod tests {
         }
         let warm_l1 = warm.mem().l1_stats();
         let idx = [0usize, 1, 33, 34, 1089, 1090, 1122, 1123, 5, 6];
-        cold.set_phase(Phase::Gather);
-        warm.set_phase(Phase::Gather);
-        cold.v_touch_gather_block_priced(Pricing::Stream, &[cb], &idx, &[], 0);
-        warm.v_touch_gather_block_priced(Pricing::Stream, &[wb], &idx, &[], 0);
-        let csrc = cold.mem().alloc_f64(16);
-        let wsrc = warm.mem().alloc_f64(16);
-        cold.set_phase(Phase::Reduce);
-        warm.set_phase(Phase::Reduce);
-        cold.v_touch_reduce_block_reuse(&[csrc], &[cb], &idx, &[], 0, 0);
-        warm.v_touch_reduce_block_reuse(&[wsrc], &[wb], &idx, &[], 0, 0);
+        for (m, base) in [(&mut cold, cb), (&mut warm, wb)] {
+            let src = m.mem().alloc_f64(16);
+            m.in_phase(Phase::Gather, |k| {
+                k.v_touch_gather_block_priced(Pricing::Stream, &[base], &idx, &[], 0)
+            });
+            m.in_phase(Phase::Reduce, |k| {
+                k.v_touch_reduce_block_reuse(&[src], &[base], &idx, &[], 0, 0)
+            });
+        }
         assert_eq!(
             cold.counters().total_cycles().to_bits(),
             warm.counters().total_cycles().to_bits()
@@ -1499,8 +2014,9 @@ mod tests {
         // The streaming gather price undercuts the cold cache walk.
         let mut plain = Machine::new(cfg);
         let pb = plain.mem().alloc_f64(4096);
-        plain.set_phase(Phase::Gather);
-        plain.v_touch_gather_block_priced(Pricing::Walk, &[pb], &idx, &[], 0);
+        plain.in_phase(Phase::Gather, |k| {
+            k.v_touch_gather_block_priced(Pricing::Walk, &[pb], &idx, &[], 0)
+        });
         assert!(
             cold.counters().cycles(Phase::Gather) < plain.counters().cycles(Phase::Gather),
             "streamed {} must undercut cold walk {}",
@@ -1539,10 +2055,11 @@ mod tests {
             .iter()
             .map(|i| i - i % 18 + (i % 18 + 17) % 18)
             .collect();
-        m.set_phase(Phase::Gather);
-        m.v_touch_gather_block_priced(Pricing::Stream, &bases, &idx, &prev, 0);
-        m.v_touch_gather_block_priced(Pricing::Stream, &bases, &idx, &[], 18 * 18 * 18 * 8);
-        m.v_touch_gather_block_priced(Pricing::Stream, &bases[1..2], &prev, &idx, 0);
+        m.in_phase(Phase::Gather, |k| {
+            k.v_touch_gather_block_priced(Pricing::Stream, &bases, &idx, &prev, 0);
+            k.v_touch_gather_block_priced(Pricing::Stream, &bases, &idx, &[], 18 * 18 * 18 * 8);
+            k.v_touch_gather_block_priced(Pricing::Stream, &bases[1..2], &prev, &idx, 0);
+        });
         assert_eq!(
             m.counters().cycles(Phase::Gather).to_bits(),
             0x4069_5733_3333_3334
@@ -1562,9 +2079,13 @@ mod tests {
         let mut m = Machine::new(cfg.clone());
         let base = m.mem().alloc_f64(4096);
         let idx = [0usize, 1, 33, 34, 1089, 1090, 1122, 1123];
-        m.set_phase(Phase::Gather);
-        m.v_touch_gather_block_priced(Pricing::Stream, &[base], &idx, &idx, 0);
-        let full = m.counters().cycles(Phase::Gather);
+        let gather = |m: &mut Machine, pricing, base, prev: &[usize]| {
+            m.in_phase(Phase::Gather, |k| {
+                k.v_touch_gather_block_priced(pricing, &[base], &idx, prev, 0)
+            });
+            m.counters().cycles(Phase::Gather)
+        };
+        let full = gather(&mut m, Pricing::Stream, base, &idx);
         assert!(
             (full - lane * idx.len() as f64).abs() < 1e-12,
             "full overlap must leave only lane issue cost, got {full}"
@@ -1572,14 +2093,10 @@ mod tests {
         // Partial overlap: prev covers the low half of the stencil.
         let mut part = Machine::new(cfg.clone());
         let pb = part.mem().alloc_f64(4096);
-        part.set_phase(Phase::Gather);
-        part.v_touch_gather_block_priced(Pricing::Stream, &[pb], &idx, &[0, 1, 33, 34], 0);
+        let p = gather(&mut part, Pricing::Stream, pb, &[0, 1, 33, 34]);
         let mut none = Machine::new(cfg);
         let nb = none.mem().alloc_f64(4096);
-        none.set_phase(Phase::Gather);
-        none.v_touch_gather_block_priced(Pricing::Walk, &[nb], &idx, &[], 0);
-        let p = part.counters().cycles(Phase::Gather);
-        let n = none.counters().cycles(Phase::Gather);
+        let n = gather(&mut none, Pricing::Walk, nb, &[]);
         assert!(full < p && p < n, "expected {full} < {p} < {n}");
     }
 
@@ -1593,10 +2110,12 @@ mod tests {
         let fd: Vec<VAddr> = (0..3).map(|_| fresh.mem().alloc_f64(65536)).collect();
         let rs: Vec<VAddr> = (0..3).map(|_| reused.mem().alloc_f64(16)).collect();
         let rd: Vec<VAddr> = (0..3).map(|_| reused.mem().alloc_f64(65536)).collect();
-        fresh.set_phase(Phase::Reduce);
-        reused.set_phase(Phase::Reduce);
-        fresh.v_touch_reduce_block_reuse(&fs, &fd, &idx, &[], 0, 0);
-        reused.v_touch_reduce_block_reuse(&rs, &rd, &idx, &idx, 0, 0);
+        fresh.in_phase(Phase::Reduce, |k| {
+            k.v_touch_reduce_block_reuse(&fs, &fd, &idx, &[], 0, 0)
+        });
+        reused.in_phase(Phase::Reduce, |k| {
+            k.v_touch_reduce_block_reuse(&rs, &rd, &idx, &idx, 0, 0)
+        });
         let f = fresh.counters().cycles(Phase::Reduce);
         let r = reused.counters().cycles(Phase::Reduce);
         assert!(r < f, "reused fold {r} must undercut fresh fold {f}");
@@ -1623,24 +2142,29 @@ mod tests {
             let mut m = Machine::new(cfg.clone());
             let base = m.mem().alloc_f64(65536);
             let src = m.mem().alloc_f64(64);
-            let mut out = [0.0; 4];
-            m.set_phase(Phase::Gather);
-            m.v_touch_gather_block_priced(Pricing::Stream, &[base], &idx, &[], footprint);
-            out[0] = m.counters().cycles(Phase::Gather);
-            m.set_phase(Phase::Reduce);
-            m.v_touch_reduce_block_reuse(&[src], &[base], &idx, &[], footprint, footprint);
-            out[1] = m.counters().cycles(Phase::Reduce);
-            m.set_phase(Phase::Preprocess);
-            m.v_touch_load_streamed(base, 8, footprint);
-            m.v_touch_gather_priced(Pricing::Stream, &[base], &idx, footprint);
-            out[2] = m.counters().cycles(Phase::Preprocess);
-            m.set_phase(Phase::Compute);
-            let data = vec![1.5; 8];
-            let mut dst = vec![0.0; 8];
-            let r = m.v_load_priced(Pricing::Stream, base, &data, footprint);
-            m.v_store_priced(Pricing::Stream, base, r, &mut dst, 8, footprint);
-            out[3] = m.counters().cycles(Phase::Compute);
-            out
+            m.in_phase(Phase::Gather, |k| {
+                k.v_touch_gather_block_priced(Pricing::Stream, &[base], &idx, &[], footprint)
+            });
+            m.in_phase(Phase::Reduce, |k| {
+                k.v_touch_reduce_block_reuse(&[src], &[base], &idx, &[], footprint, footprint)
+            });
+            m.in_phase(Phase::Preprocess, |k| {
+                k.v_touch_load_streamed(base, VLANES, footprint);
+                k.v_touch_gather_priced(Pricing::Stream, &[base], &idx, footprint);
+            });
+            m.in_phase(Phase::Compute, |k| {
+                let data = vec![1.5; VLANES];
+                let mut dst = vec![0.0; VLANES];
+                let r = k.v_load_priced(Pricing::Stream, base, &data, footprint);
+                k.v_store_priced(Pricing::Stream, base, r, &mut dst, VLANES, footprint);
+            });
+            [
+                Phase::Gather,
+                Phase::Reduce,
+                Phase::Preprocess,
+                Phase::Compute,
+            ]
+            .map(|p| m.counters().cycles(p))
         };
         let unknown = charge(0);
         let resident = charge(xover);
@@ -1676,12 +2200,14 @@ mod tests {
         let idx = [0usize, 1, 33, 34, 1089, 1090, 1122, 1123];
         let mut streamed = Machine::new(cfg.clone());
         let sb = streamed.mem().alloc_f64(1728); // 12^3 guarded 8^3 grid
-        streamed.set_phase(Phase::Gather);
-        streamed.v_touch_gather_block_priced(Pricing::Stream, &[sb], &idx, &[], 1728 * 8);
+        streamed.in_phase(Phase::Gather, |k| {
+            k.v_touch_gather_block_priced(Pricing::Stream, &[sb], &idx, &[], 1728 * 8)
+        });
         let mut walk = Machine::new(cfg);
         let wb = walk.mem().alloc_f64(1728);
-        walk.set_phase(Phase::Gather);
-        walk.v_touch_gather_block_priced(Pricing::Walk, &[wb], &idx, &[], 0);
+        walk.in_phase(Phase::Gather, |k| {
+            k.v_touch_gather_block_priced(Pricing::Walk, &[wb], &idx, &[], 0)
+        });
         let s = streamed.counters().cycles(Phase::Gather);
         let w = walk.counters().cycles(Phase::Gather);
         assert!(
@@ -1699,16 +2225,19 @@ mod tests {
         let mut warm = machine();
         let a1 = cold.mem().alloc_f64(1024);
         let a2 = warm.mem().alloc_f64(1024);
-        warm.set_phase(Phase::Compute);
-        for i in 0..1024 {
-            warm.s_load(a2.offset_f64(i % 512), 8); // Pollute cache + streams.
-        }
+        warm.in_phase(Phase::Compute, |k| {
+            for i in 0..1024 {
+                k.s_load(a2.offset_f64(i % 512), 8); // Pollute cache + streams.
+            }
+        });
         warm.counters_mut().reset();
         warm.mem().flush_cache();
-        cold.set_phase(Phase::Compute);
-        for i in [0usize, 77, 13, 500, 2, 900] {
-            cold.s_load(a1.offset_f64(i), 8);
-            warm.s_load(a2.offset_f64(i), 8);
+        for (m, base) in [(&mut cold, a1), (&mut warm, a2)] {
+            m.in_phase(Phase::Compute, |k| {
+                for i in [0usize, 77, 13, 500, 2, 900] {
+                    k.s_load(base.offset_f64(i), 8);
+                }
+            });
         }
         assert_eq!(
             cold.counters().cycles(Phase::Compute),
@@ -1727,65 +2256,34 @@ mod tests {
         footprint: u64,
     }
 
-    /// Every line-set entry point once, through the rewritten machine
-    /// (`mutant == None`) or the reference family; returns the loaded
+    /// Every line-set entry point once, on `$k` — the meter of an open
+    /// scope or the [`reference::PerOp`] family; evaluates to the loaded
     /// lanes so the functional half is compared too.
-    fn run_case(m: &mut Machine, c: &Case, mutant: Option<reference::Mutant>) -> VReg {
-        let Case {
-            pricing,
-            bases,
-            srcs,
-            idx,
-            prev,
-            footprint: fp,
-            ..
-        } = c;
-        let (pricing, fp) = (*pricing, *fp);
-        let data = [1.5, -2.0, 0.25, 8.0, 3.0, -0.5, 7.0, 9.0, 11.0];
-        let w = idx.len().min(data.len());
-        let addr = bases[0].offset_f64(idx.first().copied().unwrap_or(3));
-        let mut out = [0.0; VLANES];
-        let Some(mutant) = mutant else {
-            m.v_touch_gather_priced(pricing, bases, idx, fp);
-            m.v_touch_gather(bases[0], idx);
-            m.v_touch_gather_block_priced(pricing, bases, idx, prev, fp);
-            m.v_touch_reduce_block_reuse(srcs, bases, idx, prev, fp, fp);
-            let r = m.v_load_priced(pricing, addr, &data[..w], fp);
-            m.v_store_priced(pricing, addr, r, &mut out, w.min(VLANES), fp);
+    macro_rules! run_case {
+        ($k:expr, $c:expr) => {{
+            let Case {
+                pricing,
+                bases,
+                srcs,
+                idx,
+                prev,
+                footprint: fp,
+                ..
+            } = $c;
+            let (pricing, fp) = (*pricing, *fp);
+            let data = [1.5, -2.0, 0.25, 8.0, 3.0, -0.5, 7.0, 9.0, 11.0];
+            let w = idx.len().min(data.len());
+            let addr = bases[0].offset_f64(idx.first().copied().unwrap_or(3));
+            let mut out = [0.0; VLANES];
+            $k.v_touch_gather_priced(pricing, bases, idx, fp);
+            $k.v_touch_gather(bases[0], idx);
+            $k.v_touch_gather_block_priced(pricing, bases, idx, prev, fp);
+            $k.v_touch_reduce_block_reuse(srcs, bases, idx, prev, fp, fp);
+            let r = $k.v_load_priced(pricing, addr, &data[..w], fp);
+            $k.v_store_priced(pricing, addr, r, &mut out, w.min(VLANES), fp);
             assert_eq!(out, r.0);
-            return r;
-        };
-        match pricing {
-            Pricing::Walk => reference::v_touch_gather_multi(m, bases, idx, mutant),
-            Pricing::Stream => {
-                for &b in bases {
-                    reference::v_touch_gather_streamed(m, b, idx, fp);
-                }
-            }
-        }
-        reference::v_touch_gather_multi(m, &bases[..1], idx, mutant);
-        match pricing {
-            Pricing::Walk => {
-                for &b in bases {
-                    reference::v_touch_gather_block(m, b, idx, mutant);
-                }
-            }
-            Pricing::Stream => {
-                reference::v_touch_gather_block_reuse_multi(m, bases, idx, prev, fp, mutant);
-            }
-        }
-        reference::v_touch_reduce_block_reuse(m, srcs, bases, idx, prev, fp, fp, mutant);
-        let r = match pricing {
-            Pricing::Walk => reference::v_load(m, addr, &data[..w]),
-            Pricing::Stream => reference::v_load_streamed(m, addr, &data[..w], fp),
-        };
-        match pricing {
-            Pricing::Walk => reference::v_store(m, addr, r, &mut out, w.min(VLANES)),
-            Pricing::Stream => {
-                reference::v_store_streamed(m, addr, r, &mut out, w.min(VLANES), fp);
-            }
-        }
-        r
+            r
+        }};
     }
 
     #[test]
@@ -1855,20 +2353,21 @@ mod tests {
         }
         for (n, c) in cases.iter().enumerate() {
             let phase = Phase::ALL[n % Phase::ALL.len()];
-            new.set_phase(phase);
-            old.set_phase(phase);
             if n % 97 == 0 {
                 new.mem().flush_cache();
                 old.mem().flush_cache();
             }
             let mut twins: Vec<Machine> = mutants.iter().map(|_| old.clone()).collect();
-            let got = run_case(&mut new, c, None);
-            let want = run_case(&mut old, c, Some(Mutant::None));
+            let reference = |m: &mut Machine, mutant: Mutant| {
+                reference::PerOp::new(m, mutant).in_phase(phase, |k| run_case!(k, c))
+            };
+            let got = new.in_phase(phase, |k| run_case!(k, c));
+            let want = reference(&mut old, Mutant::None);
             assert_eq!(got, want, "case {n}: loaded lanes");
             let want = format!("{:?}", old.drain_counters());
             assert_eq!(format!("{:?}", new.drain_counters()), want, "case {n}");
             for ((twin, &mutant), caught) in twins.iter_mut().zip(&mutants).zip(&mut caught) {
-                run_case(twin, c, Some(mutant));
+                reference(twin, mutant);
                 if format!("{:?}", twin.drain_counters()) != want {
                     caught.push(n);
                 }
@@ -1893,5 +2392,348 @@ mod tests {
             "one issue for a 9-element block must be rejected"
         );
         assert!(one_issue.iter().all(|&n| cases[n].idx.len() > VLANES));
+    }
+
+    /// One op of the closed set with its operands — the whole of README's
+    /// op table plus the model toggles and a nested scope.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Charge(f64),
+        RecordFlops(f64),
+        SOps(usize),
+        VSplat(f64),
+        VAdd(VReg, VReg),
+        VMul(VReg, VReg),
+        VOps(usize),
+        VIssue(usize),
+        SLoad(VAddr, u64),
+        TouchLoad(VAddr, usize),
+        TouchLoadStreamed(VAddr, usize, u64),
+        TouchLoadPriced(Pricing, VAddr, usize, u64),
+        LoadPriced(Pricing, VAddr, usize, u64),
+        StorePriced(Pricing, VAddr, VReg, usize, u64),
+        TouchGather(VAddr, Vec<usize>),
+        GatherPriced(Pricing, Vec<VAddr>, Vec<usize>, u64),
+        GatherBlock(Pricing, Vec<VAddr>, Vec<usize>, Vec<usize>, u64),
+        ScatterAdd(VAddr, Vec<usize>, VReg),
+        TouchScatterAdd(VAddr, Vec<usize>),
+        ReduceBlock(Vec<VAddr>, Vec<VAddr>, Vec<usize>, Vec<usize>, u64, u64),
+        TZero(usize),
+        TMopa(usize, VReg, VReg),
+        TReadRow(usize, usize),
+        Autovec,
+        Intrinsics,
+        Nested(Phase, Vec<Op>),
+    }
+
+    /// Elements of every array the op streams address.
+    const ARRAY_LEN: usize = 8192;
+
+    /// The functional half of an op stream: every register an op
+    /// returned and the array the stores and scatters wrote.
+    #[derive(Debug, PartialEq)]
+    struct Sink {
+        regs: Vec<VReg>,
+        dst: Vec<f64>,
+    }
+
+    /// Issues `$op` on `$k` — a [`Meter`], the [`reference::PerOp`]
+    /// family, or a [`Machine`] (its one-op delegations): the three
+    /// share the ops' names and signatures. A nested scope's ops go to
+    /// `$nested`.
+    macro_rules! issue {
+        ($k:expr, $op:expr, $sink:expr, $nested:ident) => {
+            match $op {
+                Op::Charge(cy) => $k.charge(*cy),
+                Op::RecordFlops(flops) => $k.record_flops(*flops),
+                Op::SOps(n) => $k.s_ops(*n),
+                Op::VSplat(x) => $sink.regs.push($k.v_splat(*x)),
+                Op::VAdd(a, b) => $sink.regs.push($k.v_add(*a, *b)),
+                Op::VMul(a, b) => $sink.regs.push($k.v_mul(*a, *b)),
+                Op::VOps(n) => $k.v_ops(*n),
+                Op::VIssue(n) => $k.v_issue(*n),
+                Op::SLoad(addr, bytes) => $k.s_load(*addr, *bytes),
+                Op::TouchLoad(addr, lanes) => $k.v_touch_load(*addr, *lanes),
+                Op::TouchLoadStreamed(addr, lanes, fp) => {
+                    $k.v_touch_load_streamed(*addr, *lanes, *fp)
+                }
+                Op::TouchLoadPriced(pricing, addr, lanes, fp) => {
+                    $k.v_touch_load_priced(*pricing, *addr, *lanes, *fp)
+                }
+                Op::LoadPriced(pricing, addr, at, fp) => {
+                    let r = $k.v_load_priced(*pricing, *addr, &$sink.dst[*at..*at + 5], *fp);
+                    $sink.regs.push(r);
+                }
+                Op::StorePriced(pricing, addr, reg, at, fp) => {
+                    $k.v_store_priced(*pricing, *addr, *reg, &mut $sink.dst[*at..], 7, *fp)
+                }
+                Op::TouchGather(base, idx) => $k.v_touch_gather(*base, idx),
+                Op::GatherPriced(pricing, bases, idx, fp) => {
+                    $k.v_touch_gather_priced(*pricing, bases, idx, *fp)
+                }
+                Op::GatherBlock(pricing, bases, idx, prev, fp) => {
+                    $k.v_touch_gather_block_priced(*pricing, bases, idx, prev, *fp)
+                }
+                Op::ScatterAdd(base, idx, reg) => {
+                    $k.v_scatter_add(*base, idx, *reg, &mut $sink.dst)
+                }
+                Op::TouchScatterAdd(base, idx) => $k.v_touch_scatter_add(*base, idx),
+                Op::ReduceBlock(srcs, dsts, idx, prev, src_fp, dst_fp) => {
+                    $k.v_touch_reduce_block_reuse(srcs, dsts, idx, prev, *src_fp, *dst_fp)
+                }
+                Op::TZero(tile) => $k.t_zero(TileId(*tile)),
+                Op::TMopa(tile, a, b) => $k.t_mopa(TileId(*tile), *a, *b),
+                Op::TReadRow(tile, row) => $sink.regs.push($k.t_read_row(TileId(*tile), *row)),
+                Op::Autovec => $k.use_autovec_model(),
+                Op::Intrinsics => $k.use_intrinsics_model(),
+                Op::Nested(phase, ops) => $k.in_phase(*phase, |k| $nested(k, ops, $sink)),
+            }
+        };
+    }
+
+    fn issue_on_meter(k: &mut Meter<'_>, ops: &[Op], sink: &mut Sink) {
+        for op in ops {
+            issue!(k, op, sink, issue_on_meter);
+        }
+    }
+
+    fn issue_per_op(k: &mut reference::PerOp<'_>, ops: &[Op], sink: &mut Sink) {
+        for op in ops {
+            issue!(k, op, sink, issue_per_op);
+        }
+    }
+
+    /// A seeded op-stream generator over fixed operand arrays.
+    struct OpGen {
+        rng: u64,
+        arrays: Vec<VAddr>,
+        srcs: Vec<VAddr>,
+        xover: u64,
+    }
+
+    impl OpGen {
+        fn next(&mut self, below: usize) -> usize {
+            self.rng ^= self.rng << 13;
+            self.rng ^= self.rng >> 7;
+            self.rng ^= self.rng << 17;
+            (self.rng >> 11) as usize % below
+        }
+
+        fn reg(&mut self) -> VReg {
+            // Zeros exercise the MOPA shortcut; thirds are not dyadic.
+            VReg(std::array::from_fn(|_| (self.next(7) as f64 - 3.0) / 3.0))
+        }
+
+        fn pricing(&mut self) -> Pricing {
+            [Pricing::Walk, Pricing::Stream][self.next(2)]
+        }
+
+        fn footprint(&mut self) -> u64 {
+            [0, 64, self.xover + 1][self.next(3)]
+        }
+
+        /// `n` clustered indices, so lanes often share a line.
+        fn idx(&mut self, n: usize) -> Vec<usize> {
+            (0..n).map(|_| self.next(64) + self.next(8) * 400).collect()
+        }
+
+        fn bases(&mut self) -> Vec<VAddr> {
+            let n = [1, 3, 6, 7][self.next(4)];
+            // Every other draw: odd byte offsets, so incongruent sets.
+            let odd = self.next(2) as u64;
+            (0..n)
+                .map(|i| VAddr(self.arrays[i].0 + [0, 8, 0, 40, 8, 0, 40][i] * odd))
+                .collect()
+        }
+
+        fn op(&mut self, depth: usize) -> Op {
+            let (array, at) = (self.next(7), self.next(ARRAY_LEN - 2 * VLANES));
+            let base = self.arrays[array];
+            let addr = base.offset_f64(at);
+            match self.next(if depth < 2 { 26 } else { 25 }) {
+                0 => Op::Charge(self.next(100) as f64 * 0.7),
+                1 => Op::RecordFlops(self.next(1000) as f64),
+                2 => Op::SOps(self.next(40)),
+                3 => Op::VSplat(self.next(9) as f64 / 3.0),
+                4 => Op::VAdd(self.reg(), self.reg()),
+                5 => Op::VMul(self.reg(), self.reg()),
+                6 => Op::VOps(self.next(40)),
+                7 => Op::VIssue(self.next(20)),
+                8 => Op::SLoad(addr, [1, 8, 64, 200][self.next(4)]),
+                9 => Op::TouchLoad(addr, self.next(VLANES + 3)),
+                10 => Op::TouchLoadStreamed(addr, self.next(VLANES + 3), self.footprint()),
+                11 => Op::TouchLoadPriced(
+                    self.pricing(),
+                    addr,
+                    self.next(VLANES + 1),
+                    self.footprint(),
+                ),
+                12 => Op::LoadPriced(self.pricing(), addr, at, self.footprint()),
+                13 => Op::StorePriced(self.pricing(), addr, self.reg(), at, self.footprint()),
+                14 => {
+                    let n = self.next(VLANES + 4);
+                    Op::TouchGather(base, self.idx(n))
+                }
+                15 => {
+                    let n = self.next(VLANES + 4);
+                    Op::GatherPriced(self.pricing(), self.bases(), self.idx(n), self.footprint())
+                }
+                16 => {
+                    let (n, p) = (self.next(65), self.next(65));
+                    Op::GatherBlock(
+                        self.pricing(),
+                        self.bases(),
+                        self.idx(n),
+                        self.idx(p),
+                        self.footprint(),
+                    )
+                }
+                17 => {
+                    let n = self.next(VLANES + 1);
+                    Op::ScatterAdd(base, self.idx(n), self.reg())
+                }
+                18 => {
+                    let n = self.next(VLANES + 1);
+                    Op::TouchScatterAdd(base, self.idx(n))
+                }
+                19 => {
+                    let dsts = self.bases();
+                    let (n, p) = (self.next(65), self.next(65));
+                    Op::ReduceBlock(
+                        self.srcs[..dsts.len()].to_vec(),
+                        dsts,
+                        self.idx(n),
+                        self.idx(p),
+                        self.footprint(),
+                        self.footprint(),
+                    )
+                }
+                20 => Op::TZero(self.next(NUM_TILES)),
+                21 => Op::TMopa(self.next(NUM_TILES), self.reg(), self.reg()),
+                22 => Op::TReadRow(self.next(NUM_TILES), self.next(VLANES)),
+                23 => Op::Autovec,
+                24 => Op::Intrinsics,
+                _ => {
+                    let phase = Phase::ALL[self.next(Phase::ALL.len())];
+                    Op::Nested(phase, self.ops(depth + 1))
+                }
+            }
+        }
+
+        fn ops(&mut self, depth: usize) -> Vec<Op> {
+            let n = self.next(24);
+            (0..n).map(|_| self.op(depth)).collect()
+        }
+    }
+
+    #[test]
+    fn conf_meter_scope_matches_per_op_charges_bitwise() {
+        use reference::{Mutant, PerOp};
+        // Twin machines with one shared cache history: `new` charges
+        // through phase scopes and the one-op delegations, `old` with the
+        // per-op read-modify-writes they replaced. Each mutant runs every
+        // round on a clone of `old` taken just before it.
+        let mutants = [
+            Mutant::DeltaFromZero,
+            Mutant::PenaltyAtCheckout,
+            Mutant::NestedWithoutCommit,
+        ];
+        // On LX2's dyadic prices sums are exact in any order, so an add
+        // regrouped by a scope is invisible until the autovec penalty or
+        // a walked gather makes a charge inexact; the second table makes
+        // every arithmetic charge inexact, as any retuned one would.
+        let non_dyadic = MachineConfig {
+            vpu_arith_cy: 0.3,
+            scalar_arith_cy: 0.3,
+            ..MachineConfig::lx2()
+        };
+        for (cfg, seed) in [
+            (MachineConfig::lx2(), 0x9e37_79b9_7f4a_7c15),
+            (non_dyadic, 17),
+        ] {
+            let (mut new, mut old) = (Machine::new(cfg.clone()), Machine::new(cfg));
+            let (mut arrays, mut srcs) = (Vec::new(), Vec::new());
+            for m in [&mut new, &mut old] {
+                arrays = (0..7).map(|_| m.mem().alloc_f64(ARRAY_LEN)).collect();
+                srcs = (0..7).map(|_| m.mem().alloc_f64(64)).collect();
+            }
+            let mut gen = OpGen {
+                rng: seed,
+                arrays,
+                srcs,
+                xover: new.cfg().stream_crossover_bytes,
+            };
+            let sink = || Sink {
+                regs: Vec::new(),
+                dst: (0..ARRAY_LEN).map(|i| (i % 13) as f64 / 3.0).collect(),
+            };
+            let (mut got, mut want) = (sink(), sink());
+            let mut caught = [0usize; 3];
+            let (mut nested, mut toggled) = (0, 0);
+            for round in 0..600 {
+                if round % 97 == 0 {
+                    new.mem().flush_cache();
+                    old.mem().flush_cache();
+                }
+                // Back-to-back scopes, then the same kind of stream one
+                // op at a time outside any scope.
+                let scopes: Vec<(Phase, Vec<Op>)> = (0..3)
+                    .map(|_| (Phase::ALL[gen.next(Phase::ALL.len())], gen.ops(0)))
+                    .collect();
+                let solo = gen.ops(0);
+                for (_, ops) in &scopes {
+                    nested += ops.iter().filter(|op| matches!(op, Op::Nested(..))).count();
+                    toggled += ops.iter().filter(|op| matches!(op, Op::Autovec)).count();
+                }
+                let per_op = |m: &mut Machine, mutant: Mutant, sink: &mut Sink| {
+                    let mut k = PerOp::new(m, mutant);
+                    for (phase, ops) in &scopes {
+                        k.in_phase(*phase, |k| issue_per_op(k, ops, sink));
+                    }
+                    issue_per_op(&mut k, &solo, sink);
+                    format!("{:?}", m.drain_counters())
+                };
+                let mut twins: Vec<Machine> = mutants.iter().map(|_| old.clone()).collect();
+                for (phase, ops) in &scopes {
+                    new.in_phase(*phase, |k| issue_on_meter(k, ops, &mut got));
+                }
+                for op in &solo {
+                    issue!(new, op, &mut got, issue_on_meter);
+                }
+                let counters = per_op(&mut old, Mutant::None, &mut want);
+                assert_eq!(
+                    format!("{:?}", new.drain_counters()),
+                    counters,
+                    "round {round}"
+                );
+                assert_eq!(got, want, "round {round}: returned registers, stored data");
+                assert_eq!(new.tiles, old.tiles, "round {round}: tile registers");
+                assert_eq!(new.phase, Phase::Other);
+                assert_eq!(
+                    new.throughput_penalty.to_bits(),
+                    old.throughput_penalty.to_bits()
+                );
+                got.regs.clear();
+                want.regs.clear();
+                for ((twin, &mutant), caught) in twins.iter_mut().zip(&mutants).zip(&mut caught) {
+                    *caught += (per_op(twin, mutant, &mut sink()) != counters) as usize;
+                }
+                if round % 64 == 0 || round == 599 {
+                    assert_eq!(
+                        new.mem_ref().cache_state(),
+                        old.mem_ref().cache_state(),
+                        "round {round}: cache state"
+                    );
+                }
+            }
+            assert!(
+                nested > 100 && toggled > 100,
+                "{nested} nested, {toggled} toggles"
+            );
+            let [delta, penalty, stale] = caught;
+            assert!(delta > 0, "a delta summed from zero must be rejected");
+            assert!(penalty > 0, "a penalty cached at checkout must be rejected");
+            assert!(stale > 0, "a nested scope on stale totals must be rejected");
+        }
     }
 }

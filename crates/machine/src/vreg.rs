@@ -1,8 +1,8 @@
 //! VPU vector register values.
 //!
 //! A 512-bit FP64 vector holds [`VLANES`] = 8 lanes. `VReg` is a plain
-//! value type: arithmetic on it is performed by the [`crate::Machine`]
-//! methods so that every operation is charged to the cost model; the
+//! value type: arithmetic on it is performed by the [`crate::Meter`]
+//! ops so that every operation is charged to the cost model; the
 //! helpers here are cost-free constructors and lane accessors.
 
 /// Number of f64 lanes in a 512-bit VPU register. Derived from the
@@ -22,7 +22,7 @@ impl VReg {
     }
 
     /// Broadcasts `x` to all lanes (cost-free constructor; use
-    /// [`crate::Machine::v_splat`] inside emulated kernels).
+    /// [`crate::Meter::v_splat`] inside emulated kernels).
     pub fn splat(x: f64) -> Self {
         VReg([x; VLANES])
     }
@@ -46,11 +46,6 @@ impl VReg {
     /// Panics if `i >= VLANES`.
     pub fn lane(&self, i: usize) -> f64 {
         self.0[i]
-    }
-
-    /// Horizontal sum of all lanes (cost-free).
-    pub fn sum(&self) -> f64 {
-        self.0.iter().sum()
     }
 }
 
@@ -76,11 +71,5 @@ mod tests {
     #[should_panic(expected = "wider than a vector register")]
     fn from_slice_rejects_oversize() {
         let _ = VReg::from_slice(&[0.0; 9]);
-    }
-
-    #[test]
-    fn sum_is_horizontal_add() {
-        let r = VReg::from_slice(&[1.0, 2.0, 3.0]);
-        assert_eq!(r.sum(), 6.0);
     }
 }

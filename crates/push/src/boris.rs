@@ -5,7 +5,7 @@
 //! which conserves energy exactly in a pure magnetic field.
 
 use mpic_grid::constants::C;
-use mpic_machine::{Lanes, Machine, Phase};
+use mpic_machine::{Lanes, Machine, Phase, VLANES};
 
 /// Precomputed per-species, per-step push coefficients.
 #[derive(Debug, Clone, Copy)]
@@ -162,7 +162,7 @@ pub fn boris_push_lanes(
 /// stores back).
 pub fn charge_push(m: &mut Machine, n: usize) {
     m.in_phase(Phase::Push, |m| {
-        let chunks = n.div_ceil(8);
+        let chunks = n.div_ceil(VLANES);
         // 12 loads + 6 stores + ~24 arithmetic vector ops per chunk.
         m.v_ops(chunks * 42);
         m.record_flops((n * 45) as f64);

@@ -1,8 +1,19 @@
 //! Grid-to-particle field interpolation.
+//!
+//! Two value paths, bit-identical per particle: [`gather_fields`], the
+//! per-particle reference (one stencil walk per particle), and the
+//! run-scoped pair [`load_node_block`] +
+//! [`gather_from_block_lanes_masked`] — a cell's stencil loaded once,
+//! then interpolated for a lane pack of its particles at a time,
+//! branch-free for every pack length. Two charges mirror them:
+//! [`charge_gather`] walks the cache per particle chunk, and
+//! [`charge_gather_run`] prices one block gather per run on the
+//! [`Meter`] of the tile sweep's Gather scope.
 
+use mpic_deposit::shape::MAX_SUPPORT;
 use mpic_deposit::{stage_particle, ShapeOrder};
 use mpic_grid::{FieldArrays, GridGeometry};
-use mpic_machine::{vect::W, LaneMask, Lanes, Machine, Phase, Pricing, VAddr};
+use mpic_machine::{vect::W, Lanes, Machine, Meter, Phase, Pricing, VAddr, VLANES};
 
 /// Per-step cost parameters of the gather sweep (charged coarsely: the
 //  gather is not the paper's optimisation target, but its time must
@@ -192,10 +203,17 @@ pub fn load_node_block(
 /// evaluation as [`gather_fields`], the node loop runs in its `(c, b, a)`
 /// order and each lane's weight keeps the `(sx * sy) * sz` association,
 /// so every active lane is bit-identical to the per-particle gather at
-/// that position (no cross-lane arithmetic exists to regroup). Ragged
-/// run tails stay on this path: the accumulation runs under a
-/// [`LaneMask::prefix`] mask, so inactive tail lanes hold exact zeros on
-/// return (masking selects lanes; it never regroups arithmetic).
+/// that position (no cross-lane arithmetic exists to regroup).
+///
+/// Every pack length runs the same branch-free lane code. The weights
+/// are held lane-major — one [`Lanes`] per (axis, support offset),
+/// filled per particle — so a node's weight is two lane multiplies and
+/// its six accumulates are plain unmasked [`Lanes::mul_acc`]s, with the
+/// support a const so the node loop has a fixed trip count. Lanes past
+/// the pack carry zero weights, so they accumulate `0 * value`: zero
+/// for any finite node value, and whatever a non-finite one made of
+/// them is overwritten by the final zeroing of lanes `n..W` — inactive
+/// lanes hold exact `+0.0` on return whatever the block holds.
 ///
 /// # Panics
 /// If `fracs` is wider than a lane pack.
@@ -204,33 +222,49 @@ pub fn gather_from_block_lanes_masked(
     block: &NodeBlock,
     fracs: &[[f64; 3]],
 ) -> ([Lanes; 3], [Lanes; 3]) {
-    let s = order.support();
-    let n = fracs.len();
-    let mask = LaneMask::prefix(n);
-    // Per-lane shape weights, evaluated exactly as the per-particle
-    // gather evaluates them.
-    let mut sw = [[[0.0f64; 4]; 3]; W];
-    for (l, f) in fracs.iter().enumerate() {
-        order.weights(f[0], &mut sw[l][0]);
-        order.weights(f[1], &mut sw[l][1]);
-        order.weights(f[2], &mut sw[l][2]);
+    match order {
+        ShapeOrder::Cic => gather_lanes::<2>(order, block, fracs),
+        ShapeOrder::Tsc => gather_lanes::<3>(order, block, fracs),
+        ShapeOrder::Qsp => gather_lanes::<4>(order, block, fracs),
     }
+}
+
+/// [`gather_from_block_lanes_masked`] for support `S = order.support()`.
+fn gather_lanes<const S: usize>(
+    order: ShapeOrder,
+    block: &NodeBlock,
+    fracs: &[[f64; 3]],
+) -> ([Lanes; 3], [Lanes; 3]) {
+    let n = fracs.len();
+    assert!(n <= W, "pack wider than a lane pack");
+    debug_assert_eq!(S, order.support());
+    // Lane-major shape weights, evaluated exactly as the per-particle
+    // gather evaluates them; lanes past the pack keep zero weights.
+    let mut sw = [[Lanes::zero(); S]; 3];
+    for (l, f) in fracs.iter().enumerate() {
+        for (d, axis) in sw.iter_mut().enumerate() {
+            let mut w = [0.0; MAX_SUPPORT];
+            order.weights(f[d], &mut w);
+            for (a, lanes) in axis.iter_mut().enumerate() {
+                lanes.0[l] = w[a];
+            }
+        }
+    }
+    let [sx, sy, sz] = sw;
     let mut acc = [Lanes::zero(); 6];
-    for c in 0..s {
-        for bb in 0..s {
-            for a in 0..s {
-                let nd = (c * s + bb) * s + a;
-                let mut wl = [0.0; W];
-                for (l, w) in wl.iter_mut().enumerate().take(n) {
-                    *w = sw[l][0][a] * sw[l][1][bb] * sw[l][2][c];
-                }
-                let wl = Lanes(wl);
+    for c in 0..S {
+        for b in 0..S {
+            for a in 0..S {
+                let nd = (c * S + b) * S + a;
+                let wl = (sx[a] * sy[b]) * sz[c];
                 for (comp, lane_acc) in acc.iter_mut().enumerate() {
-                    *lane_acc =
-                        lane_acc.mul_acc_masked(wl, Lanes::splat(block.vals[comp][nd]), mask);
+                    *lane_acc = lane_acc.mul_acc(wl, Lanes::splat(block.vals[comp][nd]));
                 }
             }
         }
+    }
+    for lane_acc in &mut acc {
+        lane_acc.0[n..].fill(0.0);
     }
     ([acc[0], acc[1], acc[2]], [acc[3], acc[4], acc[5]])
 }
@@ -239,9 +273,11 @@ pub fn gather_from_block_lanes_masked(
 /// stencil block (node indices `node_idx`) was loaded **once** for the
 /// whole run: the six field arrays pay one run-scoped block gather
 /// (every distinct cache line charged once per array, see
-/// [`Machine::v_touch_gather_block_priced`]) instead of a per-particle
+/// [`Meter::v_touch_gather_block_priced`]) instead of a per-particle
 /// node sweep, while the interpolation arithmetic is still charged per
-/// particle — batching amortises memory traffic, not FLOPs.
+/// particle — batching amortises memory traffic, not FLOPs. Issued on
+/// the meter of the tile sweep's [`Phase::Gather`] scope, one call per
+/// run.
 ///
 /// `pricing` selects only the memory price. Streamed, the sweep walks a
 /// tile's runs in sorted-cell order, so the previous run's block
@@ -255,8 +291,9 @@ pub fn gather_from_block_lanes_masked(
 /// L1 capacity — small L1-resident grids are charged at the resident
 /// line price instead of the DRAM stream price. Walked, both are
 /// ignored and the cache simulator decides.
+#[inline]
 pub fn charge_gather_run(
-    m: &mut Machine,
+    m: &mut Meter<'_>,
     pricing: Pricing,
     cost: GatherCost,
     n: usize,
@@ -265,12 +302,10 @@ pub fn charge_gather_run(
     prev_idx: &[usize],
     footprint: u64,
 ) {
-    m.in_phase(Phase::Gather, |m| {
-        m.v_touch_gather_block_priced(pricing, field_addrs, node_idx, prev_idx, footprint);
-        let chunks = n.div_ceil(8);
-        m.v_ops(cost.v_ops_per_chunk * chunks);
-        m.record_flops((n * node_idx.len() * 6 * 2) as f64);
-    });
+    m.v_touch_gather_block_priced(pricing, field_addrs, node_idx, prev_idx, footprint);
+    let chunks = n.div_ceil(VLANES);
+    m.v_ops(cost.v_ops_per_chunk * chunks);
+    m.record_flops((n * node_idx.len() * 6 * 2) as f64);
 }
 
 /// Charges the gather cost of `n` particles touching `nodes` grid nodes
@@ -288,15 +323,15 @@ pub fn charge_gather(
     m.in_phase(Phase::Gather, |m| {
         let mut p = 0;
         while p < n {
-            let lanes = (n - p).min(8);
+            let lanes = (n - p).min(VLANES);
             m.v_ops(cost.v_ops_per_chunk);
             // Six field arrays x nodes gathers; use the sampled node
             // index of each lane, offset per node to cover the stencil.
             // The lane indices are identical across the six arrays, so
             // they — and the line set they touch — are built once per
             // node.
-            for node in 0..nodes.min(8) {
-                let mut idx = [0usize; 8];
+            for node in 0..nodes.min(VLANES) {
+                let mut idx = [0usize; VLANES];
                 for (l, i) in (p..p + lanes).enumerate() {
                     idx[l] = sample_idx[i.min(sample_idx.len() - 1)] + node;
                 }
@@ -306,6 +341,75 @@ pub fn charge_gather(
         }
         m.record_flops((n * nodes * 6 * 2) as f64);
     });
+}
+
+#[cfg(test)]
+/// The lane gather as it stood before the branch-free body — weights
+/// particle-major, every node's accumulate under a [`LaneMask`] — kept as
+/// the executable specification
+/// `conf_lane_gather_matches_masked_reference_bitwise` holds the new body
+/// to, and — through [`reference::Mutant`] — the near misses that test
+/// must reject.
+mod reference {
+    use super::*;
+    use mpic_machine::LaneMask;
+
+    /// A deliberate defect the bitwise test must catch.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Mutant {
+        None,
+        /// `w.mul_add(value, acc)` in place of multiply, then add.
+        FusedMulAdd,
+        /// `sx * (sy * sz)` in place of `(sx * sy) * sz`.
+        SyTimesSzFirst,
+    }
+
+    pub fn gather_from_block_lanes_masked(
+        order: ShapeOrder,
+        block: &NodeBlock,
+        fracs: &[[f64; 3]],
+        mutant: Mutant,
+    ) -> ([Lanes; 3], [Lanes; 3]) {
+        let s = order.support();
+        let n = fracs.len();
+        let mask = LaneMask::prefix(n);
+        let mut sw = [[[0.0f64; 4]; 3]; W];
+        for (l, f) in fracs.iter().enumerate() {
+            order.weights(f[0], &mut sw[l][0]);
+            order.weights(f[1], &mut sw[l][1]);
+            order.weights(f[2], &mut sw[l][2]);
+        }
+        let mut acc = [Lanes::zero(); 6];
+        for c in 0..s {
+            for bb in 0..s {
+                for a in 0..s {
+                    let nd = (c * s + bb) * s + a;
+                    let mut wl = [0.0; W];
+                    for (l, w) in wl.iter_mut().enumerate().take(n) {
+                        *w = match mutant {
+                            Mutant::SyTimesSzFirst => sw[l][0][a] * (sw[l][1][bb] * sw[l][2][c]),
+                            _ => sw[l][0][a] * sw[l][1][bb] * sw[l][2][c],
+                        };
+                    }
+                    let wl = Lanes(wl);
+                    for (comp, lane_acc) in acc.iter_mut().enumerate() {
+                        let v = block.vals[comp][nd];
+                        *lane_acc = match mutant {
+                            Mutant::FusedMulAdd => Lanes(std::array::from_fn(|l| {
+                                if mask.test(l) {
+                                    wl.0[l].mul_add(v, lane_acc.0[l])
+                                } else {
+                                    lane_acc.0[l]
+                                }
+                            })),
+                            _ => lane_acc.mul_acc_masked(wl, Lanes::splat(v), mask),
+                        };
+                    }
+                }
+            }
+        }
+        ([acc[0], acc[1], acc[2]], [acc[3], acc[4], acc[5]])
+    }
 }
 
 #[cfg(test)]
@@ -525,6 +629,85 @@ mod tests {
     }
 
     #[test]
+    fn conf_lane_gather_matches_masked_reference_bitwise() {
+        use reference::Mutant;
+        // Every order x pack length x a frac set reaching both ends of
+        // [0, 1) x blocks that are finite or hold ±inf / NaN at some
+        // nodes: active lanes equal the masked reference, inactive lanes
+        // are exact +0.0 — also where an infinite node value met their
+        // zero weight.
+        let edge = 1.0 - f64::EPSILON / 2.0;
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        let mut unit = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut caught = [false; 2];
+        for order in [ShapeOrder::Cic, ShapeOrder::Tsc, ShapeOrder::Qsp] {
+            for poison in [
+                None,
+                Some(f64::INFINITY),
+                Some(f64::NEG_INFINITY),
+                Some(f64::NAN),
+            ] {
+                let mut block = NodeBlock::new();
+                block.nodes = order.nodes_3d();
+                for comp in block.vals.iter_mut() {
+                    for (nd, v) in comp.iter_mut().enumerate().take(block.nodes) {
+                        *v = match poison {
+                            Some(p) if nd % 5 == 2 => p,
+                            _ => unit() * 4.0 - 2.0,
+                        };
+                    }
+                }
+                let fracs: [[f64; 3]; W] = std::array::from_fn(|l| match l {
+                    0 => [0.0, edge, unit()],
+                    1 => [edge, 0.0, 0.0],
+                    _ => [unit(), unit(), unit()],
+                });
+                for n in 1..=W {
+                    let fracs = &fracs[W - n..];
+                    let (e, b) = gather_from_block_lanes_masked(order, &block, fracs);
+                    let want = |mutant| {
+                        let (e, b) =
+                            reference::gather_from_block_lanes_masked(order, &block, fracs, mutant);
+                        [e, b]
+                    };
+                    let spec = want(Mutant::None);
+                    for (f, (got, want)) in [e, b].iter().zip(&spec).enumerate() {
+                        for d in 0..3 {
+                            for l in 0..W {
+                                let (g, w) = (got[d].lane(l), want[d].lane(l));
+                                let what = format!("{order:?} {poison:?} n={n} {f}/{d} lane {l}");
+                                // Sign and payload of a NaN result are
+                                // not specified; everything else is bits.
+                                assert!(
+                                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                                    "{what}: {g:e} vs {w:e}"
+                                );
+                                if l >= n {
+                                    assert_eq!(g.to_bits(), 0, "{what}: inactive lane");
+                                }
+                            }
+                        }
+                    }
+                    if poison.is_none() {
+                        for (mutant, caught) in [Mutant::FusedMulAdd, Mutant::SyTimesSzFirst]
+                            .into_iter()
+                            .zip(&mut caught)
+                        {
+                            *caught |= want(mutant) != spec;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(caught, [true; 2], "fused multiply-add, sy * sz first");
+    }
+
+    #[test]
     fn lane_gather_rejects_oversized_packs() {
         let block = NodeBlock::new();
         let fracs = vec![[0.5; 3]; W + 1];
@@ -572,16 +755,18 @@ mod tests {
             &addrs_a,
             &[100; 64],
         );
-        charge_gather_run(
-            &mut batched,
-            Pricing::Walk,
-            GatherCost::default(),
-            64,
-            &addrs_b,
-            &node_idx,
-            &[],
-            0,
-        );
+        batched.in_phase(Phase::Gather, |m| {
+            charge_gather_run(
+                m,
+                Pricing::Walk,
+                GatherCost::default(),
+                64,
+                &addrs_b,
+                &node_idx,
+                &[],
+                0,
+            );
+        });
         let (pp, bt) = (
             per_particle.counters().cycles(Phase::Gather),
             batched.counters().cycles(Phase::Gather),

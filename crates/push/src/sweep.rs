@@ -9,7 +9,7 @@
 
 use mpic_deposit::{ExecMode, ShapeOrder};
 use mpic_grid::{FieldArrays, GridGeometry};
-use mpic_machine::{vect::W, Lanes, Machine, Pricing, VAddr};
+use mpic_machine::{vect::W, Lanes, Machine, Phase, Pricing, VAddr};
 use mpic_particles::ParticleTile;
 
 use crate::boris::{boris_push, boris_push_lanes, charge_push, BorisCoeffs};
@@ -163,37 +163,41 @@ impl PushCtx<'_> {
         let live = &scratch.live;
         let mut head = locate(tile, live[0]);
         let mut i = 0;
-        while i < live.len() {
-            // Buffer the run: this particle and every following one that
-            // locates to the same cell.
-            let cell = head.0;
-            load_node_block(geom, self.order, self.fields, cell, &mut block);
-            scratch.run_slots.clear();
-            scratch.run_frac.clear();
-            while head.0 == cell {
-                scratch.run_slots.push(live[i]);
-                scratch.run_frac.push(head.1);
-                i += 1;
-                if i == live.len() {
-                    break;
+        // One Gather scope for the tile: each run's charge is issued on
+        // its meter as the run closes.
+        wm.in_phase(Phase::Gather, |m| {
+            while i < live.len() {
+                // Buffer the run: this particle and every following one
+                // that locates to the same cell.
+                let cell = head.0;
+                load_node_block(geom, self.order, self.fields, cell, &mut block);
+                scratch.run_slots.clear();
+                scratch.run_frac.clear();
+                while head.0 == cell {
+                    scratch.run_slots.push(live[i]);
+                    scratch.run_frac.push(head.1);
+                    i += 1;
+                    if i == live.len() {
+                        break;
+                    }
+                    head = locate(tile, live[i]);
                 }
-                head = locate(tile, live[i]);
+                // Close it: one block gather charge, then the lane packs.
+                charge_gather_run(
+                    m,
+                    pricing,
+                    GatherCost::default(),
+                    scratch.run_slots.len(),
+                    &self.field_addrs,
+                    &block.idx[..block.nodes],
+                    &prev_idx[..prev_n],
+                    footprint,
+                );
+                self.flush_run(tile, &block, &scratch.run_slots, &scratch.run_frac);
+                prev_n = block.nodes;
+                prev_idx[..prev_n].copy_from_slice(&block.idx[..prev_n]);
             }
-            // Close it: one block gather charge, then the lane packs.
-            charge_gather_run(
-                wm,
-                pricing,
-                GatherCost::default(),
-                scratch.run_slots.len(),
-                &self.field_addrs,
-                &block.idx[..block.nodes],
-                &prev_idx[..prev_n],
-                footprint,
-            );
-            self.flush_run(tile, &block, &scratch.run_slots, &scratch.run_frac);
-            prev_n = block.nodes;
-            prev_idx[..prev_n].copy_from_slice(&block.idx[..prev_n]);
-        }
+        });
         tile.apply_removals();
         charge_push(wm, scratch.live.len());
     }

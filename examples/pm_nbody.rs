@@ -24,7 +24,6 @@ fn deposit_mass_mpu(
     parts: &[(f64, f64, f64, f64)], // (x, y, z, mass)
     rho: &mut Array3,
 ) {
-    m.set_phase(Phase::Compute);
     let order = ShapeOrder::Cic;
     let mut i = 0;
     while i < parts.len() {
@@ -49,8 +48,10 @@ fn deposit_mass_mpu(
                 }
             }
         }
-        m.t_zero(TileId(0));
-        m.t_mopa(TileId(0), VReg(a), VReg(b));
+        m.in_phase(Phase::Compute, |k| {
+            k.t_zero(TileId(0));
+            k.t_mopa(TileId(0), VReg(a), VReg(b));
+        });
         // Extract the two diagonal blocks onto the grid.
         for (h, (st, _)) in pair.iter().enumerate() {
             for c in 0..2 {
