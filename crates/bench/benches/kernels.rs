@@ -5,10 +5,12 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use mpic_core::workloads;
+use mpic_deposit::common::stencil_block;
 use mpic_deposit::{ExecMode, KernelConfig, Rhocell, ShapeOrder};
 use mpic_grid::{FieldArrays, GridGeometry, Tile, TileLayout};
-use mpic_machine::{Machine, MachineConfig, Pricing};
+use mpic_machine::{LineCarry, Machine, MachineConfig, Phase, Pricing, TensorBlock, VAddr};
 use mpic_particles::Gpma;
+use mpic_push::gather::{charge_gather_run, GatherCost};
 use mpic_push::{BorisCoeffs, PushCtx, PushScratch};
 use mpic_solver::{MaxwellSolver, SolverKind};
 use rand::rngs::StdRng;
@@ -202,6 +204,68 @@ fn bench_qsp_streamed_layers(c: &mut Criterion) {
     });
 }
 
+/// The two streamed block charges of the `uniform_qsp` configuration,
+/// alone, over the 512 cells of the upper corner tile of its 32x32x16
+/// grid — the tile whose stencils straddle the periodic wrap on every
+/// axis (58 % of its cells on at least one; a third of the grid's do).
+/// One iteration is one tile sweep, carry reset included: divide by 512
+/// for ns per block.
+fn bench_block_charges(c: &mut Criterion) {
+    let geom = GridGeometry::new([32, 32, 16], [0.0; 3], [1e-6; 3], 2);
+    let tile = Tile {
+        lo: [24, 24, 8],
+        hi: [32, 32, 16],
+    };
+    let dims = geom.dims_with_guard();
+    let len = dims[0] * dims[1] * dims[2];
+
+    // What the run sweep charges per same-cell run, for ppc-8 runs.
+    c.bench_function("block_gather_charge_qsp_streamed", |b| {
+        let mut m = Machine::new(MachineConfig::lx2());
+        let field_addrs: [VAddr; 6] = std::array::from_fn(|_| m.mem().alloc_f64(len));
+        let blocks: Vec<TensorBlock> = tile
+            .cells()
+            .map(|(_, cell)| stencil_block(&geom, ShapeOrder::Qsp, cell))
+            .collect();
+        b.iter(|| {
+            m.in_phase(Phase::Gather, |k| {
+                let mut carry = LineCarry::new();
+                for block in &blocks {
+                    charge_gather_run(
+                        k,
+                        Pricing::Stream,
+                        GatherCost::default(),
+                        8,
+                        &field_addrs,
+                        block,
+                        &mut carry,
+                        (len * 8) as u64,
+                    );
+                }
+            });
+            std::hint::black_box(m.counters().total_cycles())
+        });
+    });
+
+    // The reduction's charge half with every component of every cell
+    // live: zero tests, stencils and one fused fold per cell.
+    c.bench_function("rhocell_charge_reduce_qsp_streamed", |b| {
+        let mut m = Machine::new(MachineConfig::lx2());
+        let mut rho = Rhocell::new(ShapeOrder::Qsp, tile.num_cells());
+        for comp in 0..3 {
+            for cell in 0..tile.num_cells() {
+                rho.cell_slice_mut(comp, cell).fill(1.0e-3);
+            }
+        }
+        let rho_addr = m.mem().alloc_f64(rho.len());
+        let j_addr = std::array::from_fn(|_| m.mem().alloc_f64(len));
+        b.iter(|| {
+            rho.charge_reduce(&mut m, Pricing::Stream, &geom, &tile, rho_addr, j_addr);
+            std::hint::black_box(m.counters().total_cycles())
+        });
+    });
+}
+
 fn bench_counting_sort(c: &mut Criterion) {
     c.bench_function("counting_sort_64k", |b| {
         let mut rng = StdRng::seed_from_u64(4);
@@ -304,6 +368,7 @@ criterion_group!(
     bench_gpma_maintenance,
     bench_incremental_sort,
     bench_qsp_streamed_layers,
+    bench_block_charges,
     bench_counting_sort,
     bench_full_step,
     bench_grid_passes

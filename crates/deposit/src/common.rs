@@ -5,7 +5,7 @@
 
 use mpic_grid::constants::C;
 use mpic_grid::{Array3, GridGeometry};
-use mpic_machine::{Machine, Pricing, VAddr};
+use mpic_machine::{Machine, Pricing, TensorBlock, VAddr};
 
 use crate::shape::{ShapeOrder, MAX_SUPPORT};
 
@@ -99,6 +99,34 @@ pub fn node_coord(
         v = v.rem_euclid(n);
     }
     v as usize + geom.guard
+}
+
+/// The stencil of physical cell `cell` as offsets into one guarded grid
+/// array: per axis, the [`node_coord`]s times the axis stride — node
+/// `(a, b, c)` of the block is the linear index of stencil node
+/// `(a, b, c)`. What the run gather and the rhocell reduction hand the
+/// machine's block touches, and expand where they need the node list.
+/// Always inlined: it runs per cell and per run, and out of line the
+/// block comes back through memory (the reduction's apply pass measured
+/// 9 % slower with the call).
+#[inline(always)]
+pub fn stencil_block(geom: &GridGeometry, order: ShapeOrder, cell: [usize; 3]) -> TensorBlock {
+    let dims = geom.dims_with_guard();
+    let stride = [1, dims[0], dims[0] * dims[1]];
+    // A stencil's nodes are consecutive modulo the period: wrap the
+    // first, step the rest.
+    let mut off = [[0; MAX_SUPPORT]; 3];
+    for (d, axis) in off.iter_mut().enumerate() {
+        let mut node = node_coord(geom, order, d, cell[d], 0);
+        for slot in &mut axis[..order.support()] {
+            *slot = node * stride[d];
+            node += 1;
+            if node == geom.n_cells[d] + geom.guard {
+                node = geom.guard;
+            }
+        }
+    }
+    TensorBlock::new(order.support(), off)
 }
 
 /// Node index (wrapped periodically) for support offsets `(a, b, c)` of a
@@ -476,6 +504,35 @@ mod tests {
 
     fn geom() -> GridGeometry {
         GridGeometry::new([8, 8, 8], [0.0; 3], [1.0e-6; 3], 2)
+    }
+
+    #[test]
+    fn stencil_block_steps_to_the_node_coord_products() {
+        // Every cell of a grid narrower than a QSP stencil on two axes
+        // (wrapped offsets repeat) and of an ordinary one.
+        for n_cells in [[2, 3, 9], [8, 8, 8]] {
+            let geom = GridGeometry::new(n_cells, [0.0; 3], [1.0e-6; 3], 2);
+            let dims = geom.dims_with_guard();
+            for order in [ShapeOrder::Cic, ShapeOrder::Tsc, ShapeOrder::Qsp] {
+                let s = order.support();
+                for cell in (0..n_cells[0] * n_cells[1] * n_cells[2]).map(|id| {
+                    [
+                        id % n_cells[0],
+                        id / n_cells[0] % n_cells[1],
+                        id / (n_cells[0] * n_cells[1]),
+                    ]
+                }) {
+                    let block = stencil_block(&geom, order, cell);
+                    assert_eq!(block.len(), order.nodes_3d());
+                    block.for_each_node(|nd, got| {
+                        let node = |d: usize, off: usize| node_coord(&geom, order, d, cell[d], off);
+                        let (a, b, c) = (nd % s, nd / s % s, nd / (s * s));
+                        let want = (node(2, c) * dims[1] + node(1, b)) * dims[0] + node(0, a);
+                        assert_eq!(got, want, "{n_cells:?} {order:?} {cell:?} node {nd}");
+                    });
+                }
+            }
+        }
     }
 
     #[test]

@@ -50,6 +50,7 @@ pub mod cost;
 pub mod counters;
 pub mod exec;
 pub mod gpu;
+pub mod lines;
 pub mod machine;
 pub mod mem;
 pub mod partition;
@@ -66,6 +67,7 @@ pub use exec::{
     INLINE_ITEM_THRESHOLD,
 };
 pub use gpu::{GpuConfig, GpuDepositionReport, GpuModel};
+pub use lines::{LineCarry, TensorBlock};
 pub use machine::{Machine, Meter, Pricing, TileId};
 pub use mem::{MemSystem, VAddr};
 pub use partition::Partition;

@@ -26,6 +26,7 @@
 
 use crate::cost::MachineConfig;
 use crate::counters::{MachineCounters, PerfCounters, Phase, Totals};
+use crate::lines::{lane_lines, LineCarry, TensorBlock};
 use crate::mem::{MemSystem, VAddr};
 use crate::vreg::{VReg, VLANES};
 
@@ -70,66 +71,16 @@ pub struct Machine {
     tiles: [[[f64; VLANES]; VLANES]; NUM_TILES],
 }
 
-/// The sorted distinct cache-line ids of `base[idx]`, minus those of
-/// `base[prev_idx]` — the lines a gather or reduce touch still has to
-/// move. Stack-resident and sized by the caller: `N = VLANES` on the
-/// per-particle path, [`Machine::RUN_BLOCK_MAX`] on the run path.
-struct LineSet<const N: usize> {
-    lines: [u64; N],
-    len: usize,
-}
-
-impl<const N: usize> LineSet<N> {
-    /// Rebuilds the set in place for `base` (on the run path the
-    /// buffers are 64 words: they are never moved). `shift` is
-    /// [`MemSystem::line_shift`], the exact power-of-two division minus
-    /// the per-node hardware divide. Panics if a list is longer than `N`.
-    fn fill(&mut self, base: VAddr, idx: &[usize], prev_idx: &[usize], shift: u32) {
-        Self::sorted_lines(&mut self.lines, base, idx, shift);
-        let mut prev = [0u64; N];
-        Self::sorted_lines(&mut prev, base, prev_idx, shift);
-        let (mut p, mut len) = (0, 0);
-        for i in 0..idx.len() {
-            let l = self.lines[i];
-            while p < prev_idx.len() && prev[p] < l {
-                p += 1;
-            }
-            let kept = len > 0 && self.lines[len - 1] == l;
-            let resident = p < prev_idx.len() && prev[p] == l;
-            if !kept && !resident {
-                self.lines[len] = l;
-                len += 1;
-            }
-        }
-        self.len = len;
-    }
-
-    /// Writes the line ids of `base[idx]`, ascending with duplicates,
-    /// into `buf[..idx.len()]`. Stencil node lists arrive ascending
-    /// except for cells straddling a periodic wrap, so the sort is
-    /// skipped when one pass confirms the order (the common case).
-    fn sorted_lines(buf: &mut [u64; N], base: VAddr, idx: &[usize], shift: u32) {
-        assert!(idx.len() <= N, "index list exceeds the line-set capacity");
-        let mut sorted = true;
-        let mut last = 0u64;
-        for (slot, &i) in buf.iter_mut().zip(idx) {
-            let l = base.offset_f64(i).0 >> shift;
-            sorted &= l >= last;
-            last = l;
-            *slot = l;
-        }
-        if !sorted {
-            buf[..idx.len()].sort_unstable();
-        }
-    }
-}
-
 impl Machine {
     /// Builds a machine from a configuration.
     pub fn new(cfg: MachineConfig) -> Self {
         assert_eq!(
             cfg.mpu_dim, VLANES,
             "the emulator models an 8x8 MPU tile matching the VPU width"
+        );
+        assert!(
+            cfg.l1.line_bytes >= 8,
+            "a cache line holds at least one f64"
         );
         let mem = MemSystem::new(cfg.l1, cfg.l2, cfg.l1_hit_cy, cfg.l2_hit_cy, cfg.dram_cy);
         Self {
@@ -274,9 +225,13 @@ impl Machine {
     /// get no such discount).
     const GATHER_MLP: f64 = 0.15;
 
+    /// Maximum elements along one axis of a run-scoped block (a QSP
+    /// stencil: 4 nodes).
+    pub const RUN_AXIS_MAX: usize = 4;
+
     /// Maximum elements of one run-scoped block touch (a QSP stencil
     /// block: 4^3 nodes).
-    pub const RUN_BLOCK_MAX: usize = 64;
+    pub const RUN_BLOCK_MAX: usize = Self::RUN_AXIS_MAX.pow(3);
 
     /// Number of cache lines spanned by `[addr, addr + bytes)` — the
     /// address-only counterpart of a cache access, used by the
@@ -453,8 +408,9 @@ impl Meter<'_> {
     // no cache-simulator state is read or written — which both prices
     // the mode's deep out-of-order overlap and keeps every streamed
     // charge bit-reproducible from the tile data alone.
-    // `footprint` (and `prev_idx`) feed only the streaming arm of a
-    // `*_priced` entry point; the walk arm prices from cache state.
+    // `footprint` (and what a `LineCarry` holds) feed only the streaming
+    // arm of a `*_priced` entry point; the walk arm prices from cache
+    // state.
 
     /// Scalar load of `bytes` at `addr` (data itself lives in host arrays).
     #[inline]
@@ -549,41 +505,6 @@ impl Meter<'_> {
     // Gathers: one price per distinct cache line
     // ------------------------------------------------------------------
 
-    /// Calls `price(self, lines, delta)` once per base, in order: the
-    /// [`LineSet`] of `base[idx]` minus `base[prev_idx]` is `lines`
-    /// displaced by `delta` whole lines. Bases congruent modulo the line
-    /// size (line-aligned allocations: the ubiquitous case) have line
-    /// sets that differ by a whole number of lines, so the set is built
-    /// once and replayed displaced; a base that is not congruent to the
-    /// set in hand gets its own. Host-side sharing only.
-    #[inline]
-    fn for_each_line_set<const N: usize>(
-        &mut self,
-        bases: &[VAddr],
-        idx: &[usize],
-        prev_idx: &[usize],
-        mut price: impl FnMut(&mut Self, &[u64], u64),
-    ) {
-        let Some(&(mut anchor)) = bases.first() else {
-            return;
-        };
-        let shift = self.m.mem.line_shift();
-        let in_line = self.m.mem.line_bytes() - 1;
-        let mut set = LineSet::<N> {
-            lines: [0; N],
-            len: 0,
-        };
-        set.fill(anchor, idx, prev_idx, shift);
-        for &base in bases {
-            if (base.0 ^ anchor.0) & in_line != 0 {
-                anchor = base;
-                set.fill(anchor, idx, prev_idx, shift);
-            }
-            let delta = (base.0 >> shift).wrapping_sub(anchor.0 >> shift);
-            price(self, &set.lines[..set.len], delta);
-        }
-    }
-
     /// The walked gather price: `lane_cy` of per-lane issue plus one
     /// cache access per line of `lines` displaced by `delta`, in
     /// ascending order (the gather unit coalesces same-line lanes), with
@@ -623,25 +544,41 @@ impl Meter<'_> {
         let idx = &idx[..idx.len().min(VLANES)];
         let lane_cy = self.m.cfg.gather_lane_cy * idx.len() as f64;
         let line_cy = Machine::GATHER_MLP * self.m.stream_line_price(footprint);
-        self.for_each_line_set::<VLANES>(bases, idx, &[], |k, lines, delta| {
-            k.t.vector_ops += 1;
-            let cy = match pricing {
-                Pricing::Walk => Self::walk_gather_lines(&mut k.m.mem, lane_cy, lines, delta),
-                Pricing::Stream => lane_cy + line_cy * lines.len() as f64,
+        let shift = self.m.mem.line_shift();
+        let in_line = self.m.mem.line_bytes() - 1;
+        // One set per run of bases congruent modulo the line size
+        // (line-aligned allocations: one in all), replayed displaced by
+        // each base's own line id. Host-side sharing only.
+        let (mut lines, mut len) = ([0; VLANES], 0);
+        let mut offset = None;
+        for &base in bases {
+            if offset != Some(base.0 & in_line) {
+                offset = Some(base.0 & in_line);
+                len = lane_lines(&mut lines, base.0 & in_line, idx, shift);
+            }
+            self.t.vector_ops += 1;
+            self.t.cycles += match pricing {
+                Pricing::Walk => Self::walk_gather_lines(
+                    &mut self.m.mem,
+                    lane_cy,
+                    &lines[..len],
+                    base.0 >> shift,
+                ),
+                Pricing::Stream => lane_cy + line_cy * len as f64,
             };
-            k.t.cycles += cy;
-        });
+        }
     }
 
-    /// Run-scoped block gather: charges loading one node list of up to
-    /// [`Machine::RUN_BLOCK_MAX`] elements from each of `bases` with
-    /// **each distinct cache line charged once** per base — the memory
-    /// stream of a kernel that loads a cell's stencil node block into
-    /// registers once per same-cell particle run and reuses it for every
-    /// particle of the run (the run gather's six field components).
-    /// Per-lane gather issue cost is still paid for every element of
-    /// `idx` — address generation does not amortise — and an empty block
-    /// is free.
+    /// Run-scoped block gather: charges loading one block of up to
+    /// [`Machine::RUN_BLOCK_MAX`] nodes from each of `bases` with **each
+    /// distinct cache line charged once** per base — the memory stream
+    /// of a kernel that loads a cell's stencil node block into registers
+    /// once per same-cell particle run and reuses it for every particle
+    /// of the run (the run gather's six field components). Per-lane
+    /// gather issue cost is still paid for every node — address
+    /// generation does not amortise. An empty block, or no base, is free
+    /// and leaves `carry` as it was; every other call advances it to
+    /// `block`, at either price.
     ///
     /// Walked, every run starts from whatever the cache holds and line
     /// misses overlap as in [`Meter::v_touch_gather`], whose
@@ -649,8 +586,8 @@ impl Meter<'_> {
     /// Streamed, two things differ, and together they are what the
     /// streaming mode buys:
     ///
-    /// * lines already covered by `prev_idx` (the preceding run's
-    ///   stencil block, which the kernel keeps resident in lane
+    /// * lines already covered by the block `carry` holds (the preceding
+    ///   run's stencil, which the kernel keeps resident in lane
     ///   registers) are priced as register rotations — no memory
     ///   transaction at all. Sorted input visits adjacent cells, whose
     ///   stencils overlap node for node, so most of a run's block load
@@ -663,46 +600,43 @@ impl Meter<'_> {
     ///   prefetcher services at bandwidth. `footprint` declares one
     ///   field array's byte span so L1-resident grids cross over to the
     ///   resident line price (0 = unknown, DRAM stream). The charge is a
-    ///   pure function of `(bases, idx, prev_idx, footprint)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx.len()` — or, streamed, `prev_idx.len()` — exceeds
-    /// [`Machine::RUN_BLOCK_MAX`].
+    ///   pure function of `(bases, block, the carried block, footprint)`.
     #[inline]
     pub fn v_touch_gather_block_priced(
         &mut self,
         pricing: Pricing,
         bases: &[VAddr],
-        idx: &[usize],
-        prev_idx: &[usize],
+        block: &TensorBlock,
+        carry: &mut LineCarry,
         footprint: u64,
     ) {
-        let prev_idx = match pricing {
-            Pricing::Walk => &[],
-            Pricing::Stream => prev_idx,
-        };
-        assert!(
-            idx.len() <= Machine::RUN_BLOCK_MAX && prev_idx.len() <= Machine::RUN_BLOCK_MAX,
-            "block exceeds RUN_BLOCK_MAX"
-        );
-        if idx.is_empty() {
+        let (Some(&first), false) = (bases.first(), block.is_empty()) else {
             return;
-        }
-        let issues = idx.len().div_ceil(VLANES) as u64;
-        let lane_cy = self.m.cfg.gather_lane_cy * idx.len() as f64;
-        let line_cy = Machine::GATHER_MLP * self.m.stream_line_price(footprint);
-        let price = |k: &mut Self, lines: &[u64], delta: u64| {
-            k.t.vector_ops += issues;
-            let cy = match pricing {
-                Pricing::Walk => Self::walk_gather_lines(&mut k.m.mem, lane_cy, lines, delta),
-                // One add per new line: a multiply-by-count could round
-                // differently.
-                Pricing::Stream => lines.iter().fold(lane_cy, |cy, _| cy + line_cy),
-            };
-            k.t.cycles += cy;
         };
-        self.for_each_line_set::<{ Machine::RUN_BLOCK_MAX }>(bases, idx, prev_idx, price);
+        let issues = block.len().div_ceil(VLANES) as u64;
+        let lane_cy = self.m.cfg.gather_lane_cy * block.len() as f64;
+        let line_cy = Machine::GATHER_MLP * self.m.stream_line_price(footprint);
+        // One add per new line: a multiply-by-count could round
+        // differently. The sum is the same for every base the lines in
+        // hand serve.
+        let stream_cy = |new: usize| (0..new).fold(lane_cy, |cy, _| cy + line_cy);
+        let shift = self.m.mem.line_shift();
+        let mut cy = stream_cy(carry.advance(block, first, shift));
+        for &base in bases {
+            if !carry.serves(base, shift) {
+                cy = stream_cy(carry.rebase(base, shift));
+            }
+            self.t.vector_ops += issues;
+            self.t.cycles += match pricing {
+                Pricing::Walk => Self::walk_gather_lines(
+                    &mut self.m.mem,
+                    lane_cy,
+                    carry.lines(),
+                    base.0 >> shift,
+                ),
+                Pricing::Stream => cy,
+            };
+        }
     }
 
     // ------------------------------------------------------------------
@@ -771,36 +705,37 @@ impl Meter<'_> {
     ///   stencil nodes is touched once instead of once per node;
     /// * the reduction sweeps a tile's cells in order and consecutive
     ///   cells' stencils overlap — destination lines already folded by
-    ///   the preceding cell (`prev_idx`, its node list) still sit in the
+    ///   the preceding cell (the block `carry` holds) still sit in the
     ///   store buffer, so the kernel merges into them without a fresh
     ///   read-modify-write transaction and they charge nothing. Callers
-    ///   must only pass `prev_idx` when the preceding fold covered the
-    ///   same components (empty = no reuse); the contiguous per-cell
-    ///   source streams never reuse (each cell owns its slice).
+    ///   must [`LineCarry::reset`] the carry unless the preceding fold
+    ///   covered the same components; the contiguous per-cell source
+    ///   streams never reuse (each cell owns its slice).
     ///
     /// Like every streaming price, the charge is a pure function of the
     /// call's inputs: no cache-simulator state is read or written.
     ///
     /// `srcs[k]`/`dsts[k]` pair component `k`'s contiguous source base
     /// with its scattered destination base; passing fewer than three
-    /// pairs prices a partial-component fold. `idx` holds the
-    /// destination offsets shared by every component; empty `idx` is
-    /// free. `src_footprint`/`dst_footprint` declare the byte spans of
-    /// one source array and one destination array for the roofline
-    /// crossover ([`Machine::stream_line_price`]); pass 0 when unknown.
+    /// pairs prices a partial-component fold. `block` holds the
+    /// destination offsets shared by every component; an empty block is
+    /// free and leaves `carry` as it was, every other call advances it
+    /// to `block`. `src_footprint`/`dst_footprint` declare the byte
+    /// spans of one source array and one destination array for the
+    /// roofline crossover ([`Machine::stream_line_price`]); pass 0 when
+    /// unknown.
     ///
     /// # Panics
     ///
-    /// Panics if `srcs.len() != dsts.len()`, if no components are given,
-    /// or if `idx.len()` or `prev_idx.len()` exceeds
-    /// [`Machine::RUN_BLOCK_MAX`].
+    /// Panics if `srcs.len() != dsts.len()` or if no components are
+    /// given.
     #[inline]
     pub fn v_touch_reduce_block_reuse(
         &mut self,
         srcs: &[VAddr],
         dsts: &[VAddr],
-        idx: &[usize],
-        prev_idx: &[usize],
+        block: &TensorBlock,
+        carry: &mut LineCarry,
         src_footprint: u64,
         dst_footprint: u64,
     ) {
@@ -810,18 +745,14 @@ impl Meter<'_> {
             "source/destination component lists must pair up"
         );
         assert!(!srcs.is_empty(), "reduce needs at least one component");
-        assert!(
-            idx.len() <= Machine::RUN_BLOCK_MAX && prev_idx.len() <= Machine::RUN_BLOCK_MAX,
-            "block exceeds RUN_BLOCK_MAX"
-        );
-        if idx.is_empty() {
+        if block.is_empty() {
             return;
         }
-        let comps = srcs.len();
-        self.t.vector_ops += (comps * idx.len().div_ceil(VLANES)) as u64;
+        let (comps, nodes) = (srcs.len(), block.len());
+        self.t.vector_ops += (comps * nodes.div_ceil(VLANES)) as u64;
         // Shared address generation: one lane penalty per node, not per
         // node per component.
-        let mut cy = self.m.cfg.gather_lane_cy * idx.len() as f64;
+        let mut cy = self.m.cfg.gather_lane_cy * nodes as f64;
         // Contiguous source streams, one per component: the rhocell
         // layout keeps each cell's node slice dense, and the cell sweep
         // walks those slices in ascending order — a textbook stream,
@@ -829,8 +760,8 @@ impl Meter<'_> {
         let src_line_cy = Machine::GATHER_MLP * self.m.stream_line_price(src_footprint);
         for &src in srcs {
             let mut node = 0;
-            while node < idx.len() {
-                let n = (idx.len() - node).min(VLANES);
+            while node < nodes {
+                let n = (nodes - node).min(VLANES);
                 cy +=
                     src_line_cy * self.m.lines_spanned(src.offset_f64(node), (n * 8) as u64) as f64;
                 node += n;
@@ -843,12 +774,17 @@ impl Meter<'_> {
         // one-at-a-time onto the running total: a multiply could round
         // differently.
         let dst_line_cy = self.m.stream_line_price(dst_footprint);
-        self.for_each_line_set::<{ Machine::RUN_BLOCK_MAX }>(dsts, idx, prev_idx, |_, lines, _| {
-            for _ in lines {
+        let shift = self.m.mem.line_shift();
+        let mut new = carry.advance(block, dsts[0], shift);
+        for &dst in dsts {
+            if !carry.serves(dst, shift) {
+                new = carry.rebase(dst, shift);
+            }
+            for _ in 0..new {
                 cy += dst_line_cy;
             }
-        });
-        self.t.flops_issued += (comps * idx.len()) as f64;
+        }
+        self.t.flops_issued += (comps * nodes) as f64;
         self.t.cycles += cy;
     }
 
@@ -936,10 +872,10 @@ delegate_ops! {
     v_store_priced(pricing: Pricing, addr: VAddr, reg: VReg, dst: &mut [f64], n: usize, footprint: u64);
     v_touch_gather(base: VAddr, idx: &[usize]);
     v_touch_gather_priced(pricing: Pricing, bases: &[VAddr], idx: &[usize], footprint: u64);
-    v_touch_gather_block_priced(pricing: Pricing, bases: &[VAddr], idx: &[usize], prev_idx: &[usize], footprint: u64);
+    v_touch_gather_block_priced(pricing: Pricing, bases: &[VAddr], block: &TensorBlock, carry: &mut LineCarry, footprint: u64);
     v_scatter_add(base: VAddr, idx: &[usize], reg: VReg, dst: &mut [f64]);
     v_touch_scatter_add(base: VAddr, idx: &[usize]);
-    v_touch_reduce_block_reuse(srcs: &[VAddr], dsts: &[VAddr], idx: &[usize], prev_idx: &[usize], src_footprint: u64, dst_footprint: u64);
+    v_touch_reduce_block_reuse(srcs: &[VAddr], dsts: &[VAddr], block: &TensorBlock, carry: &mut LineCarry, src_footprint: u64, dst_footprint: u64);
     t_zero(tile: TileId);
     t_mopa(tile: TileId, a: VReg, b: VReg);
     t_read_row(tile: TileId, row: usize) -> VReg;
@@ -950,12 +886,15 @@ delegate_ops! {
 /// read-modify-write of the machine's own counters ([`reference::PerOp`],
 /// the executable specification
 /// `conf_meter_scope_matches_per_op_charges_bitwise` holds the scopes
-/// to), over the line-set touch family as it stood before [`LineSet`] —
-/// five separately written collect / dedup / subtract / replay loops and
-/// the load/store triple, which
+/// to), over the line-set touch family as it stood before
+/// [`crate::lines`] — five separately written collect / dedup / subtract
+/// / replay loops and the load/store triple, which
 /// `conf_line_set_touches_match_reference_bitwise` holds the rewritten
-/// entry points to — and, through [`reference::Mutant`], the near misses
-/// those tests must reject.
+/// entry points to, with the block touches on node lists: the builder
+/// they shared last ([`reference::LineSet`]: two sorted node lists,
+/// subtracted) is what `conf_block_line_carry_matches_node_lists_bitwise`
+/// holds the carried row builder to — and, through
+/// [`reference::Mutant`], the near misses those tests must reject.
 mod reference {
     use super::*;
 
@@ -980,6 +919,146 @@ mod reference {
         /// inner scope checks out stale totals and the outer scope's
         /// charges so far are lost to the reload.
         NestedWithoutCommit,
+        /// A sweep that keeps its carry when the live-component set of a
+        /// fold changes.
+        NoResetOnMaskChange,
+        /// A sweep whose carry survives into the next tile.
+        CarryAcrossTiles,
+        /// A row builder that drops repeats of the line written last,
+        /// merges the runs a wrap left out of order, and stops there.
+        NoDedupAfterMerge,
+        /// A row builder that counts one line per run of consecutive x
+        /// offsets, even where the run straddles a line boundary.
+        OneLinePerRun,
+        /// A row builder that takes an x-wrapped row for one run, from
+        /// its lowest offset to its highest.
+        WrappedRowAsOneRun,
+    }
+
+    impl Mutant {
+        fn of_rows(self) -> bool {
+            matches!(
+                self,
+                Mutant::NoDedupAfterMerge | Mutant::OneLinePerRun | Mutant::WrappedRowAsOneRun
+            )
+        }
+    }
+
+    /// The reuse state of the node-list family: the previous block, whose
+    /// node list every call sorts again.
+    #[derive(Clone)]
+    pub struct Carry(TensorBlock);
+
+    impl Carry {
+        pub fn new() -> Self {
+            Carry(TensorBlock::EMPTY)
+        }
+
+        pub fn reset(&mut self) {
+            self.0 = TensorBlock::EMPTY;
+        }
+    }
+
+    /// The block's node list.
+    pub fn nodes(block: &TensorBlock) -> Vec<usize> {
+        let mut idx = Vec::new();
+        block.for_each_node(|_, i| idx.push(i));
+        idx
+    }
+
+    /// The sorted distinct cache-line ids of `base[idx]`, minus those of
+    /// `base[prev_idx]`, as every gather and reduce touch built them
+    /// before the block touches took their lines from rows.
+    pub struct LineSet<const N: usize> {
+        pub lines: [u64; N],
+        pub len: usize,
+    }
+
+    impl<const N: usize> LineSet<N> {
+        pub fn new() -> Self {
+            LineSet {
+                lines: [0; N],
+                len: 0,
+            }
+        }
+
+        pub fn fill(&mut self, base: VAddr, idx: &[usize], prev_idx: &[usize], shift: u32) {
+            Self::sorted_lines(&mut self.lines, base, idx, shift);
+            let mut prev = [0u64; N];
+            Self::sorted_lines(&mut prev, base, prev_idx, shift);
+            let (mut p, mut len) = (0, 0);
+            for i in 0..idx.len() {
+                let l = self.lines[i];
+                while p < prev_idx.len() && prev[p] < l {
+                    p += 1;
+                }
+                let kept = len > 0 && self.lines[len - 1] == l;
+                let resident = p < prev_idx.len() && prev[p] == l;
+                if !kept && !resident {
+                    self.lines[len] = l;
+                    len += 1;
+                }
+            }
+            self.len = len;
+        }
+
+        fn sorted_lines(buf: &mut [u64; N], base: VAddr, idx: &[usize], shift: u32) {
+            assert!(idx.len() <= N, "index list exceeds the line-set capacity");
+            let mut sorted = true;
+            let mut last = 0u64;
+            for (slot, &i) in buf.iter_mut().zip(idx) {
+                let l = base.offset_f64(i).0 >> shift;
+                sorted &= l >= last;
+                last = l;
+                *slot = l;
+            }
+            if !sorted {
+                buf[..idx.len()].sort_unstable();
+            }
+        }
+    }
+
+    /// The lines of `base[block]` a row-granular builder derives: node
+    /// order, each row its runs of consecutive x offsets, repeats of the
+    /// line written last dropped, then sorted and deduplicated — with
+    /// `mutant`'s defect.
+    pub fn row_lines(block: &TensorBlock, base: VAddr, shift: u32, mutant: Mutant) -> Vec<u64> {
+        let line = |element: usize| base.offset_f64(element).0 >> shift;
+        let xs = block.axis(0);
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for &x in xs {
+            match runs.last_mut() {
+                Some(run) if x == run.1 + 1 => run.1 = x,
+                _ => runs.push((x, x)),
+            }
+        }
+        if mutant == Mutant::WrappedRowAsOneRun {
+            runs = vec![(
+                xs.iter().copied().min().unwrap_or(0),
+                xs.iter().copied().max().unwrap_or(0),
+            )];
+        }
+        let mut lines = Vec::new();
+        for &c in block.axis(2) {
+            for &b in block.axis(1) {
+                for &(lo, hi) in &runs {
+                    let end = match mutant {
+                        Mutant::OneLinePerRun => line(b + c + lo),
+                        _ => line(b + c + hi),
+                    };
+                    for l in line(b + c + lo)..=end {
+                        if lines.last() != Some(&l) {
+                            lines.push(l);
+                        }
+                    }
+                }
+            }
+        }
+        lines.sort_unstable();
+        if mutant != Mutant::NoDedupAfterMerge {
+            lines.dedup();
+        }
+        lines
     }
 
     /// What an open scope of [`PerOp`] remembers for the scope mutants.
@@ -1218,25 +1297,29 @@ mod reference {
             &mut self,
             pricing: Pricing,
             bases: &[VAddr],
-            idx: &[usize],
-            prev_idx: &[usize],
+            block: &TensorBlock,
+            carry: &mut Carry,
             footprint: u64,
         ) {
+            if bases.is_empty() || block.is_empty() {
+                return;
+            }
             match pricing {
                 Pricing::Walk => {
                     for &b in bases {
-                        v_touch_gather_block(self.m, b, idx, self.mutant);
+                        v_touch_gather_block(self.m, b, block, self.mutant);
                     }
                 }
                 Pricing::Stream => v_touch_gather_block_reuse_multi(
                     self.m,
                     bases,
-                    idx,
-                    prev_idx,
+                    block,
+                    &carry.0,
                     footprint,
                     self.mutant,
                 ),
             }
+            carry.0 = *block;
         }
 
         pub fn v_scatter_add(&mut self, base: VAddr, idx: &[usize], reg: VReg, dst: &mut [f64]) {
@@ -1265,8 +1348,8 @@ mod reference {
             &mut self,
             srcs: &[VAddr],
             dsts: &[VAddr],
-            idx: &[usize],
-            prev_idx: &[usize],
+            block: &TensorBlock,
+            carry: &mut Carry,
             src_footprint: u64,
             dst_footprint: u64,
         ) {
@@ -1274,12 +1357,15 @@ mod reference {
                 self.m,
                 srcs,
                 dsts,
-                idx,
-                prev_idx,
+                block,
+                &carry.0,
                 src_footprint,
                 dst_footprint,
                 self.mutant,
             );
+            if !block.is_empty() {
+                carry.0 = *block;
+            }
         }
 
         pub fn t_zero(&mut self, tile: TileId) {
@@ -1406,87 +1492,73 @@ mod reference {
         }
     }
 
-    pub fn v_touch_gather_block(m: &mut Machine, base: VAddr, idx: &[usize], mutant: Mutant) {
-        assert!(
-            idx.len() <= Machine::RUN_BLOCK_MAX,
-            "block exceeds RUN_BLOCK_MAX"
-        );
-        if idx.is_empty() {
-            return;
-        }
+    pub fn v_touch_gather_block(m: &mut Machine, base: VAddr, block: &TensorBlock, mutant: Mutant) {
         m.ctr.vector_ops += match mutant {
             Mutant::OneIssuePerBlock => 1,
-            _ => idx.len().div_ceil(VLANES) as u64,
+            _ => block.len().div_ceil(VLANES) as u64,
         };
-        let shift = m.mem.line_shift();
-        let mut lines = [0u64; Machine::RUN_BLOCK_MAX];
-        let n = collect_lines(&mut lines, base, idx, shift);
-        let cy = walk_gather_lines(m, idx.len(), &lines[..n], 0);
+        let lines = block_lines(m, base, block, mutant);
+        let cy = walk_gather_lines(m, block.len(), &lines, 0);
         m.ctr.add_cycles(m.phase, cy);
     }
 
     pub fn v_touch_gather_block_reuse_multi(
         m: &mut Machine,
         bases: &[VAddr],
-        idx: &[usize],
-        prev_idx: &[usize],
+        block: &TensorBlock,
+        prev: &TensorBlock,
         footprint: u64,
         mutant: Mutant,
     ) {
-        assert!(
-            idx.len() <= Machine::RUN_BLOCK_MAX && prev_idx.len() <= Machine::RUN_BLOCK_MAX,
-            "block exceeds RUN_BLOCK_MAX"
-        );
-        let Some(&(mut anchor)) = bases.first() else {
-            return;
-        };
-        if idx.is_empty() {
-            return;
-        }
+        let mut anchor = bases[0];
         let in_line = m.mem.line_bytes() - 1;
-        let lane_cy = m.cfg.gather_lane_cy * idx.len() as f64;
+        let lane_cy = m.cfg.gather_lane_cy * block.len() as f64;
         let new_line_cy = Machine::GATHER_MLP * m.stream_line_price(footprint);
         let charge = |new: usize| match mutant {
             Mutant::MultiplyByCount => lane_cy + new_line_cy * new as f64,
             _ => (0..new).fold(lane_cy, |cy, _| cy + new_line_cy),
         };
-        let mut cy = charge(new_lines(m, anchor, idx, prev_idx));
+        let mut cy = charge(new_lines(m, anchor, block, prev, mutant));
         for &base in bases {
             if (base.0 ^ anchor.0) & in_line != 0 && mutant != Mutant::ReplayOnIncongruentBase {
                 anchor = base;
-                cy = charge(new_lines(m, anchor, idx, prev_idx));
+                cy = charge(new_lines(m, anchor, block, prev, mutant));
             }
             m.ctr.vector_ops += match mutant {
                 Mutant::OneIssuePerBlock => 1,
-                _ => idx.len().div_ceil(VLANES) as u64,
+                _ => block.len().div_ceil(VLANES) as u64,
             };
             m.ctr.add_cycles(m.phase, cy);
         }
     }
 
-    fn new_lines(m: &Machine, base: VAddr, idx: &[usize], prev_idx: &[usize]) -> usize {
+    /// The sorted distinct lines of `base[block]` — by the node list, or
+    /// by the rows with a row mutant's defect (repeats included).
+    fn block_lines(m: &Machine, base: VAddr, block: &TensorBlock, mutant: Mutant) -> Vec<u64> {
         let shift = m.mem.line_shift();
-        let mut cur = [0u64; Machine::RUN_BLOCK_MAX];
-        let cur_n = collect_lines(&mut cur, base, idx, shift);
-        let mut prev = [0u64; Machine::RUN_BLOCK_MAX];
-        let prev_n = collect_lines(&mut prev, base, prev_idx, shift);
-        let mut p = 0usize;
-        let mut last = u64::MAX;
-        let mut new = 0usize;
-        for &l in &cur[..cur_n] {
-            if l == last {
-                continue;
-            }
-            last = l;
-            while p < prev_n && prev[p] < l {
-                p += 1;
-            }
-            if p < prev_n && prev[p] == l {
-                continue; // Still resident from the previous block.
-            }
-            new += 1;
+        if mutant.of_rows() {
+            return row_lines(block, base, shift, mutant);
         }
-        new
+        let mut set = LineSet::<{ Machine::RUN_BLOCK_MAX }>::new();
+        set.fill(base, &nodes(block), &[], shift);
+        set.lines[..set.len].to_vec()
+    }
+
+    fn new_lines(
+        m: &Machine,
+        base: VAddr,
+        block: &TensorBlock,
+        prev: &TensorBlock,
+        mutant: Mutant,
+    ) -> usize {
+        if mutant.of_rows() {
+            let prev = block_lines(m, base, prev, mutant);
+            let lines = block_lines(m, base, block, mutant);
+            return lines.iter().filter(|l| !prev.contains(l)).count();
+        }
+        let mut set = LineSet::<{ Machine::RUN_BLOCK_MAX }>::new();
+        set.fill(base, &nodes(block), &nodes(prev), m.mem.line_shift());
+        set.len
     }
 
     fn collect_lines(buf: &mut [u64], base: VAddr, idx: &[usize], shift: u32) -> usize {
@@ -1508,8 +1580,8 @@ mod reference {
         m: &mut Machine,
         srcs: &[VAddr],
         dsts: &[VAddr],
-        idx: &[usize],
-        prev_idx: &[usize],
+        block: &TensorBlock,
+        prev: &TensorBlock,
         src_footprint: u64,
         dst_footprint: u64,
         mutant: Mutant,
@@ -1520,24 +1592,20 @@ mod reference {
             "source/destination component lists must pair up"
         );
         assert!(!srcs.is_empty(), "reduce needs at least one component");
-        assert!(
-            idx.len() <= Machine::RUN_BLOCK_MAX && prev_idx.len() <= Machine::RUN_BLOCK_MAX,
-            "block exceeds RUN_BLOCK_MAX"
-        );
-        if idx.is_empty() {
+        if block.is_empty() {
             return;
         }
-        let comps = srcs.len();
+        let (comps, nodes) = (srcs.len(), block.len());
         m.ctr.vector_ops += match mutant {
             Mutant::OneIssuePerBlock => comps as u64,
-            _ => (comps * idx.len().div_ceil(VLANES)) as u64,
+            _ => (comps * nodes.div_ceil(VLANES)) as u64,
         };
-        let mut cy = m.cfg.gather_lane_cy * idx.len() as f64;
+        let mut cy = m.cfg.gather_lane_cy * nodes as f64;
         let src_line_cy = Machine::GATHER_MLP * m.stream_line_price(src_footprint);
         for &src in srcs {
             let mut node = 0;
-            while node < idx.len() {
-                let n = (idx.len() - node).min(VLANES);
+            while node < nodes {
+                let n = (nodes - node).min(VLANES);
                 cy += src_line_cy * m.lines_spanned(src.offset_f64(node), (n * 8) as u64) as f64;
                 node += n;
             }
@@ -1545,23 +1613,24 @@ mod reference {
         let dst_line_cy = m.stream_line_price(dst_footprint);
         let in_line = m.mem.line_bytes() - 1;
         let mut anchor = dsts[0];
-        let mut new = new_lines(m, anchor, idx, prev_idx);
+        let mut new = new_lines(m, anchor, block, prev, mutant);
         for &dst in dsts {
             if (dst.0 ^ anchor.0) & in_line != 0 && mutant != Mutant::ReplayOnIncongruentBase {
                 anchor = dst;
-                new = new_lines(m, anchor, idx, prev_idx);
+                new = new_lines(m, anchor, block, prev, mutant);
             }
             for _ in 0..new {
                 cy += dst_line_cy;
             }
         }
-        m.ctr.flops_issued += (comps * idx.len()) as f64;
+        m.ctr.flops_issued += (comps * nodes) as f64;
         m.ctr.add_cycles(m.phase, cy);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::nodes;
     use super::*;
 
     fn machine() -> Machine {
@@ -1828,20 +1897,46 @@ mod tests {
         }
     }
 
+    /// A CIC stencil of a 33 x 33 x n grid: two x-neighbours per (y, z)
+    /// corner.
+    fn cic_block() -> TensorBlock {
+        TensorBlock::from_fn(2, |d, a| a * [1, 33, 1089][d])
+    }
+
+    /// A carry that has seen `block` at `base`, nothing charged.
+    fn primed(m: &Machine, block: &TensorBlock, base: VAddr) -> LineCarry {
+        let mut carry = LineCarry::new();
+        carry.advance(block, base, m.mem.line_shift());
+        carry
+    }
+
+    #[test]
+    fn tensor_block_nodes_run_x_fastest() {
+        assert_eq!(nodes(&cic_block()), [0, 1, 33, 34, 1089, 1090, 1122, 1123]);
+        assert_eq!(nodes(&TensorBlock::EMPTY), []);
+        let qsp = TensorBlock::from_fn(Machine::RUN_AXIS_MAX, |d, a| a << (2 * d));
+        assert_eq!(nodes(&qsp), (0..Machine::RUN_BLOCK_MAX).collect::<Vec<_>>());
+    }
+
     #[test]
     fn touch_gather_block_matches_vector_gather_for_one_vector() {
-        // For <= VLANES indices the block touch charges the same formula
+        // For <= VLANES nodes the block touch charges the same formula
         // as the per-vector gather (per-lane issue + one MLP-discounted
         // access per distinct line), so the two are interchangeable at
         // vector width.
         let cfg = MachineConfig::lx2();
         let mut vec = Machine::new(cfg.clone());
         let mut block = Machine::new(cfg);
-        let b1 = vec.mem().alloc_f64(1024);
-        let b2 = block.mem().alloc_f64(1024);
-        let idx = [0usize, 1, 9, 64, 65, 200, 201, 3];
-        vec.v_touch_gather(b1, &idx);
-        block.v_touch_gather_block_priced(Pricing::Walk, &[b2], &idx, &[], 0);
+        let b1 = vec.mem().alloc_f64(2048);
+        let b2 = block.mem().alloc_f64(2048);
+        vec.v_touch_gather(b1, &nodes(&cic_block()));
+        block.v_touch_gather_block_priced(
+            Pricing::Walk,
+            &[b2],
+            &cic_block(),
+            &mut LineCarry::new(),
+            0,
+        );
         assert_eq!(
             vec.counters().total_cycles().to_bits(),
             block.counters().total_cycles().to_bits()
@@ -1850,15 +1945,15 @@ mod tests {
 
     #[test]
     fn touch_gather_block_charges_each_line_once() {
-        // A 64-element block confined to two lines must cost exactly:
+        // A 64-node block confined to two lines must cost exactly:
         // 64 lane penalties + 2 MLP-discounted line accesses.
         let cfg = MachineConfig::lx2();
         let lane = cfg.gather_lane_cy;
         let mut m = Machine::new(cfg);
         let base = m.mem().alloc_f64(1024);
-        let idx: Vec<usize> = (0..64).map(|i| i % 16).collect(); // Lines 0 and 1.
+        let block = TensorBlock::from_fn(4, |d, a| a * [1, 4, 0][d]); // Lines 0 and 1.
         m.in_phase(Phase::Compute, |k| {
-            k.v_touch_gather_block_priced(Pricing::Walk, &[base], &idx, &[], 0)
+            k.v_touch_gather_block_priced(Pricing::Walk, &[base], &block, &mut LineCarry::new(), 0)
         });
         let mut expect = Machine::new(MachineConfig::lx2());
         let eb = expect.mem().alloc_f64(1024);
@@ -1879,19 +1974,22 @@ mod tests {
     fn touch_gather_block_empty_is_free() {
         let mut m = machine();
         let base = m.mem().alloc_f64(8);
-        m.v_touch_gather_block_priced(Pricing::Walk, &[base], &[], &[], 0);
-        m.v_touch_gather_block_priced(Pricing::Stream, &[base], &[], &[1], 0);
+        let mut carry = primed(&m, &cic_block(), base);
+        let held = carry.lines().to_vec();
+        m.v_touch_gather_block_priced(Pricing::Walk, &[base], &TensorBlock::EMPTY, &mut carry, 0);
+        m.v_touch_gather_block_priced(Pricing::Stream, &[base], &TensorBlock::EMPTY, &mut carry, 0);
+        m.v_touch_gather_block_priced(Pricing::Stream, &[], &cic_block(), &mut carry, 0);
         assert_eq!(m.counters().total_cycles(), 0.0);
         assert_eq!(m.counters().vector_ops, 0);
+        assert_eq!(carry.lines(), held, "a free call leaves the carry alone");
     }
 
     #[test]
     #[should_panic(expected = "RUN_BLOCK_MAX")]
     fn touch_gather_block_rejects_oversized_blocks() {
-        let mut m = machine();
-        let base = m.mem().alloc_f64(128);
-        let idx = vec![0usize; Machine::RUN_BLOCK_MAX + 1];
-        m.v_touch_gather_block_priced(Pricing::Walk, &[base], &idx, &[], 0);
+        // Unrepresentable: no touch ever sees more than RUN_BLOCK_MAX
+        // nodes.
+        TensorBlock::from_fn(Machine::RUN_AXIS_MAX + 1, |_, a| a);
     }
 
     #[test]
@@ -1899,19 +1997,10 @@ mod tests {
         let mut m = machine();
         let src = m.mem().alloc_f64(64);
         let dst = m.mem().alloc_f64(64);
-        m.v_touch_reduce_block_reuse(&[src], &[dst], &[], &[], 0, 0);
+        let mut carry = LineCarry::new();
+        m.v_touch_reduce_block_reuse(&[src], &[dst], &TensorBlock::EMPTY, &mut carry, 0, 0);
         assert_eq!(m.counters().total_cycles(), 0.0);
         assert_eq!(m.counters().vector_ops, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "RUN_BLOCK_MAX")]
-    fn touch_reduce_block_rejects_oversized_blocks() {
-        let mut m = machine();
-        let src = m.mem().alloc_f64(128);
-        let dst = m.mem().alloc_f64(128);
-        let idx = vec![0usize; Machine::RUN_BLOCK_MAX + 1];
-        m.v_touch_reduce_block_reuse(&[src], &[dst], &idx, &[], 0, 0);
     }
 
     #[test]
@@ -1920,21 +2009,22 @@ mod tests {
         let mut m = machine();
         let src = m.mem().alloc_f64(8);
         let dst = m.mem().alloc_f64(8);
-        m.v_touch_reduce_block_reuse(&[src, src], &[dst], &[0, 1], &[], 0, 0);
+        let mut carry = LineCarry::new();
+        m.v_touch_reduce_block_reuse(&[src, src], &[dst], &cic_block(), &mut carry, 0, 0);
     }
 
     #[test]
     fn touch_reduce_block_accounting_scales_with_components() {
         // flops = comps * len; vector_ops = comps * ceil(len / VLANES).
         let mut m = machine();
-        let srcs: Vec<VAddr> = (0..3).map(|_| m.mem().alloc_f64(16)).collect();
+        let srcs: Vec<VAddr> = (0..3).map(|_| m.mem().alloc_f64(32)).collect();
         let dsts: Vec<VAddr> = (0..3).map(|_| m.mem().alloc_f64(4096)).collect();
-        let idx: Vec<usize> = (0..12).collect();
+        let tsc = TensorBlock::from_fn(3, |d, a| a * [1, 20, 400][d]);
         m.in_phase(Phase::Reduce, |k| {
-            k.v_touch_reduce_block_reuse(&srcs, &dsts, &idx, &[], 0, 0)
+            k.v_touch_reduce_block_reuse(&srcs, &dsts, &tsc, &mut LineCarry::new(), 0, 0)
         });
-        assert_eq!(m.counters().flops_issued, 36.0);
-        assert_eq!(m.counters().vector_ops, 3 * 2);
+        assert_eq!(m.counters().flops_issued, 81.0);
+        assert_eq!(m.counters().vector_ops, 3 * 4);
         assert!(m.counters().cycles(Phase::Reduce) > 0.0);
     }
 
@@ -1951,10 +2041,9 @@ mod tests {
         let fdsts: Vec<VAddr> = (0..3).map(|_| fused.mem().alloc_f64(65536)).collect();
         let ssrcs: Vec<VAddr> = (0..3).map(|_| swept.mem().alloc_f64(64)).collect();
         let sdsts: Vec<VAddr> = (0..3).map(|_| swept.mem().alloc_f64(65536)).collect();
-        // A CIC stencil's 8 nodes: two x-neighbours per (y, z) corner.
-        let idx: Vec<usize> = [0usize, 1, 33, 34, 1089, 1090, 1122, 1123].to_vec();
+        let idx = nodes(&cic_block());
         fused.in_phase(Phase::Reduce, |k| {
-            k.v_touch_reduce_block_reuse(&fsrcs, &fdsts, &idx, &[], 0, 0)
+            k.v_touch_reduce_block_reuse(&fsrcs, &fdsts, &cic_block(), &mut LineCarry::new(), 0, 0)
         });
         swept.in_phase(Phase::Reduce, |k| {
             for comp in 0..3 {
@@ -1992,14 +2081,20 @@ mod tests {
             warm.mem().access(wb.offset_f64(i * 8), 8);
         }
         let warm_l1 = warm.mem().l1_stats();
-        let idx = [0usize, 1, 33, 34, 1089, 1090, 1122, 1123, 5, 6];
+        let block = cic_block();
         for (m, base) in [(&mut cold, cb), (&mut warm, wb)] {
             let src = m.mem().alloc_f64(16);
             m.in_phase(Phase::Gather, |k| {
-                k.v_touch_gather_block_priced(Pricing::Stream, &[base], &idx, &[], 0)
+                k.v_touch_gather_block_priced(
+                    Pricing::Stream,
+                    &[base],
+                    &block,
+                    &mut LineCarry::new(),
+                    0,
+                )
             });
             m.in_phase(Phase::Reduce, |k| {
-                k.v_touch_reduce_block_reuse(&[src], &[base], &idx, &[], 0, 0)
+                k.v_touch_reduce_block_reuse(&[src], &[base], &block, &mut LineCarry::new(), 0, 0)
             });
         }
         assert_eq!(
@@ -2015,7 +2110,7 @@ mod tests {
         let mut plain = Machine::new(cfg);
         let pb = plain.mem().alloc_f64(4096);
         plain.in_phase(Phase::Gather, |k| {
-            k.v_touch_gather_block_priced(Pricing::Walk, &[pb], &idx, &[], 0)
+            k.v_touch_gather_block_priced(Pricing::Walk, &[pb], &block, &mut LineCarry::new(), 0)
         });
         assert!(
             cold.counters().cycles(Phase::Gather) < plain.counters().cycles(Phase::Gather),
@@ -2043,22 +2138,27 @@ mod tests {
             VAddr(a[0].0 + 40),
         ];
         // A TSC stencil straddling a periodic wrap of an 18^3 guarded
-        // grid (so the node list is unsorted) and its x-neighbour as the
-        // carried block.
-        let idx: Vec<usize> = (0..27)
-            .map(|nd| {
-                let (a, b, c) = (nd % 3, nd / 3 % 3, nd / 9);
-                ((c + 17) % 18 * 18 + (b + 5)) * 18 + (a + 16) % 18
+        // grid in x and z, and its x-neighbour as the carried block.
+        let stencil = |x0: usize| {
+            TensorBlock::from_fn(3, |d, a| match d {
+                0 => (a + x0) % 18,
+                1 => (a + 5) * 18,
+                _ => (a + 17) % 18 * 18 * 18,
             })
-            .collect();
-        let prev: Vec<usize> = idx
-            .iter()
-            .map(|i| i - i % 18 + (i % 18 + 17) % 18)
-            .collect();
+        };
+        let (block, prev) = (stencil(16), stencil(15));
+        let mut carry = primed(&m, &prev, bases[0]);
         m.in_phase(Phase::Gather, |k| {
-            k.v_touch_gather_block_priced(Pricing::Stream, &bases, &idx, &prev, 0);
-            k.v_touch_gather_block_priced(Pricing::Stream, &bases, &idx, &[], 18 * 18 * 18 * 8);
-            k.v_touch_gather_block_priced(Pricing::Stream, &bases[1..2], &prev, &idx, 0);
+            k.v_touch_gather_block_priced(Pricing::Stream, &bases, &block, &mut carry, 0);
+            carry.reset();
+            k.v_touch_gather_block_priced(
+                Pricing::Stream,
+                &bases,
+                &block,
+                &mut carry,
+                18 * 18 * 18 * 8,
+            );
+            k.v_touch_gather_block_priced(Pricing::Stream, &bases[1..2], &prev, &mut carry, 0);
         });
         assert_eq!(
             m.counters().cycles(Phase::Gather).to_bits(),
@@ -2076,27 +2176,25 @@ mod tests {
         // walks. Partial overlap lands strictly between the extremes.
         let cfg = MachineConfig::lx2();
         let lane = cfg.gather_lane_cy;
-        let mut m = Machine::new(cfg.clone());
-        let base = m.mem().alloc_f64(4096);
-        let idx = [0usize, 1, 33, 34, 1089, 1090, 1122, 1123];
-        let gather = |m: &mut Machine, pricing, base, prev: &[usize]| {
+        let block = cic_block();
+        let gather = |pricing, prev: &TensorBlock| {
+            let mut m = Machine::new(cfg.clone());
+            let base = m.mem().alloc_f64(4096);
+            let mut carry = primed(&m, prev, base);
             m.in_phase(Phase::Gather, |k| {
-                k.v_touch_gather_block_priced(pricing, &[base], &idx, prev, 0)
+                k.v_touch_gather_block_priced(pricing, &[base], &block, &mut carry, 0)
             });
             m.counters().cycles(Phase::Gather)
         };
-        let full = gather(&mut m, Pricing::Stream, base, &idx);
+        let full = gather(Pricing::Stream, &block);
         assert!(
-            (full - lane * idx.len() as f64).abs() < 1e-12,
+            (full - lane * block.len() as f64).abs() < 1e-12,
             "full overlap must leave only lane issue cost, got {full}"
         );
-        // Partial overlap: prev covers the low half of the stencil.
-        let mut part = Machine::new(cfg.clone());
-        let pb = part.mem().alloc_f64(4096);
-        let p = gather(&mut part, Pricing::Stream, pb, &[0, 1, 33, 34]);
-        let mut none = Machine::new(cfg);
-        let nb = none.mem().alloc_f64(4096);
-        let n = gather(&mut none, Pricing::Walk, nb, &[]);
+        // Partial overlap: the z-neighbour covers the low half.
+        let below = TensorBlock::from_fn(2, |d, a| [[0, 1], [0, 33], [2178, 0]][d][a]);
+        let p = gather(Pricing::Stream, &below);
+        let n = gather(Pricing::Walk, &TensorBlock::EMPTY);
         assert!(full < p && p < n, "expected {full} < {p} < {n}");
     }
 
@@ -2105,16 +2203,17 @@ mod tests {
         let cfg = MachineConfig::lx2();
         let mut fresh = Machine::new(cfg.clone());
         let mut reused = Machine::new(cfg);
-        let idx = [0usize, 1, 33, 34, 1089, 1090, 1122, 1123];
+        let block = cic_block();
         let fs: Vec<VAddr> = (0..3).map(|_| fresh.mem().alloc_f64(16)).collect();
         let fd: Vec<VAddr> = (0..3).map(|_| fresh.mem().alloc_f64(65536)).collect();
         let rs: Vec<VAddr> = (0..3).map(|_| reused.mem().alloc_f64(16)).collect();
         let rd: Vec<VAddr> = (0..3).map(|_| reused.mem().alloc_f64(65536)).collect();
         fresh.in_phase(Phase::Reduce, |k| {
-            k.v_touch_reduce_block_reuse(&fs, &fd, &idx, &[], 0, 0)
+            k.v_touch_reduce_block_reuse(&fs, &fd, &block, &mut LineCarry::new(), 0, 0)
         });
+        let mut carry = primed(&reused, &block, rd[0]);
         reused.in_phase(Phase::Reduce, |k| {
-            k.v_touch_reduce_block_reuse(&rs, &rd, &idx, &idx, 0, 0)
+            k.v_touch_reduce_block_reuse(&rs, &rd, &block, &mut carry, 0, 0)
         });
         let f = fresh.counters().cycles(Phase::Reduce);
         let r = reused.counters().cycles(Phase::Reduce);
@@ -2137,16 +2236,30 @@ mod tests {
         // DRAM-stream price. Checked across every streamed entry point.
         let cfg = MachineConfig::lx2();
         let xover = cfg.stream_crossover_bytes;
-        let idx = [0usize, 1, 33, 34, 1089, 1090, 1122, 1123];
+        let block = cic_block();
+        let idx = nodes(&block);
         let charge = |footprint: u64| -> [f64; 4] {
             let mut m = Machine::new(cfg.clone());
             let base = m.mem().alloc_f64(65536);
             let src = m.mem().alloc_f64(64);
             m.in_phase(Phase::Gather, |k| {
-                k.v_touch_gather_block_priced(Pricing::Stream, &[base], &idx, &[], footprint)
+                k.v_touch_gather_block_priced(
+                    Pricing::Stream,
+                    &[base],
+                    &block,
+                    &mut LineCarry::new(),
+                    footprint,
+                )
             });
             m.in_phase(Phase::Reduce, |k| {
-                k.v_touch_reduce_block_reuse(&[src], &[base], &idx, &[], footprint, footprint)
+                k.v_touch_reduce_block_reuse(
+                    &[src],
+                    &[base],
+                    &block,
+                    &mut LineCarry::new(),
+                    footprint,
+                    footprint,
+                )
             });
             m.in_phase(Phase::Preprocess, |k| {
                 k.v_touch_load_streamed(base, VLANES, footprint);
@@ -2197,16 +2310,22 @@ mod tests {
         // scalar cache walk it replaces — the crossover closes the
         // overpricing, and the cheaper-phase contract can't invert.
         let cfg = MachineConfig::lx2();
-        let idx = [0usize, 1, 33, 34, 1089, 1090, 1122, 1123];
+        let block = cic_block();
         let mut streamed = Machine::new(cfg.clone());
         let sb = streamed.mem().alloc_f64(1728); // 12^3 guarded 8^3 grid
         streamed.in_phase(Phase::Gather, |k| {
-            k.v_touch_gather_block_priced(Pricing::Stream, &[sb], &idx, &[], 1728 * 8)
+            k.v_touch_gather_block_priced(
+                Pricing::Stream,
+                &[sb],
+                &block,
+                &mut LineCarry::new(),
+                1728 * 8,
+            )
         });
         let mut walk = Machine::new(cfg);
         let wb = walk.mem().alloc_f64(1728);
         walk.in_phase(Phase::Gather, |k| {
-            k.v_touch_gather_block_priced(Pricing::Walk, &[wb], &idx, &[], 0)
+            k.v_touch_gather_block_priced(Pricing::Walk, &[wb], &block, &mut LineCarry::new(), 0)
         });
         let s = streamed.counters().cycles(Phase::Gather);
         let w = walk.counters().cycles(Phase::Gather);
@@ -2251,34 +2370,42 @@ mod tests {
         incongruent: bool,
         bases: Vec<VAddr>,
         srcs: Vec<VAddr>,
-        idx: Vec<usize>,
-        prev: Vec<usize>,
+        block: TensorBlock,
+        /// The block touched just before it ([`TensorBlock::EMPTY`]:
+        /// none).
+        prev: TensorBlock,
         footprint: u64,
     }
 
     /// Every line-set entry point once, on `$k` — the meter of an open
-    /// scope or the [`reference::PerOp`] family; evaluates to the loaded
-    /// lanes so the functional half is compared too.
+    /// scope or the [`reference::PerOp`] family, the block touches with
+    /// a `$carry` of their own each; evaluates to the loaded lanes so
+    /// the functional half is compared too.
     macro_rules! run_case {
-        ($k:expr, $c:expr) => {{
+        ($k:expr, $c:expr, $carry:expr) => {{
             let Case {
                 pricing,
                 bases,
                 srcs,
-                idx,
+                block,
                 prev,
                 footprint: fp,
                 ..
             } = $c;
             let (pricing, fp) = (*pricing, *fp);
+            let idx = nodes(block);
             let data = [1.5, -2.0, 0.25, 8.0, 3.0, -0.5, 7.0, 9.0, 11.0];
             let w = idx.len().min(data.len());
             let addr = bases[0].offset_f64(idx.first().copied().unwrap_or(3));
             let mut out = [0.0; VLANES];
-            $k.v_touch_gather_priced(pricing, bases, idx, fp);
-            $k.v_touch_gather(bases[0], idx);
-            $k.v_touch_gather_block_priced(pricing, bases, idx, prev, fp);
-            $k.v_touch_reduce_block_reuse(srcs, bases, idx, prev, fp, fp);
+            $k.v_touch_gather_priced(pricing, bases, &idx, fp);
+            $k.v_touch_gather(bases[0], &idx);
+            let mut carry = $carry;
+            $k.v_touch_gather_block_priced(pricing, bases, prev, &mut carry, fp);
+            $k.v_touch_gather_block_priced(pricing, bases, block, &mut carry, fp);
+            let mut carry = $carry;
+            $k.v_touch_reduce_block_reuse(srcs, bases, prev, &mut carry, fp, fp);
+            $k.v_touch_reduce_block_reuse(srcs, bases, block, &mut carry, fp, fp);
             let r = $k.v_load_priced(pricing, addr, &data[..w], fp);
             $k.v_store_priced(pricing, addr, r, &mut out, w.min(VLANES), fp);
             assert_eq!(out, r.0);
@@ -2302,14 +2429,16 @@ mod tests {
             srcs = (0..7).map(|_| m.mem().alloc_f64(64)).collect();
         }
         let xover = new.cfg().stream_crossover_bytes;
-        // A 4^3 stencil block of an 18^3 guarded grid, ascending — or
-        // straddling the periodic wrap in x and z, so unsorted.
-        let node = |k: usize, wrap: bool| {
-            let (a, b, c) = (k % 4, k / 4 % 4, k / 16);
-            match wrap {
-                false => (c * 18 + b) * 18 + a + 100,
-                true => ((17 + c) % 18 * 18 + b + 5) * 18 + (16 + a) % 18,
-            }
+        // A stencil of an 18^3 guarded grid, ascending — or straddling
+        // the periodic wrap in x and z.
+        let stencil = |support: usize, wrap: bool, x0: usize| {
+            TensorBlock::from_fn(support, |d, a| match (wrap, d) {
+                (false, 0) => a + x0 + 100,
+                (false, _) => a * [1, 18, 18 * 18][d],
+                (true, 0) => (16 + a + x0) % 18,
+                (true, 1) => (a + 5) * 18,
+                (true, _) => (17 + a) % 18 * 18 * 18,
+            })
         };
         let mutants = [
             Mutant::MultiplyByCount,
@@ -2319,20 +2448,23 @@ mod tests {
         let mut caught: [Vec<usize>; 3] = Default::default();
         let mut cases = Vec::new();
         for pricing in [Pricing::Walk, Pricing::Stream] {
-            for len in [0usize, 1, 8, 9, 27, 64] {
+            for support in 0..=Machine::RUN_AXIS_MAX {
                 for wrap in [false, true] {
-                    let idx: Vec<usize> = (0..len).map(|k| node(k, wrap)).collect();
+                    let block = stencil(support, wrap, 1);
                     for n_bases in [1usize, 3, 6, 7] {
                         for incongruent in [false, true] {
                             let odd = |i: usize| [0, 8, 0, 40, 8, 0, 40][i] * incongruent as u64;
                             let bases: Vec<VAddr> =
                                 (0..n_bases).map(|i| VAddr(arrays[i].0 + odd(i))).collect();
-                            // Empty, disjoint, partial, covering.
+                            // None, disjoint, the x-neighbour, the block
+                            // itself back to front.
                             for prev in [
-                                Vec::new(),
-                                idx.iter().map(|i| i + 4096).collect(),
-                                idx[..len / 2].to_vec(),
-                                idx.iter().rev().copied().collect(),
+                                TensorBlock::EMPTY,
+                                stencil(support, wrap, 1 + 4096),
+                                stencil(support, wrap, 0),
+                                TensorBlock::from_fn(support, |d, a| {
+                                    block.axis(d)[support - 1 - a]
+                                }),
                             ] {
                                 for footprint in [0, 64, xover + 1] {
                                     cases.push(Case {
@@ -2340,8 +2472,8 @@ mod tests {
                                         incongruent: incongruent && n_bases > 1,
                                         bases: bases.clone(),
                                         srcs: srcs[..n_bases].to_vec(),
-                                        idx: idx.clone(),
-                                        prev: prev.clone(),
+                                        block,
+                                        prev,
                                         footprint,
                                     });
                                 }
@@ -2359,9 +2491,10 @@ mod tests {
             }
             let mut twins: Vec<Machine> = mutants.iter().map(|_| old.clone()).collect();
             let reference = |m: &mut Machine, mutant: Mutant| {
-                reference::PerOp::new(m, mutant).in_phase(phase, |k| run_case!(k, c))
+                reference::PerOp::new(m, mutant)
+                    .in_phase(phase, |k| run_case!(k, c, reference::Carry::new()))
             };
-            let got = new.in_phase(phase, |k| run_case!(k, c));
+            let got = new.in_phase(phase, |k| run_case!(k, c, LineCarry::new()));
             let want = reference(&mut old, Mutant::None);
             assert_eq!(got, want, "case {n}: loaded lanes");
             let want = format!("{:?}", old.drain_counters());
@@ -2384,14 +2517,225 @@ mod tests {
         assert!(!multiply.is_empty(), "multiply-by-count must be rejected");
         assert!(multiply
             .iter()
-            .all(|&n| cases[n].pricing == Pricing::Stream && cases[n].idx.len() > 1));
+            .all(|&n| cases[n].pricing == Pricing::Stream && cases[n].block.len() > 1));
         assert!(!replay.is_empty(), "incongruent replay must be rejected");
         assert!(replay.iter().all(|&n| cases[n].incongruent));
         assert!(
-            one_issue.iter().any(|&n| cases[n].idx.len() == 9),
-            "one issue for a 9-element block must be rejected"
+            one_issue.iter().any(|&n| cases[n].block.len() == 27),
+            "one issue for a 27-node block must be rejected"
         );
-        assert!(one_issue.iter().all(|&n| cases[n].idx.len() > VLANES));
+        assert!(one_issue.iter().all(|&n| cases[n].block.len() > VLANES));
+    }
+
+    /// Why a sweep resets its carry before a link of a block chain.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Reset {
+        Tile,
+        Mask,
+    }
+
+    /// One sweep of block touches over consecutive cells of a periodic
+    /// grid: a tile's run gathers, or a tile's folds with the live
+    /// components changing on the way.
+    struct Chain {
+        /// `None`: folds.
+        gather: Option<Pricing>,
+        bases: Vec<VAddr>,
+        srcs: Vec<VAddr>,
+        footprint: u64,
+        /// Per link: the reset before it, its live components (folds),
+        /// its stencil.
+        links: Vec<(Option<Reset>, usize, TensorBlock)>,
+    }
+
+    /// Issues `$chain` on `$k` — a meter with a [`LineCarry`] or the
+    /// [`reference::PerOp`] family with a [`reference::Carry`] —
+    /// resetting `$carry` where `$resets(why)` says the sweep does.
+    macro_rules! run_chain {
+        ($k:expr, $chain:expr, $carry:expr, $resets:expr) => {{
+            let mut carry = $carry;
+            for (reset, live, block) in &$chain.links {
+                if reset.is_some_and($resets) {
+                    carry.reset();
+                }
+                let (fp, bases) = ($chain.footprint, &$chain.bases);
+                match $chain.gather {
+                    Some(pricing) => {
+                        $k.v_touch_gather_block_priced(pricing, bases, block, &mut carry, fp)
+                    }
+                    None => $k.v_touch_reduce_block_reuse(
+                        &$chain.srcs[..*live],
+                        &bases[..*live],
+                        block,
+                        &mut carry,
+                        fp,
+                        fp,
+                    ),
+                }
+            }
+        }};
+    }
+
+    #[test]
+    fn conf_block_line_carry_matches_node_lists_bitwise() {
+        use reference::Mutant;
+        // Twin machines as above: `new` prices each chain's blocks from
+        // their rows against the lines its carry holds, `old` from two
+        // sorted node lists per call; each mutant runs the chain on a
+        // clone of `old` taken just before it.
+        let mut new = machine();
+        let mut old = machine();
+        let (mut arrays, mut srcs) = (Vec::new(), Vec::new());
+        for m in [&mut new, &mut old] {
+            arrays = (0..6).map(|_| m.mem().alloc_f64(40 * 40 * 24)).collect();
+            srcs = (0..3).map(|_| m.mem().alloc_f64(64)).collect();
+        }
+        let xover = new.cfg().stream_crossover_bytes;
+        let shift = new.mem_ref().line_shift();
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |below: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng >> 11) as usize % below
+        };
+        let mutants = [
+            Mutant::NoResetOnMaskChange,
+            Mutant::CarryAcrossTiles,
+            Mutant::NoDedupAfterMerge,
+            Mutant::OneLinePerRun,
+            Mutant::WrappedRowAsOneRun,
+        ];
+        let mut caught: [Vec<usize>; 5] = Default::default();
+        let mut chains = Vec::new();
+        let mut wraps = [0usize; 4];
+        for n in 0..600 {
+            // Guarded dims (guard 2): rows that are whole lines, rows
+            // that are not, the `uniform_qsp` rows, and a grid smaller
+            // than a QSP stencil (its wrapped offsets repeat).
+            let dims = [[20, 20, 20], [18, 18, 18], [36, 36, 20], [6, 6, 6]][n % 4];
+            let support = 2 + n / 4 % 3;
+            let cells: [usize; 3] = std::array::from_fn(|d| dims[d] - 4);
+            // Start against the upper edge of the wrapped axes only.
+            let wrapped = n / 12 % 8;
+            wraps[wrapped.count_ones() as usize] += 1;
+            let mut cell: [usize; 3] = std::array::from_fn(|d| match wrapped >> d & 1 {
+                1 => cells[d] - 1 - next(2).min(cells[d] - 1),
+                _ => cells[d] / 2,
+            });
+            let stencil = |cell: [usize; 3]| {
+                TensorBlock::from_fn(support, |d, a| {
+                    let node = (cell[d] + cells[d] + a - (support - 1) / 2) % cells[d];
+                    (node + 2) * [1, dims[0], dims[0] * dims[1]][d]
+                })
+            };
+            let gather = [Some(Pricing::Walk), Some(Pricing::Stream), None][next(3)];
+            let n_bases = if gather.is_some() {
+                [1, 3, 6][next(3)]
+            } else {
+                3
+            };
+            let odd = next(2) as u64;
+            let mut live = 1 + next(3);
+            let links = (0..1 + next(50))
+                .map(|link| {
+                    let reset = match next(8) {
+                        0 if link > 0 => Some(Reset::Tile),
+                        1 if link > 0 => Some(Reset::Mask),
+                        _ => None,
+                    };
+                    if reset == Some(Reset::Mask) {
+                        live = 1 + (live + next(2)) % 3;
+                    }
+                    // The next cell of an x-fastest sweep, or a jump.
+                    if next(10) == 0 {
+                        cell = std::array::from_fn(|d| next(cells[d]));
+                    } else if link > 0 {
+                        for d in 0..3 {
+                            cell[d] = (cell[d] + 1) % cells[d];
+                            if cell[d] != 0 {
+                                break;
+                            }
+                        }
+                    }
+                    (reset, live, stencil(cell))
+                })
+                .collect();
+            chains.push(Chain {
+                gather,
+                bases: (0..n_bases)
+                    .map(|i| VAddr(arrays[i].0 + [0, 8, 0, 40, 8, 0][i] * odd))
+                    .collect(),
+                srcs: srcs.clone(),
+                footprint: [0, 64, xover + 1][next(3)],
+                links,
+            });
+        }
+        assert!(
+            wraps.iter().all(|&n| n > 0),
+            "wrap on 0 to 3 axes: {wraps:?}"
+        );
+        for (n, chain) in chains.iter().enumerate() {
+            let phase = Phase::ALL[n % Phase::ALL.len()];
+            if n % 37 == 0 {
+                new.mem().flush_cache();
+                old.mem().flush_cache();
+            }
+            // The row builder the row mutants bend agrees with the node
+            // lists where it is not bent.
+            for (_, _, block) in &chain.links {
+                for &base in &chain.bases {
+                    let mut set = reference::LineSet::<{ Machine::RUN_BLOCK_MAX }>::new();
+                    set.fill(base, &nodes(block), &[], shift);
+                    assert_eq!(
+                        reference::row_lines(block, base, shift, Mutant::None),
+                        set.lines[..set.len],
+                        "chain {n}"
+                    );
+                }
+            }
+            let mut twins: Vec<Machine> = mutants.iter().map(|_| old.clone()).collect();
+            let reference = |m: &mut Machine, mutant: Mutant| {
+                let resets = |why| {
+                    !matches!(
+                        (why, mutant),
+                        (Reset::Mask, Mutant::NoResetOnMaskChange)
+                            | (Reset::Tile, Mutant::CarryAcrossTiles)
+                    )
+                };
+                reference::PerOp::new(m, mutant).in_phase(phase, |k| {
+                    run_chain!(k, chain, reference::Carry::new(), resets)
+                });
+                format!("{:?}", m.drain_counters())
+            };
+            new.in_phase(phase, |k| run_chain!(k, chain, LineCarry::new(), |_| true));
+            let want = reference(&mut old, Mutant::None);
+            assert_eq!(format!("{:?}", new.drain_counters()), want, "chain {n}");
+            assert_eq!(
+                new.mem_ref().cache_state(),
+                old.mem_ref().cache_state(),
+                "chain {n}: cache state"
+            );
+            for ((twin, &mutant), caught) in twins.iter_mut().zip(&mutants).zip(&mut caught) {
+                if reference(twin, mutant) != want {
+                    caught.push(n);
+                }
+            }
+        }
+        let has = |n: usize, why| chains[n].links.iter().any(|l| l.0 == Some(why));
+        let [mask, tile, merge, one_line, one_run] = caught;
+        assert!(!mask.is_empty(), "a carry kept across a mask change");
+        assert!(mask.iter().all(|&n| has(n, Reset::Mask)));
+        assert!(!tile.is_empty(), "a carry kept across a tile boundary");
+        assert!(tile.iter().all(|&n| has(n, Reset::Tile)));
+        assert!(!merge.is_empty(), "repeats left in by the wrap merge");
+        assert!(!one_line.is_empty(), "one line for a straddling run");
+        assert!(!one_run.is_empty(), "an x-wrapped row taken for one run");
+        // Only a row that is not one run of consecutive offsets can tell.
+        let split = |block: &TensorBlock| block.axis(0).windows(2).any(|x| x[1] != x[0] + 1);
+        assert!(one_run
+            .iter()
+            .all(|&n| chains[n].links.iter().any(|l| split(&l.2))));
     }
 
     /// One op of the closed set with its operands — the whole of README's
@@ -2414,10 +2758,11 @@ mod tests {
         StorePriced(Pricing, VAddr, VReg, usize, u64),
         TouchGather(VAddr, Vec<usize>),
         GatherPriced(Pricing, Vec<VAddr>, Vec<usize>, u64),
-        GatherBlock(Pricing, Vec<VAddr>, Vec<usize>, Vec<usize>, u64),
+        /// The flag: reset the carry first.
+        GatherBlock(Pricing, Vec<VAddr>, TensorBlock, bool, u64),
         ScatterAdd(VAddr, Vec<usize>, VReg),
         TouchScatterAdd(VAddr, Vec<usize>),
-        ReduceBlock(Vec<VAddr>, Vec<VAddr>, Vec<usize>, Vec<usize>, u64, u64),
+        ReduceBlock(Vec<VAddr>, Vec<VAddr>, TensorBlock, bool, u64, u64),
         TZero(usize),
         TMopa(usize, VReg, VReg),
         TReadRow(usize, usize),
@@ -2439,10 +2784,10 @@ mod tests {
 
     /// Issues `$op` on `$k` — a [`Meter`], the [`reference::PerOp`]
     /// family, or a [`Machine`] (its one-op delegations): the three
-    /// share the ops' names and signatures. A nested scope's ops go to
-    /// `$nested`.
+    /// share the ops' names and signatures, the block touches on
+    /// `$carry`. A nested scope's ops go to `$nested`.
     macro_rules! issue {
-        ($k:expr, $op:expr, $sink:expr, $nested:ident) => {
+        ($k:expr, $op:expr, $sink:expr, $carry:expr, $nested:ident) => {
             match $op {
                 Op::Charge(cy) => $k.charge(*cy),
                 Op::RecordFlops(flops) => $k.record_flops(*flops),
@@ -2471,35 +2816,46 @@ mod tests {
                 Op::GatherPriced(pricing, bases, idx, fp) => {
                     $k.v_touch_gather_priced(*pricing, bases, idx, *fp)
                 }
-                Op::GatherBlock(pricing, bases, idx, prev, fp) => {
-                    $k.v_touch_gather_block_priced(*pricing, bases, idx, prev, *fp)
+                Op::GatherBlock(pricing, bases, block, reset, fp) => {
+                    if *reset {
+                        $carry.reset();
+                    }
+                    $k.v_touch_gather_block_priced(*pricing, bases, block, $carry, *fp)
                 }
                 Op::ScatterAdd(base, idx, reg) => {
                     $k.v_scatter_add(*base, idx, *reg, &mut $sink.dst)
                 }
                 Op::TouchScatterAdd(base, idx) => $k.v_touch_scatter_add(*base, idx),
-                Op::ReduceBlock(srcs, dsts, idx, prev, src_fp, dst_fp) => {
-                    $k.v_touch_reduce_block_reuse(srcs, dsts, idx, prev, *src_fp, *dst_fp)
+                Op::ReduceBlock(srcs, dsts, block, reset, src_fp, dst_fp) => {
+                    if *reset {
+                        $carry.reset();
+                    }
+                    $k.v_touch_reduce_block_reuse(srcs, dsts, block, $carry, *src_fp, *dst_fp)
                 }
                 Op::TZero(tile) => $k.t_zero(TileId(*tile)),
                 Op::TMopa(tile, a, b) => $k.t_mopa(TileId(*tile), *a, *b),
                 Op::TReadRow(tile, row) => $sink.regs.push($k.t_read_row(TileId(*tile), *row)),
                 Op::Autovec => $k.use_autovec_model(),
                 Op::Intrinsics => $k.use_intrinsics_model(),
-                Op::Nested(phase, ops) => $k.in_phase(*phase, |k| $nested(k, ops, $sink)),
+                Op::Nested(phase, ops) => $k.in_phase(*phase, |k| $nested(k, ops, $sink, $carry)),
             }
         };
     }
 
-    fn issue_on_meter(k: &mut Meter<'_>, ops: &[Op], sink: &mut Sink) {
+    fn issue_on_meter(k: &mut Meter<'_>, ops: &[Op], sink: &mut Sink, carry: &mut LineCarry) {
         for op in ops {
-            issue!(k, op, sink, issue_on_meter);
+            issue!(k, op, sink, carry, issue_on_meter);
         }
     }
 
-    fn issue_per_op(k: &mut reference::PerOp<'_>, ops: &[Op], sink: &mut Sink) {
+    fn issue_per_op(
+        k: &mut reference::PerOp<'_>,
+        ops: &[Op],
+        sink: &mut Sink,
+        carry: &mut reference::Carry,
+    ) {
         for op in ops {
-            issue!(k, op, sink, issue_per_op);
+            issue!(k, op, sink, carry, issue_per_op);
         }
     }
 
@@ -2535,6 +2891,14 @@ mod tests {
         /// `n` clustered indices, so lanes often share a line.
         fn idx(&mut self, n: usize) -> Vec<usize> {
             (0..n).map(|_| self.next(64) + self.next(8) * 400).collect()
+        }
+
+        /// A stencil of any support near the upper corner of a periodic
+        /// 20^3 grid: often across a wrap, often overlapping the last.
+        fn block(&mut self) -> TensorBlock {
+            let support = self.next(Machine::RUN_AXIS_MAX + 1);
+            let at = [self.next(20), 17 + self.next(4), 18 + self.next(3)];
+            TensorBlock::from_fn(support, |d, a| (at[d] + a) % 20 * [1, 20, 400][d])
         }
 
         fn bases(&mut self) -> Vec<VAddr> {
@@ -2578,16 +2942,13 @@ mod tests {
                     let n = self.next(VLANES + 4);
                     Op::GatherPriced(self.pricing(), self.bases(), self.idx(n), self.footprint())
                 }
-                16 => {
-                    let (n, p) = (self.next(65), self.next(65));
-                    Op::GatherBlock(
-                        self.pricing(),
-                        self.bases(),
-                        self.idx(n),
-                        self.idx(p),
-                        self.footprint(),
-                    )
-                }
+                16 => Op::GatherBlock(
+                    self.pricing(),
+                    self.bases(),
+                    self.block(),
+                    self.next(4) == 0,
+                    self.footprint(),
+                ),
                 17 => {
                     let n = self.next(VLANES + 1);
                     Op::ScatterAdd(base, self.idx(n), self.reg())
@@ -2598,12 +2959,11 @@ mod tests {
                 }
                 19 => {
                     let dsts = self.bases();
-                    let (n, p) = (self.next(65), self.next(65));
                     Op::ReduceBlock(
                         self.srcs[..dsts.len()].to_vec(),
                         dsts,
-                        self.idx(n),
-                        self.idx(p),
+                        self.block(),
+                        self.next(4) == 0,
                         self.footprint(),
                         self.footprint(),
                     )
@@ -2668,6 +3028,7 @@ mod tests {
                 dst: (0..ARRAY_LEN).map(|i| (i % 13) as f64 / 3.0).collect(),
             };
             let (mut got, mut want) = (sink(), sink());
+            let (mut carry, mut old_carry) = (LineCarry::new(), reference::Carry::new());
             let mut caught = [0usize; 3];
             let (mut nested, mut toggled) = (0, 0);
             for round in 0..600 {
@@ -2685,22 +3046,28 @@ mod tests {
                     nested += ops.iter().filter(|op| matches!(op, Op::Nested(..))).count();
                     toggled += ops.iter().filter(|op| matches!(op, Op::Autovec)).count();
                 }
-                let per_op = |m: &mut Machine, mutant: Mutant, sink: &mut Sink| {
+                let per_op = |m: &mut Machine,
+                              mutant: Mutant,
+                              sink: &mut Sink,
+                              carry: &mut reference::Carry| {
                     let mut k = PerOp::new(m, mutant);
                     for (phase, ops) in &scopes {
-                        k.in_phase(*phase, |k| issue_per_op(k, ops, sink));
+                        k.in_phase(*phase, |k| issue_per_op(k, ops, sink, carry));
                     }
-                    issue_per_op(&mut k, &solo, sink);
+                    issue_per_op(&mut k, &solo, sink, carry);
                     format!("{:?}", m.drain_counters())
                 };
-                let mut twins: Vec<Machine> = mutants.iter().map(|_| old.clone()).collect();
+                let mut twins: Vec<(Machine, reference::Carry)> = mutants
+                    .iter()
+                    .map(|_| (old.clone(), old_carry.clone()))
+                    .collect();
                 for (phase, ops) in &scopes {
-                    new.in_phase(*phase, |k| issue_on_meter(k, ops, &mut got));
+                    new.in_phase(*phase, |k| issue_on_meter(k, ops, &mut got, &mut carry));
                 }
                 for op in &solo {
-                    issue!(new, op, &mut got, issue_on_meter);
+                    issue!(new, op, &mut got, &mut carry, issue_on_meter);
                 }
-                let counters = per_op(&mut old, Mutant::None, &mut want);
+                let counters = per_op(&mut old, Mutant::None, &mut want, &mut old_carry);
                 assert_eq!(
                     format!("{:?}", new.drain_counters()),
                     counters,
@@ -2715,8 +3082,10 @@ mod tests {
                 );
                 got.regs.clear();
                 want.regs.clear();
-                for ((twin, &mutant), caught) in twins.iter_mut().zip(&mutants).zip(&mut caught) {
-                    *caught += (per_op(twin, mutant, &mut sink()) != counters) as usize;
+                for (((twin, carry), &mutant), caught) in
+                    twins.iter_mut().zip(&mutants).zip(&mut caught)
+                {
+                    *caught += (per_op(twin, mutant, &mut sink(), carry) != counters) as usize;
                 }
                 if round % 64 == 0 || round == 599 {
                     assert_eq!(

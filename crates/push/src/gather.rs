@@ -13,7 +13,9 @@
 use mpic_deposit::shape::MAX_SUPPORT;
 use mpic_deposit::{stage_particle, ShapeOrder};
 use mpic_grid::{FieldArrays, GridGeometry};
-use mpic_machine::{vect::W, Lanes, Machine, Meter, Phase, Pricing, VAddr, VLANES};
+use mpic_machine::{
+    vect::W, Lanes, LineCarry, Machine, Meter, Phase, Pricing, TensorBlock, VAddr, VLANES,
+};
 
 /// Per-step cost parameters of the gather sweep (charged coarsely: the
 //  gather is not the paper's optimisation target, but its time must
@@ -114,8 +116,8 @@ pub fn gather_fields_with_cell(
 /// grows both block families together.
 pub const MAX_STENCIL_NODES: usize = mpic_deposit::shape::MAX_NODES_3D;
 
-/// One cell's cached stencil: the linear guarded-grid index of every
-/// support node plus the six field-component values at those nodes, in
+/// One cell's cached stencil: where its support nodes sit in a guarded
+/// field array plus the six field-component values at those nodes, in
 /// node order `(c*s + b)*s + a` with `a` fastest — the same traversal
 /// [`gather_fields`] uses, so interpolating from the block is bit-exact.
 ///
@@ -124,10 +126,9 @@ pub const MAX_STENCIL_NODES: usize = mpic_deposit::shape::MAX_NODES_3D;
 /// cached values cannot go stale within a run).
 #[derive(Debug, Clone)]
 pub struct NodeBlock {
-    /// Stencil nodes currently loaded (`support^3`).
-    pub nodes: usize,
-    /// Linear guarded-grid index per node.
-    pub idx: [usize; MAX_STENCIL_NODES],
+    /// The stencil currently loaded: node `n`'s linear guarded-grid
+    /// index is the block's element `n`.
+    pub stencil: TensorBlock,
     /// Field values per node: `[ex, ey, ez, bx, by, bz]`.
     pub vals: [[f64; MAX_STENCIL_NODES]; 6],
 }
@@ -136,8 +137,7 @@ impl NodeBlock {
     /// An empty block (no nodes loaded).
     pub fn new() -> Self {
         Self {
-            nodes: 0,
-            idx: [0; MAX_STENCIL_NODES],
+            stencil: TensorBlock::EMPTY,
             vals: [[0.0; MAX_STENCIL_NODES]; 6],
         }
     }
@@ -149,11 +149,11 @@ impl Default for NodeBlock {
     }
 }
 
-/// Fills `block` with the stencil node indices and field values of the
-/// given wrapped physical `cell` — the once-per-run half of the batched
-/// gather. Pure (no cost charging); the node wrap comes from the shared
-/// deposit-side [`mpic_deposit::common::node_coord`], so the block can
-/// never disagree with the per-particle gather about node targets.
+/// Fills `block` with the stencil and field values of the given wrapped
+/// physical `cell` — the once-per-run half of the batched gather. Pure
+/// (no cost charging); the node wrap comes from the shared deposit-side
+/// [`mpic_deposit::common::stencil_block`], so the block can never
+/// disagree with the per-particle gather about node targets.
 pub fn load_node_block(
     geom: &GridGeometry,
     order: ShapeOrder,
@@ -161,14 +161,6 @@ pub fn load_node_block(
     cell: [usize; 3],
     block: &mut NodeBlock,
 ) {
-    let s = order.support();
-    let mut ni = [[0usize; 4]; 3];
-    for d in 0..3 {
-        for (a, slot) in ni[d].iter_mut().enumerate().take(s) {
-            *slot = mpic_deposit::common::node_coord(geom, order, d, cell[d], a);
-        }
-    }
-    let dims = geom.dims_with_guard();
     let arrays = [
         fields.ex.as_slice(),
         fields.ey.as_slice(),
@@ -177,20 +169,13 @@ pub fn load_node_block(
         fields.by.as_slice(),
         fields.bz.as_slice(),
     ];
-    block.nodes = s * s * s;
-    for c in 0..s {
-        for b in 0..s {
-            let row = (ni[2][c] * dims[1] + ni[1][b]) * dims[0];
-            for a in 0..s {
-                let nd = (c * s + b) * s + a;
-                let li = row + ni[0][a];
-                block.idx[nd] = li;
-                for (comp, arr) in arrays.iter().enumerate() {
-                    block.vals[comp][nd] = arr[li];
-                }
-            }
+    block.stencil = mpic_deposit::common::stencil_block(geom, order, cell);
+    let vals = &mut block.vals;
+    block.stencil.for_each_node(|nd, li| {
+        for (comp, arr) in arrays.iter().enumerate() {
+            vals[comp][nd] = arr[li];
         }
-    }
+    });
 }
 
 /// The lane gather: interpolates `(E, B)` from a cached [`NodeBlock`]
@@ -270,8 +255,8 @@ fn gather_lanes<const S: usize>(
 }
 
 /// Charges the gather cost of one same-cell run of `n` particles whose
-/// stencil block (node indices `node_idx`) was loaded **once** for the
-/// whole run: the six field arrays pay one run-scoped block gather
+/// stencil block (`stencil`) was loaded **once** for the whole run: the
+/// six field arrays pay one run-scoped block gather
 /// (every distinct cache line charged once per array, see
 /// [`Meter::v_touch_gather_block_priced`]) instead of a per-particle
 /// node sweep, while the interpolation arithmetic is still charged per
@@ -280,13 +265,13 @@ fn gather_lanes<const S: usize>(
 /// run.
 ///
 /// `pricing` selects only the memory price. Streamed, the sweep walks a
-/// tile's runs in sorted-cell order, so the previous run's block
-/// (`prev_idx`, its node list) is still resident in lane registers —
-/// cache lines it covers are rotated in place instead of re-gathered,
-/// and only the **new** lines are charged, at the state-free streaming
-/// price: the block loads of consecutive sorted runs sweep the field
-/// arrays in ascending order, which the stream prefetcher services at
-/// bandwidth. `footprint` is the byte span of one field array (guarded
+/// tile's runs in sorted-cell order, so the previous run's block (its
+/// lines are what `carry`, the tile sweep's, holds) is still resident in
+/// lane registers — cache lines it covers are rotated in place instead
+/// of re-gathered, and only the **new** lines are charged, at the
+/// state-free streaming price: the block loads of consecutive sorted
+/// runs sweep the field arrays in ascending order, which the stream
+/// prefetcher services at bandwidth. `footprint` is the byte span of one field array (guarded
 /// grid x 8), which the machine's roofline crossover compares against
 /// L1 capacity — small L1-resident grids are charged at the resident
 /// line price instead of the DRAM stream price. Walked, both are
@@ -298,14 +283,14 @@ pub fn charge_gather_run(
     cost: GatherCost,
     n: usize,
     field_addrs: &[VAddr; 6],
-    node_idx: &[usize],
-    prev_idx: &[usize],
+    stencil: &TensorBlock,
+    carry: &mut LineCarry,
     footprint: u64,
 ) {
-    m.v_touch_gather_block_priced(pricing, field_addrs, node_idx, prev_idx, footprint);
+    m.v_touch_gather_block_priced(pricing, field_addrs, stencil, carry, footprint);
     let chunks = n.div_ceil(VLANES);
     m.v_ops(cost.v_ops_per_chunk * chunks);
-    m.record_flops((n * node_idx.len() * 6 * 2) as f64);
+    m.record_flops((n * stencil.len() * 6 * 2) as f64);
 }
 
 /// Charges the gather cost of `n` particles touching `nodes` grid nodes
@@ -653,9 +638,8 @@ mod tests {
                 Some(f64::NAN),
             ] {
                 let mut block = NodeBlock::new();
-                block.nodes = order.nodes_3d();
                 for comp in block.vals.iter_mut() {
-                    for (nd, v) in comp.iter_mut().enumerate().take(block.nodes) {
+                    for (nd, v) in comp.iter_mut().enumerate().take(order.nodes_3d()) {
                         *v = match poison {
                             Some(p) if nd % 5 == 2 => p,
                             _ => unit() * 4.0 - 2.0,
@@ -726,7 +710,7 @@ mod tests {
         fields.ez.fill(3.25);
         let mut block = NodeBlock::new();
         load_node_block(&geom, ShapeOrder::Qsp, &fields, [0, 7, 0], &mut block);
-        assert_eq!(block.nodes, 64);
+        assert_eq!(block.stencil.len(), 64);
         let (_, frac) = geom.locate(0.4e-6, 7.6e-6, 0.1e-6);
         let (e, _) = gather_from_block_lanes_masked(ShapeOrder::Qsp, &block, &[frac]);
         assert!(
@@ -746,7 +730,7 @@ mod tests {
         // One 64-particle run over an 8-node CIC stencil: the reference
         // path replays the node sweep for every 8-lane particle chunk,
         // the batched path loads the block once for the whole run.
-        let node_idx: [usize; 8] = std::array::from_fn(|nd| 100 + nd);
+        let stencil = TensorBlock::from_fn(2, |d, a| 100 + (a << d));
         charge_gather(
             &mut per_particle,
             GatherCost::default(),
@@ -762,8 +746,8 @@ mod tests {
                 GatherCost::default(),
                 64,
                 &addrs_b,
-                &node_idx,
-                &[],
+                &stencil,
+                &mut LineCarry::new(),
                 0,
             );
         });

@@ -9,13 +9,13 @@
 
 use mpic_deposit::{ExecMode, ShapeOrder};
 use mpic_grid::{FieldArrays, GridGeometry};
-use mpic_machine::{vect::W, Lanes, Machine, Phase, Pricing, VAddr};
+use mpic_machine::{vect::W, Lanes, LineCarry, Machine, Phase, Pricing, VAddr};
 use mpic_particles::ParticleTile;
 
 use crate::boris::{boris_push, boris_push_lanes, charge_push, BorisCoeffs};
 use crate::gather::{
     charge_gather, charge_gather_run, gather_fields_with_cell, gather_from_block_lanes_masked,
-    load_node_block, GatherCost, NodeBlock, MAX_STENCIL_NODES,
+    load_node_block, GatherCost, NodeBlock,
 };
 use crate::scratch::PushScratch;
 
@@ -153,9 +153,8 @@ impl PushCtx<'_> {
         // the streaming price compares against L1 capacity.
         let dims = geom.dims_with_guard();
         let footprint = (dims[0] * dims[1] * dims[2] * 8) as u64;
-        // Register-reuse state: the node list of the last flushed run.
-        let mut prev_idx = [0usize; MAX_STENCIL_NODES];
-        let mut prev_n = 0usize;
+        // Register-reuse state: the lines of the last flushed run's block.
+        let mut carry = LineCarry::new();
         let locate = |tile: &ParticleTile, p: usize| {
             let (located, frac) = geom.locate(tile.soa.x[p], tile.soa.y[p], tile.soa.z[p]);
             (geom.wrap_cell(located), frac)
@@ -189,13 +188,11 @@ impl PushCtx<'_> {
                     GatherCost::default(),
                     scratch.run_slots.len(),
                     &self.field_addrs,
-                    &block.idx[..block.nodes],
-                    &prev_idx[..prev_n],
+                    &block.stencil,
+                    &mut carry,
                     footprint,
                 );
                 self.flush_run(tile, &block, &scratch.run_slots, &scratch.run_frac);
-                prev_n = block.nodes;
-                prev_idx[..prev_n].copy_from_slice(&block.idx[..prev_n]);
             }
         });
         tile.apply_removals();

@@ -2,6 +2,7 @@
 
 use matrix_pic::deposit::{reference_deposit, ShapeOrder};
 use matrix_pic::grid::GridGeometry;
+use matrix_pic::machine::{LineCarry, TensorBlock, VAddr};
 use matrix_pic::particles::{counting_sort_keys, Gpma, INVALID_PARTICLE_ID};
 use proptest::prelude::*;
 
@@ -225,6 +226,51 @@ fn deposition_conserves_total_current() {
         let (jx, _, _) = reference_deposit(&geom, order, &c);
         let scale = expect.abs().max(1e-6);
         prop_assert!((jx.sum() - expect).abs() / scale < 1e-10);
+    });
+}
+
+/// The block line builder against a set oracle that knows nothing about
+/// rows, carries or sortedness: after a predecessor and a current block
+/// — any supports, grid stencils as well as offsets no grid produces
+/// (rows that overlap, repeat, run backwards), any base, any line size —
+/// the carry holds the ascending distinct lines of the current block and
+/// reports how many of them the predecessor did not cover — for the
+/// base and line size of the current call, whatever the predecessor's.
+#[test]
+fn block_line_carry_equals_a_set_oracle() {
+    proptest!(ProptestConfig::with_cases(512), |(
+        offsets in prop::collection::vec(0usize..20, 24..25),
+        supports in (0usize..=4, 0usize..=4),
+        strides in (1usize..24, 1usize..600),
+        bases in (4096u64..8192, 4096u64..8192),
+        same_base in 0usize..2,
+        shifts in (3u32..=7, 3u32..=7),
+    )| {
+        use std::collections::BTreeSet;
+        let stride = [1, strides.0, strides.1];
+        let block = |support: usize, at: usize| {
+            TensorBlock::from_fn(support, |d, a| offsets[at + 4 * d + a] * stride[d])
+        };
+        let (prev, cur) = (block(supports.0, 0), block(supports.1, 12));
+        // Half the time the predecessor met another base, under another
+        // line size.
+        let (base, shift) = (VAddr(bases.1), shifts.1);
+        let first = if same_base == 1 { (base, shift) } else { (VAddr(bases.0), shifts.0) };
+        let lines = |block: &TensorBlock| {
+            let mut lines = BTreeSet::new();
+            block.for_each_node(|_, i| {
+                lines.insert(((base.0 + 8 * i as u64) >> shift) - (base.0 >> shift));
+            });
+            lines
+        };
+        let mut carry = LineCarry::new();
+        carry.advance(&prev, first.0, first.1);
+        let new = carry.advance(&cur, base, shift);
+        let (want_prev, want) = (lines(&prev), lines(&cur));
+        prop_assert_eq!(carry.lines(), want.iter().copied().collect::<Vec<_>>());
+        prop_assert_eq!(new, want.difference(&want_prev).count());
+        carry.reset();
+        prop_assert_eq!(carry.advance(&cur, base, shift), want.len());
     });
 }
 
