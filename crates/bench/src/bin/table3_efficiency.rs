@@ -88,7 +88,7 @@ fn main() {
                 for c in 0..s {
                     for b in 0..s {
                         for a in 0..s {
-                            let n = mpic_deposit::common::node_index(geom, &st, order, a, b, c);
+                            let n = mpic_deposit::common::node_index(geom, st.cell, order, a, b, c);
                             let lin = ((n[2] * dims[1] + n[1]) * dims[0] + n[0]) as u64;
                             list.push((comp * grid_len + lin) * 8);
                         }

@@ -111,8 +111,7 @@ fn run_and_measure(
     sim.run(steps);
     let clock = sim.cfg.machine.clone();
     let rep = tail_report(sim.report(), skip);
-    let useful = sim.machine.counters().useful_flops;
-    let peak_fraction = compute_peak_fraction(sim, kernel, &rep, useful);
+    let peak_fraction = compute_peak_fraction(sim, kernel, &rep);
     Measurement {
         label: kernel.label().to_string(),
         ppc,
@@ -140,12 +139,7 @@ fn phase_ms(rep: &RunReport, clock: &MachineConfig, steps: usize) -> [f64; 8] {
     out
 }
 
-fn compute_peak_fraction(
-    sim: &Simulation,
-    kernel: KernelConfig,
-    rep: &RunReport,
-    _total_useful: f64,
-) -> f64 {
+fn compute_peak_fraction(sim: &Simulation, kernel: KernelConfig, rep: &RunReport) -> f64 {
     // Useful work of the measured steps: canonical FLOPs x particles.
     let per_particle = mpic_deposit::canonical_flops_per_particle(sim.cfg.shape);
     let processed: usize = rep.steps.iter().map(|s| s.particles).sum();

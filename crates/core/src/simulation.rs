@@ -417,36 +417,16 @@ impl Simulation {
                 }
             }
         }
-        // Small injections run inline past the shared threshold, like
-        // every other small-input phase: the front plane of the test
-        // workloads holds a few hundred particles — not worth a pool
-        // wake. Either path inserts each tile's bucket in generation
-        // order, so the resulting state is identical.
-        let total = n[0] * n[1] * spec.ppc;
-        if self.pool.workers() == 1 || total < mpic_machine::INLINE_ITEM_THRESHOLD {
-            for (t, bucket) in self.window_buckets.iter_mut().enumerate() {
-                for d in bucket.drain(..) {
-                    let _ = self.electrons.tiles[t].insert(d, self.layout.tile(t), &self.geom);
-                }
-            }
-            return;
-        }
-        let geom = &self.geom;
-        let layout = &self.layout;
-        let mut items: Vec<(usize, &mut ParticleTile, &mut Vec<Departure>)> = self
-            .electrons
-            .tiles
-            .iter_mut()
-            .enumerate()
-            .zip(self.window_buckets.iter_mut())
-            .filter(|(_, b)| !b.is_empty())
-            .map(|((t, tile), b)| (t, tile, b))
-            .collect();
+        // Each tile's bucket is inserted in generation order. The front
+        // plane of the test workloads holds a few hundred particles: the
+        // declared work lets the exec layer skip the wake.
+        let (geom, layout, buckets) = (&self.geom, &self.layout, &self.window_buckets);
         self.pool
             .exec(self.cfg.scheduler)
-            .for_each(&mut items, |_, (t, tile, bucket)| {
-                for d in bucket.drain(..) {
-                    let _ = tile.insert(d, layout.tile(*t), geom);
+            .with_work(n[0] * n[1] * spec.ppc)
+            .for_each(&mut self.electrons.tiles, |t, tile| {
+                for &d in &buckets[t] {
+                    let _ = tile.insert(d, layout.tile(t), geom);
                 }
             });
     }

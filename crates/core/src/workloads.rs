@@ -104,7 +104,6 @@ pub fn shuffle_particles(
             })
             .collect();
         tile.gpma = mpic_particles::Gpma::build(&tile.cells, tl.num_cells(), gap);
-        let _ = t;
     }
 }
 

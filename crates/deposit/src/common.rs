@@ -130,20 +130,20 @@ pub fn stencil_block(geom: &GridGeometry, order: ShapeOrder, cell: [usize; 3]) -
 }
 
 /// Node index (wrapped periodically) for support offsets `(a, b, c)` of a
-/// staged particle, in guarded array coordinates.
+/// particle in cell `cell`, in guarded array coordinates.
 #[inline]
 pub fn node_index(
     geom: &GridGeometry,
-    staged: &Staged,
+    cell: [usize; 3],
     order: ShapeOrder,
     a: usize,
     b: usize,
     c: usize,
 ) -> [usize; 3] {
     [
-        node_coord(geom, order, 0, staged.cell[0], a),
-        node_coord(geom, order, 1, staged.cell[1], b),
-        node_coord(geom, order, 2, staged.cell[2], c),
+        node_coord(geom, order, 0, cell[0], a),
+        node_coord(geom, order, 1, cell[1], b),
+        node_coord(geom, order, 2, cell[2], c),
     ]
 }
 
@@ -572,23 +572,10 @@ mod tests {
     #[test]
     fn node_index_wraps_periodically() {
         let g = geom();
-        let mut s = stage_particle(
-            &g,
-            ShapeOrder::Qsp,
-            -1.0,
-            0.1e-6,
-            0.1e-6,
-            0.1e-6,
-            0.0,
-            0.0,
-            0.0,
-            1.0,
-        );
-        s.cell = [0, 0, 0];
         // QSP starts one node below the cell: offset a=0 -> node -1 -> 7.
-        let n = node_index(&g, &s, ShapeOrder::Qsp, 0, 0, 0);
+        let n = node_index(&g, [0, 0, 0], ShapeOrder::Qsp, 0, 0, 0);
         assert_eq!(n, [7 + 2, 7 + 2, 7 + 2]);
-        let n2 = node_index(&g, &s, ShapeOrder::Qsp, 1, 1, 1);
+        let n2 = node_index(&g, [0, 0, 0], ShapeOrder::Qsp, 1, 1, 1);
         assert_eq!(n2, [2, 2, 2]);
     }
 

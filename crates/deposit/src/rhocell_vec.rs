@@ -16,7 +16,7 @@
 //! iteration the rhocell working set stays cache-resident, which is the
 //! paper's `Rhocell+IncrSort` observation.
 
-use mpic_machine::{LaneMask, Lanes, Machine, Phase, Pricing, VAddr, VReg, VLANES};
+use mpic_machine::{Lanes, Machine, Phase, Pricing, VAddr, VReg, VLANES};
 use mpic_particles::cell_runs;
 
 use crate::common::{PrepStyle, Staging};
@@ -172,10 +172,9 @@ fn deposit_tile_runs(
                     // Lane-parallel block accumulate: per (comp, node)
                     // the adds land in particle order with the
                     // per-particle kernel's `(sx*sy)*sz` association.
-                    // Ragged final chunks run masked (QSP's 64 nodes
-                    // split evenly, TSC's 27 leave a 3-wide tail):
-                    // inactive lanes never read or write past `w`.
-                    let mask = LaneMask::prefix(w);
+                    // Ragged final chunks run zero-padded (QSP's 64
+                    // nodes split evenly, TSC's 27 leave a 3-wide
+                    // tail): only the `w` active lanes are written back.
                     let mut svals = [0.0; VLANES];
                     for (l, v) in svals.iter_mut().enumerate().take(w) {
                         let nd = node + l;
@@ -185,9 +184,9 @@ fn deposit_tile_runs(
                     for comp in 0..3 {
                         m.v_ops(1); // Effective-current multiply.
                         m.v_issue(1); // Block accumulate (L1-resident).
-                        Lanes::load_masked(&block[comp][node..node + w], mask)
-                            .mul_acc_masked(svals, Lanes::splat(wq[comp]), mask)
-                            .store_masked(&mut block[comp][node..node + w], mask);
+                        Lanes::from_slice(&block[comp][node..node + w])
+                            .mul_acc(svals, Lanes::splat(wq[comp]))
+                            .write_to(&mut block[comp][node..node + w], w);
                     }
                     node += w;
                 }

@@ -52,7 +52,7 @@ pub fn reference_deposit(
                 for b in 0..s {
                     for a in 0..s {
                         let w = st.sx[a] * st.sy[b] * st.sz[c];
-                        let n = node_index(geom, &st, order, a, b, c);
+                        let n = node_index(geom, st.cell, order, a, b, c);
                         jx.add(n[0], n[1], n[2], st.wq[0] * w);
                         jy.add(n[0], n[1], n[2], st.wq[1] * w);
                         jz.add(n[0], n[1], n[2], st.wq[2] * w);
@@ -124,14 +124,7 @@ impl DepositionKernel for BaselineKernel {
                             m.v_ops(2);
                             let mut idx = [0usize; VLANES];
                             for (l, p) in (p0..p0 + lanes).enumerate() {
-                                let pseudo = crate::common::Staged {
-                                    cell: st.cell[p],
-                                    wq: [0.0; 3],
-                                    sx: [0.0; 4],
-                                    sy: [0.0; 4],
-                                    sz: [0.0; 4],
-                                };
-                                let g = node_index(ctx.geom, &pseudo, ctx.order, a, b, c);
+                                let g = node_index(ctx.geom, st.cell[p], ctx.order, a, b, c);
                                 idx[l] = jx.idx(g[0], g[1], g[2]);
                                 touched.note(idx[l]);
                             }
@@ -186,17 +179,11 @@ fn deposit_tile_runs(
         for run in cell_runs(&st.cell_local[..n]) {
             // Stencil node addresses once per run (shared by every
             // particle of the run and all three components).
-            let pseudo = crate::common::Staged {
-                cell: st.cell[run.start],
-                wq: [0.0; 3],
-                sx: [0.0; 4],
-                sy: [0.0; 4],
-                sz: [0.0; 4],
-            };
+            let cell = st.cell[run.start];
             for c in 0..s {
                 for b in 0..s {
                     for a in 0..s {
-                        let g = node_index(ctx.geom, &pseudo, ctx.order, a, b, c);
+                        let g = node_index(ctx.geom, cell, ctx.order, a, b, c);
                         idx[(c * s + b) * s + a] = jx.idx(g[0], g[1], g[2]);
                     }
                 }

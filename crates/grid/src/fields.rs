@@ -10,7 +10,7 @@
 
 use crate::array3::Array3;
 use crate::geometry::GridGeometry;
-use mpic_machine::{Exec, INLINE_ITEM_THRESHOLD};
+use mpic_machine::Exec;
 
 /// Identifies one of the nine field arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,18 +141,14 @@ impl FieldArrays {
     ///
     /// Bit-identical to the sequential fill for any worker count or
     /// scheduler policy: a component's fill touches only that
-    /// component's array. Small shells (fewer total guard cells than
-    /// the shared [`INLINE_ITEM_THRESHOLD`]) run inline, like the
-    /// sharded sort's small-input path.
+    /// component's array. The declared work is the guard cells written,
+    /// so the exec layer runs small shells inline.
     pub fn fill_guards_periodic_exec(&mut self, exec: Exec<'_>) {
         let (g, n) = (self.guard, self.n_cells);
         let shell = self.ex.len() - n[0] * n[1] * n[2];
-        if exec.workers() == 1 || 6 * shell < INLINE_ITEM_THRESHOLD {
-            self.fill_guards_periodic();
-            return;
-        }
         let mut comps = self.eb_components_mut();
-        exec.for_each(&mut comps, |_, arr| fill_component(arr, g, n));
+        exec.with_work(6 * shell)
+            .for_each(&mut comps, |_, arr| fill_component(arr, g, n));
     }
 
     /// The six E/B component arrays, in canonical order.

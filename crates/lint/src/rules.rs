@@ -143,9 +143,9 @@ const VECT_MODULE: &[&str] = &["crates/machine/src/vect.rs"];
 const LANE_WIDTH_NAMES: &[&str] = &["W", "VLANES", "LANES", "LANE_WIDTH", "SIMD_WIDTH"];
 
 /// Type names reserved for the vect module's lane-pack vocabulary (rule
-/// L9): defining a shadow `Lanes`/`LaneMask` elsewhere forks the masked
-/// load/store/FMA contract the conformance suite pins on the real ones.
-const LANE_TYPE_NAMES: &[&str] = &["Lanes", "LaneMask"];
+/// L9): defining a shadow `Lanes` elsewhere forks the unfused per-lane
+/// arithmetic contract the conformance suite pins on the real one.
+const LANE_TYPE_NAMES: &[&str] = &["Lanes"];
 
 /// A justification comment for rule L8 must actually talk about memory
 /// ordering — any of these (case-insensitive) counts.
@@ -1239,20 +1239,19 @@ mod tests {
     fn l9_shadow_lane_pack_types_outside_vect_are_findings() {
         for src in [
             "pub struct Lanes(pub [f64; 8]);\n",
-            "enum LaneMask { Full, Prefix(usize) }\n",
             "type Lanes = [f64; 8];\n",
         ] {
             let fired = rules_fired(ORDINARY, src);
             assert!(fired.contains(&"L9-vector-width"), "{src}: {fired:?}");
         }
-        let defining = "pub struct Lanes(pub [f64; W]);\npub struct LaneMask([bool; W]);\n";
+        let defining = "pub struct Lanes(pub [f64; W]);\n";
         assert!(rules_fired("crates/machine/src/vect.rs", defining).is_empty());
     }
 
     #[test]
     fn l9_lane_pack_uses_and_lookalike_names_are_fine() {
-        let src = "use mpic_machine::{LaneMask, Lanes};\n\
-                   fn f(a: Lanes, m: LaneMask) -> Lanes { a.mul_acc_masked(a, a, m) }\n\
+        let src = "use mpic_machine::Lanes;\n\
+                   fn f(a: Lanes) -> Lanes { a.mul_acc(a, a) }\n\
                    struct LanesFoo;\n";
         assert!(rules_fired(ORDINARY, src).is_empty());
     }

@@ -129,8 +129,6 @@ struct CacheLevel {
     /// refresh, hit count. Counters and future behaviour are
     /// bit-identical to the memo-less walk by construction.
     memo_slot: usize,
-    /// Disables the fast path (test hook proving the bit-identity claim).
-    memo_enabled: bool,
 }
 
 impl CacheLevel {
@@ -148,7 +146,6 @@ impl CacheLevel {
             stats: CacheStats::default(),
             memo_line: u64::MAX,
             memo_slot: MEMO_NONE,
-            memo_enabled: true,
         }
     }
 
@@ -175,7 +172,7 @@ impl CacheLevel {
         // row (stencil node sweeps, staged attribute streams); the repeat
         // is a guaranteed hit whose only effects are the ones applied
         // here, so the way search is skipped entirely.
-        if self.memo_enabled && self.memo_slot != MEMO_NONE && line == self.memo_line {
+        if self.memo_slot != MEMO_NONE && line == self.memo_line {
             self.stamps[self.memo_slot] = self.clock;
             self.stats.hits += 1;
             return true;
@@ -449,17 +446,6 @@ impl CacheSim {
         )
     }
 
-    /// Enables or disables the last-line memo fast path of both levels.
-    ///
-    /// The memo is purely a host-speed shortcut — counters, latencies and
-    /// all future behaviour are bit-identical either way (the property
-    /// the `memo_*` tests pin); this hook exists so tests can run the
-    /// memo-less reference walk.
-    pub fn set_line_memo(&mut self, enabled: bool) {
-        self.l1.memo_enabled = enabled;
-        self.l2.memo_enabled = enabled;
-    }
-
     /// Adds externally accumulated statistics (a worker's) into this
     /// hierarchy's totals without touching behavioural state.
     pub fn absorb_stats(&mut self, l1: &CacheStats, l2: &CacheStats, streamed: u64, random: u64) {
@@ -720,23 +706,19 @@ mod tests {
     use super::reference::RefSim;
     use super::*;
 
+    /// 4 sets x 2 ways x 64B = 512B L1; 8 sets x 4 ways = 2KiB L2.
+    fn small_levels() -> (CacheLevelConfig, CacheLevelConfig) {
+        let level = |size_bytes, ways| CacheLevelConfig {
+            size_bytes,
+            ways,
+            line_bytes: 64,
+        };
+        (level(512, 2), level(2048, 4))
+    }
+
     fn small_sim() -> CacheSim {
-        // 4 sets x 2 ways x 64B = 512B L1; 8 sets x 4 ways = 2KiB L2.
-        CacheSim::new(
-            CacheLevelConfig {
-                size_bytes: 512,
-                ways: 2,
-                line_bytes: 64,
-            },
-            CacheLevelConfig {
-                size_bytes: 2048,
-                ways: 4,
-                line_bytes: 64,
-            },
-            1.0,
-            10.0,
-            100.0,
-        )
+        let (l1, l2) = small_levels();
+        CacheSim::new(l1, l2, 1.0, 10.0, 100.0)
     }
 
     #[test]
@@ -838,11 +820,10 @@ mod tests {
     /// pre-fast-path [`RefSim`] and compares, after **every** op, the
     /// returned cycles (bitwise), both levels' statistics, the miss split
     /// and the complete exported state.
-    fn replay_against_reference(l1: CacheLevelConfig, l2: CacheLevelConfig, memo: bool, seed: u64) {
+    fn replay_against_reference(l1: CacheLevelConfig, l2: CacheLevelConfig, seed: u64) {
         let latency = [0.5, 12.0, 100.0];
-        let geometry = format!("{l1:?} {l2:?} memo={memo} seed={seed}");
+        let geometry = format!("{l1:?} {l2:?} seed={seed}");
         let mut fast = CacheSim::new(l1, l2, latency[0], latency[1], latency[2]);
-        fast.set_line_memo(memo);
         let mut slow = RefSim::new(l1, l2, latency);
         let mut rng = seed;
         let mut next = move || {
@@ -876,7 +857,6 @@ mod tests {
                     let (l1s, l2s) = (fast.l1_stats(), fast.l2_stats());
                     let (st, rd) = (fast.streamed_misses, fast.random_misses);
                     fast = CacheSim::new(l1, l2, latency[0], latency[1], latency[2]);
-                    fast.set_line_memo(memo);
                     assert!(fast.import_state(&state), "{geometry} op {op}");
                     fast.absorb_stats(&l1s, &l2s, st, rd);
                 }
@@ -940,21 +920,20 @@ mod tests {
         // Wider than one eight-way chunk of the probe, and not a multiple.
         geometries.push((level(2, 3), level(4, 20)));
         for (g, &(l1, l2)) in geometries.iter().enumerate() {
-            for memo in [true, false] {
-                replay_against_reference(l1, l2, memo, 0x9e37_79b9 + g as u64);
-            }
+            replay_against_reference(l1, l2, 0x9e37_79b9 + g as u64);
         }
     }
 
-    /// Replays a pseudo-random access stream (heavy on consecutive
-    /// same-line repeats, the memo's fast path) with the memo on and
-    /// off: latencies, statistics and subsequent behaviour must be
-    /// bit-identical — the memo is an accelerator, not a model change.
+    /// Replays a pseudo-random access stream heavy on consecutive
+    /// same-line repeats — the memo's fast path — through the walk and
+    /// the memo-less reference model: latencies, statistics and
+    /// subsequent behaviour must be bit-identical — the memo is an
+    /// accelerator, not a model change.
     #[test]
     fn line_memo_is_bit_identical_to_slow_path() {
         let mut fast = small_sim();
-        let mut slow = small_sim();
-        slow.set_line_memo(false);
+        let (l1, l2) = small_levels();
+        let mut slow = RefSim::new(l1, l2, [1.0, 10.0, 100.0]);
         let mut state = 0x9e37_79b9_u64;
         let mut addr = 0u64;
         for i in 0..10_000u64 {
@@ -968,12 +947,12 @@ mod tests {
             let (a, b) = (fast.access(addr, 8), slow.access(addr, 8));
             assert_eq!(a.to_bits(), b.to_bits(), "latency diverged at access {i}");
         }
-        let (f1, f2) = (fast.l1_stats(), fast.l2_stats());
-        let (s1, s2) = (slow.l1_stats(), slow.l2_stats());
-        assert_eq!((f1.hits, f1.misses), (s1.hits, s1.misses));
-        assert_eq!((f2.hits, f2.misses), (s2.hits, s2.misses));
-        assert_eq!(fast.streamed_misses, slow.streamed_misses);
-        assert_eq!(fast.random_misses, slow.random_misses);
+        assert_eq!((fast.l1_stats(), fast.l2_stats()), slow.stats());
+        assert_eq!(
+            (fast.streamed_misses, fast.random_misses),
+            (slow.streamed_misses, slow.random_misses)
+        );
+        assert_eq!(fast.export_state(), slow.export_state());
     }
 
     #[test]

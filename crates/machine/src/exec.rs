@@ -1,23 +1,22 @@
-//! The unified execution layer: a persistent worker pool plus pluggable
-//! tile schedulers.
-//!
-//! Before this module existed, every sharded phase of the step loop
-//! (gather+push, both deposit kernel families, the counting sort, the
-//! Z-slab field solve, guard exchange, window shift) paid a fresh
-//! `std::thread::scope` spawn — roughly six spawn/join cycles per step —
-//! and distributed work by static contiguous chunks only. The execution
-//! layer lifts both decisions out of the call sites:
+//! The unified execution layer: a persistent worker pool and the one
+//! rule that hands out work on it. **The tile (particles) or the
+//! component/slab (grid) is the unit of host parallelism, and this module
+//! alone decides how items are claimed and whether threads are woken.**
 //!
 //! * [`WorkerPool`] owns `workers - 1` long-lived threads that **park**
 //!   between dispatches (the calling thread acts as worker 0), so a
-//!   phase dispatch costs a mutex/condvar wake instead of thread spawns;
-//! * [`SchedulerPolicy`] selects how items are claimed: [`Static`]
-//!   reproduces the contiguous [`shard_bounds`] chunks, [`Stealing`]
-//!   lets workers claim batches of K items from a shared atomic cursor
-//!   (K auto-sized from items and workers, overridable via
-//!   [`Exec::with_steal_chunk`]) — the right scheme for load-imbalanced
-//!   LWFA tiles where one hot tile would otherwise serialise its whole
-//!   static chunk.
+//!   phase dispatch costs a mutex/condvar wake instead of thread spawns.
+//! * A dispatch ([`Exec::for_each`], [`Exec::for_each_scratch`],
+//!   [`Exec::run_counted`]) hands every item index to exactly one
+//!   *claim*: a worker id plus an index range won from a shared atomic
+//!   cursor. [`SchedulerPolicy`] selects only the range size and whether
+//!   a worker may claim again.
+//! * A dispatch runs inline on the calling thread — same claim loop, no
+//!   wake — when only one worker could claim (one item) or the caller
+//!   declared its work ([`Exec::with_work`]) too small for a wake; the
+//!   latter is not even counted as a pool dispatch. A 1-worker pool runs
+//!   inline *through* [`WorkerPool::broadcast`], so dispatch counting and
+//!   [`FaultPlan`]s are uniform across worker counts.
 //!
 //! # Determinism
 //!
@@ -29,9 +28,6 @@
 //! caller applies/merges them **in global item order** no matter which
 //! worker executed what. The scheduler only decides *who* runs an item,
 //! never *what the item computes* or *how results are combined*.
-//!
-//! [`Static`]: SchedulerPolicy::Static
-//! [`Stealing`]: SchedulerPolicy::Stealing
 
 // The execution layer is one of the two places in the workspace allowed
 // to use `unsafe` (the other is `partition.rs`): erasing the borrow
@@ -47,7 +43,6 @@ use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
 use crate::counters::MachineCounters;
 use crate::machine::Machine;
 use crate::partition::Partition;
-use crate::shard::shard_bounds;
 use crate::sync::{Arc, AtomicUsize, Ordering, StdSync, SyncPrims};
 
 /// Structured description of a dispatch that failed because a worker
@@ -145,13 +140,11 @@ impl FaultPlan {
     }
 }
 
-/// Minimum items (keys, SoA slots, ...) per potential worker before a
-/// sharded phase is worth threading at all: below this the dispatch wake
-/// costs more than the work, so callers fall back to the 1-worker inline
-/// path. One shared constant — used by the counting sort, the attribute
-/// permutation and the guard exchange — so no two phases can ever
-/// disagree about when threads are worth waking.
-pub const INLINE_ITEM_THRESHOLD: usize = 4096;
+/// Caller-declared work units (guard cells, particles, ...) below which
+/// a dispatch costs more to wake than to run: [`Exec::with_work`] sizes
+/// are compared against it in the claim rule, nowhere else, so no two
+/// phases can disagree about when threads are worth waking.
+const INLINE_ITEM_THRESHOLD: usize = 4096;
 
 /// How a dispatch distributes items over pool workers.
 ///
@@ -159,8 +152,8 @@ pub const INLINE_ITEM_THRESHOLD: usize = 4096;
 /// the choice is purely a host-performance knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerPolicy {
-    /// Contiguous [`shard_bounds`] chunks, one per worker — minimal
-    /// claim overhead, best for uniform per-item cost.
+    /// One contiguous chunk per worker, claimed once — minimal claim
+    /// overhead, best for uniform per-item cost.
     #[default]
     Static,
     /// Workers claim batches of items from a shared atomic cursor —
@@ -172,15 +165,6 @@ pub enum SchedulerPolicy {
 }
 
 impl SchedulerPolicy {
-    /// Parses a CLI-style name (`static` / `stealing`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "static" => Some(Self::Static),
-            "stealing" => Some(Self::Stealing),
-            _ => None,
-        }
-    }
-
     /// Stable lowercase label (CLI, JSON records).
     pub fn label(self) -> &'static str {
         match self {
@@ -498,7 +482,12 @@ impl WorkerPool {
     /// Binds this pool to a scheduling policy, yielding the lightweight
     /// [`Exec`] handle the sharded phases take.
     pub fn exec(&self, policy: SchedulerPolicy) -> Exec<'_> {
-        Exec::new(self, policy)
+        Exec {
+            pool: self,
+            policy,
+            steal_chunk: None,
+            work: None,
+        }
     }
 }
 
@@ -598,9 +587,7 @@ const STEAL_CLAIMS_PER_WORKER: usize = 4;
 
 /// Items claimed per [`SchedulerPolicy::Stealing`] cursor fetch:
 /// `override_k` when the caller pinned one, else auto-sized so each
-/// worker makes about [`STEAL_CLAIMS_PER_WORKER`] claims. Always at
-/// least 1; small item counts (tiles) degrade gracefully to the
-/// one-at-a-time claims of the original scheduler.
+/// worker makes about [`STEAL_CLAIMS_PER_WORKER`] claims. At least 1.
 fn steal_chunk(len: usize, workers: usize, override_k: Option<usize>) -> usize {
     match override_k {
         Some(k) => k.max(1),
@@ -618,18 +605,11 @@ pub struct Exec<'a> {
     /// Explicit stealing chunk size; `None` auto-sizes from items and
     /// workers (see [`steal_chunk`]).
     steal_chunk: Option<usize>,
+    /// Caller-declared work ([`Exec::with_work`]); `None`: worth a wake.
+    work: Option<usize>,
 }
 
 impl<'a> Exec<'a> {
-    /// Builds a handle (equivalent to [`WorkerPool::exec`]).
-    pub fn new(pool: &'a WorkerPool, policy: SchedulerPolicy) -> Self {
-        Self {
-            pool,
-            policy,
-            steal_chunk: None,
-        }
-    }
-
     /// Overrides the stealing scheduler's claim-batch size (clamped to at
     /// least 1). No effect under [`SchedulerPolicy::Static`]; results are
     /// bit-identical for any value — the chunk size only changes which
@@ -640,14 +620,14 @@ impl<'a> Exec<'a> {
         self
     }
 
-    /// The underlying pool.
-    pub fn pool(&self) -> &'a WorkerPool {
-        self.pool
-    }
-
-    /// The scheduling policy in force.
-    pub fn policy(&self) -> SchedulerPolicy {
-        self.policy
+    /// Declares the total work of a dispatch made through the returned
+    /// handle, in the caller's natural unit (guard cells copied,
+    /// particles sorted or inserted). Work too small to repay a pool
+    /// wake runs inline on the calling thread and is not counted as a
+    /// pool dispatch; the caller keeps one loop body and no threshold.
+    pub fn with_work(mut self, units: usize) -> Self {
+        self.work = Some(units);
+        self
     }
 
     /// Worker count of the underlying pool.
@@ -655,213 +635,159 @@ impl<'a> Exec<'a> {
         self.pool.workers()
     }
 
-    /// Runs `f(index, &mut item)` once per item, distributed over the
-    /// pool per the scheduler policy. Items must be independent: `f`
-    /// may not assume anything about which worker runs an item or in
-    /// what order items execute. With a 1-worker pool (or a single
-    /// item) this runs inline with zero synchronisation.
-    // The per-item `&mut` handout goes through the checked `Partition`
-    // grants; each unsafe site states why its claims are disjoint.
-    #[allow(unsafe_code)]
-    pub fn for_each<T, F>(&self, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let len = items.len();
-        if self.workers() == 1 && len > 0 {
-            // A single-worker pool has no threads, so `broadcast`
-            // degenerates to an inline call — but it still counts the
-            // dispatch and honors an armed [`FaultPlan`], keeping fault
-            // injection and recovery uniform across worker counts.
-            let slots = Partition::new(items);
-            self.pool.broadcast(&|_w| {
-                for i in 0..len {
-                    // SAFETY: the single inline worker grants each
-                    // index exactly once.
-                    f(i, unsafe { slots.grant(i) });
+    /// The one rule that hands out work: every index in `0..len` goes to
+    /// exactly one `item(state, index)` call, where `state` is what
+    /// `enter(worker_id)` returned on that worker's first claim — at
+    /// most one `enter` per worker id per dispatch, none for a worker
+    /// that wins no index, and only ids below `min(workers(), len)`.
+    fn claim<W>(
+        &self,
+        len: usize,
+        enter: impl Fn(usize) -> W + Sync,
+        item: impl Fn(&mut W, usize) + Sync,
+    ) {
+        if len == 0 {
+            return;
+        }
+        let small = self.work.is_some_and(|units| units < INLINE_ITEM_THRESHOLD);
+        let crew = if small { 1 } else { self.workers().min(len) };
+        // Static: `crew` chunks, each member claims one. Stealing:
+        // batches of K, claimed until the cursor runs out.
+        let (chunk, again) = match self.policy {
+            SchedulerPolicy::Static => (len.div_ceil(crew), false),
+            SchedulerPolicy::Stealing => (steal_chunk(len, crew, self.steal_chunk), true),
+        };
+        let cursor = AtomicUsize::new(0);
+        let share = |w: usize| {
+            if w >= crew {
+                return;
+            }
+            let mut state = None;
+            loop {
+                // Relaxed ordering suffices: the cursor is a pure claim
+                // ticket (its value publishes no other memory), and the
+                // dispatch barrier orders item writes. One fetch_add
+                // hands a whole range to exactly one worker.
+                let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if lo >= len {
+                    break;
                 }
-            });
-            return;
-        }
-        let workers = self.workers().min(len);
-        if workers <= 1 {
-            // Multi-worker pool, but too few items to shard: run inline
-            // without waking the pool.
-            for (i, item) in items.iter_mut().enumerate() {
-                f(i, item);
+                let state = state.get_or_insert_with(|| enter(w));
+                for i in lo..(lo + chunk).min(len) {
+                    item(state, i);
+                }
+                if !again {
+                    break;
+                }
             }
-            return;
-        }
-        let slots = Partition::new(items);
-        match self.policy {
-            SchedulerPolicy::Static => {
-                let bounds = shard_bounds(len, workers);
-                self.pool.broadcast(&|w| {
-                    if let Some(&(lo, hi)) = bounds.get(w) {
-                        for i in lo..hi {
-                            // SAFETY: static chunks are disjoint, so
-                            // each index is granted exactly once.
-                            f(i, unsafe { slots.grant(i) });
-                        }
-                    }
-                });
-            }
-            SchedulerPolicy::Stealing => {
-                // Chunked claims: one fetch_add hands out a batch of K
-                // consecutive indices, cutting cursor contention K-fold
-                // while the batch bound keeps the load balancing.
-                let k = steal_chunk(len, workers, self.steal_chunk);
-                let cursor = AtomicUsize::new(0);
-                self.pool.broadcast(&|_w| loop {
-                    // Relaxed ordering suffices: the cursor is a pure
-                    // claim ticket (its value publishes no other memory),
-                    // and the dispatch barrier orders item writes.
-                    let lo = cursor.fetch_add(k, Ordering::Relaxed);
-                    if lo >= len {
-                        break;
-                    }
-                    for i in lo..(lo + k).min(len) {
-                        // SAFETY: fetch_add hands each chunk (and thus
-                        // each index) to exactly one worker, so each
-                        // index is granted exactly once.
-                        f(i, unsafe { slots.grant(i) });
-                    }
-                });
-            }
+        };
+        if small || (crew == 1 && self.workers() > 1) {
+            // Not worth a wake: the calling thread claims everything.
+            share(0);
+        } else {
+            // A 1-worker pool lands here too: `broadcast` is then an
+            // inline call that still counts the dispatch and honors an
+            // armed [`FaultPlan`].
+            self.pool.broadcast(&share);
         }
     }
 
-    /// Runs `f` once per item on a forked worker [`Machine`] and returns
-    /// the per-item [`MachineCounters`] deltas **indexed by item** — the
-    /// cost-charged variant of [`Exec::for_each`] used by the emulated
-    /// pipeline phases.
-    ///
-    /// Each participating worker forks `main` once per dispatch
-    /// ([`Machine::fork_worker`]: private counters, flushed cache) and
-    /// drains the fork after every item, so each delta is a pure
-    /// function of the item provided `f` flushes the worker cache at the
-    /// item boundary (both pipeline phases do, via
-    /// `wm.mem().flush_cache()`). Because deltas land in per-item slots,
-    /// the caller's sequential absorb loop sums them in item order
-    /// regardless of worker count or policy — cycle totals and any
-    /// caller-side fixed-order value reduction stay bit-identical.
-    ///
-    /// `f` receives `(worker_machine, item_index, item, worker
-    /// scratch)`; `scratch[w]` is private to worker `w` for the whole
-    /// dispatch.
+    /// [`Exec::claim`] over a slice: `f(state, index, item, scratch)`
+    /// once per item, with `scratch[w]` private to worker `w` and
+    /// `state` built by `enter` on that worker's first claim.
+    #[allow(unsafe_code)] // Checked `Partition` grants; SAFETY at each site.
+    fn each<T: Send, S: Send, W>(
+        &self,
+        items: &mut [T],
+        scratch: &mut [S],
+        enter: impl Fn() -> W + Sync,
+        f: impl Fn(&mut W, usize, &mut T, &mut S) + Sync,
+    ) {
+        let len = items.len();
+        let crew = self.workers().min(len);
+        assert!(
+            scratch.len() >= crew,
+            "scratch ({}) must cover every participating worker ({crew})",
+            scratch.len(),
+        );
+        let items = Partition::new(items);
+        let scratch = Partition::new(scratch);
+        self.claim(
+            len,
+            // SAFETY: `claim` enters each worker id at most once per
+            // dispatch, on that worker, and only ids below `crew`: slot
+            // `w` is in bounds and granted once.
+            |w| (enter(), unsafe { scratch.grant(w) }),
+            // SAFETY: `claim` hands each index to exactly one call.
+            |(state, scr), i| f(state, i, unsafe { items.grant(i) }, scr),
+        );
+    }
+
+    /// Runs `f(index, &mut item)` once per item, distributed over the
+    /// pool per the claim rule (see the module docs). Items must be
+    /// independent: `f` may not assume anything about which worker runs
+    /// an item or in what order items execute.
+    pub fn for_each<T: Send>(&self, items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
+        // A vector of unit values never allocates.
+        let mut no_scratch = vec![(); self.workers()];
+        self.each(items, &mut no_scratch, || (), |_, i, item, _| f(i, item));
+    }
+
+    /// [`Exec::for_each`] with per-worker scratch: `f` also receives
+    /// `scratch[w]`, private to worker `w` for the whole dispatch.
     ///
     /// # Panics
     ///
     /// Panics if `scratch` holds fewer entries than the number of
     /// workers that may participate (`min(workers(), items.len())`), or
     /// propagates the panic of any item handler.
-    // Items, per-item output slots and per-worker scratch are all handed
-    // out through checked `Partition` grants; each unsafe site states
-    // why its claim is unique.
-    #[allow(unsafe_code)]
-    pub fn run_counted<T, S, F>(
+    pub fn for_each_scratch<T: Send, S: Send>(
+        &self,
+        items: &mut [T],
+        scratch: &mut [S],
+        f: impl Fn(usize, &mut T, &mut S) + Sync,
+    ) {
+        self.each(items, scratch, || (), |_, i, item, scr| f(i, item, scr));
+    }
+
+    /// Runs `f` once per item on a forked worker [`Machine`] and returns
+    /// the per-item [`MachineCounters`] deltas **indexed by item** — the
+    /// cost-charged variant of [`Exec::for_each_scratch`] used by the
+    /// emulated pipeline phases.
+    ///
+    /// Each worker forks `main` on its first claim
+    /// ([`Machine::fork_worker`]: private counters, flushed cache) and
+    /// drains the fork after every item, so each delta is a pure
+    /// function of the item provided `f` flushes the worker cache at the
+    /// item boundary (`wm.mem().flush_cache()`). Because deltas land in
+    /// per-item slots, the caller's absorb loop sums them in item order
+    /// regardless of worker count or policy — cycle totals and any
+    /// caller-side fixed-order value reduction stay bit-identical.
+    ///
+    /// `f` receives `(worker_machine, item_index, item, worker
+    /// scratch)`; panics as [`Exec::for_each_scratch`].
+    #[allow(unsafe_code)] // Checked `Partition` grant; SAFETY at the site.
+    pub fn run_counted<T: Send, S: Send>(
         &self,
         main: &Machine,
         items: &mut [T],
         scratch: &mut [S],
-        f: F,
-    ) -> Vec<MachineCounters>
-    where
-        T: Send,
-        S: Send,
-        F: Fn(&mut Machine, usize, &mut T, &mut S) + Sync,
-    {
-        let len = items.len();
-        if len == 0 {
-            return Vec::new();
-        }
-        let workers = self.workers().min(len);
-        assert!(
-            scratch.len() >= workers,
-            "scratch ({}) must cover every participating worker ({workers})",
-            scratch.len(),
+        f: impl Fn(&mut Machine, usize, &mut T, &mut S) + Sync,
+    ) -> Vec<MachineCounters> {
+        let mut out = vec![MachineCounters::default(); items.len()];
+        let slots = Partition::new(&mut out);
+        self.each(
+            items,
+            scratch,
+            || main.fork_worker(),
+            |wm, i, item, scr| {
+                f(wm, i, item, scr);
+                // SAFETY: `each` runs this once per item index, so
+                // output slot `i` — in bounds, `out` is as long as
+                // `items` — is granted once.
+                *unsafe { slots.grant(i) } = wm.drain_counters();
+            },
         );
-        let mut out = vec![MachineCounters::default(); len];
-        let items_sl = Partition::new(items);
-        let out_sl = Partition::new(&mut out);
-        let scratch_sl = Partition::new(scratch);
-        let run_item = |wm: &mut Machine, scr: &mut S, i: usize| {
-            // SAFETY: each item index is claimed by exactly one worker
-            // (scheduler claim), so the item grant and the matching
-            // output-slot grant are both unique.
-            f(wm, i, unsafe { items_sl.grant(i) }, scr);
-            // SAFETY: as above — output slot `i` pairs with item `i`.
-            *unsafe { out_sl.grant(i) } = wm.drain_counters();
-        };
-        if workers == 1 {
-            // Inline, but still on a fork: the per-item deltas must be
-            // the same ones a multi-worker run produces.
-            let run_all = |_w: usize| {
-                let mut wm = main.fork_worker();
-                // SAFETY: single worker, single scratch slot, granted
-                // once.
-                let scr = unsafe { scratch_sl.grant(0) };
-                for i in 0..len {
-                    run_item(&mut wm, scr, i);
-                }
-            };
-            if self.workers() == 1 {
-                // Single-worker pool: go through `broadcast` so the
-                // dispatch is counted and an armed [`FaultPlan`] fires
-                // here too (no threads — this is an inline call).
-                self.pool.broadcast(&run_all);
-            } else {
-                // Multi-worker pool with a single item: run inline
-                // without waking the pool.
-                run_all(0);
-            }
-            return out;
-        }
-        match self.policy {
-            SchedulerPolicy::Static => {
-                let bounds = shard_bounds(len, workers);
-                self.pool.broadcast(&|w| {
-                    let Some(&(lo, hi)) = bounds.get(w) else {
-                        return;
-                    };
-                    let mut wm = main.fork_worker();
-                    // SAFETY: one scratch slot per worker id, granted
-                    // once per dispatch by that worker alone.
-                    let scr = unsafe { scratch_sl.grant(w) };
-                    for i in lo..hi {
-                        run_item(&mut wm, scr, i);
-                    }
-                });
-            }
-            SchedulerPolicy::Stealing => {
-                let k = steal_chunk(len, workers, self.steal_chunk);
-                let cursor = AtomicUsize::new(0);
-                self.pool.broadcast(&|w| {
-                    if w >= workers {
-                        return;
-                    }
-                    // Fork lazily: a worker that never claims an item
-                    // (all stolen before it woke) skips the fork cost.
-                    let mut wm: Option<Machine> = None;
-                    // SAFETY: one scratch slot per worker id, granted
-                    // once per dispatch by that worker alone.
-                    let scr = unsafe { scratch_sl.grant(w) };
-                    loop {
-                        // Relaxed ordering suffices: pure claim ticket,
-                        // same argument as the `for_each` cursor above.
-                        let lo = cursor.fetch_add(k, Ordering::Relaxed);
-                        if lo >= len {
-                            break;
-                        }
-                        let wm = wm.get_or_insert_with(|| main.fork_worker());
-                        for i in lo..(lo + k).min(len) {
-                            run_item(wm, scr, i);
-                        }
-                    }
-                });
-            }
-        }
         out
     }
 }
@@ -1269,13 +1195,87 @@ mod tests {
         assert_eq!(FaultKind::default(), FaultKind::Panic);
     }
 
+    /// The claim rule over its full small matrix. Run in the debug
+    /// profile, `Partition`'s claim bitmap also panics on any index (or
+    /// scratch slot) granted twice.
     #[test]
-    fn policy_parse_round_trips() {
-        for p in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-            assert_eq!(SchedulerPolicy::parse(p.label()), Some(p));
+    fn conf_exec_claim_rule_grants_every_index_exactly_once() {
+        let main = Machine::new(MachineConfig::lx2());
+        let caller = std::thread::current().id();
+        let counted = |exec: Exec<'_>, len: usize| {
+            let mut items = vec![0.0; len];
+            let mut scratch = vec![Vec::new(); exec.workers()];
+            let deltas = exec.run_counted(&main, &mut items, &mut scratch, charge_item);
+            assert!(items.iter().enumerate().all(|(t, &v)| v == t as f64));
+            deltas
+                .iter()
+                .map(|c| c.perf.cycles(Phase::Compute).to_bits())
+                .collect::<Vec<u64>>()
+        };
+        let one = WorkerPool::new(1);
+        for workers in 1..=5usize {
+            let pool = WorkerPool::new(workers);
+            for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
+                for (exec, small) in [
+                    (pool.exec(policy), false),
+                    (pool.exec(policy).with_work(INLINE_ITEM_THRESHOLD - 1), true),
+                ] {
+                    for len in 0..=40usize {
+                        let what = format!("{workers} workers {policy:?} small={small} len {len}");
+                        let before = pool.dispatch_count();
+                        let mut items = vec![0u32; len];
+                        let mut scratch = vec![Vec::new(); workers];
+                        exec.for_each_scratch(&mut items, &mut scratch, |i, item, seen| {
+                            *item += 1;
+                            let me = std::thread::current();
+                            seen.push((i, me.id(), me.name().map(str::to_owned)));
+                        });
+                        assert!(items.iter().all(|&hits| hits == 1), "{what}");
+                        let mut indices: Vec<usize> =
+                            scratch.iter().flatten().map(|e| e.0).collect();
+                        indices.sort_unstable();
+                        assert!(indices.into_iter().eq(0..len), "{what}");
+                        // Slot `w` is written by worker `w` alone: the
+                        // calling thread for 0, `mpic-worker-w` otherwise.
+                        for (w, seen) in scratch.iter().enumerate() {
+                            for (_, id, name) in seen {
+                                if w == 0 {
+                                    assert_eq!(*id, caller, "{what}");
+                                } else {
+                                    let worker = format!("mpic-worker-{w}");
+                                    assert_eq!(name.as_deref(), Some(&*worker), "{what}");
+                                }
+                            }
+                        }
+                        // One counted dispatch unless the claim rule
+                        // ran it inline: nothing to do, declared small,
+                        // or one item on a multi-worker pool.
+                        let inline = len == 0 || small || (workers > 1 && len == 1);
+                        assert_eq!(pool.dispatch_count() - before, u64::from(!inline), "{what}");
+                        assert_eq!(
+                            counted(exec, len),
+                            counted(one.exec(SchedulerPolicy::Static), len),
+                            "{what}: per-item deltas diverged from the 1-worker run"
+                        );
+                    }
+                }
+            }
         }
-        assert_eq!(SchedulerPolicy::parse("greedy"), None);
-        assert_eq!(SchedulerPolicy::default(), SchedulerPolicy::Static);
+        // A 1-worker pool dispatches through `broadcast`, so an armed
+        // fault fires there too — but not on a declared-small dispatch,
+        // which never reaches the pool.
+        let plan = FaultPlan {
+            worker: 0,
+            dispatch: one.dispatch_count() + 1,
+            kind: FaultKind::Panic,
+        };
+        one.inject_fault(plan);
+        let exec = one.exec(SchedulerPolicy::Static);
+        exec.with_work(0).for_each(&mut [0u8; 3], |_, v| *v += 1);
+        assert_eq!(one.pending_fault(), Some(plan));
+        let err = expect_exec_error(|| exec.for_each(&mut [0u8; 3], |_, v| *v += 1));
+        assert_eq!((err.worker, err.dispatch), (0, plan.dispatch));
+        assert_eq!(one.pending_fault(), None);
     }
 
     #[test]

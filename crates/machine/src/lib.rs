@@ -62,10 +62,7 @@ pub mod vreg;
 pub use cache::{CacheLevelConfig, CacheLevelState, CacheSim, CacheSimState, CacheStats};
 pub use cost::MachineConfig;
 pub use counters::{MachineCounters, PerfCounters, Phase};
-pub use exec::{
-    Exec, ExecError, FaultKind, FaultPlan, PoolCore, SchedulerPolicy, WorkerPool,
-    INLINE_ITEM_THRESHOLD,
-};
+pub use exec::{Exec, ExecError, FaultKind, FaultPlan, PoolCore, SchedulerPolicy, WorkerPool};
 pub use gpu::{GpuConfig, GpuDepositionReport, GpuModel};
 pub use lines::{LineCarry, TensorBlock};
 pub use machine::{Machine, Meter, Pricing, TileId};
@@ -73,5 +70,5 @@ pub use mem::{MemSystem, VAddr};
 pub use partition::Partition;
 pub use shard::shard_bounds;
 pub use sync::{StdSync, SyncPrims};
-pub use vect::{LaneMask, Lanes};
+pub use vect::Lanes;
 pub use vreg::{VReg, VLANES};

@@ -117,13 +117,6 @@ impl MemSystem {
         self.cache.line_shift()
     }
 
-    /// Enables or disables the cache's last-line memo fast path (see
-    /// [`CacheSim::set_line_memo`]); a pure host-speed knob whose
-    /// counters are bit-identical either way. Test hook.
-    pub fn set_line_memo(&mut self, enabled: bool) {
-        self.cache.set_line_memo(enabled);
-    }
-
     /// DRAM misses split into (streamed, random).
     pub fn miss_split(&self) -> (u64, u64) {
         (self.cache.streamed_misses, self.cache.random_misses)

@@ -6,13 +6,13 @@
 //! new-type whose operations are straight-line per-lane loops the
 //! compiler can autovectorize — no unstable `portable_simd` feature, no
 //! `std::arch` intrinsics (mpic-lint rule L9 fences both to this file,
-//! along with the definitions of the lane-pack and mask types
-//! themselves). Kernels that want a lane-parallel inner loop chunk
+//! along with the definition of the lane-pack type itself). Kernels that want a lane-parallel inner loop chunk
 //! their particles into [`W`]-wide packs, run the packed loop, and
-//! finish the ragged tail as one more pack under a partial [`LaneMask`]
-//! — the masked load/store/FMA helpers touch only the active lanes, so
-//! no scalar remainder loop exists on the hot paths; the README's
-//! hot-path section documents the layout and equivalence contract.
+//! finish the ragged tail as one more pack, zero-padded on load
+//! ([`Lanes::from_slice`]) and cut to the active lanes on store
+//! ([`Lanes::write_to`]) — so no scalar remainder loop exists on the
+//! hot paths; the README's hot-path section documents the layout and
+//! equivalence contract.
 //!
 //! The wrapper exists for *host* throughput only. Emulated-cost vector
 //! state lives in [`crate::VReg`], whose operations charge the cycle
@@ -29,69 +29,6 @@
 /// commodity AVX2/NEON hosts, all of which unroll cleanly from the same
 /// fixed-width arrays.
 pub const W: usize = 8;
-
-/// Which lanes of a pack are active. Tail handling builds prefix masks
-/// ([`LaneMask::prefix`]); the representation is a general per-lane
-/// bool set so future strided or compacted kernels can mask arbitrary
-/// lanes through the same helpers. Inactive lanes are contractually
-/// inert: masked loads read zeros into them, masked FMAs leave them
-/// untouched, masked stores never write them — so a masked tail pack
-/// is bitwise-equivalent to the scalar remainder loop it replaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneMask([bool; W]);
-
-impl LaneMask {
-    /// All [`W`] lanes active (the full-pack mask).
-    #[inline]
-    pub fn all() -> Self {
-        LaneMask([true; W])
-    }
-
-    /// The first `n` lanes active — the tail mask of a run with
-    /// `n = len % W` leftover particles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > W`.
-    #[inline]
-    pub fn prefix(n: usize) -> Self {
-        assert!(n <= W, "mask wider than a lane pack");
-        let mut m = [false; W];
-        m[..n].fill(true);
-        LaneMask(m)
-    }
-
-    /// Whether lane `l` is active.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l >= W`.
-    #[inline]
-    pub fn test(&self, l: usize) -> bool {
-        self.0[l]
-    }
-
-    /// Number of active lanes.
-    #[inline]
-    pub fn count(&self) -> usize {
-        self.0.iter().filter(|&&b| b).count()
-    }
-
-    /// Whether every lane is active (lets helpers take the unmasked
-    /// fast path, which the compiler vectorizes without per-lane
-    /// branches).
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.0 == [true; W]
-    }
-
-    /// One past the highest active lane (0 when no lane is active):
-    /// the minimum slice length a masked load/store may be given.
-    #[inline]
-    pub fn required_len(&self) -> usize {
-        self.0.iter().rposition(|&b| b).map_or(0, |l| l + 1)
-    }
-}
 
 /// A pack of [`W`] `f64` lanes processed together by a lane-parallel
 /// host loop. Plain data: `Lanes(pub [f64; W])`.
@@ -162,77 +99,6 @@ impl Lanes {
     pub fn write_to(&self, dst: &mut [f64], n: usize) {
         assert!(n <= W);
         dst[..n].copy_from_slice(&self.0[..n]);
-    }
-
-    /// Masked load: lane `l` reads `src[l]` when active, 0.0 when
-    /// masked off. A full mask is the plain contiguous load.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is shorter than the mask's
-    /// [`LaneMask::required_len`].
-    #[inline]
-    pub fn load_masked(src: &[f64], mask: LaneMask) -> Self {
-        if mask.is_full() {
-            let mut r = [0.0; W];
-            r.copy_from_slice(&src[..W]);
-            return Lanes(r);
-        }
-        assert!(
-            src.len() >= mask.required_len(),
-            "masked load past the source slice"
-        );
-        let mut r = [0.0; W];
-        for (l, slot) in r.iter_mut().enumerate() {
-            if mask.test(l) {
-                *slot = src[l];
-            }
-        }
-        Lanes(r)
-    }
-
-    /// Masked store: lane `l` writes `dst[l]` when active; masked-off
-    /// lanes leave `dst` untouched. A full mask is the plain
-    /// contiguous store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is shorter than the mask's
-    /// [`LaneMask::required_len`].
-    #[inline]
-    pub fn store_masked(&self, dst: &mut [f64], mask: LaneMask) {
-        if mask.is_full() {
-            dst[..W].copy_from_slice(&self.0);
-            return;
-        }
-        assert!(
-            dst.len() >= mask.required_len(),
-            "masked store past the destination slice"
-        );
-        for (l, &v) in self.0.iter().enumerate() {
-            if mask.test(l) {
-                dst[l] = v;
-            }
-        }
-    }
-
-    /// Masked lane-wise `self + a * b`: active lanes run the same
-    /// unfused multiply-then-add as [`Lanes::mul_acc`] (bitwise equal
-    /// to the scalar reference), masked-off lanes pass `self` through
-    /// unchanged.
-    #[inline]
-    #[must_use]
-    pub fn mul_acc_masked(self, a: Lanes, b: Lanes, mask: LaneMask) -> Lanes {
-        if mask.is_full() {
-            return self.mul_acc(a, b);
-        }
-        let mut r = self.0;
-        for (l, slot) in r.iter_mut().enumerate() {
-            if mask.test(l) {
-                *slot += a.0[l] * b.0[l];
-            }
-        }
-        Lanes(r)
     }
 
     /// Lane-wise square root. IEEE-754 `sqrt` is correctly rounded, so
@@ -310,6 +176,143 @@ impl std::ops::Div for Lanes {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Which lanes of a pack are active ([`LaneMask::prefix`] for a
+    /// ragged tail). Inactive lanes are contractually inert: masked loads
+    /// read zeros into them, masked FMAs leave them untouched, masked
+    /// stores never write them — so a masked tail pack is
+    /// bitwise-equivalent to the scalar remainder loop it replaces.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct LaneMask([bool; W]);
+
+    impl LaneMask {
+        /// All [`W`] lanes active (the full-pack mask).
+        #[inline]
+        fn all() -> Self {
+            LaneMask([true; W])
+        }
+
+        /// The first `n` lanes active — the tail mask of a run with
+        /// `n = len % W` leftover particles.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `n > W`.
+        #[inline]
+        fn prefix(n: usize) -> Self {
+            assert!(n <= W, "mask wider than a lane pack");
+            let mut m = [false; W];
+            m[..n].fill(true);
+            LaneMask(m)
+        }
+
+        /// Whether lane `l` is active.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `l >= W`.
+        #[inline]
+        fn test(&self, l: usize) -> bool {
+            self.0[l]
+        }
+
+        /// Number of active lanes.
+        #[inline]
+        fn count(&self) -> usize {
+            self.0.iter().filter(|&&b| b).count()
+        }
+
+        /// Whether every lane is active (lets helpers take the unmasked
+        /// fast path, which the compiler vectorizes without per-lane
+        /// branches).
+        #[inline]
+        fn is_full(&self) -> bool {
+            self.0 == [true; W]
+        }
+
+        /// One past the highest active lane (0 when no lane is active):
+        /// the minimum slice length a masked load/store may be given.
+        #[inline]
+        fn required_len(&self) -> usize {
+            self.0.iter().rposition(|&b| b).map_or(0, |l| l + 1)
+        }
+    }
+
+    /// The masked tail ops the kernels used before their ragged chunks
+    /// went through the zero-padded `from_slice` / `mul_acc` /
+    /// `write_to` idiom — kept as the reference that idiom is held to.
+    impl Lanes {
+        /// Masked load: lane `l` reads `src[l]` when active, 0.0 when
+        /// masked off. A full mask is the plain contiguous load.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `src` is shorter than the mask's
+        /// [`LaneMask::required_len`].
+        #[inline]
+        fn load_masked(src: &[f64], mask: LaneMask) -> Self {
+            if mask.is_full() {
+                let mut r = [0.0; W];
+                r.copy_from_slice(&src[..W]);
+                return Lanes(r);
+            }
+            assert!(
+                src.len() >= mask.required_len(),
+                "masked load past the source slice"
+            );
+            let mut r = [0.0; W];
+            for (l, slot) in r.iter_mut().enumerate() {
+                if mask.test(l) {
+                    *slot = src[l];
+                }
+            }
+            Lanes(r)
+        }
+
+        /// Masked store: lane `l` writes `dst[l]` when active; masked-off
+        /// lanes leave `dst` untouched. A full mask is the plain
+        /// contiguous store.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `dst` is shorter than the mask's
+        /// [`LaneMask::required_len`].
+        #[inline]
+        fn store_masked(&self, dst: &mut [f64], mask: LaneMask) {
+            if mask.is_full() {
+                dst[..W].copy_from_slice(&self.0);
+                return;
+            }
+            assert!(
+                dst.len() >= mask.required_len(),
+                "masked store past the destination slice"
+            );
+            for (l, &v) in self.0.iter().enumerate() {
+                if mask.test(l) {
+                    dst[l] = v;
+                }
+            }
+        }
+
+        /// Masked lane-wise `self + a * b`: active lanes run the same
+        /// unfused multiply-then-add as [`Lanes::mul_acc`] (bitwise equal
+        /// to the scalar reference), masked-off lanes pass `self` through
+        /// unchanged.
+        #[inline]
+        #[must_use]
+        fn mul_acc_masked(self, a: Lanes, b: Lanes, mask: LaneMask) -> Lanes {
+            if mask.is_full() {
+                return self.mul_acc(a, b);
+            }
+            let mut r = self.0;
+            for (l, slot) in r.iter_mut().enumerate() {
+                if mask.test(l) {
+                    *slot += a.0[l] * b.0[l];
+                }
+            }
+            Lanes(r)
+        }
+    }
 
     #[test]
     fn lane_width_matches_the_emulated_vpu() {
@@ -420,5 +423,27 @@ mod tests {
         // Full masks take the unmasked path bit-for-bit.
         let via_full_mask = acc.mul_acc_masked(a, b, LaneMask::all());
         assert_eq!(via_full_mask, full);
+    }
+
+    #[test]
+    fn zero_padded_tail_matches_masked_reference_bitwise() {
+        // A ragged chunk through `from_slice` / `mul_acc` / `write_to`
+        // lands the masked ops' bits on every active lane and leaves
+        // the slots past them alone.
+        for n in 0..=W {
+            let a = Lanes(std::array::from_fn(|l| 0.1 + 0.3 * l as f64));
+            let b = Lanes::splat(1.0 / 3.0);
+            let init: Vec<f64> = (0..W).map(|l| 0.7 * l as f64 - 1.1).collect();
+            let (mut padded, mut masked) = (init.clone(), init);
+            let mask = LaneMask::prefix(n);
+            Lanes::from_slice(&padded[..n])
+                .mul_acc(a, b)
+                .write_to(&mut padded[..n], n);
+            Lanes::load_masked(&masked[..n], mask)
+                .mul_acc_masked(a, b, mask)
+                .store_masked(&mut masked[..n], mask);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&padded), bits(&masked), "tail of {n}");
+        }
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::gpma::{Gpma, MoveStats, INVALID_PARTICLE_ID, LEAVES_TILE};
 use crate::soa::ParticleSoA;
-use crate::sort::{counting_sort_keys_into, counting_sort_keys_sharded, SortScratch, SortStats};
+use crate::sort::{counting_sort_keys_into, SortScratch, SortStats};
 use mpic_grid::{GridGeometry, Tile, TileLayout};
 use mpic_machine::{Exec, SchedulerPolicy, WorkerPool};
 
@@ -80,18 +80,12 @@ impl ParticleTile {
     /// histogram buffers come from `scratch`, so a warm scratch makes the
     /// sort itself allocation-free (the GPMA rebuild still allocates, but
     /// global sorts are rare policy events rather than per-step work).
-    ///
-    /// `exec` shards the counting-sort histogram and the attribute
-    /// permutation across the persistent worker pool; the resulting SoA
-    /// order, bin map and [`SortStats`] are identical for any worker
-    /// count or scheduler policy (see `counting_sort_keys_sharded`).
     pub fn global_sort(
         &mut self,
         tile: &Tile,
         geom: &GridGeometry,
         gap_ratio: f64,
         scratch: &mut SortScratch,
-        exec: Exec<'_>,
     ) -> SortStats {
         let n_bins = tile.num_cells();
         // Gather live slots and their bins.
@@ -104,18 +98,19 @@ impl ParticleTile {
             scratch.live.push(i);
             scratch.keys.push(tile.local_cell_id(cell));
         }
-        let keys = std::mem::take(&mut scratch.keys);
-        let mut perm = std::mem::take(&mut scratch.perm);
-        let stats = counting_sort_keys_sharded(&keys, n_bins, exec, &mut perm, scratch);
-        scratch.keys = keys;
-        scratch.perm = perm;
+        let stats = counting_sort_keys_into(
+            &scratch.keys,
+            n_bins,
+            &mut scratch.perm,
+            &mut scratch.counts,
+        );
         // Compose: new slot s holds old slot live[perm[s]].
         scratch.gathered.clear();
         scratch
             .gathered
             .extend(scratch.perm.iter().map(|&p| scratch.live[p]));
         self.soa
-            .permute_sharded(&scratch.gathered, &mut scratch.attr_bufs, exec);
+            .permute_with(&scratch.gathered, &mut scratch.attr_buf);
         self.cells.clear();
         self.cells
             .extend(scratch.perm.iter().map(|&p| scratch.keys[p]));
@@ -248,10 +243,10 @@ pub struct ParticleContainer {
     /// Per-tile storage, indexed like `TileLayout`.
     pub tiles: Vec<ParticleTile>,
     gap_ratio: f64,
-    /// Pooled buffers for the sequential sort paths (the sweep's located
-    /// bins, insert and departure lists; counting-sort histograms;
-    /// permutation gathers).
-    scratch: SortScratch,
+    /// Pooled sort buffers, one per worker of the widest global sort so
+    /// far and never empty: the sequential paths (the incremental sweep,
+    /// re-homing) use the first.
+    scratch: Vec<SortScratch>,
 }
 
 impl ParticleContainer {
@@ -266,7 +261,7 @@ impl ParticleContainer {
             mass,
             tiles,
             gap_ratio: DEFAULT_GAP_RATIO,
-            scratch: SortScratch::default(),
+            scratch: vec![SortScratch::default()],
         }
     }
 
@@ -302,12 +297,12 @@ impl ParticleContainer {
         self.global_sort_parallel(layout, geom, pool.exec(SchedulerPolicy::Static))
     }
 
-    /// Global sort of every tile with the per-tile counting sort and
-    /// attribute permutation sharded across the persistent worker pool;
-    /// the resulting particle order and merged stats are identical for
-    /// any worker count or scheduler policy (tiles are visited in tile
-    /// order, and the sharded sort reproduces the sequential permutation
-    /// exactly).
+    /// Global sort of every tile, the tiles dispatched over the
+    /// persistent worker pool (each worker sorting with its own
+    /// [`SortScratch`]). A tile's sort is a pure function of the tile and
+    /// the stats merge in tile order, so the resulting particle order
+    /// and merged stats are identical for any worker count or scheduler
+    /// policy.
     ///
     /// Particles that crossed a tile boundary since the last maintenance
     /// pass are re-homed first (tile-local counting sort requires every
@@ -319,11 +314,25 @@ impl ParticleContainer {
         exec: Exec<'_>,
     ) -> SortStats {
         let _ = self.incremental_sort(layout, geom);
-        let mut total = SortStats::default();
+        let particles = self.total_particles();
         let gap_ratio = self.gap_ratio;
         let Self { tiles, scratch, .. } = self;
-        for (t, tile) in tiles.iter_mut().enumerate() {
-            let s = tile.global_sort(layout.tile(t), geom, gap_ratio, scratch, exec);
+        if scratch.len() < exec.workers() {
+            scratch.resize_with(exec.workers(), SortScratch::default);
+        }
+        let mut sorted: Vec<(&mut ParticleTile, SortStats)> = tiles
+            .iter_mut()
+            .map(|tile| (tile, SortStats::default()))
+            .collect();
+        exec.with_work(particles).for_each_scratch(
+            &mut sorted,
+            scratch,
+            |t, (tile, stats), scratch| {
+                *stats = tile.global_sort(layout.tile(t), geom, gap_ratio, scratch);
+            },
+        );
+        let mut total = SortStats::default();
+        for (_, s) in &sorted {
             total.n += s.n;
             total.buckets += s.buckets;
             total.moves += s.moves;
@@ -349,6 +358,7 @@ impl ParticleContainer {
         let mut stats = MoveStats::default();
         let mut scanned = 0;
         let Self { tiles, scratch, .. } = self;
+        let scratch = &mut scratch[0];
         scratch.leavers.clear();
         scratch.leave_order.clear();
         scratch.leave_dest.clear();

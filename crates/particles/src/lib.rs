@@ -41,6 +41,4 @@ pub use gpma::{Gpma, GpmaState, MoveStats, PendingMove, INVALID_PARTICLE_ID};
 pub use policy::{RankSortStats, SortPolicy, SortReason};
 pub use runs::{cell_runs, CellRun, CellRuns};
 pub use soa::ParticleSoA;
-pub use sort::{
-    counting_sort_keys, counting_sort_keys_into, counting_sort_keys_sharded, SortScratch, SortStats,
-};
+pub use sort::{counting_sort_keys, counting_sort_keys_into, SortScratch, SortStats};

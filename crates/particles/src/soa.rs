@@ -122,74 +122,24 @@ impl ParticleSoA {
     /// allocation-free. The buffer cycles through the seven retired
     /// attribute arrays, so their capacity is recycled too.
     pub fn permute_with(&mut self, perm: &[usize], scratch: &mut Vec<f64>) {
-        for attr in self.attrs_mut() {
+        let Self {
+            x,
+            y,
+            z,
+            ux,
+            uy,
+            uz,
+            w,
+            ..
+        } = self;
+        for attr in [x, y, z, ux, uy, uz, w] {
             scratch.clear();
             scratch.extend(perm.iter().map(|&p| attr[p]));
             std::mem::swap(attr, scratch);
         }
-        self.compact_alive(perm.len());
-    }
-
-    /// The seven attribute arrays, in canonical order — the single source
-    /// for every whole-SoA sweep (sequential and sharded permutes).
-    fn attrs_mut(&mut self) -> [&mut Vec<f64>; 7] {
-        [
-            &mut self.x,
-            &mut self.y,
-            &mut self.z,
-            &mut self.ux,
-            &mut self.uy,
-            &mut self.uz,
-            &mut self.w,
-        ]
-    }
-
-    /// Post-permutation epilogue: every slot live, free list empty.
-    fn compact_alive(&mut self, len: usize) {
         self.alive.clear();
-        self.alive.resize(len, true);
+        self.alive.resize(perm.len(), true);
         self.free.clear();
-    }
-
-    /// [`ParticleSoA::permute_with`] with the seven attribute gathers
-    /// sharded across the persistent worker pool (each attribute array
-    /// is independent, so attribute-parallel gathers produce the
-    /// identical result for any worker count or scheduler policy).
-    /// `bufs` provides one pooled gather buffer per attribute, resized
-    /// in place; a warm set keeps the permutation allocation-free.
-    ///
-    /// Permutations below
-    /// [`INLINE_ITEM_THRESHOLD`](mpic_machine::INLINE_ITEM_THRESHOLD)
-    /// run inline — the same small-input constant the sharded counting
-    /// sort uses, so the two halves of a global sort can never disagree
-    /// about when threads are worth waking.
-    pub fn permute_sharded(
-        &mut self,
-        perm: &[usize],
-        bufs: &mut Vec<Vec<f64>>,
-        exec: mpic_machine::Exec<'_>,
-    ) {
-        const ATTRS: usize = 7;
-        if perm.len() < mpic_machine::INLINE_ITEM_THRESHOLD || exec.workers() == 1 {
-            // Single worker: gather inline, no pool-dispatch overhead
-            // (cycling one pooled buffer through the attributes).
-            if bufs.is_empty() {
-                bufs.push(Vec::new());
-            }
-            self.permute_with(perm, &mut bufs[0]);
-            return;
-        }
-        if bufs.len() < ATTRS {
-            bufs.resize_with(ATTRS, Vec::new);
-        }
-        let mut pairs: Vec<(&mut Vec<f64>, &mut Vec<f64>)> =
-            self.attrs_mut().into_iter().zip(bufs.iter_mut()).collect();
-        exec.for_each(&mut pairs, |_, (attr, buf)| {
-            buf.clear();
-            buf.extend(perm.iter().map(|&p| attr[p]));
-            std::mem::swap::<Vec<f64>>(attr, buf);
-        });
-        self.compact_alive(perm.len());
     }
 
     /// The dead-slot recycling stack, top last. Checkpointing records it
@@ -321,41 +271,6 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.x, vec![3.0, 0.0, 2.0]);
         assert!(s.alive.iter().all(|&a| a));
-    }
-
-    #[test]
-    fn permute_sharded_matches_sequential() {
-        use mpic_machine::{SchedulerPolicy, WorkerPool};
-        // Above the parallel threshold so the threaded path runs.
-        let n = 5_000;
-        let build = || {
-            let mut s = ParticleSoA::new();
-            for i in 0..n + 1 {
-                let f = i as f64;
-                s.push(f, 10.0 + f, 20.0 + f, 0.1 * f, -0.1 * f, f, 1.0 + f);
-            }
-            s.remove(4);
-            s
-        };
-        // A scrambled full permutation of the live slots (skip slot 4).
-        let perm: Vec<usize> = (0..n + 1)
-            .map(|i| (i * 2_741) % (n + 1))
-            .filter(|&p| p != 4)
-            .collect();
-        let mut want = build();
-        want.permute(&perm);
-        for workers in [1usize, 2, 3, 7, 50] {
-            let pool = WorkerPool::new(workers);
-            for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-                let mut got = build();
-                let mut bufs = Vec::new();
-                got.permute_sharded(&perm, &mut bufs, pool.exec(policy));
-                assert_eq!(got.x, want.x, "workers {workers} {policy:?}");
-                assert_eq!(got.w, want.w, "workers {workers} {policy:?}");
-                assert_eq!(got.len(), want.len());
-                assert!(got.alive.iter().all(|&a| a));
-            }
-        }
     }
 
     #[test]

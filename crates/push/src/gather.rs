@@ -18,7 +18,7 @@ use mpic_machine::{
 };
 
 /// Per-step cost parameters of the gather sweep (charged coarsely: the
-//  gather is not the paper's optimisation target, but its time must
+/// gather is not the paper's optimisation target, but its time must
 /// appear in the Figure 1/8 breakdowns with a realistic magnitude).
 #[derive(Debug, Clone, Copy)]
 pub struct GatherCost {
@@ -330,14 +330,13 @@ pub fn charge_gather(
 
 #[cfg(test)]
 /// The lane gather as it stood before the branch-free body — weights
-/// particle-major, every node's accumulate under a [`LaneMask`] — kept as
-/// the executable specification
+/// particle-major, every node's accumulate masked to the lanes that hold
+/// a particle — kept as the executable specification
 /// `conf_lane_gather_matches_masked_reference_bitwise` holds the new body
 /// to, and — through [`reference::Mutant`] — the near misses that test
 /// must reject.
 mod reference {
     use super::*;
-    use mpic_machine::LaneMask;
 
     /// A deliberate defect the bitwise test must catch.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -357,7 +356,6 @@ mod reference {
     ) -> ([Lanes; 3], [Lanes; 3]) {
         let s = order.support();
         let n = fracs.len();
-        let mask = LaneMask::prefix(n);
         let mut sw = [[[0.0f64; 4]; 3]; W];
         for (l, f) in fracs.iter().enumerate() {
             order.weights(f[0], &mut sw[l][0]);
@@ -379,16 +377,12 @@ mod reference {
                     let wl = Lanes(wl);
                     for (comp, lane_acc) in acc.iter_mut().enumerate() {
                         let v = block.vals[comp][nd];
-                        *lane_acc = match mutant {
-                            Mutant::FusedMulAdd => Lanes(std::array::from_fn(|l| {
-                                if mask.test(l) {
-                                    wl.0[l].mul_add(v, lane_acc.0[l])
-                                } else {
-                                    lane_acc.0[l]
-                                }
-                            })),
-                            _ => lane_acc.mul_acc_masked(wl, Lanes::splat(v), mask),
-                        };
+                        // Lanes past `n` hold no particle and pass through.
+                        *lane_acc = Lanes(std::array::from_fn(|l| match mutant {
+                            _ if l >= n => lane_acc.0[l],
+                            Mutant::FusedMulAdd => wl.0[l].mul_add(v, lane_acc.0[l]),
+                            _ => lane_acc.0[l] + wl.0[l] * v,
+                        }));
                     }
                 }
             }

@@ -348,36 +348,19 @@ where
     let nz = geom.n_cells[2];
     let plane = plane_len(out[0]);
     let bounds = mpic_machine::shard_bounds(nz, exec.workers());
-    let [a0, a1, a2] = out;
-    if bounds.len() <= 1 {
-        // Single slab (workers == 1, the default config): run inline
-        // with no pool-dispatch overhead. Identical arithmetic — the
-        // sharded path is bit-exact per cell regardless.
-        if let Some(&(z0, z1)) = bounds.first() {
-            let (k0, k1) = (g + z0, g + z1);
-            let s0 = &mut a0.as_mut_slice()[k0 * plane..k1 * plane];
-            let s1 = &mut a1.as_mut_slice()[k0 * plane..k1 * plane];
-            let s2 = &mut a2.as_mut_slice()[k0 * plane..k1 * plane];
-            body((k0, k1), [s0, s1, s2]);
-        }
-        return;
-    }
     // Peel each array into per-slab mutable plane slices, in order.
-    let mut rest = [a0.as_mut_slice(), a1.as_mut_slice(), a2.as_mut_slice()];
+    let mut rest = out.map(Array3::as_mut_slice);
     let mut consumed = 0;
     let mut items: Vec<SlabItem<'_>> = Vec::with_capacity(bounds.len());
     for &(z0, z1) in &bounds {
         let (k0, k1) = (g + z0, g + z1);
-        let mut slabs = Vec::with_capacity(3);
-        for r in &mut rest {
-            let taken = std::mem::take(r);
-            let (_, tail) = taken.split_at_mut(k0 * plane - consumed);
+        let slabs = rest.each_mut().map(|r| {
+            let (_, tail) = std::mem::take(r).split_at_mut(k0 * plane - consumed);
             let (slab, tail) = tail.split_at_mut((k1 - k0) * plane);
             *r = tail;
-            slabs.push(slab);
-        }
+            slab
+        });
         consumed = k1 * plane;
-        let slabs: [&mut [f64]; 3] = slabs.try_into().expect("three slabs");
         items.push(((k0, k1), slabs));
     }
     exec.for_each(&mut items, |_, (range, [s0, s1, s2])| {

@@ -58,7 +58,9 @@ fn deposit_mass_mpu(
                 for bb in 0..2 {
                     for aa in 0..2 {
                         let v = m.tile_value(TileId(0), h * 2 + aa, h * 4 + c * 2 + bb);
-                        let n = matrix_pic::deposit::common::node_index(geom, st, order, aa, bb, c);
+                        let n = matrix_pic::deposit::common::node_index(
+                            geom, st.cell, order, aa, bb, c,
+                        );
                         rho.add(n[0], n[1], n[2], v);
                     }
                 }

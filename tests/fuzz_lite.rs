@@ -7,16 +7,15 @@
 //! fuzz_lite`) hammers the same properties with three orders of
 //! magnitude more inputs. The targets are the three structures whose
 //! corruption would silently break the determinism contract rather than
-//! crash: the run decomposition, the sharded counting sort, and the
+//! crash: the run decomposition, the tile-sharded global sort, and the
 //! GPMA's incremental maintenance.
 
 use matrix_pic::deposit::ShapeOrder;
-use matrix_pic::grid::{FieldArrays, GridGeometry};
+use matrix_pic::grid::{FieldArrays, GridGeometry, TileLayout};
 use matrix_pic::machine::vect::W;
-use matrix_pic::machine::{SchedulerPolicy, WorkerPool, INLINE_ITEM_THRESHOLD};
+use matrix_pic::machine::{SchedulerPolicy, WorkerPool};
 use matrix_pic::particles::{
-    cell_runs, counting_sort_keys, counting_sort_keys_sharded, Gpma, SortScratch,
-    INVALID_PARTICLE_ID,
+    cell_runs, Departure, Gpma, ParticleContainer, ParticleTile, INVALID_PARTICLE_ID,
 };
 use matrix_pic::push::gather::{
     gather_fields_with_cell, gather_from_block_lanes_masked, load_node_block, NodeBlock,
@@ -76,49 +75,81 @@ fn fuzz_cell_runs_match_reference_and_tile_exactly() {
     });
 }
 
-/// The sharded counting sort must produce the byte-identical permutation
-/// of the sequential stable sort for every worker count (ragged 1..9,
-/// far from powers of two) and both scheduler policies, on inputs sized
-/// to cross the inline threshold so the parallel merge path really runs.
+/// Everything a global sort leaves behind in a tile, floats as bits.
+fn tile_state(t: &ParticleTile) -> impl PartialEq + std::fmt::Debug {
+    let soa = &t.soa;
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    (
+        [&soa.x, &soa.y, &soa.z, &soa.ux, &soa.uy, &soa.uz, &soa.w].map(|v| bits(v)),
+        soa.alive.clone(),
+        soa.free_slots().to_vec(),
+        t.cells.clone(),
+        t.gpma.export_state(),
+    )
+}
+
+/// The global sort dispatches tiles over the pool: on a random
+/// multi-tile container — particles injected unsorted, some then pushed
+/// across tile boundaries so the sort re-homes first — every worker
+/// count (ragged 1..=7, far from powers of two) and both scheduler
+/// policies must leave the byte-identical SoA, bin map, GPMA and
+/// [`SortStats`](matrix_pic::particles::SortStats) of the 1-worker run,
+/// on populations straddling the size below which the exec layer sorts
+/// inline.
 #[test]
 fn fuzz_sharded_sort_matches_sequential_for_all_workers_and_policies() {
-    let pools: Vec<WorkerPool> = (1..9).map(WorkerPool::new).collect();
+    let pools: Vec<WorkerPool> = (1..=7).map(WorkerPool::new).collect();
     proptest!(ProptestConfig::with_cases(fuzz_cases(12)).with_corpus("sharded_sort"), |(
-        n_buckets in 1usize..48,
-        // Size reaches ~1.5 chunks past the inline threshold so worker
-        // counts >= 2 take the sharded path; small sizes cover inline.
-        len_frac in 0.0f64..1.5,
+        tile_edge in 1usize..5,
+        // Up to ~1.5x the 4096-particle wake threshold of the exec layer.
+        n_particles in 0usize..6200,
         seed in 0usize..1_000_000,
     )| {
-        let len = (len_frac * INLINE_ITEM_THRESHOLD as f64) as usize * 4;
-        // Deterministic splitmix-style key stream (the vendored proptest
-        // vec strategy at this length would dominate runtime).
+        let geom = GridGeometry::new([8, 4, 6], [0.0; 3], [1.0; 3], 1);
+        let layout = TileLayout::new(&geom, [tile_edge; 3]);
         let mut state = seed as u64 ^ 0x9E37_79B9_7F4A_7C15;
-        let keys: Vec<usize> = (0..len)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (state >> 33) as usize % n_buckets
-            })
-            .collect();
-        let (expect, _) = counting_sort_keys(&keys, n_buckets);
+        let mut unit = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut unsorted = ParticleContainer::new(&layout, -1.0, 1.0);
+        for _ in 0..n_particles {
+            let d = Departure {
+                x: 8.0 * unit(),
+                y: 4.0 * unit(),
+                z: 6.0 * unit(),
+                ux: unit() - 0.5,
+                uy: unit() - 0.5,
+                uz: unit() - 0.5,
+                w: 1.0 + unit(),
+            };
+            let _ = unsorted.inject(&layout, &geom, d);
+        }
+        for tile in &mut unsorted.tiles {
+            for p in (0..tile.soa.slots()).step_by(3) {
+                tile.soa.x[p] = 8.0 * unit();
+            }
+        }
+        let mut expect = None;
         for pool in &pools {
             for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-                let mut perm = Vec::new();
-                let mut scratch = SortScratch::default();
-                let _ = counting_sort_keys_sharded(
-                    &keys,
-                    n_buckets,
-                    pool.exec(policy),
-                    &mut perm,
-                    &mut scratch,
+                let mut c = unsorted.clone();
+                let stats = c.global_sort_parallel(&layout, &geom, pool.exec(policy));
+                c.check_invariants();
+                let got = (
+                    (stats.n, stats.buckets, stats.moves),
+                    c.tiles.iter().map(tile_state).collect::<Vec<_>>(),
                 );
-                prop_assert_eq!(
-                    &perm,
-                    &expect,
-                    "divergence at workers={} policy={:?} len={}",
+                prop_assert_eq!(stats.n, n_particles);
+                let same = expect.as_ref().is_none_or(|want| got == *want);
+                expect.get_or_insert(got);
+                prop_assert!(
+                    same,
+                    "divergence at workers={} policy={:?} particles={} tile edge={}",
                     pool.workers(),
                     policy,
-                    len
+                    n_particles,
+                    tile_edge
                 );
             }
         }
