@@ -67,7 +67,7 @@ pub fn measure_uniform(
     steps: usize,
 ) -> Measurement {
     let mut sim = workloads::uniform_plasma_sim(cells, ppc, order, kernel, 42);
-    if !sorted_config(kernel) {
+    if !kernel.strategy().provides_sorted_order() {
         // Unsorted configs are measured in their steady state: a long
         // production run has scrambled any initial ordering.
         workloads::shuffle_particles(&mut sim.electrons, &sim.geom, &sim.layout, 7);
@@ -83,20 +83,10 @@ pub fn measure_lwfa(
     steps: usize,
 ) -> Measurement {
     let mut sim = workloads::lwfa_sim(cells, ppc, ShapeOrder::Cic, kernel, 42);
-    if !sorted_config(kernel) {
+    if !kernel.strategy().provides_sorted_order() {
         workloads::shuffle_particles(&mut sim.electrons, &sim.geom, &sim.layout, 7);
     }
     run_and_measure(&mut sim, kernel, ppc, steps)
-}
-
-fn sorted_config(kernel: KernelConfig) -> bool {
-    !matches!(
-        kernel,
-        KernelConfig::Baseline
-            | KernelConfig::Rhocell
-            | KernelConfig::MatrixOnly
-            | KernelConfig::HybridNoSort
-    )
 }
 
 fn run_and_measure(
@@ -192,8 +182,10 @@ mod tests {
 
     #[test]
     fn sorted_config_classification() {
-        assert!(sorted_config(KernelConfig::FullOpt));
-        assert!(!sorted_config(KernelConfig::Baseline));
-        assert!(sorted_config(KernelConfig::HybridGlobalSort));
+        // Which rows the harness shuffles into their unsorted steady state.
+        let sorted = |k: KernelConfig| k.strategy().provides_sorted_order();
+        assert!(sorted(KernelConfig::FullOpt));
+        assert!(!sorted(KernelConfig::Baseline));
+        assert!(sorted(KernelConfig::HybridGlobalSort));
     }
 }

@@ -51,22 +51,22 @@ pub struct SimConfig {
     /// load-imbalanced workloads (LWFA's mostly-empty tiles). Results
     /// are bit-identical for either policy.
     pub scheduler: SchedulerPolicy,
-    /// Selects the cell-run sweeps: particles are visited in GPMA-sorted
-    /// order, the gather loads each cell's stencil node block once per
-    /// same-cell particle run and interpolates + pushes the run in
-    /// lane-width packs (value-exact — gathers are read-only and every
-    /// lane keeps the per-particle operation order), and the deposition
-    /// kernels accumulate each run into a stack-resident stencil block
-    /// applied to the tile accumulator once per run. Requires a sorting
-    /// strategy that provides cell-grouped order; unsorted
-    /// configurations stay on the per-particle reference sweep
-    /// regardless of this flag (`Depositor::mode` is the one place that
-    /// decides). `false` (the default) keeps the per-particle reference
-    /// paths and the paper-figure cost model exactly as before; the
-    /// cell-run path is bit-identical across worker counts and
-    /// scheduler policies, and its gather/push values are bit-identical
-    /// to the reference (deposit regroups FP adds within a tight ULP
-    /// bound on the direct-scatter kernel only).
+    /// Selects the cell-run sweeps of the MatrixPIC kernel: particles are
+    /// visited in GPMA-sorted order, the gather loads each cell's stencil
+    /// node block once per same-cell particle run and interpolates +
+    /// pushes the run in lane-width packs (value-exact — gathers are
+    /// read-only and every lane keeps the per-particle operation order),
+    /// and the memory-bound phases take the run prices. Engages only on
+    /// a matrix-kernel configuration with a sorting strategy
+    /// (`HybridGlobalSort`, `FullOpt`); every other configuration — the
+    /// direct-scatter and rhocell kernels on any strategy, and every
+    /// unsorted one — stays on the per-particle reference sweep
+    /// regardless of this flag, bitwise (`Depositor::mode` is the one
+    /// place that decides). `false` (the default) keeps the per-particle
+    /// reference paths and the paper-figure cost model exactly as
+    /// before; the cell-run path is bit-identical across worker counts
+    /// and scheduler policies, and its values are bit-identical to the
+    /// reference.
     pub batching: bool,
     /// Selects `Pricing::Stream` for the cell-run sweeps: their
     /// memory-bound block transfers — staging loads, run gathers,
@@ -74,12 +74,11 @@ pub struct SimConfig {
     /// the fused rhocell→grid reduction — are priced by the state-free
     /// streaming model instead of cache walks. It changes no loop and no
     /// value: fields, currents and particles are bit-identical to
-    /// `simd = false`, `Preprocess`, `Compute`, `Gather` and (on the
-    /// incremental-sort kernels) `Sort` charge strictly fewer cycles, as
-    /// does `Reduce` on the rhocell-based kernels, while `Push`,
-    /// `FieldSolve` and `Other` stay bit-identical. The pricing only
-    /// exists inside the cell-run sweeps, so without
-    /// [`SimConfig::batching`] (or on an unsorted strategy) the flag is a
+    /// `simd = false`, `Preprocess`, `Compute`, `Gather`, `Reduce` and
+    /// (with incremental sorting) `Sort` charge strictly fewer cycles,
+    /// while `Push`, `FieldSolve` and `Other` stay bit-identical. The
+    /// pricing only exists inside the cell-run sweeps, so wherever
+    /// [`SimConfig::batching`] does not engage them the flag is a
     /// no-op. `false` is the default. Runtime knob: like `num_workers`,
     /// it may differ freely between a snapshot's save and restore.
     pub simd: bool,

@@ -1,13 +1,13 @@
 //! Named kernel+sorting configurations matching the paper's evaluation
 //! setup (section 5.2.1): the ablation set and the VPU-baseline
-//! comparison set.
+//! comparison set. One table says which of the paper's three kernels
+//! each configuration runs, how it stages, the name its snapshots carry
+//! and how it sorts.
 
 use mpic_particles::SortPolicy;
 
+use crate::common::PrepStyle;
 use crate::kernel::{Depositor, SortStrategy};
-use crate::matrix::MatrixKernel;
-use crate::rhocell_vec::RhocellKernel;
-use crate::scalar::BaselineKernel;
 use crate::shape::ShapeOrder;
 
 /// Every configuration evaluated in the paper.
@@ -33,6 +33,20 @@ pub enum KernelConfig {
     HybridGlobalSort,
     /// The complete MatrixPIC framework.
     FullOpt,
+}
+
+/// The paper's three deposition kernels, one typed body each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum KernelFamily {
+    /// WarpX direct scatter onto the grid ([`crate::scalar::deposit_tile`]).
+    Scatter,
+    /// The VPU rhocell kernel ([`crate::rhocell_vec::deposit_tile`]):
+    /// auto-vectorised or hand-tuned, as its [`PrepStyle`] says.
+    Rhocell,
+    /// The hybrid VPU-MPU outer-product kernel
+    /// ([`crate::matrix::deposit_tile`]) — the only one that batches by
+    /// design: MPU tile registers stay resident for each same-cell run.
+    Matrix,
 }
 
 impl KernelConfig {
@@ -83,44 +97,56 @@ impl KernelConfig {
         }
     }
 
+    /// The configuration table: kernel family, staging style, kernel
+    /// name and sorting strategy.
+    fn spec(self) -> (KernelFamily, PrepStyle, &'static str, SortStrategy) {
+        use KernelFamily::{Matrix, Rhocell, Scatter};
+        use PrepStyle::{Autovec, Scalar, VpuIntrinsics};
+        let unsorted = SortStrategy::None;
+        let incr = SortStrategy::Incremental(SortPolicy::default());
+        match self {
+            KernelConfig::Baseline => (Scatter, Autovec, "baseline", unsorted),
+            KernelConfig::BaselineIncrSort => (Scatter, Autovec, "baseline", incr),
+            KernelConfig::Rhocell => (Rhocell, Autovec, "rhocell_autovec", unsorted),
+            KernelConfig::RhocellIncrSort => (Rhocell, Autovec, "rhocell_autovec", incr),
+            KernelConfig::RhocellIncrSortVpu => (Rhocell, VpuIntrinsics, "rhocell_vpu", incr),
+            KernelConfig::MatrixOnly => (Matrix, Scalar, "matrix_only", unsorted),
+            KernelConfig::HybridNoSort => (Matrix, VpuIntrinsics, "matrixpic", unsorted),
+            KernelConfig::HybridGlobalSort => (
+                Matrix,
+                VpuIntrinsics,
+                "matrixpic",
+                SortStrategy::GlobalEveryStep,
+            ),
+            KernelConfig::FullOpt => (Matrix, VpuIntrinsics, "matrixpic", incr),
+        }
+    }
+
+    /// Which of the three deposition kernels runs.
+    pub(crate) fn family(self) -> KernelFamily {
+        self.spec().0
+    }
+
+    /// How the staging loop is executed.
+    pub(crate) fn prep_style(self) -> PrepStyle {
+        self.spec().1
+    }
+
+    /// Kernel name ([`Depositor::name`]): written to a snapshot's META
+    /// section and compared on restore, so a snapshot only restores into
+    /// the kernel that wrote it.
+    pub(crate) fn name(self) -> &'static str {
+        self.spec().2
+    }
+
+    /// The sorting strategy wrapped around the kernel.
+    pub fn strategy(self) -> SortStrategy {
+        self.spec().3
+    }
+
     /// Builds the configured deposition driver.
     pub fn build(self, order: ShapeOrder) -> Depositor {
-        let incr = || SortStrategy::Incremental(SortPolicy::default());
-        match self {
-            KernelConfig::Baseline => {
-                Depositor::new(Box::new(BaselineKernel), SortStrategy::None, order)
-            }
-            KernelConfig::BaselineIncrSort => {
-                Depositor::new(Box::new(BaselineKernel), incr(), order)
-            }
-            KernelConfig::Rhocell => Depositor::new(
-                Box::new(RhocellKernel { hand_tuned: false }),
-                SortStrategy::None,
-                order,
-            ),
-            KernelConfig::RhocellIncrSort => {
-                Depositor::new(Box::new(RhocellKernel { hand_tuned: false }), incr(), order)
-            }
-            KernelConfig::RhocellIncrSortVpu => {
-                Depositor::new(Box::new(RhocellKernel { hand_tuned: true }), incr(), order)
-            }
-            KernelConfig::MatrixOnly => Depositor::new(
-                Box::new(MatrixKernel::matrix_only()),
-                SortStrategy::None,
-                order,
-            ),
-            KernelConfig::HybridNoSort => {
-                Depositor::new(Box::new(MatrixKernel::hybrid()), SortStrategy::None, order)
-            }
-            KernelConfig::HybridGlobalSort => Depositor::new(
-                Box::new(MatrixKernel::hybrid()),
-                SortStrategy::GlobalEveryStep,
-                order,
-            ),
-            KernelConfig::FullOpt => {
-                Depositor::new(Box::new(MatrixKernel::hybrid()), incr(), order)
-            }
-        }
+        Depositor::new(self, order)
     }
 
     /// Peak FP64 rate (FLOPs/cycle) used as the denominator of the
@@ -149,7 +175,7 @@ mod tests {
         for cfg in KernelConfig::ALL {
             for order in [ShapeOrder::Cic, ShapeOrder::Qsp] {
                 let d = cfg.build(order);
-                assert!(!d.name().is_empty());
+                assert_eq!(d.name(), cfg.name());
                 assert_eq!(d.order(), order);
             }
         }
@@ -159,6 +185,35 @@ mod tests {
     fn labels_match_paper_tables() {
         assert_eq!(KernelConfig::FullOpt.label(), "MatrixPIC (FullOpt)");
         assert_eq!(KernelConfig::Baseline.label(), "Baseline (WarpX)");
+    }
+
+    #[test]
+    fn kernel_table_pins_every_config() {
+        // The names are snapshot bytes (META section, compared on
+        // restore): changing one orphans every snapshot written before.
+        use KernelFamily::{Matrix, Rhocell, Scatter};
+        use PrepStyle::{Autovec, Scalar, VpuIntrinsics};
+        let want = [
+            (Scatter, Autovec, "baseline", false),
+            (Scatter, Autovec, "baseline", true),
+            (Rhocell, Autovec, "rhocell_autovec", false),
+            (Rhocell, Autovec, "rhocell_autovec", true),
+            (Rhocell, VpuIntrinsics, "rhocell_vpu", true),
+            (Matrix, Scalar, "matrix_only", false),
+            (Matrix, VpuIntrinsics, "matrixpic", false),
+            (Matrix, VpuIntrinsics, "matrixpic", true),
+            (Matrix, VpuIntrinsics, "matrixpic", true),
+        ];
+        for (cfg, (family, prep, name, sorted)) in KernelConfig::ALL.into_iter().zip(want) {
+            assert_eq!(cfg.family(), family, "{cfg:?}");
+            assert_eq!(cfg.prep_style(), prep, "{cfg:?}");
+            assert_eq!(cfg.name(), name, "{cfg:?}");
+            assert_eq!(cfg.strategy().provides_sorted_order(), sorted, "{cfg:?}");
+        }
+        assert!(matches!(
+            KernelConfig::HybridGlobalSort.strategy(),
+            SortStrategy::GlobalEveryStep
+        ));
     }
 
     #[test]

@@ -33,94 +33,55 @@
 //! extraction per pair — reproducing the `Hybrid-noSort` degradation of
 //! the ablation study (Figure 10).
 
-use mpic_machine::{Machine, Meter, Phase, Pricing, TileId, VReg, VLANES};
+use mpic_machine::{Machine, Meter, Phase, Pricing, TileId, VAddr, VReg, VLANES};
 use mpic_particles::cell_runs;
 
-use crate::common::{PrepStyle, Staging};
-use crate::kernel::{DepositionKernel, TileCtx, TileOutput};
+use crate::common::Staging;
+use crate::kernel::TileCtx;
 use crate::rhocell::Rhocell;
 use crate::shape::ShapeOrder;
-
-/// The hybrid VPU-MPU deposition kernel.
-#[derive(Debug, Clone, Copy)]
-pub struct MatrixKernel {
-    /// Preprocessing style: `VpuIntrinsics` for the full hybrid pipeline,
-    /// `Scalar` for the `Matrix-only` ablation configuration.
-    pub prep: PrepStyle,
-}
-
-impl MatrixKernel {
-    /// The full hybrid configuration (`FullOpt` when paired with
-    /// incremental sorting).
-    pub fn hybrid() -> Self {
-        Self {
-            prep: PrepStyle::VpuIntrinsics,
-        }
-    }
-
-    /// The `Matrix-only` ablation: MPU compute with scalar staging.
-    pub fn matrix_only() -> Self {
-        Self {
-            prep: PrepStyle::Scalar,
-        }
-    }
-}
 
 /// Tiles used per current component (Jx, Jy, Jz).
 const COMP_TILE: [TileId; 3] = [TileId(0), TileId(1), TileId(2)];
 
-impl DepositionKernel for MatrixKernel {
-    fn name(&self) -> &'static str {
-        match self.prep {
-            PrepStyle::Scalar => "matrix_only",
-            _ => "matrixpic",
-        }
-    }
-
-    fn prep_style(&self) -> PrepStyle {
-        self.prep
-    }
-
-    fn uses_rhocell(&self) -> bool {
-        true
-    }
-
-    fn deposit_tile(&self, m: &mut Machine, ctx: &TileCtx, st: &Staging, out: &mut TileOutput) {
-        let TileOutput::Rho { rho_addr, rho } = out else {
-            panic!("matrix kernel requires a rhocell output");
-        };
-        // Run-batched by design, so the mode only selects the price of
-        // the per-run rhocell accumulate.
-        let pricing = ctx.mode.pricing();
-        m.in_phase(Phase::Compute, |m| {
-            // Process maximal runs of identical cell id via the shared
-            // run iterator (sorted input => one run per occupied cell;
-            // unsorted input => short runs). MPU tile registers stay
-            // resident across a run and are extracted once per run — the
-            // kernel was run-batched by design; `cell_runs` makes its
-            // run boundaries the same ones the rest of the batched hot
-            // path uses.
-            for run in cell_runs(&st.cell_local[..st.n]) {
-                match ctx.order {
-                    ShapeOrder::Cic => {
-                        deposit_run_cic(
-                            m, pricing, st, run.start, run.end, run.cell, *rho_addr, rho,
-                        );
-                    }
-                    ShapeOrder::Qsp => {
-                        deposit_run_slabs::<4>(
-                            m, pricing, st, run.start, run.end, run.cell, *rho_addr, rho,
-                        );
-                    }
-                    ShapeOrder::Tsc => {
-                        deposit_run_slabs::<3>(
-                            m, pricing, st, run.start, run.end, run.cell, *rho_addr, rho,
-                        );
-                    }
+/// The hybrid VPU-MPU deposition kernel: accumulates one tile's staged
+/// particles into the tile [`Rhocell`] at `rho_addr`, run by run. The
+/// same code serves every configuration of the family (`Matrix-only`
+/// differs only in its scalar staging) and every execution mode: it is
+/// run-batched by design, so the mode only selects `ctx.pricing`, the
+/// price of the per-run rhocell accumulate.
+pub fn deposit_tile(
+    m: &mut Machine,
+    ctx: &TileCtx,
+    st: &Staging,
+    rho_addr: VAddr,
+    rho: &mut Rhocell,
+) {
+    let pricing = ctx.pricing;
+    m.in_phase(Phase::Compute, |m| {
+        // Process maximal runs of identical cell id via the shared run
+        // iterator (sorted input => one run per occupied cell; unsorted
+        // input => short runs). MPU tile registers stay resident across
+        // a run and are extracted once per run; `cell_runs` makes its
+        // run boundaries the same ones the push's run sweep uses.
+        for run in cell_runs(&st.cell_local[..st.n]) {
+            match ctx.order {
+                ShapeOrder::Cic => {
+                    deposit_run_cic(m, pricing, st, run.start, run.end, run.cell, rho_addr, rho);
+                }
+                ShapeOrder::Qsp => {
+                    deposit_run_slabs::<4>(
+                        m, pricing, st, run.start, run.end, run.cell, rho_addr, rho,
+                    );
+                }
+                ShapeOrder::Tsc => {
+                    deposit_run_slabs::<3>(
+                        m, pricing, st, run.start, run.end, run.cell, rho_addr, rho,
+                    );
                 }
             }
-        });
-    }
+        }
+    });
 }
 
 /// CIC: one MOPA per pair per component; tile resident across the run.
@@ -134,7 +95,7 @@ fn deposit_run_cic(
     run_start: usize,
     run_end: usize,
     cell: usize,
-    rho_addr: mpic_machine::VAddr,
+    rho_addr: VAddr,
     rho: &mut Rhocell,
 ) {
     for comp in 0..3 {
@@ -216,7 +177,7 @@ fn deposit_run_slabs<const S: usize>(
     run_start: usize,
     run_end: usize,
     cell: usize,
-    rho_addr: mpic_machine::VAddr,
+    rho_addr: VAddr,
     rho: &mut Rhocell,
 ) {
     // Extraction packing: QSP's b-rows are 4 lanes, so two of them fill
@@ -293,11 +254,18 @@ fn deposit_run_slabs<const S: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::configs::{KernelConfig, KernelFamily};
 
     #[test]
     fn constructor_names() {
-        assert_eq!(MatrixKernel::hybrid().name(), "matrixpic");
-        assert_eq!(MatrixKernel::matrix_only().name(), "matrix_only");
-        assert!(MatrixKernel::hybrid().uses_rhocell());
+        // The hybrid and the MPU-only configurations both run this
+        // kernel; only the name they build with tells them apart.
+        for (cfg, name) in [
+            (KernelConfig::FullOpt, "matrixpic"),
+            (KernelConfig::MatrixOnly, "matrix_only"),
+        ] {
+            assert_eq!(cfg.family(), KernelFamily::Matrix);
+            assert_eq!(cfg.build(ShapeOrder::Cic).name(), name);
+        }
     }
 }

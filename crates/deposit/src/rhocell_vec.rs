@@ -1,206 +1,94 @@
 //! VPU-based rhocell deposition kernels.
 //!
-//! Two configurations of the same algorithm (the strongest VPU baselines
-//! of the paper's Table 1/2 comparison):
+//! Two configurations of the same algorithm, [`deposit_tile`] (the
+//! strongest VPU baselines of the paper's Table 1/2 comparison):
 //!
-//! * [`RhocellKernel`] with `hand_tuned = false` — "Rhocell (auto-vec)": a
-//!   faithful reproduction of the compiler-vectorised rhocell
-//!   implementation; arithmetic is charged at the auto-vectorisation
-//!   efficiency of the cost model (the paper observes compilers
-//!   "struggle to vectorise" its preprocessing).
-//! * `hand_tuned = true` — "Rhocell (VPU)": the manually vectorised
-//!   variant with full intrinsic throughput.
+//! * [`PrepStyle::Autovec`] — "Rhocell (auto-vec)": a faithful
+//!   reproduction of the compiler-vectorised rhocell implementation;
+//!   arithmetic is charged at the auto-vectorisation efficiency of the
+//!   cost model (the paper observes compilers "struggle to vectorise"
+//!   its preprocessing).
+//! * [`PrepStyle::VpuIntrinsics`] — "Rhocell (VPU)": the manually
+//!   vectorised variant with full intrinsic throughput.
 //!
 //! Both accumulate per-cell node vectors into the tile [`Rhocell`], which
 //! removes the scatter conflicts of the baseline; combined with sorted
 //! iteration the rhocell working set stays cache-resident, which is the
 //! paper's `Rhocell+IncrSort` observation.
 
-use mpic_machine::{Lanes, Machine, Phase, Pricing, VAddr, VReg, VLANES};
-use mpic_particles::cell_runs;
+use mpic_machine::{Machine, Phase, Pricing, VAddr, VReg, VLANES};
 
 use crate::common::{PrepStyle, Staging};
-use crate::kernel::{DepositionKernel, ExecMode, TileCtx, TileOutput};
+use crate::kernel::TileCtx;
 use crate::rhocell::Rhocell;
-use crate::shape::{MAX_NODES_3D, MAX_SUPPORT};
+use crate::shape::MAX_SUPPORT;
 
-/// VPU rhocell kernel (auto-vectorised or hand-tuned).
-#[derive(Debug, Clone, Copy)]
-pub struct RhocellKernel {
-    /// Whether the kernel models hand-written intrinsics (no
-    /// auto-vectorisation penalty).
-    pub hand_tuned: bool,
-}
-
-impl DepositionKernel for RhocellKernel {
-    fn name(&self) -> &'static str {
-        if self.hand_tuned {
-            "rhocell_vpu"
-        } else {
-            "rhocell_autovec"
-        }
-    }
-
-    fn prep_style(&self) -> PrepStyle {
-        if self.hand_tuned {
-            PrepStyle::VpuIntrinsics
-        } else {
-            PrepStyle::Autovec
-        }
-    }
-
-    fn uses_rhocell(&self) -> bool {
-        true
-    }
-
-    fn deposit_tile(&self, m: &mut Machine, ctx: &TileCtx, st: &Staging, out: &mut TileOutput) {
-        let TileOutput::Rho { rho_addr, rho } = out else {
-            panic!("rhocell kernel requires a rhocell output");
-        };
-        if let ExecMode::Runs(pricing) = ctx.mode {
-            deposit_tile_runs(m, ctx, st, pricing, *rho_addr, rho, self.hand_tuned);
-            return;
-        }
-        let s = ctx.order.support();
-        let nodes = ctx.order.nodes_3d();
-        m.in_phase(Phase::Compute, |m| {
-            if !self.hand_tuned {
-                m.use_autovec_model();
-            }
-            for p in 0..st.n {
-                let cell = st.cell_local[p];
-                // Staged term loads for this particle (register-blocked
-                // in the real kernel; cache-blocked staging => issue
-                // cost only).
-                m.v_issue(2);
-
-                // Precompute the s*s x-y products (2 vector ops for QSP's
-                // 16 terms, 1 for CIC's 4). Stack-resident: support is at
-                // most MAX_SUPPORT, so the hot loop never allocates.
-                let mut sxy = [0.0; MAX_SUPPORT * MAX_SUPPORT];
-                for b in 0..s {
-                    for a in 0..s {
-                        sxy[b * s + a] = st.s(0, a, p) * st.s(1, b, p);
-                    }
-                }
-                m.v_ops((s * s).div_ceil(VLANES).max(1));
-
-                // Hoist the three effective-current broadcasts out of the
-                // node loop (one register each).
-                let wq_reg = [
-                    m.v_splat(st.wq[0][p]),
-                    m.v_splat(st.wq[1][p]),
-                    m.v_splat(st.wq[2][p]),
-                ];
-
-                // Sweep the node vector in full-width chunks; node id is
-                // (c*s + b)*s + a with a fastest, so each chunk is a run
-                // of x-y products times one or two sz terms.
-                let mut node = 0;
-                while node < nodes {
-                    let w = (nodes - node).min(VLANES);
-                    let mut svals = [0.0; VLANES];
-                    for (l, val) in svals.iter_mut().enumerate().take(w) {
-                        let nd = node + l;
-                        let ab = nd % (s * s);
-                        let c = nd / (s * s);
-                        *val = sxy[ab] * st.s(2, c, p);
-                    }
-                    // One multiply to fold sz into the chunk.
-                    let sreg = m.v_mul(VReg::from_slice(&svals[..w]), VReg::splat(1.0));
-                    for comp in 0..3 {
-                        let contrib = m.v_mul(sreg, wq_reg[comp]);
-                        rho.accumulate(m, Pricing::Walk, *rho_addr, comp, cell, node, w, contrib);
-                    }
-                    node += w;
-                }
-            }
-            m.use_intrinsics_model();
-        });
-    }
-}
-
-/// The cell-run rhocell sweep: each same-cell run accumulates into a
-/// stack-resident stencil block (per-particle adds in particle order,
-/// products identical to the per-particle kernel's lane arithmetic) and
-/// the block is folded into the tile rhocell **once per run** — one
-/// load/add/store pass per cell instead of one per particle, priced at
-/// `pricing`. Because a sorted tile has exactly one run per occupied
-/// cell and the rhocell slice starts at +0.0, regrouping through the
-/// block reproduces the per-particle accumulation bit for bit (the
-/// `batched_*` equivalence tests pin this).
-fn deposit_tile_runs(
+/// The VPU rhocell kernel: accumulates each staged particle's per-node
+/// contributions into the tile [`Rhocell`] at `rho_addr`, one particle
+/// at a time. `prep` is the configuration's staging style, and the
+/// compute loop takes the same one: [`PrepStyle::Autovec`] charges
+/// arithmetic at the auto-vectorisation efficiency, anything else at
+/// full intrinsic throughput.
+pub fn deposit_tile(
     m: &mut Machine,
     ctx: &TileCtx,
     st: &Staging,
-    pricing: Pricing,
+    prep: PrepStyle,
     rho_addr: VAddr,
     rho: &mut Rhocell,
-    hand_tuned: bool,
 ) {
     let s = ctx.order.support();
     let nodes = ctx.order.nodes_3d();
     m.in_phase(Phase::Compute, |m| {
-        if !hand_tuned {
+        if prep == PrepStyle::Autovec {
             m.use_autovec_model();
         }
-        let mut block = [[0.0f64; MAX_NODES_3D]; 3];
-        for run in cell_runs(&st.cell_local[..st.n]) {
-            let cell = run.cell;
-            for comp in block.iter_mut() {
-                comp[..nodes].fill(0.0);
-            }
-            for p in run.range() {
-                m.v_issue(2); // Staged term loads (cache-blocked).
+        for p in 0..st.n {
+            let cell = st.cell_local[p];
+            // Staged term loads for this particle (register-blocked
+            // in the real kernel; cache-blocked staging => issue
+            // cost only).
+            m.v_issue(2);
 
-                // The s*s x-y products, as in the per-particle kernel.
-                let mut sxy = [0.0; MAX_SUPPORT * MAX_SUPPORT];
-                for b in 0..s {
-                    for a in 0..s {
-                        sxy[b * s + a] = st.s(0, a, p) * st.s(1, b, p);
-                    }
-                }
-                m.v_ops((s * s).div_ceil(VLANES).max(1));
-                m.v_issue(3); // The three wq broadcasts (no FLOPs).
-
-                let wq = [st.wq[0][p], st.wq[1][p], st.wq[2][p]];
-                let mut node = 0;
-                while node < nodes {
-                    let w = (nodes - node).min(VLANES);
-                    m.v_ops(1); // Fold sz into the chunk.
-
-                    // Lane-parallel block accumulate: per (comp, node)
-                    // the adds land in particle order with the
-                    // per-particle kernel's `(sx*sy)*sz` association.
-                    // Ragged final chunks run zero-padded (QSP's 64
-                    // nodes split evenly, TSC's 27 leave a 3-wide
-                    // tail): only the `w` active lanes are written back.
-                    let mut svals = [0.0; VLANES];
-                    for (l, v) in svals.iter_mut().enumerate().take(w) {
-                        let nd = node + l;
-                        *v = sxy[nd % (s * s)] * st.s(2, nd / (s * s), p);
-                    }
-                    let svals = Lanes(svals);
-                    for comp in 0..3 {
-                        m.v_ops(1); // Effective-current multiply.
-                        m.v_issue(1); // Block accumulate (L1-resident).
-                        Lanes::from_slice(&block[comp][node..node + w])
-                            .mul_acc(svals, Lanes::splat(wq[comp]))
-                            .write_to(&mut block[comp][node..node + w], w);
-                    }
-                    node += w;
+            // Precompute the s*s x-y products (2 vector ops for QSP's
+            // 16 terms, 1 for CIC's 4). Stack-resident: support is at
+            // most MAX_SUPPORT, so the hot loop never allocates.
+            let mut sxy = [0.0; MAX_SUPPORT * MAX_SUPPORT];
+            for b in 0..s {
+                for a in 0..s {
+                    sxy[b * s + a] = st.s(0, a, p) * st.s(1, b, p);
                 }
             }
-            // One load/add/store pass over the cell's rhocell slice per
-            // run — the per-particle path pays this per particle.
-            for comp in 0..3 {
-                let mut node = 0;
-                while node < nodes {
-                    let w = (nodes - node).min(VLANES);
-                    let contrib = VReg::from_slice(&block[comp][node..node + w]);
-                    rho.accumulate(m, pricing, rho_addr, comp, cell, node, w, contrib);
-                    node += w;
+            m.v_ops((s * s).div_ceil(VLANES).max(1));
+
+            // Hoist the three effective-current broadcasts out of the
+            // node loop (one register each).
+            let wq_reg = [
+                m.v_splat(st.wq[0][p]),
+                m.v_splat(st.wq[1][p]),
+                m.v_splat(st.wq[2][p]),
+            ];
+
+            // Sweep the node vector in full-width chunks; node id is
+            // (c*s + b)*s + a with a fastest, so each chunk is a run
+            // of x-y products times one or two sz terms.
+            let mut node = 0;
+            while node < nodes {
+                let w = (nodes - node).min(VLANES);
+                let mut svals = [0.0; VLANES];
+                for (l, val) in svals.iter_mut().enumerate().take(w) {
+                    let nd = node + l;
+                    let ab = nd % (s * s);
+                    let c = nd / (s * s);
+                    *val = sxy[ab] * st.s(2, c, p);
                 }
+                // One multiply to fold sz into the chunk.
+                let sreg = m.v_mul(VReg::from_slice(&svals[..w]), VReg::splat(1.0));
+                for comp in 0..3 {
+                    let contrib = m.v_mul(sreg, wq_reg[comp]);
+                    rho.accumulate(m, Pricing::Walk, rho_addr, comp, cell, node, w, contrib);
+                }
+                node += w;
             }
         }
         m.use_intrinsics_model();
@@ -226,12 +114,23 @@ mod tests {
 
     #[test]
     fn names_distinguish_variants() {
-        assert_eq!(RhocellKernel { hand_tuned: true }.name(), "rhocell_vpu");
-        assert_eq!(
-            RhocellKernel { hand_tuned: false }.name(),
-            "rhocell_autovec"
-        );
-        assert!(RhocellKernel { hand_tuned: true }.uses_rhocell());
+        use crate::configs::{KernelConfig, KernelFamily};
+        for (cfg, prep, name) in [
+            (
+                KernelConfig::RhocellIncrSortVpu,
+                PrepStyle::VpuIntrinsics,
+                "rhocell_vpu",
+            ),
+            (
+                KernelConfig::RhocellIncrSort,
+                PrepStyle::Autovec,
+                "rhocell_autovec",
+            ),
+        ] {
+            assert_eq!(cfg.family(), KernelFamily::Rhocell);
+            assert_eq!(cfg.prep_style(), prep);
+            assert_eq!(cfg.build(ShapeOrder::Cic).name(), name);
+        }
     }
 
     #[test]
@@ -261,7 +160,7 @@ mod tests {
             );
         }
         let mut cycles = Vec::new();
-        for hand_tuned in [false, true] {
+        for prep in [PrepStyle::Autovec, PrepStyle::VpuIntrinsics] {
             let mut m = Machine::new(MachineConfig::lx2());
             let soa_addr = std::array::from_fn(|_| m.mem().alloc_f64(64));
             let rho_addr = m.mem().alloc_f64(3 * 64 * 8);
@@ -277,27 +176,18 @@ mod tests {
                 &c.tiles[0].soa,
                 &iter,
                 &soa_addr,
-                if hand_tuned {
-                    PrepStyle::VpuIntrinsics
-                } else {
-                    PrepStyle::Autovec
-                },
+                prep,
                 Pricing::Walk,
                 &mut st,
             );
             let mut rho = crate::rhocell::Rhocell::new(ShapeOrder::Cic, tile.num_cells());
-            let k = RhocellKernel { hand_tuned };
             let ctx = TileCtx {
                 geom: &geom,
                 tile,
                 order: ShapeOrder::Cic,
-                mode: ExecMode::PerParticle,
+                pricing: Pricing::Walk,
             };
-            let mut out = TileOutput::Rho {
-                rho_addr,
-                rho: &mut rho,
-            };
-            k.deposit_tile(&mut m, &ctx, &st, &mut out);
+            deposit_tile(&mut m, &ctx, &st, prep, rho_addr, &mut rho);
             cycles.push(m.counters().total_cycles());
         }
         assert!(

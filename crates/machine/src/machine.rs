@@ -618,8 +618,12 @@ impl Meter<'_> {
         let line_cy = Machine::GATHER_MLP * self.m.stream_line_price(footprint);
         // One add per new line: a multiply-by-count could round
         // differently. The sum is the same for every base the lines in
-        // hand serve.
-        let stream_cy = |new: usize| (0..new).fold(lane_cy, |cy, _| cy + line_cy);
+        // hand serve. Only the streamed price reads it; a walk still
+        // moves the carry, so the next call counts from this block.
+        let stream_cy = |new: usize| match pricing {
+            Pricing::Walk => 0.0,
+            Pricing::Stream => (0..new).fold(lane_cy, |cy, _| cy + line_cy),
+        };
         let shift = self.m.mem.line_shift();
         let mut cy = stream_cy(carry.advance(block, first, shift));
         for &base in bases {

@@ -29,10 +29,7 @@ fn main() {
     );
     for kernel in KernelConfig::ABLATION {
         let mut sim = workloads::uniform_plasma_sim(cells, ppc, ShapeOrder::Cic, kernel, 7);
-        if !matches!(
-            kernel,
-            KernelConfig::FullOpt | KernelConfig::HybridGlobalSort
-        ) {
+        if !kernel.strategy().provides_sorted_order() {
             workloads::shuffle_particles(&mut sim.electrons, &sim.geom, &sim.layout, 99);
         }
         sim.run(steps);

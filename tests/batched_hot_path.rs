@@ -3,12 +3,12 @@
 //! through `Simulation::step`.
 //!
 //! There is one cell-run implementation (lane packs over same-cell
-//! runs); `batching` selects it and `simd` selects its price model.
-//! Lane-vs-reference *value* coverage therefore lives in the
-//! `batched_*` tests below (run sweep vs per-particle), in
-//! `conf_lane_boris_push_matches_scalar_bitwise` and in the gather unit
-//! tests; the `conf_simd_*` tests compare the same arithmetic under two
-//! pricings and guard the *pricing* contract.
+//! runs), and only the sorted matrix configurations run it: `batching`
+//! selects it and `simd` selects its price model. Lane-vs-reference
+//! *value* coverage therefore lives in the `batched_*` tests below (run
+//! sweep vs per-particle), in `conf_lane_boris_push_matches_scalar_bitwise`
+//! and in the gather unit tests; the `conf_simd_*` tests compare the
+//! same arithmetic under two pricings and guard the *pricing* contract.
 //!
 //! Contract under test (the PR 2-4 determinism contract extended to the
 //! batched path, plus the batched-vs-reference value claims):
@@ -16,15 +16,13 @@
 //! * batched runs are bit-identical across worker counts AND scheduler
 //!   policies — fields, currents, particle counts and per-phase
 //!   `MachineCounters`;
-//! * gather/push values are bit-identical between the batched and
-//!   per-particle paths (gathers are read-only, so caching a run's node
-//!   block is value-exact), and for rhocell/matrix kernels the currents
-//!   are bit-identical too;
-//! * the direct-scatter kernel's run-block regrouping reorders FP adds
-//!   on stencil nodes shared between cells, so its currents are pinned
-//!   to a tight relative bound instead;
-//! * unsorted configurations ignore the knob entirely (fallback to the
-//!   reference sweep, bitwise).
+//! * gather/push values and the matrix kernel's currents are
+//!   bit-identical between the batched and per-particle paths (gathers
+//!   are read-only, so caching a run's node block is value-exact, and
+//!   the MPU kernel runs the same code in every mode);
+//! * configurations without cell-run sweeps — unsorted strategies, and
+//!   the direct-scatter and rhocell kernels on any strategy — ignore the
+//!   knob entirely (the reference sweep, bitwise in values and cycles).
 
 use matrix_pic::core::{workloads, Simulation};
 use matrix_pic::deposit::{KernelConfig, ShapeOrder};
@@ -143,6 +141,8 @@ fn conf_batched_fullopt_values_match_per_particle_bitwise() {
 
 #[test]
 fn conf_batched_rhocell_values_match_per_particle_bitwise() {
+    // The rhocell kernel has no cell-run sweep: batching leaves it on the
+    // per-particle path (cycles included, pinned by the fallback test).
     let (ref_f, _, _) = run(
         uniform(KernelConfig::RhocellIncrSortVpu, false),
         1,
@@ -156,42 +156,6 @@ fn conf_batched_rhocell_values_match_per_particle_bitwise() {
         2,
     );
     assert_values_bitwise("RhocellVPU batched vs per-particle", &ref_f, &bat_f);
-}
-
-#[test]
-fn batched_baseline_values_match_within_tight_bound() {
-    // Direct scatter regroups cross-run FP adds: currents agree to a
-    // tight relative bound (not bitwise); E/B evolve from currents, so
-    // they inherit the same bound.
-    let (ref_f, _, _) = run(
-        uniform(KernelConfig::BaselineIncrSort, false),
-        1,
-        SchedulerPolicy::Static,
-        2,
-    );
-    let (bat_f, _, _) = run(
-        uniform(KernelConfig::BaselineIncrSort, true),
-        1,
-        SchedulerPolicy::Static,
-        2,
-    );
-    for ((name, x), (_, y)) in field_list(&ref_f).into_iter().zip(field_list(&bat_f)) {
-        let scale = x
-            .as_slice()
-            .iter()
-            .fold(0.0f64, |m, v| m.max(v.abs()))
-            .max(1e-300);
-        let worst = x
-            .as_slice()
-            .iter()
-            .zip(y.as_slice())
-            .map(|(u, v)| (u - v).abs() / scale)
-            .fold(0.0, f64::max);
-        assert!(
-            worst < 1e-12,
-            "{name}: rel deviation {worst} exceeds ULP bound"
-        );
-    }
 }
 
 #[test]
@@ -219,21 +183,18 @@ fn conf_batched_path_is_bit_identical_across_workers_and_policies() {
 
 #[test]
 fn conf_batched_unsorted_fallback_is_bitwise_noop() {
-    // HybridNoSort provides no cell-grouped order: the knob must change
-    // nothing at all — values AND cycles.
-    let a = run(
-        uniform(KernelConfig::HybridNoSort, false),
-        1,
-        SchedulerPolicy::Static,
-        2,
-    );
-    let b = run(
-        uniform(KernelConfig::HybridNoSort, true),
-        1,
-        SchedulerPolicy::Static,
-        2,
-    );
-    assert_bitwise("HybridNoSort fallback", &a, &b);
+    // HybridNoSort provides no cell-grouped order, and the direct-scatter
+    // and rhocell kernels have no cell-run sweep even on a sorted
+    // strategy: the knob must change nothing at all — values AND cycles.
+    for kernel in [
+        KernelConfig::HybridNoSort,
+        KernelConfig::RhocellIncrSortVpu,
+        KernelConfig::BaselineIncrSort,
+    ] {
+        let a = run(uniform(kernel, false), 1, SchedulerPolicy::Static, 2);
+        let b = run(uniform(kernel, true), 1, SchedulerPolicy::Static, 2);
+        assert_bitwise(&format!("{kernel:?} fallback"), &a, &b);
+    }
 }
 
 #[test]
@@ -282,25 +243,23 @@ fn uniform_simd(kernel: KernelConfig, batching: bool, simd: bool) -> Simulation 
 /// charge call that also moved data, or a price-dependent sort
 /// schedule, would show here). The pricing half is the live contract:
 /// the memory-bound phases the streaming model re-prices — Preprocess
-/// (streamed staging loads), Compute (streamed rhocell accumulates / a
-/// prefetcher left clean for the scatter sweep), Sort (the incremental
-/// sweep's three unit-stride position streams), Gather (register-reuse
-/// block gathers) and, for rhocell-based kernels, Reduce (the fused
+/// (streamed staging loads), Compute (streamed rhocell accumulates),
+/// Sort (the incremental sweep's three unit-stride position streams),
+/// Gather (register-reuse block gathers) and Reduce (the fused
 /// rhocell→grid traversal) — charge strictly fewer cycles; every
 /// remaining phase (Push, FieldSolve, Other) is bitwise.
 fn assert_simd_streaming_contract(
     label: &str,
     scalar: &(FieldArrays, [f64; 8], usize),
     simd: &(FieldArrays, [f64; 8], usize),
-    reduce_cheaper: bool,
 ) {
     assert_eq!(scalar.2, simd.2, "{label}: particle counts diverged");
     assert_values_bitwise(label, &scalar.0, &simd.0);
     for (i, p) in Phase::ALL.iter().enumerate() {
         let cheaper = matches!(
             p,
-            Phase::Preprocess | Phase::Compute | Phase::Sort | Phase::Gather
-        ) || (reduce_cheaper && *p == Phase::Reduce);
+            Phase::Preprocess | Phase::Compute | Phase::Sort | Phase::Gather | Phase::Reduce
+        );
         if cheaper {
             assert!(
                 simd.1[i] < scalar.1[i],
@@ -346,48 +305,8 @@ fn conf_simd_fullopt_values_bitwise_memory_phases_cheaper() {
             &format!("FullOpt simd vs scalar ({steps} steps)"),
             &scalar,
             &simd,
-            true,
         );
     }
-}
-
-#[test]
-fn conf_simd_rhocell_values_bitwise_memory_phases_cheaper() {
-    let scalar = run(
-        uniform_simd(KernelConfig::RhocellIncrSortVpu, true, false),
-        1,
-        SchedulerPolicy::Static,
-        2,
-    );
-    let simd = run(
-        uniform_simd(KernelConfig::RhocellIncrSortVpu, true, true),
-        1,
-        SchedulerPolicy::Static,
-        2,
-    );
-    assert_simd_streaming_contract("RhocellVPU simd vs scalar", &scalar, &simd, true);
-}
-
-#[test]
-fn conf_simd_direct_scatter_values_bitwise_memory_phases_cheaper() {
-    // The baseline kernel deposits straight to the grid — no rhocell, no
-    // Reduce phase (bitwise zero both ways) — but its staging and the
-    // shared push gather still take the streamed prices, and the scatter
-    // sweep starts from a prefetcher the staging no longer contaminated,
-    // so Preprocess/Compute/Gather are strictly cheaper here too.
-    let scalar = run(
-        uniform_simd(KernelConfig::BaselineIncrSort, true, false),
-        1,
-        SchedulerPolicy::Static,
-        2,
-    );
-    let simd = run(
-        uniform_simd(KernelConfig::BaselineIncrSort, true, true),
-        1,
-        SchedulerPolicy::Static,
-        2,
-    );
-    assert_simd_streaming_contract("BaselineIncrSort simd vs scalar", &scalar, &simd, false);
 }
 
 #[test]
