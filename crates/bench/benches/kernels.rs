@@ -266,6 +266,24 @@ fn bench_block_charges(c: &mut Criterion) {
     });
 }
 
+/// Construction of the `uniform_cic` simulation (32^3, ppc 8, FullOpt):
+/// the load of its 262,144 particles, the initial global sort and the
+/// machine set-up — what `benchmark/` reports as `setup_s`.
+fn bench_load(c: &mut Criterion) {
+    c.bench_function("load_uniform_32_ppc8", |b| {
+        b.iter(|| {
+            let sim = workloads::uniform_plasma_sim(
+                [32, 32, 32],
+                8,
+                ShapeOrder::Cic,
+                KernelConfig::FullOpt,
+                42,
+            );
+            std::hint::black_box(sim.num_particles())
+        });
+    });
+}
+
 fn bench_counting_sort(c: &mut Criterion) {
     c.bench_function("counting_sort_64k", |b| {
         let mut rng = StdRng::seed_from_u64(4);
@@ -369,6 +387,7 @@ criterion_group!(
     bench_incremental_sort,
     bench_qsp_streamed_layers,
     bench_block_charges,
+    bench_load,
     bench_counting_sort,
     bench_full_step,
     bench_grid_passes

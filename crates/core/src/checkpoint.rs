@@ -341,12 +341,6 @@ impl Simulation {
             if n_bins != self.layout.tile(t).num_cells() {
                 return Err(bad("GPMA bin count disagrees with the tile layout"));
             }
-            if cells
-                .iter()
-                .any(|&c| c != INVALID_PARTICLE_ID && c >= n_bins)
-            {
-                return Err(bad("cell bin out of range"));
-            }
             let [x, y, z, ux, uy, uz, w]: [Vec<f64>; 7] =
                 attrs.try_into().expect("seven attribute arrays");
             let soa = ParticleSoA::from_parts(x, y, z, ux, uy, uz, w, alive, free).map_err(bad)?;
@@ -364,6 +358,19 @@ impl Simulation {
                 rebuild_count,
             })
             .map_err(bad)?;
+            // The three parts of a tile must describe one state: a bin
+            // for exactly the live slots, and the index over those bins.
+            if cells.len() != soa.slots() {
+                return Err(bad("bin map length disagrees with the SoA"));
+            }
+            if cells
+                .iter()
+                .zip(&soa.alive)
+                .any(|(&c, &alive)| alive != (c != INVALID_PARTICLE_ID))
+            {
+                return Err(bad("bin map disagrees with SoA liveness"));
+            }
+            gpma.validate(&cells).map_err(bad)?;
             tiles.push(ParticleTile { soa, gpma, cells });
         }
         Ok(Particles {

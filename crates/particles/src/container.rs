@@ -189,6 +189,23 @@ impl ParticleTile {
         (stats, scanned)
     }
 
+    /// Re-derives every slot's bin from its position
+    /// (`INVALID_PARTICLE_ID` for a dead slot) and lays the GPMA out once
+    /// over them: how a tile is indexed after a bulk load or after its
+    /// SoA was permuted wholesale.
+    pub fn reindex(&mut self, tile: &Tile, geom: &GridGeometry, gap_ratio: f64) {
+        let Self { soa, gpma, cells } = self;
+        cells.clear();
+        cells.extend((0..soa.slots()).map(|p| {
+            if !soa.alive[p] {
+                return INVALID_PARTICLE_ID;
+            }
+            let (cell, _) = geom.locate(soa.x[p], soa.y[p], soa.z[p]);
+            tile.local_cell_id(geom.wrap_cell(cell))
+        }));
+        *gpma = Gpma::build(cells, tile.num_cells(), gap_ratio);
+    }
+
     /// Inserts one particle (injection or cross-tile arrival).
     pub fn insert(&mut self, d: Departure, tile: &Tile, geom: &GridGeometry) -> MoveStats {
         let (cell, _) = geom.locate(d.x, d.y, d.z);
@@ -263,6 +280,32 @@ impl ParticleContainer {
             gap_ratio: DEFAULT_GAP_RATIO,
             scratch: vec![SortScratch::default()],
         }
+    }
+
+    /// Builds a container from `particles` in one pass: each is routed to
+    /// its owning tile as [`ParticleContainer::inject`] routes it and
+    /// appended to that tile's SoA in arrival order, then every tile is
+    /// indexed once ([`ParticleTile::reindex`]). The SoA and `cells` are
+    /// those injecting the same sequence leaves; the GPMA is the
+    /// [`Gpma::build`] layout of those `cells` instead of the one a chain
+    /// of one-particle maintenance cycles arrives at.
+    pub fn from_particles(
+        layout: &TileLayout,
+        geom: &GridGeometry,
+        charge: f64,
+        mass: f64,
+        particles: impl IntoIterator<Item = Departure>,
+    ) -> Self {
+        let mut c = Self::new(layout, charge, mass);
+        for d in particles {
+            let cell = geom.wrap_cell(geom.locate(d.x, d.y, d.z).0);
+            let soa = &mut c.tiles[layout.tile_of_cell(cell)].soa;
+            let _ = soa.push(d.x, d.y, d.z, d.ux, d.uy, d.uz, d.w);
+        }
+        for (t, tile) in c.tiles.iter_mut().enumerate() {
+            tile.reindex(layout.tile(t), geom, c.gap_ratio);
+        }
+        c
     }
 
     /// Gap headroom used on rebuilds.
@@ -450,6 +493,36 @@ mod tests {
         assert_eq!(c.tiles[7].len(), 1);
         assert_eq!(c.total_particles(), 2);
         c.check_invariants();
+    }
+
+    #[test]
+    fn from_particles_indexes_what_inject_stores() {
+        let n_cells = [8, 8, 8];
+        let geom = GridGeometry::new(n_cells, LO, DX, 1);
+        let layout = TileLayout::new(&geom, [4, 4, 4]);
+        let mut rng = StdRng::seed_from_u64(3);
+        let particles: Vec<Departure> = (0..600)
+            .map(|_| random_particle(&mut rng, n_cells))
+            .collect();
+        let mut injected = ParticleContainer::new(&layout, -1.0, 1.0);
+        for &d in &particles {
+            let _ = injected.inject(&layout, &geom, d);
+        }
+        let bulk = ParticleContainer::from_particles(&layout, &geom, -1.0, 1.0, particles);
+        for (t, (a, b)) in injected.tiles.iter().zip(&bulk.tiles).enumerate() {
+            let positions =
+                |pt: &ParticleTile| [pt.soa.x.clone(), pt.soa.y.clone(), pt.soa.z.clone()];
+            assert_eq!(positions(a), positions(b), "tile {t}");
+            assert_eq!(
+                (&a.soa.w, &a.soa.alive),
+                (&b.soa.w, &b.soa.alive),
+                "tile {t}"
+            );
+            assert_eq!(a.cells, b.cells, "tile {t}");
+            let built = Gpma::build(&b.cells, layout.tile(t).num_cells(), DEFAULT_GAP_RATIO);
+            assert_eq!(b.gpma.export_state(), built.export_state(), "tile {t}");
+            b.check_invariants();
+        }
     }
 
     #[test]

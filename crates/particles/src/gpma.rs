@@ -769,58 +769,92 @@ impl Gpma {
         })
     }
 
-    /// Exhaustively validates internal invariants against the
-    /// authoritative per-particle bins. Test/debug helper.
+    /// Checks the index against the authoritative per-particle bins
+    /// `cells` in one linear pass: every particle `cells` names is
+    /// indexed exactly once, in that bin (or, while a queued move of it
+    /// has not been applied, in the bin the move leaves), with `slot_of`
+    /// pointing back and nothing else indexed; every gap is on its bin's
+    /// free stack exactly once; the counts agree; and a queued move names
+    /// a particle in range, at most once, with `cells` already holding
+    /// its destination.
+    pub fn validate(&self, cells: &[usize]) -> Result<(), &'static str> {
+        // Plain bitmaps, not hash sets: the determinism lint (L3) bans
+        // hash collections in result-bearing crates outright.
+        let mut held = cells.to_vec();
+        let mut queued = vec![false; cells.len()];
+        for mv in &self.pending {
+            let p = mv.particle;
+            if p >= cells.len() || queued[p] {
+                return Err("gpma: pending move names a particle twice or out of range");
+            }
+            queued[p] = true;
+            if cells[p] != mv.new_bin.unwrap_or(INVALID_PARTICLE_ID) {
+                return Err("gpma: pending move disagrees with the bin map");
+            }
+            held[p] = mv.old_bin.unwrap_or(INVALID_PARTICLE_ID);
+        }
+        let mut on_stack = vec![false; self.capacity()];
+        let mut indexed = 0;
+        for c in 0..self.num_bins() {
+            let (lo, hi) = (self.bin_offsets[c], self.bin_offsets[c + 1]);
+            let mut valid = 0;
+            for (slot, &p) in (lo..hi).zip(&self.local_index[lo..hi]) {
+                if p == INVALID_PARTICLE_ID {
+                    continue;
+                }
+                if p >= cells.len() {
+                    return Err("gpma: index names a particle out of range");
+                }
+                if held[p] != c {
+                    return Err("gpma: index holds a particle outside its bin");
+                }
+                // `slot_of` names one slot per particle: a particle
+                // indexed twice fails here at one of them.
+                if self.slot_of.get(p) != Some(&slot) {
+                    return Err("gpma: slot map inconsistent with index");
+                }
+                valid += 1;
+            }
+            if valid != self.bin_lengths[c] {
+                return Err("gpma: bin length mismatch");
+            }
+            // The stack is as long as the bin has gaps, so holding only
+            // distinct gaps of the bin makes it exactly the gap set.
+            for &s in self.free_stack(c) {
+                if s < lo || s >= hi || self.local_index[s] != INVALID_PARTICLE_ID || on_stack[s] {
+                    return Err("gpma: free stack entry invalid");
+                }
+                on_stack[s] = true;
+            }
+            indexed += valid;
+        }
+        // Every indexed particle is one `held` names, so equal counts
+        // mean every particle `held` names is indexed.
+        let named = held.iter().filter(|&&c| c != INVALID_PARTICLE_ID).count();
+        if indexed != self.num_particles || named != indexed {
+            return Err("gpma: particle count mismatch");
+        }
+        if self.capacity() - indexed != self.num_empty_slots {
+            return Err("gpma: empty slot count mismatch");
+        }
+        let stale = self
+            .slot_of
+            .iter()
+            .enumerate()
+            .any(|(p, &s)| s != INVALID_PARTICLE_ID && self.local_index.get(s) != Some(&p));
+        if stale {
+            return Err("gpma: slot map names a slot the particle is not in");
+        }
+        Ok(())
+    }
+
+    /// [`Gpma::validate`] as an assertion. Test/debug helper.
     ///
     /// # Panics
     ///
     /// Panics on any inconsistency.
     pub fn check_invariants(&self, cells: &[usize]) {
-        // Plain index bitmap, not a HashSet: the determinism lint (L3)
-        // bans hash collections in result-bearing crates outright, and a
-        // checker should not carry a nondeterministic structure even for
-        // membership-only use.
-        let mut seen = vec![false; cells.len()];
-        let mut live_expected = 0;
-        for &c in cells {
-            if c != INVALID_PARTICLE_ID {
-                live_expected += 1;
-            }
-        }
-        assert_eq!(self.num_particles, live_expected, "particle count");
-        let mut total_free = 0;
-        for c in 0..self.num_bins() {
-            let lo = self.bin_offsets[c];
-            let mut valid = 0;
-            for (off, &p) in self.bin_slots(c).iter().enumerate() {
-                if p == INVALID_PARTICLE_ID {
-                    continue;
-                }
-                assert!(p < cells.len(), "particle id {p} out of range");
-                assert!(!seen[p], "particle {p} appears twice");
-                seen[p] = true;
-                assert_eq!(cells[p], c, "particle {p} in wrong bin");
-                assert_eq!(self.slot_of[p], lo + off, "slot map stale for {p}");
-                valid += 1;
-            }
-            assert_eq!(valid, self.bin_lengths[c], "bin {c} length");
-            // With the length right the stack is as long as the bin has
-            // gaps, so holding every gap makes it exactly the gap set.
-            let stack = self.free_stack(c);
-            for (off, &p) in self.bin_slots(c).iter().enumerate() {
-                if p == INVALID_PARTICLE_ID {
-                    let slot = lo + off;
-                    assert!(
-                        stack.contains(&slot),
-                        "gap slot {slot} missing from bin {c} stack"
-                    );
-                }
-            }
-            total_free += stack.len();
-        }
-        let seen_count = seen.iter().filter(|&&s| s).count();
-        assert_eq!(seen_count, live_expected, "all particles indexed");
-        assert_eq!(total_free, self.num_empty_slots, "empty slot count");
+        self.validate(cells).expect("GPMA invariant violated");
     }
 }
 
@@ -1063,6 +1097,30 @@ mod tests {
             new_bin: None,
         });
         assert!(Gpma::from_state(bad).is_err(), "pending bin range");
+    }
+
+    #[test]
+    fn validate_ties_the_index_to_the_bin_map() {
+        let cells = vec![0, 1, 1, 2];
+        let g = Gpma::build(&cells, 3, 0.5);
+        assert_eq!(g.validate(&cells), Ok(()));
+        assert!(g.validate(&cells[..3]).is_err(), "bin map one short");
+        assert!(g.validate(&[0, 2, 1, 2]).is_err(), "bin map disagrees");
+        let dead = [0, INVALID_PARTICLE_ID, 1, 2];
+        assert!(g.validate(&dead).is_err(), "index names a dead slot");
+        let mut queued = g.clone();
+        queued.queue_remove(1, 1);
+        assert_eq!(queued.validate(&dead), Ok(()), "removal still queued");
+        let mut bad = g.clone();
+        bad.queue_remove(4, 1);
+        assert!(
+            bad.validate(&[0, 1, 1, 2, INVALID_PARTICLE_ID]).is_err(),
+            "unindexed"
+        );
+        let mut twice = g;
+        twice.queue_remove(1, 1);
+        twice.queue_insert(1, 2);
+        assert!(twice.validate(&[0, 2, 1, 2]).is_err(), "named twice");
     }
 
     #[test]

@@ -13,6 +13,7 @@ use matrix_pic::core::snapshot::{section, SnapshotError};
 use matrix_pic::core::{workloads, Simulation};
 use matrix_pic::deposit::{KernelConfig, ShapeOrder};
 use matrix_pic::machine::SchedulerPolicy;
+use matrix_pic::particles::{ParticleTile, INVALID_PARTICLE_ID};
 
 const UNIFORM_DIMS: [usize; 3] = [8, 8, 8];
 const UNIFORM_PPC: usize = 2;
@@ -386,6 +387,53 @@ fn incompatible_snapshot_rejected_and_target_untouched() {
     assert!(
         other.snapshot() == before,
         "failed restore mutated the target"
+    );
+}
+
+/// Restores a snapshot of a simulation whose first tile `corrupt`
+/// altered — validly encoded, so only the decoder's cross-checks of SoA,
+/// bin map and GPMA stand between it and a panic in the next step.
+fn restore_with_corrupt_tile(corrupt: impl FnOnce(&mut ParticleTile)) -> Result<(), SnapshotError> {
+    let (_, mut sim) = snapshot_for_corruption();
+    corrupt(&mut sim.electrons.tiles[0]);
+    let bytes = sim.snapshot();
+    uniform_sim(2, SchedulerPolicy::Static, false).restore(&bytes)
+}
+
+#[test]
+fn bin_map_shorter_than_the_soa_is_malformed() {
+    let err = restore_with_corrupt_tile(|tile| {
+        tile.cells.pop();
+    });
+    assert!(
+        matches!(
+            err,
+            Err(SnapshotError::Malformed {
+                section: section::PARTICLES,
+                ..
+            })
+        ),
+        "{err:?}"
+    );
+}
+
+#[test]
+fn index_entry_naming_a_dead_slot_is_malformed() {
+    let err = restore_with_corrupt_tile(|tile| {
+        // Kill an indexed particle in the SoA and the bin map only.
+        let p = tile.gpma.sorted_particles().next().expect("a loaded tile");
+        tile.soa.remove(p);
+        tile.cells[p] = INVALID_PARTICLE_ID;
+    });
+    assert!(
+        matches!(
+            err,
+            Err(SnapshotError::Malformed {
+                section: section::PARTICLES,
+                ..
+            })
+        ),
+        "{err:?}"
     );
 }
 
