@@ -284,6 +284,29 @@ fn bench_load(c: &mut Criterion) {
     });
 }
 
+/// One checkpoint of the `uniform_cic` simulation after a 4-step
+/// warm-up, and one restore of it into the same simulation: the layer
+/// behind the benchmark's `snapshot_mb` and `peak_rss_mb`. The snapshot's
+/// size is printed once.
+fn bench_checkpoint(c: &mut Criterion) {
+    let mut sim =
+        workloads::uniform_plasma_sim([32, 32, 32], 8, ShapeOrder::Cic, KernelConfig::FullOpt, 42);
+    sim.cfg.batching = true;
+    sim.cfg.simd = true;
+    sim.run(4);
+    let bytes = sim.snapshot();
+    println!("uniform_32_ppc8 snapshot: {} bytes", bytes.len());
+    c.bench_function("snapshot_uniform_32_ppc8", |b| {
+        b.iter(|| sim.snapshot().len());
+    });
+    c.bench_function("restore_uniform_32_ppc8", |b| {
+        b.iter(|| {
+            sim.restore(&bytes).expect("a fresh snapshot restores");
+            sim.step_index()
+        });
+    });
+}
+
 fn bench_counting_sort(c: &mut Criterion) {
     c.bench_function("counting_sort_64k", |b| {
         let mut rng = StdRng::seed_from_u64(4);
@@ -388,6 +411,7 @@ criterion_group!(
     bench_qsp_streamed_layers,
     bench_block_charges,
     bench_load,
+    bench_checkpoint,
     bench_counting_sort,
     bench_full_step,
     bench_grid_passes

@@ -12,6 +12,17 @@
 //! dt, geometry — rederived from `SimConfig`) or scratch that is cleared
 //! before each use.
 //!
+//! A tile is stored as its independent state only. Stored: the seven
+//! attribute arrays, the SoA free stack, the GPMA index, its bin
+//! offsets, the per-bin free stacks (concatenated in bin order, LIFO
+//! order kept), the queued moves, the gap ratio and the rebuild flag and
+//! count. Derived at restore: the liveness flags (from the free stack),
+//! the bin map `cells` (each indexed particle's region, then the queued
+//! moves), the reverse map `slot_of`, the bin and stack lengths and the
+//! two counts. `reference` keeps the format-1 encoder, which stored all
+//! of it; `conf_v2_restore_reencodes_to_v1_bitwise` proves that restoring
+//! format 2 rebuilds every derived byte.
+//!
 //! The contract (pinned in `tests/snapshot.rs`): `restore` onto a fresh
 //! simulation built from the same `SimConfig`, followed by `step()`, is
 //! **bit-identical** to stepping the original — fields, currents,
@@ -24,14 +35,16 @@ use mpic_machine::{
     CacheLevelState, CacheSimState, CacheStats, MachineCounters, PerfCounters, Phase, VAddr,
 };
 use mpic_particles::{
-    Gpma, GpmaState, ParticleSoA, ParticleTile, PendingMove, RankSortStats, INVALID_PARTICLE_ID,
+    GpmaState, ParticleSoA, ParticleTile, PendingMove, RankSortStats, INVALID_PARTICLE_ID,
 };
 use mpic_push::BorisCoeffs;
 use mpic_solver::SolverKind;
 use rand::rngs::StdRng;
 
 use crate::simulation::Simulation;
-use crate::snapshot::{section, SectionReader, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snapshot::{
+    section, write_snapshot, SectionReader, SnapshotError, SnapshotReader, SnapshotWriter,
+};
 use crate::timings::{RunReport, StepTimings};
 
 /// The decoded `PARTICLES` section.
@@ -64,17 +77,31 @@ impl Simulation {
     /// is not perturbed, so snapshots can be taken mid-run at any step
     /// boundary.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut wtr = SnapshotWriter::new();
-        self.encode_meta(&mut wtr);
-        self.encode_fields(&mut wtr);
-        self.encode_particles(&mut wtr);
-        self.encode_rng(&mut wtr);
-        self.encode_driver(&mut wtr);
-        self.encode_counters(&mut wtr);
-        self.encode_cache(&mut wtr);
-        self.encode_addrs(&mut wtr);
-        self.encode_report(&mut wtr);
-        wtr.finish()
+        let mut out = Vec::new();
+        self.snapshot_into(&mut out);
+        out
+    }
+
+    /// [`Simulation::snapshot`] into a caller-owned buffer, replacing its
+    /// contents: a buffer kept across snapshots is rewritten in place
+    /// whenever it is large enough, so periodic checkpointing allocates
+    /// nothing in steady state.
+    pub fn snapshot_into(&self, out: &mut Vec<u8>) {
+        write_snapshot(out, |wtr| self.encode(wtr, Self::encode_particles));
+    }
+
+    /// Every section in order, `PARTICLES` by `particles` (the tests'
+    /// v1 oracle swaps in the old encoder).
+    fn encode(&self, wtr: &mut SnapshotWriter<'_>, particles: fn(&Self, &mut SnapshotWriter<'_>)) {
+        self.encode_meta(wtr);
+        self.encode_fields(wtr);
+        particles(self, wtr);
+        self.encode_rng(wtr);
+        self.encode_driver(wtr);
+        self.encode_counters(wtr);
+        self.encode_cache(wtr);
+        self.encode_addrs(wtr);
+        self.encode_report(wtr);
     }
 
     /// Restores the state captured by [`Simulation::snapshot`] into this
@@ -146,7 +173,7 @@ impl Simulation {
     }
 
     /// `META`: the configuration fingerprint.
-    fn encode_meta(&self, wtr: &mut SnapshotWriter) {
+    fn encode_meta(&self, wtr: &mut SnapshotWriter<'_>) {
         wtr.begin_section(section::META);
         for d in 0..3 {
             wtr.put_usize(self.cfg.n_cells[d]);
@@ -217,7 +244,7 @@ impl Simulation {
     }
 
     /// `FIELDS`: the nine guarded field arrays.
-    fn encode_fields(&self, wtr: &mut SnapshotWriter) {
+    fn encode_fields(&self, wtr: &mut SnapshotWriter<'_>) {
         wtr.begin_section(section::FIELDS);
         for arr in field_array_refs(&self.fields) {
             wtr.put_vec_f64(arr.as_slice());
@@ -241,48 +268,37 @@ impl Simulation {
         Ok(field_data)
     }
 
-    /// `PARTICLES`: per-tile SoA + GPMA + authoritative bin maps.
-    fn encode_particles(&self, wtr: &mut SnapshotWriter) {
+    /// `PARTICLES`: per tile, the state that cannot be derived — the SoA
+    /// attributes and free stack, and the GPMA's [`GpmaState`]; index
+    /// words as `u32`. Restore derives the rest ([`ParticleTile::from_parts`]).
+    fn encode_particles(&self, wtr: &mut SnapshotWriter<'_>) {
         wtr.begin_section(section::PARTICLES);
         wtr.put_f64(self.electrons.charge);
         wtr.put_f64(self.electrons.mass);
         wtr.put_f64(self.electrons.gap_ratio());
         wtr.put_usize(self.electrons.tiles.len());
         for tile in &self.electrons.tiles {
-            for attr in [
-                &tile.soa.x,
-                &tile.soa.y,
-                &tile.soa.z,
-                &tile.soa.ux,
-                &tile.soa.uy,
-                &tile.soa.uz,
-                &tile.soa.w,
-            ] {
+            let soa = &tile.soa;
+            for attr in [&soa.x, &soa.y, &soa.z, &soa.ux, &soa.uy, &soa.uz, &soa.w] {
                 wtr.put_vec_f64(attr);
             }
-            wtr.put_vec_bool(&tile.soa.alive);
-            wtr.put_vec_usize(tile.soa.free_slots());
-            wtr.put_vec_usize(&tile.cells);
-            let g = tile.gpma.export_state();
-            wtr.put_vec_usize(&g.local_index);
-            wtr.put_vec_usize(&g.bin_offsets);
-            wtr.put_vec_usize(&g.bin_lengths);
-            wtr.put_usize(g.bin_free.len());
-            for stack in &g.bin_free {
-                wtr.put_vec_usize(stack);
+            let free = soa.free_slots();
+            wtr.put_index_words(free.len(), free.iter().copied());
+            let g = &tile.gpma;
+            for words in [g.local_index(), g.bin_offsets()] {
+                wtr.put_index_words(words.len(), words.iter().copied());
             }
-            wtr.put_vec_usize(&g.slot_of);
-            wtr.put_usize(g.num_particles);
-            wtr.put_usize(g.num_empty_slots);
-            wtr.put_f64(g.gap_ratio);
-            wtr.put_usize(g.pending.len());
-            for p in &g.pending {
-                wtr.put_usize(p.particle);
-                put_opt_usize(wtr, p.old_bin);
-                put_opt_usize(wtr, p.new_bin);
+            wtr.put_index_words(g.num_empty_slots(), g.free_stacks());
+            wtr.put_f64(g.gap_ratio());
+            wtr.put_usize(g.pending().len());
+            for mv in g.pending() {
+                wtr.put_index(mv.particle);
+                for bin in [mv.old_bin, mv.new_bin] {
+                    wtr.put_index(bin.unwrap_or(INVALID_PARTICLE_ID));
+                }
             }
             wtr.put_bool(g.was_rebuilt_this_step);
-            wtr.put_u64(g.rebuild_count);
+            wtr.put_u64(g.rebuild_count());
         }
         wtr.end_section();
     }
@@ -308,70 +324,42 @@ impl Simulation {
             for _ in 0..7 {
                 attrs.push(s.get_vec_f64()?);
             }
-            let alive = s.get_vec_bool()?;
-            let free = s.get_vec_usize()?;
-            let cells = s.get_vec_usize()?;
-            let local_index = s.get_vec_usize()?;
-            let bin_offsets = s.get_vec_usize()?;
-            let bin_lengths = s.get_vec_usize()?;
-            let n_stacks = s.get_usize()?;
-            if n_stacks != bin_lengths.len() {
-                return Err(bad("free-stack count disagrees with bin count"));
+            let free = s.get_vec_index()?;
+            let local_index = s.get_vec_index()?;
+            let bin_offsets = s.get_vec_index()?;
+            if bin_offsets.len() != self.layout.tile(t).num_cells() + 1 {
+                return Err(bad("GPMA bin count disagrees with the tile layout"));
             }
-            let mut bin_free = Vec::with_capacity(n_stacks);
-            for _ in 0..n_stacks {
-                bin_free.push(s.get_vec_usize()?);
-            }
-            let slot_of = s.get_vec_usize()?;
-            let num_particles = s.get_usize()?;
-            let num_empty_slots = s.get_usize()?;
+            let free_stacks = s.get_vec_index()?;
             let g_gap_ratio = s.get_f64()?;
             let n_pending = s.get_usize()?;
-            let mut pending = Vec::with_capacity(n_pending.min(s.remaining() / 17));
+            if n_pending > s.remaining() / 12 {
+                return Err(bad("pending move count exceeds the section"));
+            }
+            let mut pending = Vec::with_capacity(n_pending);
+            let opt = |w| (w != INVALID_PARTICLE_ID).then_some(w);
             for _ in 0..n_pending {
                 pending.push(PendingMove {
-                    particle: s.get_usize()?,
-                    old_bin: get_opt_usize(&mut s)?,
-                    new_bin: get_opt_usize(&mut s)?,
+                    particle: s.get_index()?,
+                    old_bin: opt(s.get_index()?),
+                    new_bin: opt(s.get_index()?),
                 });
             }
             let was_rebuilt_this_step = s.get_bool()?;
             let rebuild_count = s.get_u64()?;
-            let n_bins = bin_lengths.len();
-            if n_bins != self.layout.tile(t).num_cells() {
-                return Err(bad("GPMA bin count disagrees with the tile layout"));
-            }
             let [x, y, z, ux, uy, uz, w]: [Vec<f64>; 7] =
                 attrs.try_into().expect("seven attribute arrays");
-            let soa = ParticleSoA::from_parts(x, y, z, ux, uy, uz, w, alive, free).map_err(bad)?;
-            let gpma = Gpma::from_state(GpmaState {
+            let soa = ParticleSoA::from_parts(x, y, z, ux, uy, uz, w, free).map_err(bad)?;
+            let gpma = GpmaState {
                 local_index,
                 bin_offsets,
-                bin_lengths,
-                bin_free,
-                slot_of,
-                num_particles,
-                num_empty_slots,
+                free_stacks,
                 gap_ratio: g_gap_ratio,
                 pending,
                 was_rebuilt_this_step,
                 rebuild_count,
-            })
-            .map_err(bad)?;
-            // The three parts of a tile must describe one state: a bin
-            // for exactly the live slots, and the index over those bins.
-            if cells.len() != soa.slots() {
-                return Err(bad("bin map length disagrees with the SoA"));
-            }
-            if cells
-                .iter()
-                .zip(&soa.alive)
-                .any(|(&c, &alive)| alive != (c != INVALID_PARTICLE_ID))
-            {
-                return Err(bad("bin map disagrees with SoA liveness"));
-            }
-            gpma.validate(&cells).map_err(bad)?;
-            tiles.push(ParticleTile { soa, gpma, cells });
+            };
+            tiles.push(ParticleTile::from_parts(soa, gpma).map_err(bad)?);
         }
         Ok(Particles {
             charge,
@@ -382,14 +370,14 @@ impl Simulation {
     }
 
     /// `RNG`: the stream position (decoded inline: one `u64`).
-    fn encode_rng(&self, wtr: &mut SnapshotWriter) {
+    fn encode_rng(&self, wtr: &mut SnapshotWriter<'_>) {
         wtr.begin_section(section::RNG);
         wtr.put_u64(self.rng.state());
         wtr.end_section();
     }
 
     /// `DRIVER`: sort-policy counters, window, time, step index.
-    fn encode_driver(&self, wtr: &mut SnapshotWriter) {
+    fn encode_driver(&self, wtr: &mut SnapshotWriter<'_>) {
         wtr.begin_section(section::DRIVER);
         wtr.put_u64(self.sort_stats.steps_since_sort);
         wtr.put_u64(self.sort_stats.rebuilds_accum);
@@ -404,7 +392,7 @@ impl Simulation {
     }
 
     /// `COUNTERS`: per-phase performance counters and cache statistics.
-    fn encode_counters(&self, wtr: &mut SnapshotWriter) {
+    fn encode_counters(&self, wtr: &mut SnapshotWriter<'_>) {
         wtr.begin_section(section::COUNTERS);
         let ctr = self.machine.counters();
         for p in Phase::ALL {
@@ -428,7 +416,7 @@ impl Simulation {
     }
 
     /// `CACHE`: behavioural cache-hierarchy state (tags, LRU, streams).
-    fn encode_cache(&self, wtr: &mut SnapshotWriter) {
+    fn encode_cache(&self, wtr: &mut SnapshotWriter<'_>) {
         wtr.begin_section(section::CACHE);
         let cache = self.machine.mem_ref().cache_state();
         for lvl in [&cache.l1, &cache.l2] {
@@ -448,7 +436,7 @@ impl Simulation {
     }
 
     /// `ADDRS`: the virtual address map and allocator mark.
-    fn encode_addrs(&self, wtr: &mut SnapshotWriter) {
+    fn encode_addrs(&self, wtr: &mut SnapshotWriter<'_>) {
         wtr.begin_section(section::ADDRS);
         wtr.put_u64(self.machine.mem_ref().alloc_mark());
         for a in self.field_addrs {
@@ -535,7 +523,7 @@ impl Simulation {
     }
 
     /// `REPORT`: the accumulated timing report.
-    fn encode_report(&self, wtr: &mut SnapshotWriter) {
+    fn encode_report(&self, wtr: &mut SnapshotWriter<'_>) {
         wtr.begin_section(section::REPORT);
         wtr.put_f64(self.report.useful_flops);
         wtr.put_usize(self.report.steps.len());
@@ -665,26 +653,6 @@ fn field_array_muts(f: &mut FieldArrays) -> [&mut Array3; 9] {
     ]
 }
 
-/// `Option<usize>` as a tag byte plus the value when present.
-fn put_opt_usize(wtr: &mut SnapshotWriter, v: Option<usize>) {
-    match v {
-        Some(x) => {
-            wtr.put_bool(true);
-            wtr.put_usize(x);
-        }
-        None => wtr.put_bool(false),
-    }
-}
-
-/// Inverse of [`put_opt_usize`].
-fn get_opt_usize(s: &mut SectionReader<'_>) -> Result<Option<usize>, SnapshotError> {
-    Ok(if s.get_bool()? {
-        Some(s.get_usize()?)
-    } else {
-        None
-    })
-}
-
 /// Decodes one cache level's behavioural state.
 fn decode_cache_level(s: &mut SectionReader<'_>) -> Result<CacheLevelState, SnapshotError> {
     Ok(CacheLevelState {
@@ -694,4 +662,240 @@ fn decode_cache_level(s: &mut SectionReader<'_>) -> Result<CacheLevelState, Snap
         memo_line: s.get_u64()?,
         memo_slot: s.get_u64()?,
     })
+}
+
+/// The format-1 `PARTICLES` encoder: per tile, everything v2 stores plus
+/// what restore now derives — `alive`, the bin map `cells`, the bin
+/// lengths, one length word per free stack, `slot_of` and the two counts
+/// — with every index word a `u64`. The oracle that v2 drops only
+/// derivable state: a tile restored from v2 re-encodes to the original's
+/// v1 bytes.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// The snapshot as format 1 wrote it: v2's other sections are
+    /// unchanged, so only `PARTICLES` and the version word differ.
+    pub fn snapshot_v1(sim: &Simulation) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_snapshot(&mut out, |wtr| sim.encode(wtr, encode_particles_v1));
+        out[8..12].copy_from_slice(&1u32.to_le_bytes());
+        out
+    }
+
+    /// A length-prefixed vector, each word a `u64`.
+    fn put_vec_usize(wtr: &mut SnapshotWriter<'_>, v: &[usize]) {
+        wtr.put_usize(v.len());
+        for &x in v {
+            wtr.put_usize(x);
+        }
+    }
+
+    /// `Option<usize>` as a tag byte plus the value when present.
+    fn put_opt_usize(wtr: &mut SnapshotWriter<'_>, v: Option<usize>) {
+        wtr.put_bool(v.is_some());
+        if let Some(x) = v {
+            wtr.put_usize(x);
+        }
+    }
+
+    fn encode_particles_v1(sim: &Simulation, wtr: &mut SnapshotWriter<'_>) {
+        wtr.begin_section(section::PARTICLES);
+        wtr.put_f64(sim.electrons.charge);
+        wtr.put_f64(sim.electrons.mass);
+        wtr.put_f64(sim.electrons.gap_ratio());
+        wtr.put_usize(sim.electrons.tiles.len());
+        for tile in &sim.electrons.tiles {
+            let soa = &tile.soa;
+            for attr in [&soa.x, &soa.y, &soa.z, &soa.ux, &soa.uy, &soa.uz, &soa.w] {
+                wtr.put_vec_f64(attr);
+            }
+            wtr.put_usize(soa.alive.len());
+            for &a in &soa.alive {
+                wtr.put_bool(a);
+            }
+            put_vec_usize(wtr, soa.free_slots());
+            put_vec_usize(wtr, &tile.cells);
+            let g = &tile.gpma;
+            put_vec_usize(wtr, g.local_index());
+            put_vec_usize(wtr, g.bin_offsets());
+            let lengths: Vec<usize> = (0..g.num_bins()).map(|c| g.bin_len(c)).collect();
+            put_vec_usize(wtr, &lengths);
+            wtr.put_usize(g.num_bins());
+            for c in 0..g.num_bins() {
+                put_vec_usize(wtr, g.free_stack(c));
+            }
+            put_vec_usize(wtr, g.slot_of());
+            wtr.put_usize(g.num_particles());
+            wtr.put_usize(g.num_empty_slots());
+            wtr.put_f64(g.gap_ratio());
+            wtr.put_usize(g.pending().len());
+            for mv in g.pending() {
+                wtr.put_usize(mv.particle);
+                put_opt_usize(wtr, mv.old_bin);
+                put_opt_usize(wtr, mv.new_bin);
+            }
+            wtr.put_bool(g.was_rebuilt_this_step);
+            wtr.put_u64(g.rebuild_count());
+        }
+        wtr.end_section();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::reference::snapshot_v1;
+    use super::*;
+    use crate::workloads;
+    use mpic_deposit::{KernelConfig, ShapeOrder};
+
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// `tests/exec_mode_goldens.rs`'s runs and, per `(batching, simd)`
+    /// mode, the FNV-1a of their format-1 snapshots — the constants that
+    /// file pinned before format 2.
+    const V1_GOLDENS: [(KernelConfig, ShapeOrder, [u64; 3]); 9] = [
+        (
+            KernelConfig::FullOpt,
+            ShapeOrder::Cic,
+            [0x292f286c0d5851b4, 0xa49f29dbd96f5259, 0xf5bd2296a33f3a88],
+        ),
+        (
+            KernelConfig::FullOpt,
+            ShapeOrder::Qsp,
+            [0x8bbafd1cb59486c4, 0x5bcd61f0ed772ba1, 0xe0b6278181da160a],
+        ),
+        (
+            KernelConfig::FullOpt,
+            ShapeOrder::Tsc,
+            [0x3c2c424ab501df5f, 0x1f7f7f623e003999, 0xa3965d78058baf0e],
+        ),
+        (
+            KernelConfig::RhocellIncrSortVpu,
+            ShapeOrder::Cic,
+            [0x29c1d24704f5653d; 3],
+        ),
+        (
+            KernelConfig::RhocellIncrSortVpu,
+            ShapeOrder::Qsp,
+            [0xadf046c373664eae; 3],
+        ),
+        (
+            KernelConfig::BaselineIncrSort,
+            ShapeOrder::Cic,
+            [0x532caeba51eace9b; 3],
+        ),
+        (
+            KernelConfig::BaselineIncrSort,
+            ShapeOrder::Qsp,
+            [0xe3c88fc87a21a685; 3],
+        ),
+        (
+            KernelConfig::Baseline,
+            ShapeOrder::Cic,
+            [0xc2809cfc465bc1aa; 3],
+        ),
+        (
+            KernelConfig::Baseline,
+            ShapeOrder::Qsp,
+            [0x737b982db1cf3400; 3],
+        ),
+    ];
+    const MODES: [(bool, bool); 3] = [(false, false), (true, false), (true, true)];
+
+    /// Restores `sim`'s v2 snapshot into `fresh` and returns the v1
+    /// encodings of both.
+    fn v1_before_and_after(sim: &Simulation, mut fresh: Simulation) -> (Vec<u8>, Simulation) {
+        fresh.restore(&sim.snapshot()).expect("v2 restores");
+        (snapshot_v1(sim), fresh)
+    }
+
+    /// Format 2 stores only state that cannot be derived, and derives the
+    /// rest exactly: restoring v2 bytes and re-encoding with the format-1
+    /// encoder reproduces the original's v1 bytes, which hash to the
+    /// constants `conf_exec_mode_goldens` pinned before format 2 — every
+    /// kernel x shape x mode row, the unsorted `Baseline` ones included.
+    /// Also on LWFA after window removals (dead slots, free stacks), and
+    /// on a tile with a queued removal and a queued move, where a bin map
+    /// derived without the queued moves must fail.
+    #[test]
+    fn conf_v2_restore_reencodes_to_v1_bitwise() {
+        for (kernel, shape, want) in V1_GOLDENS {
+            for ((batching, simd), want) in MODES.into_iter().zip(want) {
+                let build = || {
+                    let mut s =
+                        workloads::uniform_plasma_sim([8, 8, 16], 10, shape, kernel, 20_260_930);
+                    s.cfg.batching = batching;
+                    s.cfg.simd = simd;
+                    s
+                };
+                let mut sim = build();
+                sim.run(3);
+                let (v1, restored) = v1_before_and_after(&sim, build());
+                let at = format!("{kernel:?}/{shape:?} {:?}", (batching, simd));
+                assert_eq!(fnv1a64(&v1), want, "{at}: v1 bytes moved");
+                assert!(
+                    snapshot_v1(&restored) == v1,
+                    "{at}: restore derived other state"
+                );
+            }
+        }
+
+        let lwfa =
+            || workloads::lwfa_sim([8, 8, 32], 2, ShapeOrder::Cic, KernelConfig::FullOpt, 13);
+        let mut sim = lwfa();
+        sim.run(6);
+        let dead: usize = sim
+            .electrons
+            .tiles
+            .iter()
+            .map(|t| t.soa.free_slots().len())
+            .sum();
+        assert!(dead > 0, "the window removed no particle");
+        let (v1, restored) = v1_before_and_after(&sim, lwfa());
+        assert!(
+            snapshot_v1(&restored) == v1,
+            "lwfa: restore derived other state"
+        );
+
+        let uniform = || {
+            workloads::uniform_plasma_sim([8, 8, 8], 4, ShapeOrder::Cic, KernelConfig::FullOpt, 3)
+        };
+        let mut sim = uniform();
+        sim.run(2);
+        let tile = &mut sim.electrons.tiles[0];
+        let live: Vec<usize> = tile.gpma.sorted_particles().take(2).collect();
+        let [leaver, mover] = live[..] else {
+            panic!("tile 0 holds fewer than two particles")
+        };
+        tile.queue_removal(leaver);
+        let (from, to) = (
+            tile.cells[mover],
+            (tile.cells[mover] + 1) % tile.gpma.num_bins(),
+        );
+        tile.gpma.queue_move(mover, from, to);
+        tile.cells[mover] = to;
+        tile.check_invariants();
+        let (v1, mut restored) = v1_before_and_after(&sim, uniform());
+        assert_eq!(restored.electrons.tiles[0].gpma.pending_len(), 2);
+        assert!(
+            snapshot_v1(&restored) == v1,
+            "pending moves: restore derived other state"
+        );
+        // Mutant: the bin map derived from the index alone.
+        for tile in &mut restored.electrons.tiles {
+            tile.cells.fill(INVALID_PARTICLE_ID);
+            for (bin, p) in tile.gpma.iter_sorted() {
+                tile.cells[p] = bin;
+            }
+        }
+        assert!(
+            snapshot_v1(&restored) != v1,
+            "a bin map without the queued moves passed"
+        );
+    }
 }

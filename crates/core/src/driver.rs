@@ -95,8 +95,10 @@ pub struct ResilientDriver {
     checkpoint_interval: usize,
     /// Consecutive failures tolerated per step before giving up.
     retry_budget: usize,
-    /// Last checkpoint: (step index it captures, snapshot bytes).
-    checkpoint: Option<(u64, Vec<u8>)>,
+    /// Step index the last checkpoint captures.
+    checkpoint_step: Option<u64>,
+    /// The last checkpoint's bytes, rewritten in place by each new one.
+    checkpoint: Vec<u8>,
     stats: RecoveryStats,
 }
 
@@ -107,7 +109,8 @@ impl ResilientDriver {
         Self {
             checkpoint_interval: checkpoint_interval.max(1),
             retry_budget,
-            checkpoint: None,
+            checkpoint_step: None,
+            checkpoint: Vec::new(),
             stats: RecoveryStats::default(),
         }
     }
@@ -120,14 +123,19 @@ impl ResilientDriver {
     /// The most recent checkpoint: the step index it captures and its
     /// serialized bytes (e.g. to persist externally).
     pub fn last_checkpoint(&self) -> Option<(u64, &[u8])> {
-        self.checkpoint
-            .as_ref()
-            .map(|(step, bytes)| (*step, bytes.as_slice()))
+        self.checkpoint_step
+            .map(|step| (step, self.checkpoint.as_slice()))
     }
 
     /// Advances `sim` by `steps`, rolling execution-layer failures back
     /// to the last checkpoint and replaying. Returns the cumulative
     /// [`RecoveryStats`] on success.
+    ///
+    /// The first step of every call is checkpointed: a checkpoint held
+    /// from an earlier call may be of another simulation, or of this one
+    /// at another point of its history. Checkpoints rewrite one held
+    /// buffer ([`Simulation::snapshot_into`]), so the driver holds one
+    /// checkpoint and, in steady state, allocates nothing for it.
     ///
     /// # Panics
     ///
@@ -140,13 +148,12 @@ impl ResilientDriver {
     ) -> Result<RecoveryStats, DriverError> {
         let target = sim.step_index() + steps as u64;
         let mut consecutive_failures = 0usize;
+        let mut next_checkpoint = sim.step_index();
         while sim.step_index() < target {
-            let due = match &self.checkpoint {
-                None => true,
-                Some((step, _)) => sim.step_index() >= step + self.checkpoint_interval as u64,
-            };
-            if due {
-                self.checkpoint = Some((sim.step_index(), sim.snapshot()));
+            if sim.step_index() >= next_checkpoint {
+                sim.snapshot_into(&mut self.checkpoint);
+                self.checkpoint_step = Some(sim.step_index());
+                next_checkpoint = sim.step_index() + self.checkpoint_interval as u64;
                 self.stats.checkpoints_taken += 1;
             }
             let before = sim.step_index();
@@ -172,12 +179,12 @@ impl ResilientDriver {
                         });
                     }
                     self.stats.workers_respawned += sim.repair_workers();
-                    let (ckpt_step, bytes) = self
-                        .checkpoint
-                        .as_ref()
+                    let ckpt_step = self
+                        .checkpoint_step
                         .expect("a checkpoint is taken before the first step");
-                    sim.restore(bytes).map_err(DriverError::Restore)?;
-                    debug_assert_eq!(sim.step_index(), *ckpt_step);
+                    sim.restore(&self.checkpoint)
+                        .map_err(DriverError::Restore)?;
+                    debug_assert_eq!(sim.step_index(), ckpt_step);
                     self.stats.steps_replayed += (before - ckpt_step) as usize;
                 }
             }

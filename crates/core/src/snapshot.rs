@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic   [u8; 8] = "MPICSNAP"
-//! version u32     = 1
+//! version u32     = 2
 //! count   u32     = number of sections
 //! table   count x { id: u32, offset: u64, len: u64, fnv1a64: u64 }
 //! payload concatenated section bytes (offsets are absolute)
@@ -13,17 +13,25 @@
 //!
 //! All integers are little-endian; `f64` values travel as their IEEE-754
 //! bit patterns, so a restored simulation resumes **bit-identically** —
-//! no text round-trip, no locale, no rounding. The format is hand-rolled
-//! and dependency-free on purpose: the simulation's state inventory is
-//! small and stable, and an explicit byte layout is auditable in a way a
-//! derived serializer is not.
+//! no text round-trip, no locale, no rounding. Slot and particle numbers
+//! travel as `u32` *index words*, `u32::MAX` standing for "none". The
+//! format is hand-rolled and dependency-free on purpose: the
+//! simulation's state inventory is small and stable, and an explicit
+//! byte layout is auditable in a way a derived serializer is not.
+//! Version 2 changed only the `PARTICLES` section, which now stores only
+//! state that cannot be derived (see `crate::checkpoint`).
 //!
-//! [`SnapshotWriter`] builds a buffer section by section;
-//! [`SnapshotReader`] validates the header, table and every section
-//! checksum up front, then hands out bounds-checked [`SectionReader`]s.
-//! Corrupt or truncated input of any shape yields a structured
-//! [`SnapshotError`] — decoding never panics (see `tests/snapshot.rs`
-//! for the per-section corruption matrix).
+//! [`write_snapshot`] writes a buffer in one pass: a counting run of the
+//! encoders sizes it exactly, then the writing run encodes each section
+//! in place behind the header and table, back-patching the table entry
+//! and checksumming the section's slice as it closes. A snapshot
+//! therefore costs its own size in memory and nothing more — no
+//! per-section staging, no final copy, no growth. [`SnapshotReader`]
+//! validates the header, table and every section checksum up front, then
+//! hands out bounds-checked [`SectionReader`]s. Corrupt or truncated
+//! input of any shape yields a structured [`SnapshotError`] — decoding
+//! never panics (see `tests/snapshot.rs` for the per-section corruption
+//! matrix and `tests/fuzz_lite.rs` for the restore fuzz target).
 
 use std::fmt;
 
@@ -31,7 +39,7 @@ use std::fmt;
 pub const MAGIC: [u8; 8] = *b"MPICSNAP";
 
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Well-known section identifiers.
 pub mod section {
@@ -39,7 +47,7 @@ pub mod section {
     pub const META: u32 = 1;
     /// The nine guarded field arrays.
     pub const FIELDS: u32 = 2;
-    /// Per-tile SoA + GPMA + authoritative bin maps.
+    /// Per-tile SoA and GPMA state; restore derives the rest.
     pub const PARTICLES: u32 = 3;
     /// RNG stream position.
     pub const RNG: u32 = 4;
@@ -132,24 +140,79 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 const HEADER_LEN: usize = 8 + 4 + 4;
 const TABLE_ENTRY_LEN: usize = 4 + 8 + 8 + 8;
 
-/// Builds a snapshot buffer section by section.
-pub struct SnapshotWriter {
-    sections: Vec<(u32, Vec<u8>)>,
-    open: bool,
-}
-
-impl Default for SnapshotWriter {
-    fn default() -> Self {
-        Self::new()
+/// Writes a snapshot into `out` (cleared first) in one pass, with `out`
+/// sized once: `encode` runs twice over the same [`SnapshotWriter`]
+/// calls, first counting bytes, then writing them into a buffer reserved
+/// to exactly that size — so no byte is ever copied, and the only memory
+/// a snapshot costs is the snapshot. A buffer reused across snapshots
+/// (the driver's held checkpoint) is not reallocated when it is large
+/// enough.
+///
+/// # Panics
+///
+/// Panics if `encode` misuses the writer (see
+/// [`SnapshotWriter::begin_section`]) or writes differently on its two
+/// runs — writer-side programming errors, not input-dependent ones.
+pub fn write_snapshot(out: &mut Vec<u8>, encode: impl Fn(&mut SnapshotWriter<'_>)) {
+    let mut counter = SnapshotWriter {
+        sink: Sink::Count(0),
+        ids: Vec::new(),
+        open: None,
+    };
+    encode(&mut counter);
+    counter.assert_closed();
+    let Sink::Count(payload_len) = counter.sink else {
+        unreachable!("the counting pass counts")
+    };
+    let sections = counter.ids.len();
+    let total = HEADER_LEN + sections * TABLE_ENTRY_LEN + payload_len;
+    out.clear();
+    if out.capacity() < total {
+        // Free the old buffer before taking the new one: growing in place
+        // would copy it, and holding both would double the footprint.
+        *out = Vec::new();
     }
+    out.reserve_exact(total);
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&(sections as u32).to_le_bytes());
+    // The table is back-patched as each section closes.
+    out.resize(HEADER_LEN + sections * TABLE_ENTRY_LEN, 0);
+    let mut writer = SnapshotWriter {
+        sink: Sink::Write(out),
+        ids: Vec::with_capacity(sections),
+        open: None,
+    };
+    encode(&mut writer);
+    writer.assert_closed();
+    assert_eq!(writer.ids, counter.ids, "encoder wrote different sections");
+    assert_eq!(out.len(), total, "encoder wrote different bytes");
 }
 
-impl SnapshotWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        Self {
-            sections: Vec::new(),
-            open: false,
+/// Where a [`SnapshotWriter`]'s bytes go.
+enum Sink<'a> {
+    /// The counting pass: bytes are tallied, not stored.
+    Count(usize),
+    /// The writing pass, into the buffer being built.
+    Write(&'a mut Vec<u8>),
+}
+
+/// Encodes sections for [`write_snapshot`], which drives it twice: once
+/// counting, once writing.
+pub struct SnapshotWriter<'a> {
+    sink: Sink<'a>,
+    /// Ids of the sections opened so far, in order.
+    ids: Vec<u32>,
+    /// Payload start of the open section.
+    open: Option<usize>,
+}
+
+impl SnapshotWriter<'_> {
+    /// Bytes counted or written so far.
+    fn pos(&self) -> usize {
+        match &self.sink {
+            Sink::Count(n) => *n,
+            Sink::Write(out) => out.len(),
         }
     }
 
@@ -160,34 +223,65 @@ impl SnapshotWriter {
     /// Panics if a section is already open or `id` repeats — both are
     /// writer-side programming errors, not input-dependent conditions.
     pub fn begin_section(&mut self, id: u32) {
-        assert!(!self.open, "previous section not closed");
-        assert!(
-            self.sections.iter().all(|(sid, _)| *sid != id),
-            "duplicate section id {id}"
-        );
-        self.sections.push((id, Vec::new()));
-        self.open = true;
+        assert!(self.open.is_none(), "previous section not closed");
+        assert!(!self.ids.contains(&id), "duplicate section id {id}");
+        self.ids.push(id);
+        self.open = Some(self.pos());
     }
 
-    /// Closes the current section.
+    /// Closes the current section, filling in its table entry.
     pub fn end_section(&mut self) {
-        assert!(self.open, "no open section");
-        self.open = false;
+        let start = self.open.take().expect("no open section");
+        if let Sink::Write(out) = &mut self.sink {
+            let entry = HEADER_LEN + (self.ids.len() - 1) * TABLE_ENTRY_LEN;
+            let body = &out[start..];
+            let fields = [
+                (start as u64).to_le_bytes(),
+                (body.len() as u64).to_le_bytes(),
+                fnv1a64(body).to_le_bytes(),
+            ];
+            let id = *self.ids.last().expect("an open section has an id");
+            out[entry..entry + 4].copy_from_slice(&id.to_le_bytes());
+            for (k, f) in fields.iter().enumerate() {
+                out[entry + 4 + 8 * k..entry + 12 + 8 * k].copy_from_slice(f);
+            }
+        }
     }
 
-    fn buf(&mut self) -> &mut Vec<u8> {
-        assert!(self.open, "write outside a section");
-        &mut self.sections.last_mut().expect("open section").1
+    fn assert_closed(&self) {
+        assert!(self.open.is_none(), "section left open at finish");
+    }
+
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        assert!(self.open.is_some(), "write outside a section");
+        match &mut self.sink {
+            Sink::Count(n) => *n += bytes.len(),
+            Sink::Write(out) => out.extend_from_slice(bytes),
+        }
+    }
+
+    /// Appends a length prefix and `v` as `N`-byte words: counted in
+    /// O(1), written element by element.
+    fn put_words<T: Copy, const N: usize>(&mut self, v: &[T], word: impl Fn(T) -> [u8; N]) {
+        self.put_usize(v.len());
+        match &mut self.sink {
+            Sink::Count(n) => *n += N * v.len(),
+            Sink::Write(out) => {
+                for &x in v {
+                    out.extend_from_slice(&word(x));
+                }
+            }
+        }
     }
 
     /// Appends a `u32` (little-endian).
     pub fn put_u32(&mut self, v: u32) {
-        self.buf().extend_from_slice(&v.to_le_bytes());
+        self.put_bytes(&v.to_le_bytes());
     }
 
     /// Appends a `u64` (little-endian).
     pub fn put_u64(&mut self, v: u64) {
-        self.buf().extend_from_slice(&v.to_le_bytes());
+        self.put_bytes(&v.to_le_bytes());
     }
 
     /// Appends a `usize` widened to `u64`.
@@ -202,73 +296,69 @@ impl SnapshotWriter {
 
     /// Appends a `bool` as one byte.
     pub fn put_bool(&mut self, v: bool) {
-        self.buf().push(u8::from(v));
+        self.put_bytes(&[u8::from(v)]);
     }
 
     /// Appends a length-prefixed `u64` vector.
     pub fn put_vec_u64(&mut self, v: &[u64]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_u64(x);
-        }
-    }
-
-    /// Appends a length-prefixed `usize` vector (as `u64`s).
-    pub fn put_vec_usize(&mut self, v: &[usize]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_usize(x);
-        }
+        self.put_words(v, u64::to_le_bytes);
     }
 
     /// Appends a length-prefixed `f64` vector (bit patterns).
     pub fn put_vec_f64(&mut self, v: &[f64]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_f64(x);
-        }
-    }
-
-    /// Appends a length-prefixed `bool` vector (one byte each).
-    pub fn put_vec_bool(&mut self, v: &[bool]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_bool(x);
-        }
+        self.put_words(v, |x| x.to_bits().to_le_bytes());
     }
 
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_usize(s.len());
-        self.buf().extend_from_slice(s.as_bytes());
+        self.put_bytes(s.as_bytes());
     }
 
-    /// Assembles the final buffer: header, table, payload.
+    /// Appends one index word (see [`index_word`]).
+    pub fn put_index(&mut self, v: usize) {
+        self.put_bytes(&index_word(v));
+    }
+
+    /// Appends `len` index words, length-prefixed. The counting pass
+    /// does not iterate `words`.
     ///
     /// # Panics
     ///
-    /// Panics if a section is still open.
-    pub fn finish(self) -> Vec<u8> {
-        assert!(!self.open, "section left open at finish");
-        let table_len = self.sections.len() * TABLE_ENTRY_LEN;
-        let payload_len: usize = self.sections.iter().map(|(_, b)| b.len()).sum();
-        let mut out = Vec::with_capacity(HEADER_LEN + table_len + payload_len);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        let mut offset = (HEADER_LEN + table_len) as u64;
-        for (id, body) in &self.sections {
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&offset.to_le_bytes());
-            out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-            out.extend_from_slice(&fnv1a64(body).to_le_bytes());
-            offset += body.len() as u64;
+    /// Panics if `words` does not yield exactly `len` items.
+    pub fn put_index_words(&mut self, len: usize, words: impl IntoIterator<Item = usize>) {
+        self.put_usize(len);
+        match &mut self.sink {
+            Sink::Count(n) => *n += 4 * len,
+            Sink::Write(out) => {
+                let start = out.len();
+                for v in words {
+                    out.extend_from_slice(&index_word(v));
+                }
+                assert_eq!(out.len() - start, 4 * len, "index word count");
+            }
         }
-        for (_, body) in &self.sections {
-            out.extend_from_slice(body);
-        }
-        out
     }
+}
+
+/// An index word: a slot or particle number as a little-endian `u32`,
+/// with the "none" marker `usize::MAX` (`INVALID_PARTICLE_ID`, an absent
+/// bin) stored as `u32::MAX`.
+///
+/// # Panics
+///
+/// Panics on any other value that does not fit below `u32::MAX` — a
+/// tile of four billion slots, a writer-side limit.
+fn index_word(v: usize) -> [u8; 4] {
+    let w = if v == usize::MAX {
+        u32::MAX
+    } else {
+        u32::try_from(v)
+            .ok()
+            .filter(|&w| w != u32::MAX)
+            .expect("index word exceeds u32")
+    };
+    w.to_le_bytes()
 }
 
 /// Parses and validates a snapshot buffer, handing out per-section
@@ -429,22 +519,10 @@ impl SectionReader<'_> {
         (0..len).map(|_| self.get_u64()).collect()
     }
 
-    /// Reads a length-prefixed `usize` vector.
-    pub fn get_vec_usize(&mut self) -> Result<Vec<usize>, SnapshotError> {
-        let len = self.get_len(8)?;
-        (0..len).map(|_| self.get_usize()).collect()
-    }
-
     /// Reads a length-prefixed `f64` vector.
     pub fn get_vec_f64(&mut self) -> Result<Vec<f64>, SnapshotError> {
         let len = self.get_len(8)?;
         (0..len).map(|_| self.get_f64()).collect()
-    }
-
-    /// Reads a length-prefixed `bool` vector.
-    pub fn get_vec_bool(&mut self) -> Result<Vec<bool>, SnapshotError> {
-        let len = self.get_len(1)?;
-        (0..len).map(|_| self.get_bool()).collect()
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -453,14 +531,27 @@ impl SectionReader<'_> {
         let bytes = self.take(len)?.to_vec();
         String::from_utf8(bytes).map_err(|_| self.malformed("string is not UTF-8"))
     }
+
+    /// Reads one index word; `u32::MAX` reads as `usize::MAX`.
+    pub fn get_index(&mut self) -> Result<usize, SnapshotError> {
+        Ok(match self.get_u32()? {
+            u32::MAX => usize::MAX,
+            w => w as usize,
+        })
+    }
+
+    /// Reads a length-prefixed vector of index words.
+    pub fn get_vec_index(&mut self) -> Result<Vec<usize>, SnapshotError> {
+        let len = self.get_len(4)?;
+        (0..len).map(|_| self.get_index()).collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
+    fn encode_sample(w: &mut SnapshotWriter<'_>) {
         w.begin_section(section::META);
         w.put_u64(42);
         w.put_f64(1.5);
@@ -470,7 +561,42 @@ mod tests {
         w.put_vec_u64(&[1, 2, 3]);
         w.put_bool(true);
         w.end_section();
-        w.finish()
+    }
+
+    fn sample() -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_snapshot(&mut buf, encode_sample);
+        buf
+    }
+
+    #[test]
+    fn layout_is_header_table_then_payload() {
+        let buf = sample();
+        let meta_len = 8 + 8 + (8 + 5);
+        let rng_len = (8 + 3 * 8) + 1;
+        let payload = HEADER_LEN + 2 * TABLE_ENTRY_LEN;
+        assert_eq!(buf.len(), payload + meta_len + rng_len);
+        assert_eq!(buf.capacity(), buf.len(), "sized once, exactly");
+        let entry = |i: usize, k: usize| {
+            let at = HEADER_LEN + i * TABLE_ENTRY_LEN + 4 + 8 * k;
+            u64::from_le_bytes(buf[at..at + 8].try_into().unwrap()) as usize
+        };
+        assert_eq!((entry(0, 0), entry(0, 1)), (payload, meta_len));
+        assert_eq!((entry(1, 0), entry(1, 1)), (payload + meta_len, rng_len));
+        let rng = &buf[payload + meta_len..];
+        assert_eq!(entry(1, 2) as u64, fnv1a64(rng));
+    }
+
+    #[test]
+    fn a_large_enough_buffer_is_reused_in_place() {
+        let mut buf = Vec::with_capacity(4096);
+        let at = buf.as_ptr();
+        write_snapshot(&mut buf, encode_sample);
+        assert_eq!(buf.as_ptr(), at, "reallocated a buffer that fit");
+        assert_eq!(buf, sample());
+        let mut small = vec![7u8; 3];
+        write_snapshot(&mut small, encode_sample);
+        assert_eq!(small, sample());
     }
 
     #[test]
@@ -548,11 +674,12 @@ mod tests {
 
     #[test]
     fn hostile_vector_length_is_rejected_without_allocating() {
-        let mut w = SnapshotWriter::new();
-        w.begin_section(section::FIELDS);
-        w.put_u64(u64::MAX); // Claimed element count.
-        w.end_section();
-        let buf = w.finish();
+        let mut buf = Vec::new();
+        write_snapshot(&mut buf, |w| {
+            w.begin_section(section::FIELDS);
+            w.put_u64(u64::MAX); // Claimed element count.
+            w.end_section();
+        });
         let r = SnapshotReader::new(&buf).unwrap();
         let mut s = r.section(section::FIELDS).unwrap();
         assert!(matches!(

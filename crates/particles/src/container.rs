@@ -2,7 +2,7 @@
 //! operations Algorithm 1 performs on them (global counting sort,
 //! per-step incremental sweep, cross-tile migration).
 
-use crate::gpma::{Gpma, MoveStats, INVALID_PARTICLE_ID, LEAVES_TILE};
+use crate::gpma::{Gpma, GpmaState, MoveStats, INVALID_PARTICLE_ID, LEAVES_TILE};
 use crate::soa::ParticleSoA;
 use crate::sort::{counting_sort_keys_into, SortScratch, SortStats};
 use mpic_grid::{GridGeometry, Tile, TileLayout};
@@ -62,6 +62,22 @@ impl ParticleTile {
             gpma: Gpma::build(&[], n_bins, gap_ratio),
             cells: Vec::new(),
         }
+    }
+
+    /// Reassembles a checkpointed tile from its stored parts, deriving
+    /// the bin map ([`Gpma::from_state`]). The index must hold exactly
+    /// the live slots: a slot is indexed, net of its queued move, iff it
+    /// is not on the SoA's free stack.
+    pub fn from_parts(soa: ParticleSoA, gpma: GpmaState) -> Result<Self, &'static str> {
+        let (gpma, cells) = Gpma::from_state(gpma, soa.slots())?;
+        if cells
+            .iter()
+            .zip(&soa.alive)
+            .any(|(&c, &alive)| alive != (c != INVALID_PARTICLE_ID))
+        {
+            return Err("index disagrees with SoA liveness");
+        }
+        Ok(Self { soa, gpma, cells })
     }
 
     /// Number of live particles in the tile.

@@ -119,27 +119,23 @@ pub struct PendingMove {
     pub new_bin: Option<usize>,
 }
 
-/// Complete checkpointable state of a [`Gpma`], mirroring its internal
-/// fields one-for-one (the configured `min_empty_ratio` maintenance
-/// threshold is a crate constant and therefore not part of the state).
-/// Produced by [`Gpma::export_state`]; consumed — with full structural
-/// validation — by [`Gpma::from_state`].
+/// The independent state of a [`Gpma`]: everything its future depends
+/// on that cannot be derived from the rest. The other fields are what
+/// makes each update O(1), and they follow from these: the bin lengths
+/// and stack lengths from the gaps in each region, the reverse map
+/// `slot_of` from the index, and the counts from both. (The
+/// `min_empty_ratio` threshold is a crate constant.) Produced by
+/// [`Gpma::export_state`]; consumed — with full validation — by
+/// [`Gpma::from_state`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpmaState {
     /// The index array (particle ids or `INVALID_PARTICLE_ID` gaps).
     pub local_index: Vec<usize>,
     /// Region start per bin, plus the trailing capacity entry.
     pub bin_offsets: Vec<usize>,
-    /// Valid particles per bin.
-    pub bin_lengths: Vec<usize>,
-    /// Per-bin empty-slot stacks, LIFO order preserved.
-    pub bin_free: Vec<Vec<usize>>,
-    /// Reverse map: particle index -> slot.
-    pub slot_of: Vec<usize>,
-    /// Live particle count.
-    pub num_particles: usize,
-    /// Free slot count.
-    pub num_empty_slots: usize,
+    /// Every bin's empty-slot stack, bottom first, concatenated in bin
+    /// order: bin `c` owns the next `region - live` entries.
+    pub free_stacks: Vec<usize>,
     /// Fractional gap headroom per bin.
     pub gap_ratio: f64,
     /// Queued (not yet applied) relocations.
@@ -306,8 +302,40 @@ impl Gpma {
     }
 
     /// Bin `c`'s stack of free slots, bottom first.
-    fn free_stack(&self, c: usize) -> &[usize] {
+    pub fn free_stack(&self, c: usize) -> &[usize] {
         &self.free_slots[self.bin_offsets[c]..self.stack_end(c)]
+    }
+
+    /// Every bin's free stack, concatenated in bin order
+    /// ([`GpmaState::free_stacks`]).
+    pub fn free_stacks(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.num_bins()).flat_map(|c| self.free_stack(c).iter().copied())
+    }
+
+    /// The index array: particle ids and `INVALID_PARTICLE_ID` gaps.
+    pub fn local_index(&self) -> &[usize] {
+        &self.local_index
+    }
+
+    /// Region start per bin, plus the trailing capacity entry.
+    pub fn bin_offsets(&self) -> &[usize] {
+        &self.bin_offsets
+    }
+
+    /// The reverse map: particle index -> slot (`INVALID_PARTICLE_ID`
+    /// for a particle not indexed).
+    pub fn slot_of(&self) -> &[usize] {
+        &self.slot_of
+    }
+
+    /// The queued, not yet applied, moves.
+    pub fn pending(&self) -> &[PendingMove] {
+        &self.pending
+    }
+
+    /// Fractional gap headroom per bin.
+    pub fn gap_ratio(&self) -> f64 {
+        self.gap_ratio
     }
 
     /// Raw slot view of bin `c` including `INVALID_PARTICLE_ID` gaps —
@@ -667,21 +695,15 @@ impl Gpma {
         self.was_rebuilt_this_step = true;
     }
 
-    /// Exports the complete internal state for checkpointing. The GPMA
-    /// is pure index bookkeeping (it owns no particle data), so the
-    /// exported state plus the tile's SoA fully determines every future
+    /// Exports the independent state for checkpointing. The GPMA is pure
+    /// index bookkeeping (it owns no particle data), so the exported
+    /// state plus the tile's slot count fully determines every future
     /// operation bit-for-bit.
     pub fn export_state(&self) -> GpmaState {
         GpmaState {
             local_index: self.local_index.clone(),
             bin_offsets: self.bin_offsets.clone(),
-            bin_lengths: self.bin_lengths.clone(),
-            bin_free: (0..self.num_bins())
-                .map(|c| self.free_stack(c).to_vec())
-                .collect(),
-            slot_of: self.slot_of.clone(),
-            num_particles: self.num_particles,
-            num_empty_slots: self.num_empty_slots,
+            free_stacks: self.free_stacks().collect(),
             gap_ratio: self.gap_ratio,
             pending: self.pending.clone(),
             was_rebuilt_this_step: self.was_rebuilt_this_step,
@@ -689,84 +711,104 @@ impl Gpma {
         }
     }
 
-    /// Rebuilds a GPMA from checkpointed state, validating every
-    /// structural invariant instead of trusting the input — a corrupt
-    /// snapshot must surface as an error here, never as a panic in a
-    /// later `apply_pending_moves`.
-    pub fn from_state(s: GpmaState) -> Result<Self, &'static str> {
-        let n_bins = s.bin_lengths.len();
-        if s.bin_offsets.len() != n_bins + 1 || s.bin_free.len() != n_bins {
-            return Err("gpma: bin table lengths disagree");
-        }
-        if s.bin_offsets.first() != Some(&0)
-            || s.bin_offsets.windows(2).any(|w| w[0] > w[1])
-            || s.bin_offsets.last() != Some(&s.local_index.len())
-        {
+    /// Rebuilds a GPMA over a tile of `slots` SoA slots from its
+    /// independent state, and derives the tile's bin map: each indexed
+    /// particle's region, then the queued moves applied (a queued move
+    /// has already updated the map; see [`Gpma::validate`]). Returns the
+    /// index and the bin map.
+    ///
+    /// Validates instead of trusting the input, so a corrupt snapshot
+    /// surfaces as an error here, never as a panic in a later
+    /// maintenance cycle: the offsets tile the index; every index entry
+    /// names a distinct particle below `slots`; each bin's stack holds
+    /// exactly the gaps of its region; and every queued move names a
+    /// distinct particle below `slots`, bins in range, and leaves the bin
+    /// that holds it (none, for an insert).
+    pub fn from_state(s: GpmaState, slots: usize) -> Result<(Self, Vec<usize>), &'static str> {
+        let offsets_ok = s.bin_offsets.first() == Some(&0)
+            && s.bin_offsets.windows(2).all(|w| w[0] <= w[1])
+            && s.bin_offsets.last() == Some(&s.local_index.len());
+        if !offsets_ok {
             return Err("gpma: bin offsets malformed");
         }
         if !(s.gap_ratio.is_finite() && s.gap_ratio >= 0.0) {
             return Err("gpma: gap ratio out of range");
         }
-        let mut live = 0usize;
-        for (slot, &p) in s.local_index.iter().enumerate() {
-            if p == INVALID_PARTICLE_ID {
-                continue;
+        let n_bins = s.bin_offsets.len() - 1;
+        let capacity = s.local_index.len();
+        let mut cells = vec![INVALID_PARTICLE_ID; slots];
+        let mut slot_of = vec![INVALID_PARTICLE_ID; slots];
+        let mut bin_lengths = vec![0usize; n_bins];
+        for c in 0..n_bins {
+            for slot in s.bin_offsets[c]..s.bin_offsets[c + 1] {
+                let p = s.local_index[slot];
+                if p == INVALID_PARTICLE_ID {
+                    continue;
+                }
+                let Some(at) = slot_of.get_mut(p) else {
+                    return Err("gpma: index names a particle past the SoA");
+                };
+                if *at != INVALID_PARTICLE_ID {
+                    return Err("gpma: index names a particle twice");
+                }
+                *at = slot;
+                cells[p] = c;
+                bin_lengths[c] += 1;
             }
-            if p >= s.slot_of.len() || s.slot_of[p] != slot {
-                return Err("gpma: slot map inconsistent with index");
-            }
-            live += 1;
         }
-        if live != s.num_particles {
-            return Err("gpma: particle count mismatch");
+        let live: usize = bin_lengths.iter().sum();
+        if s.free_stacks.len() != capacity - live {
+            return Err("gpma: free stacks disagree with the gap count");
         }
-        if s.local_index.len() - live != s.num_empty_slots {
-            return Err("gpma: empty slot count mismatch");
-        }
-        let mut on_stack = vec![false; s.local_index.len()];
+        // Each stack is as long as its region has gaps, so holding only
+        // distinct gaps of the region makes it exactly the gap set.
+        let mut free_slots = vec![INVALID_PARTICLE_ID; capacity];
+        let mut on_stack = vec![false; capacity];
+        let mut next = s.free_stacks.iter();
         for c in 0..n_bins {
             let (lo, hi) = (s.bin_offsets[c], s.bin_offsets[c + 1]);
-            let valid = s.local_index[lo..hi]
-                .iter()
-                .filter(|&&p| p != INVALID_PARTICLE_ID)
-                .count();
-            if valid != s.bin_lengths[c] {
-                return Err("gpma: bin length mismatch");
-            }
-            if s.bin_free[c].len() != (hi - lo) - valid {
-                return Err("gpma: free stack size mismatch");
-            }
-            for &f in &s.bin_free[c] {
-                if f < lo || f >= hi || s.local_index[f] != INVALID_PARTICLE_ID || on_stack[f] {
-                    return Err("gpma: free stack entry invalid");
+            for k in lo..hi - bin_lengths[c] {
+                let f = *next.next().expect("stack lengths sum to the gap count");
+                if !(lo..hi).contains(&f) || s.local_index[f] != INVALID_PARTICLE_ID || on_stack[f]
+                {
+                    return Err("gpma: free stack entry is not a gap of its bin");
                 }
                 on_stack[f] = true;
+                free_slots[k] = f;
             }
         }
-        let mut free_slots = vec![INVALID_PARTICLE_ID; s.local_index.len()];
-        for (stack, &lo) in s.bin_free.iter().zip(&s.bin_offsets) {
-            free_slots[lo..lo + stack.len()].copy_from_slice(stack);
-        }
+        let mut queued = vec![false; slots];
         for mv in &s.pending {
-            let bin_ok = |b: Option<usize>| b.is_none_or(|b| b < n_bins);
-            if !bin_ok(mv.old_bin) || !bin_ok(mv.new_bin) {
+            let p = mv.particle;
+            if p >= slots || std::mem::replace(&mut queued[p], true) {
+                return Err("gpma: pending move names a particle twice or past the SoA");
+            }
+            if [mv.old_bin, mv.new_bin]
+                .iter()
+                .any(|b| b.is_some_and(|b| b >= n_bins))
+            {
                 return Err("gpma: pending move references missing bin");
             }
+            if cells[p] != mv.old_bin.unwrap_or(INVALID_PARTICLE_ID) {
+                return Err("gpma: pending move leaves a bin the index does not hold it in");
+            }
+            cells[p] = mv.new_bin.unwrap_or(INVALID_PARTICLE_ID);
         }
-        Ok(Self {
+        let gpma = Self {
             local_index: s.local_index,
             bin_offsets: s.bin_offsets,
-            bin_lengths: s.bin_lengths,
+            bin_lengths,
             free_slots,
-            slot_of: s.slot_of,
-            num_particles: s.num_particles,
-            num_empty_slots: s.num_empty_slots,
+            slot_of,
+            num_particles: live,
+            num_empty_slots: capacity - live,
             gap_ratio: s.gap_ratio,
             pending: s.pending,
             was_rebuilt_this_step: s.was_rebuilt_this_step,
             rebuild_count: s.rebuild_count,
             min_empty_ratio: MIN_EMPTY_RATIO,
-        })
+        };
+        Ok((gpma, cells))
     }
 
     /// Checks the index against the authoritative per-particle bins
@@ -1042,9 +1084,15 @@ mod tests {
         g.queue_move(0, 0, 1);
         cells[0] = 1;
         let _ = g.apply_pending_moves(&cells);
-        let mut twin = Gpma::from_state(g.export_state()).unwrap();
+        let (mut twin, derived) = Gpma::from_state(g.export_state(), cells.len()).unwrap();
+        assert_eq!(derived, cells, "the bin map follows from the index");
         twin.check_invariants(&cells);
         assert_eq!(twin.export_state(), g.export_state());
+        assert_eq!(twin.slot_of(), g.slot_of());
+        assert_eq!(
+            (twin.num_particles(), twin.num_empty_slots()),
+            (g.num_particles(), g.num_empty_slots())
+        );
         // Identical future operations must produce identical stats and
         // layout.
         let extended = vec![1, 0, 1, 2, 2, 1];
@@ -1066,37 +1114,76 @@ mod tests {
         let cells = vec![0, 1, 1];
         let g = Gpma::build(&cells, 2, 0.5);
         let good = g.export_state();
-        assert!(Gpma::from_state(good.clone()).is_ok());
-
-        let mut bad = good.clone();
-        bad.num_particles += 1;
-        assert!(Gpma::from_state(bad).is_err(), "particle count");
+        let slots = cells.len();
+        assert!(Gpma::from_state(good.clone(), slots).is_ok());
+        let rejects = |bad: GpmaState, slots: usize| Gpma::from_state(bad, slots).is_err();
 
         let mut bad = good.clone();
         bad.bin_offsets.pop();
-        assert!(Gpma::from_state(bad).is_err(), "offset table");
+        assert!(rejects(bad, slots), "offset table");
+
+        assert!(rejects(good.clone(), 2), "index names a slot past the SoA");
 
         let mut bad = good.clone();
-        bad.slot_of.clear();
-        assert!(Gpma::from_state(bad).is_err(), "slot map");
+        let gap = bad.free_stacks[0];
+        bad.local_index[gap] = 1;
+        assert!(rejects(bad, slots), "particle indexed twice");
 
         let mut bad = good.clone();
-        if let Some(f) = bad.bin_free.iter_mut().find(|f| !f.is_empty()) {
-            f.push(f[0]); // Duplicate free entry.
-        }
-        assert!(Gpma::from_state(bad).is_err(), "duplicate free slot");
+        bad.free_stacks[1] = bad.free_stacks[0];
+        assert!(rejects(bad, slots), "stack entry outside its bin");
+
+        let mut bad = Gpma::build(&[0, 0], 1, 1.0).export_state();
+        assert_eq!(bad.free_stacks.len(), 2);
+        bad.free_stacks[1] = bad.free_stacks[0];
+        assert!(rejects(bad, 2), "duplicate free slot");
+
+        let mut bad = good.clone();
+        bad.free_stacks[0] = bad.bin_offsets[0];
+        assert!(rejects(bad, slots), "stack entry naming an occupied slot");
+
+        let mut bad = good.clone();
+        bad.free_stacks.pop();
+        assert!(rejects(bad, slots), "stack shorter than the gaps");
 
         let mut bad = good.clone();
         bad.gap_ratio = f64::NAN;
-        assert!(Gpma::from_state(bad).is_err(), "NaN gap ratio");
+        assert!(rejects(bad, slots), "NaN gap ratio");
 
-        let mut bad = good;
-        bad.pending.push(PendingMove {
+        for (particle, old_bin, new_bin) in [
+            (0, Some(99), None),
+            (0, Some(0), Some(2)),
+            (0, Some(1), None),
+            (0, None, Some(1)),
+            (3, None, Some(1)),
+        ] {
+            let mut bad = good.clone();
+            bad.pending.push(PendingMove {
+                particle,
+                old_bin,
+                new_bin,
+            });
+            assert!(
+                rejects(bad, slots),
+                "pending {particle} {old_bin:?} {new_bin:?}"
+            );
+        }
+        let mut twice = good;
+        twice.pending.push(PendingMove {
             particle: 0,
-            old_bin: Some(99),
+            old_bin: Some(0),
+            new_bin: Some(1),
+        });
+        assert!(Gpma::from_state(twice.clone(), slots).is_ok());
+        twice.pending.push(PendingMove {
+            particle: 0,
+            old_bin: Some(1),
             new_bin: None,
         });
-        assert!(Gpma::from_state(bad).is_err(), "pending bin range");
+        assert!(
+            rejects(twice, slots),
+            "pending move naming a particle twice"
+        );
     }
 
     #[test]
@@ -1171,9 +1258,8 @@ mod tests {
             rebuilds += stats.rebuilds;
             let s = g.export_state();
             for w in s
-                .bin_free
+                .free_stacks
                 .iter()
-                .flatten()
                 .chain(&s.bin_offsets)
                 .chain(&s.local_index)
             {
@@ -1190,7 +1276,8 @@ mod tests {
             &[32, 33, 30],
             &[55, 41],
         ];
-        assert_eq!(g.export_state().bin_free, expected);
+        let stacks: Vec<&[usize]> = (0..n_bins).map(|c| g.free_stack(c)).collect();
+        assert_eq!(stacks, expected);
     }
 
     #[test]

@@ -150,12 +150,13 @@ impl ParticleSoA {
         &self.free
     }
 
-    /// Rebuilds an SoA from checkpointed parts, validating the storage
-    /// invariants instead of trusting the input: all arrays equally long,
-    /// every free-stack index a distinct dead slot, and every dead slot
-    /// on the stack. Returns a description of the violated invariant on
-    /// malformed input (corrupt snapshots must surface as errors, never
-    /// as a poisoned container).
+    /// Rebuilds an SoA from checkpointed parts: the seven attribute
+    /// arrays and the free stack, from which the liveness flags follow (a
+    /// slot is dead exactly when it is on the stack). Validates instead of
+    /// trusting the input — all arrays equally long, every free-stack
+    /// index a distinct slot — and returns a description of the violated
+    /// invariant on malformed input (corrupt snapshots must surface as
+    /// errors, never as a poisoned container).
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         x: Vec<f64>,
@@ -165,39 +166,22 @@ impl ParticleSoA {
         uy: Vec<f64>,
         uz: Vec<f64>,
         w: Vec<f64>,
-        alive: Vec<bool>,
         free: Vec<usize>,
     ) -> Result<Self, &'static str> {
         let n = x.len();
-        if [
-            y.len(),
-            z.len(),
-            ux.len(),
-            uy.len(),
-            uz.len(),
-            w.len(),
-            alive.len(),
-        ]
-        .iter()
-        .any(|&l| l != n)
+        if [y.len(), z.len(), ux.len(), uy.len(), uz.len(), w.len()]
+            .iter()
+            .any(|&l| l != n)
         {
             return Err("attribute arrays disagree in length");
         }
-        let mut on_stack = vec![false; n];
+        let mut alive = vec![true; n];
         for &i in &free {
-            if i >= n {
-                return Err("free-stack index out of range");
+            match alive.get_mut(i) {
+                None => return Err("free-stack index out of range"),
+                Some(false) => return Err("free-stack index duplicated"),
+                Some(a) => *a = false,
             }
-            if alive[i] {
-                return Err("free-stack index refers to a live slot");
-            }
-            if on_stack[i] {
-                return Err("free-stack index duplicated");
-            }
-            on_stack[i] = true;
-        }
-        if alive.iter().filter(|&&a| !a).count() != free.len() {
-            return Err("dead slot missing from the free stack");
         }
         Ok(Self {
             x,
@@ -289,17 +273,17 @@ mod tests {
             s.uy.clone(),
             s.uz.clone(),
             s.w.clone(),
-            s.alive.clone(),
             s.free_slots().to_vec(),
         )
         .unwrap();
         assert_eq!(rebuilt.len(), s.len());
+        assert_eq!(rebuilt.alive, s.alive, "liveness follows the free stack");
         assert_eq!(rebuilt.free_slots(), s.free_slots());
         // The LIFO order must be preserved: next push reuses slot 3.
         let mut r = rebuilt;
         assert_eq!(r.push(9.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0), 3);
 
-        let bad = |free: Vec<usize>, alive: Vec<bool>| {
+        let bad = |free: Vec<usize>| {
             ParticleSoA::from_parts(
                 vec![0.0; 3],
                 vec![0.0; 3],
@@ -308,17 +292,11 @@ mod tests {
                 vec![0.0; 3],
                 vec![0.0; 3],
                 vec![0.0; 3],
-                alive,
                 free,
             )
         };
-        assert!(bad(vec![7], vec![true, false, true]).is_err(), "oob");
-        assert!(bad(vec![0], vec![true, false, true]).is_err(), "live slot");
-        assert!(
-            bad(vec![1, 1], vec![true, false, true]).is_err(),
-            "duplicate"
-        );
-        assert!(bad(vec![], vec![true, false, true]).is_err(), "orphan dead");
+        assert!(bad(vec![3]).is_err(), "oob");
+        assert!(bad(vec![1, 1]).is_err(), "duplicate");
         assert!(
             ParticleSoA::from_parts(
                 vec![0.0; 2],
@@ -328,7 +306,6 @@ mod tests {
                 vec![0.0; 3],
                 vec![0.0; 3],
                 vec![0.0; 3],
-                vec![true; 3],
                 vec![],
             )
             .is_err(),

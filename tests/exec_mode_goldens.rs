@@ -20,8 +20,13 @@
 //! the two `Baseline` rows also when the GPMA layout a load leaves
 //! changes: that configuration neither sorts nor is shuffled here, so it
 //! steps from the load's index rather than from one the initial sort
-//! lays out. Otherwise a refactor must reproduce every one of them
-//! unmodified.
+//! lays out. All 27 also change with the snapshot format, whose bytes
+//! they hash — without the state under them moving: format 2's
+//! `PARTICLES` section stores only state that cannot be derived, and
+//! `checkpoint::tests::conf_v2_restore_reencodes_to_v1_bitwise` restores
+//! each of these runs from format 2 and re-encodes it with the format-1
+//! encoder, reproducing the format-1 constants this table held before.
+//! Otherwise a refactor must reproduce every one of them unmodified.
 
 use matrix_pic::core::workloads;
 use matrix_pic::deposit::{KernelConfig, ShapeOrder};
@@ -45,47 +50,47 @@ const GOLDENS: [(KernelConfig, ShapeOrder, [u64; 3]); 9] = [
     (
         KernelConfig::FullOpt,
         ShapeOrder::Cic,
-        [0x292f286c0d5851b4, 0xa49f29dbd96f5259, 0xf5bd2296a33f3a88],
+        [0x42412687acd3ed89, 0x2a2897c846751dba, 0xd53e6ba428d94b1b],
     ),
     (
         KernelConfig::FullOpt,
         ShapeOrder::Qsp,
-        [0x8bbafd1cb59486c4, 0x5bcd61f0ed772ba1, 0xe0b6278181da160a],
+        [0xf3389078de71cfe3, 0x5e23a80f0fa04a6e, 0xfdf504615135af49],
     ),
     (
         KernelConfig::FullOpt,
         ShapeOrder::Tsc,
-        [0x3c2c424ab501df5f, 0x1f7f7f623e003999, 0xa3965d78058baf0e],
+        [0x3eaa7ef563fbc190, 0xb7a11d4dd2ca1d66, 0xc3a8009babb616d7],
     ),
     (
         KernelConfig::RhocellIncrSortVpu,
         ShapeOrder::Cic,
-        [0x29c1d24704f5653d, 0x29c1d24704f5653d, 0x29c1d24704f5653d],
+        [0xfd70aba9b539f3d7, 0xfd70aba9b539f3d7, 0xfd70aba9b539f3d7],
     ),
     (
         KernelConfig::RhocellIncrSortVpu,
         ShapeOrder::Qsp,
-        [0xadf046c373664eae, 0xadf046c373664eae, 0xadf046c373664eae],
+        [0x0334fc8664fb7437, 0x0334fc8664fb7437, 0x0334fc8664fb7437],
     ),
     (
         KernelConfig::BaselineIncrSort,
         ShapeOrder::Cic,
-        [0x532caeba51eace9b, 0x532caeba51eace9b, 0x532caeba51eace9b],
+        [0x15bd95b97685e7ab, 0x15bd95b97685e7ab, 0x15bd95b97685e7ab],
     ),
     (
         KernelConfig::BaselineIncrSort,
         ShapeOrder::Qsp,
-        [0xe3c88fc87a21a685, 0xe3c88fc87a21a685, 0xe3c88fc87a21a685],
+        [0x46a351ccdfece194, 0x46a351ccdfece194, 0x46a351ccdfece194],
     ),
     (
         KernelConfig::Baseline,
         ShapeOrder::Cic,
-        [0xc2809cfc465bc1aa, 0xc2809cfc465bc1aa, 0xc2809cfc465bc1aa],
+        [0x5d426e8cae8f2d78, 0x5d426e8cae8f2d78, 0x5d426e8cae8f2d78],
     ),
     (
         KernelConfig::Baseline,
         ShapeOrder::Qsp,
-        [0x737b982db1cf3400, 0x737b982db1cf3400, 0x737b982db1cf3400],
+        [0x63a87cd9f29243f1, 0x63a87cd9f29243f1, 0x63a87cd9f29243f1],
     ),
 ];
 

@@ -7,10 +7,14 @@
 //! fuzz_lite`) hammers the same properties with three orders of
 //! magnitude more inputs. The targets are the three structures whose
 //! corruption would silently break the determinism contract rather than
-//! crash: the run decomposition, the tile-sharded global sort, and the
-//! GPMA's incremental maintenance.
+//! crash — the run decomposition, the tile-sharded global sort, and the
+//! GPMA's incremental maintenance — plus the one decoder of untrusted
+//! bytes, `Simulation::restore`.
 
-use matrix_pic::deposit::ShapeOrder;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use matrix_pic::core::{workloads, Simulation, SnapshotError};
+use matrix_pic::deposit::{KernelConfig, ShapeOrder};
 use matrix_pic::grid::{FieldArrays, GridGeometry, TileLayout};
 use matrix_pic::machine::vect::W;
 use matrix_pic::machine::{SchedulerPolicy, WorkerPool};
@@ -21,6 +25,9 @@ use matrix_pic::push::gather::{
     gather_fields_with_cell, gather_from_block_lanes_masked, load_node_block, NodeBlock,
 };
 use proptest::prelude::*;
+
+mod common;
+use common::{reseal_at, section_table};
 
 /// Case budget: `MPIC_FUZZ_ITERS` if set and parseable, else `default`.
 fn fuzz_cases(default: u32) -> u32 {
@@ -249,6 +256,100 @@ fn fuzz_lane_remainder_gather_matches_scalar_bitwise() {
                 }
             }
         }
+    });
+}
+
+/// A real format-2 snapshot and a simulation of its configuration to
+/// restore it into.
+struct RestoreSubject {
+    bytes: Vec<u8>,
+    target: Simulation,
+}
+
+/// The uniform (one sorted tile) and LWFA (moving window: dead slots,
+/// many tiles) snapshots the restore target damages.
+fn restore_subjects() -> [RestoreSubject; 2] {
+    let uniform =
+        || workloads::uniform_plasma_sim([8, 8, 8], 2, ShapeOrder::Cic, KernelConfig::FullOpt, 5);
+    let lwfa = || workloads::lwfa_sim([8, 8, 32], 2, ShapeOrder::Cic, KernelConfig::FullOpt, 5);
+    [(uniform(), uniform(), 3), (lwfa(), lwfa(), 6)].map(|(mut sim, target, steps)| {
+        sim.run(steps);
+        RestoreSubject {
+            bytes: sim.snapshot(),
+            target,
+        }
+    })
+}
+
+/// One damaged input, built from a real snapshot `bytes`: `mode` 0 is
+/// arbitrary bytes (`noise`, behind the real header when `pick` is odd),
+/// 1 a truncation to `pick` bytes, 2 one byte xored with `xor` — in the
+/// header or table one time in eight, else in a section chosen by `pick`,
+/// whose checksum is then re-sealed so the decoders see the damage.
+fn damaged(bytes: &[u8], mode: u8, pick: u64, xor: u8, noise: &[u8]) -> Vec<u8> {
+    let pick = pick as usize;
+    match mode {
+        0 if pick % 2 == 1 => bytes[..16].iter().chain(noise).copied().collect(),
+        0 => noise.to_vec(),
+        1 => bytes[..pick % bytes.len()].to_vec(),
+        _ => {
+            let table = section_table(bytes);
+            let mut out = bytes.to_vec();
+            if pick % 8 == 0 {
+                out[(pick >> 3) % table[0].1] ^= xor;
+            } else {
+                let (_, off, len) = table[(pick >> 3) % table.len()];
+                let at = off + (pick >> 8) % len;
+                out[at] ^= xor;
+                reseal_at(&mut out, at);
+            }
+            out
+        }
+    }
+}
+
+/// Restores `input` into `subject.target`: a panic is reported as an
+/// error message; a failed restore must leave the target's snapshot
+/// unchanged, and a successful one is undone.
+fn restore_case(
+    subject: &mut RestoreSubject,
+    input: &[u8],
+) -> Result<Result<(), SnapshotError>, String> {
+    let RestoreSubject { bytes, target } = subject;
+    let before = target.snapshot();
+    let result = catch_unwind(AssertUnwindSafe(|| target.restore(input)))
+        .map_err(|_| "restore panicked".to_string())?;
+    match &result {
+        Ok(()) => target.restore(bytes).expect("the real snapshot restores"),
+        Err(_) if target.snapshot() != before => {
+            return Err("a failed restore mutated the target".into())
+        }
+        Err(_) => {}
+    }
+    Ok(result)
+}
+
+/// `Simulation::restore` is total on hostile input (ROADMAP 8(c)):
+/// arbitrary bytes, truncations and single-byte mutants of real
+/// snapshots — re-sealed, so every decoder behind the checksum meets the
+/// damage — return `Err` or `Ok`, never panic, and a failed restore
+/// leaves the target's state exactly as it was. The corpus holds seeds
+/// whose mutants reach the `PARTICLES` checks of the index, the free
+/// stacks and the SoA free list.
+#[test]
+fn fuzz_restore_is_total_on_damaged_snapshots() {
+    let mut subjects = restore_subjects();
+    proptest!(ProptestConfig::with_cases(fuzz_cases(64)).with_corpus("restore"), |(
+        which in 0usize..2,
+        mode in 0u8..3,
+        pick in 0u64..(1 << 40),
+        xor in 1u8..=255,
+        noise in prop::collection::vec(0u8..=255, 0..96),
+    )| {
+        let subject = &mut subjects[which];
+        let input = damaged(&subject.bytes, mode, pick, xor, &noise);
+        let outcome = restore_case(subject, &input);
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     });
 }
 

@@ -124,6 +124,38 @@ fn driver_without_faults_is_transparent() {
     assert!(driven.snapshot() == plain.snapshot());
 }
 
+/// A driver reused on another simulation rolls a fault back to a
+/// checkpoint of *that* simulation, never to one held from its previous
+/// run: each `run` checkpoints before its first step.
+#[test]
+fn reused_driver_rolls_back_to_a_checkpoint_of_this_simulation() {
+    let mut driver = ResilientDriver::new(4, 3);
+    let mut a = sim(2, SchedulerPolicy::Static);
+    let _ = driver.run(&mut a, 6).expect("clean run");
+    assert_eq!(driver.last_checkpoint().map(|(s, _)| s), Some(4));
+
+    let mut plain = sim(1, SchedulerPolicy::Static);
+    plain.run(2);
+    // A fresh simulation of the same configuration, faulted on its very
+    // first dispatch (its construction pool already has the one worker,
+    // so the plan survives the first step).
+    let mut b = sim(1, SchedulerPolicy::Static);
+    b.pool().inject_fault(FaultPlan {
+        worker: 0,
+        dispatch: b.pool().dispatch_count() + 1,
+        kind: FaultKind::Panic,
+    });
+    let stats = driver.run(&mut b, 2).expect("recovery");
+    assert_eq!(stats.failures, 1);
+    assert_eq!(stats.steps_replayed, 0);
+    assert_eq!(stats.checkpoints_taken, 3);
+    assert_eq!(b.step_index(), 2);
+    assert!(
+        b.snapshot() == plain.snapshot(),
+        "recovered run diverged from the unfaulted one"
+    );
+}
+
 /// A step that keeps failing past the retry budget surfaces a structured
 /// terminal error naming the stuck step — no abort, no hang.
 #[test]

@@ -15,6 +15,9 @@ use matrix_pic::deposit::{KernelConfig, ShapeOrder};
 use matrix_pic::machine::SchedulerPolicy;
 use matrix_pic::particles::{ParticleTile, INVALID_PARTICLE_ID};
 
+mod common;
+use common::{particle_tiles, section_table, TileWords};
+
 const UNIFORM_DIMS: [usize; 3] = [8, 8, 8];
 const UNIFORM_PPC: usize = 2;
 const UNIFORM_SEED: u64 = 97;
@@ -270,20 +273,6 @@ fn conf_snapshot_round_trip_is_byte_lossless() {
 // panic, and a failed restore leaves the target simulation untouched.
 // ---------------------------------------------------------------------------
 
-/// Parse the section table of a snapshot: (id, payload offset, payload len).
-fn section_table(bytes: &[u8]) -> Vec<(u32, usize, usize)> {
-    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    (0..count)
-        .map(|i| {
-            let e = 16 + i * 28;
-            let id = u32::from_le_bytes(bytes[e..e + 4].try_into().unwrap());
-            let off = u64::from_le_bytes(bytes[e + 4..e + 12].try_into().unwrap()) as usize;
-            let len = u64::from_le_bytes(bytes[e + 12..e + 20].try_into().unwrap()) as usize;
-            (id, off, len)
-        })
-        .collect()
-}
-
 fn snapshot_for_corruption() -> (Vec<u8>, Simulation) {
     let mut sim = uniform_sim(2, SchedulerPolicy::Static, false);
     sim.run(2);
@@ -390,31 +379,26 @@ fn incompatible_snapshot_rejected_and_target_untouched() {
     );
 }
 
+/// Asserts `err` is `Malformed { section: PARTICLES }` for the reason
+/// containing `why`.
+fn assert_particles_malformed(err: Result<(), SnapshotError>, why: &str) {
+    match err {
+        Err(SnapshotError::Malformed {
+            section: section::PARTICLES,
+            reason,
+        }) if reason.contains(why) => {}
+        other => panic!("expected PARTICLES malformed ({why}), got {other:?}"),
+    }
+}
+
 /// Restores a snapshot of a simulation whose first tile `corrupt`
-/// altered — validly encoded, so only the decoder's cross-checks of SoA,
-/// bin map and GPMA stand between it and a panic in the next step.
+/// altered — validly encoded, so only the decoder's cross-checks of the
+/// SoA and the GPMA stand between it and a panic in the next step.
 fn restore_with_corrupt_tile(corrupt: impl FnOnce(&mut ParticleTile)) -> Result<(), SnapshotError> {
     let (_, mut sim) = snapshot_for_corruption();
     corrupt(&mut sim.electrons.tiles[0]);
     let bytes = sim.snapshot();
     uniform_sim(2, SchedulerPolicy::Static, false).restore(&bytes)
-}
-
-#[test]
-fn bin_map_shorter_than_the_soa_is_malformed() {
-    let err = restore_with_corrupt_tile(|tile| {
-        tile.cells.pop();
-    });
-    assert!(
-        matches!(
-            err,
-            Err(SnapshotError::Malformed {
-                section: section::PARTICLES,
-                ..
-            })
-        ),
-        "{err:?}"
-    );
 }
 
 #[test]
@@ -425,16 +409,94 @@ fn index_entry_naming_a_dead_slot_is_malformed() {
         tile.soa.remove(p);
         tile.cells[p] = INVALID_PARTICLE_ID;
     });
+    assert_particles_malformed(err, "liveness");
+}
+
+/// Restores `bytes` after `damage` edited index words of its
+/// `PARTICLES` section (re-sealing the checksum), into a simulation
+/// `make` builds; a failed restore must leave that target untouched.
+fn restore_damaged(
+    make: fn(usize, SchedulerPolicy, bool) -> Simulation,
+    mut bytes: Vec<u8>,
+    damage: impl FnOnce(&mut [u8], &[TileWords]),
+) -> Result<(), SnapshotError> {
+    let tiles = particle_tiles(&bytes);
+    damage(&mut bytes, &tiles);
+    let mut target = make(1, SchedulerPolicy::Static, false);
+    let before = target.snapshot();
+    let result = target.restore(&bytes);
     assert!(
-        matches!(
-            err,
-            Err(SnapshotError::Malformed {
-                section: section::PARTICLES,
-                ..
-            })
-        ),
-        "{err:?}"
+        result.is_ok() || target.snapshot() == before,
+        "failed restore mutated the target"
     );
+    result
+}
+
+/// The first occupied slot of a tile's index.
+fn occupied_slot(bytes: &[u8], tile: &TileWords) -> usize {
+    (0..tile.local_index.len)
+        .find(|&s| tile.local_index.get(bytes, s) != u32::MAX)
+        .expect("a loaded tile")
+}
+
+#[test]
+fn index_word_past_the_slot_count_is_malformed() {
+    let (bytes, _) = snapshot_for_corruption();
+    let err = restore_damaged(uniform_sim, bytes, |b, tiles| {
+        let t = &tiles[0];
+        t.local_index.set(b, occupied_slot(b, t), t.slots as u32);
+    });
+    assert_particles_malformed(err, "past the SoA");
+}
+
+#[test]
+fn duplicated_index_entry_is_malformed() {
+    let (bytes, _) = snapshot_for_corruption();
+    let err = restore_damaged(uniform_sim, bytes, |b, tiles| {
+        let t = &tiles[0];
+        let p = t.local_index.get(b, occupied_slot(b, t));
+        let gap = t.free_stacks.get(b, 0) as usize;
+        t.local_index.set(b, gap, p);
+    });
+    assert_particles_malformed(err, "twice");
+}
+
+#[test]
+fn free_stack_entry_naming_an_occupied_slot_is_malformed() {
+    let (bytes, _) = snapshot_for_corruption();
+    let err = restore_damaged(uniform_sim, bytes, |b, tiles| {
+        let t = &tiles[0];
+        let offsets: Vec<usize> = (0..t.bin_offsets.len)
+            .map(|i| t.bin_offsets.get(b, i) as usize)
+            .collect();
+        // A stack entry and an occupied slot of the same bin.
+        let (k, slot) = (0..t.free_stacks.len)
+            .find_map(|k| {
+                let gap = t.free_stacks.get(b, k) as usize;
+                let bin = offsets.partition_point(|&o| o <= gap) - 1;
+                (offsets[bin]..offsets[bin + 1])
+                    .find(|&s| t.local_index.get(b, s) != u32::MAX)
+                    .map(|s| (k, s))
+            })
+            .expect("a bin with a gap and a particle");
+        t.free_stacks.set(b, k, slot as u32);
+    });
+    assert_particles_malformed(err, "not a gap of its bin");
+}
+
+#[test]
+fn free_list_entry_out_of_range_is_malformed() {
+    // The moving window leaves dead slots on the SoA free lists.
+    let mut sim = lwfa_sim(1, SchedulerPolicy::Static, true);
+    sim.run(6);
+    let err = restore_damaged(lwfa_sim, sim.snapshot(), |b, tiles| {
+        let t = tiles
+            .iter()
+            .find(|t| t.free.len > 0)
+            .expect("a tile with dead slots");
+        t.free.set(b, 0, t.slots as u32);
+    });
+    assert_particles_malformed(err, "out of range");
 }
 
 /// Corrupt restores (checksum failures) are also all-or-nothing.
