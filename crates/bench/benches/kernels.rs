@@ -195,7 +195,7 @@ fn bench_qsp_streamed_layers(c: &mut Criterion) {
             || sim.electrons.tiles.clone(),
             |mut tiles| {
                 for tile in &mut tiles {
-                    ctx.push_tile(&mut m, ExecMode::Runs(Pricing::Stream), tile, &mut scratch);
+                    ctx.push_tile(&mut m, ExecMode::Runs, tile, &mut scratch);
                 }
                 tiles
             },
@@ -233,7 +233,6 @@ fn bench_block_charges(c: &mut Criterion) {
                 for block in &blocks {
                     charge_gather_run(
                         k,
-                        Pricing::Stream,
                         GatherCost::default(),
                         8,
                         &field_addrs,

@@ -1,11 +1,10 @@
 //! Determinism and cost-model gate for the unified execution layer and
 //! the cell-run sweeps: runs the uniform-plasma FullOpt workload at
-//! several worker counts under both scheduler policies — across the
-//! execution modes per-particle (`off`), cell runs at the walk price
-//! (`on`) and cell runs at the stream price (`on+simd`) — and checks
-//! everything about those runs that is exact. Host wall-clock per row is
-//! printed for the reader and recorded nowhere: `benchmark/` is the
-//! instrument for host time.
+//! several worker counts under both scheduler policies — in both
+//! execution modes, per-particle (`off`) and cell runs (`on+simd`:
+//! `batching` and `simd` on) — and checks everything about those runs
+//! that is exact. Host wall-clock per row is printed for the reader and
+//! recorded nowhere: `benchmark/` is the instrument for host time.
 //!
 //! Gates enforced (exit code nonzero on any failure, so every
 //! invocation doubles as a CI gate):
@@ -17,21 +16,21 @@
 //!   value-exact (the gather caches read-only node blocks, its lane
 //!   packs preserve every add order, and the matrix kernel is run-based
 //!   either way) and the pricing never touches values — so currents and
-//!   fields must match the per-particle path bitwise across ALL modes.
+//!   fields must match the per-particle path bitwise.
 //!   Cycles are excluded: charging fewer of them is the point.
 //! * **Baseline counter parity** — the WarpX direct-scatter kernel runs
 //!   the same within-mode sweep (its batched currents regroup FP adds,
 //!   so no cross-mode bit check there).
 //! * **Cost model** — `BENCH_step.json` holds only deterministic
 //!   numbers (each mode's single-thread emulated ms/step and per-phase
-//!   cycles, the two emulated speedups, the three verdicts above), so
+//!   cycles, the emulated speedup, the three verdicts above), so
 //!   the canonical invocation renders the record and compares it to the
 //!   committed file as a string. Any difference rewrites the file and
 //!   fails the probe: a diff in `BENCH_step.json` *is* a cost-model
 //!   change, and has to be committed in the same reviewed change.
 //!
 //! Usage: `probe_parallel [ppc] [steps] [workers-csv]` (defaults: 8, 3,
-//! `1,2,4,7`). Every run sweeps both policies and all three modes. Only
+//! `1,2,4,7`). Every run sweeps both policies and both modes. Only
 //! the argument-free invocation touches `BENCH_step.json` (read from and
 //! written to the current directory: run it from the repository root).
 
@@ -51,23 +50,23 @@ const BASELINE_CELLS: [usize; 3] = [16, 16, 16];
 /// The tracked record, relative to the current directory.
 const RECORD_PATH: &str = "BENCH_step.json";
 
-/// Execution modes as `(batching, simd)`, in sweep order. `(off, on)` is
-/// not one: SIMD selects the cell-run sweep's pricing, so without
-/// batching it is a configuration no-op by contract.
-const MODES: [(bool, bool); 3] = [(false, false), (true, false), (true, true)];
+/// Execution modes as `(batching, simd)`, in sweep order. The cell-run
+/// sweep needs both knobs: either alone is a configuration no-op by
+/// contract.
+const MODES: [(bool, bool); 2] = [(false, false), (true, true)];
 
 const POLICIES: [SchedulerPolicy; 2] = [SchedulerPolicy::Static, SchedulerPolicy::Stealing];
 
 /// The arrays of the bit gates, in [`ProbeResult::fields`] order.
 const FIELD_NAMES: [&str; 9] = ["jx", "jy", "jz", "ex", "ey", "ez", "bx", "by", "bz"];
 
-/// Human/JSON label of an execution mode: `off` (per-particle), `on`
-/// (cell runs, walked), `on+simd` (cell runs, streamed).
-fn mode_label((batching, simd): (bool, bool)) -> &'static str {
-    match (batching, simd) {
-        (false, _) => "off",
-        (true, false) => "on",
-        (true, true) => "on+simd",
+/// Human/JSON label of an execution mode: `off` (per-particle),
+/// `on+simd` (cell runs).
+fn mode_label(mode: (bool, bool)) -> &'static str {
+    if mode == (true, true) {
+        "on+simd"
+    } else {
+        "off"
     }
 }
 
@@ -222,21 +221,17 @@ fn cross_mode_gate_sound(steps: usize) -> bool {
     1 + steps < min_interval
 }
 
-/// Cross-mode value parity: FullOpt's cell-run sweep, at either
-/// pricing, must agree bitwise with the per-particle path in currents
-/// AND fields (cycles excluded by design). `single` holds each mode's
-/// single-thread run; the first is the per-particle reference.
+/// Cross-mode value parity: FullOpt's cell-run sweep must agree bitwise
+/// with the per-particle path in currents AND fields (cycles excluded
+/// by design). `single` holds each mode's single-thread run in
+/// [`MODES`] order.
 fn check_cross_mode_values(label: &str, single: &[&ProbeResult]) -> bool {
-    let mut ok = true;
-    for r in &single[1..] {
-        let what = format!(
-            "mode {} and mode {}",
-            mode_label(single[0].mode),
-            mode_label(r.mode)
-        );
-        ok &= fields_match(label, &what, single[0], r);
-    }
-    ok
+    let what = format!(
+        "mode {} and mode {}",
+        mode_label(single[0].mode),
+        mode_label(single[1].mode)
+    );
+    fields_match(label, &what, single[0], single[1])
 }
 
 fn verdict(ok: bool) -> &'static str {
@@ -274,7 +269,7 @@ fn render_record(ppc: usize, steps: usize, single: &[&ProbeResult], verdicts: [&
         })
         .collect();
     format!(
-        "{{\n  \"bench\": \"probe_parallel\",\n  \"workload\": {{\"cells\": [{}, {}, {}], \"ppc\": {ppc}, \"kernel\": \"FullOpt\", \"shape\": \"CIC\", \"measured_steps\": {steps}, \"particles\": {}}},\n  \"emulated_ms_per_step\": {{{}}},\n  \"phase_cycles_1w\": {{\n{}\n  }},\n  \"speedup_batched_vs_per_particle_1w\": {{\"emulated\": {:.3}}},\n  \"speedup_simd_vs_scalar_1w\": {{\"emulated\": {:.3}}},\n  \"determinism\": \"{}\",\n  \"cross_mode_value_parity\": \"{}\",\n  \"baseline_counter_parity\": \"{}\"\n}}\n",
+        "{{\n  \"bench\": \"probe_parallel\",\n  \"workload\": {{\"cells\": [{}, {}, {}], \"ppc\": {ppc}, \"kernel\": \"FullOpt\", \"shape\": \"CIC\", \"measured_steps\": {steps}, \"particles\": {}}},\n  \"emulated_ms_per_step\": {{{}}},\n  \"phase_cycles_1w\": {{\n{}\n  }},\n  \"speedup_simd_vs_scalar_1w\": {{\"emulated\": {:.3}}},\n  \"determinism\": \"{}\",\n  \"cross_mode_value_parity\": \"{}\",\n  \"baseline_counter_parity\": \"{}\"\n}}\n",
         CELLS[0],
         CELLS[1],
         CELLS[2],
@@ -282,7 +277,6 @@ fn render_record(ppc: usize, steps: usize, single: &[&ProbeResult], verdicts: [&
         ms_rows.join(", "),
         cycle_rows.join(",\n"),
         ms(0) / ms(1),
-        ms(1) / ms(2),
         verdicts[0],
         verdicts[1],
         verdicts[2]
@@ -341,10 +335,9 @@ fn main() {
         .filter_map(|&mode| results.iter().find(|r| r.workers == 1 && r.mode == mode))
         .collect();
 
-    // Cross-mode value parity: FullOpt batched (walked and streamed) is
-    // value-exact — as long as all modes took the same global-sort
-    // schedule, which is only guaranteed while the adaptive policy
-    // cannot have fired.
+    // Cross-mode value parity: FullOpt's cell-run sweep is value-exact
+    // — as long as both modes took the same global-sort schedule, which
+    // is only guaranteed while the adaptive policy cannot have fired.
     let cross_mode = if cross_mode_gate_sound(steps) {
         let ok = check_cross_mode_values("FullOpt", &single);
         println!(
@@ -378,13 +371,10 @@ fn main() {
 
     let ms = |m: usize| single[m].emulated_ms_per_step;
     println!(
-        "single-thread emulated ms/step: {:.3} per-particle -> {:.3} cell runs walked ({:.2}x) \
-         -> {:.3} streamed ({:.2}x)",
+        "single-thread emulated ms/step: {:.3} per-particle -> {:.3} cell runs ({:.2}x)",
         ms(0),
         ms(1),
-        ms(0) / ms(1),
-        ms(2),
-        ms(1) / ms(2)
+        ms(0) / ms(1)
     );
 
     let mut failed = !deterministic || cross_mode == verdict(false) || !baseline_parity;

@@ -57,7 +57,7 @@ fn uniform(workers: usize, policy: SchedulerPolicy) -> Simulation {
     );
     s.cfg.num_workers = workers;
     s.cfg.scheduler = policy;
-    s.cfg.batching = true;
+    (s.cfg.batching, s.cfg.simd) = (true, true);
     s
 }
 
@@ -71,7 +71,7 @@ fn lwfa(workers: usize, policy: SchedulerPolicy) -> Simulation {
     );
     s.cfg.num_workers = workers;
     s.cfg.scheduler = policy;
-    s.cfg.batching = true;
+    (s.cfg.batching, s.cfg.simd) = (true, true);
     s
 }
 

@@ -51,36 +51,32 @@ pub struct SimConfig {
     /// load-imbalanced workloads (LWFA's mostly-empty tiles). Results
     /// are bit-identical for either policy.
     pub scheduler: SchedulerPolicy,
-    /// Selects the cell-run sweeps of the MatrixPIC kernel: particles are
-    /// visited in GPMA-sorted order, the gather loads each cell's stencil
-    /// node block once per same-cell particle run and interpolates +
-    /// pushes the run in lane-width packs (value-exact — gathers are
-    /// read-only and every lane keeps the per-particle operation order),
-    /// and the memory-bound phases take the run prices. Engages only on
+    /// Together with [`SimConfig::simd`], selects the cell-run sweeps of
+    /// the MatrixPIC kernel (`ExecMode::Runs`): particles are visited in
+    /// GPMA-sorted order, the gather loads each cell's stencil node
+    /// block once per same-cell particle run and interpolates + pushes
+    /// the run in lane-width packs (value-exact — gathers are read-only
+    /// and every lane keeps the per-particle operation order), and the
+    /// memory-bound phases — staging loads, run gathers, rhocell
+    /// accumulates, the incremental sorter's position scan and the fused
+    /// rhocell→grid reduction — are priced by the state-free streaming
+    /// model instead of cache walks. Fields, currents and particles are
+    /// bit-identical to the per-particle path; `Preprocess`, `Compute`,
+    /// `Gather`, `Reduce` and (with incremental sorting) `Sort` charge
+    /// strictly fewer cycles, while `Push`, `FieldSolve` and `Other`
+    /// stay bit-identical. Engages only with both flags on, and only on
     /// a matrix-kernel configuration with a sorting strategy
-    /// (`HybridGlobalSort`, `FullOpt`); every other configuration — the
-    /// direct-scatter and rhocell kernels on any strategy, and every
-    /// unsorted one — stays on the per-particle reference sweep
-    /// regardless of this flag, bitwise (`Depositor::mode` is the one
-    /// place that decides). `false` (the default) keeps the per-particle
-    /// reference paths and the paper-figure cost model exactly as
-    /// before; the cell-run path is bit-identical across worker counts
-    /// and scheduler policies, and its values are bit-identical to the
-    /// reference.
+    /// (`HybridGlobalSort`, `FullOpt`); everywhere else either flag is a
+    /// bitwise no-op (`Depositor::mode` is the one place that decides).
+    /// `false` (the default) keeps the per-particle reference paths and
+    /// the paper-figure cost model exactly as before; the cell-run path
+    /// is bit-identical across worker counts and scheduler policies.
     pub batching: bool,
-    /// Selects `Pricing::Stream` for the cell-run sweeps: their
-    /// memory-bound block transfers — staging loads, run gathers,
-    /// rhocell accumulates, the incremental sorter's position scan and
-    /// the fused rhocell→grid reduction — are priced by the state-free
-    /// streaming model instead of cache walks. It changes no loop and no
-    /// value: fields, currents and particles are bit-identical to
-    /// `simd = false`, `Preprocess`, `Compute`, `Gather`, `Reduce` and
-    /// (with incremental sorting) `Sort` charge strictly fewer cycles,
-    /// while `Push`, `FieldSolve` and `Other` stay bit-identical. The
-    /// pricing only exists inside the cell-run sweeps, so wherever
-    /// [`SimConfig::batching`] does not engage them the flag is a
-    /// no-op. `false` is the default. Runtime knob: like `num_workers`,
-    /// it may differ freely between a snapshot's save and restore.
+    /// The vector half of the cell-run request: see
+    /// [`SimConfig::batching`], which engages the sweeps only with this
+    /// flag on too; alone it is a no-op. `false` is the default. Like
+    /// `batching` and `num_workers`, a runtime knob that may differ
+    /// freely between a snapshot's save and restore.
     pub simd: bool,
 }
 

@@ -34,18 +34,18 @@ pub enum ExecMode {
     /// design.
     PerParticle,
     /// Same-cell particle runs in lane-width packs: each run loads its
-    /// stencil block once and touches the tile accumulator once, with
-    /// memory traffic priced as given. Requires cell-grouped order.
-    Runs(Pricing),
+    /// stencil block once and touches the tile accumulator once, at the
+    /// streaming prices. Requires cell-grouped order.
+    Runs,
 }
 
 impl ExecMode {
-    /// The pricing of this mode's memory-bound primitives (the
-    /// per-particle path always walks).
+    /// The pricing of this mode's memory-bound primitives: the
+    /// per-particle path walks the cache, the cell-run path streams.
     pub fn pricing(self) -> Pricing {
         match self {
             ExecMode::PerParticle => Pricing::Walk,
-            ExecMode::Runs(pricing) => pricing,
+            ExecMode::Runs => Pricing::Stream,
         }
     }
 }
@@ -60,7 +60,7 @@ pub struct TileCtx<'a> {
     pub order: ShapeOrder,
     /// The step's [`ExecMode::pricing`], which only the matrix kernel's
     /// per-run rhocell accumulate reads. Deposited values are
-    /// bit-identical across the two pricings.
+    /// bit-identical across the two modes.
     pub pricing: Pricing,
 }
 
@@ -147,32 +147,31 @@ impl Depositor {
         self.batching
     }
 
-    /// Selects [`Pricing::Stream`] for the cell-run sweeps
-    /// (`SimConfig::simd`); a no-op wherever they do not run.
+    /// Requests the vector units the cell-run sweeps run on
+    /// (`SimConfig::simd`): see [`Depositor::mode`].
     pub fn set_simd(&mut self, simd: bool) {
         self.simd = simd;
     }
 
-    /// The execution mode of this step — the single policy site.
-    /// Cell-run sweeps need cell-grouped order, so they engage only on
-    /// a sorting strategy: an unsorted configuration stays on the
-    /// per-particle reference path whatever the knobs say (a no-op
+    /// The execution mode of this step — the single policy site. The
+    /// cell-run sweeps engage only when both knobs ask for them: each
+    /// alone is a no-op. They need cell-grouped order, so they engage
+    /// only on a sorting strategy: an unsorted configuration stays on
+    /// the per-particle reference path whatever the knobs say (a no-op
     /// rather than a correctness hazard, and the unsorted gather's
     /// sampled address stream is the paper's cost signal). They also
     /// engage only for the matrix kernel, the one that batches by
     /// design; the direct-scatter and rhocell configurations ignore the
-    /// knobs the same way. The pricing knob only exists inside the
-    /// cell-run sweeps.
+    /// knobs the same way.
     pub fn mode(&self) -> ExecMode {
         let runs = self.batching
+            && self.simd
             && self.strategy.provides_sorted_order()
             && self.config.family() == KernelFamily::Matrix;
-        if !runs {
-            ExecMode::PerParticle
-        } else if self.simd {
-            ExecMode::Runs(Pricing::Stream)
+        if runs {
+            ExecMode::Runs
         } else {
-            ExecMode::Runs(Pricing::Walk)
+            ExecMode::PerParticle
         }
     }
 
@@ -642,8 +641,8 @@ mod tests {
     #[test]
     fn mode_is_per_particle_on_every_unsorted_strategy_whatever_the_flags() {
         // The rule over every configuration and knob pair: the cell-run
-        // sweeps engage only for batching on a sorted matrix config, and
-        // the pricing knob only inside them.
+        // sweeps engage only for batching and simd on a sorted matrix
+        // config; either knob alone is a no-op.
         const FLAGS: [(bool, bool); 4] =
             [(false, false), (false, true), (true, false), (true, true)];
         let mut run_configs = 0;
@@ -654,10 +653,10 @@ mod tests {
             for (batching, simd) in FLAGS {
                 dep.set_batching(batching);
                 dep.set_simd(simd);
-                let want = match (runs && batching, simd) {
-                    (false, _) => ExecMode::PerParticle,
-                    (true, false) => ExecMode::Runs(Pricing::Walk),
-                    (true, true) => ExecMode::Runs(Pricing::Stream),
+                let want = if runs && batching && simd {
+                    ExecMode::Runs
+                } else {
+                    ExecMode::PerParticle
                 };
                 assert_eq!(dep.mode(), want, "{cfg:?} batching={batching} simd={simd}");
             }

@@ -84,10 +84,11 @@ fn check_config(cfg: KernelConfig, order: ShapeOrder, n_particles: usize) {
     );
 }
 
-/// Runs a configuration twice — batching off and on — and returns the
-/// two current sets plus the per-run deposition cycle totals. Both runs
-/// must match the scalar reference to accumulation accuracy; how tightly
-/// they must match each other is the caller's claim.
+/// Runs a configuration twice — cell runs off and on (`batching` and
+/// `simd` together) — and returns the two current sets plus the per-run
+/// deposition cycle totals. Both runs must match the scalar reference to
+/// accumulation accuracy; how tightly they must match each other is the
+/// caller's claim.
 fn run_both_paths(
     cfg: KernelConfig,
     order: ShapeOrder,
@@ -107,6 +108,7 @@ fn run_both_paths(
         let mut fields = FieldArrays::new(&geom);
         let mut dep = cfg.build(order);
         dep.set_batching(batching);
+        dep.set_simd(batching);
         assert_eq!(dep.batching(), batching);
         dep.prepare(&mut m, &geom, &layout, &mut container);
         dep.sort_step(&mut m, &geom, &layout, &mut container, false);

@@ -249,7 +249,7 @@ fn count_new(cur: &[u64], prev: &[u64]) -> usize {
 }
 
 /// The reuse state of one sweep of block touches
-/// ([`crate::Meter::v_touch_gather_block_priced`],
+/// ([`crate::Meter::v_touch_gather_block`],
 /// [`crate::Meter::v_touch_reduce_block_reuse`]): the lines of the block
 /// touched last — what the kernel still holds in lane registers, or in
 /// the store buffer — kept as they were derived, so the next call pays

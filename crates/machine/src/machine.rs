@@ -37,13 +37,14 @@ pub struct TileId(pub usize);
 /// Number of architecturally visible MPU tile registers.
 pub const NUM_TILES: usize = 4;
 
-/// How the memory-bound primitives of a cell-run sweep are priced — the
-/// timing-model half of an execution mode, independent of the functional
-/// arithmetic (which is the same lane sweep either way).
-///
-/// Never set directly: derived from `SimConfig::{batching, simd}` by
-/// `Depositor::mode()` and handed to the `*_priced` entry points, which
-/// are the only places that branch on it.
+/// How a memory-bound primitive is priced — the timing-model half of an
+/// execution mode, independent of the functional arithmetic. The step
+/// derives it from its mode (`ExecMode::pricing`: the per-particle sweep
+/// walks, the cell-run sweep streams); kernels that only run per
+/// particle, such as the rhocell kernel's accumulates, pass
+/// [`Pricing::Walk`] themselves.
+/// The `*_priced` entry points are the only places that branch on it;
+/// the cell-run block gather has one price and takes none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pricing {
     /// Every access walks the cache simulator: cost depends on (and
@@ -408,9 +409,8 @@ impl Meter<'_> {
     // no cache-simulator state is read or written — which both prices
     // the mode's deep out-of-order overlap and keeps every streamed
     // charge bit-reproducible from the tile data alone.
-    // `footprint` (and what a `LineCarry` holds) feed only the streaming
-    // arm of a `*_priced` entry point; the walk arm prices from cache
-    // state.
+    // `footprint` feeds only the streaming arm of a `*_priced` entry
+    // point; the walk arm prices from cache state.
 
     /// Scalar load of `bytes` at `addr` (data itself lives in host arrays).
     #[inline]
@@ -571,20 +571,18 @@ impl Meter<'_> {
 
     /// Run-scoped block gather: charges loading one block of up to
     /// [`Machine::RUN_BLOCK_MAX`] nodes from each of `bases` with **each
-    /// distinct cache line charged once** per base — the memory stream
-    /// of a kernel that loads a cell's stencil node block into registers
-    /// once per same-cell particle run and reuses it for every particle
-    /// of the run (the run gather's six field components). Per-lane
-    /// gather issue cost is still paid for every node — address
+    /// distinct cache line charged at most once** per base — the memory
+    /// stream of a kernel that loads a cell's stencil node block into
+    /// registers once per same-cell particle run and reuses it for every
+    /// particle of the run (the run gather's six field components).
+    /// Per-lane gather issue cost is still paid for every node — address
     /// generation does not amortise. An empty block, or no base, is free
     /// and leaves `carry` as it was; every other call advances it to
-    /// `block`, at either price.
+    /// `block`.
     ///
-    /// Walked, every run starts from whatever the cache holds and line
-    /// misses overlap as in [`Meter::v_touch_gather`], whose
-    /// per-vector semantics this generalises beyond [`VLANES`] lanes.
-    /// Streamed, two things differ, and together they are what the
-    /// streaming mode buys:
+    /// It replaces the per-particle [`Meter::v_touch_gather`] walk, and
+    /// two things differ, which together are what the cell-run sweep
+    /// buys:
     ///
     /// * lines already covered by the block `carry` holds (the preceding
     ///   run's stencil, which the kernel keeps resident in lane
@@ -602,9 +600,8 @@ impl Meter<'_> {
     ///   resident line price (0 = unknown, DRAM stream). The charge is a
     ///   pure function of `(bases, block, the carried block, footprint)`.
     #[inline]
-    pub fn v_touch_gather_block_priced(
+    pub fn v_touch_gather_block(
         &mut self,
-        pricing: Pricing,
         bases: &[VAddr],
         block: &TensorBlock,
         carry: &mut LineCarry,
@@ -618,28 +615,16 @@ impl Meter<'_> {
         let line_cy = Machine::GATHER_MLP * self.m.stream_line_price(footprint);
         // One add per new line: a multiply-by-count could round
         // differently. The sum is the same for every base the lines in
-        // hand serve. Only the streamed price reads it; a walk still
-        // moves the carry, so the next call counts from this block.
-        let stream_cy = |new: usize| match pricing {
-            Pricing::Walk => 0.0,
-            Pricing::Stream => (0..new).fold(lane_cy, |cy, _| cy + line_cy),
-        };
+        // hand serve.
+        let charge = |new: usize| (0..new).fold(lane_cy, |cy, _| cy + line_cy);
         let shift = self.m.mem.line_shift();
-        let mut cy = stream_cy(carry.advance(block, first, shift));
+        let mut cy = charge(carry.advance(block, first, shift));
         for &base in bases {
             if !carry.serves(base, shift) {
-                cy = stream_cy(carry.rebase(base, shift));
+                cy = charge(carry.rebase(base, shift));
             }
             self.t.vector_ops += issues;
-            self.t.cycles += match pricing {
-                Pricing::Walk => Self::walk_gather_lines(
-                    &mut self.m.mem,
-                    lane_cy,
-                    carry.lines(),
-                    base.0 >> shift,
-                ),
-                Pricing::Stream => cy,
-            };
+            self.t.cycles += cy;
         }
     }
 
@@ -876,7 +861,7 @@ delegate_ops! {
     v_store_priced(pricing: Pricing, addr: VAddr, reg: VReg, dst: &mut [f64], n: usize, footprint: u64);
     v_touch_gather(base: VAddr, idx: &[usize]);
     v_touch_gather_priced(pricing: Pricing, bases: &[VAddr], idx: &[usize], footprint: u64);
-    v_touch_gather_block_priced(pricing: Pricing, bases: &[VAddr], block: &TensorBlock, carry: &mut LineCarry, footprint: u64);
+    v_touch_gather_block(bases: &[VAddr], block: &TensorBlock, carry: &mut LineCarry, footprint: u64);
     v_scatter_add(base: VAddr, idx: &[usize], reg: VReg, dst: &mut [f64]);
     v_touch_scatter_add(base: VAddr, idx: &[usize]);
     v_touch_reduce_block_reuse(srcs: &[VAddr], dsts: &[VAddr], block: &TensorBlock, carry: &mut LineCarry, src_footprint: u64, dst_footprint: u64);
@@ -891,7 +876,7 @@ delegate_ops! {
 /// the executable specification
 /// `conf_meter_scope_matches_per_op_charges_bitwise` holds the scopes
 /// to), over the line-set touch family as it stood before
-/// [`crate::lines`] — five separately written collect / dedup / subtract
+/// [`crate::lines`] — four separately written collect / dedup / subtract
 /// / replay loops and the load/store triple, which
 /// `conf_line_set_touches_match_reference_bitwise` holds the rewritten
 /// entry points to, with the block touches on node lists: the builder
@@ -1297,9 +1282,8 @@ mod reference {
             }
         }
 
-        pub fn v_touch_gather_block_priced(
+        pub fn v_touch_gather_block(
             &mut self,
-            pricing: Pricing,
             bases: &[VAddr],
             block: &TensorBlock,
             carry: &mut Carry,
@@ -1308,21 +1292,14 @@ mod reference {
             if bases.is_empty() || block.is_empty() {
                 return;
             }
-            match pricing {
-                Pricing::Walk => {
-                    for &b in bases {
-                        v_touch_gather_block(self.m, b, block, self.mutant);
-                    }
-                }
-                Pricing::Stream => v_touch_gather_block_reuse_multi(
-                    self.m,
-                    bases,
-                    block,
-                    &carry.0,
-                    footprint,
-                    self.mutant,
-                ),
-            }
+            v_touch_gather_block_reuse_multi(
+                self.m,
+                bases,
+                block,
+                &carry.0,
+                footprint,
+                self.mutant,
+            );
             carry.0 = *block;
         }
 
@@ -1494,16 +1471,6 @@ mod reference {
             let cy = walk_gather_lines(m, idx.len(), &lines[..n], delta);
             m.ctr.add_cycles(m.phase, cy);
         }
-    }
-
-    pub fn v_touch_gather_block(m: &mut Machine, base: VAddr, block: &TensorBlock, mutant: Mutant) {
-        m.ctr.vector_ops += match mutant {
-            Mutant::OneIssuePerBlock => 1,
-            _ => block.len().div_ceil(VLANES) as u64,
-        };
-        let lines = block_lines(m, base, block, mutant);
-        let cy = walk_gather_lines(m, block.len(), &lines, 0);
-        m.ctr.add_cycles(m.phase, cy);
     }
 
     pub fn v_touch_gather_block_reuse_multi(
@@ -1923,48 +1890,17 @@ mod tests {
     }
 
     #[test]
-    fn touch_gather_block_matches_vector_gather_for_one_vector() {
-        // For <= VLANES nodes the block touch charges the same formula
-        // as the per-vector gather (per-lane issue + one MLP-discounted
-        // access per distinct line), so the two are interchangeable at
-        // vector width.
-        let cfg = MachineConfig::lx2();
-        let mut vec = Machine::new(cfg.clone());
-        let mut block = Machine::new(cfg);
-        let b1 = vec.mem().alloc_f64(2048);
-        let b2 = block.mem().alloc_f64(2048);
-        vec.v_touch_gather(b1, &nodes(&cic_block()));
-        block.v_touch_gather_block_priced(
-            Pricing::Walk,
-            &[b2],
-            &cic_block(),
-            &mut LineCarry::new(),
-            0,
-        );
-        assert_eq!(
-            vec.counters().total_cycles().to_bits(),
-            block.counters().total_cycles().to_bits()
-        );
-    }
-
-    #[test]
     fn touch_gather_block_charges_each_line_once() {
         // A 64-node block confined to two lines must cost exactly:
-        // 64 lane penalties + 2 MLP-discounted line accesses.
+        // 64 lane penalties + 2 MLP-discounted stream lines.
         let cfg = MachineConfig::lx2();
-        let lane = cfg.gather_lane_cy;
+        let want = cfg.gather_lane_cy * 64.0 + 2.0 * Machine::GATHER_MLP * cfg.simd_stream_line_cy;
         let mut m = Machine::new(cfg);
         let base = m.mem().alloc_f64(1024);
         let block = TensorBlock::from_fn(4, |d, a| a * [1, 4, 0][d]); // Lines 0 and 1.
         m.in_phase(Phase::Compute, |k| {
-            k.v_touch_gather_block_priced(Pricing::Walk, &[base], &block, &mut LineCarry::new(), 0)
+            k.v_touch_gather_block(&[base], &block, &mut LineCarry::new(), 0)
         });
-        let mut expect = Machine::new(MachineConfig::lx2());
-        let eb = expect.mem().alloc_f64(1024);
-        let line_cost: f64 = (0..2)
-            .map(|l| expect.mem().access(eb.offset_f64(l * 8), 1))
-            .sum();
-        let want = lane * 64.0 + Machine::GATHER_MLP * line_cost;
         assert!(
             (m.counters().cycles(Phase::Compute) - want).abs() < 1e-12,
             "got {} want {want}",
@@ -1980,9 +1916,8 @@ mod tests {
         let base = m.mem().alloc_f64(8);
         let mut carry = primed(&m, &cic_block(), base);
         let held = carry.lines().to_vec();
-        m.v_touch_gather_block_priced(Pricing::Walk, &[base], &TensorBlock::EMPTY, &mut carry, 0);
-        m.v_touch_gather_block_priced(Pricing::Stream, &[base], &TensorBlock::EMPTY, &mut carry, 0);
-        m.v_touch_gather_block_priced(Pricing::Stream, &[], &cic_block(), &mut carry, 0);
+        m.v_touch_gather_block(&[base], &TensorBlock::EMPTY, &mut carry, 0);
+        m.v_touch_gather_block(&[], &cic_block(), &mut carry, 0);
         assert_eq!(m.counters().total_cycles(), 0.0);
         assert_eq!(m.counters().vector_ops, 0);
         assert_eq!(carry.lines(), held, "a free call leaves the carry alone");
@@ -2073,9 +2008,9 @@ mod tests {
         // the same call charges bit-identical cycles on a cold machine
         // and on one whose cache was warmed over the very same region,
         // and it neither reads nor perturbs cache statistics. The
-        // streaming price also undercuts the cache-walking plain gather
-        // from a cold (per-tile flushed) cache — the state it would
-        // actually start from on the hot path.
+        // streaming price also undercuts the per-particle gather's cache
+        // walk of the same nodes from a cold (per-tile flushed) cache —
+        // the state it would actually start from on the hot path.
         let cfg = MachineConfig::lx2();
         let mut cold = Machine::new(cfg.clone());
         let mut warm = Machine::new(cfg.clone());
@@ -2089,13 +2024,7 @@ mod tests {
         for (m, base) in [(&mut cold, cb), (&mut warm, wb)] {
             let src = m.mem().alloc_f64(16);
             m.in_phase(Phase::Gather, |k| {
-                k.v_touch_gather_block_priced(
-                    Pricing::Stream,
-                    &[base],
-                    &block,
-                    &mut LineCarry::new(),
-                    0,
-                )
+                k.v_touch_gather_block(&[base], &block, &mut LineCarry::new(), 0)
             });
             m.in_phase(Phase::Reduce, |k| {
                 k.v_touch_reduce_block_reuse(&[src], &[base], &block, &mut LineCarry::new(), 0, 0)
@@ -2113,9 +2042,7 @@ mod tests {
         // The streaming gather price undercuts the cold cache walk.
         let mut plain = Machine::new(cfg);
         let pb = plain.mem().alloc_f64(4096);
-        plain.in_phase(Phase::Gather, |k| {
-            k.v_touch_gather_block_priced(Pricing::Walk, &[pb], &block, &mut LineCarry::new(), 0)
-        });
+        plain.in_phase(Phase::Gather, |k| k.v_touch_gather(pb, &nodes(&block)));
         assert!(
             cold.counters().cycles(Phase::Gather) < plain.counters().cycles(Phase::Gather),
             "streamed {} must undercut cold walk {}",
@@ -2153,16 +2080,10 @@ mod tests {
         let (block, prev) = (stencil(16), stencil(15));
         let mut carry = primed(&m, &prev, bases[0]);
         m.in_phase(Phase::Gather, |k| {
-            k.v_touch_gather_block_priced(Pricing::Stream, &bases, &block, &mut carry, 0);
+            k.v_touch_gather_block(&bases, &block, &mut carry, 0);
             carry.reset();
-            k.v_touch_gather_block_priced(
-                Pricing::Stream,
-                &bases,
-                &block,
-                &mut carry,
-                18 * 18 * 18 * 8,
-            );
-            k.v_touch_gather_block_priced(Pricing::Stream, &bases[1..2], &prev, &mut carry, 0);
+            k.v_touch_gather_block(&bases, &block, &mut carry, 18 * 18 * 18 * 8);
+            k.v_touch_gather_block(&bases[1..2], &prev, &mut carry, 0);
         });
         assert_eq!(
             m.counters().cycles(Phase::Gather).to_bits(),
@@ -2177,28 +2098,30 @@ mod tests {
         // With the previous block covering every line, only the lane
         // issue penalty remains on the gather side; the reduce side
         // keeps its contiguous source streams but drops all destination
-        // walks. Partial overlap lands strictly between the extremes.
+        // walks. Partial overlap lands strictly between that and the
+        // cold per-particle walk of the same nodes.
         let cfg = MachineConfig::lx2();
         let lane = cfg.gather_lane_cy;
         let block = cic_block();
-        let gather = |pricing, prev: &TensorBlock| {
+        let gather = |prev: Option<&TensorBlock>| {
             let mut m = Machine::new(cfg.clone());
             let base = m.mem().alloc_f64(4096);
-            let mut carry = primed(&m, prev, base);
-            m.in_phase(Phase::Gather, |k| {
-                k.v_touch_gather_block_priced(pricing, &[base], &block, &mut carry, 0)
+            let mut carry = prev.map(|prev| primed(&m, prev, base));
+            m.in_phase(Phase::Gather, |k| match &mut carry {
+                Some(carry) => k.v_touch_gather_block(&[base], &block, carry, 0),
+                None => k.v_touch_gather(base, &nodes(&block)),
             });
             m.counters().cycles(Phase::Gather)
         };
-        let full = gather(Pricing::Stream, &block);
+        let full = gather(Some(&block));
         assert!(
             (full - lane * block.len() as f64).abs() < 1e-12,
             "full overlap must leave only lane issue cost, got {full}"
         );
         // Partial overlap: the z-neighbour covers the low half.
         let below = TensorBlock::from_fn(2, |d, a| [[0, 1], [0, 33], [2178, 0]][d][a]);
-        let p = gather(Pricing::Stream, &below);
-        let n = gather(Pricing::Walk, &TensorBlock::EMPTY);
+        let p = gather(Some(&below));
+        let n = gather(None);
         assert!(full < p && p < n, "expected {full} < {p} < {n}");
     }
 
@@ -2247,13 +2170,7 @@ mod tests {
             let base = m.mem().alloc_f64(65536);
             let src = m.mem().alloc_f64(64);
             m.in_phase(Phase::Gather, |k| {
-                k.v_touch_gather_block_priced(
-                    Pricing::Stream,
-                    &[base],
-                    &block,
-                    &mut LineCarry::new(),
-                    footprint,
-                )
+                k.v_touch_gather_block(&[base], &block, &mut LineCarry::new(), footprint)
             });
             m.in_phase(Phase::Reduce, |k| {
                 k.v_touch_reduce_block_reuse(
@@ -2311,26 +2228,18 @@ mod tests {
     fn conf_crossover_resident_gather_still_undercuts_cold_walk() {
         // The 8^3 case from the scalar->simd conformance snapshot: an
         // L1-resident stencil sweep must never be charged MORE than the
-        // scalar cache walk it replaces — the crossover closes the
+        // per-particle cache walk it replaces — the crossover closes the
         // overpricing, and the cheaper-phase contract can't invert.
         let cfg = MachineConfig::lx2();
         let block = cic_block();
         let mut streamed = Machine::new(cfg.clone());
         let sb = streamed.mem().alloc_f64(1728); // 12^3 guarded 8^3 grid
         streamed.in_phase(Phase::Gather, |k| {
-            k.v_touch_gather_block_priced(
-                Pricing::Stream,
-                &[sb],
-                &block,
-                &mut LineCarry::new(),
-                1728 * 8,
-            )
+            k.v_touch_gather_block(&[sb], &block, &mut LineCarry::new(), 1728 * 8)
         });
         let mut walk = Machine::new(cfg);
         let wb = walk.mem().alloc_f64(1728);
-        walk.in_phase(Phase::Gather, |k| {
-            k.v_touch_gather_block_priced(Pricing::Walk, &[wb], &block, &mut LineCarry::new(), 0)
-        });
+        walk.in_phase(Phase::Gather, |k| k.v_touch_gather(wb, &nodes(&block)));
         let s = streamed.counters().cycles(Phase::Gather);
         let w = walk.counters().cycles(Phase::Gather);
         assert!(
@@ -2405,8 +2314,8 @@ mod tests {
             $k.v_touch_gather_priced(pricing, bases, &idx, fp);
             $k.v_touch_gather(bases[0], &idx);
             let mut carry = $carry;
-            $k.v_touch_gather_block_priced(pricing, bases, prev, &mut carry, fp);
-            $k.v_touch_gather_block_priced(pricing, bases, block, &mut carry, fp);
+            $k.v_touch_gather_block(bases, prev, &mut carry, fp);
+            $k.v_touch_gather_block(bases, block, &mut carry, fp);
             let mut carry = $carry;
             $k.v_touch_reduce_block_reuse(srcs, bases, prev, &mut carry, fp, fp);
             $k.v_touch_reduce_block_reuse(srcs, bases, block, &mut carry, fp, fp);
@@ -2519,9 +2428,7 @@ mod tests {
         }
         let [multiply, replay, one_issue] = caught;
         assert!(!multiply.is_empty(), "multiply-by-count must be rejected");
-        assert!(multiply
-            .iter()
-            .all(|&n| cases[n].pricing == Pricing::Stream && cases[n].block.len() > 1));
+        assert!(multiply.iter().all(|&n| cases[n].block.len() > 1));
         assert!(!replay.is_empty(), "incongruent replay must be rejected");
         assert!(replay.iter().all(|&n| cases[n].incongruent));
         assert!(
@@ -2542,8 +2449,8 @@ mod tests {
     /// grid: a tile's run gathers, or a tile's folds with the live
     /// components changing on the way.
     struct Chain {
-        /// `None`: folds.
-        gather: Option<Pricing>,
+        /// Run gathers, or folds.
+        gather: bool,
         bases: Vec<VAddr>,
         srcs: Vec<VAddr>,
         footprint: u64,
@@ -2563,18 +2470,17 @@ mod tests {
                     carry.reset();
                 }
                 let (fp, bases) = ($chain.footprint, &$chain.bases);
-                match $chain.gather {
-                    Some(pricing) => {
-                        $k.v_touch_gather_block_priced(pricing, bases, block, &mut carry, fp)
-                    }
-                    None => $k.v_touch_reduce_block_reuse(
+                if $chain.gather {
+                    $k.v_touch_gather_block(bases, block, &mut carry, fp)
+                } else {
+                    $k.v_touch_reduce_block_reuse(
                         &$chain.srcs[..*live],
                         &bases[..*live],
                         block,
                         &mut carry,
                         fp,
                         fp,
-                    ),
+                    )
                 }
             }
         }};
@@ -2633,12 +2539,8 @@ mod tests {
                     (node + 2) * [1, dims[0], dims[0] * dims[1]][d]
                 })
             };
-            let gather = [Some(Pricing::Walk), Some(Pricing::Stream), None][next(3)];
-            let n_bases = if gather.is_some() {
-                [1, 3, 6][next(3)]
-            } else {
-                3
-            };
+            let gather = next(2) == 0;
+            let n_bases = if gather { [1, 3, 6][next(3)] } else { 3 };
             let odd = next(2) as u64;
             let mut live = 1 + next(3);
             let links = (0..1 + next(50))
@@ -2681,10 +2583,6 @@ mod tests {
         );
         for (n, chain) in chains.iter().enumerate() {
             let phase = Phase::ALL[n % Phase::ALL.len()];
-            if n % 37 == 0 {
-                new.mem().flush_cache();
-                old.mem().flush_cache();
-            }
             // The row builder the row mutants bend agrees with the node
             // lists where it is not bent.
             for (_, _, block) in &chain.links {
@@ -2715,11 +2613,6 @@ mod tests {
             new.in_phase(phase, |k| run_chain!(k, chain, LineCarry::new(), |_| true));
             let want = reference(&mut old, Mutant::None);
             assert_eq!(format!("{:?}", new.drain_counters()), want, "chain {n}");
-            assert_eq!(
-                new.mem_ref().cache_state(),
-                old.mem_ref().cache_state(),
-                "chain {n}: cache state"
-            );
             for ((twin, &mutant), caught) in twins.iter_mut().zip(&mutants).zip(&mut caught) {
                 if reference(twin, mutant) != want {
                     caught.push(n);
@@ -2763,7 +2656,7 @@ mod tests {
         TouchGather(VAddr, Vec<usize>),
         GatherPriced(Pricing, Vec<VAddr>, Vec<usize>, u64),
         /// The flag: reset the carry first.
-        GatherBlock(Pricing, Vec<VAddr>, TensorBlock, bool, u64),
+        GatherBlock(Vec<VAddr>, TensorBlock, bool, u64),
         ScatterAdd(VAddr, Vec<usize>, VReg),
         TouchScatterAdd(VAddr, Vec<usize>),
         ReduceBlock(Vec<VAddr>, Vec<VAddr>, TensorBlock, bool, u64, u64),
@@ -2820,11 +2713,11 @@ mod tests {
                 Op::GatherPriced(pricing, bases, idx, fp) => {
                     $k.v_touch_gather_priced(*pricing, bases, idx, *fp)
                 }
-                Op::GatherBlock(pricing, bases, block, reset, fp) => {
+                Op::GatherBlock(bases, block, reset, fp) => {
                     if *reset {
                         $carry.reset();
                     }
-                    $k.v_touch_gather_block_priced(*pricing, bases, block, $carry, *fp)
+                    $k.v_touch_gather_block(bases, block, $carry, *fp)
                 }
                 Op::ScatterAdd(base, idx, reg) => {
                     $k.v_scatter_add(*base, idx, *reg, &mut $sink.dst)
@@ -2947,7 +2840,6 @@ mod tests {
                     Op::GatherPriced(self.pricing(), self.bases(), self.idx(n), self.footprint())
                 }
                 16 => Op::GatherBlock(
-                    self.pricing(),
                     self.bases(),
                     self.block(),
                     self.next(4) == 0,

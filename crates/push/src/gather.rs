@@ -257,29 +257,27 @@ fn gather_lanes<const S: usize>(
 /// Charges the gather cost of one same-cell run of `n` particles whose
 /// stencil block (`stencil`) was loaded **once** for the whole run: the
 /// six field arrays pay one run-scoped block gather
-/// (every distinct cache line charged once per array, see
-/// [`Meter::v_touch_gather_block_priced`]) instead of a per-particle
+/// (every distinct cache line charged at most once per array, see
+/// [`Meter::v_touch_gather_block`]) instead of a per-particle
 /// node sweep, while the interpolation arithmetic is still charged per
 /// particle — batching amortises memory traffic, not FLOPs. Issued on
 /// the meter of the tile sweep's [`Phase::Gather`] scope, one call per
 /// run.
 ///
-/// `pricing` selects only the memory price. Streamed, the sweep walks a
-/// tile's runs in sorted-cell order, so the previous run's block (its
-/// lines are what `carry`, the tile sweep's, holds) is still resident in
-/// lane registers — cache lines it covers are rotated in place instead
-/// of re-gathered, and only the **new** lines are charged, at the
-/// state-free streaming price: the block loads of consecutive sorted
-/// runs sweep the field arrays in ascending order, which the stream
-/// prefetcher services at bandwidth. `footprint` is the byte span of one field array (guarded
-/// grid x 8), which the machine's roofline crossover compares against
-/// L1 capacity — small L1-resident grids are charged at the resident
-/// line price instead of the DRAM stream price. Walked, both are
-/// ignored and the cache simulator decides.
+/// The sweep visits a tile's runs in sorted-cell order, so the previous
+/// run's block (its lines are what `carry`, the tile sweep's, holds) is
+/// still resident in lane registers — cache lines it covers are rotated
+/// in place instead of re-gathered, and only the **new** lines are
+/// charged, at the state-free streaming price: the block loads of
+/// consecutive sorted runs sweep the field arrays in ascending order,
+/// which the stream prefetcher services at bandwidth. `footprint` is
+/// the byte span of one field array (guarded grid x 8), which the
+/// machine's roofline crossover compares against L1 capacity — small
+/// L1-resident grids are charged at the resident line price instead of
+/// the DRAM stream price.
 #[inline]
 pub fn charge_gather_run(
     m: &mut Meter<'_>,
-    pricing: Pricing,
     cost: GatherCost,
     n: usize,
     field_addrs: &[VAddr; 6],
@@ -287,7 +285,7 @@ pub fn charge_gather_run(
     carry: &mut LineCarry,
     footprint: u64,
 ) {
-    m.v_touch_gather_block_priced(pricing, field_addrs, stencil, carry, footprint);
+    m.v_touch_gather_block(field_addrs, stencil, carry, footprint);
     let chunks = n.div_ceil(VLANES);
     m.v_ops(cost.v_ops_per_chunk * chunks);
     m.record_flops((n * stencil.len() * 6 * 2) as f64);
@@ -736,7 +734,6 @@ mod tests {
         batched.in_phase(Phase::Gather, |m| {
             charge_gather_run(
                 m,
-                Pricing::Walk,
                 GatherCost::default(),
                 64,
                 &addrs_b,

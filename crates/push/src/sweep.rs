@@ -9,7 +9,7 @@
 
 use mpic_deposit::{ExecMode, ShapeOrder};
 use mpic_grid::{FieldArrays, GridGeometry};
-use mpic_machine::{vect::W, Lanes, LineCarry, Machine, Phase, Pricing, VAddr};
+use mpic_machine::{vect::W, Lanes, LineCarry, Machine, Phase, VAddr};
 use mpic_particles::ParticleTile;
 
 use crate::boris::{boris_push, boris_push_lanes, charge_push, BorisCoeffs};
@@ -47,7 +47,7 @@ impl PushCtx<'_> {
     ) {
         match mode {
             ExecMode::PerParticle => self.push_tile_per_particle(wm, tile, scratch),
-            ExecMode::Runs(pricing) => self.push_tile_runs(wm, pricing, tile, scratch),
+            ExecMode::Runs => self.push_tile_runs(wm, tile, scratch),
         }
     }
 
@@ -124,22 +124,15 @@ impl PushCtx<'_> {
     /// Removals are queued in GPMA order rather than raw slot order.
     ///
     /// The cost model charges one run-scoped block gather per field
-    /// array instead of a per-particle node sweep, at `pricing`: walked,
-    /// each run's distinct lines go through the cache simulator in run
-    /// order; streamed, the previous run's block stays in lane registers
-    /// across the run boundary, so only the cache lines the new stencil
-    /// adds are charged (sorted-cell order makes consecutive stencils
-    /// overlap heavily), at a flat bandwidth price with a roofline
-    /// crossover on the field-array footprint. The reuse state is
-    /// tile-local — reset at tile start and advanced in run order — so
-    /// the charge stream is the same for every worker count and policy.
-    fn push_tile_runs(
-        &self,
-        wm: &mut Machine,
-        pricing: Pricing,
-        tile: &mut ParticleTile,
-        scratch: &mut PushScratch,
-    ) {
+    /// array instead of a per-particle node sweep: the previous run's
+    /// block stays in lane registers across the run boundary, so only
+    /// the cache lines the new stencil adds are charged (sorted-cell
+    /// order makes consecutive stencils overlap heavily), at a flat
+    /// bandwidth price with a roofline crossover on the field-array
+    /// footprint. The reuse state is tile-local — reset at tile start
+    /// and advanced in run order — so the charge stream is the same for
+    /// every worker count and policy.
+    fn push_tile_runs(&self, wm: &mut Machine, tile: &mut ParticleTile, scratch: &mut PushScratch) {
         scratch.clear();
         scratch.live.extend(tile.gpma.sorted_particles());
         if scratch.live.is_empty() {
@@ -184,7 +177,6 @@ impl PushCtx<'_> {
                 // Close it: one block gather charge, then the lane packs.
                 charge_gather_run(
                     m,
-                    pricing,
                     GatherCost::default(),
                     scratch.run_slots.len(),
                     &self.field_addrs,

@@ -1,14 +1,14 @@
-//! The cell-run sweeps versus the per-particle reference paths, and the
-//! two pricings of the cell-run sweeps against each other, end to end
-//! through `Simulation::step`.
+//! The cell-run sweeps versus the per-particle reference paths, end to
+//! end through `Simulation::step`.
 //!
 //! There is one cell-run implementation (lane packs over same-cell
-//! runs), and only the sorted matrix configurations run it: `batching`
-//! selects it and `simd` selects its price model. Lane-vs-reference
-//! *value* coverage therefore lives in the `batched_*` tests below (run
-//! sweep vs per-particle), in `conf_lane_boris_push_matches_scalar_bitwise`
-//! and in the gather unit tests; the `conf_simd_*` tests compare the
-//! same arithmetic under two pricings and guard the *pricing* contract.
+//! runs, at the streaming prices), and only the sorted matrix
+//! configurations run it, when `batching` and `simd` are both on; each
+//! knob alone is a no-op. Lane-vs-reference *value* coverage lives
+//! here (run sweep vs per-particle), in
+//! `conf_lane_boris_push_matches_scalar_bitwise` and in the gather unit
+//! tests; `conf_simd_fullopt_values_bitwise_memory_phases_cheaper` also
+//! guards which phases the run prices lower.
 //!
 //! Contract under test (the PR 2-4 determinism contract extended to the
 //! batched path, plus the batched-vs-reference value claims):
@@ -20,18 +20,27 @@
 //!   bit-identical between the batched and per-particle paths (gathers
 //!   are read-only, so caching a run's node block is value-exact, and
 //!   the MPU kernel runs the same code in every mode);
-//! * configurations without cell-run sweeps — unsorted strategies, and
-//!   the direct-scatter and rhocell kernels on any strategy — ignore the
-//!   knob entirely (the reference sweep, bitwise in values and cycles).
+//! * configurations without cell-run sweeps — unsorted strategies, the
+//!   direct-scatter and rhocell kernels on any strategy, and either knob
+//!   on its own — ignore the knobs entirely (the reference sweep,
+//!   bitwise in values and cycles).
 
 use matrix_pic::core::{workloads, Simulation};
 use matrix_pic::deposit::{KernelConfig, ShapeOrder};
 use matrix_pic::grid::FieldArrays;
 use matrix_pic::machine::{Phase, SchedulerPolicy};
 
-fn uniform(kernel: KernelConfig, batching: bool) -> Simulation {
+/// The uniform workload with the cell-run sweeps requested (`batching`
+/// and `simd` both on) or not.
+fn uniform(kernel: KernelConfig, runs: bool) -> Simulation {
+    uniform_knobs(kernel, runs, runs)
+}
+
+/// The uniform workload with each knob set on its own.
+fn uniform_knobs(kernel: KernelConfig, batching: bool, simd: bool) -> Simulation {
     let mut sim = workloads::uniform_plasma_sim([16, 16, 16], 4, ShapeOrder::Cic, kernel, 9);
     sim.cfg.batching = batching;
+    sim.cfg.simd = simd;
     sim
 }
 
@@ -111,35 +120,6 @@ fn assert_values_bitwise(label: &str, a: &FieldArrays, b: &FieldArrays) {
 }
 
 #[test]
-fn conf_batched_fullopt_values_match_per_particle_bitwise() {
-    // Gather batching is value-exact and the matrix kernel is run-based
-    // either way: three FullOpt steps must agree bit for bit in every
-    // field array, while the batched run charges strictly fewer
-    // gather-phase cycles (the modelled saving).
-    let (ref_f, ref_cy, n0) = run(
-        uniform(KernelConfig::FullOpt, false),
-        1,
-        SchedulerPolicy::Static,
-        3,
-    );
-    let (bat_f, bat_cy, n1) = run(
-        uniform(KernelConfig::FullOpt, true),
-        1,
-        SchedulerPolicy::Static,
-        3,
-    );
-    assert_eq!(n0, n1);
-    assert_values_bitwise("FullOpt batched vs per-particle", &ref_f, &bat_f);
-    let gather = Phase::ALL.iter().position(|p| *p == Phase::Gather).unwrap();
-    assert!(
-        bat_cy[gather] < ref_cy[gather],
-        "batched gather must charge fewer cycles: {} vs {}",
-        bat_cy[gather],
-        ref_cy[gather]
-    );
-}
-
-#[test]
 fn conf_batched_rhocell_values_match_per_particle_bitwise() {
     // The rhocell kernel has no cell-run sweep: batching leaves it on the
     // per-particle path (cycles included, pinned by the fallback test).
@@ -183,17 +163,24 @@ fn conf_batched_path_is_bit_identical_across_workers_and_policies() {
 
 #[test]
 fn conf_batched_unsorted_fallback_is_bitwise_noop() {
-    // HybridNoSort provides no cell-grouped order, and the direct-scatter
+    // HybridNoSort provides no cell-grouped order, the direct-scatter
     // and rhocell kernels have no cell-run sweep even on a sorted
-    // strategy: the knob must change nothing at all — values AND cycles.
-    for kernel in [
-        KernelConfig::HybridNoSort,
-        KernelConfig::RhocellIncrSortVpu,
-        KernelConfig::BaselineIncrSort,
+    // strategy, and batching without simd requests none: the knobs must
+    // change nothing at all — values AND cycles.
+    for (kernel, simd) in [
+        (KernelConfig::HybridNoSort, true),
+        (KernelConfig::RhocellIncrSortVpu, true),
+        (KernelConfig::BaselineIncrSort, true),
+        (KernelConfig::FullOpt, false),
     ] {
         let a = run(uniform(kernel, false), 1, SchedulerPolicy::Static, 2);
-        let b = run(uniform(kernel, true), 1, SchedulerPolicy::Static, 2);
-        assert_bitwise(&format!("{kernel:?} fallback"), &a, &b);
+        let b = run(
+            uniform_knobs(kernel, true, simd),
+            1,
+            SchedulerPolicy::Static,
+            2,
+        );
+        assert_bitwise(&format!("{kernel:?} simd={simd} fallback"), &a, &b);
     }
 }
 
@@ -204,7 +191,7 @@ fn conf_batched_imbalanced_lwfa_with_empty_tiles_stays_deterministic() {
     // bit-identical across workers and policies on the skewed input.
     let build = || {
         let mut sim = workloads::imbalanced_lwfa_sim([16, 16, 32], 2, 33);
-        sim.cfg.batching = true;
+        (sim.cfg.batching, sim.cfg.simd) = (true, true);
         sim
     };
     let occupied = build()
@@ -230,31 +217,25 @@ fn conf_batched_imbalanced_lwfa_with_empty_tiles_stays_deterministic() {
     }
 }
 
-fn uniform_simd(kernel: KernelConfig, batching: bool, simd: bool) -> Simulation {
-    let mut sim = uniform(kernel, batching);
-    sim.cfg.simd = simd;
-    sim
-}
-
-/// The cross-pricing contract of the cell-run sweeps (`simd` off =
-/// `Pricing::Walk`, on = `Pricing::Stream`). Both sides run the same
-/// lane arithmetic, so the value half — every field and current equal
-/// bit for bit — now pins that a pricing never leaks into a value (a
-/// charge call that also moved data, or a price-dependent sort
-/// schedule, would show here). The pricing half is the live contract:
-/// the memory-bound phases the streaming model re-prices — Preprocess
+/// The run sweep's contract against the per-particle path. The value
+/// half — every field and current equal bit for bit — pins that the lane
+/// packs preserve per-particle/per-node association and add order, and
+/// that a price never leaks into a value (a charge call that also moved
+/// data, or a price-dependent sort schedule, would show here). The cost
+/// half: the memory-bound phases the run sweep re-prices — Preprocess
 /// (streamed staging loads), Compute (streamed rhocell accumulates),
 /// Sort (the incremental sweep's three unit-stride position streams),
-/// Gather (register-reuse block gathers) and Reduce (the fused
-/// rhocell→grid traversal) — charge strictly fewer cycles; every
-/// remaining phase (Push, FieldSolve, Other) is bitwise.
-fn assert_simd_streaming_contract(
+/// Gather (register-reuse block gathers instead of the per-particle
+/// walk) and Reduce (the fused rhocell→grid traversal) — charge strictly
+/// fewer cycles; every remaining phase (Push, FieldSolve, Other) is
+/// bitwise.
+fn assert_run_sweep_contract(
     label: &str,
-    scalar: &(FieldArrays, [f64; 8], usize),
-    simd: &(FieldArrays, [f64; 8], usize),
+    per_particle: &(FieldArrays, [f64; 8], usize),
+    runs: &(FieldArrays, [f64; 8], usize),
 ) {
-    assert_eq!(scalar.2, simd.2, "{label}: particle counts diverged");
-    assert_values_bitwise(label, &scalar.0, &simd.0);
+    assert_eq!(per_particle.2, runs.2, "{label}: particle counts diverged");
+    assert_values_bitwise(label, &per_particle.0, &runs.0);
     for (i, p) in Phase::ALL.iter().enumerate() {
         let cheaper = matches!(
             p,
@@ -262,19 +243,19 @@ fn assert_simd_streaming_contract(
         );
         if cheaper {
             assert!(
-                simd.1[i] < scalar.1[i],
-                "{label}: {p:?} must charge fewer cycles under the \
-                 streaming prices ({} vs {})",
-                simd.1[i],
-                scalar.1[i]
+                runs.1[i] < per_particle.1[i],
+                "{label}: {p:?} must charge fewer cycles in the \
+                 run sweep ({} vs {})",
+                runs.1[i],
+                per_particle.1[i]
             );
         } else {
             assert_eq!(
-                scalar.1[i].to_bits(),
-                simd.1[i].to_bits(),
+                per_particle.1[i].to_bits(),
+                runs.1[i].to_bits(),
                 "{label}: {p:?} cycles diverged ({} vs {})",
-                scalar.1[i],
-                simd.1[i]
+                per_particle.1[i],
+                runs.1[i]
             );
         }
     }
@@ -282,75 +263,40 @@ fn assert_simd_streaming_contract(
 
 #[test]
 fn conf_simd_fullopt_values_bitwise_memory_phases_cheaper() {
-    // Single-step and multi-step: values are equal across the two
-    // pricings while the memory-bound phases charge strictly fewer
-    // cycles under the state-free streaming prices. (That the lane
-    // packs themselves preserve per-particle/per-node association and
-    // add order is pinned against the per-particle path by
-    // `conf_batched_fullopt_values_match_per_particle_bitwise`.)
+    // Single-step and multi-step: FullOpt's run sweep against its
+    // per-particle path — values equal bit for bit, the memory-bound
+    // phases strictly cheaper.
     for steps in [1usize, 3] {
-        let scalar = run(
-            uniform_simd(KernelConfig::FullOpt, true, false),
+        let per_particle = run(
+            uniform(KernelConfig::FullOpt, false),
             1,
             SchedulerPolicy::Static,
             steps,
         );
-        let simd = run(
-            uniform_simd(KernelConfig::FullOpt, true, true),
+        let runs = run(
+            uniform(KernelConfig::FullOpt, true),
             1,
             SchedulerPolicy::Static,
             steps,
         );
-        assert_simd_streaming_contract(
-            &format!("FullOpt simd vs scalar ({steps} steps)"),
-            &scalar,
-            &simd,
+        assert_run_sweep_contract(
+            &format!("FullOpt runs vs per-particle ({steps} steps)"),
+            &per_particle,
+            &runs,
         );
-    }
-}
-
-#[test]
-fn conf_simd_path_is_bit_identical_across_workers_and_policies() {
-    // The full knob matrix on the SIMD path: any worker count, either
-    // scheduler — same bits everywhere including per-phase counters.
-    let reference = run(
-        uniform_simd(KernelConfig::FullOpt, true, true),
-        1,
-        SchedulerPolicy::Static,
-        3,
-    );
-    for workers in [2usize, 4, 7] {
-        for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-            let got = run(
-                uniform_simd(KernelConfig::FullOpt, true, true),
-                workers,
-                policy,
-                3,
-            );
-            assert_bitwise(
-                &format!("simd FullOpt {workers}w {}", policy.label()),
-                &reference,
-                &got,
-            );
-        }
     }
 }
 
 #[test]
 fn conf_simd_without_batching_is_a_bitwise_noop() {
-    // The pricing only exists inside the cell-run sweeps: without
-    // batching `Depositor::mode` stays `PerParticle`, so the knob must
-    // change nothing — values AND cycles, on both a sorted and an
-    // unsorted kernel config.
+    // The cell-run sweeps need both knobs: without batching
+    // `Depositor::mode` stays `PerParticle`, so simd must change nothing
+    // — values AND cycles, on both a sorted and an unsorted kernel
+    // config.
     for kernel in [KernelConfig::FullOpt, KernelConfig::HybridNoSort] {
-        let off = run(
-            uniform_simd(kernel, false, false),
-            1,
-            SchedulerPolicy::Static,
-            2,
-        );
+        let off = run(uniform(kernel, false), 1, SchedulerPolicy::Static, 2);
         let on = run(
-            uniform_simd(kernel, false, true),
+            uniform_knobs(kernel, false, true),
             1,
             SchedulerPolicy::Static,
             2,
@@ -384,6 +330,7 @@ fn conf_batched_deposit_survives_stealing_chunk_boundaries() {
         let mut fields = matrix_pic::grid::FieldArrays::new(&geom);
         let mut dep = KernelConfig::FullOpt.build(ShapeOrder::Cic);
         dep.set_batching(true);
+        dep.set_simd(true);
         dep.prepare(&mut m, &geom, &layout, &mut container);
         dep.sort_step(&mut m, &geom, &layout, &mut container, false);
         match exec_chunk {

@@ -15,7 +15,7 @@ fn sim(workers: usize, policy: SchedulerPolicy) -> Simulation {
         workloads::uniform_plasma_sim(DIMS, PPC, ShapeOrder::Cic, KernelConfig::FullOpt, SEED);
     s.cfg.num_workers = workers;
     s.cfg.scheduler = policy;
-    s.cfg.batching = true;
+    (s.cfg.batching, s.cfg.simd) = (true, true);
     s
 }
 

@@ -5,7 +5,7 @@
 //! snapshotted mid-run and restored into a *fresh* `Simulation` (built from
 //! the same config) must continue bit-identically to the uninterrupted run —
 //! fields, currents, particles, RNG, per-phase counters and cache behavioural
-//! state included — across every worker count, scheduler policy and batching
+//! state included — across every worker count, scheduler policy and execution
 //! mode. Corrupted snapshot bytes must produce structured [`SnapshotError`]s,
 //! never panics.
 
@@ -25,7 +25,7 @@ const LWFA_DIMS: [usize; 3] = [8, 8, 32];
 const LWFA_PPC: usize = 2;
 const LWFA_SEED: u64 = 13;
 
-fn uniform_sim(workers: usize, policy: SchedulerPolicy, batching: bool) -> Simulation {
+fn uniform_sim(workers: usize, policy: SchedulerPolicy, runs: bool) -> Simulation {
     let mut sim = workloads::uniform_plasma_sim(
         UNIFORM_DIMS,
         UNIFORM_PPC,
@@ -35,11 +35,11 @@ fn uniform_sim(workers: usize, policy: SchedulerPolicy, batching: bool) -> Simul
     );
     sim.cfg.num_workers = workers;
     sim.cfg.scheduler = policy;
-    sim.cfg.batching = batching;
+    (sim.cfg.batching, sim.cfg.simd) = (runs, runs);
     sim
 }
 
-fn lwfa_sim(workers: usize, policy: SchedulerPolicy, batching: bool) -> Simulation {
+fn lwfa_sim(workers: usize, policy: SchedulerPolicy, runs: bool) -> Simulation {
     let mut sim = workloads::lwfa_sim(
         LWFA_DIMS,
         LWFA_PPC,
@@ -49,7 +49,7 @@ fn lwfa_sim(workers: usize, policy: SchedulerPolicy, batching: bool) -> Simulati
     );
     sim.cfg.num_workers = workers;
     sim.cfg.scheduler = policy;
-    sim.cfg.batching = batching;
+    (sim.cfg.batching, sim.cfg.simd) = (runs, runs);
     sim
 }
 
@@ -93,16 +93,16 @@ fn assert_restore_continues_bit_identical(
 }
 
 /// Snapshot -> restore -> N steps is bit-identical to the uninterrupted run
-/// for every worker count x scheduler policy x batching mode in the paper's
-/// determinism matrix (uniform plasma workload).
+/// for every worker count x scheduler policy x execution mode (per-particle,
+/// cell runs) in the paper's determinism matrix (uniform plasma workload).
 #[test]
 fn conf_snapshot_restore_bit_identical_across_exec_matrix() {
     for &workers in &[1usize, 2, 4, 7] {
         for &policy in &[SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-            for &batching in &[false, true] {
-                let label = format!("uniform w={workers} {policy:?} batching={batching}");
+            for &runs in &[false, true] {
+                let label = format!("uniform w={workers} {policy:?} runs={runs}");
                 assert_restore_continues_bit_identical(
-                    &|| uniform_sim(workers, policy, batching),
+                    &|| uniform_sim(workers, policy, runs),
                     2,
                     4,
                     &label,
@@ -130,57 +130,30 @@ fn conf_snapshot_restore_bit_identical_lwfa_moving_window() {
     }
 }
 
-fn uniform_simd_sim(workers: usize, policy: SchedulerPolicy) -> Simulation {
-    let mut sim = uniform_sim(workers, policy, true);
-    sim.cfg.simd = true;
-    sim
-}
-
-/// Snapshot -> restore -> N steps of streamed cell runs
-/// (`SimConfig::simd`) is bit-identical to the uninterrupted run —
-/// total state, counters included, across worker counts and policies.
-#[test]
-fn conf_snapshot_restore_bit_identical_with_simd() {
-    for &workers in &[1usize, 4] {
-        for &policy in &[SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-            let label = format!("uniform simd w={workers} {policy:?}");
-            assert_restore_continues_bit_identical(
-                &|| uniform_simd_sim(workers, policy),
-                2,
-                4,
-                &label,
-            );
-        }
-    }
-}
-
-/// A checkpoint is simd-agnostic for *state*: a snapshot written by
-/// walked cell runs (`simd` off) restores into a simd-on simulation and
-/// continues with bit-identical field values. The writer's two walked
-/// steps charge the cache-walking prices in the memory-bound phases
-/// `simd` re-prices through the state-free streaming model, so the resumed
-/// run carries a strictly higher Preprocess/Compute/Reduce/Gather/Sort
-/// history than the uninterrupted simd-on run. (Gather joined the
-/// strictly-cheaper set with the roofline crossover: this 8^3 grid's
-/// guarded field arrays fit in L1, so the streamed block loads now pay the
-/// resident line price instead of being overcharged at the flat DRAM
-/// stream rate — previously the mostly-L1-hit cache walk undercut the
-/// stream here. Sort joined when the incremental sweep's position scan
-/// was re-priced through the same streaming model.) Every other phase
-/// matches bitwise.
+/// A checkpoint is mode-agnostic for *state*: a snapshot written by the
+/// per-particle sweep restores into a simulation running the cell-run
+/// sweep and continues with bit-identical field values. The writer's two
+/// per-particle steps charge the cache-walking prices in the memory-bound
+/// phases the run sweep re-prices (block gathers with register reuse,
+/// the state-free streaming model elsewhere), so the resumed run carries
+/// a strictly higher Preprocess/Compute/Reduce/Gather/Sort history than
+/// the uninterrupted run-sweep run. (This 8^3 grid's guarded field arrays
+/// fit in L1, so the streamed block loads pay the roofline crossover's
+/// resident line price, which keeps Gather below the mostly-L1-hit walk.)
+/// Every other phase matches bitwise.
 #[test]
 fn conf_snapshot_written_scalar_restores_into_simd() {
     use matrix_pic::machine::Phase;
 
-    let mut writer = uniform_sim(1, SchedulerPolicy::Static, true);
+    let mut writer = uniform_sim(1, SchedulerPolicy::Static, false);
     writer.run(2);
     let checkpoint = writer.snapshot();
 
-    let mut reference = uniform_simd_sim(1, SchedulerPolicy::Static);
+    let mut reference = uniform_sim(1, SchedulerPolicy::Static, true);
     reference.run(4);
 
-    let mut resumed = uniform_simd_sim(1, SchedulerPolicy::Static);
-    resumed.restore(&checkpoint).expect("cross-simd restore");
+    let mut resumed = uniform_sim(1, SchedulerPolicy::Static, true);
+    resumed.restore(&checkpoint).expect("cross-mode restore");
     resumed.run(2);
 
     let fields = |s: &Simulation| {
@@ -202,7 +175,10 @@ fn conf_snapshot_written_scalar_restores_into_simd() {
             .iter()
             .zip(b.as_slice())
             .all(|(u, v)| u.to_bits() == v.to_bits());
-        assert!(same, "field {i} diverged after scalar->simd restore");
+        assert!(
+            same,
+            "field {i} diverged after per-particle -> runs restore"
+        );
     }
     for p in Phase::ALL {
         let want = reference.machine.counters().cycles(p);
@@ -213,14 +189,14 @@ fn conf_snapshot_written_scalar_restores_into_simd() {
         ) {
             assert!(
                 got > want,
-                "writer's scalar steps must leave a higher {p:?} history \
+                "writer's per-particle steps must leave a higher {p:?} history \
                  ({got} vs {want})"
             );
         } else {
             assert_eq!(
                 want.to_bits(),
                 got.to_bits(),
-                "{p:?} cycles diverged after scalar->simd restore"
+                "{p:?} cycles diverged after per-particle -> runs restore"
             );
         }
     }
@@ -230,8 +206,8 @@ fn conf_snapshot_written_scalar_restores_into_simd() {
 /// count and policy may be restored under another, and the continuation is
 /// still bit-identical to an uninterrupted run under the *target* config
 /// (the determinism contract says workers and scheduling never change
-/// results). Batching must match, because batching changes the emulated
-/// cost-model charges the counters and report accumulate.
+/// results). The execution mode must match, because it changes the
+/// emulated cost-model charges the counters and report accumulate.
 #[test]
 fn conf_snapshot_restores_across_worker_counts() {
     let mut writer = uniform_sim(1, SchedulerPolicy::Static, true);
