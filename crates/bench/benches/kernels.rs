@@ -204,6 +204,48 @@ fn bench_qsp_streamed_layers(c: &mut Criterion) {
     });
 }
 
+/// The layers of one `uniform_ref` step that walk the cache simulation,
+/// on that workload's state (16^3 ppc 8, CIC, Baseline, shuffled): the
+/// per-particle deposit — staging loads, direct scatter — and the
+/// per-particle gather + push over every tile. Each iteration pushes a
+/// fresh clone of the tiles, cloned outside the timed part, so every
+/// iteration walks the same line stream.
+fn bench_walked_layers(c: &mut Criterion) {
+    let mut sim =
+        workloads::uniform_plasma_sim([16, 16, 16], 8, ShapeOrder::Cic, KernelConfig::Baseline, 42);
+    workloads::shuffle_particles(&mut sim.electrons, &sim.geom, &sim.layout, 42);
+    let (geom, layout) = (&sim.geom, &sim.layout);
+
+    c.bench_function("walk_per_particle_uniform_ref", |b| {
+        let mut m = Machine::new(MachineConfig::lx2());
+        let mut dep = KernelConfig::Baseline.build(ShapeOrder::Cic);
+        let mut electrons = sim.electrons.clone();
+        dep.prepare(&mut m, geom, layout, &mut electrons);
+        let mut fields = sim.fields.clone();
+        let len = sim.fields.ex.len();
+        let ctx = PushCtx {
+            geom,
+            order: ShapeOrder::Cic,
+            fields: &sim.fields,
+            field_addrs: std::array::from_fn(|_| m.mem().alloc_f64(len)),
+            boris: BorisCoeffs::new(electrons.charge, electrons.mass, sim.dt()),
+            absorb_z: None,
+        };
+        let mut scratch = PushScratch::default();
+        b.iter_batched(
+            || electrons.tiles.clone(),
+            |mut tiles| {
+                dep.deposit_step(&mut m, geom, layout, &electrons, &mut fields);
+                for tile in &mut tiles {
+                    ctx.push_tile(&mut m, ExecMode::PerParticle, tile, &mut scratch);
+                }
+                tiles
+            },
+            BatchSize::LargeInput,
+        );
+    });
+}
+
 /// The two streamed block charges of the `uniform_qsp` configuration,
 /// alone, over the 512 cells of the upper corner tile of its 32x32x16
 /// grid — the tile whose stencils straddle the periodic wrap on every
@@ -408,6 +450,7 @@ criterion_group!(
     bench_gpma_maintenance,
     bench_incremental_sort,
     bench_qsp_streamed_layers,
+    bench_walked_layers,
     bench_block_charges,
     bench_load,
     bench_checkpoint,

@@ -127,13 +127,13 @@ impl Simulation {
         let report = decode_report(rdr.section(section::REPORT)?)?;
 
         // --- Apply. The cache import is the one remaining fallible
-        // step; it validates geometry before mutating anything, so a
+        // step; it validates the state before mutating anything, so a
         // failure here still leaves `self` untouched. Everything after
         // it is infallible.
         if !self.machine.mem().restore_cache_state(&cache_state) {
             return Err(SnapshotError::Malformed {
                 section: section::CACHE,
-                reason: "cache state rejected by geometry validation",
+                reason: "cache state no walk of this geometry can produce",
             });
         }
         for (arr, data) in field_array_muts(&mut self.fields)

@@ -118,34 +118,50 @@ struct CacheLevel {
     stamps: Vec<u64>,
     clock: u64,
     stats: CacheStats,
-    /// Last accessed line (fast-path key of the memo below).
+    /// Last accessed line and the tag slot (`set * ways + way`) that
+    /// holds it, or [`MEMO_NONE`]. Exported state only: both belong to
+    /// [`CacheLevelState`] and the snapshot `CACHE` section, so every
+    /// access writes them, and the walk never reads them.
     memo_line: u64,
-    /// Tag slot (`set * ways + way`) holding `memo_line`, or
-    /// [`MEMO_NONE`]. A repeat access to the line last touched is a
-    /// guaranteed hit in *this* level (the previous access left the line
-    /// resident, and nothing can evict it without another access in
-    /// between), so the fast path skips the tag search and performs
-    /// exactly the slow path's side effects: clock tick, LRU stamp
-    /// refresh, hit count. Counters and future behaviour are
-    /// bit-identical to the memo-less walk by construction.
     memo_slot: usize,
+    /// Way hint (host-only): `hint[line & hint_mask]` is the tag slot
+    /// where a line with those low bits was last found or placed. A line
+    /// a reachable state holds sits in its own set at exactly one way
+    /// (what [`CacheLevel::accepts`] checks of imports), so when the
+    /// hinted slot's tag is `line` the set scan would have found that
+    /// same way, and the access is that hit without the scan. A stale or
+    /// colliding hint fails the tag compare and the scan runs as
+    /// before; the hint is never exported, flushed or compared.
+    hint: Vec<u32>,
+    hint_mask: u64,
+    #[cfg(test)]
+    fault: HintFault,
 }
 
 impl CacheLevel {
-    fn new(cfg: CacheLevelConfig) -> Self {
+    /// An empty level of geometry `cfg` with a way hint of `hints`
+    /// entries (a power of two).
+    fn new(cfg: CacheLevelConfig, hints: usize) -> Self {
         assert!(cfg.line_bytes.is_power_of_two(), "line size must be 2^k");
         let sets = cfg.num_sets();
         assert!(sets.is_power_of_two(), "set count must be 2^k");
         assert!(sets > 0 && cfg.ways > 0);
+        assert!(hints.is_power_of_two());
+        let slots = sets * cfg.ways;
+        assert!(u32::try_from(slots).is_ok(), "tag slots must fit a hint");
         Self {
             ways: cfg.ways,
             set_mask: (sets - 1) as u64,
-            tags: vec![u64::MAX; sets * cfg.ways],
-            stamps: vec![0; sets * cfg.ways],
+            tags: vec![u64::MAX; slots],
+            stamps: vec![0; slots],
             clock: 0,
             stats: CacheStats::default(),
             memo_line: u64::MAX,
             memo_slot: MEMO_NONE,
+            hint: vec![0; hints],
+            hint_mask: (hints - 1) as u64,
+            #[cfg(test)]
+            fault: HintFault::None,
         }
     }
 
@@ -167,14 +183,20 @@ impl CacheLevel {
     /// byte address `>> line_shift`). Returns `true` on hit.
     #[inline(always)]
     fn access(&mut self, line: u64) -> bool {
+        debug_assert_ne!(line, u64::MAX, "the empty-way tag is no line id");
         self.clock += 1;
-        // Last-line memo: hot kernels touch the same line many times in a
-        // row (stencil node sweeps, staged attribute streams); the repeat
-        // is a guaranteed hit whose only effects are the ones applied
-        // here, so the way search is skipped entirely.
-        if self.memo_slot != MEMO_NONE && line == self.memo_line {
-            self.stamps[self.memo_slot] = self.clock;
+        let h = (line & self.hint_mask) as usize;
+        let hinted = self.hint[h] as usize;
+        let trusted = self.tags[hinted] == line;
+        #[cfg(test)]
+        let trusted = trusted || self.fault == HintFault::Unchecked;
+        if trusted {
+            // The hit the scan would find, with its effects: clock tick,
+            // stamp refresh, hit count, memo.
+            self.stamps[hinted] = self.clock;
             self.stats.hits += 1;
+            self.memo_line = line;
+            self.memo_slot = hinted;
             return true;
         }
         let base = (line & self.set_mask) as usize * self.ways;
@@ -195,11 +217,20 @@ impl CacheLevel {
         } else {
             self.stats.misses += 1;
         }
+        let slot = base + way;
+        #[cfg(test)]
+        let slot_hinted = self.fault != HintFault::NotRefreshed;
+        #[cfg(not(test))]
+        let slot_hinted = true;
+        if slot_hinted {
+            self.hint[h] = slot as u32;
+        }
         self.memo_line = line;
-        self.memo_slot = base + way;
+        self.memo_slot = slot;
         hit
     }
 
+    /// Empties every way. The hint stays: an empty way matches no line.
     fn flush(&mut self) {
         self.tags.fill(u64::MAX);
         self.stamps.fill(0);
@@ -217,26 +248,39 @@ impl CacheLevel {
         }
     }
 
-    fn import_state(&mut self, s: &CacheLevelState) -> bool {
+    /// Whether `s` is a state a walk of this level's geometry can reach:
+    /// tag and stamp arrays of this length, a memo slot in range (or
+    /// none), and every non-empty tag in its own set, at most once per
+    /// set — the property the way hint's tag compare relies on.
+    fn accepts(&self, s: &CacheLevelState) -> bool {
         let slot = s.memo_slot as usize;
-        if s.tags.len() != self.tags.len()
-            || s.stamps.len() != self.stamps.len()
-            || (slot != MEMO_NONE && slot >= self.tags.len())
-        {
-            return false;
-        }
+        s.tags.len() == self.tags.len()
+            && s.stamps.len() == self.stamps.len()
+            && (slot == MEMO_NONE || slot < self.tags.len())
+            && s.tags.chunks(self.ways).enumerate().all(|(set, ways)| {
+                ways.iter().enumerate().all(|(w, &tag)| {
+                    tag == u64::MAX
+                        || (tag & self.set_mask == set as u64 && !ways[..w].contains(&tag))
+                })
+            })
+    }
+
+    /// Imports a state [`CacheLevel::accepts`]. The hint is left as it
+    /// is: a slot it names that now holds another line fails the tag
+    /// compare.
+    fn import_state(&mut self, s: &CacheLevelState) {
         self.tags.copy_from_slice(&s.tags);
         self.stamps.copy_from_slice(&s.stamps);
         self.clock = s.clock;
         self.memo_line = s.memo_line;
-        self.memo_slot = slot;
-        true
+        self.memo_slot = s.memo_slot as usize;
     }
 }
 
 /// Plain-integer image of one level's behavioural state (tags, LRU
-/// stamps, clock and last-line memo) — everything that influences the
-/// latency of *future* accesses. Statistics are deliberately excluded:
+/// stamps and clock — everything that influences the latency of
+/// *future* accesses — and the last-line memo). Statistics are
+/// deliberately excluded:
 /// they are accounting, owned by the counter drain/absorb protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheLevelState {
@@ -246,7 +290,8 @@ pub struct CacheLevelState {
     pub stamps: Vec<u64>,
     /// LRU clock.
     pub clock: u64,
-    /// Last accessed line (memo fast-path key).
+    /// Last accessed line. Kept for the snapshot format: no future
+    /// access cost depends on it.
     pub memo_line: u64,
     /// Tag slot holding `memo_line` (`u64::MAX` = invalid memo).
     pub memo_slot: u64,
@@ -317,9 +362,17 @@ impl CacheSim {
             l1.line_bytes, l2.line_bytes,
             "both levels share one line size"
         );
+        // Both hints get an entry per line the larger level holds (4096
+        // on lx2). The L1 turns its lines over far faster than it has
+        // slots, so its hint needs many entries per slot, or new
+        // placements overwrite the entries of lines still resident: on
+        // lx2 a 256- or 1024-entry L1 hint kept little of the walk's
+        // gain on `uniform_ref`, and a longer L2 hint added nothing.
+        let slots = |c: CacheLevelConfig| c.num_sets() * c.ways;
+        let hints = slots(l1).max(slots(l2)).next_power_of_two();
         Self {
-            l1: CacheLevel::new(l1),
-            l2: CacheLevel::new(l2),
+            l1: CacheLevel::new(l1, hints),
+            l2: CacheLevel::new(l2, hints),
             line_shift: l1.line_bytes.trailing_zeros(),
             dirty: false,
             l1_hit_cy,
@@ -481,25 +534,19 @@ impl CacheSim {
 
     /// Imports behavioural state captured by [`CacheSim::export_state`]
     /// from a hierarchy of identical geometry. Returns `false` (leaving
-    /// this hierarchy untouched) if the state's shape does not match —
-    /// wrong tag-array lengths, out-of-range memo slot or wrong stream
-    /// slot count — so corrupt snapshots surface as errors, not panics.
+    /// this hierarchy untouched) if the state is not one a walk of this
+    /// geometry can produce — wrong tag-array lengths, out-of-range memo
+    /// slot, a tag outside its own set or twice in one set, or a wrong
+    /// stream slot count — so corrupt snapshots surface as errors, not
+    /// panics or silently different prices.
     pub fn import_state(&mut self, s: &CacheSimState) -> bool {
-        if s.streams.len() != STREAM_SLOTS {
-            return false;
-        }
         // Validate both levels before mutating either: import is
         // all-or-nothing.
-        let slot_ok = |lvl: &CacheLevel, st: &CacheLevelState| {
-            let slot = st.memo_slot as usize;
-            st.tags.len() == lvl.tags.len()
-                && st.stamps.len() == lvl.stamps.len()
-                && (slot == MEMO_NONE || slot < lvl.tags.len())
-        };
-        if !slot_ok(&self.l1, &s.l1) || !slot_ok(&self.l2, &s.l2) {
+        if s.streams.len() != STREAM_SLOTS || !self.l1.accepts(&s.l1) || !self.l2.accepts(&s.l2) {
             return false;
         }
-        assert!(self.l1.import_state(&s.l1) && self.l2.import_state(&s.l2));
+        self.l1.import_state(&s.l1);
+        self.l2.import_state(&s.l2);
         self.dirty = true;
         for (dst, src) in self.streams.iter_mut().zip(&s.streams) {
             *dst = *src;
@@ -509,12 +556,25 @@ impl CacheSim {
     }
 }
 
+/// A deliberate fault in the way hint, which the differential tests must
+/// catch; every walk outside them runs [`HintFault::None`].
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum HintFault {
+    /// The hint as specified.
+    None,
+    /// The remembered slot is trusted without comparing its tag.
+    Unchecked,
+    /// A slow-path probe leaves the hint as it was.
+    NotRefreshed,
+}
+
 /// The walk as it was before the fast path: a front-to-back `position()`
 /// over a runtime-length set, line ids by division, every call through
-/// the byte-address entry, and no host-side shortcut (last-line memo,
+/// the byte-address entry, and no host-side shortcut (way hint,
 /// clean-flush skip). Kept as the oracle the differential tests replay
-/// [`CacheSim`] against; the memo *fields* are still maintained, since
-/// they are part of the exported state.
+/// [`CacheSim`] against; it maintains the memo fields, since they are
+/// part of the exported state.
 #[cfg(test)]
 mod reference {
     use super::{CacheLevelConfig, CacheLevelState, CacheSimState, CacheStats, STREAM_SLOTS};
@@ -816,14 +876,45 @@ mod tests {
         assert_eq!(c.access(0, 0), 0.0);
     }
 
-    /// Replays one randomised op stream through [`CacheSim`] and the
-    /// pre-fast-path [`RefSim`] and compares, after **every** op, the
-    /// returned cycles (bitwise), both levels' statistics, the miss split
-    /// and the complete exported state.
-    fn replay_against_reference(l1: CacheLevelConfig, l2: CacheLevelConfig, seed: u64) {
+    impl CacheLevel {
+        /// The hint's invariant after an access: the line accessed last
+        /// is found through its hint. It is what lets the walk drop a
+        /// last-line memo check; a stale hint cannot move a number, so
+        /// this is where a missing refresh shows.
+        fn hint_names_last_line(&self) -> bool {
+            self.memo_slot == MEMO_NONE
+                || self.hint[(self.memo_line & self.hint_mask) as usize] as usize == self.memo_slot
+        }
+
+        /// Accesses so far (hits and misses).
+        fn accesses(&self) -> u64 {
+            self.stats.hits + self.stats.misses
+        }
+    }
+
+    /// Replays one randomised op stream through [`CacheSim`], its way
+    /// hints carrying `fault`, and the pre-fast-path [`RefSim`], and
+    /// compares, after **every** op, the returned cycles (bitwise), both
+    /// levels' statistics, the miss split and the complete exported
+    /// state; after every access, each level it reached must find its
+    /// last line through the hint. Returns the first divergence.
+    fn replay_against_reference(
+        l1: CacheLevelConfig,
+        l2: CacheLevelConfig,
+        seed: u64,
+        fault: HintFault,
+    ) -> Result<(), String> {
         let latency = [0.5, 12.0, 100.0];
         let geometry = format!("{l1:?} {l2:?} seed={seed}");
-        let mut fast = CacheSim::new(l1, l2, latency[0], latency[1], latency[2]);
+        let new_sim = || {
+            let mut sim = CacheSim::new(l1, l2, latency[0], latency[1], latency[2]);
+            (sim.l1.fault, sim.l2.fault) = (fault, fault);
+            sim
+        };
+        let mut fast = new_sim();
+        // The hierarchy an import lands in when it is not a fresh one:
+        // warm, with hints naming slots of another access history.
+        let mut spare = new_sim();
         let mut slow = RefSim::new(l1, l2, latency);
         let mut rng = seed;
         let mut next = move || {
@@ -834,6 +925,9 @@ mod tests {
         };
         // A span a few times the L2 capacity, so every level evicts.
         let span = 4 * l2.size_bytes as u64;
+        // Lines this many bytes apart share a hint entry in both levels
+        // (the two tables are equally long).
+        let hint_bytes = fast.l1.hint.len() as u64 * 64;
         let mut addr = 0u64;
         for op in 0..20_000u32 {
             let r = next();
@@ -849,23 +943,38 @@ mod tests {
                     slow.flush();
                 }
                 2 => {
-                    assert_eq!(fast.take_stats(), slow.take_stats(), "{geometry} op {op}");
+                    if fast.take_stats() != slow.take_stats() {
+                        return Err(format!("{geometry} op {op}: drained statistics"));
+                    }
                 }
                 3 => {
-                    // Through a fresh hierarchy, as restore does.
+                    // Export -> import, as restore does: into a fresh
+                    // hierarchy, or into the warm spare after a few
+                    // accesses of its own.
                     let state = fast.export_state();
-                    let (l1s, l2s) = (fast.l1_stats(), fast.l2_stats());
-                    let (st, rd) = (fast.streamed_misses, fast.random_misses);
-                    fast = CacheSim::new(l1, l2, latency[0], latency[1], latency[2]);
-                    assert!(fast.import_state(&state), "{geometry} op {op}");
-                    fast.absorb_stats(&l1s, &l2s, st, rd);
+                    if next() % 2 == 0 {
+                        spare = new_sim();
+                    } else {
+                        for _ in 0..next() % 256 {
+                            spare.access(next() % (2 * span), 8);
+                        }
+                    }
+                    if !spare.import_state(&state) {
+                        return Err(format!("{geometry} op {op}: import refused"));
+                    }
+                    let _ = spare.take_stats();
+                    let (l1s, l2s, st, rd) = fast.take_stats();
+                    spare.absorb_stats(&l1s, &l2s, st, rd);
+                    std::mem::swap(&mut fast, &mut spare);
                 }
                 kind => {
-                    addr = match kind % 4 {
+                    addr = match kind % 5 {
                         0 => addr,                   // Repeat.
                         1 => (addr + 8) % span,      // Unit stride.
                         2 => (addr + 64 * 5) % span, // Line stride.
-                        _ => next() % span,          // Jump.
+                        3 => next() % span,          // Jump.
+                        // A line congruent modulo the hint length.
+                        _ => addr % hint_bytes + (next() % 4) * hint_bytes,
                     };
                     // Mostly one line; sometimes zero bytes or several lines.
                     let bytes = match next() % 8 {
@@ -873,37 +982,51 @@ mod tests {
                         1 => 1 + next() % 300,
                         _ => 8,
                     };
+                    let before = (fast.l1.accesses(), fast.l2.accesses());
                     let f = if bytes == 8 && addr % 64 <= 56 && next() % 2 == 0 {
                         fast.access_line_id(addr >> fast.line_shift())
                     } else {
                         fast.access(addr, bytes)
                     };
                     let s = slow.access(addr, bytes);
-                    assert_eq!(f.to_bits(), s.to_bits(), "{geometry} op {op}: cycles");
+                    if f.to_bits() != s.to_bits() {
+                        return Err(format!("{geometry} op {op}: cycles {f} vs {s}"));
+                    }
+                    let reached = [
+                        (fast.l1.accesses() > before.0, &fast.l1),
+                        (fast.l2.accesses() > before.1, &fast.l2),
+                    ];
+                    if reached
+                        .iter()
+                        .any(|&(reached, lvl)| reached && !lvl.hint_names_last_line())
+                    {
+                        return Err(format!("{geometry} op {op}: last line not hinted"));
+                    }
                 }
             }
-            assert_eq!(
-                (fast.l1_stats(), fast.l2_stats()),
-                slow.stats(),
-                "{geometry} op {op}: statistics"
-            );
-            assert_eq!(
-                (fast.streamed_misses, fast.random_misses),
-                (slow.streamed_misses, slow.random_misses),
-                "{geometry} op {op}: miss split"
-            );
-            assert_eq!(
-                fast.export_state(),
-                slow.export_state(),
-                "{geometry} op {op}: state"
-            );
+            if (fast.l1_stats(), fast.l2_stats()) != slow.stats() {
+                return Err(format!("{geometry} op {op}: statistics"));
+            }
+            if (fast.streamed_misses, fast.random_misses)
+                != (slow.streamed_misses, slow.random_misses)
+            {
+                return Err(format!("{geometry} op {op}: miss split"));
+            }
+            if fast.export_state() != slow.export_state() {
+                return Err(format!("{geometry} op {op}: state"));
+            }
         }
+        Ok(())
     }
 
-    /// The fast walk (array-form probe, line-id entry, memo, clean-flush
-    /// skip) is the reference walk, bit for bit: for the lx2 geometry,
-    /// which takes the 8- and 16-way array form, and for geometries that
-    /// take the slice fallback, down to a single set.
+    /// The fast walk (array-form probe, line-id entry, way hint,
+    /// clean-flush skip) is the reference walk, bit for bit: for the lx2
+    /// geometry, which takes the 8- and 16-way array form, and for
+    /// geometries that take the slice fallback, down to a single set —
+    /// with imports into fresh and warm hierarchies (stale hints) and
+    /// lines that share hint entries. Each hint fault is caught on every
+    /// geometry: a hint trusted without its tag compare moves a number,
+    /// and one not refreshed after a probe loses the last line.
     #[test]
     fn conf_cache_walk_matches_reference_model() {
         let level = |sets: usize, ways: usize| CacheLevelConfig {
@@ -920,17 +1043,26 @@ mod tests {
         // Wider than one eight-way chunk of the probe, and not a multiple.
         geometries.push((level(2, 3), level(4, 20)));
         for (g, &(l1, l2)) in geometries.iter().enumerate() {
-            replay_against_reference(l1, l2, 0x9e37_79b9 + g as u64);
+            let seed = 0x9e37_79b9 + g as u64;
+            if let Err(divergence) = replay_against_reference(l1, l2, seed, HintFault::None) {
+                panic!("{divergence}");
+            }
+            for fault in [HintFault::Unchecked, HintFault::NotRefreshed] {
+                assert!(
+                    replay_against_reference(l1, l2, seed, fault).is_err(),
+                    "{fault:?} not caught on {l1:?} {l2:?}"
+                );
+            }
         }
     }
 
     /// Replays a pseudo-random access stream heavy on consecutive
-    /// same-line repeats — the memo's fast path — through the walk and
-    /// the memo-less reference model: latencies, statistics and
-    /// subsequent behaviour must be bit-identical — the memo is an
+    /// same-line repeats — each one a hint hit — through the walk and
+    /// the hint-less reference model: latencies, statistics and
+    /// subsequent behaviour must be bit-identical — the hint is an
     /// accelerator, not a model change.
     #[test]
-    fn line_memo_is_bit_identical_to_slow_path() {
+    fn way_hint_is_bit_identical_to_slow_path() {
         let mut fast = small_sim();
         let (l1, l2) = small_levels();
         let mut slow = RefSim::new(l1, l2, [1.0, 10.0, 100.0]);
@@ -1017,17 +1149,36 @@ mod tests {
         let mut bad_slot = snap.clone();
         bad_slot.l1.memo_slot = 1_000_000;
         assert!(!c.import_state(&bad_slot), "oob memo slot must refuse");
+        // Line 0 sits in L1 set 0 (4 sets x 2 ways) and L2 set 0 (8 x 4).
+        assert_eq!(snap.l1.tags[0], 0);
+        let mut off_set = snap.clone();
+        off_set.l1.tags[2] = 5; // Slot 2 is set 1's first way; line 5 maps to set 1.
+        assert!(c.import_state(&off_set), "a line in its own set imports");
+        off_set.l1.tags[2] = 4; // Line 4 maps to set 0.
+        assert!(
+            !c.import_state(&off_set),
+            "a line outside its set must refuse"
+        );
+        let mut twice = snap.clone();
+        twice.l2.tags[1] = 0;
+        assert!(
+            !c.import_state(&twice),
+            "a line twice in one set must refuse"
+        );
+        let before = c.export_state();
+        assert!(!c.import_state(&off_set) && !c.import_state(&twice));
+        assert_eq!(c.export_state(), before, "a refused import changes nothing");
         assert!(c.import_state(&snap), "pristine state still imports");
     }
 
     #[test]
-    fn line_memo_survives_flush_correctly() {
+    fn way_hint_survives_flush_correctly() {
         let mut c = small_sim();
         c.access(0, 8);
-        assert_eq!(c.access(0, 8), 1.0, "memo repeat is an L1 hit");
+        assert_eq!(c.access(0, 8), 1.0, "hinted repeat is an L1 hit");
         c.flush();
-        // The memo must be invalidated with the tags: post-flush the line
-        // is a cold miss again.
+        // The hint still names line 0's old slot, but the flush emptied
+        // it: post-flush the line is a cold miss again.
         assert_eq!(c.access(0, 8), 100.0);
     }
 }

@@ -12,11 +12,11 @@
 use matrix_pic::core::snapshot::{section, SnapshotError};
 use matrix_pic::core::{workloads, Simulation};
 use matrix_pic::deposit::{KernelConfig, ShapeOrder};
-use matrix_pic::machine::SchedulerPolicy;
+use matrix_pic::machine::{MachineConfig, SchedulerPolicy};
 use matrix_pic::particles::{ParticleTile, INVALID_PARTICLE_ID};
 
 mod common;
-use common::{particle_tiles, section_table, TileWords};
+use common::{particle_tiles, reseal_at, section_table, TileWords};
 
 const UNIFORM_DIMS: [usize; 3] = [8, 8, 8];
 const UNIFORM_PPC: usize = 2;
@@ -473,6 +473,51 @@ fn free_list_entry_out_of_range_is_malformed() {
         t.free.set(b, 0, t.slots as u32);
     });
     assert_particles_malformed(err, "out of range");
+}
+
+/// Overwrites tag slot `slot` of the L1 tag vector, which leads the
+/// `CACHE` section, and re-seals the section.
+fn set_l1_tag(bytes: &mut [u8], slot: usize, line: u64) {
+    let &(_, off, _) = section_table(bytes)
+        .iter()
+        .find(|&&(id, _, _)| id == section::CACHE)
+        .expect("a CACHE section");
+    let at = off + 8 + 8 * slot;
+    bytes[at..at + 8].copy_from_slice(&line.to_le_bytes());
+    reseal_at(bytes, at);
+}
+
+/// The cache import takes only tag arrays a walk can produce — every
+/// line in its own set, at most once per set, which is what lets the
+/// walk trust a way hint's tag compare — and refuses the rest as
+/// `Malformed { section: CACHE }`, leaving the target untouched.
+#[test]
+fn cache_tag_no_walk_can_place_is_malformed() {
+    let (bytes, _) = snapshot_for_corruption();
+    let l1 = MachineConfig::lx2().l1;
+    // A line of set 0 no step touches; slot 0 is set 0's first way,
+    // slot 1 its second, slot `ways` set 1's first.
+    let far = 1_000_003 * l1.num_sets() as u64;
+    let restore = |edits: &[(usize, u64)]| {
+        restore_damaged(uniform_sim, bytes.clone(), |b, _| {
+            for &(slot, line) in edits {
+                set_l1_tag(b, slot, line);
+            }
+        })
+    };
+    assert!(
+        restore(&[(0, far)]).is_ok(),
+        "a line in its own set restores"
+    );
+    for edits in [&[(l1.ways, far)][..], &[(0, far), (1, far)]] {
+        match restore(edits) {
+            Err(SnapshotError::Malformed {
+                section: section::CACHE,
+                ..
+            }) => {}
+            other => panic!("tag edits {edits:?} gave {other:?}"),
+        }
+    }
 }
 
 /// Corrupt restores (checksum failures) are also all-or-nothing.
