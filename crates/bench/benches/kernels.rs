@@ -9,7 +9,7 @@ use mpic_deposit::common::stencil_block;
 use mpic_deposit::{ExecMode, KernelConfig, Rhocell, ShapeOrder};
 use mpic_grid::{FieldArrays, GridGeometry, Tile, TileLayout};
 use mpic_machine::{LineCarry, Machine, MachineConfig, Phase, Pricing, TensorBlock, VAddr};
-use mpic_particles::Gpma;
+use mpic_particles::{Gpma, PendingMove};
 use mpic_push::gather::{charge_gather_run, GatherCost};
 use mpic_push::{BorisCoeffs, PushCtx, PushScratch};
 use mpic_solver::{MaxwellSolver, SolverKind};
@@ -60,14 +60,20 @@ fn bench_gpma_maintenance(c: &mut Criterion) {
         b.iter(|| {
             let mut cells: Vec<usize> = (0..n).map(|p| p % n_bins).collect();
             let mut g = Gpma::build(&cells, n_bins, 0.5);
+            let mut batch = Vec::new();
             for step in 0..5 {
+                batch.clear();
                 for p in (step..n).step_by(20) {
                     let old = cells[p];
                     let new = if old + 1 < n_bins { old + 1 } else { old - 1 };
-                    g.queue_move(p, old, new);
+                    batch.push(PendingMove {
+                        particle: p,
+                        old_bin: Some(old),
+                        new_bin: Some(new),
+                    });
                     cells[p] = new;
                 }
-                let _ = g.apply_pending_moves(&cells);
+                let _ = g.apply_moves(&batch, &cells);
             }
             std::hint::black_box(g.num_particles())
         });

@@ -15,13 +15,15 @@
 //! A tile is stored as its independent state only. Stored: the seven
 //! attribute arrays, the SoA free stack, the GPMA index, its bin
 //! offsets, the per-bin free stacks (concatenated in bin order, LIFO
-//! order kept), the queued moves, the gap ratio and the rebuild flag and
-//! count. Derived at restore: the liveness flags (from the free stack),
-//! the bin map `cells` (each indexed particle's region, then the queued
-//! moves), the reverse map `slot_of`, the bin and stack lengths and the
-//! two counts. `reference` keeps the format-1 encoder, which stored all
-//! of it; `conf_v2_restore_reencodes_to_v1_bitwise` proves that restoring
-//! format 2 rebuilds every derived byte.
+//! order kept), the gap ratio and the rebuild count. Derived at restore:
+//! the liveness flags (from the free stack), the bin map `cells` (each
+//! indexed particle's region), the reverse map `slot_of`, the bin and
+//! stack lengths and the two counts. A cache level is stored as its
+//! tags, LRU stamps and clock. `reference` keeps the format-1 encoder,
+//! which stored all of it, plus a move queue that was empty at every
+//! step boundary, a rebuild flag and a last-line memo that no step read;
+//! `conf_v3_restore_reencodes_to_v1_bitwise` proves that restoring
+//! format 3 rebuilds every byte format 1 wrote.
 //!
 //! The contract (pinned in `tests/snapshot.rs`): `restore` onto a fresh
 //! simulation built from the same `SimConfig`, followed by `step()`, is
@@ -34,9 +36,7 @@ use mpic_grid::{Array3, FieldArrays};
 use mpic_machine::{
     CacheLevelState, CacheSimState, CacheStats, MachineCounters, PerfCounters, Phase, VAddr,
 };
-use mpic_particles::{
-    GpmaState, ParticleSoA, ParticleTile, PendingMove, RankSortStats, INVALID_PARTICLE_ID,
-};
+use mpic_particles::{GpmaState, ParticleSoA, ParticleTile, RankSortStats};
 use mpic_push::BorisCoeffs;
 use mpic_solver::SolverKind;
 use rand::rngs::StdRng;
@@ -87,15 +87,14 @@ impl Simulation {
     /// whenever it is large enough, so periodic checkpointing allocates
     /// nothing in steady state.
     pub fn snapshot_into(&self, out: &mut Vec<u8>) {
-        write_snapshot(out, |wtr| self.encode(wtr, Self::encode_particles));
+        write_snapshot(out, |wtr| self.encode(wtr));
     }
 
-    /// Every section in order, `PARTICLES` by `particles` (the tests'
-    /// v1 oracle swaps in the old encoder).
-    fn encode(&self, wtr: &mut SnapshotWriter<'_>, particles: fn(&Self, &mut SnapshotWriter<'_>)) {
+    /// Every section in order.
+    fn encode(&self, wtr: &mut SnapshotWriter<'_>) {
         self.encode_meta(wtr);
         self.encode_fields(wtr);
-        particles(self, wtr);
+        self.encode_particles(wtr);
         self.encode_rng(wtr);
         self.encode_driver(wtr);
         self.encode_counters(wtr);
@@ -290,14 +289,6 @@ impl Simulation {
             }
             wtr.put_index_words(g.num_empty_slots(), g.free_stacks());
             wtr.put_f64(g.gap_ratio());
-            wtr.put_usize(g.pending().len());
-            for mv in g.pending() {
-                wtr.put_index(mv.particle);
-                for bin in [mv.old_bin, mv.new_bin] {
-                    wtr.put_index(bin.unwrap_or(INVALID_PARTICLE_ID));
-                }
-            }
-            wtr.put_bool(g.was_rebuilt_this_step);
             wtr.put_u64(g.rebuild_count());
         }
         wtr.end_section();
@@ -332,20 +323,6 @@ impl Simulation {
             }
             let free_stacks = s.get_vec_index()?;
             let g_gap_ratio = s.get_f64()?;
-            let n_pending = s.get_usize()?;
-            if n_pending > s.remaining() / 12 {
-                return Err(bad("pending move count exceeds the section"));
-            }
-            let mut pending = Vec::with_capacity(n_pending);
-            let opt = |w| (w != INVALID_PARTICLE_ID).then_some(w);
-            for _ in 0..n_pending {
-                pending.push(PendingMove {
-                    particle: s.get_index()?,
-                    old_bin: opt(s.get_index()?),
-                    new_bin: opt(s.get_index()?),
-                });
-            }
-            let was_rebuilt_this_step = s.get_bool()?;
             let rebuild_count = s.get_u64()?;
             let [x, y, z, ux, uy, uz, w]: [Vec<f64>; 7] =
                 attrs.try_into().expect("seven attribute arrays");
@@ -355,8 +332,6 @@ impl Simulation {
                 bin_offsets,
                 free_stacks,
                 gap_ratio: g_gap_ratio,
-                pending,
-                was_rebuilt_this_step,
                 rebuild_count,
             };
             tiles.push(ParticleTile::from_parts(soa, gpma).map_err(bad)?);
@@ -423,8 +398,6 @@ impl Simulation {
             wtr.put_vec_u64(&lvl.tags);
             wtr.put_vec_u64(&lvl.stamps);
             wtr.put_u64(lvl.clock);
-            wtr.put_u64(lvl.memo_line);
-            wtr.put_u64(lvl.memo_slot);
         }
         wtr.put_usize(cache.streams.len());
         for &(tag, count) in &cache.streams {
@@ -659,26 +632,31 @@ fn decode_cache_level(s: &mut SectionReader<'_>) -> Result<CacheLevelState, Snap
         tags: s.get_vec_u64()?,
         stamps: s.get_vec_u64()?,
         clock: s.get_u64()?,
-        memo_line: s.get_u64()?,
-        memo_slot: s.get_u64()?,
     })
 }
 
-/// The format-1 `PARTICLES` encoder: per tile, everything v2 stores plus
-/// what restore now derives — `alive`, the bin map `cells`, the bin
-/// lengths, one length word per free stack, `slot_of` and the two counts
-/// — with every index word a `u64`. The oracle that v2 drops only
-/// derivable state: a tile restored from v2 re-encodes to the original's
-/// v1 bytes.
+/// The format-1 encoder, the oracle that formats 2 and 3 drop only state
+/// that is derivable or that no step reads: a simulation restored from
+/// format 3 re-encodes to the original's format-1 bytes.
 #[cfg(test)]
 mod reference {
     use super::*;
 
-    /// The snapshot as format 1 wrote it: v2's other sections are
-    /// unchanged, so only `PARTICLES` and the version word differ.
+    /// The snapshot as format 1 wrote it: `PARTICLES` and `CACHE` in
+    /// their format-1 layout, every other section as format 3 writes it.
     pub fn snapshot_v1(sim: &Simulation) -> Vec<u8> {
         let mut out = Vec::new();
-        write_snapshot(&mut out, |wtr| sim.encode(wtr, encode_particles_v1));
+        write_snapshot(&mut out, |wtr| {
+            sim.encode_meta(wtr);
+            sim.encode_fields(wtr);
+            encode_particles_v1(sim, wtr);
+            sim.encode_rng(wtr);
+            sim.encode_driver(wtr);
+            sim.encode_counters(wtr);
+            encode_cache_v1(sim, wtr);
+            sim.encode_addrs(wtr);
+            sim.encode_report(wtr);
+        });
         out[8..12].copy_from_slice(&1u32.to_le_bytes());
         out
     }
@@ -691,14 +669,11 @@ mod reference {
         }
     }
 
-    /// `Option<usize>` as a tag byte plus the value when present.
-    fn put_opt_usize(wtr: &mut SnapshotWriter<'_>, v: Option<usize>) {
-        wtr.put_bool(v.is_some());
-        if let Some(x) = v {
-            wtr.put_usize(x);
-        }
-    }
-
+    /// Per tile, everything format 3 stores plus what restore derives —
+    /// `alive`, the bin map `cells`, the bin lengths, one length word per
+    /// free stack, `slot_of` and the two counts — and a move queue and a
+    /// rebuild flag, which were empty and `false` at every step boundary;
+    /// every index word a `u64`.
     fn encode_particles_v1(sim: &Simulation, wtr: &mut SnapshotWriter<'_>) {
         wtr.begin_section(section::PARTICLES);
         wtr.put_f64(sim.electrons.charge);
@@ -729,15 +704,36 @@ mod reference {
             wtr.put_usize(g.num_particles());
             wtr.put_usize(g.num_empty_slots());
             wtr.put_f64(g.gap_ratio());
-            wtr.put_usize(g.pending().len());
-            for mv in g.pending() {
-                wtr.put_usize(mv.particle);
-                put_opt_usize(wtr, mv.old_bin);
-                put_opt_usize(wtr, mv.new_bin);
-            }
-            wtr.put_bool(g.was_rebuilt_this_step);
+            wtr.put_usize(0);
+            wtr.put_bool(false);
             wtr.put_u64(g.rebuild_count());
         }
+        wtr.end_section();
+    }
+
+    /// Per level, format 3's words plus the last-line memo, which each
+    /// access set to the line and slot it touched and a flush cleared:
+    /// the slot stamped with the clock, or none (`u64::MAX` twice) when
+    /// the clock is 0 or no slot carries its stamp.
+    fn encode_cache_v1(sim: &Simulation, wtr: &mut SnapshotWriter<'_>) {
+        wtr.begin_section(section::CACHE);
+        let cache = sim.machine.mem_ref().cache_state();
+        for lvl in [&cache.l1, &cache.l2] {
+            wtr.put_vec_u64(&lvl.tags);
+            wtr.put_vec_u64(&lvl.stamps);
+            wtr.put_u64(lvl.clock);
+            let last = (lvl.clock > 0)
+                .then(|| lvl.stamps.iter().position(|&s| s == lvl.clock))
+                .flatten();
+            wtr.put_u64(last.map_or(u64::MAX, |slot| lvl.tags[slot]));
+            wtr.put_u64(last.map_or(u64::MAX, |slot| slot as u64));
+        }
+        wtr.put_usize(cache.streams.len());
+        for &(tag, count) in &cache.streams {
+            wtr.put_u64(tag);
+            wtr.put_u32(count);
+        }
+        wtr.put_u32(cache.decay_tick);
         wtr.end_section();
     }
 }
@@ -807,23 +803,23 @@ mod tests {
     ];
     const MODES: [(bool, bool); 2] = [(false, false), (true, true)];
 
-    /// Restores `sim`'s v2 snapshot into `fresh` and returns the v1
-    /// encodings of both.
+    /// Restores `sim`'s format-3 snapshot into `fresh` and returns the
+    /// v1 encodings of both.
     fn v1_before_and_after(sim: &Simulation, mut fresh: Simulation) -> (Vec<u8>, Simulation) {
-        fresh.restore(&sim.snapshot()).expect("v2 restores");
+        fresh.restore(&sim.snapshot()).expect("format 3 restores");
         (snapshot_v1(sim), fresh)
     }
 
-    /// Format 2 stores only state that cannot be derived, and derives the
-    /// rest exactly: restoring v2 bytes and re-encoding with the format-1
-    /// encoder reproduces the original's v1 bytes, which hash to the
-    /// constants `conf_exec_mode_goldens` pinned before format 2 — every
-    /// kernel x shape x mode row, the unsorted `Baseline` ones included.
-    /// Also on LWFA after window removals (dead slots, free stacks), and
-    /// on a tile with a queued removal and a queued move, where a bin map
-    /// derived without the queued moves must fail.
+    /// Format 3 stores only state a future step reads and that cannot be
+    /// derived, and derives the rest exactly: restoring format-3 bytes
+    /// and re-encoding with the format-1 encoder reproduces the
+    /// original's v1 bytes, which hash to the constants
+    /// `conf_exec_mode_goldens` pinned before format 2 — every kernel x
+    /// shape x mode row, the unsorted `Baseline` ones included. Also on
+    /// LWFA after window removals (dead slots, free stacks). Older
+    /// formats are refused, and the refusal leaves the target untouched.
     #[test]
-    fn conf_v2_restore_reencodes_to_v1_bitwise() {
+    fn conf_v3_restore_reencodes_to_v1_bitwise() {
         for (kernel, shape, want) in V1_GOLDENS {
             for ((batching, simd), want) in MODES.into_iter().zip(want) {
                 let build = || {
@@ -862,40 +858,21 @@ mod tests {
             "lwfa: restore derived other state"
         );
 
-        let uniform = || {
-            workloads::uniform_plasma_sim([8, 8, 8], 4, ShapeOrder::Cic, KernelConfig::FullOpt, 3)
-        };
-        let mut sim = uniform();
-        sim.run(2);
-        let tile = &mut sim.electrons.tiles[0];
-        let live: Vec<usize> = tile.gpma.sorted_particles().take(2).collect();
-        let [leaver, mover] = live[..] else {
-            panic!("tile 0 holds fewer than two particles")
-        };
-        tile.queue_removal(leaver);
-        let (from, to) = (
-            tile.cells[mover],
-            (tile.cells[mover] + 1) % tile.gpma.num_bins(),
-        );
-        tile.gpma.queue_move(mover, from, to);
-        tile.cells[mover] = to;
-        tile.check_invariants();
-        let (v1, mut restored) = v1_before_and_after(&sim, uniform());
-        assert_eq!(restored.electrons.tiles[0].gpma.pending_len(), 2);
-        assert!(
-            snapshot_v1(&restored) == v1,
-            "pending moves: restore derived other state"
-        );
-        // Mutant: the bin map derived from the index alone.
-        for tile in &mut restored.electrons.tiles {
-            tile.cells.fill(INVALID_PARTICLE_ID);
-            for (bin, p) in tile.gpma.iter_sorted() {
-                tile.cells[p] = bin;
-            }
+        // Format-1 bytes, and the same bytes labelled format 2.
+        let mut old = v1;
+        let mut target = lwfa();
+        target.run(1);
+        let before = target.snapshot();
+        for version in [1u32, 2] {
+            old[8..12].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                target.restore(&old),
+                Err(SnapshotError::BadVersion(version))
+            );
+            assert!(
+                target.snapshot() == before,
+                "a refused format moved the target"
+            );
         }
-        assert!(
-            snapshot_v1(&restored) != v1,
-            "a bin map without the queued moves passed"
-        );
     }
 }

@@ -460,16 +460,17 @@ impl Simulation {
 /// trailing edge. All mutation is tile-local, so the result is a pure
 /// function of the tile regardless of which pool worker runs it.
 fn shift_tile_window(tile: &mut ParticleTile, dz: f64, zlo: f64) {
+    let mut removals = Vec::new();
     for p in 0..tile.soa.slots() {
         if !tile.soa.alive[p] {
             continue;
         }
         tile.soa.z[p] -= dz;
         if tile.soa.z[p] < zlo {
-            tile.queue_removal(p);
+            removals.push(tile.removal(p));
         }
     }
-    tile.apply_removals();
+    tile.remove(&removals);
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic   [u8; 8] = "MPICSNAP"
-//! version u32     = 2
+//! version u32     = 3
 //! count   u32     = number of sections
 //! table   count x { id: u32, offset: u64, len: u64, fnv1a64: u64 }
 //! payload concatenated section bytes (offsets are absolute)
@@ -18,8 +18,9 @@
 //! format is hand-rolled and dependency-free on purpose: the
 //! simulation's state inventory is small and stable, and an explicit
 //! byte layout is auditable in a way a derived serializer is not.
-//! Version 2 changed only the `PARTICLES` section, which now stores only
-//! state that cannot be derived (see `crate::checkpoint`).
+//! Version 2 changed only the `PARTICLES` section, which stores only
+//! state that cannot be derived; version 3 dropped the state no step
+//! reads from `PARTICLES` and `CACHE` (see `crate::checkpoint`).
 //!
 //! [`write_snapshot`] writes a buffer in one pass: a counting run of the
 //! encoders sizes it exactly, then the writing run encodes each section
@@ -39,7 +40,7 @@ use std::fmt;
 pub const MAGIC: [u8; 8] = *b"MPICSNAP";
 
 /// Current format version.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// Well-known section identifiers.
 pub mod section {
@@ -315,11 +316,6 @@ impl SnapshotWriter<'_> {
         self.put_bytes(s.as_bytes());
     }
 
-    /// Appends one index word (see [`index_word`]).
-    pub fn put_index(&mut self, v: usize) {
-        self.put_bytes(&index_word(v));
-    }
-
     /// Appends `len` index words, length-prefixed. The counting pass
     /// does not iterate `words`.
     ///
@@ -533,7 +529,7 @@ impl SectionReader<'_> {
     }
 
     /// Reads one index word; `u32::MAX` reads as `usize::MAX`.
-    pub fn get_index(&mut self) -> Result<usize, SnapshotError> {
+    fn get_index(&mut self) -> Result<usize, SnapshotError> {
         Ok(match self.get_u32()? {
             u32::MAX => usize::MAX,
             w => w as usize,

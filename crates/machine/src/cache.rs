@@ -59,9 +59,6 @@ impl CacheStats {
     }
 }
 
-/// Sentinel slot marking the last-line memo as invalid.
-const MEMO_NONE: usize = usize::MAX;
-
 /// Index of the first element satisfying `pred` — what a front-to-back
 /// `position()` scan returns — without a data-dependent branch per
 /// element: each chunk of eight is tested into a byte mask (one byte per
@@ -118,12 +115,6 @@ struct CacheLevel {
     stamps: Vec<u64>,
     clock: u64,
     stats: CacheStats,
-    /// Last accessed line and the tag slot (`set * ways + way`) that
-    /// holds it, or [`MEMO_NONE`]. Exported state only: both belong to
-    /// [`CacheLevelState`] and the snapshot `CACHE` section, so every
-    /// access writes them, and the walk never reads them.
-    memo_line: u64,
-    memo_slot: usize,
     /// Way hint (host-only): `hint[line & hint_mask]` is the tag slot
     /// where a line with those low bits was last found or placed. A line
     /// a reachable state holds sits in its own set at exactly one way
@@ -156,8 +147,6 @@ impl CacheLevel {
             stamps: vec![0; slots],
             clock: 0,
             stats: CacheStats::default(),
-            memo_line: u64::MAX,
-            memo_slot: MEMO_NONE,
             hint: vec![0; hints],
             hint_mask: (hints - 1) as u64,
             #[cfg(test)]
@@ -192,11 +181,9 @@ impl CacheLevel {
         let trusted = trusted || self.fault == HintFault::Unchecked;
         if trusted {
             // The hit the scan would find, with its effects: clock tick,
-            // stamp refresh, hit count, memo.
+            // stamp refresh, hit count.
             self.stamps[hinted] = self.clock;
             self.stats.hits += 1;
-            self.memo_line = line;
-            self.memo_slot = hinted;
             return true;
         }
         let base = (line & self.set_mask) as usize * self.ways;
@@ -225,8 +212,6 @@ impl CacheLevel {
         if slot_hinted {
             self.hint[h] = slot as u32;
         }
-        self.memo_line = line;
-        self.memo_slot = slot;
         hit
     }
 
@@ -234,8 +219,6 @@ impl CacheLevel {
     fn flush(&mut self) {
         self.tags.fill(u64::MAX);
         self.stamps.fill(0);
-        self.memo_line = u64::MAX;
-        self.memo_slot = MEMO_NONE;
     }
 
     fn export_state(&self) -> CacheLevelState {
@@ -243,20 +226,16 @@ impl CacheLevel {
             tags: self.tags.clone(),
             stamps: self.stamps.clone(),
             clock: self.clock,
-            memo_line: self.memo_line,
-            memo_slot: self.memo_slot as u64,
         }
     }
 
     /// Whether `s` is a state a walk of this level's geometry can reach:
-    /// tag and stamp arrays of this length, a memo slot in range (or
-    /// none), and every non-empty tag in its own set, at most once per
-    /// set — the property the way hint's tag compare relies on.
+    /// tag and stamp arrays of this length, and every non-empty tag in
+    /// its own set, at most once per set — the property the way hint's
+    /// tag compare relies on.
     fn accepts(&self, s: &CacheLevelState) -> bool {
-        let slot = s.memo_slot as usize;
         s.tags.len() == self.tags.len()
             && s.stamps.len() == self.stamps.len()
-            && (slot == MEMO_NONE || slot < self.tags.len())
             && s.tags.chunks(self.ways).enumerate().all(|(set, ways)| {
                 ways.iter().enumerate().all(|(w, &tag)| {
                     tag == u64::MAX
@@ -272,16 +251,13 @@ impl CacheLevel {
         self.tags.copy_from_slice(&s.tags);
         self.stamps.copy_from_slice(&s.stamps);
         self.clock = s.clock;
-        self.memo_line = s.memo_line;
-        self.memo_slot = s.memo_slot as usize;
     }
 }
 
-/// Plain-integer image of one level's behavioural state (tags, LRU
+/// Plain-integer image of one level's behavioural state: tags, LRU
 /// stamps and clock — everything that influences the latency of
-/// *future* accesses — and the last-line memo). Statistics are
-/// deliberately excluded:
-/// they are accounting, owned by the counter drain/absorb protocol.
+/// *future* accesses. Statistics are deliberately excluded: they are
+/// accounting, owned by the counter drain/absorb protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheLevelState {
     /// Resident line tags, `tags[set * ways + way]` (`u64::MAX` empty).
@@ -290,11 +266,6 @@ pub struct CacheLevelState {
     pub stamps: Vec<u64>,
     /// LRU clock.
     pub clock: u64,
-    /// Last accessed line. Kept for the snapshot format: no future
-    /// access cost depends on it.
-    pub memo_line: u64,
-    /// Tag slot holding `memo_line` (`u64::MAX` = invalid memo).
-    pub memo_slot: u64,
 }
 
 /// Complete behavioural state of a [`CacheSim`]: both levels plus the
@@ -535,10 +506,10 @@ impl CacheSim {
     /// Imports behavioural state captured by [`CacheSim::export_state`]
     /// from a hierarchy of identical geometry. Returns `false` (leaving
     /// this hierarchy untouched) if the state is not one a walk of this
-    /// geometry can produce — wrong tag-array lengths, out-of-range memo
-    /// slot, a tag outside its own set or twice in one set, or a wrong
-    /// stream slot count — so corrupt snapshots surface as errors, not
-    /// panics or silently different prices.
+    /// geometry can produce — wrong tag-array lengths, a tag outside its
+    /// own set or twice in one set, or a wrong stream slot count — so
+    /// corrupt snapshots surface as errors, not panics or silently
+    /// different prices.
     pub fn import_state(&mut self, s: &CacheSimState) -> bool {
         // Validate both levels before mutating either: import is
         // all-or-nothing.
@@ -573,8 +544,7 @@ enum HintFault {
 /// over a runtime-length set, line ids by division, every call through
 /// the byte-address entry, and no host-side shortcut (way hint,
 /// clean-flush skip). Kept as the oracle the differential tests replay
-/// [`CacheSim`] against; it maintains the memo fields, since they are
-/// part of the exported state.
+/// [`CacheSim`] against.
 #[cfg(test)]
 mod reference {
     use super::{CacheLevelConfig, CacheLevelState, CacheSimState, CacheStats, STREAM_SLOTS};
@@ -585,8 +555,6 @@ mod reference {
         stamps: Vec<u64>,
         clock: u64,
         stats: CacheStats,
-        memo_line: u64,
-        memo_slot: usize,
     }
 
     impl Level {
@@ -598,8 +566,6 @@ mod reference {
                 stamps: vec![0; slots],
                 clock: 0,
                 stats: CacheStats::default(),
-                memo_line: u64::MAX,
-                memo_slot: usize::MAX,
             }
         }
 
@@ -609,11 +575,9 @@ mod reference {
             let set = (line % self.cfg.num_sets() as u64) as usize;
             let base = set * self.cfg.ways;
             let ways = &mut self.tags[base..base + self.cfg.ways];
-            self.memo_line = line;
             if let Some(w) = ways.iter().position(|&t| t == line) {
                 self.stamps[base + w] = self.clock;
                 self.stats.hits += 1;
-                self.memo_slot = base + w;
                 return true;
             }
             self.stats.misses += 1;
@@ -634,15 +598,12 @@ mod reference {
             };
             self.tags[base + victim] = line;
             self.stamps[base + victim] = self.clock;
-            self.memo_slot = base + victim;
             false
         }
 
         fn flush(&mut self) {
             self.tags.fill(u64::MAX);
             self.stamps.fill(0);
-            self.memo_line = u64::MAX;
-            self.memo_slot = usize::MAX;
         }
 
         fn export_state(&self) -> CacheLevelState {
@@ -650,8 +611,6 @@ mod reference {
                 tags: self.tags.clone(),
                 stamps: self.stamps.clone(),
                 clock: self.clock,
-                memo_line: self.memo_line,
-                memo_slot: self.memo_slot as u64,
             }
         }
     }
@@ -878,12 +837,17 @@ mod tests {
 
     impl CacheLevel {
         /// The hint's invariant after an access: the line accessed last
-        /// is found through its hint. It is what lets the walk drop a
-        /// last-line memo check; a stale hint cannot move a number, so
-        /// this is where a missing refresh shows.
+        /// — the one in the slot stamped with the clock — is found
+        /// through its hint. It is what lets the walk skip a last-line
+        /// memo check; a stale hint cannot move a number, so this is
+        /// where a missing refresh shows.
         fn hint_names_last_line(&self) -> bool {
-            self.memo_slot == MEMO_NONE
-                || self.hint[(self.memo_line & self.hint_mask) as usize] as usize == self.memo_slot
+            let last = (self.clock > 0)
+                .then(|| self.stamps.iter().position(|&s| s == self.clock))
+                .flatten();
+            last.is_none_or(|slot| {
+                self.hint[(self.tags[slot] & self.hint_mask) as usize] as usize == slot
+            })
         }
 
         /// Accesses so far (hits and misses).
@@ -1146,9 +1110,6 @@ mod tests {
         bad.streams.pop();
         let mut c = small_sim();
         assert!(!c.import_state(&bad), "wrong stream count must refuse");
-        let mut bad_slot = snap.clone();
-        bad_slot.l1.memo_slot = 1_000_000;
-        assert!(!c.import_state(&bad_slot), "oob memo slot must refuse");
         // Line 0 sits in L1 set 0 (4 sets x 2 ways) and L2 set 0 (8 x 4).
         assert_eq!(snap.l1.tags[0], 0);
         let mut off_set = snap.clone();

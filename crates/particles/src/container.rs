@@ -2,7 +2,7 @@
 //! operations Algorithm 1 performs on them (global counting sort,
 //! per-step incremental sweep, cross-tile migration).
 
-use crate::gpma::{Gpma, GpmaState, MoveStats, INVALID_PARTICLE_ID, LEAVES_TILE};
+use crate::gpma::{Gpma, GpmaState, MoveStats, PendingMove, INVALID_PARTICLE_ID, LEAVES_TILE};
 use crate::soa::ParticleSoA;
 use crate::sort::{counting_sort_keys_into, SortScratch, SortStats};
 use mpic_grid::{GridGeometry, Tile, TileLayout};
@@ -66,8 +66,8 @@ impl ParticleTile {
 
     /// Reassembles a checkpointed tile from its stored parts, deriving
     /// the bin map ([`Gpma::from_state`]). The index must hold exactly
-    /// the live slots: a slot is indexed, net of its queued move, iff it
-    /// is not on the SoA's free stack.
+    /// the live slots: a slot is indexed iff it is not on the SoA's free
+    /// stack.
     pub fn from_parts(soa: ParticleSoA, gpma: GpmaState) -> Result<Self, &'static str> {
         let (gpma, cells) = Gpma::from_state(gpma, soa.slots())?;
         if cells
@@ -240,24 +240,38 @@ impl ParticleTile {
             self.cells.resize(p + 1, INVALID_PARTICLE_ID);
         }
         self.cells[p] = bin;
-        self.gpma.insert_now(p, bin, &self.cells, stats);
+        let arrival = PendingMove {
+            particle: p,
+            old_bin: None,
+            new_bin: Some(bin),
+        };
+        stats.merge(&self.gpma.apply_moves(&[arrival], &self.cells));
     }
 
-    /// Queues the removal of live slot `p` from the tile (a particle
-    /// absorbed at a boundary or dropped by the moving window); the
-    /// batch takes effect at [`ParticleTile::apply_removals`].
-    pub fn queue_removal(&mut self, p: usize) {
-        self.gpma.queue_remove(p, self.cells[p]);
-        self.cells[p] = INVALID_PARTICLE_ID;
-        self.soa.remove(p);
-    }
-
-    /// Applies the removals queued since the last call as one GPMA
-    /// maintenance cycle; a no-op when there are none.
-    pub fn apply_removals(&mut self) {
-        if self.gpma.pending_len() > 0 {
-            let _ = self.gpma.apply_pending_moves(&self.cells);
+    /// The batch entry that removes live slot `p` from the tile, for
+    /// [`ParticleTile::remove`].
+    pub fn removal(&self, p: usize) -> PendingMove {
+        PendingMove {
+            particle: p,
+            old_bin: Some(self.cells[p]),
+            new_bin: None,
         }
+    }
+
+    /// Removes particles absorbed at a boundary or dropped by the moving
+    /// window, each named by a [`ParticleTile::removal`], as one GPMA
+    /// maintenance cycle that deletes them in the order given; a no-op
+    /// when there are none.
+    pub fn remove(&mut self, removals: &[PendingMove]) {
+        if removals.is_empty() {
+            return;
+        }
+        for mv in removals {
+            debug_assert_eq!(*mv, self.removal(mv.particle));
+            self.cells[mv.particle] = INVALID_PARTICLE_ID;
+            self.soa.remove(mv.particle);
+        }
+        let _ = self.gpma.apply_moves(removals, &self.cells);
     }
 
     /// Validates GPMA invariants against the authoritative bins.
@@ -704,13 +718,12 @@ mod tests {
             if let Motion::Lwfa(_) = self.motion {
                 let mut absorbed = 0;
                 for pt in &mut c.tiles {
-                    for p in 0..pt.soa.slots() {
-                        if pt.soa.alive[p] && rng.gen_range(0..10) == 0 {
-                            pt.queue_removal(p);
-                            absorbed += 1;
-                        }
-                    }
-                    pt.apply_removals();
+                    let removals: Vec<PendingMove> = (0..pt.soa.slots())
+                        .filter(|&p| pt.soa.alive[p] && rng.gen_range(0..10) == 0)
+                        .map(|p| pt.removal(p))
+                        .collect();
+                    absorbed += removals.len();
+                    pt.remove(&removals);
                 }
                 for _ in 0..absorbed {
                     let _ = c.inject(layout, geom, random_particle(rng, self.n_cells));

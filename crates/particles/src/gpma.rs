@@ -21,21 +21,18 @@
 //! ([`crate::sort::counting_sort_keys`] driven by [`crate::policy`]).
 //!
 //! Delete, insert (with its borrow chain) and rebuild each exist once,
-//! as private primitives; three drivers run a maintenance cycle over
-//! them, all with the same shape — reset `was_rebuilt_this_step`, every
-//! delete, then every insert, then one rebuild check:
+//! as private primitives; two drivers run a maintenance cycle over them,
+//! both with the same shape — every delete, then every insert, then one
+//! rebuild check:
 //!
 //! * [`Gpma::sweep`] — the per-step cycle. It walks `local_index` in
 //!   sorted order, compares each particle's freshly located bin with the
 //!   bin under the cursor and deletes movers *in place at the cursor
-//!   slot*, so no move is ever queued and no slot is looked up twice;
-//! * [`Gpma::insert_now`] — the one-particle cycle of an injection or a
-//!   cross-tile arrival;
-//! * [`Gpma::apply_pending_moves`] — the queue-based cycle
-//!   (`queue_move` / `queue_insert` / `queue_remove`) for callers that
-//!   name particles rather than walk them: boundary and window removals,
-//!   external users, tests. Its deletes find their slot through the
-//!   `slot_of` reverse map.
+//!   slot*, so no slot is looked up twice;
+//! * [`Gpma::apply_moves`] — the cycle over a batch of *named*
+//!   particles: an injection or a cross-tile arrival (a one-entry
+//!   batch), boundary and window removals, external users, tests. Its
+//!   deletes find their slot through the `slot_of` reverse map.
 //!
 //! All operations tally [`MoveStats`] so kernel drivers can charge the
 //! emulated machine for the work performed.
@@ -68,14 +65,15 @@ fn gap_slots(count: usize, ratio: f64) -> usize {
     slots as usize
 }
 
-/// Operation counts returned by [`Gpma::apply_pending_moves`].
+/// Operation counts of one maintenance cycle ([`Gpma::apply_moves`],
+/// [`Gpma::sweep`]).
 ///
 /// The driver multiplies these by per-operation cycle costs; keeping them
 /// here keeps the data structure independent of the machine model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[must_use]
 pub struct MoveStats {
-    /// Total pending moves processed.
+    /// Moves processed.
     pub moves_applied: usize,
     /// Slots invalidated (move-outs and departures).
     pub deletions: usize,
@@ -107,7 +105,8 @@ impl MoveStats {
     }
 }
 
-/// A queued particle relocation (the paper's `m_pending_moves` entries).
+/// One relocation of a named particle, an entry of the batch
+/// [`Gpma::apply_moves`] takes (the paper's `m_pending_moves` entries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingMove {
     /// Particle index into the tile's SoA.
@@ -123,8 +122,7 @@ pub struct PendingMove {
 /// on that cannot be derived from the rest. The other fields are what
 /// makes each update O(1), and they follow from these: the bin lengths
 /// and stack lengths from the gaps in each region, the reverse map
-/// `slot_of` from the index, and the counts from both. (The
-/// `min_empty_ratio` threshold is a crate constant.) Produced by
+/// `slot_of` from the index, and the counts from both. Produced by
 /// [`Gpma::export_state`]; consumed — with full validation — by
 /// [`Gpma::from_state`].
 #[derive(Debug, Clone, PartialEq)]
@@ -138,10 +136,6 @@ pub struct GpmaState {
     pub free_stacks: Vec<usize>,
     /// Fractional gap headroom per bin.
     pub gap_ratio: f64,
-    /// Queued (not yet applied) relocations.
-    pub pending: Vec<PendingMove>,
-    /// Whether the last apply cycle rebuilt the tile.
-    pub was_rebuilt_this_step: bool,
     /// Cumulative local rebuilds since the last counter reset.
     pub rebuild_count: u64,
 }
@@ -170,15 +164,9 @@ pub struct Gpma {
     num_particles: usize,
     num_empty_slots: usize,
     gap_ratio: f64,
-    pending: Vec<PendingMove>,
-    /// Set when the last `apply_pending_moves` rebuilt the tile
-    /// (the paper's `m_was_rebuilt_this_step`).
-    pub was_rebuilt_this_step: bool,
     /// Cumulative local rebuilds since the last counter reset (feeds the
     /// global sort policy trigger 3).
     rebuild_count: u64,
-    /// Rebuild also fires when the free-slot ratio drops below this.
-    min_empty_ratio: f64,
 }
 
 impl Gpma {
@@ -202,14 +190,9 @@ impl Gpma {
             num_particles: 0,
             num_empty_slots: 0,
             gap_ratio,
-            pending: Vec::new(),
-            was_rebuilt_this_step: false,
             rebuild_count: 0,
-            min_empty_ratio: MIN_EMPTY_RATIO,
         };
         g.layout(cells, &mut MoveStats::default());
-        g.rebuild_count = 0; // The initial layout is not a "rebuild".
-        g.was_rebuilt_this_step = false;
         g
     }
 
@@ -328,11 +311,6 @@ impl Gpma {
         &self.slot_of
     }
 
-    /// The queued, not yet applied, moves.
-    pub fn pending(&self) -> &[PendingMove] {
-        &self.pending
-    }
-
     /// Fractional gap headroom per bin.
     pub fn gap_ratio(&self) -> f64 {
         self.gap_ratio
@@ -376,66 +354,24 @@ impl Gpma {
     /// Resets the rebuild counter (after a global sort).
     pub fn reset_counters(&mut self) {
         self.rebuild_count = 0;
-        self.was_rebuilt_this_step = false;
     }
 
-    /// Queues a move of `particle` from `old_bin` to `new_bin`
-    /// (Algorithm 1's `pending_moves.push`).
-    ///
-    /// A particle may appear in **at most one** pending move per apply
-    /// cycle (the per-step sweep visits each particle once); queueing a
-    /// second move for the same particle before
-    /// [`Gpma::apply_pending_moves`] is a logic error.
-    pub fn queue_move(&mut self, particle: usize, old_bin: usize, new_bin: usize) {
-        debug_assert!(
-            !self.pending.iter().any(|mv| mv.particle == particle),
-            "particle {particle} already has a pending move this cycle"
-        );
-        self.pending.push(PendingMove {
-            particle,
-            old_bin: Some(old_bin),
-            new_bin: Some(new_bin),
-        });
-    }
-
-    /// Queues insertion of a newly added particle.
-    pub fn queue_insert(&mut self, particle: usize, new_bin: usize) {
-        self.pending.push(PendingMove {
-            particle,
-            old_bin: None,
-            new_bin: Some(new_bin),
-        });
-    }
-
-    /// Queues removal of a particle leaving the tile.
-    pub fn queue_remove(&mut self, particle: usize, old_bin: usize) {
-        self.pending.push(PendingMove {
-            particle,
-            old_bin: Some(old_bin),
-            new_bin: None,
-        });
-    }
-
-    /// Number of queued pending moves.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Applies all queued moves (the paper's `ApplyPendingMoves`),
-    /// rebuilding the tile index if insertion pressure demands it.
+    /// Applies a batch of moves of named particles as one maintenance
+    /// cycle (the paper's `ApplyPendingMoves`): every delete in batch
+    /// order, then every insert in batch order, then the rebuild check.
+    /// A particle appears in at most one move of a batch.
     ///
     /// `cells[p]` must give the *current* (post-move) bin of every live
     /// particle `p`; it is consulted only when a rebuild re-lays-out the
     /// whole tile. Entries for dead SoA slots must be
     /// `INVALID_PARTICLE_ID`.
-    pub fn apply_pending_moves(&mut self, cells: &[usize]) -> MoveStats {
-        let mut stats = MoveStats::default();
-        self.was_rebuilt_this_step = false;
-        let mut pending = std::mem::take(&mut self.pending);
-        stats.moves_applied = pending.len();
-
-        // Phase 1: deletions free slots before insertions consume them.
-        for mv in &pending {
+    pub fn apply_moves(&mut self, moves: &[PendingMove], cells: &[usize]) -> MoveStats {
+        let mut stats = MoveStats {
+            moves_applied: moves.len(),
+            ..MoveStats::default()
+        };
+        // Deletions free slots before insertions consume them.
+        for mv in moves {
             if let Some(old) = mv.old_bin {
                 let slot = self.slot_of[mv.particle];
                 assert_ne!(
@@ -446,23 +382,18 @@ impl Gpma {
                 self.delete(slot, mv.particle, old, &mut stats);
             }
         }
-
-        // Phase 2: insertions; note overflow on failure.
         let mut overflowed = false;
-        for mv in &pending {
+        for mv in moves {
             if let Some(new) = mv.new_bin {
                 overflowed |= !self.insert(mv.particle, new, &mut stats);
             }
         }
-        // Hand the emptied queue back so the next cycle reuses it.
-        pending.clear();
-        self.pending = pending;
         self.settle(overflowed, cells, &mut stats);
         stats
     }
 
     /// The per-step maintenance cycle, driven from the sorted walk
-    /// instead of a move queue (Algorithm 1's sweep fused with its
+    /// instead of a batch of named moves (Algorithm 1's sweep fused with its
     /// `ApplyPendingMoves`).
     ///
     /// `new_bin[p]` is the freshly located bin of every live particle
@@ -474,13 +405,7 @@ impl Gpma {
     /// `on_leave(p, word)` called — the caller extracts it there. The
     /// collected inserts then run in walk order, followed by the rebuild
     /// check: the state and the [`MoveStats`] are exactly those of
-    /// queueing every mover in walk order and calling
-    /// [`Gpma::apply_pending_moves`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if moves are still queued: they belong to a cycle of their
-    /// own.
+    /// [`Gpma::apply_moves`] over every mover in walk order.
     pub fn sweep(
         &mut self,
         new_bin: &[usize],
@@ -488,9 +413,7 @@ impl Gpma {
         inserts: &mut Vec<(usize, usize)>,
         mut on_leave: impl FnMut(usize, usize),
     ) -> MoveStats {
-        assert!(self.pending.is_empty(), "sweep with moves still queued");
         let mut stats = MoveStats::default();
-        self.was_rebuilt_this_step = false;
         inserts.clear();
         for bin in 0..self.num_bins() {
             for slot in self.bin_offsets[bin]..self.bin_offsets[bin + 1] {
@@ -518,34 +441,11 @@ impl Gpma {
         stats
     }
 
-    /// Inserts one new particle as a maintenance cycle of its own,
-    /// adding to `stats` what `queue_insert` +
-    /// [`Gpma::apply_pending_moves`] would report — same state, no queue.
-    /// `cells` as for `apply_pending_moves`.
-    pub fn insert_now(
-        &mut self,
-        particle: usize,
-        new_bin: usize,
-        cells: &[usize],
-        stats: &mut MoveStats,
-    ) {
-        if !self.pending.is_empty() {
-            // Queued moves share the cycle, ahead of the insert.
-            self.queue_insert(particle, new_bin);
-            stats.merge(&self.apply_pending_moves(cells));
-            return;
-        }
-        stats.moves_applied += 1;
-        self.was_rebuilt_this_step = false;
-        let overflowed = !self.insert(particle, new_bin, stats);
-        self.settle(overflowed, cells, stats);
-    }
-
     /// End of a maintenance cycle — the rebuild triggers of section
     /// 4.3.2: mandatory when overflow particles exist, optional when free
     /// slots are critically low.
     fn settle(&mut self, overflowed: bool, cells: &[usize], stats: &mut MoveStats) {
-        if overflowed || self.empty_ratio() < self.min_empty_ratio {
+        if overflowed || self.empty_ratio() < MIN_EMPTY_RATIO {
             self.rebuild(cells, stats);
         }
     }
@@ -692,7 +592,6 @@ impl Gpma {
         self.layout(cells, stats);
         stats.rebuilds += 1;
         self.rebuild_count += 1;
-        self.was_rebuilt_this_step = true;
     }
 
     /// Exports the independent state for checkpointing. The GPMA is pure
@@ -705,25 +604,19 @@ impl Gpma {
             bin_offsets: self.bin_offsets.clone(),
             free_stacks: self.free_stacks().collect(),
             gap_ratio: self.gap_ratio,
-            pending: self.pending.clone(),
-            was_rebuilt_this_step: self.was_rebuilt_this_step,
             rebuild_count: self.rebuild_count,
         }
     }
 
     /// Rebuilds a GPMA over a tile of `slots` SoA slots from its
     /// independent state, and derives the tile's bin map: each indexed
-    /// particle's region, then the queued moves applied (a queued move
-    /// has already updated the map; see [`Gpma::validate`]). Returns the
-    /// index and the bin map.
+    /// particle's region. Returns the index and the bin map.
     ///
     /// Validates instead of trusting the input, so a corrupt snapshot
     /// surfaces as an error here, never as a panic in a later
     /// maintenance cycle: the offsets tile the index; every index entry
-    /// names a distinct particle below `slots`; each bin's stack holds
-    /// exactly the gaps of its region; and every queued move names a
-    /// distinct particle below `slots`, bins in range, and leaves the bin
-    /// that holds it (none, for an insert).
+    /// names a distinct particle below `slots`; and each bin's stack
+    /// holds exactly the gaps of its region.
     pub fn from_state(s: GpmaState, slots: usize) -> Result<(Self, Vec<usize>), &'static str> {
         let offsets_ok = s.bin_offsets.first() == Some(&0)
             && s.bin_offsets.windows(2).all(|w| w[0] <= w[1])
@@ -777,23 +670,6 @@ impl Gpma {
                 free_slots[k] = f;
             }
         }
-        let mut queued = vec![false; slots];
-        for mv in &s.pending {
-            let p = mv.particle;
-            if p >= slots || std::mem::replace(&mut queued[p], true) {
-                return Err("gpma: pending move names a particle twice or past the SoA");
-            }
-            if [mv.old_bin, mv.new_bin]
-                .iter()
-                .any(|b| b.is_some_and(|b| b >= n_bins))
-            {
-                return Err("gpma: pending move references missing bin");
-            }
-            if cells[p] != mv.old_bin.unwrap_or(INVALID_PARTICLE_ID) {
-                return Err("gpma: pending move leaves a bin the index does not hold it in");
-            }
-            cells[p] = mv.new_bin.unwrap_or(INVALID_PARTICLE_ID);
-        }
         let gpma = Self {
             local_index: s.local_index,
             bin_offsets: s.bin_offsets,
@@ -803,38 +679,19 @@ impl Gpma {
             num_particles: live,
             num_empty_slots: capacity - live,
             gap_ratio: s.gap_ratio,
-            pending: s.pending,
-            was_rebuilt_this_step: s.was_rebuilt_this_step,
             rebuild_count: s.rebuild_count,
-            min_empty_ratio: MIN_EMPTY_RATIO,
         };
         Ok((gpma, cells))
     }
 
     /// Checks the index against the authoritative per-particle bins
     /// `cells` in one linear pass: every particle `cells` names is
-    /// indexed exactly once, in that bin (or, while a queued move of it
-    /// has not been applied, in the bin the move leaves), with `slot_of`
-    /// pointing back and nothing else indexed; every gap is on its bin's
-    /// free stack exactly once; the counts agree; and a queued move names
-    /// a particle in range, at most once, with `cells` already holding
-    /// its destination.
+    /// indexed exactly once, in that bin, with `slot_of` pointing back
+    /// and nothing else indexed; every gap is on its bin's free stack
+    /// exactly once; and the counts agree.
     pub fn validate(&self, cells: &[usize]) -> Result<(), &'static str> {
         // Plain bitmaps, not hash sets: the determinism lint (L3) bans
         // hash collections in result-bearing crates outright.
-        let mut held = cells.to_vec();
-        let mut queued = vec![false; cells.len()];
-        for mv in &self.pending {
-            let p = mv.particle;
-            if p >= cells.len() || queued[p] {
-                return Err("gpma: pending move names a particle twice or out of range");
-            }
-            queued[p] = true;
-            if cells[p] != mv.new_bin.unwrap_or(INVALID_PARTICLE_ID) {
-                return Err("gpma: pending move disagrees with the bin map");
-            }
-            held[p] = mv.old_bin.unwrap_or(INVALID_PARTICLE_ID);
-        }
         let mut on_stack = vec![false; self.capacity()];
         let mut indexed = 0;
         for c in 0..self.num_bins() {
@@ -847,7 +704,7 @@ impl Gpma {
                 if p >= cells.len() {
                     return Err("gpma: index names a particle out of range");
                 }
-                if held[p] != c {
+                if cells[p] != c {
                     return Err("gpma: index holds a particle outside its bin");
                 }
                 // `slot_of` names one slot per particle: a particle
@@ -870,9 +727,9 @@ impl Gpma {
             }
             indexed += valid;
         }
-        // Every indexed particle is one `held` names, so equal counts
-        // mean every particle `held` names is indexed.
-        let named = held.iter().filter(|&&c| c != INVALID_PARTICLE_ID).count();
+        // Every indexed particle is one `cells` names, so equal counts
+        // mean every particle `cells` names is indexed.
+        let named = cells.iter().filter(|&&c| c != INVALID_PARTICLE_ID).count();
         if indexed != self.num_particles || named != indexed {
             return Err("gpma: particle count mismatch");
         }
@@ -904,6 +761,16 @@ impl Gpma {
 mod tests {
     use super::*;
 
+    /// A batch entry: `particle` leaves bin `from` (none: it arrives)
+    /// for bin `to` (none: it leaves the tile).
+    fn mv(particle: usize, from: Option<usize>, to: Option<usize>) -> PendingMove {
+        PendingMove {
+            particle,
+            old_bin: from,
+            new_bin: to,
+        }
+    }
+
     #[test]
     fn build_bins_particles() {
         let cells = vec![2, 0, 1, 0, 2];
@@ -920,9 +787,8 @@ mod tests {
     fn o1_move_uses_gap() {
         let mut cells = vec![0, 0, 1, 1];
         let mut g = Gpma::build(&cells, 2, 1.0);
-        g.queue_move(0, 0, 1);
         cells[0] = 1;
-        let stats = g.apply_pending_moves(&cells);
+        let stats = g.apply_moves(&[mv(0, Some(0), Some(1))], &cells);
         g.check_invariants(&cells);
         assert_eq!(stats.o1_inserts, 1);
         assert_eq!(stats.rebuilds, 0);
@@ -931,54 +797,12 @@ mod tests {
     }
 
     #[test]
-    fn apply_hands_the_emptied_queue_back() {
-        // The queue's allocation must survive the apply, with or without
-        // a rebuild.
-        let mut cells = vec![0, 0, 1, 1];
-        let mut g = Gpma::build(&cells, 2, 0.0);
-        let mut rebuilds = 0;
-        for arrival in 0..8 {
-            cells.push(arrival % 2);
-            g.queue_insert(cells.len() - 1, arrival % 2);
-            let kept = g.pending.capacity();
-            rebuilds += g.apply_pending_moves(&cells).rebuilds;
-            g.check_invariants(&cells);
-            assert_eq!(g.pending_len(), 0);
-            assert_eq!(g.pending.capacity(), kept);
-        }
-        assert!(rebuilds > 0, "the gapless build must overflow");
-    }
-
-    #[test]
-    fn insert_now_is_a_one_entry_apply_cycle() {
-        // Gapless build: arrivals overflow, borrow and rebuild mid-batch.
-        let mut cells = vec![0, 0, 1, 1, 2];
-        let mut queued = Gpma::build(&cells, 3, 0.0);
-        let mut direct = queued.clone();
-        let mut rebuilds = 0;
-        for arrival in 0..12 {
-            let bin = (arrival * 2) % 3;
-            cells.push(bin);
-            let p = cells.len() - 1;
-            queued.queue_insert(p, bin);
-            let want = queued.apply_pending_moves(&cells);
-            let mut got = MoveStats::default();
-            direct.insert_now(p, bin, &cells, &mut got);
-            assert_eq!(got, want);
-            assert_eq!(direct.export_state(), queued.export_state());
-            rebuilds += want.rebuilds;
-        }
-        assert!(rebuilds > 0, "the gapless build must overflow");
-    }
-
-    #[test]
     fn removal_shrinks_bin() {
         let cells = vec![0, 0, 1];
         let mut g = Gpma::build(&cells, 2, 0.5);
-        g.queue_remove(1, 0);
         // Particle 1 is gone: its cells entry becomes INVALID.
         let after = vec![0, INVALID_PARTICLE_ID, 1];
-        let _ = g.apply_pending_moves(&after);
+        let _ = g.apply_moves(&[mv(1, Some(0), None)], &after);
         g.check_invariants(&after);
         assert_eq!(g.bin_len(0), 1);
         assert_eq!(g.num_particles(), 2);
@@ -990,8 +814,7 @@ mod tests {
         let g = Gpma::build(&cells, 2, 0.5);
         let extended = vec![0, 1, 1];
         let mut g2 = g.clone();
-        g2.queue_insert(2, 1);
-        let _ = g2.apply_pending_moves(&extended);
+        let _ = g2.apply_moves(&[mv(2, None, Some(1))], &extended);
         g2.check_invariants(&extended);
         assert_eq!(g2.bin_len(1), 2);
         // Original untouched.
@@ -1006,9 +829,7 @@ mod tests {
         let mut g = Gpma::build(&cells, 3, 0.0); // 1 gap per bin.
                                                  // Two inserts into bin 0: first takes its gap, second borrows.
         let extended = vec![0, 0, 0, 1, 0, 0];
-        g.queue_insert(4, 0);
-        g.queue_insert(5, 0);
-        let stats = g.apply_pending_moves(&extended);
+        let stats = g.apply_moves(&[mv(4, None, Some(0)), mv(5, None, Some(0))], &extended);
         g.check_invariants(&extended);
         assert_eq!(g.bin_len(0), 5);
         assert!(
@@ -1024,9 +845,7 @@ mod tests {
         let cells = vec![0, 2];
         let mut g = Gpma::build(&cells, 3, 0.0);
         let extended = vec![0, 2, 2, 2];
-        g.queue_insert(2, 2);
-        g.queue_insert(3, 2);
-        let stats = g.apply_pending_moves(&extended);
+        let stats = g.apply_moves(&[mv(2, None, Some(2)), mv(3, None, Some(2))], &extended);
         g.check_invariants(&extended);
         assert_eq!(g.bin_len(2), 3);
         assert_eq!(stats.rebuilds, 0);
@@ -1037,13 +856,10 @@ mod tests {
         let cells = vec![0];
         let mut g = Gpma::build(&cells, 1, 0.0); // Capacity 2 (1 + 1 gap).
         let extended = vec![0, 0, 0, 0];
-        g.queue_insert(1, 0);
-        g.queue_insert(2, 0);
-        g.queue_insert(3, 0);
-        let stats = g.apply_pending_moves(&extended);
+        let arrivals: Vec<PendingMove> = (1..4).map(|p| mv(p, None, Some(0))).collect();
+        let stats = g.apply_moves(&arrivals, &extended);
         g.check_invariants(&extended);
         assert!(stats.rebuilds >= 1);
-        assert!(g.was_rebuilt_this_step);
         assert_eq!(g.rebuild_count(), stats.rebuilds as u64);
         assert_eq!(g.num_particles(), 4);
     }
@@ -1068,22 +884,18 @@ mod tests {
         let cells = vec![0];
         let mut g = Gpma::build(&cells, 1, 0.0);
         let extended = vec![0, 0, 0];
-        g.queue_insert(1, 0);
-        g.queue_insert(2, 0);
-        let _ = g.apply_pending_moves(&extended);
+        let _ = g.apply_moves(&[mv(1, None, Some(0)), mv(2, None, Some(0))], &extended);
         assert!(g.rebuild_count() > 0);
         g.reset_counters();
         assert_eq!(g.rebuild_count(), 0);
-        assert!(!g.was_rebuilt_this_step);
     }
 
     #[test]
     fn state_round_trip_preserves_behaviour() {
         let mut cells = vec![0, 0, 1, 2, 2];
         let mut g = Gpma::build(&cells, 3, 0.5);
-        g.queue_move(0, 0, 1);
         cells[0] = 1;
-        let _ = g.apply_pending_moves(&cells);
+        let _ = g.apply_moves(&[mv(0, Some(0), Some(1))], &cells);
         let (mut twin, derived) = Gpma::from_state(g.export_state(), cells.len()).unwrap();
         assert_eq!(derived, cells, "the bin map follows from the index");
         twin.check_invariants(&cells);
@@ -1095,15 +907,12 @@ mod tests {
         );
         // Identical future operations must produce identical stats and
         // layout.
-        let extended = vec![1, 0, 1, 2, 2, 1];
-        g.queue_insert(5, 1);
-        twin.queue_insert(5, 1);
         let mut cells2 = cells.clone();
         cells2.push(1);
-        let _ = extended;
+        let arrival = [mv(5, None, Some(1))];
         let (a, b) = (
-            g.apply_pending_moves(&cells2),
-            twin.apply_pending_moves(&cells2),
+            g.apply_moves(&arrival, &cells2),
+            twin.apply_moves(&arrival, &cells2),
         );
         assert_eq!(a, b);
         assert_eq!(twin.export_state(), g.export_state());
@@ -1146,44 +955,9 @@ mod tests {
         bad.free_stacks.pop();
         assert!(rejects(bad, slots), "stack shorter than the gaps");
 
-        let mut bad = good.clone();
+        let mut bad = good;
         bad.gap_ratio = f64::NAN;
         assert!(rejects(bad, slots), "NaN gap ratio");
-
-        for (particle, old_bin, new_bin) in [
-            (0, Some(99), None),
-            (0, Some(0), Some(2)),
-            (0, Some(1), None),
-            (0, None, Some(1)),
-            (3, None, Some(1)),
-        ] {
-            let mut bad = good.clone();
-            bad.pending.push(PendingMove {
-                particle,
-                old_bin,
-                new_bin,
-            });
-            assert!(
-                rejects(bad, slots),
-                "pending {particle} {old_bin:?} {new_bin:?}"
-            );
-        }
-        let mut twice = good;
-        twice.pending.push(PendingMove {
-            particle: 0,
-            old_bin: Some(0),
-            new_bin: Some(1),
-        });
-        assert!(Gpma::from_state(twice.clone(), slots).is_ok());
-        twice.pending.push(PendingMove {
-            particle: 0,
-            old_bin: Some(1),
-            new_bin: None,
-        });
-        assert!(
-            rejects(twice, slots),
-            "pending move naming a particle twice"
-        );
     }
 
     #[test]
@@ -1195,19 +969,10 @@ mod tests {
         assert!(g.validate(&[0, 2, 1, 2]).is_err(), "bin map disagrees");
         let dead = [0, INVALID_PARTICLE_ID, 1, 2];
         assert!(g.validate(&dead).is_err(), "index names a dead slot");
-        let mut queued = g.clone();
-        queued.queue_remove(1, 1);
-        assert_eq!(queued.validate(&dead), Ok(()), "removal still queued");
-        let mut bad = g.clone();
-        bad.queue_remove(4, 1);
         assert!(
-            bad.validate(&[0, 1, 1, 2, INVALID_PARTICLE_ID]).is_err(),
-            "unindexed"
+            g.validate(&[0, 1, 1, 2, 1]).is_err(),
+            "bin map names an unindexed particle"
         );
-        let mut twice = g;
-        twice.queue_remove(1, 1);
-        twice.queue_insert(1, 2);
-        assert!(twice.validate(&[0, 2, 1, 2]).is_err(), "named twice");
     }
 
     #[test]
@@ -1229,6 +994,7 @@ mod tests {
             // Pile into one end bin (alternating), drain the others.
             let sink = if cycle % 2 == 0 { 0 } else { n_bins - 1 };
             let mut touched = vec![false; cells.len() + 8];
+            let mut batch = Vec::new();
             for _ in 0..8 {
                 let p = next(cells.len() + 2);
                 if touched[p] {
@@ -1240,18 +1006,18 @@ mod tests {
                 }
                 let to = if next(3) == 0 { next(n_bins) } else { sink };
                 match cells[p] {
-                    INVALID_PARTICLE_ID => g.queue_insert(p, to),
+                    INVALID_PARTICLE_ID => batch.push(mv(p, None, Some(to))),
                     from if next(4) == 0 => {
-                        g.queue_remove(p, from);
+                        batch.push(mv(p, Some(from), None));
                         cells[p] = INVALID_PARTICLE_ID;
                         continue;
                     }
                     from if from == to => continue,
-                    from => g.queue_move(p, from, to),
+                    from => batch.push(mv(p, Some(from), Some(to))),
                 }
                 cells[p] = to;
             }
-            let stats = g.apply_pending_moves(&cells);
+            let stats = g.apply_moves(&batch, &cells);
             g.check_invariants(&cells);
             shifts += stats.borrow_shifts;
             scanned += stats.bins_scanned;
@@ -1288,16 +1054,13 @@ mod tests {
         let mut g = Gpma::build(&cells, 4, 0.0);
         // Fill every gap first.
         let mid = vec![0, 1, 2, 3, 0, 1, 2];
-        g.queue_insert(4, 0);
-        g.queue_insert(5, 1);
-        g.queue_insert(6, 2);
-        let s1 = g.apply_pending_moves(&mid);
+        let fill = [4, 5, 6].map(|p| mv(p, None, Some(p - 4)));
+        let s1 = g.apply_moves(&fill, &mid);
         assert_eq!(s1.rebuilds, 0);
         g.check_invariants(&mid);
         // Now only bin 3's gap remains; insert into bin 0.
         let fin = vec![0, 1, 2, 3, 0, 1, 2, 0];
-        g.queue_insert(7, 0);
-        let s2 = g.apply_pending_moves(&fin);
+        let s2 = g.apply_moves(&[mv(7, None, Some(0))], &fin);
         g.check_invariants(&fin);
         // The insertion itself must be satisfied by chained borrowing (a
         // maintenance rebuild may still fire afterwards because the tile

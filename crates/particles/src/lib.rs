@@ -12,7 +12,7 @@
 //! # Example
 //!
 //! ```
-//! use mpic_particles::gpma::Gpma;
+//! use mpic_particles::gpma::{Gpma, PendingMove};
 //!
 //! // Three particles in bins 0, 0 and 2 of a 4-cell tile.
 //! let mut g = Gpma::build(&[0, 0, 2], 4, 0.5);
@@ -20,8 +20,8 @@
 //! assert_eq!(g.num_particles(), 3);
 //!
 //! // Particle 1 moves from cell 0 to cell 3.
-//! g.queue_move(1, 0, 3);
-//! let stats = g.apply_pending_moves(&[0, 0, 2]);
+//! let mv = PendingMove { particle: 1, old_bin: Some(0), new_bin: Some(3) };
+//! let stats = g.apply_moves(&[mv], &[0, 3, 2]);
 //! assert_eq!(g.bin_len(0), 1);
 //! assert_eq!(g.bin_len(3), 1);
 //! assert_eq!(stats.moves_applied, 1);

@@ -1,12 +1,12 @@
 //! Test-only reference for the per-step maintenance path: the
 //! queue-based sweep and the one-at-a-time re-homing loop the fused
-//! sweep and the tile-grouped re-homing replaced, kept verbatim on the
-//! public queue API so the conformance tests can demand bit-identical
-//! state from the fast path — plus the order mutants those tests must
-//! reject.
+//! sweep and the tile-grouped re-homing replaced, kept on the public
+//! batch API ([`crate::gpma::Gpma::apply_moves`] over a local queue) so
+//! the conformance tests can demand bit-identical state from the fast
+//! path — plus the order mutants those tests must reject.
 
 use crate::container::{Departure, ParticleContainer, ParticleTile};
-use crate::gpma::{MoveStats, INVALID_PARTICLE_ID};
+use crate::gpma::{MoveStats, PendingMove, INVALID_PARTICLE_ID};
 use mpic_grid::{GridGeometry, Tile, TileLayout};
 
 /// Order contract violations the conformance tests must tell apart from
@@ -42,6 +42,7 @@ pub fn sweep(
         scan.sort_by_key(|&(_, p)| p);
     }
     let mut stats = MoveStats::default();
+    let mut queue = Vec::new();
     for &(old_bin, p) in &scan {
         // An earlier mover's insert may have borrowed across this bin's
         // boundary; only `cells` still names the particle's region then.
@@ -55,7 +56,11 @@ pub fn sweep(
         if tile.contains(cell) {
             let new_bin = tile.local_cell_id(cell);
             if new_bin != old_bin {
-                pt.gpma.queue_move(p, old_bin, new_bin);
+                queue.push(PendingMove {
+                    particle: p,
+                    old_bin: Some(old_bin),
+                    new_bin: Some(new_bin),
+                });
                 pt.cells[p] = new_bin;
             }
         } else {
@@ -69,25 +74,32 @@ pub fn sweep(
                 uz,
                 w,
             });
-            pt.gpma.queue_remove(p, old_bin);
+            queue.push(PendingMove {
+                particle: p,
+                old_bin: Some(old_bin),
+                new_bin: None,
+            });
             pt.cells[p] = INVALID_PARTICLE_ID;
             pt.soa.remove(p);
         }
-        if mutant == Mutant::InsertsBeforeDeletes && pt.gpma.pending_len() > 0 {
-            stats.merge(&pt.gpma.apply_pending_moves(&pt.cells));
+        if mutant == Mutant::InsertsBeforeDeletes && !queue.is_empty() {
+            stats.merge(&pt.gpma.apply_moves(&queue, &pt.cells));
+            queue.clear();
         }
     }
-    stats.merge(&pt.gpma.apply_pending_moves(&pt.cells));
+    stats.merge(&pt.gpma.apply_moves(&queue, &pt.cells));
     (stats, scanned)
 }
 
-/// Inserts one arrival through the queue, as its own cycle.
+/// Inserts one arrival through a one-entry queue, as its own cycle.
 fn insert(pt: &mut ParticleTile, d: Departure, tile: &Tile, geom: &GridGeometry) -> MoveStats {
-    queue_arrival(pt, d, tile, geom);
-    pt.gpma.apply_pending_moves(&pt.cells)
+    let arrival = [arrival(pt, d, tile, geom)];
+    pt.gpma.apply_moves(&arrival, &pt.cells)
 }
 
-fn queue_arrival(pt: &mut ParticleTile, d: Departure, tile: &Tile, geom: &GridGeometry) {
+/// Pushes `d` into the tile's SoA and bin map and returns the move that
+/// indexes it.
+fn arrival(pt: &mut ParticleTile, d: Departure, tile: &Tile, geom: &GridGeometry) -> PendingMove {
     let cell = geom.wrap_cell(geom.locate(d.x, d.y, d.z).0);
     assert!(tile.contains(cell), "arrival routed to the wrong tile");
     let bin = tile.local_cell_id(cell);
@@ -96,7 +108,11 @@ fn queue_arrival(pt: &mut ParticleTile, d: Departure, tile: &Tile, geom: &GridGe
         pt.cells.resize(p + 1, INVALID_PARTICLE_ID);
     }
     pt.cells[p] = bin;
-    pt.gpma.queue_insert(p, bin);
+    PendingMove {
+        particle: p,
+        old_bin: None,
+        new_bin: Some(bin),
+    }
 }
 
 /// The queue-based `ParticleContainer::incremental_sort`: sweep every
@@ -125,18 +141,19 @@ pub fn incremental_sort(
         Mutant::RebuildCheckPerBatch => departures.sort_by_key(owner),
         _ => {}
     }
+    let mut queues = vec![Vec::new(); c.tiles.len()];
     for d in departures {
         let t = owner(&d);
         let pt = &mut c.tiles[t];
         if mutant == Mutant::RebuildCheckPerBatch {
-            queue_arrival(pt, d, layout.tile(t), geom);
+            queues[t].push(arrival(pt, d, layout.tile(t), geom));
         } else {
             stats.merge(&insert(pt, d, layout.tile(t), geom));
         }
     }
     if mutant == Mutant::RebuildCheckPerBatch {
-        for pt in &mut c.tiles {
-            stats.merge(&pt.gpma.apply_pending_moves(&pt.cells));
+        for (pt, queue) in c.tiles.iter_mut().zip(&queues) {
+            stats.merge(&pt.gpma.apply_moves(queue, &pt.cells));
         }
     }
     (stats, scanned)

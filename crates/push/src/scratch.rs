@@ -5,6 +5,8 @@
 //! path performs no heap allocation once the buffers have grown to the
 //! largest tile's population.
 
+use mpic_particles::PendingMove;
+
 /// Reusable per-worker buffers for one tile's gather + push sweep.
 #[derive(Debug, Clone, Default)]
 pub struct PushScratch {
@@ -22,6 +24,9 @@ pub struct PushScratch {
     /// Intra-cell offsets of the currently open run, parallel to
     /// [`PushScratch::run_slots`].
     pub run_frac: Vec<[f64; 3]>,
+    /// The tile's particles absorbed at a z boundary, in retire order:
+    /// one removal batch when the sweep ends.
+    pub removed: Vec<PendingMove>,
 }
 
 impl PushScratch {
@@ -31,6 +36,7 @@ impl PushScratch {
         self.sample_idx.clear();
         self.run_slots.clear();
         self.run_frac.clear();
+        self.removed.clear();
     }
 }
 

@@ -10,7 +10,7 @@
 use mpic_deposit::{ExecMode, ShapeOrder};
 use mpic_grid::{FieldArrays, GridGeometry};
 use mpic_machine::{vect::W, Lanes, LineCarry, Machine, Phase, VAddr};
-use mpic_particles::ParticleTile;
+use mpic_particles::{ParticleTile, PendingMove};
 
 use crate::boris::{boris_push, boris_push_lanes, charge_push, BorisCoeffs};
 use crate::gather::{
@@ -88,9 +88,9 @@ impl PushCtx<'_> {
                 &mut y,
                 &mut z,
             );
-            self.finish_push(tile, p, [x, y, z], [ux, uy, uz]);
+            self.finish_push(tile, p, [x, y, z], [ux, uy, uz], &mut scratch.removed);
         }
-        tile.apply_removals();
+        tile.remove(&scratch.removed);
         charge_gather(
             wm,
             GatherCost::default(),
@@ -121,7 +121,7 @@ impl PushCtx<'_> {
     /// so the cached block cannot go stale within a run; each particle's
     /// writeback touches only its own SoA slots, so deferring the push
     /// to run close lets no buffered particle observe another's).
-    /// Removals are queued in GPMA order rather than raw slot order.
+    /// Removals are collected in GPMA order rather than raw slot order.
     ///
     /// The cost model charges one run-scoped block gather per field
     /// array instead of a per-particle node sweep: the previous run's
@@ -184,10 +184,16 @@ impl PushCtx<'_> {
                     &mut carry,
                     footprint,
                 );
-                self.flush_run(tile, &block, &scratch.run_slots, &scratch.run_frac);
+                self.flush_run(
+                    tile,
+                    &block,
+                    &scratch.run_slots,
+                    &scratch.run_frac,
+                    &mut scratch.removed,
+                );
             }
         });
-        tile.apply_removals();
+        tile.remove(&scratch.removed);
         charge_push(wm, scratch.live.len());
     }
 
@@ -201,13 +207,14 @@ impl PushCtx<'_> {
     /// particle end to end and every lane operation is the correctly
     /// rounded per-lane twin of its scalar counterpart, so active lanes
     /// are bit-identical to the per-particle sweep; particles retire in
-    /// buffer (= GPMA) order.
+    /// buffer (= GPMA) order, absorbed ones onto `removed`.
     fn flush_run(
         &self,
         tile: &mut ParticleTile,
         block: &NodeBlock,
         slots: &[usize],
         fracs: &[[f64; 3]],
+        removed: &mut Vec<PendingMove>,
     ) {
         for (pack, fracs) in slots.chunks(W).zip(fracs.chunks(W)) {
             let (e, b) = gather_from_block_lanes_masked(self.order, block, fracs);
@@ -230,6 +237,7 @@ impl PushCtx<'_> {
                     p,
                     [pos[0].lane(l), pos[1].lane(l), pos[2].lane(l)],
                     [u[0].lane(l), u[1].lane(l), u[2].lane(l)],
+                    removed,
                 );
             }
         }
@@ -239,14 +247,21 @@ impl PushCtx<'_> {
     /// (post-push position `pos` and momentum `u`) — the scalar epilogue
     /// every particle of either sweep retires through: periodic wrap in
     /// x/y, and in z either the wrap or, with absorbing boundaries, a
-    /// queued removal once the particle left the z extent.
-    fn finish_push(&self, tile: &mut ParticleTile, p: usize, pos: [f64; 3], u: [f64; 3]) {
+    /// removal appended to `removed` once the particle left the z extent.
+    fn finish_push(
+        &self,
+        tile: &mut ParticleTile,
+        p: usize,
+        pos: [f64; 3],
+        u: [f64; 3],
+        removed: &mut Vec<PendingMove>,
+    ) {
         let wrapped = self.geom.wrap_position(pos);
         let mut z = pos[2];
         match self.absorb_z {
             Some([zlo, zhi]) => {
                 if z < zlo || z >= zhi {
-                    tile.queue_removal(p);
+                    removed.push(tile.removal(p));
                 }
             }
             None => z = wrapped[2],

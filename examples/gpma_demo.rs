@@ -6,7 +6,7 @@
 //! cargo run --release --example gpma_demo
 //! ```
 
-use matrix_pic::particles::{Gpma, MoveStats};
+use matrix_pic::particles::{Gpma, MoveStats, PendingMove};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,12 +31,13 @@ fn main() {
     for step in 0..steps {
         let movers = (n_particles as f64 * move_fraction) as usize;
         // Sample distinct particles: the per-step sweep visits each
-        // particle once, so a particle gets at most one pending move.
+        // particle once, so a particle gets at most one move per batch.
         let mut sample: Vec<usize> = (0..n_particles).collect();
         for i in 0..movers {
             let j = rng.gen_range(i..n_particles);
             sample.swap(i, j);
         }
+        let mut batch = Vec::new();
         for &p in sample.iter().take(movers) {
             let old = cells[p];
             // Drift to a neighbouring bin (CFL: at most one cell).
@@ -46,11 +47,15 @@ fn main() {
                 old.saturating_sub(1)
             };
             if new != old {
-                g.queue_move(p, old, new);
+                batch.push(PendingMove {
+                    particle: p,
+                    old_bin: Some(old),
+                    new_bin: Some(new),
+                });
                 cells[p] = new;
             }
         }
-        let stats = g.apply_pending_moves(&cells);
+        let stats = g.apply_moves(&batch, &cells);
         g.check_invariants(&cells);
         total.merge(&stats);
         if step % 25 == 0 {

@@ -1,7 +1,7 @@
 //! Byte-level access to snapshots for the tests that damage them: the
 //! section table, re-sealing a section's checksum after an edit (so the
 //! decoders, not the checksum, meet the damage), and the index words of
-//! each tile in the format-2 `PARTICLES` section.
+//! each tile in the format-3 `PARTICLES` section.
 
 // Each test binary uses its own subset of these helpers.
 #![allow(dead_code)]
@@ -70,7 +70,7 @@ impl Words {
     }
 }
 
-/// One tile's index words in a format-2 `PARTICLES` section, plus its
+/// One tile's index words in a format-3 `PARTICLES` section, plus its
 /// SoA slot count.
 #[derive(Debug, Clone, Copy)]
 pub struct TileWords {
@@ -81,7 +81,7 @@ pub struct TileWords {
     pub free_stacks: Words,
 }
 
-/// Walks a well-formed format-2 `PARTICLES` section tile by tile.
+/// Walks a well-formed format-3 `PARTICLES` section tile by tile.
 pub fn particle_tiles(bytes: &[u8]) -> Vec<TileWords> {
     let (_, off, _) = *section_table(bytes)
         .iter()
@@ -102,18 +102,14 @@ pub fn particle_tiles(bytes: &[u8]) -> Vec<TileWords> {
             for _ in 1..7 {
                 let _ = vec(8, 0);
             }
-            let tile = TileWords {
+            TileWords {
                 slots,
                 free: vec(4, 0),
                 local_index: vec(4, 0),
                 bin_offsets: vec(4, 0),
-                // The gap ratio follows.
-                free_stacks: vec(4, 8),
-            };
-            // The pending moves (three words each), then the rebuild
-            // flag and the rebuild count.
-            let _ = vec(12, 1 + 8);
-            tile
+                // The gap ratio and the rebuild count follow.
+                free_stacks: vec(4, 8 + 8),
+            }
         })
         .collect()
 }

@@ -19,15 +19,26 @@ use matrix_pic::grid::{FieldArrays, GridGeometry, TileLayout};
 use matrix_pic::machine::vect::W;
 use matrix_pic::machine::{SchedulerPolicy, WorkerPool};
 use matrix_pic::particles::{
-    cell_runs, Departure, Gpma, ParticleContainer, ParticleTile, INVALID_PARTICLE_ID,
+    cell_runs, Departure, Gpma, ParticleContainer, ParticleTile, PendingMove, INVALID_PARTICLE_ID,
 };
 use matrix_pic::push::gather::{
     gather_fields_with_cell, gather_from_block_lanes_masked, load_node_block, NodeBlock,
 };
 use proptest::prelude::*;
+use proptest::TestRng;
 
 mod common;
 use common::{reseal_at, section_table};
+
+/// A batch entry: `particle` leaves bin `from` (none: it arrives) for
+/// bin `to` (none: it leaves the tile).
+fn mv(particle: usize, from: Option<usize>, to: Option<usize>) -> PendingMove {
+    PendingMove {
+        particle,
+        old_bin: from,
+        new_bin: to,
+    }
+}
 
 /// Case budget: `MPIC_FUZZ_ITERS` if set and parseable, else `default`.
 fn fuzz_cases(default: u32) -> u32 {
@@ -259,7 +270,7 @@ fn fuzz_lane_remainder_gather_matches_scalar_bitwise() {
     });
 }
 
-/// A real format-2 snapshot and a simulation of its configuration to
+/// A real format-3 snapshot and a simulation of its configuration to
 /// restore it into.
 struct RestoreSubject {
     bytes: Vec<u8>,
@@ -329,28 +340,105 @@ fn restore_case(
     Ok(result)
 }
 
+/// One restore case as a seed generates it: which subject, and the
+/// `mode`, `pick`, `xor` and `noise` of [`damaged`].
+type RestoreCase = (usize, u8, u64, u8, Vec<u8>);
+
+fn restore_cases() -> impl Strategy<Value = RestoreCase> {
+    (
+        0usize..2,
+        0u8..3,
+        0u64..(1 << 40),
+        1u8..=255,
+        prop::collection::vec(0u8..=255, 0..96),
+    )
+}
+
+/// Restores the input `case` builds: `Err` with a message if the
+/// restore panicked or a failed one mutated the target.
+fn run_restore_case(
+    subjects: &mut [RestoreSubject; 2],
+    (which, mode, pick, xor, noise): &RestoreCase,
+) -> Result<Result<(), SnapshotError>, String> {
+    let subject = &mut subjects[*which];
+    let input = damaged(&subject.bytes, *mode, *pick, *xor, noise);
+    restore_case(subject, &input)
+}
+
 /// `Simulation::restore` is total on hostile input (ROADMAP 8(c)):
 /// arbitrary bytes, truncations and single-byte mutants of real
 /// snapshots — re-sealed, so every decoder behind the checksum meets the
 /// damage — return `Err` or `Ok`, never panic, and a failed restore
 /// leaves the target's state exactly as it was. The corpus holds seeds
-/// whose mutants reach the `PARTICLES` checks of the index, the free
-/// stacks and the SoA free list.
+/// whose mutants reach each `PARTICLES` and `CACHE` check
+/// ([`restore_corpus_reaches_the_outcome_each_seed_names`]).
 #[test]
 fn fuzz_restore_is_total_on_damaged_snapshots() {
     let mut subjects = restore_subjects();
     proptest!(ProptestConfig::with_cases(fuzz_cases(64)).with_corpus("restore"), |(
-        which in 0usize..2,
-        mode in 0u8..3,
-        pick in 0u64..(1 << 40),
-        xor in 1u8..=255,
-        noise in prop::collection::vec(0u8..=255, 0..96),
+        case in restore_cases(),
     )| {
-        let subject = &mut subjects[which];
-        let input = damaged(&subject.bytes, mode, pick, xor, &noise);
-        let outcome = restore_case(subject, &input);
+        let outcome = run_restore_case(&mut subjects, &case);
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     });
+}
+
+/// How a restore ends, as the corpus comments name it: `Ok`, a
+/// `Malformed` error's section and reason, or another error's `Debug`
+/// form.
+fn outcome_name(result: &Result<(), SnapshotError>) -> String {
+    match result {
+        Ok(()) => "Ok".into(),
+        Err(SnapshotError::Malformed { section, reason }) => {
+            let name = "META FIELDS PARTICLES RNG DRIVER COUNTERS CACHE ADDRS REPORT"
+                .split(' ')
+                .nth(*section as usize - 1)
+                .expect("a section id");
+            format!("{name}: {reason}")
+        }
+        Err(e) => format!("{e:?}"),
+    }
+}
+
+/// Every seed in `tests/corpus/restore.seeds` still reaches the outcome
+/// the comment line right above it names ([`outcome_name`]), so a format
+/// change that moves a seed is reported here instead of leaving a stale
+/// comment.
+#[test]
+fn restore_corpus_reaches_the_outcome_each_seed_names() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/restore.seeds");
+    let corpus = std::fs::read_to_string(path).expect("the restore corpus");
+    let mut subjects = restore_subjects();
+    let (mut named, mut seeds, mut drifted) = (None, 0, Vec::new());
+    for line in corpus.lines().map(str::trim) {
+        if let Some(comment) = line.strip_prefix('#') {
+            named = Some(comment.trim());
+            continue;
+        }
+        if line.is_empty() {
+            named = None;
+            continue;
+        }
+        let seed = u64::from_str_radix(line.trim_start_matches("0x"), 16).expect("a hex seed");
+        let want = named
+            .take()
+            .unwrap_or_else(|| panic!("seed {line} names no outcome"));
+        let case = restore_cases().generate(&mut TestRng::from_seed_value(seed));
+        let got = match run_restore_case(&mut subjects, &case) {
+            Ok(result) => outcome_name(&result),
+            Err(message) => message,
+        };
+        if got != want {
+            drifted.push(format!("{line}: named {want:?}, reaches {got:?}"));
+        }
+        seeds += 1;
+    }
+    assert!(seeds > 0, "an empty restore corpus");
+    assert!(
+        drifted.is_empty(),
+        "drifted seeds:\n  {}",
+        drifted.join("\n  ")
+    );
 }
 
 /// GPMA insert/remove/move churn with randomized build sizes (empty
@@ -376,13 +464,14 @@ fn fuzz_gpma_churn_randomized_shapes() {
         g.check_invariants(&cells);
         for chunk in ops.chunks(16) {
             let mut touched = vec![false; cells.len() + chunk.len()];
+            let mut batch = Vec::new();
             for &(op, pick, bin) in chunk {
                 let bin = bin % n_bins;
                 match op {
                     0 => {
                         let p = cells.len();
                         cells.push(bin);
-                        g.queue_insert(p, bin);
+                        batch.push(mv(p, None, Some(bin)));
                         if p < touched.len() {
                             touched[p] = true;
                         }
@@ -396,7 +485,7 @@ fn fuzz_gpma_churn_randomized_shapes() {
                             continue;
                         }
                         let p = live[pick % live.len()];
-                        g.queue_remove(p, cells[p]);
+                        batch.push(mv(p, Some(cells[p]), None));
                         cells[p] = INVALID_PARTICLE_ID;
                         touched[p] = true;
                     }
@@ -412,13 +501,13 @@ fn fuzz_gpma_churn_randomized_shapes() {
                         if cells[p] == bin {
                             continue;
                         }
-                        g.queue_move(p, cells[p], bin);
+                        batch.push(mv(p, Some(cells[p]), Some(bin)));
                         cells[p] = bin;
                         touched[p] = true;
                     }
                 }
             }
-            let _ = g.apply_pending_moves(&cells);
+            let _ = g.apply_moves(&batch, &cells);
             g.check_invariants(&cells);
         }
         let live = cells.iter().filter(|&&c| c != INVALID_PARTICLE_ID).count();

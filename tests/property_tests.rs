@@ -3,8 +3,18 @@
 use matrix_pic::deposit::{reference_deposit, ShapeOrder};
 use matrix_pic::grid::GridGeometry;
 use matrix_pic::machine::{LineCarry, TensorBlock, VAddr};
-use matrix_pic::particles::{counting_sort_keys, Gpma, INVALID_PARTICLE_ID};
+use matrix_pic::particles::{counting_sort_keys, Gpma, PendingMove, INVALID_PARTICLE_ID};
 use proptest::prelude::*;
+
+/// A batch entry: `particle` leaves bin `from` (none: it arrives) for
+/// bin `to` (none: it leaves the tile).
+fn mv(particle: usize, from: Option<usize>, to: Option<usize>) -> PendingMove {
+    PendingMove {
+        particle,
+        old_bin: from,
+        new_bin: to,
+    }
+}
 
 /// Arbitrary move sequences never lose or duplicate particles and keep
 /// every GPMA invariant — the structure's central safety property.
@@ -20,17 +30,18 @@ fn gpma_survives_arbitrary_move_sequences() {
         g.check_invariants(&cells);
         // Apply moves in batches (one per "step"), deduplicating by
         // particle within a batch (the sweep visits each particle once).
-        for batch in moves.chunks(20) {
+        for chunk in moves.chunks(20) {
             let mut seen = std::collections::HashSet::new();
-            for &(p, new_bin) in batch {
+            let mut batch = Vec::new();
+            for &(p, new_bin) in chunk {
                 let p = p % cells.len();
                 if !seen.insert(p) || cells[p] == new_bin {
                     continue;
                 }
-                g.queue_move(p, cells[p], new_bin);
+                batch.push(mv(p, Some(cells[p]), Some(new_bin)));
                 cells[p] = new_bin;
             }
-            let _ = g.apply_pending_moves(&cells);
+            let _ = g.apply_moves(&batch, &cells);
             g.check_invariants(&cells);
         }
         prop_assert_eq!(g.num_particles(), cells.len());
@@ -48,13 +59,14 @@ fn gpma_survives_insert_remove_churn() {
         let mut g = Gpma::build(&cells, n_bins, 0.5);
         for chunk in ops.chunks(10) {
             let mut touched = std::collections::HashSet::new();
+            let mut batch = Vec::new();
             for &(op, pick, bin) in chunk {
                 match op {
                     // Insert a brand-new particle.
                     0 => {
                         let p = cells.len();
                         cells.push(bin);
-                        g.queue_insert(p, bin);
+                        batch.push(mv(p, None, Some(bin)));
                         touched.insert(p);
                     }
                     // Remove an existing live particle.
@@ -65,7 +77,7 @@ fn gpma_survives_insert_remove_churn() {
                             .collect();
                         if live.is_empty() { continue; }
                         let p = live[pick % live.len()];
-                        g.queue_remove(p, cells[p]);
+                        batch.push(mv(p, Some(cells[p]), None));
                         cells[p] = INVALID_PARTICLE_ID;
                         touched.insert(p);
                     }
@@ -78,13 +90,13 @@ fn gpma_survives_insert_remove_churn() {
                         if live.is_empty() { continue; }
                         let p = live[pick % live.len()];
                         if cells[p] == bin { continue; }
-                        g.queue_move(p, cells[p], bin);
+                        batch.push(mv(p, Some(cells[p]), Some(bin)));
                         cells[p] = bin;
                         touched.insert(p);
                     }
                 }
             }
-            let _ = g.apply_pending_moves(&cells);
+            let _ = g.apply_moves(&batch, &cells);
             g.check_invariants(&cells);
         }
     });
@@ -111,21 +123,25 @@ fn container_survives_insert_remove_churn() {
         let mut c = ParticleContainer::new(&layout, -1.0, 1.0);
         let mut live = 0usize;
         for chunk in ops.chunks(25) {
+            // Boundary removals, one batch per tile at the end of the chunk.
+            let mut removals: Vec<Vec<PendingMove>> = vec![Vec::new(); c.tiles.len()];
             for &(op, pick, x, y, z) in chunk {
-                // Slot `pick` of tile `pick % tiles`, when it is live.
+                // Slot `pick` of tile `pick % tiles`, when it is live and
+                // not yet removed.
                 let t = pick % c.tiles.len();
                 let tile = &mut c.tiles[t];
                 let p = pick / 8 % tile.soa.slots().max(1);
-                let target = p < tile.soa.slots() && tile.soa.alive[p];
+                let target = p < tile.soa.slots()
+                    && tile.soa.alive[p]
+                    && !removals[t].iter().any(|mv| mv.particle == p);
                 match op {
                     0 | 1 => {
                         let d = Departure { x, y, z, ux: 0.0, uy: 0.0, uz: 0.0, w: 1.0 };
-                        // Flushes this tile's queued removals with it.
                         let _ = c.inject(&layout, &geom, d);
                         live += 1;
                     }
                     2 if target => {
-                        tile.queue_removal(p);
+                        removals[t].push(tile.removal(p));
                         live -= 1;
                     }
                     3 if target => {
@@ -140,7 +156,7 @@ fn container_survives_insert_remove_churn() {
             };
             let mut arrivals = 0;
             for (t, tile) in c.tiles.iter_mut().enumerate() {
-                tile.apply_removals();
+                tile.remove(&removals[t]);
                 arrivals += tile.soa.live_indices().filter(|&p| owner(tile, p) != t).count();
             }
             let (stats, scanned) = c.incremental_sort(&layout, &geom);
