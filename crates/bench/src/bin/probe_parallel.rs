@@ -211,14 +211,13 @@ fn check_parity(label: &str, results: &[ProbeResult]) -> bool {
 /// measured steps (plus one warm-up): the adaptive sort policy's
 /// perf trigger consumes *emulated deposition cycles*, which the
 /// batched cost model intentionally lowers — so once the policy can
-/// fire (`min_sort_interval` steps in), the two modes may global-sort
+/// fire (`MIN_SORT_INTERVAL` steps in), the two modes may global-sort
 /// on different steps, reorder particles within cells and legitimately
 /// diverge bitwise even though each mode is individually correct. The
 /// gate therefore only applies while no trigger can possibly have
 /// fired in either mode.
 fn cross_mode_gate_sound(steps: usize) -> bool {
-    let min_interval = mpic_particles::SortPolicy::default().min_sort_interval as usize;
-    1 + steps < min_interval
+    1 + steps < mpic_particles::policy::MIN_SORT_INTERVAL as usize
 }
 
 /// Cross-mode value parity: FullOpt's cell-run sweep must agree bitwise

@@ -2,7 +2,7 @@
 
 use mpic_deposit::{KernelConfig, ShapeOrder};
 use mpic_machine::{MachineConfig, SchedulerPolicy};
-use mpic_solver::{AbsorbingLayer, BoundaryKind, LaserAntenna, SolverKind};
+use mpic_solver::{BoundaryKind, LaserAntenna, SolverKind};
 
 /// Full configuration of one simulation run (the analogue of a WarpX
 /// input file restricted to the parameters in Appendix A Table 4).
@@ -30,8 +30,6 @@ pub struct SimConfig {
     pub moving_window: bool,
     /// Optional laser antenna (LWFA).
     pub laser: Option<LaserAntenna>,
-    /// Damping layer used with [`BoundaryKind::AbsorbingZ`].
-    pub absorber: AbsorbingLayer,
     /// Emulated machine model.
     pub machine: MachineConfig,
     /// RNG seed for particle loading.
@@ -78,43 +76,4 @@ pub struct SimConfig {
     /// `batching` and `num_workers`, a runtime knob that may differ
     /// freely between a snapshot's save and restore.
     pub simd: bool,
-}
-
-impl SimConfig {
-    /// A small fully-periodic default (tests and the quickstart example).
-    pub fn small_periodic() -> Self {
-        Self {
-            n_cells: [16, 16, 16],
-            dx: [1.0e-6; 3],
-            tile_size: [8, 8, 8],
-            guard: 2,
-            cfl: 0.98,
-            solver: SolverKind::Ckc,
-            shape: ShapeOrder::Cic,
-            kernel: KernelConfig::FullOpt,
-            boundary: BoundaryKind::Periodic,
-            moving_window: false,
-            laser: None,
-            absorber: AbsorbingLayer::default(),
-            machine: MachineConfig::lx2(),
-            seed: 0x5eed,
-            num_workers: 1,
-            scheduler: SchedulerPolicy::Static,
-            batching: false,
-            simd: false,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_config_is_consistent() {
-        let c = SimConfig::small_periodic();
-        assert_eq!(c.n_cells, [16, 16, 16]);
-        assert!(c.cfl <= 1.0);
-        assert!(c.laser.is_none());
-    }
 }

@@ -5,9 +5,9 @@ use mpic_deposit::{canonical_flops_per_particle, Depositor, SortStrategy};
 use mpic_grid::constants::C;
 use mpic_grid::{FieldArrays, GridGeometry, TileLayout};
 use mpic_machine::{Machine, Phase, VAddr, WorkerPool};
-use mpic_particles::{Departure, ParticleContainer, ParticleTile, RankSortStats};
+use mpic_particles::{should_sort, Departure, ParticleContainer, ParticleTile, RankSortStats};
 use mpic_push::{BorisCoeffs, PushCtx, PushScratch};
-use mpic_solver::{BoundaryKind, MaxwellSolver};
+use mpic_solver::{absorb_z, BoundaryKind, MaxwellSolver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -241,13 +241,6 @@ impl Simulation {
         );
         if sort_report.policy_triggered {
             self.sort_stats.reset();
-            // The metric `reset()` just promoted to `baseline_perf` is the
-            // *pre-sort* throughput of the step that requested the sort —
-            // stale and degraded. Clear it so `update_sort_policy` at the
-            // end of *this* step re-seeds the baseline from the first
-            // post-sort measurement; until then trigger 5 is disarmed, so
-            // the policy cannot re-fire off its own sort's cost.
-            self.sort_stats.baseline_perf = 0.0;
         }
 
         // --- Current deposition ----------------------------------------
@@ -279,7 +272,7 @@ impl Simulation {
             laser.inject(&self.geom, &mut self.fields, self.time);
         }
         if self.cfg.boundary == BoundaryKind::AbsorbingZ {
-            self.cfg.absorber.apply(&self.geom, &mut self.fields);
+            absorb_z(&self.geom, &mut self.fields);
         }
 
         // --- Moving window ----------------------------------------------
@@ -434,9 +427,9 @@ impl Simulation {
     /// Updates [`RankSortStats`] and evaluates the five-trigger policy
     /// (`ShouldPerformGlobalSort`, end of Algorithm 1).
     fn update_sort_policy(&mut self, t: &StepTimings) {
-        let SortStrategy::Incremental(policy) = self.depositor.strategy().clone() else {
+        if self.depositor.strategy() != SortStrategy::Incremental {
             return;
-        };
+        }
         self.sort_stats.steps_since_sort += 1;
         self.sort_stats.rebuilds_accum = self.electrons.rebuilds_accum();
         self.sort_stats.empty_ratio = self.electrons.empty_ratio();
@@ -449,7 +442,7 @@ impl Simulation {
         if self.sort_stats.baseline_perf == 0.0 {
             self.sort_stats.baseline_perf = self.sort_stats.perf_metric;
         }
-        if policy.should_sort(&self.sort_stats).is_some() {
+        if should_sort(&self.sort_stats).is_some() {
             self.pending_global_sort = true;
         }
     }

@@ -13,7 +13,7 @@
 use mpic_deposit::{KernelConfig, ShapeOrder};
 use mpic_grid::{GridGeometry, TileLayout};
 use mpic_particles::{Departure, ParticleContainer};
-use mpic_solver::{AbsorbingLayer, BoundaryKind, LaserAntenna, SolverKind};
+use mpic_solver::{BoundaryKind, LaserAntenna, SolverKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -151,7 +151,6 @@ pub fn uniform_plasma_config(
         boundary: BoundaryKind::Periodic,
         moving_window: false,
         laser: None,
-        absorber: AbsorbingLayer::default(),
         machine: mpic_machine::MachineConfig::lx2(),
         seed,
         num_workers: 1,
@@ -210,7 +209,6 @@ pub fn lwfa_config(
         boundary: BoundaryKind::AbsorbingZ,
         moving_window: true,
         laser: Some(laser),
-        absorber: AbsorbingLayer::default(),
         machine: mpic_machine::MachineConfig::lx2(),
         seed,
         num_workers: 1,

@@ -4,8 +4,6 @@
 //! each configuration runs, how it stages, the name its snapshots carry
 //! and how it sorts.
 
-use mpic_particles::SortPolicy;
-
 use crate::common::PrepStyle;
 use crate::kernel::{Depositor, SortStrategy};
 use crate::shape::ShapeOrder;
@@ -103,7 +101,7 @@ impl KernelConfig {
         use KernelFamily::{Matrix, Rhocell, Scatter};
         use PrepStyle::{Autovec, Scalar, VpuIntrinsics};
         let unsorted = SortStrategy::None;
-        let incr = SortStrategy::Incremental(SortPolicy::default());
+        let incr = SortStrategy::Incremental;
         match self {
             KernelConfig::Baseline => (Scatter, Autovec, "baseline", unsorted),
             KernelConfig::BaselineIncrSort => (Scatter, Autovec, "baseline", incr),
@@ -193,27 +191,24 @@ mod tests {
         // restore): changing one orphans every snapshot written before.
         use KernelFamily::{Matrix, Rhocell, Scatter};
         use PrepStyle::{Autovec, Scalar, VpuIntrinsics};
+        use SortStrategy::{GlobalEveryStep, Incremental, None};
         let want = [
-            (Scatter, Autovec, "baseline", false),
-            (Scatter, Autovec, "baseline", true),
-            (Rhocell, Autovec, "rhocell_autovec", false),
-            (Rhocell, Autovec, "rhocell_autovec", true),
-            (Rhocell, VpuIntrinsics, "rhocell_vpu", true),
-            (Matrix, Scalar, "matrix_only", false),
-            (Matrix, VpuIntrinsics, "matrixpic", false),
-            (Matrix, VpuIntrinsics, "matrixpic", true),
-            (Matrix, VpuIntrinsics, "matrixpic", true),
+            (Scatter, Autovec, "baseline", None),
+            (Scatter, Autovec, "baseline", Incremental),
+            (Rhocell, Autovec, "rhocell_autovec", None),
+            (Rhocell, Autovec, "rhocell_autovec", Incremental),
+            (Rhocell, VpuIntrinsics, "rhocell_vpu", Incremental),
+            (Matrix, Scalar, "matrix_only", None),
+            (Matrix, VpuIntrinsics, "matrixpic", None),
+            (Matrix, VpuIntrinsics, "matrixpic", GlobalEveryStep),
+            (Matrix, VpuIntrinsics, "matrixpic", Incremental),
         ];
-        for (cfg, (family, prep, name, sorted)) in KernelConfig::ALL.into_iter().zip(want) {
+        for (cfg, (family, prep, name, strategy)) in KernelConfig::ALL.into_iter().zip(want) {
             assert_eq!(cfg.family(), family, "{cfg:?}");
             assert_eq!(cfg.prep_style(), prep, "{cfg:?}");
             assert_eq!(cfg.name(), name, "{cfg:?}");
-            assert_eq!(cfg.strategy().provides_sorted_order(), sorted, "{cfg:?}");
+            assert_eq!(cfg.strategy(), strategy, "{cfg:?}");
         }
-        assert!(matches!(
-            KernelConfig::HybridGlobalSort.strategy(),
-            SortStrategy::GlobalEveryStep
-        ));
     }
 
     #[test]

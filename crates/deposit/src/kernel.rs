@@ -12,7 +12,7 @@ use mpic_grid::{FieldArrays, GridGeometry, Tile, TileLayout};
 use mpic_machine::{
     Exec, Machine, Meter, Phase, Pricing, SchedulerPolicy, VAddr, WorkerPool, VLANES,
 };
-use mpic_particles::{MoveStats, ParticleContainer, SortPolicy, SortStats};
+use mpic_particles::{MoveStats, ParticleContainer, SortStats};
 
 use crate::common::{stage_tile, AddrMap, PrepStyle, Staging, TileCurrents, TileScratch};
 use crate::configs::{KernelConfig, KernelFamily};
@@ -66,20 +66,20 @@ pub struct TileCtx<'a> {
 
 /// Sorting strategy wrapped around the kernel (orthogonal to the kernel
 /// itself, matching the paper's `+IncrSort` / `GlobalSort` suffixes).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SortStrategy {
     /// Particles stay in SoA order (baseline, `Hybrid-noSort`).
     None,
     /// Incremental GPMA maintenance each step; global re-sort governed by
-    /// the adaptive policy.
-    Incremental(SortPolicy),
+    /// the adaptive policy ([`mpic_particles::should_sort`]).
+    Incremental,
     /// Full counting sort every timestep (`Hybrid-GlobalSort`).
     GlobalEveryStep,
 }
 
 impl SortStrategy {
     /// Whether kernels observe cell-sorted iteration order.
-    pub fn provides_sorted_order(&self) -> bool {
+    pub fn provides_sorted_order(self) -> bool {
         !matches!(self, SortStrategy::None)
     }
 }
@@ -181,8 +181,8 @@ impl Depositor {
     }
 
     /// The sorting strategy.
-    pub fn strategy(&self) -> &SortStrategy {
-        &self.strategy
+    pub fn strategy(&self) -> SortStrategy {
+        self.strategy
     }
 
     /// The address map allocated by [`Depositor::prepare`], if any.
@@ -278,7 +278,7 @@ impl Depositor {
         exec: Exec<'_>,
     ) -> StepSortReport {
         let mut report = StepSortReport::default();
-        match &self.strategy {
+        match self.strategy {
             SortStrategy::None => {
                 // Even the unsorted baseline redistributes particles to
                 // their owning tiles every step (WarpX's `Redistribute`);
@@ -294,7 +294,7 @@ impl Depositor {
                 m.in_phase(Phase::Sort, |m| charge_global_sort(m, &stats));
                 report.global = Some(stats);
             }
-            SortStrategy::Incremental(_) => {
+            SortStrategy::Incremental => {
                 let addrs = self.addrs.as_ref().expect("prepare() not called");
                 // Three unit-stride position streams, priced like every
                 // other memory-bound phase of the step's mode.
@@ -617,7 +617,8 @@ fn op_count(x: f64) -> usize {
 
 /// Charges the GPMA maintenance work reported by the sweep.
 fn charge_gpma(m: &mut Meter<'_>, s: &MoveStats) {
-    // Queue handling + index updates: ~8 scalar ops per applied move.
+    // Each applied move: its bin comparison and index-entry updates,
+    // ~8 scalar ops (its delete and insert are charged below).
     m.s_ops(8 * s.moves_applied);
     // Deletions and O(1) inserts are a handful of ops each.
     m.s_ops(4 * (s.deletions + s.insertions));
@@ -635,7 +636,7 @@ mod tests {
     fn strategy_sorted_order() {
         assert!(!SortStrategy::None.provides_sorted_order());
         assert!(SortStrategy::GlobalEveryStep.provides_sorted_order());
-        assert!(SortStrategy::Incremental(SortPolicy::default()).provides_sorted_order());
+        assert!(SortStrategy::Incremental.provides_sorted_order());
     }
 
     #[test]

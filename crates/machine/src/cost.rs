@@ -18,14 +18,13 @@
 //! MatrixPIC.
 
 use crate::cache::CacheLevelConfig;
+use crate::vreg::VLANES;
 
 /// Static description of the emulated core and memory hierarchy.
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
     /// Core clock in Hz (1.3 GHz for the LX2).
     pub clock_hz: f64,
-    /// FP64 lanes per VPU vector (512-bit => 8).
-    pub vpu_lanes: usize,
     /// Parallel VPU pipes (affects reciprocal throughput of vector ops).
     pub vpu_pipes: usize,
     /// Reciprocal throughput of a VPU arithmetic instruction, in cycles.
@@ -37,11 +36,9 @@ pub struct MachineConfig {
     /// Serialisation penalty per conflicting lane in a scatter-add
     /// (models the atomic/conflict-detection loop of equation 2).
     pub conflict_lane_cy: f64,
-    /// MPU tile dimension (8 for the LX2: 8x8 FP64 tiles).
-    pub mpu_dim: usize,
     /// Reciprocal throughput of one MOPA instruction, in cycles.
     ///
-    /// With `mpu_dim = 8` a MOPA performs 64 FMAs = 128 FLOPs; at one MOPA
+    /// With [`VLANES`] = 8 a MOPA performs 64 FMAs = 128 FLOPs; at one MOPA
     /// per cycle the MPU peak is 128 FLOP/cycle = 4x the VPU's 32
     /// FLOP/cycle (8 lanes x 2 FLOP x 2 pipes), matching the paper.
     pub mopa_cy: f64,
@@ -102,13 +99,11 @@ impl MachineConfig {
     pub fn lx2() -> Self {
         Self {
             clock_hz: 1.3e9,
-            vpu_lanes: 8,
             vpu_pipes: 2,
             vpu_arith_cy: 0.5,
             scalar_arith_cy: 0.5,
             gather_lane_cy: 0.125,
             conflict_lane_cy: 1.0,
-            mpu_dim: 8,
             mopa_cy: 1.0,
             tile_row_xfer_cy: 1.0,
             tile_zero_cy: 1.0,
@@ -135,15 +130,16 @@ impl MachineConfig {
         }
     }
 
-    /// Peak FP64 FLOPs per cycle of the VPU (lanes x 2 FLOP/FMA x pipes).
+    /// Peak FP64 FLOPs per cycle of the VPU
+    /// ([`VLANES`] lanes x 2 FLOP/FMA x pipes).
     pub fn vpu_peak_flops_per_cycle(&self) -> f64 {
-        (self.vpu_lanes * 2 * self.vpu_pipes) as f64
+        (VLANES * 2 * self.vpu_pipes) as f64
     }
 
     /// Peak FP64 FLOPs per cycle of the MPU
-    /// (dim^2 FMAs per MOPA x 2 FLOP / mopa_cy).
+    /// ([`VLANES`]^2 FMAs per MOPA x 2 FLOP / mopa_cy).
     pub fn mpu_peak_flops_per_cycle(&self) -> f64 {
-        (self.mpu_dim * self.mpu_dim * 2) as f64 / self.mopa_cy
+        (VLANES * VLANES * 2) as f64 / self.mopa_cy
     }
 
     /// The platform peak used for efficiency percentages: the highest FP64

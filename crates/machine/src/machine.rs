@@ -75,10 +75,6 @@ pub struct Machine {
 impl Machine {
     /// Builds a machine from a configuration.
     pub fn new(cfg: MachineConfig) -> Self {
-        assert_eq!(
-            cfg.mpu_dim, VLANES,
-            "the emulator models an 8x8 MPU tile matching the VPU width"
-        );
         assert!(
             cfg.l1.line_bytes >= 8,
             "a cache line holds at least one f64"

@@ -38,7 +38,7 @@ pub mod sort;
 
 pub use container::{Departure, ParticleContainer, ParticleTile};
 pub use gpma::{Gpma, GpmaState, MoveStats, PendingMove, INVALID_PARTICLE_ID};
-pub use policy::{RankSortStats, SortPolicy, SortReason};
+pub use policy::{should_sort, RankSortStats, SortReason};
 pub use runs::{cell_runs, CellRun, CellRuns};
 pub use soa::ParticleSoA;
 pub use sort::{counting_sort_keys, counting_sort_keys_into, SortScratch, SortStats};

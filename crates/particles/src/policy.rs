@@ -1,10 +1,26 @@
 //! Adaptive global re-sort policy (paper section 4.4, Table 4 defaults).
 //!
 //! The GPMA keeps the index sorted but never moves particle data, so
-//! memory coherence degrades over time. `SortPolicy` decides, once per
+//! memory coherence degrades over time. [`should_sort`] decides, once per
 //! step, whether to run the counting-sort global reorder, using five
-//! prioritised, user-configurable triggers evaluated against
-//! [`RankSortStats`].
+//! prioritised triggers evaluated against [`RankSortStats`]. Their
+//! thresholds are the constants below, at the paper's Table 4 values:
+//! no configuration varies them.
+
+/// `warpx.min_sort_interval`: never sort more often than this.
+pub const MIN_SORT_INTERVAL: u64 = 10;
+/// `warpx.sort_interval`: always sort at least this often.
+pub const SORT_INTERVAL: u64 = 50;
+/// `warpx.sort_trigger_rebuild_count`.
+pub const TRIGGER_REBUILD_COUNT: u64 = 100;
+/// `warpx.sort_trigger_empty_ratio`: sort when free slots drop below.
+pub const TRIGGER_EMPTY_RATIO: f64 = 0.15;
+/// `warpx.sort_trigger_full_ratio`: sort when free slots exceed
+/// (tile mostly holes => memory wasted and traversal sparse).
+pub const TRIGGER_FULL_RATIO: f64 = 0.85;
+/// `warpx.sort_trigger_perf_degrad`: sort when throughput falls below
+/// this fraction of the post-sort baseline.
+pub const PERF_DEGRAD: f64 = 0.80;
 
 /// Why a global sort was triggered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,110 +52,46 @@ pub struct RankSortStats {
 }
 
 impl RankSortStats {
-    /// Resets after a global sort (the paper's `ResetRankSortCounters`):
-    /// the current throughput becomes the new baseline.
+    /// Resets after a global sort (the paper's `ResetRankSortCounters`).
+    /// The baseline is cleared, not copied from `perf_metric`: that is
+    /// the stale, degraded throughput of the step that requested the
+    /// sort. The first post-sort measurement re-seeds it; until then
+    /// trigger 5 is disarmed, so the policy cannot re-fire off its own
+    /// sort's cost.
     pub fn reset(&mut self) {
         self.steps_since_sort = 0;
         self.rebuilds_accum = 0;
-        self.baseline_perf = self.perf_metric;
+        self.baseline_perf = 0.0;
     }
 }
 
-/// User-configurable policy parameters; defaults mirror Appendix A
-/// Table 4 of the paper.
-#[derive(Debug, Clone)]
-pub struct SortPolicy {
-    /// `warpx.min_sort_interval`: never sort more often than this.
-    pub min_sort_interval: u64,
-    /// `warpx.sort_interval`: always sort at least this often.
-    pub sort_interval: u64,
-    /// `warpx.sort_trigger_rebuild_count`.
-    pub trigger_rebuild_count: u64,
-    /// `warpx.sort_trigger_empty_ratio`: sort when free slots drop below.
-    pub trigger_empty_ratio: f64,
-    /// `warpx.sort_trigger_full_ratio`: sort when free slots exceed
-    /// (tile mostly holes => memory wasted and traversal sparse).
-    pub trigger_full_ratio: f64,
-    /// `warpx.sort_trigger_perf_enable`.
-    pub perf_enable: bool,
-    /// `warpx.sort_trigger_perf_degrad`: sort when throughput falls below
-    /// this fraction of the post-sort baseline.
-    pub perf_degrad: f64,
-}
-
-impl Default for SortPolicy {
-    fn default() -> Self {
-        Self {
-            min_sort_interval: 10,
-            sort_interval: 50,
-            trigger_rebuild_count: 100,
-            trigger_empty_ratio: 0.15,
-            trigger_full_ratio: 0.85,
-            perf_enable: true,
-            perf_degrad: 0.80,
-        }
+/// Evaluates the five prioritised triggers
+/// (the paper's `ShouldPerformGlobalSort`).
+pub fn should_sort(stats: &RankSortStats) -> Option<SortReason> {
+    // Trigger 1 (highest priority): minimum interval gate.
+    if stats.steps_since_sort < MIN_SORT_INTERVAL {
+        return None;
     }
-}
-
-impl SortPolicy {
-    /// A policy that never triggers (the `Hybrid-noSort` ablation).
-    pub fn never() -> Self {
-        Self {
-            min_sort_interval: u64::MAX,
-            sort_interval: u64::MAX,
-            trigger_rebuild_count: u64::MAX,
-            trigger_empty_ratio: -1.0,
-            trigger_full_ratio: 2.0,
-            perf_enable: false,
-            perf_degrad: 0.0,
-        }
+    // Trigger 2: fixed interval.
+    if stats.steps_since_sort >= SORT_INTERVAL {
+        return Some(SortReason::FixedInterval);
     }
-
-    /// A policy that triggers every step (the `Hybrid-GlobalSort`
-    /// ablation: non-incremental full sort each timestep).
-    pub fn every_step() -> Self {
-        Self {
-            min_sort_interval: 0,
-            sort_interval: 1,
-            trigger_rebuild_count: u64::MAX,
-            trigger_empty_ratio: -1.0,
-            trigger_full_ratio: 2.0,
-            perf_enable: false,
-            perf_degrad: 0.0,
-        }
+    // Trigger 3: accumulated local rebuilds.
+    if stats.rebuilds_accum > TRIGGER_REBUILD_COUNT {
+        return Some(SortReason::RebuildCount);
     }
-
-    /// Evaluates the five prioritised triggers
-    /// (the paper's `ShouldPerformGlobalSort`).
-    pub fn should_sort(&self, stats: &RankSortStats) -> Option<SortReason> {
-        // Trigger 1 (highest priority): minimum interval gate.
-        if stats.steps_since_sort < self.min_sort_interval {
-            return None;
-        }
-        // Trigger 2: fixed interval.
-        if self.sort_interval != u64::MAX && stats.steps_since_sort >= self.sort_interval {
-            return Some(SortReason::FixedInterval);
-        }
-        // Trigger 3: accumulated local rebuilds.
-        if stats.rebuilds_accum > self.trigger_rebuild_count {
-            return Some(SortReason::RebuildCount);
-        }
-        // Trigger 4: empty-slot ratio out of band.
-        if stats.empty_ratio < self.trigger_empty_ratio
-            || stats.empty_ratio > self.trigger_full_ratio
-        {
-            return Some(SortReason::EmptyRatio);
-        }
-        // Trigger 5: performance degradation (optional).
-        if self.perf_enable
-            && stats.baseline_perf > 0.0
-            && stats.perf_metric > 0.0
-            && stats.perf_metric < self.perf_degrad * stats.baseline_perf
-        {
-            return Some(SortReason::PerfDegradation);
-        }
-        None
+    // Trigger 4: empty-slot ratio out of band.
+    if stats.empty_ratio < TRIGGER_EMPTY_RATIO || stats.empty_ratio > TRIGGER_FULL_RATIO {
+        return Some(SortReason::EmptyRatio);
     }
+    // Trigger 5: performance degradation against the post-sort baseline.
+    if stats.baseline_perf > 0.0
+        && stats.perf_metric > 0.0
+        && stats.perf_metric < PERF_DEGRAD * stats.baseline_perf
+    {
+        return Some(SortReason::PerfDegradation);
+    }
+    None
 }
 
 #[cfg(test)]
@@ -158,52 +110,61 @@ mod tests {
 
     #[test]
     fn min_interval_gates_everything() {
-        let p = SortPolicy::default();
         let mut s = healthy_stats(5);
         s.rebuilds_accum = 10_000; // Would otherwise trigger.
         s.empty_ratio = 0.0;
-        assert_eq!(p.should_sort(&s), None);
+        assert_eq!(should_sort(&s), None);
     }
 
     #[test]
     fn fixed_interval_fires() {
-        let p = SortPolicy::default();
-        assert_eq!(p.should_sort(&healthy_stats(49)), None);
+        assert_eq!(should_sort(&healthy_stats(49)), None);
         assert_eq!(
-            p.should_sort(&healthy_stats(50)),
+            should_sort(&healthy_stats(50)),
             Some(SortReason::FixedInterval)
         );
     }
 
     #[test]
     fn rebuild_count_fires() {
-        let p = SortPolicy::default();
         let mut s = healthy_stats(20);
         s.rebuilds_accum = 101;
-        assert_eq!(p.should_sort(&s), Some(SortReason::RebuildCount));
+        assert_eq!(should_sort(&s), Some(SortReason::RebuildCount));
     }
 
     #[test]
     fn empty_ratio_band() {
-        let p = SortPolicy::default();
         let mut s = healthy_stats(20);
         s.empty_ratio = 0.10;
-        assert_eq!(p.should_sort(&s), Some(SortReason::EmptyRatio));
+        assert_eq!(should_sort(&s), Some(SortReason::EmptyRatio));
         s.empty_ratio = 0.90;
-        assert_eq!(p.should_sort(&s), Some(SortReason::EmptyRatio));
+        assert_eq!(should_sort(&s), Some(SortReason::EmptyRatio));
         s.empty_ratio = 0.5;
-        assert_eq!(p.should_sort(&s), None);
+        assert_eq!(should_sort(&s), None);
     }
 
     #[test]
     fn perf_degradation_fires_when_enabled() {
-        let p = SortPolicy::default();
         let mut s = healthy_stats(20);
         s.perf_metric = 70.0; // 70% of baseline < 80% threshold.
-        assert_eq!(p.should_sort(&s), Some(SortReason::PerfDegradation));
-        let mut p2 = p.clone();
-        p2.perf_enable = false;
-        assert_eq!(p2.should_sort(&s), None);
+        assert_eq!(should_sort(&s), Some(SortReason::PerfDegradation));
+    }
+
+    #[test]
+    fn simultaneous_triggers_name_the_highest_priority() {
+        // Every trigger trips at once; dropping the winner each time
+        // walks the priority order 2, 3, 4, 5.
+        let mut s = healthy_stats(SORT_INTERVAL);
+        s.rebuilds_accum = TRIGGER_REBUILD_COUNT + 1;
+        s.empty_ratio = 0.0;
+        s.perf_metric = 1.0;
+        assert_eq!(should_sort(&s), Some(SortReason::FixedInterval));
+        s.steps_since_sort = MIN_SORT_INTERVAL;
+        assert_eq!(should_sort(&s), Some(SortReason::RebuildCount));
+        s.rebuilds_accum = 0;
+        assert_eq!(should_sort(&s), Some(SortReason::EmptyRatio));
+        s.empty_ratio = 0.5;
+        assert_eq!(should_sort(&s), Some(SortReason::PerfDegradation));
     }
 
     #[test]
@@ -214,26 +175,6 @@ mod tests {
         s.reset();
         assert_eq!(s.steps_since_sort, 0);
         assert_eq!(s.rebuilds_accum, 0);
-        assert_eq!(s.baseline_perf, 42.0);
-    }
-
-    #[test]
-    fn never_policy_never_fires() {
-        let p = SortPolicy::never();
-        let mut s = healthy_stats(1_000_000);
-        s.rebuilds_accum = u64::MAX - 1;
-        s.empty_ratio = 0.0;
-        s.perf_metric = 1.0;
-        s.baseline_perf = 100.0;
-        assert_eq!(p.should_sort(&s), None);
-    }
-
-    #[test]
-    fn every_step_policy_fires_immediately() {
-        let p = SortPolicy::every_step();
-        assert_eq!(
-            p.should_sort(&healthy_stats(1)),
-            Some(SortReason::FixedInterval)
-        );
+        assert_eq!(s.baseline_perf, 0.0);
     }
 }
