@@ -1,17 +1,16 @@
 //! Determinism and cost-model gate for the unified execution layer and
 //! the cell-run sweeps: runs the uniform-plasma FullOpt workload at
-//! several worker counts under both scheduler policies — in both
-//! execution modes, per-particle (`off`) and cell runs (`on+simd`:
-//! `batching` and `simd` on) — and checks everything about those runs
-//! that is exact. Host wall-clock per row is printed for the reader and
+//! several worker counts in both execution modes, per-particle (`off`)
+//! and cell runs (`on+simd`: `batching` and `simd` on), and checks
+//! everything about those runs that is exact. Host wall-clock per row is printed for the reader and
 //! recorded nowhere: `benchmark/` is the instrument for host time.
 //!
 //! Gates enforced (exit code nonzero on any failure, so every
 //! invocation doubles as a CI gate):
 //!
-//! * **Determinism** — within each execution mode, every (worker count,
-//!   scheduler) combination must reproduce the mode's first run bit for
-//!   bit: all nine field arrays AND per-phase emulated cycles.
+//! * **Determinism** — within each execution mode, every worker count
+//!   must reproduce the mode's first run bit for bit: all nine field
+//!   arrays AND per-phase emulated cycles.
 //! * **Cross-mode value parity** — FullOpt's cell-run sweep is
 //!   value-exact (the gather caches read-only node blocks, its lane
 //!   packs preserve every add order, and the matrix kernel is run-based
@@ -30,15 +29,15 @@
 //!   change, and has to be committed in the same reviewed change.
 //!
 //! Usage: `probe_parallel [ppc] [steps] [workers-csv]` (defaults: 8, 3,
-//! `1,2,4,7`). Every run sweeps both policies and both modes. Only
-//! the argument-free invocation touches `BENCH_step.json` (read from and
-//! written to the current directory: run it from the repository root).
+//! `1,2,4,7`). Every run sweeps both modes. Only the argument-free
+//! invocation touches `BENCH_step.json` (read from and written to the
+//! current directory: run it from the repository root).
 
 use std::time::Instant;
 
 use mpic_core::workloads;
 use mpic_deposit::{KernelConfig, ShapeOrder};
-use mpic_machine::{Phase, SchedulerPolicy};
+use mpic_machine::Phase;
 
 /// Grid of the probe workload (matches `mpic_bench::UNIFORM_CELLS`).
 const CELLS: [usize; 3] = [32, 32, 32];
@@ -55,8 +54,6 @@ const RECORD_PATH: &str = "BENCH_step.json";
 /// contract.
 const MODES: [(bool, bool); 2] = [(false, false), (true, true)];
 
-const POLICIES: [SchedulerPolicy; 2] = [SchedulerPolicy::Static, SchedulerPolicy::Stealing];
-
 /// The arrays of the bit gates, in [`ProbeResult::fields`] order.
 const FIELD_NAMES: [&str; 9] = ["jx", "jy", "jz", "ex", "ey", "ez", "bx", "by", "bz"];
 
@@ -72,7 +69,6 @@ fn mode_label(mode: (bool, bool)) -> &'static str {
 
 struct ProbeResult {
     workers: usize,
-    policy: SchedulerPolicy,
     mode: (bool, bool),
     host_ms_per_step: f64,
     emulated_ms_per_step: f64,
@@ -82,24 +78,16 @@ struct ProbeResult {
     particles: usize,
 }
 
-impl ProbeResult {
-    fn what(&self) -> String {
-        format!("{}w/{}", self.workers, self.policy.label())
-    }
-}
-
 fn run_probe(
     cells: [usize; 3],
     kernel: KernelConfig,
     workers: usize,
-    policy: SchedulerPolicy,
     mode: (bool, bool),
     ppc: usize,
     steps: usize,
 ) -> ProbeResult {
     let mut sim = workloads::uniform_plasma_sim(cells, ppc, ShapeOrder::Cic, kernel, 42);
     sim.cfg.num_workers = workers;
-    sim.cfg.scheduler = policy;
     (sim.cfg.batching, sim.cfg.simd) = mode;
     sim.step(); // Warm-up: first-touch, pool growth, cold host caches.
     let skip = sim.report().len();
@@ -116,7 +104,6 @@ fn run_probe(
     let f = &sim.fields;
     ProbeResult {
         workers,
-        policy,
         mode,
         host_ms_per_step,
         emulated_ms_per_step: 1e3 * sim.cfg.machine.cycles_to_seconds(measured) / steps as f64,
@@ -129,8 +116,7 @@ fn run_probe(
     }
 }
 
-/// Every mode x worker count x policy of one workload. The 1-worker run
-/// is policy-independent (inline dispatch), so it runs once per mode.
+/// Every mode x worker count of one workload.
 fn sweep(
     cells: [usize; 3],
     kernel: KernelConfig,
@@ -142,21 +128,18 @@ fn sweep(
     let mut results = Vec::new();
     for mode in MODES {
         for &w in worker_counts {
-            for &policy in &POLICIES[..if w == 1 { 1 } else { 2 }] {
-                let r = run_probe(cells, kernel, w, policy, mode, ppc, steps);
-                if print_rows {
-                    println!(
-                        "{:>8} {:>10} {:>9} {:>14.1} {:>16.3} {:>12}",
-                        r.workers,
-                        r.policy.label(),
-                        mode_label(r.mode),
-                        r.host_ms_per_step,
-                        r.emulated_ms_per_step,
-                        r.particles
-                    );
-                }
-                results.push(r);
+            let r = run_probe(cells, kernel, w, mode, ppc, steps);
+            if print_rows {
+                println!(
+                    "{:>8} {:>9} {:>14.1} {:>16.3} {:>12}",
+                    r.workers,
+                    mode_label(r.mode),
+                    r.host_ms_per_step,
+                    r.emulated_ms_per_step,
+                    r.particles
+                );
             }
+            results.push(r);
         }
     }
     results
@@ -176,8 +159,7 @@ fn fields_match(label: &str, what: &str, base: &ProbeResult, r: &ProbeResult) ->
 
 /// Compares every run against the first **of its execution mode**:
 /// currents, fields and per-phase cycles must be bit-identical across
-/// worker counts and scheduler policies. Returns whether the whole set
-/// is clean.
+/// worker counts. Returns whether the whole set is clean.
 fn check_parity(label: &str, results: &[ProbeResult]) -> bool {
     let mut ok = true;
     for mode in MODES {
@@ -187,9 +169,9 @@ fn check_parity(label: &str, results: &[ProbeResult]) -> bool {
         };
         for r in group {
             let what = format!(
-                "{} and {} (mode {})",
-                base.what(),
-                r.what(),
+                "{}w and {}w (mode {})",
+                base.workers,
+                r.workers,
                 mode_label(mode)
             );
             ok &= fields_match(label, &what, base, r);
@@ -302,16 +284,15 @@ fn main() {
         worker_counts.insert(0, 1);
     }
     let sweep_label = format!(
-        "workers {worker_counts:?} x {:?} x modes {:?}",
-        POLICIES.map(|p| p.label()),
+        "workers {worker_counts:?} x modes {:?}",
         MODES.map(mode_label)
     );
     println!(
         "== probe_parallel: uniform {CELLS:?} ppc {ppc}, FullOpt/CIC, {steps} steps, {sweep_label} =="
     );
     println!(
-        "{:>8} {:>10} {:>9} {:>14} {:>16} {:>12}",
-        "workers", "scheduler", "mode", "host ms/step", "emulated ms/step", "particles"
+        "{:>8} {:>9} {:>14} {:>16} {:>12}",
+        "workers", "mode", "host ms/step", "emulated ms/step", "particles"
     );
     let results = sweep(
         CELLS,

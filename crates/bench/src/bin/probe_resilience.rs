@@ -4,19 +4,18 @@
 //!
 //! Gates enforced (any failure panics, so the exit code is the gate):
 //!
-//! * **Recovery matrix** — for workers ∈ {1,2,4,7} × both scheduler
-//!   policies × injected dispatch offsets {2, 5} × fault kinds
-//!   {panic, die}: a mid-step fault on the last worker must be caught,
-//!   rolled back to the last checkpoint and replayed, and the final
-//!   state must be **bitwise identical** (total snapshot bytes) to a
-//!   single crash-free reference — which, because checkpoints are
-//!   worker- and scheduler-agnostic, also re-verifies the determinism
+//! * **Recovery matrix** — for workers ∈ {1,2,4,7} × injected dispatch
+//!   offsets {2, 5} × fault kinds {panic, die}: a mid-step fault on the
+//!   last worker must be caught, rolled back to the last checkpoint and
+//!   replayed, and the final state must be **bitwise identical** (total
+//!   snapshot bytes) to a single crash-free reference — which, because
+//!   checkpoints are worker-agnostic, also re-verifies the determinism
 //!   contract across the whole matrix in one comparison.
 //! * **Snapshot round-trips** — the uniform-plasma and LWFA
-//!   moving-window workloads are checkpointed mid-run, restored into
-//!   fresh simulations, and continued: the resumed run must land on the
-//!   interrupted run's exact bytes, and a same-state round-trip must be
-//!   byte-lossless.
+//!   moving-window workloads are checkpointed mid-run on 4 workers,
+//!   restored into fresh 7-worker simulations, and continued: the
+//!   resumed run must land on the interrupted run's exact bytes, and a
+//!   same-state round-trip must be byte-lossless.
 //! * **Env plumbing** (`--env-fault [workers]`) — reads the fault from
 //!   `MPIC_FAULT_WORKER` / `MPIC_FAULT_DISPATCH` / `MPIC_FAULT_KIND`
 //!   (armed automatically on every pool construction), recovers through
@@ -31,7 +30,7 @@
 
 use mpic_core::{workloads, ResilientDriver, Simulation};
 use mpic_deposit::{KernelConfig, ShapeOrder};
-use mpic_machine::{FaultKind, FaultPlan, SchedulerPolicy};
+use mpic_machine::{FaultKind, FaultPlan};
 
 /// Grid of the uniform recovery/round-trip workload (small on purpose:
 /// CI runs the whole matrix in the debug profile).
@@ -47,7 +46,7 @@ const SEED: u64 = 4242;
 const WARMUP: usize = 2;
 const TOTAL: usize = 6;
 
-fn uniform(workers: usize, policy: SchedulerPolicy) -> Simulation {
+fn uniform(workers: usize) -> Simulation {
     let mut s = workloads::uniform_plasma_sim(
         UNIFORM_CELLS,
         PPC,
@@ -56,12 +55,11 @@ fn uniform(workers: usize, policy: SchedulerPolicy) -> Simulation {
         SEED,
     );
     s.cfg.num_workers = workers;
-    s.cfg.scheduler = policy;
     (s.cfg.batching, s.cfg.simd) = (true, true);
     s
 }
 
-fn lwfa(workers: usize, policy: SchedulerPolicy) -> Simulation {
+fn lwfa(workers: usize) -> Simulation {
     let mut s = workloads::lwfa_sim(
         LWFA_CELLS,
         PPC,
@@ -70,7 +68,6 @@ fn lwfa(workers: usize, policy: SchedulerPolicy) -> Simulation {
         SEED,
     );
     s.cfg.num_workers = workers;
-    s.cfg.scheduler = policy;
     (s.cfg.batching, s.cfg.simd) = (true, true);
     s
 }
@@ -97,65 +94,52 @@ fn main() {
     }
 
     recovery_matrix();
-    round_trip(
-        "uniform",
-        &|| uniform(4, SchedulerPolicy::Stealing),
-        &|| uniform(7, SchedulerPolicy::Static),
-    );
-    round_trip("lwfa", &|| lwfa(4, SchedulerPolicy::Stealing), &|| {
-        lwfa(7, SchedulerPolicy::Static)
-    });
+    round_trip("uniform", &|| uniform(4), &|| uniform(7));
+    round_trip("lwfa", &|| lwfa(4), &|| lwfa(7));
     println!("probe_resilience: all gates passed");
 }
 
 /// The fault matrix: every combination must recover to the one
 /// crash-free reference's exact bytes.
 fn recovery_matrix() {
-    // Checkpoints are worker/scheduler agnostic (batching held
-    // constant), so one crash-free run references the whole matrix.
-    let mut reference = uniform(1, SchedulerPolicy::Static);
+    // Checkpoints are worker agnostic (batching held constant), so one
+    // crash-free run references the whole matrix.
+    let mut reference = uniform(1);
     reference.run(TOTAL);
     let expected = reference.snapshot();
 
     let mut runs = 0usize;
     for &workers in &[1usize, 2, 4, 7] {
-        for &policy in &[SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-            for &offset in &[2u64, 5] {
-                for &kind in &[FaultKind::Panic, FaultKind::Die] {
-                    let mut faulted = uniform(workers, policy);
-                    // Warm up under the final worker count: the pool
-                    // (and any plan armed on it) is rebuilt when the
-                    // configured count changes.
-                    faulted.run(WARMUP);
-                    let worker = workers - 1;
-                    faulted.pool().inject_fault(FaultPlan {
-                        worker,
-                        dispatch: faulted.pool().dispatch_count() + offset,
-                        kind,
-                    });
-                    let mut driver = ResilientDriver::new(2, 3);
-                    let stats = driver
-                        .run(&mut faulted, TOTAL - WARMUP)
-                        .unwrap_or_else(|e| {
-                            panic!("w={workers} {policy:?} +{offset} {kind:?}: {e}")
-                        });
-                    assert!(
-                        stats.failures >= 1,
-                        "w={workers} {policy:?} +{offset} {kind:?}: fault never fired"
-                    );
-                    // Worker 0 is the dispatching thread: `Die` on it
-                    // degrades to a caught panic, nothing to respawn.
-                    if kind == FaultKind::Die && worker != 0 {
-                        assert_eq!(stats.workers_respawned, 1);
-                        assert!(faulted.pool().dead_workers().is_empty());
-                    }
-                    assert!(
-                        faulted.snapshot() == expected,
-                        "w={workers} {policy:?} +{offset} {kind:?}: \
-                         recovered state diverged from the crash-free run"
-                    );
-                    runs += 1;
+        for &offset in &[2u64, 5] {
+            for &kind in &[FaultKind::Panic, FaultKind::Die] {
+                let mut faulted = uniform(workers);
+                // Warm up under the final worker count: the pool (and
+                // any plan armed on it) is rebuilt when the configured
+                // count changes.
+                faulted.run(WARMUP);
+                let worker = workers - 1;
+                faulted.pool().inject_fault(FaultPlan {
+                    worker,
+                    dispatch: faulted.pool().dispatch_count() + offset,
+                    kind,
+                });
+                let what = format!("w={workers} +{offset} {kind:?}");
+                let mut driver = ResilientDriver::new(2, 3);
+                let stats = driver
+                    .run(&mut faulted, TOTAL - WARMUP)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert!(stats.failures >= 1, "{what}: fault never fired");
+                // Worker 0 is the dispatching thread: `Die` on it
+                // degrades to a caught panic, nothing to respawn.
+                if kind == FaultKind::Die && worker != 0 {
+                    assert_eq!(stats.workers_respawned, 1);
+                    assert!(faulted.pool().dead_workers().is_empty());
                 }
+                assert!(
+                    faulted.snapshot() == expected,
+                    "{what}: recovered state diverged from the crash-free run"
+                );
+                runs += 1;
             }
         }
     }

@@ -29,7 +29,7 @@
 //! simulation built from the same `SimConfig`, followed by `step()`, is
 //! **bit-identical** to stepping the original — fields, currents,
 //! particle data, per-phase cycle counters and the final report — for
-//! any worker count, scheduler policy and batching mode.
+//! any worker count and batching mode.
 
 use mpic_deposit::AddrMap;
 use mpic_grid::{Array3, FieldArrays};
@@ -106,8 +106,8 @@ impl Simulation {
     /// Restores the state captured by [`Simulation::snapshot`] into this
     /// simulation, which must have been built from the same
     /// configuration (geometry, solver, kernel, timestep — runtime knobs
-    /// like `num_workers`, `scheduler`, `batching` and `simd` may
-    /// differ; they shape host execution, not simulation state).
+    /// like `num_workers`, `batching` and `simd` may differ; they shape
+    /// host execution, not simulation state).
     ///
     /// Corrupt, truncated or incompatible input returns a structured
     /// [`SnapshotError`] and never panics. Every fallible decode and

@@ -1,7 +1,7 @@
 //! Simulation configuration.
 
 use mpic_deposit::{KernelConfig, ShapeOrder};
-use mpic_machine::{MachineConfig, SchedulerPolicy};
+use mpic_machine::MachineConfig;
 use mpic_solver::{BoundaryKind, LaserAntenna, SolverKind};
 
 /// Full configuration of one simulation run (the analogue of a WarpX
@@ -35,20 +35,15 @@ pub struct SimConfig {
     /// RNG seed for particle loading.
     pub seed: u64,
     /// Host worker threads sharding every phase of the step loop:
-    /// gather+push tiles, the global counting sort, both deposit kernel
-    /// families (rhocell and direct-scatter), the Z-slab Maxwell solve,
-    /// the guard exchange and the moving-window shift. The threads live
-    /// in one persistent [`mpic_machine::WorkerPool`] owned by the
-    /// simulation, parked between phases. Results and emulated cycle
-    /// totals are bit-identical for any value; only host wall-clock
-    /// changes.
+    /// gather+push tiles, the global counting sort, all three deposit
+    /// kernel families (direct scatter, rhocell and matrix), the Z-slab
+    /// Maxwell solve, the guard exchange and the moving-window shift.
+    /// The threads live in one persistent [`mpic_machine::WorkerPool`]
+    /// owned by the simulation, parked between phases; each phase hands
+    /// worker `w` the `w`-th contiguous chunk of its items. Results and
+    /// emulated cycle totals are bit-identical for any value; only host
+    /// wall-clock changes.
     pub num_workers: usize,
-    /// How the worker pool distributes items within a phase:
-    /// [`SchedulerPolicy::Static`] contiguous chunks, or
-    /// [`SchedulerPolicy::Stealing`] atomic-cursor claiming for
-    /// load-imbalanced workloads (LWFA's mostly-empty tiles). Results
-    /// are bit-identical for either policy.
-    pub scheduler: SchedulerPolicy,
     /// Together with [`SimConfig::simd`], selects the cell-run sweeps of
     /// the MatrixPIC kernel (`ExecMode::Runs`): particles are visited in
     /// GPMA-sorted order, the gather loads each cell's stencil node
@@ -68,7 +63,7 @@ pub struct SimConfig {
     /// bitwise no-op (`Depositor::mode` is the one place that decides).
     /// `false` (the default) keeps the per-particle reference paths and
     /// the paper-figure cost model exactly as before; the cell-run path
-    /// is bit-identical across worker counts and scheduler policies.
+    /// is bit-identical across worker counts.
     pub batching: bool,
     /// The vector half of the cell-run request: see
     /// [`SimConfig::batching`], which engages the sweeps only with this

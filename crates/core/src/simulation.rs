@@ -4,7 +4,7 @@
 use mpic_deposit::{canonical_flops_per_particle, Depositor, SortStrategy};
 use mpic_grid::constants::C;
 use mpic_grid::{FieldArrays, GridGeometry, TileLayout};
-use mpic_machine::{Machine, Phase, VAddr, WorkerPool};
+use mpic_machine::{Machine, Phase, SchedulerPolicy, VAddr, WorkerPool};
 use mpic_particles::{should_sort, Departure, ParticleContainer, ParticleTile, RankSortStats};
 use mpic_push::{BorisCoeffs, PushCtx, PushScratch};
 use mpic_solver::{absorb_z, BoundaryKind, MaxwellSolver};
@@ -237,7 +237,7 @@ impl Simulation {
             &self.layout,
             &mut self.electrons,
             force,
-            self.pool.exec(self.cfg.scheduler),
+            self.pool.exec(SchedulerPolicy::Static),
         );
         if sort_report.policy_triggered {
             self.sort_stats.reset();
@@ -250,7 +250,7 @@ impl Simulation {
             &self.layout,
             &self.electrons,
             &mut self.fields,
-            self.pool.exec(self.cfg.scheduler),
+            self.pool.exec(SchedulerPolicy::Static),
         );
         // Credit canonical useful work (section 5.2.2).
         let n = self.num_particles();
@@ -266,7 +266,7 @@ impl Simulation {
             &self.geom,
             &mut self.fields,
             self.dt,
-            self.pool.exec(self.cfg.scheduler),
+            self.pool.exec(SchedulerPolicy::Static),
         );
         if let Some(laser) = &self.cfg.laser {
             laser.inject(&self.geom, &mut self.fields, self.time);
@@ -306,7 +306,7 @@ impl Simulation {
     /// Each tile is charged on a forked worker machine with a per-tile
     /// cold private cache, and counter deltas merge back in tile order —
     /// so positions, momenta and emulated cycles are bit-identical for
-    /// any worker count or scheduler policy.
+    /// any worker count.
     ///
     /// The depositor's execution mode selects the tile sweep
     /// ([`PushCtx::push_tile`]): the GPMA bins are position-accurate at
@@ -327,7 +327,7 @@ impl Simulation {
             boris: self.boris,
             absorb_z: absorbing.then(|| [self.geom.lo[2], self.geom.hi()[2]]),
         };
-        let counters = self.pool.exec(self.cfg.scheduler).run_counted(
+        let counters = self.pool.exec(SchedulerPolicy::Static).run_counted(
             &self.machine,
             &mut self.electrons.tiles,
             &mut self.push_scratch,
@@ -352,11 +352,11 @@ impl Simulation {
             self.machine.in_phase(Phase::Other, |m| {
                 m.s_ops(self.geom.total_cells() / 8);
             });
-            let exec = self.pool.exec(self.cfg.scheduler);
+            let exec = self.pool.exec(SchedulerPolicy::Static);
             self.fields.shift_window_z_exec(exec);
             // Shift particles into window coordinates, dropping those
             // that fall off the trailing edge. Tiles are independent, so
-            // per-tile outcomes cannot depend on worker count or policy.
+            // per-tile outcomes cannot depend on worker count.
             let zlo = self.geom.lo[2];
             exec.for_each(&mut self.electrons.tiles, |_, tile| {
                 shift_tile_window(tile, dz, zlo);
@@ -415,7 +415,7 @@ impl Simulation {
         // declared work lets the exec layer skip the wake.
         let (geom, layout, buckets) = (&self.geom, &self.layout, &self.window_buckets);
         self.pool
-            .exec(self.cfg.scheduler)
+            .exec(SchedulerPolicy::Static)
             .with_work(n[0] * n[1] * spec.ppc)
             .for_each(&mut self.electrons.tiles, |t, tile| {
                 for &d in &buckets[t] {

@@ -154,7 +154,6 @@ pub fn uniform_plasma_config(
         machine: mpic_machine::MachineConfig::lx2(),
         seed,
         num_workers: 1,
-        scheduler: mpic_machine::SchedulerPolicy::Static,
         batching: false,
         simd: false,
     }
@@ -212,7 +211,6 @@ pub fn lwfa_config(
         machine: mpic_machine::MachineConfig::lx2(),
         seed,
         num_workers: 1,
-        scheduler: mpic_machine::SchedulerPolicy::Static,
         batching: false,
         simd: false,
     }
@@ -242,8 +240,8 @@ pub fn lwfa_sim(
 /// `ppc` per cell, leaving every other tile empty. This is the
 /// worst-case input for static contiguous tile chunks — the chunk that
 /// owns tile 0 carries the whole particle workload — and therefore the
-/// stress test for the work-stealing scheduler's claim/merge
-/// determinism (`tests/parallel_determinism.rs`).
+/// stress test for the claim/merge determinism across worker counts
+/// (`tests/parallel_determinism.rs`).
 pub fn imbalanced_lwfa_sim(n_cells: [usize; 3], ppc: usize, seed: u64) -> Simulation {
     let cfg = lwfa_config(n_cells, ShapeOrder::Cic, KernelConfig::FullOpt, seed);
     let (geom, layout) = grid(&cfg);

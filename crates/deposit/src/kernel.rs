@@ -264,10 +264,9 @@ impl Depositor {
     /// [`Depositor::sort_step`] with any global counting sort sharded
     /// across the persistent worker pool. The particle order, the
     /// [`StepSortReport`] and the emulated [`Phase::Sort`] charge are
-    /// identical for every worker count and scheduler policy: the
-    /// sharded sort reproduces the sequential permutation exactly and
-    /// the cost model is driven by the workload-shaped [`SortStats`],
-    /// not by host threading.
+    /// identical for every worker count: the sharded sort reproduces the
+    /// sequential permutation exactly and the cost model is driven by the
+    /// workload-shaped [`SortStats`], not by host threading.
     pub fn sort_step_parallel(
         &mut self,
         m: &mut Machine,
@@ -366,7 +365,7 @@ impl Depositor {
     /// a private, initially cold cache — and its counter deltas are
     /// drained per tile and merged back in tile order. Both the grid
     /// currents and the emulated per-phase cycle totals are therefore
-    /// bit-identical for any worker count or scheduler policy (see
+    /// bit-identical for any worker count (see
     /// `tests/parallel_determinism.rs`).
     ///
     /// The rhocell and MPU kernels accumulate into the tile's private

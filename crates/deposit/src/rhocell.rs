@@ -176,8 +176,7 @@ impl Rhocell {
     ///   lines that cell already wrote charge nothing. The reuse state is
     ///   a [`LineCarry`] owned by this invocation (per tile, per call),
     ///   reset when the set changes and advanced in cell order, so the
-    ///   charge stream is deterministic across worker counts and
-    ///   scheduler policies.
+    ///   charge stream is deterministic across worker counts.
     pub fn charge_reduce(
         &self,
         m: &mut Machine,

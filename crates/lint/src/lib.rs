@@ -1,8 +1,8 @@
 //! `mpic-lint`: the workspace's own static-analysis gate.
 //!
 //! The workspace ships a determinism contract (bit-identical results
-//! across worker counts and scheduler policies) and a small audited
-//! unsafe surface (the exec layer's job pointer, the checked
+//! across worker counts) and a small audited unsafe surface (the exec
+//! layer's job pointer, the checked
 //! [`Partition`](../mpic_machine/partition/index.html), the guard-cell
 //! fill). Neither is something rustc checks for us — so this crate
 //! does, with a hand-rolled lexer (no external parser dependencies) and

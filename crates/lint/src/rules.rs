@@ -84,8 +84,8 @@ const UNSAFE_ALLOWLIST: &[&str] = &[
 
 /// The deterministic execution layer: the one place thread primitives
 /// and relaxed atomics are legitimate (the worker pool's parking, the
-/// steal cursor, and the sync facade that wraps the primitives), so
-/// rule L3 does not apply inside it.
+/// debug claim bitmap, and the sync facade that wraps the primitives),
+/// so rule L3 does not apply inside it.
 const EXEC_LAYER: &[&str] = &[
     "crates/machine/src/exec.rs",
     "crates/machine/src/partition.rs",
@@ -336,7 +336,7 @@ pub fn lint_file(rel: &str, src: &str) -> Vec<Finding> {
                         "L3-determinism",
                         "`Ordering::Relaxed` on a result-carrying atomic \
                          cannot order result flow; only the exec layer's \
-                         steal cursor and claim bitmap may use it"
+                         claim bitmap may use it"
                             .to_string(),
                     )
                 }

@@ -8,10 +8,12 @@
 //!   phase dispatch costs a mutex/condvar wake instead of thread spawns.
 //! * A dispatch ([`Exec::for_each`], [`Exec::for_each_scratch`],
 //!   [`Exec::run_counted`]) hands every item index to exactly one
-//!   *claim*: a worker id plus an index range won from a shared atomic
-//!   cursor. [`SchedulerPolicy`] selects only the range size and whether
-//!   a worker may claim again.
-//! * A dispatch runs inline on the calling thread — same claim loop, no
+//!   *claim*: worker `w` owns range `w` of
+//!   [`shard_bounds`]`(len, workers)`, the contiguous chunk
+//!   `w*chunk .. min((w+1)*chunk, len)` with `chunk = ceil(len /
+//!   workers)`. Owners are fixed by arithmetic alone, not by which
+//!   thread gets there first.
+//! * A dispatch runs inline on the calling thread — same claim rule, no
 //!   wake — when only one worker could claim (one item) or the caller
 //!   declared its work ([`Exec::with_work`]) too small for a wake; the
 //!   latter is not even counted as a pool dispatch. A 1-worker pool runs
@@ -20,14 +22,14 @@
 //!
 //! # Determinism
 //!
-//! Results are bit-identical across worker counts *and* scheduler
-//! policies by construction, not by scheduling luck: per-item work is a
-//! pure function of the item (each worker charges a private
-//! [`Machine::fork_worker`] fork whose cache the item handler flushes at
-//! the item boundary), per-item outputs land in per-item slots, and the
-//! caller applies/merges them **in global item order** no matter which
-//! worker executed what. The scheduler only decides *who* runs an item,
-//! never *what the item computes* or *how results are combined*.
+//! Results are bit-identical across worker counts by construction, not
+//! by scheduling luck: per-item work is a pure function of the item
+//! (each worker charges a private [`Machine::fork_worker`] fork whose
+//! cache the item handler flushes at the item boundary), per-item outputs
+//! land in per-item slots, and the caller applies/merges them **in global
+//! item order** no matter which worker executed what. The claim rule only
+//! decides *who* runs an item, never *what the item computes* or *how
+//! results are combined*.
 
 // The execution layer is one of the two places in the workspace allowed
 // to use `unsafe` (the other is `partition.rs`): erasing the borrow
@@ -43,7 +45,8 @@ use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
 use crate::counters::MachineCounters;
 use crate::machine::Machine;
 use crate::partition::Partition;
-use crate::sync::{Arc, AtomicUsize, Ordering, StdSync, SyncPrims};
+use crate::shard::shard_bounds;
+use crate::sync::{Arc, StdSync, SyncPrims};
 
 /// Structured description of a dispatch that failed because a worker
 /// panicked or died.
@@ -121,19 +124,47 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Reads `MPIC_FAULT_WORKER` (required), `MPIC_FAULT_DISPATCH`
     /// (default 1) and `MPIC_FAULT_KIND` (`panic` | `die`, default
-    /// `panic`) from the environment.
+    /// `panic`) from the environment; see [`FaultPlan::parse`].
     pub fn from_env() -> Option<Self> {
-        let worker = std::env::var("MPIC_FAULT_WORKER").ok()?.parse().ok()?;
-        let dispatch = std::env::var("MPIC_FAULT_DISPATCH")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1);
-        let kind = match std::env::var("MPIC_FAULT_KIND").as_deref() {
-            Ok("die") => FaultKind::Die,
-            _ => FaultKind::Panic,
+        let [worker, dispatch, kind] =
+            ["WORKER", "DISPATCH", "KIND"].map(|name| {
+                match std::env::var(format!("MPIC_FAULT_{name}")) {
+                    Err(std::env::VarError::NotPresent) => None,
+                    value => Some(value.unwrap_or_else(|e| panic!("MPIC_FAULT_{name}: {e}"))),
+                }
+            });
+        Self::parse(worker.as_deref(), dispatch.as_deref(), kind.as_deref())
+    }
+
+    /// The plan the three fault variables describe, given their values
+    /// (`None`: unset). No worker, no plan; an unset dispatch is 1 and
+    /// an unset kind is `panic`.
+    ///
+    /// # Panics
+    ///
+    /// On a set but malformed value, naming the variable and the value:
+    /// a worker or dispatch that is not an unsigned integer, dispatch 0
+    /// (ids are 1-based, so it could never fire), or a kind other than
+    /// `panic` and `die`.
+    pub fn parse(worker: Option<&str>, dispatch: Option<&str>, kind: Option<&str>) -> Option<Self> {
+        fn malformed(var: &str, value: &str, expected: &str) -> ! {
+            panic!("{var}={value:?} is malformed: expected {expected}")
+        }
+        let worker = worker.map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| malformed("MPIC_FAULT_WORKER", v, "a worker id"))
+        });
+        let dispatch = dispatch.map_or(1, |v| match v.parse() {
+            Ok(d) if d >= 1 => d,
+            _ => malformed("MPIC_FAULT_DISPATCH", v, "a dispatch id of 1 or more"),
+        });
+        let kind = match kind {
+            None | Some("panic") => FaultKind::Panic,
+            Some("die") => FaultKind::Die,
+            Some(v) => malformed("MPIC_FAULT_KIND", v, "`panic` or `die`"),
         };
         Some(Self {
-            worker,
+            worker: worker?,
             dispatch,
             kind,
         })
@@ -146,32 +177,14 @@ impl FaultPlan {
 /// phases can disagree about when threads are worth waking.
 const INLINE_ITEM_THRESHOLD: usize = 4096;
 
-/// How a dispatch distributes items over pool workers.
-///
-/// Either policy produces bit-identical results (see the module docs);
-/// the choice is purely a host-performance knob.
+/// The claim rule a dispatch runs under. It has one value: items go out
+/// in static contiguous chunks (see [`Exec`]). The tag is kept so
+/// [`WorkerPool::exec`] keeps the signature its callers already use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerPolicy {
-    /// One contiguous chunk per worker, claimed once — minimal claim
-    /// overhead, best for uniform per-item cost.
+    /// One contiguous chunk per worker, claimed once.
     #[default]
     Static,
-    /// Workers claim batches of items from a shared atomic cursor —
-    /// work-stealing-style load balancing for skewed per-item cost
-    /// (e.g. LWFA particle tiles: mostly empty, a few hot). The batch
-    /// size is auto-derived from items and workers; callers can pin it
-    /// with [`Exec::with_steal_chunk`].
-    Stealing,
-}
-
-impl SchedulerPolicy {
-    /// Stable lowercase label (CLI, JSON records).
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Static => "static",
-            Self::Stealing => "stealing",
-        }
-    }
 }
 
 /// A dispatched job: a borrowed `Fn(worker_id)` with its lifetime erased.
@@ -479,13 +492,11 @@ impl<S: SyncPrims> PoolCore<S> {
 }
 
 impl WorkerPool {
-    /// Binds this pool to a scheduling policy, yielding the lightweight
-    /// [`Exec`] handle the sharded phases take.
-    pub fn exec(&self, policy: SchedulerPolicy) -> Exec<'_> {
+    /// The lightweight [`Exec`] handle the sharded phases take. The
+    /// policy has one value, [`SchedulerPolicy::Static`].
+    pub fn exec(&self, _policy: SchedulerPolicy) -> Exec<'_> {
         Exec {
             pool: self,
-            policy,
-            steal_chunk: None,
             work: None,
         }
     }
@@ -580,46 +591,17 @@ fn worker_loop<S: SyncPrims>(shared: &SharedG<S>, id: usize, start_epoch: u64) {
     }
 }
 
-/// Target number of cursor claims per worker when the stealing chunk
-/// size is auto-derived: large enough to amortise cursor contention,
-/// small enough that a straggler chunk cannot serialise the tail.
-const STEAL_CLAIMS_PER_WORKER: usize = 4;
-
-/// Items claimed per [`SchedulerPolicy::Stealing`] cursor fetch:
-/// `override_k` when the caller pinned one, else auto-sized so each
-/// worker makes about [`STEAL_CLAIMS_PER_WORKER`] claims. At least 1.
-fn steal_chunk(len: usize, workers: usize, override_k: Option<usize>) -> usize {
-    match override_k {
-        Some(k) => k.max(1),
-        None => (len / (workers * STEAL_CLAIMS_PER_WORKER).max(1)).max(1),
-    }
-}
-
-/// A pool bound to a scheduling policy: the handle every sharded phase
-/// receives. `Copy`, so it threads through call stacks like a plain
-/// configuration value.
+/// A pool handle that hands out items by the static claim rule: the
+/// handle every sharded phase receives. `Copy`, so it threads through
+/// call stacks like a plain configuration value.
 #[derive(Clone, Copy)]
 pub struct Exec<'a> {
     pool: &'a WorkerPool,
-    policy: SchedulerPolicy,
-    /// Explicit stealing chunk size; `None` auto-sizes from items and
-    /// workers (see [`steal_chunk`]).
-    steal_chunk: Option<usize>,
     /// Caller-declared work ([`Exec::with_work`]); `None`: worth a wake.
     work: Option<usize>,
 }
 
 impl<'a> Exec<'a> {
-    /// Overrides the stealing scheduler's claim-batch size (clamped to at
-    /// least 1). No effect under [`SchedulerPolicy::Static`]; results are
-    /// bit-identical for any value — the chunk size only changes which
-    /// worker runs which items, never what an item computes or how
-    /// results merge.
-    pub fn with_steal_chunk(mut self, k: usize) -> Self {
-        self.steal_chunk = Some(k.max(1));
-        self
-    }
-
     /// Declares the total work of a dispatch made through the returned
     /// handle, in the caller's natural unit (guard cells copied,
     /// particles sorted or inserted). Work too small to repay a pool
@@ -636,10 +618,12 @@ impl<'a> Exec<'a> {
     }
 
     /// The one rule that hands out work: every index in `0..len` goes to
-    /// exactly one `item(state, index)` call, where `state` is what
-    /// `enter(worker_id)` returned on that worker's first claim — at
-    /// most one `enter` per worker id per dispatch, none for a worker
-    /// that wins no index, and only ids below `min(workers(), len)`.
+    /// exactly one `item(state, index)` call. Worker `w` owns range `w`
+    /// of [`shard_bounds`]`(len, crew)` — `w*chunk .. min((w+1)*chunk,
+    /// len)` with `chunk = ceil(len / crew)` — and `state` is what
+    /// `enter(w)` returned before the first index of that range: one
+    /// `enter` per worker id per dispatch, none for a worker whose range
+    /// is empty, and only ids below `min(workers(), len)`.
     fn claim<W>(
         &self,
         len: usize,
@@ -650,38 +634,16 @@ impl<'a> Exec<'a> {
             return;
         }
         let small = self.work.is_some_and(|units| units < INLINE_ITEM_THRESHOLD);
-        let crew = if small { 1 } else { self.workers().min(len) };
-        // Static: `crew` chunks, each member claims one. Stealing:
-        // batches of K, claimed until the cursor runs out.
-        let (chunk, again) = match self.policy {
-            SchedulerPolicy::Static => (len.div_ceil(crew), false),
-            SchedulerPolicy::Stealing => (steal_chunk(len, crew, self.steal_chunk), true),
-        };
-        let cursor = AtomicUsize::new(0);
+        let ranges = shard_bounds(len, if small { 1 } else { self.workers() });
         let share = |w: usize| {
-            if w >= crew {
-                return;
-            }
-            let mut state = None;
-            loop {
-                // Relaxed ordering suffices: the cursor is a pure claim
-                // ticket (its value publishes no other memory), and the
-                // dispatch barrier orders item writes. One fetch_add
-                // hands a whole range to exactly one worker.
-                let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if lo >= len {
-                    break;
-                }
-                let state = state.get_or_insert_with(|| enter(w));
-                for i in lo..(lo + chunk).min(len) {
-                    item(state, i);
-                }
-                if !again {
-                    break;
+            if let Some(&(lo, hi)) = ranges.get(w) {
+                let mut state = enter(w);
+                for i in lo..hi {
+                    item(&mut state, i);
                 }
             }
         };
-        if small || (crew == 1 && self.workers() > 1) {
+        if small || (ranges.len() == 1 && self.workers() > 1) {
             // Not worth a wake: the calling thread claims everything.
             share(0);
         } else {
@@ -694,7 +656,7 @@ impl<'a> Exec<'a> {
 
     /// [`Exec::claim`] over a slice: `f(state, index, item, scratch)`
     /// once per item, with `scratch[w]` private to worker `w` and
-    /// `state` built by `enter` on that worker's first claim.
+    /// `state` built by `enter` before that worker's first item.
     #[allow(unsafe_code)] // Checked `Partition` grants; SAFETY at each site.
     fn each<T: Send, S: Send, W>(
         &self,
@@ -755,13 +717,13 @@ impl<'a> Exec<'a> {
     /// cost-charged variant of [`Exec::for_each_scratch`] used by the
     /// emulated pipeline phases.
     ///
-    /// Each worker forks `main` on its first claim
+    /// Each worker forks `main` before its first item
     /// ([`Machine::fork_worker`]: private counters, flushed cache) and
     /// drains the fork after every item, so each delta is a pure
     /// function of the item provided `f` flushes the worker cache at the
     /// item boundary (`wm.mem().flush_cache()`). Because deltas land in
     /// per-item slots, the caller's absorb loop sums them in item order
-    /// regardless of worker count or policy — cycle totals and any
+    /// regardless of worker count — cycle totals and any
     /// caller-side fixed-order value reduction stay bit-identical.
     ///
     /// `f` receives `(worker_machine, item_index, item, worker
@@ -797,8 +759,7 @@ mod tests {
     use super::*;
     use crate::cost::MachineConfig;
     use crate::counters::Phase;
-    use crate::sync::AtomicU64;
-    use std::collections::HashSet;
+    use crate::sync::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
     /// Bumps a per-test hit counter.
@@ -827,27 +788,28 @@ mod tests {
         let main = Machine::new(MachineConfig::lx2());
         let mut totals: Vec<Vec<f64>> = Vec::new();
         for &w in &[1usize, 3, 5, 11] {
-            for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-                let pool = WorkerPool::new(w);
-                let mut items = vec![0.0; 11];
-                let mut scratch = vec![Vec::new(); w];
-                let counters =
-                    pool.exec(policy)
-                        .run_counted(&main, &mut items, &mut scratch, charge_item);
-                assert_eq!(counters.len(), 11);
-                assert!(items.iter().enumerate().all(|(t, &v)| v == t as f64));
-                totals.push(
-                    counters
-                        .iter()
-                        .map(|c| c.perf.cycles(Phase::Compute))
-                        .collect(),
-                );
-            }
+            let pool = WorkerPool::new(w);
+            let mut items = vec![0.0; 11];
+            let mut scratch = vec![Vec::new(); w];
+            let counters = pool.exec(SchedulerPolicy::Static).run_counted(
+                &main,
+                &mut items,
+                &mut scratch,
+                charge_item,
+            );
+            assert_eq!(counters.len(), 11);
+            assert!(items.iter().enumerate().all(|(t, &v)| v == t as f64));
+            totals.push(
+                counters
+                    .iter()
+                    .map(|c| c.perf.cycles(Phase::Compute))
+                    .collect(),
+            );
         }
         for later in &totals[1..] {
             assert_eq!(
                 &totals[0], later,
-                "per-item deltas must not depend on sharding or policy"
+                "per-item deltas must not depend on sharding"
             );
         }
     }
@@ -873,7 +835,7 @@ mod tests {
         let pool = WorkerPool::new(8);
         let mut items = vec![0.0; 2];
         let mut scratch = vec![Vec::new(); 8];
-        let counters = pool.exec(SchedulerPolicy::Stealing).run_counted(
+        let counters = pool.exec(SchedulerPolicy::Static).run_counted(
             &main,
             &mut items,
             &mut scratch,
@@ -965,100 +927,16 @@ mod tests {
     }
 
     #[test]
-    fn for_each_visits_every_item_exactly_once_under_both_policies() {
-        for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-            for workers in [1usize, 2, 4, 7] {
-                let pool = WorkerPool::new(workers);
-                let mut items: Vec<usize> = vec![0; 97];
-                pool.exec(policy).for_each(&mut items, |i, item| {
+    fn for_each_visits_every_item_exactly_once() {
+        for workers in [1usize, 2, 4, 7] {
+            let pool = WorkerPool::new(workers);
+            let mut items: Vec<usize> = vec![0; 97];
+            pool.exec(SchedulerPolicy::Static)
+                .for_each(&mut items, |i, item| {
                     *item += i + 1;
                 });
-                for (i, &v) in items.iter().enumerate() {
-                    assert_eq!(v, i + 1, "policy {policy:?} workers {workers}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn stealing_claims_partition_the_index_space() {
-        let pool = WorkerPool::new(4);
-        let claimed = Mutex::new(HashSet::new());
-        pool.exec(SchedulerPolicy::Stealing)
-            .for_each(&mut [(); 64], |i, _| {
-                assert!(claimed.lock().unwrap().insert(i), "index {i} claimed twice");
-            });
-        assert_eq!(claimed.into_inner().unwrap().len(), 64);
-    }
-
-    #[test]
-    fn steal_chunk_auto_sizing_and_override() {
-        // Auto: each worker should get about STEAL_CLAIMS_PER_WORKER
-        // claims; tiny item counts degrade to single-item claims.
-        assert_eq!(steal_chunk(8, 4, None), 1);
-        assert_eq!(steal_chunk(64, 4, None), 4);
-        assert_eq!(steal_chunk(4096, 8, None), 128);
-        assert_eq!(steal_chunk(0, 4, None), 1);
-        // Override wins verbatim (clamped to >= 1).
-        assert_eq!(steal_chunk(64, 4, Some(7)), 7);
-        assert_eq!(steal_chunk(64, 4, Some(0)), 1);
-    }
-
-    #[test]
-    fn chunked_stealing_visits_every_item_once_at_ragged_boundaries() {
-        // Chunk sizes that do not divide the item count exercise the
-        // trailing partial chunk; every index must still be claimed by
-        // exactly one worker.
-        for k in [1usize, 3, 5, 16, 97, 1000] {
-            let pool = WorkerPool::new(4);
-            let claimed = Mutex::new(HashSet::new());
-            pool.exec(SchedulerPolicy::Stealing)
-                .with_steal_chunk(k)
-                .for_each(&mut [(); 97], |i, _| {
-                    assert!(
-                        claimed.lock().unwrap().insert(i),
-                        "chunk {k}: index {i} claimed twice"
-                    );
-                });
-            assert_eq!(claimed.into_inner().unwrap().len(), 97, "chunk {k}");
-        }
-    }
-
-    #[test]
-    fn chunked_stealing_run_counted_is_bit_identical_to_static() {
-        // The chunk size changes only who runs an item; per-item counter
-        // deltas and item outputs must match the static schedule exactly,
-        // including when an item's chunk boundary splits a worker's
-        // natural share.
-        let main = Machine::new(MachineConfig::lx2());
-        let reference = {
-            let pool = WorkerPool::new(1);
-            let mut items = vec![0.0; 23];
-            let mut scratch = vec![Vec::new(); 1];
-            pool.exec(SchedulerPolicy::Static).run_counted(
-                &main,
-                &mut items,
-                &mut scratch,
-                charge_item,
-            )
-        };
-        for workers in [2usize, 4, 7] {
-            for k in [1usize, 2, 5, 23, 100] {
-                let pool = WorkerPool::new(workers);
-                let mut items = vec![0.0; 23];
-                let mut scratch = vec![Vec::new(); workers];
-                let counters = pool
-                    .exec(SchedulerPolicy::Stealing)
-                    .with_steal_chunk(k)
-                    .run_counted(&main, &mut items, &mut scratch, charge_item);
-                assert!(items.iter().enumerate().all(|(t, &v)| v == t as f64));
-                for (i, (a, b)) in reference.iter().zip(&counters).enumerate() {
-                    assert_eq!(
-                        a.perf.cycles(Phase::Compute).to_bits(),
-                        b.perf.cycles(Phase::Compute).to_bits(),
-                        "workers {workers} chunk {k}: item {i} delta diverged"
-                    );
-                }
+            for (i, &v) in items.iter().enumerate() {
+                assert_eq!(v, i + 1, "workers {workers}");
             }
         }
     }
@@ -1192,12 +1070,52 @@ mod tests {
         // Exercised via the parser only (no process-global env mutation
         // in tests): absent worker -> no plan; defaults documented.
         assert_eq!(FaultPlan::from_env(), None);
-        assert_eq!(FaultKind::default(), FaultKind::Panic);
+        assert_eq!(FaultPlan::parse(None, Some("3"), Some("die")), None);
+        let plan = |worker, dispatch, kind| FaultPlan {
+            worker,
+            dispatch,
+            kind,
+        };
+        assert_eq!(
+            FaultPlan::parse(Some("2"), None, None),
+            Some(plan(2, 1, FaultKind::Panic))
+        );
+        assert_eq!(
+            FaultPlan::parse(Some("2"), Some("12"), Some("die")),
+            Some(plan(2, 12, FaultKind::Die))
+        );
+        assert_eq!(
+            FaultPlan::parse(Some("0"), Some("9"), Some("panic")),
+            Some(plan(0, 9, FaultKind::Panic))
+        );
+        // A set but malformed variable panics, naming itself and its
+        // value — even when no worker is set.
+        for (worker, dispatch, kind, message) in [
+            (Some("two"), None, None, "MPIC_FAULT_WORKER=\"two\""),
+            (Some("-1"), None, None, "MPIC_FAULT_WORKER=\"-1\""),
+            (Some("2"), Some("x"), None, "MPIC_FAULT_DISPATCH=\"x\""),
+            (Some("2"), Some("0"), None, "MPIC_FAULT_DISPATCH=\"0\""),
+            (Some("2"), Some(""), None, "MPIC_FAULT_DISPATCH=\"\""),
+            (Some("2"), None, Some("dei"), "MPIC_FAULT_KIND=\"dei\""),
+            (Some("2"), None, Some("Die"), "MPIC_FAULT_KIND=\"Die\""),
+            (None, Some("0"), None, "MPIC_FAULT_DISPATCH=\"0\""),
+            (None, None, Some("dei"), "MPIC_FAULT_KIND=\"dei\""),
+        ] {
+            let payload =
+                catch_unwind(|| FaultPlan::parse(worker, dispatch, kind)).expect_err(message);
+            let text = payload
+                .downcast_ref::<String>()
+                .expect("a formatted panic message");
+            assert!(text.starts_with(message), "{text}");
+        }
     }
 
-    /// The claim rule over its full small matrix. Run in the debug
-    /// profile, `Partition`'s claim bitmap also panics on any index (or
-    /// scratch slot) granted twice.
+    /// The claim rule over its full small matrix, in closed form: slot
+    /// `w` holds exactly `w*chunk .. min((w+1)*chunk, len)` with `chunk =
+    /// ceil(len / min(workers, len))`, and everything is on slot 0 when
+    /// the work is declared small. Run in the debug profile,
+    /// `Partition`'s claim bitmap also panics on any index (or scratch
+    /// slot) granted twice.
     #[test]
     fn conf_exec_claim_rule_grants_every_index_exactly_once() {
         let main = Machine::new(MachineConfig::lx2());
@@ -1213,51 +1131,59 @@ mod tests {
                 .collect::<Vec<u64>>()
         };
         let one = WorkerPool::new(1);
-        for workers in 1..=5usize {
+        for workers in 1..=8usize {
             let pool = WorkerPool::new(workers);
-            for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-                for (exec, small) in [
-                    (pool.exec(policy), false),
-                    (pool.exec(policy).with_work(INLINE_ITEM_THRESHOLD - 1), true),
-                ] {
-                    for len in 0..=40usize {
-                        let what = format!("{workers} workers {policy:?} small={small} len {len}");
-                        let before = pool.dispatch_count();
-                        let mut items = vec![0u32; len];
-                        let mut scratch = vec![Vec::new(); workers];
-                        exec.for_each_scratch(&mut items, &mut scratch, |i, item, seen| {
-                            *item += 1;
-                            let me = std::thread::current();
-                            seen.push((i, me.id(), me.name().map(str::to_owned)));
-                        });
-                        assert!(items.iter().all(|&hits| hits == 1), "{what}");
-                        let mut indices: Vec<usize> =
-                            scratch.iter().flatten().map(|e| e.0).collect();
-                        indices.sort_unstable();
-                        assert!(indices.into_iter().eq(0..len), "{what}");
-                        // Slot `w` is written by worker `w` alone: the
-                        // calling thread for 0, `mpic-worker-w` otherwise.
-                        for (w, seen) in scratch.iter().enumerate() {
-                            for (_, id, name) in seen {
-                                if w == 0 {
-                                    assert_eq!(*id, caller, "{what}");
-                                } else {
-                                    let worker = format!("mpic-worker-{w}");
-                                    assert_eq!(name.as_deref(), Some(&*worker), "{what}");
-                                }
+            let exec = pool.exec(SchedulerPolicy::Static);
+            for (exec, small) in [
+                (exec, false),
+                (exec.with_work(INLINE_ITEM_THRESHOLD - 1), true),
+            ] {
+                for len in 0..=64usize {
+                    let what = format!("{workers} workers small={small} len {len}");
+                    let crew = if small { 1 } else { workers.min(len).max(1) };
+                    let chunk = len.div_ceil(crew);
+                    let owned = |w: usize| (w * chunk).min(len)..((w + 1) * chunk).min(len);
+                    let before = pool.dispatch_count();
+                    let mut items = vec![0u32; len];
+                    let mut scratch = vec![Vec::new(); workers];
+                    exec.for_each_scratch(&mut items, &mut scratch, |i, item, seen| {
+                        *item += 1;
+                        let me = std::thread::current();
+                        seen.push((i, me.id(), me.name().map(str::to_owned)));
+                    });
+                    assert!(items.iter().all(|&hits| hits == 1), "{what}");
+                    // Slot `w` holds exactly its range, in order, written
+                    // by worker `w` alone: the calling thread for 0,
+                    // `mpic-worker-w` otherwise.
+                    for (w, seen) in scratch.iter().enumerate() {
+                        assert!(seen.iter().map(|e| e.0).eq(owned(w)), "{what}: slot {w}");
+                        for (_, id, name) in seen {
+                            if w == 0 {
+                                assert_eq!(*id, caller, "{what}");
+                            } else {
+                                let worker = format!("mpic-worker-{w}");
+                                assert_eq!(name.as_deref(), Some(&*worker), "{what}");
                             }
                         }
-                        // One counted dispatch unless the claim rule
-                        // ran it inline: nothing to do, declared small,
-                        // or one item on a multi-worker pool.
-                        let inline = len == 0 || small || (workers > 1 && len == 1);
-                        assert_eq!(pool.dispatch_count() - before, u64::from(!inline), "{what}");
-                        assert_eq!(
-                            counted(exec, len),
-                            counted(one.exec(SchedulerPolicy::Static), len),
-                            "{what}: per-item deltas diverged from the 1-worker run"
-                        );
                     }
+                    // One counted dispatch unless the claim rule ran it
+                    // inline: nothing to do, declared small, or one item
+                    // on a multi-worker pool.
+                    let inline = len == 0 || small || (workers > 1 && len == 1);
+                    assert_eq!(pool.dispatch_count() - before, u64::from(!inline), "{what}");
+                    // `enter` runs once on every worker whose range is
+                    // not empty, and on no other.
+                    let entered = Mutex::new(Vec::new());
+                    exec.claim(len, |w| entered.lock().unwrap().push(w), |_, _| {});
+                    let mut entered = entered.into_inner().unwrap();
+                    entered.sort_unstable();
+                    let nonempty = (0..workers).filter(|&w| !owned(w).is_empty());
+                    assert!(entered.into_iter().eq(nonempty), "{what}");
+                    assert_eq!(
+                        counted(exec, len),
+                        counted(one.exec(SchedulerPolicy::Static), len),
+                        "{what}: per-item deltas diverged from the 1-worker run"
+                    );
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Checked disjoint partition of a mutable slice across pool workers.
 //!
 //! Every sharded phase of the step loop relies on one soundness claim:
-//! a scheduler hands each slice index to **exactly one** worker, so the
+//! the claim rule hands each slice index to **exactly one** worker, so the
 //! `&mut` references carved out of a shared slice never alias. Before
 //! this module, that claim lived in comments next to raw-pointer
 //! arithmetic (`DisjointSlice` in the exec layer, `RawGrid` in the guard
@@ -35,7 +35,7 @@ pub struct Partition<'a, T> {
     _marker: PhantomData<&'a mut [T]>,
 }
 
-// SAFETY: access is partitioned by index — the scheduler hands each
+// SAFETY: access is partitioned by index — the claim rule hands each
 // index to exactly one worker (verified by the debug claim bitmap), and
 // `T: Send` lets the claimed element be mutated from that worker.
 #[allow(unsafe_code)]
@@ -77,8 +77,8 @@ impl<'a, T> Partition<'a, T> {
     ///
     /// `i` must be in bounds, and each index may be granted **at most
     /// once** over the partition's lifetime, by whichever worker claimed
-    /// it (a scheduler claim — static chunk ownership or an atomic
-    /// cursor `fetch_add` — is exactly such a guarantee). Debug builds
+    /// it (the exec layer's static chunk ownership is exactly such a
+    /// guarantee). Debug builds
     /// panic on any overlapping grant; release builds rely on the
     /// contract.
     // `&mut` out of `&self` is the point of the type: the partition is
@@ -194,13 +194,14 @@ mod tests {
         assert!(r.is_err(), "overlapping cross-thread grants must panic");
     }
 
-    /// Every index claimed by a stealing-scheduler run lands exactly one
-    /// grant: the partition check passes on a real scheduler pattern.
+    /// Every index claimed by a claim-rule run lands exactly one grant:
+    /// the partition check passes on a real dispatch pattern (257 items
+    /// over 4 workers leaves a ragged last chunk).
     #[test]
-    fn stealing_schedule_grants_are_disjoint() {
+    fn claim_rule_grants_are_disjoint() {
         let pool = WorkerPool::new(4);
         let mut data = vec![0usize; 257];
-        pool.exec(SchedulerPolicy::Stealing)
+        pool.exec(SchedulerPolicy::Static)
             .for_each(&mut data, |i, v| *v = i);
         assert!(data.iter().enumerate().all(|(i, &v)| v == i));
     }

@@ -6,12 +6,9 @@
 //! outputs must merge back in **global tile order** no matter how tiles
 //! were distributed over threads. The execution layer ([`crate::exec`])
 //! owns the distribution and merge; this module owns the one chunk
-//! scheme the [`SchedulerPolicy::Static`] policy and every
-//! chunk-granular phase (counting-sort histograms, Maxwell Z slabs) use,
-//! so no phase can disagree with the scheduler about which worker owns
-//! which items.
-//!
-//! [`SchedulerPolicy::Static`]: crate::exec::SchedulerPolicy::Static
+//! scheme its claim rule and every chunk-granular phase (counting-sort
+//! histograms, Maxwell Z slabs) use, so no phase can disagree with the
+//! claim rule about which worker owns which items.
 
 /// Contiguous chunk decomposition of `len` items over at most `workers`
 /// shards: `ceil(len / workers)` items per shard, last shard ragged.

@@ -2,10 +2,9 @@
 //!
 //! Every primitive the [`crate::exec`] pool protocol uses — the state
 //! lock, the two wake signals (workers parking for work, the dispatcher
-//! parking for acks), thread spawn/liveness/join, and the atomics of the
-//! stealing cursor — is named here once, behind the [`SyncPrims`] trait,
-//! instead of being reached for ad hoc at each site. Two implementations
-//! exist:
+//! parking for acks) and thread spawn/liveness/join — is named here
+//! once, behind the [`SyncPrims`] trait, instead of being reached for ad
+//! hoc at each site. Two implementations exist:
 //!
 //! * [`StdSync`] (this module): the production mapping, where every
 //!   trait item is a direct re-export or one-line delegation to `std`.
@@ -26,12 +25,11 @@
 
 use std::ops::DerefMut;
 
-// Atomics are re-exported rather than wrapped: the stealing cursor is a
-// pure claim ticket outside the parking protocol (any interleaving of
-// claims is correct by construction), so the checker does not need to
-// interpose on it — it only needs the one canonical import site L7
-// pins all users to.
-pub use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+// Atomics are re-exported rather than wrapped: the pool protocol uses
+// none (the claim rule is arithmetic), so the checker has nothing to
+// interpose on. The re-export is the one canonical import site L7 pins
+// atomic users to (today the exec tests' hit counters).
+pub use std::sync::atomic::{AtomicU64, Ordering};
 pub use std::sync::Arc;
 
 /// The set of synchronization primitives the pool protocol consumes.

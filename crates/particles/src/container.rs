@@ -374,8 +374,7 @@ impl ParticleContainer {
     /// persistent worker pool (each worker sorting with its own
     /// [`SortScratch`]). A tile's sort is a pure function of the tile and
     /// the stats merge in tile order, so the resulting particle order
-    /// and merged stats are identical for any worker count or scheduler
-    /// policy.
+    /// and merged stats are identical for any worker count.
     ///
     /// Particles that crossed a tile boundary since the last maintenance
     /// pass are re-homed first (tile-local counting sort requires every
@@ -628,16 +627,14 @@ mod tests {
         let _ = want.global_sort(&layout, &geom);
         for workers in [2usize, 3, 7] {
             let pool = WorkerPool::new(workers);
-            for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-                let (geom2, layout2, mut got) = build();
-                let s = got.global_sort_parallel(&layout2, &geom2, pool.exec(policy));
-                assert_eq!(s.n, 40);
-                got.check_invariants();
-                for (tw, tg) in want.tiles.iter().zip(&got.tiles) {
-                    assert_eq!(tw.soa.x, tg.soa.x, "workers {workers} {policy:?}");
-                    assert_eq!(tw.soa.w, tg.soa.w, "workers {workers} {policy:?}");
-                    assert_eq!(tw.cells, tg.cells, "workers {workers} {policy:?}");
-                }
+            let (geom2, layout2, mut got) = build();
+            let s = got.global_sort_parallel(&layout2, &geom2, pool.exec(SchedulerPolicy::Static));
+            assert_eq!(s.n, 40);
+            got.check_invariants();
+            for (tw, tg) in want.tiles.iter().zip(&got.tiles) {
+                assert_eq!(tw.soa.x, tg.soa.x, "workers {workers}");
+                assert_eq!(tw.soa.w, tg.soa.w, "workers {workers}");
+                assert_eq!(tw.cells, tg.cells, "workers {workers}");
             }
         }
     }
@@ -971,21 +968,15 @@ mod tests {
         // configuration: the sorted SoA order depends on arrival order.
         for workers in [1usize, 3] {
             let pool = WorkerPool::new(workers);
-            for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-                let (geom, layout, mut fast) = sc.build();
-                let mut slow = fast.clone();
-                let mut rng = StdRng::seed_from_u64(13);
-                sc.perturb(0, &geom, &layout, &mut fast, &mut rng.clone());
-                sc.perturb(0, &geom, &layout, &mut slow, &mut rng);
-                let _ = fast.global_sort_parallel(&layout, &geom, pool.exec(policy));
-                let _ = reference::incremental_sort(&mut slow, &layout, &geom, Mutant::None);
-                let _ = slow.global_sort(&layout, &geom);
-                assert_eq!(
-                    state(&fast.tiles),
-                    state(&slow.tiles),
-                    "workers {workers} {policy:?}"
-                );
-            }
+            let (geom, layout, mut fast) = sc.build();
+            let mut slow = fast.clone();
+            let mut rng = StdRng::seed_from_u64(13);
+            sc.perturb(0, &geom, &layout, &mut fast, &mut rng.clone());
+            sc.perturb(0, &geom, &layout, &mut slow, &mut rng);
+            let _ = fast.global_sort_parallel(&layout, &geom, pool.exec(SchedulerPolicy::Static));
+            let _ = reference::incremental_sort(&mut slow, &layout, &geom, Mutant::None);
+            let _ = slow.global_sort(&layout, &geom);
+            assert_eq!(state(&fast.tiles), state(&slow.tiles), "workers {workers}");
         }
     }
 

@@ -5,7 +5,7 @@
 //! sweeps are pure functions of the tile: iteration order, removals and
 //! every charge depend only on tile state, which is what keeps
 //! positions, momenta and emulated cycles bit-identical for any worker
-//! count or scheduler policy.
+//! count.
 
 use mpic_deposit::{ExecMode, ShapeOrder};
 use mpic_grid::{FieldArrays, GridGeometry};
@@ -131,7 +131,7 @@ impl PushCtx<'_> {
     /// bandwidth price with a roofline crossover on the field-array
     /// footprint. The reuse state is tile-local — reset at tile start
     /// and advanced in run order — so the charge stream is the same for
-    /// every worker count and policy.
+    /// every worker count.
     fn push_tile_runs(&self, wm: &mut Machine, tile: &mut ParticleTile, scratch: &mut PushScratch) {
         scratch.clear();
         scratch.live.extend(tile.gpma.sorted_particles());

@@ -90,7 +90,7 @@ impl MaxwellSolver {
     /// Every cell update reads only the *previous* half-step's arrays and
     /// writes its own cell exactly once, so slab workers touch disjoint
     /// output planes and the fields are bit-identical for any worker
-    /// count or scheduler policy. The emulated cost charge runs on the
+    /// count. The emulated cost charge runs on the
     /// calling thread in fixed order (the caller's laser/absorber pass
     /// stays fixed-order too), so the per-phase cycle totals are
     /// worker-count independent as well.
@@ -336,10 +336,9 @@ type SlabItem<'a> = ((usize, usize), [&'a mut [f64]; 3]);
 /// Slab bounds come from [`mpic_machine::shard_bounds`] — the same
 /// contiguous chunk scheme as every other statically sharded phase —
 /// offset by the guard; the slab items are dispatched onto the
-/// persistent worker pool per the scheduler policy. Because each output
-/// cell is written by exactly one slab and all stencil reads go to
-/// shared immutable arrays, results are bit-identical for any worker
-/// count or policy.
+/// persistent worker pool by its claim rule. Because each output cell
+/// is written by exactly one slab and all stencil reads go to shared
+/// immutable arrays, results are bit-identical for any worker count.
 fn for_each_z_slab<F>(geom: &GridGeometry, exec: Exec<'_>, out: [&mut Array3; 3], body: F)
 where
     F: Fn((usize, usize), [&mut [f64]; 3]) + Sync,
@@ -606,41 +605,40 @@ mod tests {
             seed_plane_wave(&geom, &mut base);
             base.jx.set(5, 6, 7, 3.0e3); // Current source in the mix.
             base.jz.set(9, 3, 12, -1.0e3);
-            let run = |workers: usize, policy: SchedulerPolicy| {
+            let run = |workers: usize| {
                 let mut f = base.clone();
                 let mut m = Machine::new(MachineConfig::lx2());
                 let pool = WorkerPool::new(workers);
                 for _ in 0..5 {
-                    solver.step_sharded(&mut m, &geom, &mut f, dt, pool.exec(policy));
+                    let exec = pool.exec(SchedulerPolicy::Static);
+                    solver.step_sharded(&mut m, &geom, &mut f, dt, exec);
                 }
                 (f, m.counters().cycles(Phase::FieldSolve))
             };
-            let (f1, c1) = run(1, SchedulerPolicy::Static);
+            let (f1, c1) = run(1);
             for workers in [2usize, 4, 7, 16] {
-                for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-                    let (fw, cw) = run(workers, policy);
-                    for (name, a, b) in [
-                        ("ex", &f1.ex, &fw.ex),
-                        ("ey", &f1.ey, &fw.ey),
-                        ("ez", &f1.ez, &fw.ez),
-                        ("bx", &f1.bx, &fw.bx),
-                        ("by", &f1.by, &fw.by),
-                        ("bz", &f1.bz, &fw.bz),
-                    ] {
-                        assert!(
-                            a.as_slice()
-                                .iter()
-                                .zip(b.as_slice())
-                                .all(|(u, v)| u.to_bits() == v.to_bits()),
-                            "{kind:?} {name}: {workers}-worker {policy:?} solve diverged from sequential"
-                        );
-                    }
-                    assert_eq!(
-                        c1.to_bits(),
-                        cw.to_bits(),
-                        "{kind:?} cycles diverged ({workers} workers, {policy:?})"
+                let (fw, cw) = run(workers);
+                for (name, a, b) in [
+                    ("ex", &f1.ex, &fw.ex),
+                    ("ey", &f1.ey, &fw.ey),
+                    ("ez", &f1.ez, &fw.ez),
+                    ("bx", &f1.bx, &fw.bx),
+                    ("by", &f1.by, &fw.by),
+                    ("bz", &f1.bz, &fw.bz),
+                ] {
+                    assert!(
+                        a.as_slice()
+                            .iter()
+                            .zip(b.as_slice())
+                            .all(|(u, v)| u.to_bits() == v.to_bits()),
+                        "{kind:?} {name}: {workers}-worker solve diverged from sequential"
                     );
                 }
+                assert_eq!(
+                    c1.to_bits(),
+                    cw.to_bits(),
+                    "{kind:?} cycles diverged ({workers} workers)"
+                );
             }
         }
     }
@@ -690,7 +688,7 @@ mod tests {
     /// The row kernels are the per-cell reference, bit for bit: both
     /// solver kinds, cubic and LWFA cells, x widths around the vector
     /// width (ragged tails, and past one `ROW_BLOCK`), both guard widths,
-    /// sequential and 3-worker slabs under both schedulers.
+    /// sequential and 3-worker slabs.
     #[test]
     fn conf_solver_rows_match_reference_bitwise() {
         let cells = [[1.0e-6; 3], [0.5e-6, 0.5e-6, 0.25e-6]];
@@ -717,12 +715,13 @@ mod tests {
                             }
                             eb_bits(&f)
                         };
-                        let rows = |workers: usize, policy: SchedulerPolicy| {
+                        let rows = |workers: usize| {
                             let mut f = base.clone();
                             let mut m = Machine::new(MachineConfig::lx2());
                             let pool = WorkerPool::new(workers);
                             for _ in 0..3 {
-                                solver.step_sharded(&mut m, &geom, &mut f, dt, pool.exec(policy));
+                                let exec = pool.exec(SchedulerPolicy::Static);
+                                solver.step_sharded(&mut m, &geom, &mut f, dt, exec);
                             }
                             (
                                 eb_bits(&f),
@@ -731,13 +730,11 @@ mod tests {
                         };
                         let what = format!("{kind:?} dx {dx:?} width {width} guard {guard}");
                         let want = reference(Mutant::None);
-                        let (got, cycles) = rows(1, SchedulerPolicy::Static);
+                        let (got, cycles) = rows(1);
                         assert!(got == want, "{what}: rows diverged from the reference");
-                        for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-                            let (got_w, cycles_w) = rows(3, policy);
-                            assert!(got_w == want, "{what}: 3-worker {policy:?} rows diverged");
-                            assert_eq!(cycles_w, cycles, "{what}: FieldSolve cycles moved");
-                        }
+                        let (got_w, cycles_w) = rows(3);
+                        assert!(got_w == want, "{what}: 3-worker rows diverged");
+                        assert_eq!(cycles_w, cycles, "{what}: FieldSolve cycles moved");
                         // The comparison must be sharp enough to catch a
                         // single changed rounding.
                         assert!(reference(Mutant::Reciprocal) != want, "{what}: reciprocal");

@@ -13,9 +13,8 @@
 //! Contract under test (the PR 2-4 determinism contract extended to the
 //! batched path, plus the batched-vs-reference value claims):
 //!
-//! * batched runs are bit-identical across worker counts AND scheduler
-//!   policies — fields, currents, particle counts and per-phase
-//!   `MachineCounters`;
+//! * batched runs are bit-identical across worker counts — fields,
+//!   currents, particle counts and per-phase `MachineCounters`;
 //! * gather/push values and the matrix kernel's currents are
 //!   bit-identical between the batched and per-particle paths (gathers
 //!   are read-only, so caching a run's node block is value-exact, and
@@ -28,7 +27,7 @@
 use matrix_pic::core::{workloads, Simulation};
 use matrix_pic::deposit::{KernelConfig, ShapeOrder};
 use matrix_pic::grid::FieldArrays;
-use matrix_pic::machine::{Phase, SchedulerPolicy};
+use matrix_pic::machine::Phase;
 
 /// The uniform workload with the cell-run sweeps requested (`batching`
 /// and `simd` both on) or not.
@@ -45,14 +44,8 @@ fn uniform_knobs(kernel: KernelConfig, batching: bool, simd: bool) -> Simulation
 }
 
 /// Runs `steps` and snapshots fields + per-phase cycles + N.
-fn run(
-    mut sim: Simulation,
-    workers: usize,
-    policy: SchedulerPolicy,
-    steps: usize,
-) -> (FieldArrays, [f64; 8], usize) {
+fn run(mut sim: Simulation, workers: usize, steps: usize) -> (FieldArrays, [f64; 8], usize) {
     sim.cfg.num_workers = workers;
-    sim.cfg.scheduler = policy;
     sim.run(steps);
     let mut cycles = [0.0; 8];
     for (i, p) in Phase::ALL.iter().enumerate() {
@@ -123,41 +116,19 @@ fn assert_values_bitwise(label: &str, a: &FieldArrays, b: &FieldArrays) {
 fn conf_batched_rhocell_values_match_per_particle_bitwise() {
     // The rhocell kernel has no cell-run sweep: batching leaves it on the
     // per-particle path (cycles included, pinned by the fallback test).
-    let (ref_f, _, _) = run(
-        uniform(KernelConfig::RhocellIncrSortVpu, false),
-        1,
-        SchedulerPolicy::Static,
-        2,
-    );
-    let (bat_f, _, _) = run(
-        uniform(KernelConfig::RhocellIncrSortVpu, true),
-        1,
-        SchedulerPolicy::Static,
-        2,
-    );
+    let (ref_f, _, _) = run(uniform(KernelConfig::RhocellIncrSortVpu, false), 1, 2);
+    let (bat_f, _, _) = run(uniform(KernelConfig::RhocellIncrSortVpu, true), 1, 2);
     assert_values_bitwise("RhocellVPU batched vs per-particle", &ref_f, &bat_f);
 }
 
 #[test]
-fn conf_batched_path_is_bit_identical_across_workers_and_policies() {
-    // The acceptance gate of the tentpole: batching preserves the PR 2-4
-    // contract — any worker count, either scheduler, same bits
-    // everywhere including per-phase counters.
-    let reference = run(
-        uniform(KernelConfig::FullOpt, true),
-        1,
-        SchedulerPolicy::Static,
-        3,
-    );
+fn conf_batched_path_is_bit_identical_across_workers() {
+    // Batching preserves the determinism contract — any worker count,
+    // same bits everywhere including per-phase counters.
+    let reference = run(uniform(KernelConfig::FullOpt, true), 1, 3);
     for workers in [2usize, 4, 7] {
-        for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-            let got = run(uniform(KernelConfig::FullOpt, true), workers, policy, 3);
-            assert_bitwise(
-                &format!("batched FullOpt {workers}w {}", policy.label()),
-                &reference,
-                &got,
-            );
-        }
+        let got = run(uniform(KernelConfig::FullOpt, true), workers, 3);
+        assert_bitwise(&format!("batched FullOpt {workers}w"), &reference, &got);
     }
 }
 
@@ -173,13 +144,8 @@ fn conf_batched_unsorted_fallback_is_bitwise_noop() {
         (KernelConfig::BaselineIncrSort, true),
         (KernelConfig::FullOpt, false),
     ] {
-        let a = run(uniform(kernel, false), 1, SchedulerPolicy::Static, 2);
-        let b = run(
-            uniform_knobs(kernel, true, simd),
-            1,
-            SchedulerPolicy::Static,
-            2,
-        );
+        let a = run(uniform(kernel, false), 1, 2);
+        let b = run(uniform_knobs(kernel, true, simd), 1, 2);
         assert_bitwise(&format!("{kernel:?} simd={simd} fallback"), &a, &b);
     }
 }
@@ -188,7 +154,7 @@ fn conf_batched_unsorted_fallback_is_bitwise_noop() {
 fn conf_batched_imbalanced_lwfa_with_empty_tiles_stays_deterministic() {
     // One hot tile, the rest empty, moving window + absorbing walls:
     // empty tiles must charge nothing and the batched path must stay
-    // bit-identical across workers and policies on the skewed input.
+    // bit-identical across workers on the skewed input.
     let build = || {
         let mut sim = workloads::imbalanced_lwfa_sim([16, 16, 32], 2, 33);
         (sim.cfg.batching, sim.cfg.simd) = (true, true);
@@ -204,16 +170,10 @@ fn conf_batched_imbalanced_lwfa_with_empty_tiles_stays_deterministic() {
         occupied < build().electrons.tiles.len(),
         "workload must actually contain empty tiles"
     );
-    let reference = run(build(), 1, SchedulerPolicy::Static, 2);
+    let reference = run(build(), 1, 2);
     for workers in [3usize, 7] {
-        for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-            let got = run(build(), workers, policy, 2);
-            assert_bitwise(
-                &format!("batched LWFA {workers}w {}", policy.label()),
-                &reference,
-                &got,
-            );
-        }
+        let got = run(build(), workers, 2);
+        assert_bitwise(&format!("batched LWFA {workers}w"), &reference, &got);
     }
 }
 
@@ -267,18 +227,8 @@ fn conf_simd_fullopt_values_bitwise_memory_phases_cheaper() {
     // per-particle path — values equal bit for bit, the memory-bound
     // phases strictly cheaper.
     for steps in [1usize, 3] {
-        let per_particle = run(
-            uniform(KernelConfig::FullOpt, false),
-            1,
-            SchedulerPolicy::Static,
-            steps,
-        );
-        let runs = run(
-            uniform(KernelConfig::FullOpt, true),
-            1,
-            SchedulerPolicy::Static,
-            steps,
-        );
+        let per_particle = run(uniform(KernelConfig::FullOpt, false), 1, steps);
+        let runs = run(uniform(KernelConfig::FullOpt, true), 1, steps);
         assert_run_sweep_contract(
             &format!("FullOpt runs vs per-particle ({steps} steps)"),
             &per_particle,
@@ -294,76 +244,8 @@ fn conf_simd_without_batching_is_a_bitwise_noop() {
     // — values AND cycles, on both a sorted and an unsorted kernel
     // config.
     for kernel in [KernelConfig::FullOpt, KernelConfig::HybridNoSort] {
-        let off = run(uniform(kernel, false), 1, SchedulerPolicy::Static, 2);
-        let on = run(
-            uniform_knobs(kernel, false, true),
-            1,
-            SchedulerPolicy::Static,
-            2,
-        );
+        let off = run(uniform(kernel, false), 1, 2);
+        let on = run(uniform_knobs(kernel, false, true), 1, 2);
         assert_bitwise(&format!("{kernel:?} simd-no-batching noop"), &off, &on);
-    }
-}
-
-#[test]
-fn conf_batched_deposit_survives_stealing_chunk_boundaries() {
-    // Drive the batched deposit directly with pinned stealing chunk
-    // sizes so tile claims split at every batch boundary — including K
-    // that does not divide the tile count and K larger than it. The
-    // fixed-order apply/absorb must keep currents AND deposition cycles
-    // bit-identical to the sequential run regardless of chunking.
-    use matrix_pic::grid::{GridGeometry, TileLayout};
-    use matrix_pic::machine::{Machine, MachineConfig, WorkerPool};
-
-    let geom = GridGeometry::new([8, 8, 8], [0.0; 3], [1.0e-6; 3], 2);
-    let layout = TileLayout::new(&geom, [4, 4, 4]); // 8 tiles to split.
-    let deposit_once = |exec_chunk: Option<(usize, usize)>| {
-        let mut container = workloads::load_uniform_plasma(
-            &geom,
-            &layout,
-            workloads::UNIFORM_DENSITY,
-            4,
-            workloads::UNIFORM_UTH,
-            7,
-        );
-        let mut m = Machine::new(MachineConfig::lx2());
-        let mut fields = matrix_pic::grid::FieldArrays::new(&geom);
-        let mut dep = KernelConfig::FullOpt.build(ShapeOrder::Cic);
-        dep.set_batching(true);
-        dep.set_simd(true);
-        dep.prepare(&mut m, &geom, &layout, &mut container);
-        dep.sort_step(&mut m, &geom, &layout, &mut container, false);
-        match exec_chunk {
-            None => dep.deposit_step(&mut m, &geom, &layout, &container, &mut fields),
-            Some((workers, k)) => {
-                let pool = WorkerPool::new(workers);
-                let exec = pool.exec(SchedulerPolicy::Stealing).with_steal_chunk(k);
-                dep.deposit_step_parallel(&mut m, &geom, &layout, &container, &mut fields, exec);
-            }
-        }
-        (fields, m.counters().deposition_cycles())
-    };
-    let (want_f, want_cy) = deposit_once(None);
-    for k in [1usize, 3, 7, 13] {
-        for workers in [2usize, 4] {
-            let (got_f, got_cy) = deposit_once(Some((workers, k)));
-            for (name, x, y) in [
-                ("jx", &want_f.jx, &got_f.jx),
-                ("jy", &want_f.jy, &got_f.jy),
-                ("jz", &want_f.jz, &got_f.jz),
-            ] {
-                let same = x
-                    .as_slice()
-                    .iter()
-                    .zip(y.as_slice())
-                    .all(|(u, v)| u.to_bits() == v.to_bits());
-                assert!(same, "workers {workers} chunk {k}: {name} diverged");
-            }
-            assert_eq!(
-                want_cy.to_bits(),
-                got_cy.to_bits(),
-                "workers {workers} chunk {k}: deposition cycles diverged"
-            );
-        }
     }
 }

@@ -109,8 +109,8 @@ fn tile_state(t: &ParticleTile) -> impl PartialEq + std::fmt::Debug {
 /// The global sort dispatches tiles over the pool: on a random
 /// multi-tile container — particles injected unsorted, some then pushed
 /// across tile boundaries so the sort re-homes first — every worker
-/// count (ragged 1..=7, far from powers of two) and both scheduler
-/// policies must leave the byte-identical SoA, bin map, GPMA and
+/// count (ragged 1..=7, far from powers of two) must leave the
+/// byte-identical SoA, bin map, GPMA and
 /// [`SortStats`](matrix_pic::particles::SortStats) of the 1-worker run,
 /// on populations straddling the size below which the exec layer sorts
 /// inline.
@@ -150,26 +150,23 @@ fn fuzz_sharded_sort_matches_sequential_for_all_workers_and_policies() {
         }
         let mut expect = None;
         for pool in &pools {
-            for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-                let mut c = unsorted.clone();
-                let stats = c.global_sort_parallel(&layout, &geom, pool.exec(policy));
-                c.check_invariants();
-                let got = (
-                    (stats.n, stats.buckets, stats.moves),
-                    c.tiles.iter().map(tile_state).collect::<Vec<_>>(),
-                );
-                prop_assert_eq!(stats.n, n_particles);
-                let same = expect.as_ref().is_none_or(|want| got == *want);
-                expect.get_or_insert(got);
-                prop_assert!(
-                    same,
-                    "divergence at workers={} policy={:?} particles={} tile edge={}",
-                    pool.workers(),
-                    policy,
-                    n_particles,
-                    tile_edge
-                );
-            }
+            let mut c = unsorted.clone();
+            let stats = c.global_sort_parallel(&layout, &geom, pool.exec(SchedulerPolicy::Static));
+            c.check_invariants();
+            let got = (
+                (stats.n, stats.buckets, stats.moves),
+                c.tiles.iter().map(tile_state).collect::<Vec<_>>(),
+            );
+            prop_assert_eq!(stats.n, n_particles);
+            let same = expect.as_ref().is_none_or(|want| got == *want);
+            expect.get_or_insert(got);
+            prop_assert!(
+                same,
+                "divergence at workers={} particles={} tile edge={}",
+                pool.workers(),
+                n_particles,
+                tile_edge
+            );
         }
     });
 }

@@ -1,43 +1,30 @@
-//! Worker-count and scheduler-policy invariance: the unified execution
-//! layer must produce bit-identical physics *and* bit-identical emulated
-//! cycle accounting for any `num_workers` x `SchedulerPolicy`, on both
-//! evaluation workloads.
+//! Worker-count invariance: the unified execution layer must produce
+//! bit-identical physics *and* bit-identical emulated cycle accounting
+//! for any `num_workers`, on both evaluation workloads.
 //!
 //! This pins the deterministic fixed-order reductions of the pipeline:
 //! per-worker rhocell and direct-scatter outputs are applied to the grid
 //! in tile order, per-tile counter deltas are merged in tile order, the
 //! sharded counting sort reproduces the sequential permutation exactly,
 //! and the Z-slab field solve writes disjoint planes — so neither the
-//! fields nor the per-phase cycle totals can depend on how work was
-//! distributed across the persistent worker pool, whether by static
-//! chunks or by work-stealing claims.
+//! fields nor the per-phase cycle totals can depend on how the static
+//! chunks of the persistent worker pool fall.
 
 use matrix_pic::core::{workloads, Simulation};
 use matrix_pic::deposit::{KernelConfig, ShapeOrder};
 use matrix_pic::grid::{FieldArrays, GridGeometry, TileLayout};
-use matrix_pic::machine::{Phase, SchedulerPolicy};
+use matrix_pic::machine::Phase;
 use matrix_pic::solver::LaserAntenna;
 
 /// Runs `steps` and returns the final fields plus per-phase cycle totals.
-fn run_sched(
-    mut sim: Simulation,
-    workers: usize,
-    policy: SchedulerPolicy,
-    steps: usize,
-) -> (FieldArrays, [f64; 8], usize) {
+fn run(mut sim: Simulation, workers: usize, steps: usize) -> (FieldArrays, [f64; 8], usize) {
     sim.cfg.num_workers = workers;
-    sim.cfg.scheduler = policy;
     sim.run(steps);
     let mut cycles = [0.0; 8];
     for (i, p) in Phase::ALL.iter().enumerate() {
         cycles[i] = sim.machine.counters().cycles(*p);
     }
     (sim.fields.clone(), cycles, sim.num_particles())
-}
-
-/// [`run_sched`] with the default static scheduler.
-fn run(sim: Simulation, workers: usize, steps: usize) -> (FieldArrays, [f64; 8], usize) {
-    run_sched(sim, workers, SchedulerPolicy::Static, steps)
 }
 
 fn assert_bit_identical(
@@ -197,15 +184,15 @@ fn conf_periodic_laser_field_solve_is_worker_count_invariant() {
     }
 }
 
-/// Static-vs-Stealing bit-identity on an adversarially imbalanced LWFA
+/// Worker-count bit-identity on an adversarially imbalanced LWFA
 /// workload: every particle lives in one hot tile while the other tiles
-/// are empty, so under static chunks one worker carries the entire
-/// particle workload while stealing redistributes claim-by-claim — the
-/// maximal divergence in execution schedules. Fields, currents and
-/// per-phase cycles must nonetheless agree bit for bit, because per-tile
-/// outputs and counters merge in tile order regardless of who ran what.
+/// are empty, so one worker's static chunk carries the entire particle
+/// workload and the others run empty tiles only. Fields, currents and
+/// per-phase cycles must nonetheless agree bit for bit with the 1-worker
+/// run, because per-tile outputs and counters merge in tile order
+/// regardless of who ran what.
 #[test]
-fn conf_static_vs_stealing_bit_identical_on_imbalanced_lwfa() {
+fn conf_imbalanced_lwfa_bit_identical_across_workers() {
     let build = || workloads::imbalanced_lwfa_sim([16, 16, 32], 4, 29);
     {
         // The imbalance must actually be adversarial, or this test
@@ -216,16 +203,10 @@ fn conf_static_vs_stealing_bit_identical_on_imbalanced_lwfa() {
         assert!(sim.electrons.tiles.len() >= 8, "need empty tiles around it");
         assert!(sim.num_particles() > 0);
     }
-    let base = run_sched(build(), 1, SchedulerPolicy::Static, 3);
-    for workers in [2usize, 4, 7] {
-        for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-            let r = run_sched(build(), workers, policy, 3);
-            assert_bit_identical(
-                &format!("imbalanced-lwfa 1/static v {workers}/{policy:?}"),
-                &base,
-                &r,
-            );
-        }
+    let base = run(build(), 1, 3);
+    for workers in [2usize, 3, 4, 7] {
+        let r = run(build(), workers, 3);
+        assert_bit_identical(&format!("imbalanced-lwfa 1v{workers}"), &base, &r);
     }
 }
 
@@ -255,35 +236,26 @@ fn conf_parallel_window_injection_is_worker_count_invariant() {
     };
     let one = run(build(), 1, 3);
     assert!(one.2 > 0, "window must have injected particles");
-    for policy in [SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-        let w = run_sched(build(), 4, policy, 3);
-        assert_bit_identical(&format!("window-injection 1v4 {policy:?}"), &one, &w);
+    for workers in [3usize, 4] {
+        let w = run(build(), workers, 3);
+        assert_bit_identical(&format!("window-injection 1v{workers}"), &one, &w);
     }
 }
 
 /// Pool-reuse determinism: one `Simulation` keeps its persistent
 /// `WorkerPool` across steps (threads parked between phases and steps),
 /// so this pins that *every* intermediate step — not just the final
-/// state — is bit-identical across worker counts 1/2/4/7, and that a
-/// run flipping the scheduler policy between steps still matches (the
-/// policy is a pure execution knob, switchable mid-run).
+/// state — is bit-identical across worker counts 1/2/4/7.
 #[test]
 fn conf_pool_reuse_across_consecutive_steps_is_deterministic() {
     let build = || {
         workloads::uniform_plasma_sim([12, 12, 12], 2, ShapeOrder::Cic, KernelConfig::FullOpt, 11)
     };
-    let snapshots = |workers: usize, flip_policy: bool| -> Vec<(FieldArrays, [f64; 8], usize)> {
+    let snapshots = |workers: usize| -> Vec<(FieldArrays, [f64; 8], usize)> {
         let mut sim = build();
         sim.cfg.num_workers = workers;
         (0..3)
-            .map(|step| {
-                if flip_policy {
-                    sim.cfg.scheduler = if step % 2 == 0 {
-                        SchedulerPolicy::Stealing
-                    } else {
-                        SchedulerPolicy::Static
-                    };
-                }
+            .map(|_| {
                 sim.step();
                 let mut cycles = [0.0; 8];
                 for (i, p) in Phase::ALL.iter().enumerate() {
@@ -293,20 +265,15 @@ fn conf_pool_reuse_across_consecutive_steps_is_deterministic() {
             })
             .collect()
     };
-    let reference = snapshots(1, false);
-    for workers in [1usize, 2, 4, 7] {
-        for flip in [false, true] {
-            if workers == 1 && !flip {
-                continue; // That is the reference itself.
-            }
-            let got = snapshots(workers, flip);
-            for (step, (want, have)) in reference.iter().zip(&got).enumerate() {
-                assert_bit_identical(
-                    &format!("pool-reuse step {step}, {workers} workers, flip {flip}"),
-                    want,
-                    have,
-                );
-            }
+    let reference = snapshots(1);
+    for workers in [2usize, 4, 7] {
+        let got = snapshots(workers);
+        for (step, (want, have)) in reference.iter().zip(&got).enumerate() {
+            assert_bit_identical(
+                &format!("pool-reuse step {step}, {workers} workers"),
+                want,
+                have,
+            );
         }
     }
 }

@@ -4,17 +4,16 @@
 
 use matrix_pic::core::{workloads, DriverError, ResilientDriver, Simulation};
 use matrix_pic::deposit::{KernelConfig, ShapeOrder};
-use matrix_pic::machine::{FaultKind, FaultPlan, SchedulerPolicy};
+use matrix_pic::machine::{FaultKind, FaultPlan};
 
 const DIMS: [usize; 3] = [8, 8, 8];
 const PPC: usize = 2;
 const SEED: u64 = 57;
 
-fn sim(workers: usize, policy: SchedulerPolicy) -> Simulation {
+fn sim(workers: usize) -> Simulation {
     let mut s =
         workloads::uniform_plasma_sim(DIMS, PPC, ShapeOrder::Cic, KernelConfig::FullOpt, SEED);
     s.cfg.num_workers = workers;
-    s.cfg.scheduler = policy;
     (s.cfg.batching, s.cfg.simd) = (true, true);
     s
 }
@@ -22,15 +21,15 @@ fn sim(workers: usize, policy: SchedulerPolicy) -> Simulation {
 /// Drives `total` steps with a fault injected a few dispatches into the
 /// post-warmup stepping, and asserts the final state equals the
 /// crash-free reference bit for bit (via total-state snapshot bytes).
-fn assert_recovery_is_bitwise(kind: FaultKind, workers: usize, policy: SchedulerPolicy) {
+fn assert_recovery_is_bitwise(kind: FaultKind, workers: usize) {
     let warmup = 2u64;
     let total = 6u64;
 
-    let mut reference = sim(workers, policy);
+    let mut reference = sim(workers);
     reference.run(total as usize);
     let expected = reference.snapshot();
 
-    let mut faulted = sim(workers, policy);
+    let mut faulted = sim(workers);
     // Warm up under the final worker count so the pool (and any fault
     // armed on it) survives: the pool is rebuilt when cfg changes.
     faulted.run(warmup as usize);
@@ -58,18 +57,16 @@ fn assert_recovery_is_bitwise(kind: FaultKind, workers: usize, policy: Scheduler
     assert_eq!(faulted.step_index(), total);
     assert!(
         faulted.snapshot() == expected,
-        "{kind:?} w={workers} {policy:?}: recovered state diverged from crash-free run"
+        "{kind:?} w={workers}: recovered state diverged from crash-free run"
     );
 }
 
 /// A mid-step worker panic rolls back, replays, and lands bitwise equal
-/// to the uninterrupted run — across worker counts and both schedulers.
+/// to the uninterrupted run — across worker counts.
 #[test]
 fn conf_fault_injected_worker_panic_recovers_bitwise() {
     for &workers in &[2usize, 4, 7] {
-        for &policy in &[SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-            assert_recovery_is_bitwise(FaultKind::Panic, workers, policy);
-        }
+        assert_recovery_is_bitwise(FaultKind::Panic, workers);
     }
 }
 
@@ -77,19 +74,18 @@ fn conf_fault_injected_worker_panic_recovers_bitwise() {
 /// and the run still converges to the bitwise-identical final state.
 #[test]
 fn conf_fault_injected_worker_death_recovers_bitwise() {
-    assert_recovery_is_bitwise(FaultKind::Die, 4, SchedulerPolicy::Static);
-    assert_recovery_is_bitwise(FaultKind::Die, 4, SchedulerPolicy::Stealing);
+    assert_recovery_is_bitwise(FaultKind::Die, 4);
 }
 
 /// A dispatcher-thread (worker 0) fault is also caught and rolled back.
 #[test]
 fn conf_fault_on_dispatching_thread_recovers_bitwise() {
     let total = 6u64;
-    let mut reference = sim(4, SchedulerPolicy::Static);
+    let mut reference = sim(4);
     reference.run(total as usize);
     let expected = reference.snapshot();
 
-    let mut faulted = sim(4, SchedulerPolicy::Static);
+    let mut faulted = sim(4);
     faulted.run(2);
     faulted.pool().inject_fault(FaultPlan {
         worker: 0,
@@ -109,10 +105,10 @@ fn conf_fault_on_dispatching_thread_recovers_bitwise() {
 /// cadence.
 #[test]
 fn driver_without_faults_is_transparent() {
-    let mut plain = sim(2, SchedulerPolicy::Static);
+    let mut plain = sim(2);
     plain.run(5);
 
-    let mut driven = sim(2, SchedulerPolicy::Static);
+    let mut driven = sim(2);
     let mut driver = ResilientDriver::new(2, 1);
     let stats = driver.run(&mut driven, 5).expect("clean run");
     assert_eq!(stats.failures, 0);
@@ -130,16 +126,16 @@ fn driver_without_faults_is_transparent() {
 #[test]
 fn reused_driver_rolls_back_to_a_checkpoint_of_this_simulation() {
     let mut driver = ResilientDriver::new(4, 3);
-    let mut a = sim(2, SchedulerPolicy::Static);
+    let mut a = sim(2);
     let _ = driver.run(&mut a, 6).expect("clean run");
     assert_eq!(driver.last_checkpoint().map(|(s, _)| s), Some(4));
 
-    let mut plain = sim(1, SchedulerPolicy::Static);
+    let mut plain = sim(1);
     plain.run(2);
     // A fresh simulation of the same configuration, faulted on its very
     // first dispatch (its construction pool already has the one worker,
     // so the plan survives the first step).
-    let mut b = sim(1, SchedulerPolicy::Static);
+    let mut b = sim(1);
     b.pool().inject_fault(FaultPlan {
         worker: 0,
         dispatch: b.pool().dispatch_count() + 1,
@@ -160,7 +156,7 @@ fn reused_driver_rolls_back_to_a_checkpoint_of_this_simulation() {
 /// terminal error naming the stuck step — no abort, no hang.
 #[test]
 fn retry_budget_exhaustion_is_a_structured_error() {
-    let mut faulted = sim(4, SchedulerPolicy::Static);
+    let mut faulted = sim(4);
     faulted.run(1);
     faulted.pool().inject_fault(FaultPlan {
         worker: 1,

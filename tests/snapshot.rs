@@ -5,14 +5,13 @@
 //! snapshotted mid-run and restored into a *fresh* `Simulation` (built from
 //! the same config) must continue bit-identically to the uninterrupted run —
 //! fields, currents, particles, RNG, per-phase counters and cache behavioural
-//! state included — across every worker count, scheduler policy and execution
-//! mode. Corrupted snapshot bytes must produce structured [`SnapshotError`]s,
+//! state included — across every worker count and execution mode. Corrupted snapshot bytes must produce structured [`SnapshotError`]s,
 //! never panics.
 
 use matrix_pic::core::snapshot::{section, SnapshotError};
 use matrix_pic::core::{workloads, Simulation};
 use matrix_pic::deposit::{KernelConfig, ShapeOrder};
-use matrix_pic::machine::{MachineConfig, SchedulerPolicy};
+use matrix_pic::machine::MachineConfig;
 use matrix_pic::particles::{ParticleTile, INVALID_PARTICLE_ID};
 
 mod common;
@@ -25,7 +24,7 @@ const LWFA_DIMS: [usize; 3] = [8, 8, 32];
 const LWFA_PPC: usize = 2;
 const LWFA_SEED: u64 = 13;
 
-fn uniform_sim(workers: usize, policy: SchedulerPolicy, runs: bool) -> Simulation {
+fn uniform_sim(workers: usize, runs: bool) -> Simulation {
     let mut sim = workloads::uniform_plasma_sim(
         UNIFORM_DIMS,
         UNIFORM_PPC,
@@ -34,12 +33,11 @@ fn uniform_sim(workers: usize, policy: SchedulerPolicy, runs: bool) -> Simulatio
         UNIFORM_SEED,
     );
     sim.cfg.num_workers = workers;
-    sim.cfg.scheduler = policy;
     (sim.cfg.batching, sim.cfg.simd) = (runs, runs);
     sim
 }
 
-fn lwfa_sim(workers: usize, policy: SchedulerPolicy, runs: bool) -> Simulation {
+fn lwfa_sim(workers: usize, runs: bool) -> Simulation {
     let mut sim = workloads::lwfa_sim(
         LWFA_DIMS,
         LWFA_PPC,
@@ -48,7 +46,6 @@ fn lwfa_sim(workers: usize, policy: SchedulerPolicy, runs: bool) -> Simulation {
         LWFA_SEED,
     );
     sim.cfg.num_workers = workers;
-    sim.cfg.scheduler = policy;
     (sim.cfg.batching, sim.cfg.simd) = (runs, runs);
     sim
 }
@@ -93,21 +90,14 @@ fn assert_restore_continues_bit_identical(
 }
 
 /// Snapshot -> restore -> N steps is bit-identical to the uninterrupted run
-/// for every worker count x scheduler policy x execution mode (per-particle,
-/// cell runs) in the paper's determinism matrix (uniform plasma workload).
+/// for every worker count x execution mode (per-particle, cell runs) in
+/// the paper's determinism matrix (uniform plasma workload).
 #[test]
 fn conf_snapshot_restore_bit_identical_across_exec_matrix() {
     for &workers in &[1usize, 2, 4, 7] {
-        for &policy in &[SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-            for &runs in &[false, true] {
-                let label = format!("uniform w={workers} {policy:?} runs={runs}");
-                assert_restore_continues_bit_identical(
-                    &|| uniform_sim(workers, policy, runs),
-                    2,
-                    4,
-                    &label,
-                );
-            }
+        for &runs in &[false, true] {
+            let label = format!("uniform w={workers} runs={runs}");
+            assert_restore_continues_bit_identical(&|| uniform_sim(workers, runs), 2, 4, &label);
         }
     }
 }
@@ -118,15 +108,8 @@ fn conf_snapshot_restore_bit_identical_across_exec_matrix() {
 #[test]
 fn conf_snapshot_restore_bit_identical_lwfa_moving_window() {
     for &workers in &[1usize, 4] {
-        for &policy in &[SchedulerPolicy::Static, SchedulerPolicy::Stealing] {
-            let label = format!("lwfa w={workers} {policy:?}");
-            assert_restore_continues_bit_identical(
-                &|| lwfa_sim(workers, policy, true),
-                3,
-                6,
-                &label,
-            );
-        }
+        let label = format!("lwfa w={workers}");
+        assert_restore_continues_bit_identical(&|| lwfa_sim(workers, true), 3, 6, &label);
     }
 }
 
@@ -145,14 +128,14 @@ fn conf_snapshot_restore_bit_identical_lwfa_moving_window() {
 fn conf_snapshot_written_scalar_restores_into_simd() {
     use matrix_pic::machine::Phase;
 
-    let mut writer = uniform_sim(1, SchedulerPolicy::Static, false);
+    let mut writer = uniform_sim(1, false);
     writer.run(2);
     let checkpoint = writer.snapshot();
 
-    let mut reference = uniform_sim(1, SchedulerPolicy::Static, true);
+    let mut reference = uniform_sim(1, true);
     reference.run(4);
 
-    let mut resumed = uniform_sim(1, SchedulerPolicy::Static, true);
+    let mut resumed = uniform_sim(1, true);
     resumed.restore(&checkpoint).expect("cross-mode restore");
     resumed.run(2);
 
@@ -202,28 +185,27 @@ fn conf_snapshot_written_scalar_restores_into_simd() {
     }
 }
 
-/// A checkpoint is worker/scheduler agnostic: state written under one worker
-/// count and policy may be restored under another, and the continuation is
-/// still bit-identical to an uninterrupted run under the *target* config
-/// (the determinism contract says workers and scheduling never change
-/// results). The execution mode must match, because it changes the
+/// A checkpoint is worker agnostic: state written under one worker count
+/// may be restored under another, and the continuation is still
+/// bit-identical to an uninterrupted run under the *target* config (the
+/// determinism contract says the worker count never changes results). The execution mode must match, because it changes the
 /// emulated cost-model charges the counters and report accumulate.
 #[test]
 fn conf_snapshot_restores_across_worker_counts() {
-    let mut writer = uniform_sim(1, SchedulerPolicy::Static, true);
+    let mut writer = uniform_sim(1, true);
     writer.run(2);
     let checkpoint = writer.snapshot();
 
-    let mut reference = uniform_sim(7, SchedulerPolicy::Stealing, true);
+    let mut reference = uniform_sim(7, true);
     reference.run(4);
     let expected = reference.snapshot();
 
-    let mut resumed = uniform_sim(7, SchedulerPolicy::Stealing, true);
+    let mut resumed = uniform_sim(7, true);
     resumed.restore(&checkpoint).expect("cross-config restore");
     resumed.run(2);
     assert!(
         resumed.snapshot() == expected,
-        "restoring a w=1/static checkpoint into w=7/stealing diverged"
+        "restoring a w=1 checkpoint into w=7 diverged"
     );
 }
 
@@ -231,11 +213,11 @@ fn conf_snapshot_restores_across_worker_counts() {
 /// immediately re-snapshotting reproduces the original bytes exactly.
 #[test]
 fn conf_snapshot_round_trip_is_byte_lossless() {
-    let mut sim = lwfa_sim(2, SchedulerPolicy::Stealing, true);
+    let mut sim = lwfa_sim(2, true);
     sim.run(3);
     let first = sim.snapshot();
 
-    let mut fresh = lwfa_sim(2, SchedulerPolicy::Stealing, true);
+    let mut fresh = lwfa_sim(2, true);
     fresh.restore(&first).expect("round-trip restore");
     let second = fresh.snapshot();
     assert!(
@@ -250,7 +232,7 @@ fn conf_snapshot_round_trip_is_byte_lossless() {
 // ---------------------------------------------------------------------------
 
 fn snapshot_for_corruption() -> (Vec<u8>, Simulation) {
-    let mut sim = uniform_sim(2, SchedulerPolicy::Static, false);
+    let mut sim = uniform_sim(2, false);
     sim.run(2);
     let bytes = sim.snapshot();
     (bytes, sim)
@@ -331,7 +313,7 @@ fn corrupted_snapshot_every_section_checksum_detected() {
 /// `Incompatible` and leaves the target fully untouched.
 #[test]
 fn incompatible_snapshot_rejected_and_target_untouched() {
-    let mut small = uniform_sim(2, SchedulerPolicy::Static, false);
+    let mut small = uniform_sim(2, false);
     small.run(2);
     let checkpoint = small.snapshot();
 
@@ -374,7 +356,7 @@ fn restore_with_corrupt_tile(corrupt: impl FnOnce(&mut ParticleTile)) -> Result<
     let (_, mut sim) = snapshot_for_corruption();
     corrupt(&mut sim.electrons.tiles[0]);
     let bytes = sim.snapshot();
-    uniform_sim(2, SchedulerPolicy::Static, false).restore(&bytes)
+    uniform_sim(2, false).restore(&bytes)
 }
 
 #[test]
@@ -392,13 +374,13 @@ fn index_entry_naming_a_dead_slot_is_malformed() {
 /// `PARTICLES` section (re-sealing the checksum), into a simulation
 /// `make` builds; a failed restore must leave that target untouched.
 fn restore_damaged(
-    make: fn(usize, SchedulerPolicy, bool) -> Simulation,
+    make: fn(usize, bool) -> Simulation,
     mut bytes: Vec<u8>,
     damage: impl FnOnce(&mut [u8], &[TileWords]),
 ) -> Result<(), SnapshotError> {
     let tiles = particle_tiles(&bytes);
     damage(&mut bytes, &tiles);
-    let mut target = make(1, SchedulerPolicy::Static, false);
+    let mut target = make(1, false);
     let before = target.snapshot();
     let result = target.restore(&bytes);
     assert!(
@@ -463,7 +445,7 @@ fn free_stack_entry_naming_an_occupied_slot_is_malformed() {
 #[test]
 fn free_list_entry_out_of_range_is_malformed() {
     // The moving window leaves dead slots on the SoA free lists.
-    let mut sim = lwfa_sim(1, SchedulerPolicy::Static, true);
+    let mut sim = lwfa_sim(1, true);
     sim.run(6);
     let err = restore_damaged(lwfa_sim, sim.snapshot(), |b, tiles| {
         let t = tiles
