@@ -22,9 +22,9 @@
 //!   it, and checks the result against a crash-free reference — the
 //!   end-to-end test of the env-driven `FaultPlan` path.
 //!
-//! CI runs this in the **debug** profile: `debug_assertions` keeps the
-//! Partition claim bitmap live, so every replayed phase's shard grants
-//! stay aliasing-audited while faults bounce the step loop around.
+//! CI runs this in the **debug** profile: `debug_assertions` keeps every
+//! `debug_assert!` in the workspace live while faults bounce the step
+//! loop around.
 //!
 //! Usage: `probe_resilience [--env-fault [workers]]`.
 

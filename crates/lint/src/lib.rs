@@ -2,11 +2,10 @@
 //!
 //! The workspace ships a determinism contract (bit-identical results
 //! across worker counts) and a small audited unsafe surface (the exec
-//! layer's job pointer, the checked
-//! [`Partition`](../mpic_machine/partition/index.html), the guard-cell
-//! fill). Neither is something rustc checks for us — so this crate
-//! does, with a hand-rolled lexer (no external parser dependencies) and
-//! nine deny-by-default rules; see [`rules`] for the catalogue.
+//! layer's job pointer). Neither is something rustc checks for us — so
+//! this crate does, with a hand-rolled lexer (no external parser
+//! dependencies) and nine deny-by-default rules; see [`rules`] for the
+//! catalogue.
 //!
 //! Run it as `cargo run --release -p mpic-lint`; exit status 1 means
 //! findings. CI runs it as a required job, and the crate's own test

@@ -5,8 +5,8 @@
 //!   being relied on.
 //! * **L2** `unsafe-allowlist` — `unsafe` may only appear in the small
 //!   allowlisted set of files that *are* the unsafe boundary (the exec
-//!   layer's job pointer, the checked `Partition`). Anywhere else it is
-//!   a finding, no matter how well commented.
+//!   layer's job pointer). Anywhere else it is a finding, no matter how
+//!   well commented.
 //! * **L3** `determinism` — result-bearing crates must not reach for
 //!   constructs that can perturb bit-identity or smuggle wall-clock /
 //!   scheduling dependence into results: `HashMap`/`HashSet` (iteration
@@ -32,9 +32,8 @@
 //!   discards work that was charged for.
 //! * **L7** `raw-sync` — raw `std` synchronization primitives
 //!   (`std::sync::atomic`, `Condvar`, thread parking) are confined to
-//!   the sync facade (`machine/sync.rs`), the checked claim bitmap
-//!   (`machine/partition.rs`) and the model checker's scheduler
-//!   (`check/sched.rs`). Everywhere else synchronization must go
+//!   the sync facade (`machine/sync.rs`) and the model checker's
+//!   scheduler (`check/sched.rs`). Everywhere else synchronization must go
 //!   through the `SyncPrims` facade, so the model checker actually
 //!   exercises the protocol production runs — a raw primitive on the
 //!   side is a blind spot the checker cannot see.
@@ -77,20 +76,13 @@ pub struct Finding {
 /// Files allowed to contain `unsafe` at all (rule L2). This is the
 /// workspace's entire unsafe surface; growing it is a reviewed decision,
 /// not a local convenience.
-const UNSAFE_ALLOWLIST: &[&str] = &[
-    "crates/machine/src/exec.rs",
-    "crates/machine/src/partition.rs",
-];
+const UNSAFE_ALLOWLIST: &[&str] = &["crates/machine/src/exec.rs"];
 
 /// The deterministic execution layer: the one place thread primitives
-/// and relaxed atomics are legitimate (the worker pool's parking, the
-/// debug claim bitmap, and the sync facade that wraps the primitives),
-/// so rule L3 does not apply inside it.
-const EXEC_LAYER: &[&str] = &[
-    "crates/machine/src/exec.rs",
-    "crates/machine/src/partition.rs",
-    "crates/machine/src/sync.rs",
-];
+/// are legitimate (the worker pool's parking, the per-worker share
+/// locks, and the sync facade that wraps the primitives), so rule L3
+/// does not apply inside it.
+const EXEC_LAYER: &[&str] = &["crates/machine/src/exec.rs", "crates/machine/src/sync.rs"];
 
 /// Crates whose outputs feed simulation results and therefore fall
 /// under the bit-identity determinism contract (rule L3). The bench and
@@ -108,25 +100,17 @@ const RESULT_BEARING_PREFIXES: &[&str] = &[
 ];
 
 /// Files allowed to touch raw `std` synchronization primitives (rule
-/// L7): the production sync facade, the exec layer's debug claim
-/// bitmap, and the model checker's scheduler — which *implements* the
-/// instrumented shims and must use real primitives to do so. Everywhere
-/// else, synchronization goes through the `SyncPrims` facade so the
-/// model checker sees it.
-const RAW_SYNC_ALLOWLIST: &[&str] = &[
-    "crates/machine/src/sync.rs",
-    "crates/machine/src/partition.rs",
-    "crates/check/src/sched.rs",
-];
+/// L7): the production sync facade and the model checker's scheduler —
+/// which *implements* the instrumented shims and must use real
+/// primitives to do so. Everywhere else, synchronization goes through
+/// the `SyncPrims` facade so the model checker sees it.
+const RAW_SYNC_ALLOWLIST: &[&str] = &["crates/machine/src/sync.rs", "crates/check/src/sched.rs"];
 
 /// Files under the ordering-justification contract (rule L8): exactly
 /// the first-party files that use atomics at all. Every `Ordering::`
 /// selection there needs an adjacent justification comment.
-const ORDERING_JUSTIFY_FILES: &[&str] = &[
-    "crates/machine/src/sync.rs",
-    "crates/machine/src/exec.rs",
-    "crates/machine/src/partition.rs",
-];
+const ORDERING_JUSTIFY_FILES: &[&str] =
+    &["crates/machine/src/sync.rs", "crates/machine/src/exec.rs"];
 
 /// Thread-parking identifiers denied by rule L7 when path- or
 /// method-qualified (`thread::park`, `handle.unpark()`).
@@ -335,8 +319,8 @@ pub fn lint_file(rel: &str, src: &str) -> Vec<Finding> {
                         t.line,
                         "L3-determinism",
                         "`Ordering::Relaxed` on a result-carrying atomic \
-                         cannot order result flow; only the exec layer's \
-                         claim bitmap may use it"
+                         cannot order result flow; results cross threads \
+                         only through the exec layer's dispatch barrier"
                             .to_string(),
                     )
                 }
@@ -1061,7 +1045,7 @@ mod tests {
     #[test]
     fn l5_does_not_apply_to_exec_layer_tests_or_bench() {
         let src = "fn f(x: f64) -> usize { x.ceil() as usize }\n";
-        assert!(rules_fired("crates/machine/src/partition.rs", src).is_empty());
+        assert!(rules_fired("crates/machine/src/exec.rs", src).is_empty());
         assert!(rules_fired("tests/snapshot.rs", src).is_empty());
         assert!(rules_fired("crates/bench/src/bin/probe_parallel.rs", src).is_empty());
         let in_test =
@@ -1120,11 +1104,7 @@ mod tests {
     fn l7_allowlisted_files_may_use_raw_primitives() {
         let src =
             "use std::sync::atomic::{AtomicU64, Ordering};\nstruct S { cv: std::sync::Condvar }\n";
-        for rel in [
-            "crates/machine/src/sync.rs",
-            "crates/machine/src/partition.rs",
-            "crates/check/src/sched.rs",
-        ] {
+        for rel in ["crates/machine/src/sync.rs", "crates/check/src/sched.rs"] {
             let fired = rules_fired(rel, src);
             assert!(!fired.contains(&"L7-raw-sync"), "{rel}: {fired:?}");
         }
@@ -1274,9 +1254,11 @@ mod tests {
         let exec = FileScope::classify("crates/machine/src/exec.rs");
         assert!(exec.unsafe_allowed && exec.exec_layer && exec.result_bearing);
         assert!(!exec.raw_sync_allowed && exec.ordering_justify);
+        // The deleted partition module's path is ordinary result-bearing
+        // code now: no unsafe, raw-sync or exec-layer allowance.
         let part = FileScope::classify("crates/machine/src/partition.rs");
-        assert!(part.unsafe_allowed && part.exec_layer);
-        assert!(part.raw_sync_allowed && part.ordering_justify);
+        assert!(part.result_bearing && !part.unsafe_allowed && !part.exec_layer);
+        assert!(!part.raw_sync_allowed && !part.ordering_justify);
         let sync = FileScope::classify("crates/machine/src/sync.rs");
         assert!(sync.raw_sync_allowed && sync.ordering_justify && sync.exec_layer);
         assert!(!sync.unsafe_allowed);

@@ -12,10 +12,11 @@
 //!   movement between the VPU and MPU, intrinsic latencies, and other
 //!   VPU-bound operations" (section 6.1).
 //!
-//! The derived peak used in efficiency percentages is the MPU peak (the
-//! maximum FP64 rate of the core), matching Table 3 where the baseline and
-//! VPU configurations are charged against the same platform peak as
-//! MatrixPIC.
+//! Efficiency percentages are charged against the VPU peak
+//! ([`MachineConfig::vpu_peak_flops_per_cycle`]) for every configuration,
+//! MatrixPIC included: `KernelConfig::unit_peak_flops_per_cycle` in
+//! `mpic-deposit` is the one denominator, and its doc says why the MPU
+//! peak would make the paper's Table 3 numbers impossible.
 
 use crate::cache::CacheLevelConfig;
 use crate::vreg::VLANES;
@@ -142,13 +143,6 @@ impl MachineConfig {
         (VLANES * VLANES * 2) as f64 / self.mopa_cy
     }
 
-    /// The platform peak used for efficiency percentages: the highest FP64
-    /// rate available on the core (the MPU).
-    pub fn peak_flops_per_cycle(&self) -> f64 {
-        self.mpu_peak_flops_per_cycle()
-            .max(self.vpu_peak_flops_per_cycle())
-    }
-
     /// Converts a cycle count into seconds at the configured clock.
     pub fn cycles_to_seconds(&self, cycles: f64) -> f64 {
         cycles / self.clock_hz
@@ -170,12 +164,6 @@ mod tests {
         let cfg = MachineConfig::lx2();
         let ratio = cfg.mpu_peak_flops_per_cycle() / cfg.vpu_peak_flops_per_cycle();
         assert!((ratio - 4.0).abs() < 1e-12, "MOPA must be ~4x VPU MLA");
-    }
-
-    #[test]
-    fn platform_peak_is_mpu_peak() {
-        let cfg = MachineConfig::lx2();
-        assert_eq!(cfg.peak_flops_per_cycle(), cfg.mpu_peak_flops_per_cycle());
     }
 
     #[test]

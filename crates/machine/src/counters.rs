@@ -238,21 +238,6 @@ impl PerfCounters {
     pub fn reset(&mut self) {
         *self = Self::default();
     }
-
-    /// Fraction of theoretical peak achieved over the deposition phases,
-    /// crediting only `useful_flops` (paper section 5.2.2).
-    ///
-    /// `peak_flops_per_cycle` is the platform's peak FP64 rate per core.
-    /// Returns a value in `[0, 1]` for physical configurations (it may
-    /// exceed 1 only if the caller credits more useful work than the
-    /// machine executed, which indicates a mis-specified canonical count).
-    pub fn peak_fraction(&self, peak_flops_per_cycle: f64) -> f64 {
-        let cy = self.deposition_cycles();
-        if cy == 0.0 {
-            return 0.0;
-        }
-        self.useful_flops / (cy * peak_flops_per_cycle)
-    }
 }
 
 #[cfg(test)]
@@ -294,22 +279,6 @@ mod tests {
         assert_eq!(a.cycles(Phase::Push), 3.0);
         assert_eq!(a.flops_issued, 15.0);
         assert_eq!(a.mopa_ops, 7);
-    }
-
-    #[test]
-    fn peak_fraction_uses_useful_flops() {
-        let mut c = PerfCounters::new();
-        c.add_cycles(Phase::Compute, 100.0);
-        c.useful_flops = 3200.0;
-        c.flops_issued = 6400.0;
-        // Peak 64 flops/cycle over 100 cycles = 6400 capacity; useful 3200.
-        assert!((c.peak_fraction(64.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn peak_fraction_zero_when_idle() {
-        let c = PerfCounters::new();
-        assert_eq!(c.peak_fraction(64.0), 0.0);
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //!   between dispatches (the calling thread acts as worker 0), so a
 //!   phase dispatch costs a mutex/condvar wake instead of thread spawns.
 //! * A dispatch ([`Exec::for_each`], [`Exec::for_each_scratch`],
-//!   [`Exec::run_counted`]) hands every item index to exactly one
-//!   *claim*: worker `w` owns range `w` of
-//!   [`shard_bounds`]`(len, workers)`, the contiguous chunk
-//!   `w*chunk .. min((w+1)*chunk, len)` with `chunk = ceil(len /
-//!   workers)`. Owners are fixed by arithmetic alone, not by which
-//!   thread gets there first.
+//!   [`Exec::run_counted`]) splits its items before any thread wakes:
+//!   worker `w` owns range `w` of [`shard_bounds`]`(len, workers)`, the
+//!   contiguous chunk `w*chunk .. min((w+1)*chunk, len)` with `chunk =
+//!   ceil(len / workers)`, and receives it as a `split_at_mut` share.
+//!   Owners are fixed by arithmetic alone, not by which thread gets
+//!   there first, and the shares are disjoint by type.
 //! * A dispatch runs inline on the calling thread — same claim rule, no
 //!   wake — when only one worker could claim (one item) or the caller
 //!   declared its work ([`Exec::with_work`]) too small for a wake; the
@@ -31,22 +31,22 @@
 //! decides *who* runs an item, never *what the item computes* or *how
 //! results are combined*.
 
-// The execution layer is one of the two places in the workspace allowed
-// to use `unsafe` (the other is `partition.rs`): erasing the borrow
-// lifetime of a dispatched closure (bounded by the pool's completion
-// barrier) and handing out disjoint `&mut` slice elements through the
-// checked [`Partition`] abstraction. Every unsafe item below carries a
-// per-item `#[allow(unsafe_code)]` plus a SAFETY comment stating its
-// invariant — `mpic-lint` (rules L1/L2/L4) enforces exactly that shape.
+// The execution layer is the one place in the workspace allowed to use
+// `unsafe`, for one operation: erasing the borrow lifetime of a
+// dispatched closure, bounded by the pool's completion barrier. The
+// `&mut` item shares need none: `Exec::each` splits the slice with
+// `split_at_mut`, so the borrow checker proves them disjoint. Every
+// unsafe item below carries a per-item `#[allow(unsafe_code)]` plus a
+// SAFETY comment stating its invariant — `mpic-lint` (rules L1/L2/L4)
+// enforces exactly that shape.
 
 use std::any::Any;
 use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
 
 use crate::counters::MachineCounters;
 use crate::machine::Machine;
-use crate::partition::Partition;
 use crate::shard::shard_bounds;
-use crate::sync::{Arc, StdSync, SyncPrims};
+use crate::sync::{Arc, Mutex, StdSync, SyncPrims};
 
 /// Structured description of a dispatch that failed because a worker
 /// panicked or died.
@@ -617,47 +617,14 @@ impl<'a> Exec<'a> {
         self.pool.workers()
     }
 
-    /// The one rule that hands out work: every index in `0..len` goes to
-    /// exactly one `item(state, index)` call. Worker `w` owns range `w`
-    /// of [`shard_bounds`]`(len, crew)` — `w*chunk .. min((w+1)*chunk,
-    /// len)` with `chunk = ceil(len / crew)` — and `state` is what
-    /// `enter(w)` returned before the first index of that range: one
-    /// `enter` per worker id per dispatch, none for a worker whose range
-    /// is empty, and only ids below `min(workers(), len)`.
-    fn claim<W>(
-        &self,
-        len: usize,
-        enter: impl Fn(usize) -> W + Sync,
-        item: impl Fn(&mut W, usize) + Sync,
-    ) {
-        if len == 0 {
-            return;
-        }
-        let small = self.work.is_some_and(|units| units < INLINE_ITEM_THRESHOLD);
-        let ranges = shard_bounds(len, if small { 1 } else { self.workers() });
-        let share = |w: usize| {
-            if let Some(&(lo, hi)) = ranges.get(w) {
-                let mut state = enter(w);
-                for i in lo..hi {
-                    item(&mut state, i);
-                }
-            }
-        };
-        if small || (ranges.len() == 1 && self.workers() > 1) {
-            // Not worth a wake: the calling thread claims everything.
-            share(0);
-        } else {
-            // A 1-worker pool lands here too: `broadcast` is then an
-            // inline call that still counts the dispatch and honors an
-            // armed [`FaultPlan`].
-            self.pool.broadcast(&share);
-        }
-    }
-
-    /// [`Exec::claim`] over a slice: `f(state, index, item, scratch)`
-    /// once per item, with `scratch[w]` private to worker `w` and
-    /// `state` built by `enter` before that worker's first item.
-    #[allow(unsafe_code)] // Checked `Partition` grants; SAFETY at each site.
+    /// The one rule that hands out work: `f(state, index, item,
+    /// scratch)` once per item. Worker `w` owns range `w` of
+    /// [`shard_bounds`]`(len, crew)` — `w*chunk .. min((w+1)*chunk,
+    /// len)` with `chunk = ceil(len / crew)` — and receives that range
+    /// as its own `split_at_mut` share of `items`, paired with
+    /// `scratch[w]`. `state` is what `enter()` returned before the first
+    /// item of the share: one `enter` per non-empty range, none for an
+    /// empty one.
     fn each<T: Send, S: Send, W>(
         &self,
         items: &mut [T],
@@ -672,17 +639,43 @@ impl<'a> Exec<'a> {
             "scratch ({}) must cover every participating worker ({crew})",
             scratch.len(),
         );
-        let items = Partition::new(items);
-        let scratch = Partition::new(scratch);
-        self.claim(
-            len,
-            // SAFETY: `claim` enters each worker id at most once per
-            // dispatch, on that worker, and only ids below `crew`: slot
-            // `w` is in bounds and granted once.
-            |w| (enter(), unsafe { scratch.grant(w) }),
-            // SAFETY: `claim` hands each index to exactly one call.
-            |(state, scr), i| f(state, i, unsafe { items.grant(i) }, scr),
-        );
+        if len == 0 {
+            return;
+        }
+        let small = self.work.is_some_and(|units| units < INLINE_ITEM_THRESHOLD);
+        let ranges = shard_bounds(len, if small { 1 } else { self.workers() });
+        // A `Fn` job can only move a borrow to another thread through a
+        // lock: worker `w` takes share `w` out of slot `w` exactly once
+        // and releases the lock before its first item runs.
+        let mut rest = items;
+        let shares: Vec<_> = ranges
+            .iter()
+            .zip(scratch)
+            .map(|(&(lo, hi), scr)| {
+                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+                rest = tail;
+                Mutex::new(Some((lo, chunk, scr)))
+            })
+            .collect();
+        let share = |w: usize| {
+            let Some(slot) = shares.get(w) else { return };
+            let taken = slot.lock().expect("no item runs under a share lock").take();
+            if let Some((lo, chunk, scr)) = taken {
+                let mut state = enter();
+                for (i, item) in (lo..).zip(chunk) {
+                    f(&mut state, i, item, scr);
+                }
+            }
+        };
+        if small || (ranges.len() == 1 && self.workers() > 1) {
+            // Not worth a wake: the calling thread runs everything.
+            share(0);
+        } else {
+            // A 1-worker pool lands here too: `broadcast` is then an
+            // inline call that still counts the dispatch and honors an
+            // armed [`FaultPlan`].
+            self.pool.broadcast(&share);
+        }
     }
 
     /// Runs `f(index, &mut item)` once per item, distributed over the
@@ -728,7 +721,6 @@ impl<'a> Exec<'a> {
     ///
     /// `f` receives `(worker_machine, item_index, item, worker
     /// scratch)`; panics as [`Exec::for_each_scratch`].
-    #[allow(unsafe_code)] // Checked `Partition` grant; SAFETY at the site.
     pub fn run_counted<T: Send, S: Send>(
         &self,
         main: &Machine,
@@ -737,17 +729,14 @@ impl<'a> Exec<'a> {
         f: impl Fn(&mut Machine, usize, &mut T, &mut S) + Sync,
     ) -> Vec<MachineCounters> {
         let mut out = vec![MachineCounters::default(); items.len()];
-        let slots = Partition::new(&mut out);
+        let mut pairs: Vec<_> = items.iter_mut().zip(&mut out).collect();
         self.each(
-            items,
+            &mut pairs,
             scratch,
             || main.fork_worker(),
-            |wm, i, item, scr| {
+            |wm, i, (item, slot), scr| {
                 f(wm, i, item, scr);
-                // SAFETY: `each` runs this once per item index, so
-                // output slot `i` — in bounds, `out` is as long as
-                // `items` — is granted once.
-                *unsafe { slots.grant(i) } = wm.drain_counters();
+                **slot = wm.drain_counters();
             },
         );
         out
@@ -760,7 +749,6 @@ mod tests {
     use crate::cost::MachineConfig;
     use crate::counters::Phase;
     use crate::sync::{AtomicU64, Ordering};
-    use std::sync::Mutex;
 
     /// Bumps a per-test hit counter.
     fn bump(c: &AtomicU64) {
@@ -1110,12 +1098,23 @@ mod tests {
         }
     }
 
+    /// The worker id of the calling thread inside a dispatch: 0 for the
+    /// dispatching thread `caller`, `w` for `mpic-worker-w`.
+    fn worker_id(caller: std::thread::ThreadId) -> usize {
+        let me = std::thread::current();
+        if me.id() == caller {
+            return 0;
+        }
+        let name = me.name().expect("pool workers are named");
+        name.strip_prefix("mpic-worker-")
+            .and_then(|w| w.parse().ok())
+            .expect("a pool worker thread")
+    }
+
     /// The claim rule over its full small matrix, in closed form: slot
     /// `w` holds exactly `w*chunk .. min((w+1)*chunk, len)` with `chunk =
     /// ceil(len / min(workers, len))`, and everything is on slot 0 when
-    /// the work is declared small. Run in the debug profile,
-    /// `Partition`'s claim bitmap also panics on any index (or scratch
-    /// slot) granted twice.
+    /// the work is declared small.
     #[test]
     fn conf_exec_claim_rule_grants_every_index_exactly_once() {
         let main = Machine::new(MachineConfig::lx2());
@@ -1174,7 +1173,12 @@ mod tests {
                     // `enter` runs once on every worker whose range is
                     // not empty, and on no other.
                     let entered = Mutex::new(Vec::new());
-                    exec.claim(len, |w| entered.lock().unwrap().push(w), |_, _| {});
+                    exec.each(
+                        &mut vec![(); len],
+                        &mut scratch,
+                        || entered.lock().unwrap().push(worker_id(caller)),
+                        |_, _, _, _| {},
+                    );
                     let mut entered = entered.into_inner().unwrap();
                     entered.sort_unstable();
                     let nonempty = (0..workers).filter(|&w| !owned(w).is_empty());
@@ -1202,6 +1206,52 @@ mod tests {
         let err = expect_exec_error(|| exec.for_each(&mut [0u8; 3], |_, v| *v += 1));
         assert_eq!((err.worker, err.dispatch), (0, plan.dispatch));
         assert_eq!(one.pending_fault(), None);
+    }
+
+    /// An item handler that panics in the middle of a worker's share:
+    /// the panic reaches the caller, and the next dispatch on the same
+    /// pool, items and scratch hands every share out as if nothing had
+    /// happened.
+    #[test]
+    fn mid_chunk_panic_propagates_and_the_next_dispatch_is_whole() {
+        let pool = WorkerPool::new(4);
+        let exec = pool.exec(SchedulerPolicy::Static);
+        let caller = std::thread::current().id();
+        // 37 items over 4 workers: chunks of 10, the last one ragged.
+        let owned = |w: usize| (w * 10).min(37)..((w + 1) * 10).min(37);
+        let mut items = vec![0u32; 37];
+        let mut scratch = vec![Vec::new(); 4];
+        let visit = |i: usize, item: &mut u32, seen: &mut Vec<(usize, usize)>| {
+            *item += 1;
+            seen.push((i, worker_id(caller)));
+        };
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            exec.for_each_scratch(&mut items, &mut scratch, |i, item, seen| {
+                assert!(i != 23, "item {i} failed");
+                visit(i, item, seen);
+            });
+        }))
+        .expect_err("the item panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), "item 23 failed");
+        // Every other worker finished its share; worker 2 stopped at 23,
+        // after the items of its share before it.
+        let first = scratch.clone();
+        for (w, seen) in first.iter().enumerate() {
+            let ran = if w == 2 { 20..23 } else { owned(w) };
+            assert!(seen.iter().copied().eq(ran.map(|i| (i, w))), "slot {w}");
+        }
+        exec.for_each_scratch(&mut items, &mut scratch, visit);
+        for (w, seen) in scratch.iter().enumerate() {
+            let fresh = &seen[first[w].len()..];
+            assert!(
+                fresh.iter().copied().eq(owned(w).map(|i| (i, w))),
+                "slot {w}"
+            );
+        }
+        for (i, &hits) in items.iter().enumerate() {
+            let expected = if (23..30).contains(&i) { 1 } else { 2 };
+            assert_eq!(hits, expected, "item {i}");
+        }
     }
 
     #[test]

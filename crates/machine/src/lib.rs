@@ -40,9 +40,9 @@
 //! assert!(m.counters().cycles(Phase::Compute) > 0.0);
 //! ```
 
-// Unsafe sites (the exec layer's lifetime-erased job pointer and the
-// checked Partition grants) must wrap each unsafe operation explicitly
-// even inside `unsafe fn`, so every site carries its own SAFETY comment.
+// Unsafe sites (the exec layer's lifetime-erased job pointer) must wrap
+// each unsafe operation explicitly even inside `unsafe fn`, so every
+// site carries its own SAFETY comment.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod cache;
@@ -53,7 +53,6 @@ pub mod gpu;
 pub mod lines;
 pub mod machine;
 pub mod mem;
-pub mod partition;
 pub mod shard;
 pub mod sync;
 pub mod vect;
@@ -67,7 +66,6 @@ pub use gpu::{GpuConfig, GpuDepositionReport, GpuModel};
 pub use lines::{LineCarry, TensorBlock};
 pub use machine::{Machine, Meter, Pricing, TileId};
 pub use mem::{MemSystem, VAddr};
-pub use partition::Partition;
 pub use shard::shard_bounds;
 pub use sync::{StdSync, SyncPrims};
 pub use vect::Lanes;

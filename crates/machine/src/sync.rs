@@ -19,9 +19,8 @@
 //!
 //! The split is enforced, not aspirational: `mpic-lint` rule **L7**
 //! denies raw `std` sync-primitive names outside this file (plus the
-//! audited `partition.rs` claim bitmap and the checker's own scheduler),
-//! so all future concurrency in the workspace flows through a layer the
-//! model checker can see.
+//! checker's own scheduler), so all future concurrency in the workspace
+//! flows through a layer the model checker can see.
 
 use std::ops::DerefMut;
 
@@ -31,6 +30,11 @@ use std::ops::DerefMut;
 // atomic users to (today the exec tests' hit counters).
 pub use std::sync::atomic::{AtomicU64, Ordering};
 pub use std::sync::Arc;
+// The share lock `Exec` hands a worker its slice chunk through is
+// re-exported, not modelled: each lock is taken exactly once, by the
+// worker that owns it, so there is no interleaving for the checker to
+// explore. It stays outside the pool protocol `SyncPrims` describes.
+pub use std::sync::Mutex;
 
 /// The set of synchronization primitives the pool protocol consumes.
 ///
