@@ -8,7 +8,10 @@ use mpic_core::workloads;
 use mpic_deposit::common::stencil_block;
 use mpic_deposit::{ExecMode, KernelConfig, Rhocell, ShapeOrder};
 use mpic_grid::{FieldArrays, GridGeometry, Tile, TileLayout};
-use mpic_machine::{LineCarry, Machine, MachineConfig, Phase, Pricing, TensorBlock, VAddr};
+use mpic_machine::{
+    LineCarry, Machine, MachineConfig, Phase, Pricing, SchedulerPolicy, TensorBlock, VAddr,
+    WorkerPool,
+};
 use mpic_particles::{Gpma, PendingMove};
 use mpic_push::gather::{charge_gather_run, GatherCost};
 use mpic_push::{BorisCoeffs, PushCtx, PushScratch};
@@ -17,6 +20,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn bench_deposition_kernels(c: &mut Criterion) {
+    let pool = WorkerPool::sequential();
+    let exec = pool.exec(SchedulerPolicy::Static);
     let mut group = c.benchmark_group("deposit_cic_ppc8");
     group.sample_size(10);
     for kernel in [
@@ -43,8 +48,15 @@ fn bench_deposition_kernels(c: &mut Criterion) {
                 dep.prepare(&mut m, &geom, &layout, &mut container);
                 let mut fields = FieldArrays::new(&geom);
                 b.iter(|| {
-                    dep.sort_step(&mut m, &geom, &layout, &mut container, false);
-                    dep.deposit_step(&mut m, &geom, &layout, &container, &mut fields);
+                    dep.sort_step_parallel(&mut m, &geom, &layout, &mut container, false, exec);
+                    dep.deposit_step_parallel(
+                        &mut m,
+                        &geom,
+                        &layout,
+                        &container,
+                        &mut fields,
+                        exec,
+                    );
                     std::hint::black_box(fields.jx.sum())
                 });
             },
@@ -166,6 +178,8 @@ fn bench_qsp_streamed_layers(c: &mut Criterion) {
         sim.step();
     }
     let (geom, layout) = (&sim.geom, &sim.layout);
+    let pool = WorkerPool::sequential();
+    let exec = pool.exec(SchedulerPolicy::Static);
 
     c.bench_function("deposit_qsp_fullopt_streamed", |b| {
         let mut m = Machine::new(MachineConfig::lx2());
@@ -176,8 +190,8 @@ fn bench_qsp_streamed_layers(c: &mut Criterion) {
         dep.set_simd(true);
         let mut fields = sim.fields.clone();
         b.iter(|| {
-            dep.sort_step(&mut m, geom, layout, &mut electrons, false);
-            dep.deposit_step(&mut m, geom, layout, &electrons, &mut fields);
+            dep.sort_step_parallel(&mut m, geom, layout, &mut electrons, false, exec);
+            dep.deposit_step_parallel(&mut m, geom, layout, &electrons, &mut fields, exec);
             std::hint::black_box(fields.jx.sum())
         });
     });
@@ -193,16 +207,16 @@ fn bench_qsp_streamed_layers(c: &mut Criterion) {
             boris: BorisCoeffs::new(sim.electrons.charge, sim.electrons.mass, sim.dt()),
             absorb_z: None,
         };
-        let mut scratch = PushScratch::default();
+        let mut scratch = [PushScratch::default()];
         // Every iteration pushes the same sorted state: a pushed tile's
         // particles have left their cells, so the next sweep over it
         // would see shorter runs.
         b.iter_batched(
             || sim.electrons.tiles.clone(),
             |mut tiles| {
-                for tile in &mut tiles {
-                    ctx.push_tile(&mut m, ExecMode::Runs, tile, &mut scratch);
-                }
+                exec.run_counted(&mut m, &mut tiles, &mut scratch, |wm, _, tile, scr| {
+                    ctx.push_tile(wm, ExecMode::Runs, tile, scr)
+                });
                 tiles
             },
             BatchSize::LargeInput,
@@ -221,6 +235,8 @@ fn bench_walked_layers(c: &mut Criterion) {
         workloads::uniform_plasma_sim([16, 16, 16], 8, ShapeOrder::Cic, KernelConfig::Baseline, 42);
     workloads::shuffle_particles(&mut sim.electrons, &sim.geom, &sim.layout, 42);
     let (geom, layout) = (&sim.geom, &sim.layout);
+    let pool = WorkerPool::sequential();
+    let exec = pool.exec(SchedulerPolicy::Static);
 
     c.bench_function("walk_per_particle_uniform_ref", |b| {
         let mut m = Machine::new(MachineConfig::lx2());
@@ -237,14 +253,14 @@ fn bench_walked_layers(c: &mut Criterion) {
             boris: BorisCoeffs::new(electrons.charge, electrons.mass, sim.dt()),
             absorb_z: None,
         };
-        let mut scratch = PushScratch::default();
+        let mut scratch = [PushScratch::default()];
         b.iter_batched(
             || electrons.tiles.clone(),
             |mut tiles| {
-                dep.deposit_step(&mut m, geom, layout, &electrons, &mut fields);
-                for tile in &mut tiles {
-                    ctx.push_tile(&mut m, ExecMode::PerParticle, tile, &mut scratch);
-                }
+                dep.deposit_step_parallel(&mut m, geom, layout, &electrons, &mut fields, exec);
+                exec.run_counted(&mut m, &mut tiles, &mut scratch, |wm, _, tile, scr| {
+                    ctx.push_tile(wm, ExecMode::PerParticle, tile, scr)
+                });
                 tiles
             },
             BatchSize::LargeInput,
@@ -413,20 +429,22 @@ fn lwfa_grid() -> (GridGeometry, FieldArrays) {
 /// the CKC leapfrog with its three guard exchanges, one guard exchange
 /// alone, and one tile's rhocell -> grid reduction.
 fn bench_grid_passes(c: &mut Criterion) {
+    let pool = WorkerPool::sequential();
+    let exec = pool.exec(SchedulerPolicy::Static);
     c.bench_function("maxwell_step_ckc_32x32x128", |b| {
         let (geom, mut fields) = lwfa_grid();
         let solver = MaxwellSolver::new(SolverKind::Ckc, &geom);
         let dt = 0.5 * solver.max_dt(&geom);
         let mut m = Machine::new(MachineConfig::lx2());
         b.iter(|| {
-            solver.step(&mut m, &geom, &mut fields, dt);
+            solver.step_sharded(&mut m, &geom, &mut fields, dt, exec);
             std::hint::black_box(fields.ex.get(2, 2, 2))
         });
     });
     c.bench_function("fill_guards_32x32x128", |b| {
         let (_, mut fields) = lwfa_grid();
         b.iter(|| {
-            fields.fill_guards_periodic();
+            fields.fill_guards_periodic_exec(exec);
             std::hint::black_box(fields.bz.get(0, 0, 0))
         });
     });

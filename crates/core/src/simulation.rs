@@ -303,10 +303,10 @@ impl Simulation {
     /// independent: each worker mutates only its own tiles and reads the
     /// shared immutable field state).
     ///
-    /// Each tile is charged on a forked worker machine with a per-tile
-    /// cold private cache, and counter deltas merge back in tile order —
-    /// so positions, momenta and emulated cycles are bit-identical for
-    /// any worker count.
+    /// [`mpic_machine::Exec::run_counted`] charges each tile on a forked
+    /// worker machine with a cold private cache and merges the counters
+    /// back in tile order — so positions, momenta and emulated cycles
+    /// are bit-identical for any worker count.
     ///
     /// The depositor's execution mode selects the tile sweep
     /// ([`PushCtx::push_tile`]): the GPMA bins are position-accurate at
@@ -327,16 +327,12 @@ impl Simulation {
             boris: self.boris,
             absorb_z: absorbing.then(|| [self.geom.lo[2], self.geom.hi()[2]]),
         };
-        let counters = self.pool.exec(SchedulerPolicy::Static).run_counted(
-            &self.machine,
+        self.pool.exec(SchedulerPolicy::Static).run_counted(
+            &mut self.machine,
             &mut self.electrons.tiles,
             &mut self.push_scratch,
             |wm, _t, tile, scratch| ctx.push_tile(wm, mode, tile, scratch),
         );
-        // Deterministic fixed-order counter merge (tile order).
-        for c in &counters {
-            self.machine.absorb_counters(c);
-        }
     }
 
     /// Shifts the moving window when it has advanced one cell: the

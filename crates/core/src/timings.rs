@@ -49,7 +49,11 @@ impl StepTimings {
 pub struct RunReport {
     /// Every step's timings, in order.
     pub steps: Vec<StepTimings>,
-    /// Total useful FLOPs credited over the run.
+    /// Never credited: `Simulation::step` credits the canonical useful
+    /// FLOPs to [`PerfCounters::useful_flops`] instead, so this stays
+    /// 0.0 unless a snapshot restores another value (the REPORT section
+    /// stores it). It is kept because callers outside the workspace
+    /// construct `RunReport` literals.
     pub useful_flops: f64,
 }
 

@@ -6,12 +6,12 @@
 //! ([`rhocell_vec::deposit_tile`], [`matrix::deposit_tile`]) write the
 //! tile's [`Rhocell`], which the driver then reduces. It owns the sorting
 //! strategy, the address map and the orchestration of Algorithm 1's
-//! phases, charging each to its [`Phase`] bucket.
+//! phases, charging each to its [`Phase`] bucket. The tile phases run
+//! through [`Exec::run_counted`], which gives every tile a cold worker
+//! cache and merges the tile charges in tile order.
 
 use mpic_grid::{FieldArrays, GridGeometry, Tile, TileLayout};
-use mpic_machine::{
-    Exec, Machine, Meter, Phase, Pricing, SchedulerPolicy, VAddr, WorkerPool, VLANES,
-};
+use mpic_machine::{Exec, Machine, Meter, Phase, Pricing, VAddr, VLANES};
 use mpic_particles::{MoveStats, ParticleContainer, SortStats};
 
 use crate::common::{stage_tile, AddrMap, PrepStyle, Staging, TileCurrents, TileScratch};
@@ -240,33 +240,13 @@ impl Depositor {
 
     /// Runs the sorting phase for this step, returning the work report.
     /// `force_global` lets the caller's policy escalate to a global sort.
-    /// Single-worker convenience wrapper around
-    /// [`Depositor::sort_step_parallel`].
-    pub fn sort_step(
-        &mut self,
-        m: &mut Machine,
-        geom: &GridGeometry,
-        layout: &TileLayout,
-        container: &mut ParticleContainer,
-        force_global: bool,
-    ) -> StepSortReport {
-        let pool = WorkerPool::sequential();
-        self.sort_step_parallel(
-            m,
-            geom,
-            layout,
-            container,
-            force_global,
-            pool.exec(SchedulerPolicy::Static),
-        )
-    }
-
-    /// [`Depositor::sort_step`] with any global counting sort sharded
-    /// across the persistent worker pool. The particle order, the
-    /// [`StepSortReport`] and the emulated [`Phase::Sort`] charge are
-    /// identical for every worker count: the sharded sort reproduces the
-    /// sequential permutation exactly and the cost model is driven by the
-    /// workload-shaped [`SortStats`], not by host threading.
+    ///
+    /// Any global counting sort is sharded across the worker pool. The
+    /// particle order, the [`StepSortReport`] and the emulated
+    /// [`Phase::Sort`] charge are identical for every worker count: the
+    /// sharded sort reproduces the sequential permutation exactly and
+    /// the cost model is driven by the workload-shaped [`SortStats`], not
+    /// by host threading.
     pub fn sort_step_parallel(
         &mut self,
         m: &mut Machine,
@@ -334,39 +314,16 @@ impl Depositor {
     }
 
     /// Runs staging, the kernel and (if applicable) the rhocell reduction
-    /// for every tile, writing current onto `fields`. Single-worker
-    /// convenience wrapper around [`Depositor::deposit_step_parallel`].
-    pub fn deposit_step(
-        &mut self,
-        m: &mut Machine,
-        geom: &GridGeometry,
-        layout: &TileLayout,
-        container: &ParticleContainer,
-        fields: &mut FieldArrays,
-    ) {
-        let pool = WorkerPool::sequential();
-        self.deposit_step_parallel(
-            m,
-            geom,
-            layout,
-            container,
-            fields,
-            pool.exec(SchedulerPolicy::Static),
-        );
-    }
-
-    /// The parallel tile pipeline: shards tiles across the persistent
-    /// worker pool for staging, the kernel sweep and the reduction
-    /// *cost* charging, then applies every tile's output onto the grid
-    /// sequentially in tile order.
+    /// for every tile, writing current onto `fields`.
     ///
-    /// Each tile executes on a forked worker machine whose cache is
-    /// flushed at the tile boundary — the model of one tile per core with
-    /// a private, initially cold cache — and its counter deltas are
-    /// drained per tile and merged back in tile order. Both the grid
-    /// currents and the emulated per-phase cycle totals are therefore
-    /// bit-identical for any worker count (see
-    /// `tests/parallel_determinism.rs`).
+    /// Tiles are sharded across the worker pool for staging, the kernel
+    /// sweep and the reduction *cost* charging; every tile's output is
+    /// then applied onto the grid sequentially in tile order.
+    /// [`Exec::run_counted`] charges each tile on a forked worker machine
+    /// with a cold private cache — the model of one tile per core — and
+    /// merges the counters back in tile order. Both the grid currents and
+    /// the emulated per-phase cycle totals are therefore bit-identical for
+    /// any worker count (see `tests/parallel_determinism.rs`).
     ///
     /// The rhocell and MPU kernels accumulate into the tile's private
     /// rhocell; the direct scatter accumulates into the worker's private
@@ -403,7 +360,7 @@ impl Depositor {
             j_addr: [addrs.jx, addrs.jy, addrs.jz],
         };
         let family = self.config.family();
-        let counters = match family {
+        match family {
             KernelFamily::Scatter => {
                 if self.tile_currents.len() < n_tiles {
                     self.tile_currents
@@ -432,12 +389,9 @@ impl Depositor {
                 &mut self.scratch,
                 |wm, t, rho, scratch| step.rhocell_tile(wm, t, rho, scratch, matrix::deposit_tile),
             ),
-        };
-        // Fixed-order merges: tile-order counter absorption, then
-        // tile-order grid application — both independent of sharding.
-        for c in &counters {
-            m.absorb_counters(c);
         }
+        // Fixed-order merge: tile-order grid application, independent of
+        // sharding.
         if family == KernelFamily::Scatter {
             for tj in &self.tile_currents[..n_tiles] {
                 tj.apply_to_grid(&mut fields.jx, &mut fields.jy, &mut fields.jz);
@@ -475,16 +429,15 @@ struct StepCtx<'a> {
 }
 
 impl<'a> StepCtx<'a> {
-    /// The head both tile workers share: per-tile cold cache, the
-    /// iteration order, the charged preprocessing sweep into the
-    /// worker's pooled staging buffers, and the kernel's context. `None`
-    /// for an empty tile, which charges nothing.
+    /// The head both tile workers share: the iteration order, the
+    /// charged preprocessing sweep into the worker's pooled staging
+    /// buffers, and the kernel's context. `None` for an empty tile,
+    /// which charges nothing.
     fn stage(&self, wm: &mut Machine, t: usize, scratch: &mut TileScratch) -> Option<TileCtx<'a>> {
         let ptile = &self.container.tiles[t];
         if ptile.is_empty() {
             return None;
         }
-        wm.mem().flush_cache();
         let tile = self.layout.tile(t);
         scratch.iteration.clear();
         if self.sorted {

@@ -8,7 +8,7 @@
 
 use mpic_deposit::{reference_deposit, KernelConfig, ShapeOrder};
 use mpic_grid::{FieldArrays, GridGeometry, TileLayout};
-use mpic_machine::{Machine, MachineConfig};
+use mpic_machine::{Machine, MachineConfig, SchedulerPolicy, WorkerPool};
 use mpic_particles::{Departure, ParticleContainer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,12 +56,14 @@ fn check_config(cfg: KernelConfig, order: ShapeOrder, n_particles: usize) {
     let mut container = random_container(&geom, &layout, n_particles, 42);
     let (rjx, rjy, rjz) = reference_deposit(&geom, order, &container);
 
+    let pool = WorkerPool::sequential();
+    let exec = pool.exec(SchedulerPolicy::Static);
     let mut m = Machine::new(MachineConfig::lx2());
     let mut fields = FieldArrays::new(&geom);
     let mut dep = cfg.build(order);
     dep.prepare(&mut m, &geom, &layout, &mut container);
-    dep.sort_step(&mut m, &geom, &layout, &mut container, false);
-    dep.deposit_step(&mut m, &geom, &layout, &container, &mut fields);
+    dep.sort_step_parallel(&mut m, &geom, &layout, &mut container, false, exec);
+    dep.deposit_step_parallel(&mut m, &geom, &layout, &container, &mut fields, exec);
 
     for (name, got, want) in [
         ("jx", &fields.jx, &rjx),
@@ -100,6 +102,8 @@ fn run_both_paths(
         let container = random_container(&geom, &layout, n_particles, 42);
         reference_deposit(&geom, order, &container)
     };
+    let pool = WorkerPool::sequential();
+    let exec = pool.exec(SchedulerPolicy::Static);
     let mut out: Vec<FieldArrays> = Vec::new();
     let mut cycles = [0.0; 2];
     for (slot, batching) in [false, true].into_iter().enumerate() {
@@ -111,8 +115,8 @@ fn run_both_paths(
         dep.set_simd(batching);
         assert_eq!(dep.batching(), batching);
         dep.prepare(&mut m, &geom, &layout, &mut container);
-        dep.sort_step(&mut m, &geom, &layout, &mut container, false);
-        dep.deposit_step(&mut m, &geom, &layout, &container, &mut fields);
+        dep.sort_step_parallel(&mut m, &geom, &layout, &mut container, false, exec);
+        dep.deposit_step_parallel(&mut m, &geom, &layout, &container, &mut fields, exec);
         for (name, got, want) in [
             ("jx", &fields.jx, &reference.0),
             ("jy", &fields.jy, &reference.1),
@@ -305,12 +309,14 @@ fn fullopt_dense_single_cell_odd_count() {
         );
     }
     let (rjx, _, _) = reference_deposit(&geom, ShapeOrder::Cic, &container);
+    let pool = WorkerPool::sequential();
+    let exec = pool.exec(SchedulerPolicy::Static);
     let mut m = Machine::new(MachineConfig::lx2());
     let mut fields = FieldArrays::new(&geom);
     let mut dep = KernelConfig::FullOpt.build(ShapeOrder::Cic);
     dep.prepare(&mut m, &geom, &layout, &mut container);
-    dep.sort_step(&mut m, &geom, &layout, &mut container, false);
-    dep.deposit_step(&mut m, &geom, &layout, &container, &mut fields);
+    dep.sort_step_parallel(&mut m, &geom, &layout, &mut container, false, exec);
+    dep.deposit_step_parallel(&mut m, &geom, &layout, &container, &mut fields, exec);
     assert!(max_rel_err(&fields.jx, &rjx) < 1e-12);
 }
 
@@ -321,6 +327,8 @@ fn fullopt_stays_correct_across_moving_steps() {
     let geom = GridGeometry::new([8, 8, 8], [0.0; 3], [0.5e-6; 3], 2);
     let layout = TileLayout::new(&geom, [4, 4, 4]);
     let mut container = random_container(&geom, &layout, 300, 99);
+    let pool = WorkerPool::sequential();
+    let exec = pool.exec(SchedulerPolicy::Static);
     let mut m = Machine::new(MachineConfig::lx2());
     let mut fields = FieldArrays::new(&geom);
     let mut dep = KernelConfig::FullOpt.build(ShapeOrder::Cic);
@@ -342,9 +350,9 @@ fn fullopt_stays_correct_across_moving_steps() {
                 tile.soa.z[p] = pos[2];
             }
         }
-        dep.sort_step(&mut m, &geom, &layout, &mut container, step % 3 == 2);
+        dep.sort_step_parallel(&mut m, &geom, &layout, &mut container, step % 3 == 2, exec);
         container.check_invariants();
-        dep.deposit_step(&mut m, &geom, &layout, &container, &mut fields);
+        dep.deposit_step_parallel(&mut m, &geom, &layout, &container, &mut fields, exec);
         let (rjx, rjy, rjz) = reference_deposit(&geom, ShapeOrder::Cic, &container);
         assert!(max_rel_err(&fields.jx, &rjx) < 1e-12, "step {step} jx");
         assert!(max_rel_err(&fields.jy, &rjy) < 1e-12, "step {step} jy");
@@ -362,6 +370,8 @@ fn sorting_reduces_baseline_compute_cycles() {
     // PPC = 8 is its stated break-even point).
     let geom = GridGeometry::new([32, 32, 32], [0.0; 3], [0.5e-6; 3], 2);
     let layout = TileLayout::new(&geom, [8, 8, 8]);
+    let pool = WorkerPool::sequential();
+    let exec = pool.exec(SchedulerPolicy::Static);
     let mut cycles = Vec::new();
     for cfg in [KernelConfig::Baseline, KernelConfig::BaselineIncrSort] {
         let mut container = random_container(&geom, &layout, 8 * 32 * 32 * 32, 11);
@@ -369,8 +379,8 @@ fn sorting_reduces_baseline_compute_cycles() {
         let mut fields = FieldArrays::new(&geom);
         let mut dep = cfg.build(ShapeOrder::Cic);
         dep.prepare(&mut m, &geom, &layout, &mut container);
-        dep.sort_step(&mut m, &geom, &layout, &mut container, false);
-        dep.deposit_step(&mut m, &geom, &layout, &container, &mut fields);
+        dep.sort_step_parallel(&mut m, &geom, &layout, &mut container, false, exec);
+        dep.deposit_step_parallel(&mut m, &geom, &layout, &container, &mut fields, exec);
         cycles.push(m.counters().cycles(mpic_machine::Phase::Compute));
     }
     assert!(

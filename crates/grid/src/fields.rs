@@ -12,29 +12,6 @@ use crate::array3::Array3;
 use crate::geometry::GridGeometry;
 use mpic_machine::Exec;
 
-/// Identifies one of the nine field arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FieldComponent {
-    /// Electric field x.
-    Ex,
-    /// Electric field y.
-    Ey,
-    /// Electric field z.
-    Ez,
-    /// Magnetic field x.
-    Bx,
-    /// Magnetic field y.
-    By,
-    /// Magnetic field z.
-    Bz,
-    /// Current density x.
-    Jx,
-    /// Current density y.
-    Jy,
-    /// Current density z.
-    Jz,
-}
-
 /// The full field state on one patch.
 #[derive(Debug, Clone)]
 pub struct FieldArrays {
@@ -85,36 +62,6 @@ impl FieldArrays {
         self.guard
     }
 
-    /// Immutable access by component id.
-    pub fn get(&self, c: FieldComponent) -> &Array3 {
-        match c {
-            FieldComponent::Ex => &self.ex,
-            FieldComponent::Ey => &self.ey,
-            FieldComponent::Ez => &self.ez,
-            FieldComponent::Bx => &self.bx,
-            FieldComponent::By => &self.by,
-            FieldComponent::Bz => &self.bz,
-            FieldComponent::Jx => &self.jx,
-            FieldComponent::Jy => &self.jy,
-            FieldComponent::Jz => &self.jz,
-        }
-    }
-
-    /// Mutable access by component id.
-    pub fn get_mut(&mut self, c: FieldComponent) -> &mut Array3 {
-        match c {
-            FieldComponent::Ex => &mut self.ex,
-            FieldComponent::Ey => &mut self.ey,
-            FieldComponent::Ez => &mut self.ez,
-            FieldComponent::Bx => &mut self.bx,
-            FieldComponent::By => &mut self.by,
-            FieldComponent::Bz => &mut self.bz,
-            FieldComponent::Jx => &mut self.jx,
-            FieldComponent::Jy => &mut self.jy,
-            FieldComponent::Jz => &mut self.jz,
-        }
-    }
-
     /// Zeroes the current arrays (start of every deposition).
     pub fn clear_currents(&mut self) {
         self.jx.fill(0.0);
@@ -129,20 +76,11 @@ impl FieldArrays {
     /// whole-line copies per component: the x guards of each interior
     /// row, then the y guard rows of each interior plane, then the z
     /// guard planes (`fill_component`). The interior is never scanned.
-    pub fn fill_guards_periodic(&mut self) {
-        let (g, n) = (self.guard, self.n_cells);
-        for arr in self.eb_components_mut() {
-            fill_component(arr, g, n);
-        }
-    }
-
-    /// [`FieldArrays::fill_guards_periodic`] with the six components
-    /// sharded across the persistent worker pool.
     ///
-    /// Bit-identical to the sequential fill for any worker count: a
-    /// component's fill touches only that component's array. The
-    /// declared work is the guard cells written, so the exec layer runs
-    /// small shells inline.
+    /// The six components are sharded across the worker pool, and the
+    /// fill is bit-identical for any worker count: a component's fill
+    /// touches only that component's array. The declared work is the
+    /// guard cells written, so the exec layer runs small shells inline.
     pub fn fill_guards_periodic_exec(&mut self, exec: Exec<'_>) {
         let (g, n) = (self.guard, self.n_cells);
         let shell = self.ex.len() - n[0] * n[1] * n[2];
@@ -188,27 +126,11 @@ impl FieldArrays {
         0.5 * crate::constants::EPS0 * e2 * vol + 0.5 / crate::constants::MU0 * b2 * vol
     }
 
-    /// Shifts all field arrays one plane towards -z (moving window).
-    pub fn shift_window_z(&mut self) {
-        for c in [
-            FieldComponent::Ex,
-            FieldComponent::Ey,
-            FieldComponent::Ez,
-            FieldComponent::Bx,
-            FieldComponent::By,
-            FieldComponent::Bz,
-            FieldComponent::Jx,
-            FieldComponent::Jy,
-            FieldComponent::Jz,
-        ] {
-            self.get_mut(c).shift_down_z();
-        }
-    }
-
-    /// [`FieldArrays::shift_window_z`] with the nine independent
-    /// component shifts sharded across the persistent worker pool.
-    /// Trivially bit-identical: each array's shift touches only that
-    /// array.
+    /// Shifts all nine field arrays one plane towards -z (moving window).
+    ///
+    /// The nine component shifts are sharded across the worker pool.
+    /// Trivially bit-identical for any worker count: each array's shift
+    /// touches only that array.
     pub fn shift_window_z_exec(&mut self, exec: Exec<'_>) {
         let mut comps: [&mut Array3; 9] = [
             &mut self.ex,
@@ -279,6 +201,7 @@ fn extend_periodic(line: &mut [f64], unit: usize, g: usize, n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpic_machine::{SchedulerPolicy, WorkerPool};
 
     fn geom() -> GridGeometry {
         GridGeometry::new([4, 4, 4], [0.0; 3], [1.0; 3], 2)
@@ -293,9 +216,11 @@ mod tests {
     #[test]
     fn fill_guards_mirrors_interior() {
         let g = geom();
+        let pool = WorkerPool::sequential();
+        let exec = pool.exec(SchedulerPolicy::Static);
         let mut f = FieldArrays::new(&g);
         f.ex.set(2, 2, 2, 7.0); // Interior cell (0,0,0).
-        f.fill_guards_periodic();
+        f.fill_guards_periodic_exec(exec);
         // Guard cell at (6, 2, 2) wraps to interior (2,2,2)? 6-2=4 -> wraps
         // to 0 -> interior index 2. Yes.
         assert_eq!(f.ex.get(6, 2, 2), 7.0);
@@ -351,10 +276,9 @@ mod tests {
 
     /// The row/plane copies leave every guard cell equal to its wrapped
     /// interior cell, as a cell-by-cell `rem_euclid` fill does — for
-    /// guards wider than the interior too — sequentially and sharded.
+    /// guards wider than the interior too — on 1 worker and sharded.
     #[test]
     fn conf_guard_fill_rows_match_cell_wrap() {
-        use mpic_machine::{SchedulerPolicy, WorkerPool};
         let shapes = [
             ([1, 1, 1], 2),
             ([1, 3, 2], 2),
@@ -371,9 +295,6 @@ mod tests {
             randomise(&mut base, 0x9e37_79b9 + case as u64);
             let mut want = base.clone();
             fill_cell_by_cell(&mut want, wrap_modulo);
-            let mut got = base.clone();
-            got.fill_guards_periodic();
-            assert!(eb_equal(&got, &want), "n {n:?} g {g}: sequential fill");
             for workers in [1usize, 3] {
                 let pool = WorkerPool::new(workers);
                 let mut got = base.clone();
@@ -454,9 +375,11 @@ mod tests {
     #[test]
     fn window_shift_moves_all_components() {
         let g = geom();
+        let pool = WorkerPool::sequential();
+        let exec = pool.exec(SchedulerPolicy::Static);
         let mut f = FieldArrays::new(&g);
         f.bz.set(0, 0, 1, 9.0);
-        f.shift_window_z();
+        f.shift_window_z_exec(exec);
         assert_eq!(f.bz.get(0, 0, 0), 9.0);
         assert_eq!(f.bz.get(0, 0, 1), 0.0);
     }

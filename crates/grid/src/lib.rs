@@ -27,6 +27,6 @@ pub mod geometry;
 pub mod tile;
 
 pub use array3::Array3;
-pub use fields::{FieldArrays, FieldComponent};
+pub use fields::FieldArrays;
 pub use geometry::GridGeometry;
 pub use tile::{Tile, TileLayout};

@@ -23,13 +23,15 @@
 //! # Determinism
 //!
 //! Results are bit-identical across worker counts by construction, not
-//! by scheduling luck: per-item work is a pure function of the item
-//! (each worker charges a private [`Machine::fork_worker`] fork whose
-//! cache the item handler flushes at the item boundary), per-item outputs
-//! land in per-item slots, and the caller applies/merges them **in global
-//! item order** no matter which worker executed what. The claim rule only
-//! decides *who* runs an item, never *what the item computes* or *how
-//! results are combined*.
+//! by scheduling luck: per-item work is a pure function of the item,
+//! per-item outputs land in per-item slots, and they are applied/merged
+//! **in global item order** no matter which worker executed what. For
+//! emulated cost, [`Exec::run_counted`] holds this contract itself: it
+//! charges each item on a private [`Machine::fork_worker`] fork whose
+//! cache it flushes before the item, and merges the per-item counters
+//! into the main machine in item order. The claim rule only decides
+//! *who* runs an item, never *what the item computes* or *how results
+//! are combined*.
 
 // The execution layer is the one place in the workspace allowed to use
 // `unsafe`, for one operation: erasing the borrow lifetime of a
@@ -308,7 +310,7 @@ impl<S: SyncPrims> PoolCore<S> {
     }
 
     /// A single-worker pool: no threads, every dispatch runs inline on
-    /// the calling thread. Used by the sequential convenience wrappers.
+    /// the calling thread.
     pub fn sequential() -> Self {
         Self::new(1)
     }
@@ -705,41 +707,43 @@ impl<'a> Exec<'a> {
         self.each(items, scratch, || (), |_, i, item, scr| f(i, item, scr));
     }
 
-    /// Runs `f` once per item on a forked worker [`Machine`] and returns
-    /// the per-item [`MachineCounters`] deltas **indexed by item** — the
-    /// cost-charged variant of [`Exec::for_each_scratch`] used by the
-    /// emulated pipeline phases.
+    /// Runs `f` once per item on a forked worker [`Machine`] and charges
+    /// the work to `main` — the cost-charged variant of
+    /// [`Exec::for_each_scratch`] used by the emulated pipeline phases.
     ///
-    /// Each worker forks `main` before its first item
-    /// ([`Machine::fork_worker`]: private counters, flushed cache) and
-    /// drains the fork after every item, so each delta is a pure
-    /// function of the item provided `f` flushes the worker cache at the
-    /// item boundary (`wm.mem().flush_cache()`). Because deltas land in
-    /// per-item slots, the caller's absorb loop sums them in item order
-    /// regardless of worker count — cycle totals and any
-    /// caller-side fixed-order value reduction stay bit-identical.
+    /// Each item runs on a private, cold cache: every worker forks
+    /// `main` before its first item ([`Machine::fork_worker`]), flushes
+    /// the fork's cache before every item and drains its counters after
+    /// every item, so each item's charges are a function of the item
+    /// alone. The drained deltas are merged into `main` in item order
+    /// once the dispatch returns, so `main`'s totals are bit-identical
+    /// for any worker count. `main` itself is only read (forked) while
+    /// the items run.
     ///
     /// `f` receives `(worker_machine, item_index, item, worker
     /// scratch)`; panics as [`Exec::for_each_scratch`].
     pub fn run_counted<T: Send, S: Send>(
         &self,
-        main: &Machine,
+        main: &mut Machine,
         items: &mut [T],
         scratch: &mut [S],
         f: impl Fn(&mut Machine, usize, &mut T, &mut S) + Sync,
-    ) -> Vec<MachineCounters> {
-        let mut out = vec![MachineCounters::default(); items.len()];
-        let mut pairs: Vec<_> = items.iter_mut().zip(&mut out).collect();
+    ) {
+        let mut deltas = vec![MachineCounters::default(); items.len()];
+        let mut pairs: Vec<_> = items.iter_mut().zip(&mut deltas).collect();
         self.each(
             &mut pairs,
             scratch,
             || main.fork_worker(),
-            |wm, i, (item, slot), scr| {
+            |wm, i, (item, delta), scr| {
+                wm.mem().flush_cache();
                 f(wm, i, item, scr);
-                **slot = wm.drain_counters();
+                **delta = wm.drain_counters();
             },
         );
-        out
+        for delta in &deltas {
+            main.absorb_counters(delta);
+        }
     }
 }
 
@@ -764,88 +768,120 @@ mod tests {
     }
 
     fn charge_item(wm: &mut Machine, t: usize, item: &mut f64, scratch: &mut Vec<u64>) {
-        wm.mem().flush_cache();
         scratch.push(t as u64);
         // Cost depends only on the item: deterministic per tile.
         wm.in_phase(Phase::Compute, |k| k.s_ops(t + 1));
         *item = t as f64;
     }
 
+    /// The bits of `main`'s merged `Compute` cycles.
+    fn compute_bits(main: &Machine) -> u64 {
+        main.counters().cycles(Phase::Compute).to_bits()
+    }
+
     #[test]
     fn counters_indexed_by_item_for_any_worker_count_and_policy() {
-        let main = Machine::new(MachineConfig::lx2());
-        let mut totals: Vec<Vec<f64>> = Vec::new();
+        let mut totals = Vec::new();
         for &w in &[1usize, 3, 5, 11] {
+            let mut main = Machine::new(MachineConfig::lx2());
             let pool = WorkerPool::new(w);
             let mut items = vec![0.0; 11];
             let mut scratch = vec![Vec::new(); w];
-            let counters = pool.exec(SchedulerPolicy::Static).run_counted(
-                &main,
+            pool.exec(SchedulerPolicy::Static).run_counted(
+                &mut main,
                 &mut items,
                 &mut scratch,
                 charge_item,
             );
-            assert_eq!(counters.len(), 11);
             assert!(items.iter().enumerate().all(|(t, &v)| v == t as f64));
-            totals.push(
-                counters
-                    .iter()
-                    .map(|c| c.perf.cycles(Phase::Compute))
-                    .collect(),
-            );
+            totals.push(compute_bits(&main));
         }
         for later in &totals[1..] {
             assert_eq!(
-                &totals[0], later,
-                "per-item deltas must not depend on sharding"
+                totals[0], *later,
+                "merged totals must not depend on sharding"
             );
         }
     }
 
     #[test]
     fn empty_items_yield_no_counters() {
-        let main = Machine::new(MachineConfig::lx2());
+        let mut main = Machine::new(MachineConfig::lx2());
         let pool = WorkerPool::new(4);
         let mut items: Vec<f64> = Vec::new();
         let mut scratch = vec![Vec::new(); 4];
-        let counters = pool.exec(SchedulerPolicy::Static).run_counted(
-            &main,
+        pool.exec(SchedulerPolicy::Static).run_counted(
+            &mut main,
             &mut items,
             &mut scratch,
             charge_item,
         );
-        assert!(counters.is_empty());
+        assert_eq!(main.counters().total_cycles(), 0.0);
     }
 
     #[test]
     fn workers_exceeding_items_are_clamped() {
-        let main = Machine::new(MachineConfig::lx2());
+        let mut main = Machine::new(MachineConfig::lx2());
         let pool = WorkerPool::new(8);
         let mut items = vec![0.0; 2];
         let mut scratch = vec![Vec::new(); 8];
-        let counters = pool.exec(SchedulerPolicy::Static).run_counted(
-            &main,
+        pool.exec(SchedulerPolicy::Static).run_counted(
+            &mut main,
             &mut items,
             &mut scratch,
             charge_item,
         );
-        assert_eq!(counters.len(), 2);
         assert_eq!(items, vec![0.0, 1.0]);
+        assert!(main.counters().cycles(Phase::Compute) > 0.0);
     }
 
     #[test]
     #[should_panic(expected = "must cover every participating worker")]
     fn undersized_scratch_is_rejected() {
-        let main = Machine::new(MachineConfig::lx2());
+        let mut main = Machine::new(MachineConfig::lx2());
         let pool = WorkerPool::new(4);
         let mut items = vec![0.0; 16];
         let mut scratch = vec![Vec::new(); 2];
-        let _ = pool.exec(SchedulerPolicy::Static).run_counted(
-            &main,
+        pool.exec(SchedulerPolicy::Static).run_counted(
+            &mut main,
             &mut items,
             &mut scratch,
             charge_item,
         );
+    }
+
+    /// The per-item cost contract held by `run_counted` itself: items
+    /// that walk the same cache lines and never flush are still charged
+    /// as if each ran on a cold private cache, so `main`'s merged cycles
+    /// and L1 hits are the same whichever worker ran which item.
+    #[test]
+    fn conf_run_counted_charges_are_a_function_of_the_item() {
+        let mut totals = Vec::new();
+        for workers in [1usize, 2, 3, 5, 8] {
+            let mut main = Machine::new(MachineConfig::lx2());
+            let base = main.mem().alloc_f64(64 * 8);
+            let pool = WorkerPool::new(workers);
+            let mut items = [(); 13];
+            let mut scratch = vec![(); workers];
+            pool.exec(SchedulerPolicy::Static).run_counted(
+                &mut main,
+                &mut items,
+                &mut scratch,
+                |wm, _, _, _| {
+                    wm.in_phase(Phase::Compute, |k| {
+                        for line in 0..64 {
+                            k.v_touch_load(base.offset_f64(8 * line), 8);
+                        }
+                    });
+                },
+            );
+            let cycles = main.counters().total_cycles().to_bits();
+            totals.push((workers, cycles, main.mem().l1_stats().hits));
+        }
+        for &(workers, cycles, hits) in &totals[1..] {
+            assert_eq!(cycles, totals[0].1, "{workers} workers: total cycles");
+            assert_eq!(hits, totals[0].2, "{workers} workers: L1 hits");
+        }
     }
 
     #[test]
@@ -1117,17 +1153,14 @@ mod tests {
     /// the work is declared small.
     #[test]
     fn conf_exec_claim_rule_grants_every_index_exactly_once() {
-        let main = Machine::new(MachineConfig::lx2());
         let caller = std::thread::current().id();
         let counted = |exec: Exec<'_>, len: usize| {
+            let mut main = Machine::new(MachineConfig::lx2());
             let mut items = vec![0.0; len];
             let mut scratch = vec![Vec::new(); exec.workers()];
-            let deltas = exec.run_counted(&main, &mut items, &mut scratch, charge_item);
+            exec.run_counted(&mut main, &mut items, &mut scratch, charge_item);
             assert!(items.iter().enumerate().all(|(t, &v)| v == t as f64));
-            deltas
-                .iter()
-                .map(|c| c.perf.cycles(Phase::Compute).to_bits())
-                .collect::<Vec<u64>>()
+            compute_bits(&main)
         };
         let one = WorkerPool::new(1);
         for workers in 1..=8usize {
@@ -1186,7 +1219,7 @@ mod tests {
                     assert_eq!(
                         counted(exec, len),
                         counted(one.exec(SchedulerPolicy::Static), len),
-                        "{what}: per-item deltas diverged from the 1-worker run"
+                        "{what}: merged cycles diverged from the 1-worker run"
                     );
                 }
             }

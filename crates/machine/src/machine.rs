@@ -93,10 +93,9 @@ impl Machine {
     /// Forks a worker machine for parallel tile execution: same
     /// configuration and virtual address space (so shared [`VAddr`]s stay
     /// valid), but zeroed counters, a flushed cache and neutral execution
-    /// state. Workers charge their private counters and hand them back per
-    /// tile via [`Machine::drain_counters`]; the orchestrator merges them
-    /// into the main machine with [`Machine::absorb_counters`] in tile
-    /// order, keeping totals bit-identical for any worker count.
+    /// state. [`crate::Exec::run_counted`] charges every item on such a
+    /// fork and merges the drained counters back into this machine in
+    /// item order, keeping totals bit-identical for any worker count.
     pub fn fork_worker(&self) -> Machine {
         let mut w = self.clone();
         w.ctr = PerfCounters::new();
@@ -122,7 +121,7 @@ impl Machine {
 
     /// Merges a drained worker counter set into this machine's totals.
     /// Purely additive: the cache's behavioural state is untouched.
-    pub fn absorb_counters(&mut self, c: &MachineCounters) {
+    pub(crate) fn absorb_counters(&mut self, c: &MachineCounters) {
         self.ctr.merge(&c.perf);
         self.mem
             .absorb_stats(&c.l1, &c.l2, c.streamed_misses, c.random_misses);

@@ -1,5 +1,6 @@
 //! The two tile push sweeps: one tile's gather + Boris push + position
-//! boundaries, charged on the worker machine with a per-tile cold cache.
+//! boundaries, charged on the worker machine `Exec::run_counted` hands
+//! them, whose cache it has flushed for the tile.
 //!
 //! All mutation is tile-local and the field state is read-only, so both
 //! sweeps are pure functions of the tile: iteration order, removals and
@@ -66,7 +67,6 @@ impl PushCtx<'_> {
         if scratch.live.is_empty() {
             return;
         }
-        wm.mem().flush_cache();
         let (geom, fields) = (self.geom, self.fields);
         for &p in &scratch.live {
             let (mut x, mut y, mut z) = (tile.soa.x[p], tile.soa.y[p], tile.soa.z[p]);
@@ -138,7 +138,6 @@ impl PushCtx<'_> {
         if scratch.live.is_empty() {
             return;
         }
-        wm.mem().flush_cache();
         let geom = self.geom;
         let mut block = NodeBlock::new();
         // Roofline footprint of one guarded field array: the whole array

@@ -17,7 +17,7 @@
 
 use mpic_grid::constants::{C, EPS0};
 use mpic_grid::{Array3, FieldArrays, GridGeometry};
-use mpic_machine::{Exec, Machine, Phase, SchedulerPolicy, WorkerPool};
+use mpic_machine::{Exec, Machine, Phase};
 
 /// Which curl discretisation the E update uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,16 +76,10 @@ impl MaxwellSolver {
     }
 
     /// Advances fields by one step given the deposited current; charges
-    /// the sweep to [`Phase::FieldSolve`]. Single-worker convenience
-    /// wrapper around [`MaxwellSolver::step_sharded`].
-    pub fn step(&self, m: &mut Machine, geom: &GridGeometry, f: &mut FieldArrays, dt: f64) {
-        let pool = WorkerPool::sequential();
-        self.step_sharded(m, geom, f, dt, pool.exec(SchedulerPolicy::Static));
-    }
-
-    /// [`MaxwellSolver::step`] with each of the three stencil sweeps
-    /// sharded across the persistent worker pool by Z-slab
-    /// decomposition, and each guard exchange sharded by component.
+    /// the sweep to [`Phase::FieldSolve`].
+    ///
+    /// Each of the three stencil sweeps is sharded across the worker
+    /// pool by Z-slab decomposition, and each guard exchange by component.
     ///
     /// Every cell update reads only the *previous* half-step's arrays and
     /// writes its own cell exactly once, so slab workers touch disjoint
@@ -387,13 +381,20 @@ mod reference {
 
     /// `B -= dt/2 curl E; E += ...; B -= dt/2 curl E` with guard fills,
     /// as `MaxwellSolver::step_sharded` sequences it.
-    pub fn step(s: &MaxwellSolver, geom: &GridGeometry, f: &mut FieldArrays, dt: f64, m: Mutant) {
+    pub fn step(
+        s: &MaxwellSolver,
+        geom: &GridGeometry,
+        f: &mut FieldArrays,
+        dt: f64,
+        m: Mutant,
+        exec: Exec<'_>,
+    ) {
         push_b(geom, f, 0.5 * dt, m);
-        f.fill_guards_periodic();
+        f.fill_guards_periodic_exec(exec);
         push_e(s, geom, f, dt, m);
-        f.fill_guards_periodic();
+        f.fill_guards_periodic_exec(exec);
         push_b(geom, f, 0.5 * dt, m);
-        f.fill_guards_periodic();
+        f.fill_guards_periodic_exec(exec);
     }
 
     fn push_b(geom: &GridGeometry, f: &mut FieldArrays, dt: f64, m: Mutant) {
@@ -494,7 +495,7 @@ mod reference {
 mod tests {
     use super::reference::Mutant;
     use super::*;
-    use mpic_machine::MachineConfig;
+    use mpic_machine::{MachineConfig, SchedulerPolicy, WorkerPool};
 
     fn setup(
         kind: SolverKind,
@@ -509,7 +510,7 @@ mod tests {
     }
 
     /// Seeds a z-propagating plane wave Ex/By consistent with c.
-    fn seed_plane_wave(geom: &GridGeometry, f: &mut FieldArrays) {
+    fn seed_plane_wave(geom: &GridGeometry, f: &mut FieldArrays, exec: Exec<'_>) {
         let g = geom.guard;
         let n = geom.n_cells;
         for k in 0..n[2] {
@@ -522,15 +523,17 @@ mod tests {
                 }
             }
         }
-        f.fill_guards_periodic();
+        f.fill_guards_periodic_exec(exec);
     }
 
     #[test]
     fn vacuum_zero_fields_stay_zero() {
         let (geom, mut f, solver, dt) = setup(SolverKind::Yee, 8, 0.9);
+        let pool = WorkerPool::sequential();
+        let exec = pool.exec(SchedulerPolicy::Static);
         let mut m = Machine::new(MachineConfig::lx2());
         for _ in 0..5 {
-            solver.step(&mut m, &geom, &mut f, dt);
+            solver.step_sharded(&mut m, &geom, &mut f, dt, exec);
         }
         assert_eq!(f.ex.max_abs(), 0.0);
         assert_eq!(f.bz.max_abs(), 0.0);
@@ -540,11 +543,13 @@ mod tests {
     #[test]
     fn yee_plane_wave_energy_stable() {
         let (geom, mut f, solver, dt) = setup(SolverKind::Yee, 16, 0.5);
-        seed_plane_wave(&geom, &mut f);
+        let pool = WorkerPool::sequential();
+        let exec = pool.exec(SchedulerPolicy::Static);
+        seed_plane_wave(&geom, &mut f, exec);
         let mut m = Machine::new(MachineConfig::lx2());
         let e0 = f.field_energy(&geom);
         for _ in 0..200 {
-            solver.step(&mut m, &geom, &mut f, dt);
+            solver.step_sharded(&mut m, &geom, &mut f, dt, exec);
         }
         let e1 = f.field_energy(&geom);
         assert!((e1 / e0 - 1.0).abs() < 0.05, "energy drifted {e0} -> {e1}");
@@ -557,11 +562,13 @@ mod tests {
         let (geom, mut f, solver, _) = setup(SolverKind::Ckc, 16, 1.0);
         let dt = solver.max_dt(&geom);
         assert!((dt - geom.dx[0] / C).abs() < 1e-20);
-        seed_plane_wave(&geom, &mut f);
+        let pool = WorkerPool::sequential();
+        let exec = pool.exec(SchedulerPolicy::Static);
+        seed_plane_wave(&geom, &mut f, exec);
         let mut m = Machine::new(MachineConfig::lx2());
         let e0 = f.field_energy(&geom);
         for _ in 0..300 {
-            solver.step(&mut m, &geom, &mut f, dt);
+            solver.step_sharded(&mut m, &geom, &mut f, dt, exec);
         }
         let e1 = f.field_energy(&geom);
         assert!(
@@ -577,6 +584,8 @@ mod tests {
         // z-propagating wave would remain marginally stable, so seed
         // full-3D alternating noise.)
         let (geom, mut f, solver, _) = setup(SolverKind::Yee, 16, 0.5);
+        let pool = WorkerPool::sequential();
+        let exec = pool.exec(SchedulerPolicy::Static);
         let g = geom.guard;
         for k in 0..16 {
             for j in 0..16 {
@@ -586,11 +595,11 @@ mod tests {
                 }
             }
         }
-        f.fill_guards_periodic();
+        f.fill_guards_periodic_exec(exec);
         let dt_unstable = geom.dx[0] / C; // CFL = sqrt(3) x limit.
         let mut m = Machine::new(MachineConfig::lx2());
         for _ in 0..300 {
-            solver.step(&mut m, &geom, &mut f, dt_unstable);
+            solver.step_sharded(&mut m, &geom, &mut f, dt_unstable, exec);
             if f.ex.max_abs() > 1e3 {
                 return; // Blew up as expected.
             }
@@ -602,7 +611,8 @@ mod tests {
     fn sharded_step_is_bit_identical_for_any_worker_count_and_policy() {
         for kind in [SolverKind::Yee, SolverKind::Ckc] {
             let (geom, mut base, solver, dt) = setup(kind, 16, 0.5);
-            seed_plane_wave(&geom, &mut base);
+            let pool = WorkerPool::sequential();
+            seed_plane_wave(&geom, &mut base, pool.exec(SchedulerPolicy::Static));
             base.jx.set(5, 6, 7, 3.0e3); // Current source in the mix.
             base.jz.set(9, 3, 12, -1.0e3);
             let run = |workers: usize| {
@@ -691,6 +701,8 @@ mod tests {
     /// sequential and 3-worker slabs.
     #[test]
     fn conf_solver_rows_match_reference_bitwise() {
+        let pool = WorkerPool::sequential();
+        let exec = pool.exec(SchedulerPolicy::Static);
         let cells = [[1.0e-6; 3], [0.5e-6, 0.5e-6, 0.25e-6]];
         let mut case = 0u64;
         for kind in [SolverKind::Yee, SolverKind::Ckc] {
@@ -711,7 +723,7 @@ mod tests {
                         let reference = |m: Mutant| {
                             let mut f = base.clone();
                             for _ in 0..3 {
-                                reference::step(&solver, &geom, &mut f, dt, m);
+                                reference::step(&solver, &geom, &mut f, dt, m, exec);
                             }
                             eb_bits(&f)
                         };
@@ -750,9 +762,11 @@ mod tests {
     #[test]
     fn current_drives_e_field() {
         let (geom, mut f, solver, dt) = setup(SolverKind::Yee, 8, 0.5);
+        let pool = WorkerPool::sequential();
+        let exec = pool.exec(SchedulerPolicy::Static);
         let mut m = Machine::new(MachineConfig::lx2());
         f.jz.set(4, 4, 4, 1.0);
-        solver.step(&mut m, &geom, &mut f, dt);
+        solver.step_sharded(&mut m, &geom, &mut f, dt, exec);
         // E_z response: dE = -dt J / eps0.
         let expect = -dt / EPS0;
         assert!((f.ez.get(4, 4, 4) - expect).abs() < 1e-6 * expect.abs());
