@@ -5,7 +5,6 @@
 
 use mpic_core::{workloads, Simulation};
 use mpic_deposit::{KernelConfig, ShapeOrder};
-use mpic_grid::{GridGeometry, TileLayout};
 use mpic_machine::Phase;
 
 fn main() {
@@ -23,8 +22,7 @@ fn main() {
             KernelConfig::FullOpt,
             42,
         );
-        let geom = GridGeometry::new(cfg.n_cells, [0.0; 3], cfg.dx, cfg.guard);
-        let layout = TileLayout::new(&geom, cfg.tile_size);
+        let (geom, layout) = cfg.grid();
         let mut electrons = workloads::load_uniform_plasma(
             &geom,
             &layout,
@@ -34,7 +32,7 @@ fn main() {
             42,
         );
         electrons.set_gap_ratio(gap);
-        let mut sim = Simulation::from_parts(cfg, geom, layout, electrons, None);
+        let mut sim = Simulation::from_parts(cfg, electrons, None);
         sim.run(steps);
         let clock = sim.cfg.machine.clone();
         let rep = sim.report();

@@ -13,7 +13,7 @@
 //!
 //! Controlled threads are real OS threads, but they only run when the
 //! controller resumes them. A thread calling a `ShimSync` primitive
-//! parks inside [`Controller::yield_op`] with a *pending* operation;
+//! parks inside `Controller::yield_op` with a *pending* operation;
 //! the controller's `advance` loop executes pending operations one at a
 //! time, recording a [`Decision`] wherever more than one candidate was
 //! schedulable. Replaying a run with a longer `prefix` of decision

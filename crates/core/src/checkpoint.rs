@@ -183,8 +183,8 @@ impl Simulation {
         for d in 0..3 {
             wtr.put_usize(self.cfg.tile_size[d]);
         }
-        wtr.put_usize(self.cfg.guard);
-        wtr.put_u32(solver_kind_id(self.solver.kind()));
+        wtr.put_usize(self.geom.guard);
+        wtr.put_u32(solver_kind_id(self.cfg.solver));
         wtr.put_usize(self.cfg.shape.order());
         wtr.put_str(self.kernel_name());
         wtr.put_f64(self.dt);
@@ -212,10 +212,10 @@ impl Simulation {
                 });
             }
         }
-        if s.get_usize()? != self.cfg.guard {
+        if s.get_usize()? != self.geom.guard {
             return Err(SnapshotError::Incompatible { reason: "guard" });
         }
-        if s.get_u32()? != solver_kind_id(self.solver.kind()) {
+        if s.get_u32()? != solver_kind_id(self.cfg.solver) {
             return Err(SnapshotError::Incompatible { reason: "solver" });
         }
         if s.get_usize()? != self.cfg.shape.order() {
@@ -603,10 +603,10 @@ fn decode_report(mut s: SectionReader<'_>) -> Result<RunReport, SnapshotError> {
     })
 }
 
-/// Stable on-disk discriminant for the solver kind.
+/// Stable on-disk discriminant for the solver kind (CKC is 1; 0 was the
+/// retired Yee solver's).
 fn solver_kind_id(k: SolverKind) -> u32 {
     match k {
-        SolverKind::Yee => 0,
         SolverKind::Ckc => 1,
     }
 }
@@ -754,7 +754,7 @@ mod tests {
     /// `tests/exec_mode_goldens.rs`'s runs and, per `(batching, simd)`
     /// mode, the FNV-1a of their format-1 snapshots — the constants that
     /// file pinned before format 2.
-    const V1_GOLDENS: [(KernelConfig, ShapeOrder, [u64; 2]); 9] = [
+    const V1_GOLDENS: [(KernelConfig, ShapeOrder, [u64; 2]); 8] = [
         (
             KernelConfig::FullOpt,
             ShapeOrder::Cic,
@@ -764,11 +764,6 @@ mod tests {
             KernelConfig::FullOpt,
             ShapeOrder::Qsp,
             [0x8bbafd1cb59486c4, 0xe0b6278181da160a],
-        ),
-        (
-            KernelConfig::FullOpt,
-            ShapeOrder::Tsc,
-            [0x3c2c424ab501df5f, 0xa3965d78058baf0e],
         ),
         (
             KernelConfig::RhocellIncrSortVpu,

@@ -1,8 +1,17 @@
 //! Simulation configuration.
 
 use mpic_deposit::{KernelConfig, ShapeOrder};
+use mpic_grid::{GridGeometry, TileLayout};
 use mpic_machine::MachineConfig;
 use mpic_solver::{BoundaryKind, LaserAntenna, SolverKind};
+
+/// Guard cells on each side of every field array. No kernel needs two:
+/// deposit and gather wrap stencil nodes into the physical range
+/// (`node_coord`, `stencil_block`), and the CKC stencils reach one cell
+/// past it (`conf_solver_rows_match_reference_bitwise` runs guard 1). It
+/// stays 2 because the guarded array sizes fix the virtual addresses and
+/// roofline footprints the emulated numbers were recorded with.
+pub const GUARD_CELLS: usize = 2;
 
 /// Full configuration of one simulation run (the analogue of a WarpX
 /// input file restricted to the parameters in Appendix A Table 4).
@@ -14,11 +23,8 @@ pub struct SimConfig {
     pub dx: [f64; 3],
     /// Particle tile size (`particles.tile_size`).
     pub tile_size: [usize; 3],
-    /// Guard cells (2 suffices for QSP).
-    pub guard: usize,
-    /// CFL fraction of the solver's stable limit (`warpx.cfl`).
-    pub cfl: f64,
-    /// Maxwell solver (`algo.maxwell_solver`).
+    /// Maxwell solver (`algo.maxwell_solver`), run at its stable limit
+    /// (`warpx.cfl = 1.0`).
     pub solver: SolverKind,
     /// Deposition/gather shape order (`algo.particle_shape`).
     pub shape: ShapeOrder,
@@ -71,4 +77,13 @@ pub struct SimConfig {
     /// `batching` and `num_workers`, a runtime knob that may differ
     /// freely between a snapshot's save and restore.
     pub simd: bool,
+}
+
+impl SimConfig {
+    /// The grid and tile decomposition this configuration describes.
+    pub fn grid(&self) -> (GridGeometry, TileLayout) {
+        let geom = GridGeometry::new(self.n_cells, [0.0; 3], self.dx, GUARD_CELLS);
+        let layout = TileLayout::new(&geom, self.tile_size);
+        (geom, layout)
+    }
 }

@@ -69,18 +69,18 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Builds a simulation with an already-populated container.
+    /// Builds a simulation on the grid [`SimConfig::grid`] derives from
+    /// `cfg`, with a container already loaded on that layout.
     pub fn from_parts(
         cfg: SimConfig,
-        geom: GridGeometry,
-        layout: TileLayout,
         mut electrons: ParticleContainer,
         window_plasma: Option<PlasmaSpec>,
     ) -> Self {
+        let (geom, layout) = cfg.grid();
         let mut machine = Machine::new(cfg.machine.clone());
         let fields = FieldArrays::new(&geom);
         let solver = MaxwellSolver::new(cfg.solver, &geom);
-        let dt = cfg.cfl * solver.max_dt(&geom);
+        let dt = solver.max_dt(&geom);
         let mut depositor = cfg.kernel.build(cfg.shape);
         depositor.prepare(&mut machine, &geom, &layout, &mut electrons);
         let dims = geom.dims_with_guard();

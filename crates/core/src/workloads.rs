@@ -143,8 +143,6 @@ pub fn uniform_plasma_config(
         n_cells,
         dx: [1.0e-6; 3],
         tile_size: [8, 8, 8],
-        guard: 2,
-        cfl: 1.0,
         solver: SolverKind::Ckc,
         shape,
         kernel,
@@ -159,13 +157,6 @@ pub fn uniform_plasma_config(
     }
 }
 
-/// The grid and tile decomposition a configuration describes.
-fn grid(cfg: &SimConfig) -> (GridGeometry, TileLayout) {
-    let geom = GridGeometry::new(cfg.n_cells, [0.0; 3], cfg.dx, cfg.guard);
-    let layout = TileLayout::new(&geom, cfg.tile_size);
-    (geom, layout)
-}
-
 /// Builds a ready-to-run uniform plasma simulation.
 pub fn uniform_plasma_sim(
     n_cells: [usize; 3],
@@ -175,9 +166,9 @@ pub fn uniform_plasma_sim(
     seed: u64,
 ) -> Simulation {
     let cfg = uniform_plasma_config(n_cells, shape, kernel, seed);
-    let (geom, layout) = grid(&cfg);
+    let (geom, layout) = cfg.grid();
     let electrons = load_uniform_plasma(&geom, &layout, UNIFORM_DENSITY, ppc, UNIFORM_UTH, seed);
-    Simulation::from_parts(cfg, geom, layout, electrons, None)
+    Simulation::from_parts(cfg, electrons, None)
 }
 
 /// The LWFA configuration: laser, moving window, absorbing z.
@@ -200,8 +191,6 @@ pub fn lwfa_config(
         n_cells,
         dx,
         tile_size: [8, 8, (n_cells[2] / 2).clamp(8, 64)],
-        guard: 2,
-        cfl: 1.0,
         solver: SolverKind::Ckc,
         shape,
         kernel,
@@ -225,14 +214,14 @@ pub fn lwfa_sim(
     seed: u64,
 ) -> Simulation {
     let cfg = lwfa_config(n_cells, shape, kernel, seed);
-    let (geom, layout) = grid(&cfg);
+    let (geom, layout) = cfg.grid();
     let electrons = load_uniform_plasma(&geom, &layout, LWFA_DENSITY, ppc, 0.0, seed);
     let spec = PlasmaSpec {
         density: LWFA_DENSITY,
         ppc,
         u_th: 0.0,
     };
-    Simulation::from_parts(cfg, geom, layout, electrons, Some(spec))
+    Simulation::from_parts(cfg, electrons, Some(spec))
 }
 
 /// Builds an adversarially load-imbalanced LWFA simulation: every
@@ -244,14 +233,14 @@ pub fn lwfa_sim(
 /// (`tests/parallel_determinism.rs`).
 pub fn imbalanced_lwfa_sim(n_cells: [usize; 3], ppc: usize, seed: u64) -> Simulation {
     let cfg = lwfa_config(n_cells, ShapeOrder::Cic, KernelConfig::FullOpt, seed);
-    let (geom, layout) = grid(&cfg);
+    let (geom, layout) = cfg.grid();
     let electrons = load_hot_tile(&geom, &layout, ppc, seed);
     let spec = PlasmaSpec {
         density: LWFA_DENSITY,
         ppc,
         u_th: 0.0,
     };
-    Simulation::from_parts(cfg, geom, layout, electrons, Some(spec))
+    Simulation::from_parts(cfg, electrons, Some(spec))
 }
 
 #[cfg(test)]
@@ -356,7 +345,7 @@ mod tests {
             ("uniform qsp", ShapeOrder::Qsp),
         ] {
             let cfg = uniform_plasma_config([16, 8, 8], shape, KernelConfig::FullOpt, seed);
-            let (geom, layout) = grid(&cfg);
+            let (geom, layout) = cfg.grid();
             let (density, ppc, u_th) = (UNIFORM_DENSITY, 3, UNIFORM_UTH);
             out.push(Case {
                 name,
@@ -373,7 +362,7 @@ mod tests {
             u_th: 0.0,
         });
         let cfg = lwfa_config([8, 8, 32], ShapeOrder::Cic, KernelConfig::FullOpt, seed);
-        let (geom, layout) = grid(&cfg);
+        let (geom, layout) = cfg.grid();
         out.push(Case {
             name: "lwfa",
             reference: reference::load_uniform_plasma(&geom, &layout, LWFA_DENSITY, ppc, 0.0, seed),
@@ -382,7 +371,7 @@ mod tests {
             spec,
         });
         let cfg = lwfa_config([16, 8, 32], ShapeOrder::Cic, KernelConfig::FullOpt, seed);
-        let (geom, layout) = grid(&cfg);
+        let (geom, layout) = cfg.grid();
         out.push(Case {
             name: "hot tile",
             reference: reference::load_hot_tile(&geom, &layout, ppc, seed),
@@ -424,8 +413,7 @@ mod tests {
                     kernel,
                     ..case.cfg.clone()
                 };
-                let (geom, layout) = grid(&cfg);
-                let mut sim = Simulation::from_parts(cfg, geom, layout, c.clone(), case.spec);
+                let mut sim = Simulation::from_parts(cfg, c.clone(), case.spec);
                 let tiles: Vec<_> = sim.electrons.tiles.iter().map(tile_bits).collect();
                 if !kernel.strategy().provides_sorted_order() {
                     shuffle_particles(&mut sim.electrons, &sim.geom, &sim.layout, 5);
@@ -446,7 +434,7 @@ mod tests {
     #[test]
     fn conf_bulk_load_matches_inject_load_bitwise() {
         for case in cases() {
-            let (geom, layout) = grid(&case.cfg);
+            let (geom, layout) = case.cfg.grid();
             for (t, tile) in case.bulk.tiles.iter().enumerate() {
                 let built = Gpma::build(
                     &tile.cells,

@@ -402,7 +402,7 @@ pub struct TileScratch {
 /// tile data alone. The scalar staging style always walks (a scalar loop
 /// has no lanes to stream).
 ///
-/// Charged to [`Phase::Preprocess`].
+/// Charged to [`Phase::Preprocess`](mpic_machine::Phase::Preprocess).
 pub fn stage_tile(
     m: &mut Machine,
     geom: &GridGeometry,
@@ -513,7 +513,7 @@ mod tests {
         for n_cells in [[2, 3, 9], [8, 8, 8]] {
             let geom = GridGeometry::new(n_cells, [0.0; 3], [1.0e-6; 3], 2);
             let dims = geom.dims_with_guard();
-            for order in [ShapeOrder::Cic, ShapeOrder::Tsc, ShapeOrder::Qsp] {
+            for order in [ShapeOrder::Cic, ShapeOrder::Qsp] {
                 let s = order.support();
                 for cell in (0..n_cells[0] * n_cells[1] * n_cells[2]).map(|id| {
                     [

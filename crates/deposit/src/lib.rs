@@ -3,7 +3,7 @@
 //!
 //! The crate provides:
 //!
-//! * B-spline shape functions of orders 1-3 ([`shape`]);
+//! * B-spline shape functions of orders 1 (CIC) and 3 (QSP) ([`shape`]);
 //! * the rhocell conflict-free accumulator and its grid reduction
 //!   ([`rhocell`]);
 //! * the paper's three deposition kernels, one `deposit_tile` function

@@ -21,7 +21,6 @@
 //! `A_c = [wq1*sz1[c]*sx0..3(p1) | wq2*sz2[c]*sx0..3(p2)]` against
 //! `B = [sy0..3(p1) | sy0..3(p2)]`, so each MOPA carries 2 x 16 = 32
 //! useful slots of 64 — the 50% utilisation the paper quotes for QSP.
-//! TSC (order 2) runs the same slab kernel over a 3-wide support.
 //!
 //! # Cell residency
 //!
@@ -70,14 +69,7 @@ pub fn deposit_tile(
                     deposit_run_cic(m, pricing, st, run.start, run.end, run.cell, rho_addr, rho);
                 }
                 ShapeOrder::Qsp => {
-                    deposit_run_slabs::<4>(
-                        m, pricing, st, run.start, run.end, run.cell, rho_addr, rho,
-                    );
-                }
-                ShapeOrder::Tsc => {
-                    deposit_run_slabs::<3>(
-                        m, pricing, st, run.start, run.end, run.cell, rho_addr, rho,
-                    );
+                    deposit_run_qsp(m, pricing, st, run.start, run.end, run.cell, rho_addr, rho);
                 }
             }
         }
@@ -86,7 +78,7 @@ pub fn deposit_tile(
 
 /// CIC: one MOPA per pair per component; tile resident across the run.
 /// Inlined into the scope's run loop so the meter stays in registers
-/// (see [`Machine::in_phase`]); so is [`deposit_run_slabs`].
+/// (see [`Machine::in_phase`]); so is [`deposit_run_qsp`].
 #[inline(always)]
 fn deposit_run_cic(
     m: &mut Meter<'_>,
@@ -165,12 +157,11 @@ fn deposit_run_cic(
     }
 }
 
-/// QSP and TSC: one z-slab MOPA per support layer per pair per
-/// component, over support `S` = 4 (QSP) or 3 (TSC, 2x9/64 = 28%
-/// utilisation); tiles resident across the run for one component at a
-/// time. `S` is a const so each order keeps fixed-trip-count loops.
+/// QSP: one z-slab MOPA per support layer per pair per component, over
+/// the 4-node support; tiles resident across the run for one component
+/// at a time.
 #[inline(always)]
-fn deposit_run_slabs<const S: usize>(
+fn deposit_run_qsp(
     m: &mut Meter<'_>,
     pricing: Pricing,
     st: &Staging,
@@ -180,9 +171,10 @@ fn deposit_run_slabs<const S: usize>(
     rho_addr: VAddr,
     rho: &mut Rhocell,
 ) {
-    // Extraction packing: QSP's b-rows are 4 lanes, so two of them fill
-    // one 8-wide accumulate pass; TSC's 3-lane rows go one per pass.
-    let rows_per_pass = if S == 4 { 2 } else { 1 };
+    // Support per dimension. Extraction packing: the b-rows are `S` = 4
+    // lanes, so two of them fill one 8-wide accumulate pass.
+    const S: usize = 4;
+    const ROWS_PER_PASS: usize = 2;
     // One component at a time so the z-slab tiles fit in the
     // architectural tile registers (TileId 0..3).
     for comp in 0..3 {
@@ -194,7 +186,7 @@ fn deposit_run_slabs<const S: usize>(
             let pair: [Option<usize>; 2] = [Some(p), (p + 1 < run_end).then_some(p + 1)];
             m.v_issue(2);
 
-            // B = [sy0..S(p1) | sy0..S(p2)] and the sx lanes of every
+            // B = [sy0..3(p1) | sy0..3(p2)] and the sx lanes of every
             // A_c — pure staged data, shared by the pair's slabs.
             let mut by = [0.0; VLANES];
             let mut ax = [0.0; VLANES];
@@ -210,7 +202,7 @@ fn deposit_run_slabs<const S: usize>(
             let b_vec = VReg(by);
 
             for c in 0..S {
-                // A_c = [wq*sz[c]*sx0..S(p1) | same p2].
+                // A_c = [wq*sz[c]*sx0..3(p1) | same p2].
                 let mut scale = [0.0; VLANES];
                 for (half, part) in pair.iter().enumerate() {
                     if let Some(q) = part {
@@ -225,7 +217,7 @@ fn deposit_run_slabs<const S: usize>(
             p += 2;
         }
         // Extraction once per run per component: slab tile `c` holds, for
-        // each particle half, the S x S block sx (x) sy scaled by
+        // each particle half, the 4 x 4 block sx (x) sy scaled by
         // wq*sz[c]; node id = (c*S + b)*S + a.
         for c in 0..S {
             let mut block = [[0.0; VLANES]; VLANES];
@@ -235,16 +227,16 @@ fn deposit_run_slabs<const S: usize>(
                     *v = reg.lane(col);
                 }
             }
-            for b0 in (0..S).step_by(rows_per_pass) {
+            for b0 in (0..S).step_by(ROWS_PER_PASS) {
                 let mut vals = [0.0; VLANES];
-                for b in 0..rows_per_pass {
+                for b in 0..ROWS_PER_PASS {
                     for a in 0..S {
                         // p1 block rows 0-3 cols 0-3; p2 rows 4-7 cols 4-7.
                         vals[b * S + a] = block[a][b0 + b] + block[4 + a][4 + b0 + b];
                     }
                 }
                 m.v_ops(2);
-                let (node0, w) = ((c * S + b0) * S, rows_per_pass * S);
+                let (node0, w) = ((c * S + b0) * S, ROWS_PER_PASS * S);
                 rho.accumulate(m, pricing, rho_addr, comp, cell, node0, w, VReg(vals));
             }
         }

@@ -514,7 +514,7 @@ mod tests {
         let geom = GridGeometry::new([10, 10, 10], [0.0; 3], [1.0e-6; 3], 2);
         let layout = mpic_grid::TileLayout::new(&geom, [8, 8, 8]);
         let dims = geom.dims_with_guard();
-        for order in [ShapeOrder::Cic, ShapeOrder::Tsc, ShapeOrder::Qsp] {
+        for order in [ShapeOrder::Cic, ShapeOrder::Qsp] {
             let s = order.support();
             for tile in layout.iter() {
                 let r = Rhocell::new(order, tile.num_cells());

@@ -1,12 +1,11 @@
-//! B-spline particle shape functions (orders 1-3).
+//! B-spline particle shape functions (orders 1 and 3).
 //!
-//! The paper evaluates the first-order Cloud-in-Cell (CIC) scheme and the
-//! third-order scheme it calls QSP; the second-order Triangular-Shaped
-//! Cloud (TSC) is implemented as well since the MPU mapping extends to it
-//! (section 4.2.1). All shapes are the standard centred B-splines used by
-//! WarpX: order `n` spreads a particle over `n + 1` nodes per dimension
-//! and its weights sum to exactly 1 for any intra-cell offset — the
-//! charge-conservation property the property tests pin down.
+//! The paper evaluates exactly two shapes: the first-order Cloud-in-Cell
+//! (CIC) scheme and the third-order scheme it calls QSP. Both are the
+//! standard centred B-splines used by WarpX: order `n` spreads a particle
+//! over `n + 1` nodes per dimension and its weights sum to exactly 1 for
+//! any intra-cell offset — the charge-conservation property the property
+//! tests pin down.
 
 /// Maximum support points of any implemented order.
 pub const MAX_SUPPORT: usize = 4;
@@ -20,8 +19,6 @@ pub const MAX_NODES_3D: usize = MAX_SUPPORT * MAX_SUPPORT * MAX_SUPPORT;
 pub enum ShapeOrder {
     /// First order: Cloud-in-Cell, 2 nodes/dim, 8 nodes in 3-D.
     Cic,
-    /// Second order: Triangular-Shaped Cloud, 3 nodes/dim, 27 nodes.
-    Tsc,
     /// Third order: cubic B-spline (the paper's "QSP"), 4 nodes/dim,
     /// 64 nodes in 3-D.
     Qsp,
@@ -32,22 +29,7 @@ impl ShapeOrder {
     pub fn order(self) -> usize {
         match self {
             ShapeOrder::Cic => 1,
-            ShapeOrder::Tsc => 2,
             ShapeOrder::Qsp => 3,
-        }
-    }
-
-    /// Builds from a WarpX-style order number.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unsupported orders.
-    pub fn from_order(order: usize) -> Self {
-        match order {
-            1 => ShapeOrder::Cic,
-            2 => ShapeOrder::Tsc,
-            3 => ShapeOrder::Qsp,
-            o => panic!("unsupported particle shape order {o}"),
         }
     }
 
@@ -63,11 +45,11 @@ impl ShapeOrder {
     }
 
     /// Offset of the first support node relative to the particle's cell
-    /// index: CIC starts at the cell itself, TSC and QSP one node below.
+    /// index: CIC starts at the cell itself, QSP one node below.
     pub fn start_offset(self) -> i64 {
         match self {
             ShapeOrder::Cic => 0,
-            ShapeOrder::Tsc | ShapeOrder::Qsp => -1,
+            ShapeOrder::Qsp => -1,
         }
     }
 
@@ -85,15 +67,6 @@ impl ShapeOrder {
                 out[0] = 1.0 - d;
                 out[1] = d;
                 out[2] = 0.0;
-                out[3] = 0.0;
-            }
-            ShapeOrder::Tsc => {
-                // Centred TSC about the nearest of the 3 nodes
-                // {cell-1, cell, cell+1}; xi = d - 1/2 in [-1/2, 1/2).
-                let xi = d - 0.5;
-                out[0] = 0.5 * (0.5 - xi) * (0.5 - xi);
-                out[1] = 0.75 - xi * xi;
-                out[2] = 0.5 * (0.5 + xi) * (0.5 + xi);
                 out[3] = 0.0;
             }
             ShapeOrder::Qsp => {
@@ -115,7 +88,6 @@ impl ShapeOrder {
     pub fn weights_flops(self) -> usize {
         match self {
             ShapeOrder::Cic => 1,
-            ShapeOrder::Tsc => 9,
             ShapeOrder::Qsp => 16,
         }
     }
@@ -140,7 +112,7 @@ pub fn canonical_flops_per_particle(order: ShapeOrder) -> f64 {
 mod tests {
     use super::*;
 
-    const ORDERS: [ShapeOrder; 3] = [ShapeOrder::Cic, ShapeOrder::Tsc, ShapeOrder::Qsp];
+    const ORDERS: [ShapeOrder; 2] = [ShapeOrder::Cic, ShapeOrder::Qsp];
 
     #[test]
     fn weights_sum_to_one() {
@@ -176,15 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn tsc_peak_at_centre() {
-        let mut w = [0.0; MAX_SUPPORT];
-        ShapeOrder::Tsc.weights(0.5, &mut w);
-        assert!((w[1] - 0.75).abs() < 1e-15);
-        assert!((w[0] - 0.125).abs() < 1e-15);
-        assert!((w[2] - 0.125).abs() < 1e-15);
-    }
-
-    #[test]
     fn qsp_symmetry() {
         // Weights at d and 1-d must be mirror images.
         let mut a = [0.0; MAX_SUPPORT];
@@ -215,15 +178,7 @@ mod tests {
         assert_eq!(ShapeOrder::Cic.support(), 2);
         assert_eq!(ShapeOrder::Qsp.support(), 4);
         assert_eq!(ShapeOrder::Cic.nodes_3d(), 8);
-        assert_eq!(ShapeOrder::Tsc.nodes_3d(), 27);
         assert_eq!(ShapeOrder::Qsp.nodes_3d(), 64);
-    }
-
-    #[test]
-    fn from_order_roundtrip() {
-        for o in ORDERS {
-            assert_eq!(ShapeOrder::from_order(o.order()), o);
-        }
     }
 
     #[test]

@@ -156,7 +156,7 @@ fn assert_currents_bitwise_equal(a: &FieldArrays, b: &FieldArrays, what: &str) {
 fn batched_rhocell_is_bit_identical_to_per_particle() {
     // The rhocell kernel has no cell-run sweep, so batching leaves it on
     // the per-particle path: bitwise equal at every shape order.
-    for order in [ShapeOrder::Cic, ShapeOrder::Tsc, ShapeOrder::Qsp] {
+    for order in [ShapeOrder::Cic, ShapeOrder::Qsp] {
         let ([a, b], _) = run_both_paths(KernelConfig::RhocellIncrSortVpu, order, 200);
         assert_currents_bitwise_equal(&a, &b, "rhocell VPU");
     }
@@ -273,16 +273,6 @@ fn fullopt_matches_reference_qsp() {
 #[test]
 fn matrix_only_matches_reference_qsp() {
     check_config(KernelConfig::MatrixOnly, ShapeOrder::Qsp, 150);
-}
-
-#[test]
-fn fullopt_matches_reference_tsc() {
-    check_config(KernelConfig::FullOpt, ShapeOrder::Tsc, 150);
-}
-
-#[test]
-fn rhocell_vpu_matches_reference_tsc() {
-    check_config(KernelConfig::RhocellIncrSortVpu, ShapeOrder::Tsc, 150);
 }
 
 /// A dense single-cell population exercises long same-cell runs (tile

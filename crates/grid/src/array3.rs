@@ -48,15 +48,6 @@ impl Array3 {
         (k * self.ny + j) * self.nx + i
     }
 
-    /// Inverse of [`Array3::idx`].
-    #[inline]
-    pub fn coords(&self, lin: usize) -> [usize; 3] {
-        let i = lin % self.nx;
-        let j = (lin / self.nx) % self.ny;
-        let k = lin / (self.nx * self.ny);
-        [i, j, k]
-    }
-
     /// Element accessor.
     #[inline]
     pub fn get(&self, i: usize, j: usize, k: usize) -> f64 {
@@ -97,11 +88,6 @@ impl Array3 {
         self.data.iter().sum()
     }
 
-    /// Sum of squares (energy diagnostics).
-    pub fn sum_sq(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum()
-    }
-
     /// Maximum absolute value.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |m, v| m.max(v.abs()))
@@ -137,18 +123,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn idx_roundtrips_with_coords() {
-        let a = Array3::zeros(4, 5, 6);
-        for k in 0..6 {
-            for j in 0..5 {
-                for i in 0..4 {
-                    assert_eq!(a.coords(a.idx(i, j, k)), [i, j, k]);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn x_is_fastest_dimension() {
         let a = Array3::zeros(4, 5, 6);
         assert_eq!(a.idx(1, 0, 0), a.idx(0, 0, 0) + 1);
@@ -163,7 +137,6 @@ mod tests {
         a.add(1, 1, 1, 2.0);
         assert_eq!(a.get(1, 1, 1), 5.0);
         assert_eq!(a.sum(), 5.0);
-        assert_eq!(a.sum_sq(), 25.0);
         assert_eq!(a.max_abs(), 5.0);
     }
 

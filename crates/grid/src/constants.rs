@@ -15,20 +15,6 @@ pub const Q_E: f64 = 1.602_176_634e-19;
 /// Electron mass, kg.
 pub const M_E: f64 = 9.109_383_701_5e-31;
 
-/// Proton mass, kg.
-pub const M_P: f64 = 1.672_621_923_69e-27;
-
-/// Electron plasma frequency for density `n` (per m^3), rad/s.
-pub fn plasma_frequency(n: f64) -> f64 {
-    (n * Q_E * Q_E / (EPS0 * M_E)).sqrt()
-}
-
-/// Critical density for laser wavelength `lambda` (m), per m^3.
-pub fn critical_density(lambda: f64) -> f64 {
-    let omega = 2.0 * std::f64::consts::PI * C / lambda;
-    EPS0 * M_E * omega * omega / (Q_E * Q_E)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -37,20 +23,5 @@ mod tests {
     fn c_squared_matches_1_over_eps0_mu0() {
         let c2 = 1.0 / (EPS0 * MU0);
         assert!((c2 / (C * C) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn plasma_frequency_known_value() {
-        // n = 1e25 m^-3 (paper's uniform plasma density) => fpe ~ 28.4 THz.
-        let w = plasma_frequency(1e25);
-        let f = w / (2.0 * std::f64::consts::PI);
-        assert!((f / 28.4e12 - 1.0).abs() < 0.02, "got {f}");
-    }
-
-    #[test]
-    fn critical_density_800nm() {
-        // ~1.74e27 m^-3 for 0.8 um light.
-        let nc = critical_density(0.8e-6);
-        assert!((nc / 1.74e27 - 1.0).abs() < 0.02, "got {nc}");
     }
 }

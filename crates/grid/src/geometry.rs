@@ -136,28 +136,6 @@ impl GridGeometry {
         }
         out
     }
-
-    /// Linear physical-cell id with x fastest (the GPMA sort key).
-    #[inline]
-    pub fn cell_id(&self, cell: [usize; 3]) -> usize {
-        (cell[2] * self.n_cells[1] + cell[1]) * self.n_cells[0] + cell[0]
-    }
-
-    /// Inverse of [`GridGeometry::cell_id`].
-    #[inline]
-    pub fn cell_coords(&self, id: usize) -> [usize; 3] {
-        let i = id % self.n_cells[0];
-        let j = (id / self.n_cells[0]) % self.n_cells[1];
-        let k = id / (self.n_cells[0] * self.n_cells[1]);
-        [i, j, k]
-    }
-
-    /// CFL-stable timestep for the Yee scheme, scaled by `cfl`
-    /// (the paper uses `warpx.cfl = 1.0`).
-    pub fn cfl_dt(&self, cfl: f64) -> f64 {
-        let inv2: f64 = self.dx.iter().map(|d| 1.0 / (d * d)).sum();
-        cfl / (crate::constants::C * inv2.sqrt())
-    }
 }
 
 #[cfg(test)]
@@ -229,31 +207,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn cell_id_roundtrip() {
-        let g = geom();
-        for id in 0..g.total_cells() {
-            assert_eq!(g.cell_id(g.cell_coords(id)), id);
-        }
-    }
-
-    #[test]
-    fn cell_id_x_fastest() {
-        let g = geom();
-        assert_eq!(g.cell_id([1, 0, 0]), 1);
-        assert_eq!(g.cell_id([0, 1, 0]), 8);
-        assert_eq!(g.cell_id([0, 0, 1]), 64);
-    }
-
-    #[test]
-    fn cfl_dt_cubic_grid() {
-        let g = geom();
-        let dt = g.cfl_dt(1.0);
-        // dt = dx / (c * sqrt(3)) for a cubic grid.
-        let expect = 1.0e-6 / (crate::constants::C * 3f64.sqrt());
-        assert!((dt / expect - 1.0).abs() < 1e-12);
     }
 
     #[test]

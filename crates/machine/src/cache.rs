@@ -42,16 +42,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Hit rate in `[0, 1]`; zero if no accesses.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Adds another statistics snapshot into this one (worker merge).
     pub fn merge(&mut self, other: &CacheStats) {
         self.hits += other.hits;
@@ -280,7 +270,7 @@ pub struct CacheSimState {
     /// L2 behavioural state.
     pub l2: CacheLevelState,
     /// Stream-prefetcher slots as `(last_line, confidence)`; always
-    /// [`STREAM_SLOTS`] entries.
+    /// `STREAM_SLOTS` (32) entries.
     pub streams: Vec<(u64, u32)>,
     /// Random-miss insertion counter driving periodic confidence decay.
     pub decay_tick: u32,
@@ -818,7 +808,6 @@ mod tests {
         let s = c.l1_stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

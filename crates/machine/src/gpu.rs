@@ -15,18 +15,14 @@
 //!    warp touches (coalescing).
 //!
 //! The model is parameterised by [`GpuConfig`]; `GpuConfig::a800()` carries
-//! the public A800 specifications (1.41 GHz, 108 SMs, 32 FP64 cores/SM).
-//! Efficiency is reported exactly like the CPU side: canonical useful
-//! FLOPs divided by (cycles x peak FLOPs/cycle), per SM.
+//! the public A800 per-SM specification (32 FP64 cores/SM). Efficiency is
+//! reported exactly like the CPU side: canonical useful FLOPs divided by
+//! (cycles x peak FLOPs/cycle), per SM, so neither the clock nor the SM
+//! count enters it.
 
 /// Static description of the modelled GPU.
 #[derive(Debug, Clone)]
 pub struct GpuConfig {
-    /// SM clock in Hz.
-    pub clock_hz: f64,
-    /// Number of streaming multiprocessors (used only for absolute-time
-    /// estimates; efficiency is per-SM).
-    pub sm_count: usize,
     /// FP64 cores per SM (32 on the A100/A800 generation).
     pub fp64_cores_per_sm: usize,
     /// Threads per warp.
@@ -49,8 +45,6 @@ impl GpuConfig {
     /// The NVIDIA A800 (A100-class silicon, 80 GB HBM2e) used in the paper.
     pub fn a800() -> Self {
         Self {
-            clock_hz: 1.41e9,
-            sm_count: 108,
             fp64_cores_per_sm: 32,
             warp_size: 32,
             // Per-SM share of device L2 atomic throughput. Calibrated so
@@ -70,11 +64,6 @@ impl GpuConfig {
     /// Peak FP64 FLOPs per cycle per SM (each core does one FMA/cycle).
     pub fn peak_flops_per_cycle_per_sm(&self) -> f64 {
         (self.fp64_cores_per_sm * 2) as f64
-    }
-
-    /// Whole-device FP64 peak in FLOP/s (sanity: ~9.7 TFLOP/s for A800).
-    pub fn peak_flops(&self) -> f64 {
-        self.peak_flops_per_cycle_per_sm() * self.sm_count as f64 * self.clock_hz
     }
 }
 
@@ -198,13 +187,6 @@ impl GpuModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn a800_peak_is_about_9_7_tflops() {
-        let cfg = GpuConfig::a800();
-        let tflops = cfg.peak_flops() / 1e12;
-        assert!((tflops - 9.7).abs() < 0.1, "got {tflops}");
-    }
 
     #[test]
     fn conflicts_increase_cycles() {

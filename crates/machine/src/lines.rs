@@ -1,5 +1,5 @@
 //! Distinct cache lines of an index set — what every gather and the
-//! fused reduce price. [`lane_lines`] serves a lane vector's arbitrary
+//! fused reduce price. `lane_lines` serves a lane vector's arbitrary
 //! indices; [`LineCarry`] serves a sweep of [`TensorBlock`]s, deriving
 //! each block's lines from its rows and carrying them to the next call
 //! as the lines still resident.

@@ -427,7 +427,7 @@ impl Meter<'_> {
     /// Cost-only contiguous vector load at the state-free streaming
     /// price (twin of [`Meter::v_touch_load`]). `footprint` is the
     /// byte span of the whole source array for the roofline crossover
-    /// ([`Machine::stream_line_price`]); pass 0 when unknown.
+    /// (`Machine::stream_line_price`); pass 0 when unknown.
     #[inline]
     pub fn v_touch_load_streamed(&mut self, addr: VAddr, lanes: usize, footprint: u64) {
         let cy = Machine::GATHER_MLP
@@ -587,7 +587,7 @@ impl Meter<'_> {
     ///   collapses;
     /// * each *new* line is charged the state-free streaming price
     ///   (`GATHER_MLP x` the crossover line price,
-    ///   [`Machine::stream_line_price`]) instead of a cache walk: the
+    ///   `Machine::stream_line_price`) instead of a cache walk: the
     ///   block loads of consecutive runs form a dense ascending sweep of
     ///   the tile's field arrays, exactly the access shape the stream
     ///   prefetcher services at bandwidth. `footprint` declares one
@@ -706,7 +706,7 @@ impl Meter<'_> {
     /// free and leaves `carry` as it was, every other call advances it
     /// to `block`. `src_footprint`/`dst_footprint` declare the byte
     /// spans of one source array and one destination array for the
-    /// roofline crossover ([`Machine::stream_line_price`]); pass 0 when
+    /// roofline crossover (`Machine::stream_line_price`); pass 0 when
     /// unknown.
     ///
     /// # Panics
@@ -1953,9 +1953,9 @@ mod tests {
         let mut m = machine();
         let srcs: Vec<VAddr> = (0..3).map(|_| m.mem().alloc_f64(32)).collect();
         let dsts: Vec<VAddr> = (0..3).map(|_| m.mem().alloc_f64(4096)).collect();
-        let tsc = TensorBlock::from_fn(3, |d, a| a * [1, 20, 400][d]);
+        let block = TensorBlock::from_fn(3, |d, a| a * [1, 20, 400][d]);
         m.in_phase(Phase::Reduce, |k| {
-            k.v_touch_reduce_block_reuse(&srcs, &dsts, &tsc, &mut LineCarry::new(), 0, 0)
+            k.v_touch_reduce_block_reuse(&srcs, &dsts, &block, &mut LineCarry::new(), 0, 0)
         });
         assert_eq!(m.counters().flops_issued, 81.0);
         assert_eq!(m.counters().vector_ops, 3 * 4);
@@ -2063,7 +2063,7 @@ mod tests {
             VAddr(a[3].0 + 40),
             VAddr(a[0].0 + 40),
         ];
-        // A TSC stencil straddling a periodic wrap of an 18^3 guarded
+        // A 3-wide stencil straddling a periodic wrap of an 18^3 guarded
         // grid in x and z, and its x-neighbour as the carried block.
         let stencil = |x0: usize| {
             TensorBlock::from_fn(3, |d, a| match d {

@@ -6,13 +6,15 @@
 //! new-type whose operations are straight-line per-lane loops the
 //! compiler can autovectorize — no unstable `portable_simd` feature, no
 //! `std::arch` intrinsics (mpic-lint rule L9 fences both to this file,
-//! along with the definition of the lane-pack type itself). Kernels that want a lane-parallel inner loop chunk
-//! their particles into [`W`]-wide packs, run the packed loop, and
-//! finish the ragged tail as one more pack, zero-padded on load
-//! ([`Lanes::from_slice`]) and cut to the active lanes on store
-//! ([`Lanes::write_to`]) — so no scalar remainder loop exists on the
-//! hot paths; the README's hot-path section documents the layout and
-//! equivalence contract.
+//! along with the definition of the lane-pack type itself). The push's
+//! run sweep (`flush_run`) chunks a cell run into [`W`]-wide packs and
+//! finishes the ragged tail as one more pack: it sets each active lane
+//! from its particle's scattered SoA slot, leaves the rest at zero and
+//! reads the active lanes back one by one — no scalar remainder loop
+//! exists on the hot path. [`Lanes::from_slice`] and [`Lanes::write_to`]
+//! are the contiguous form of that idiom, held to the masked-tail
+//! reference by the tests below; the README's hot-path section
+//! documents the layout and equivalence contract.
 //!
 //! The wrapper exists for *host* throughput only. Emulated-cost vector
 //! state lives in [`crate::VReg`], whose operations charge the cycle

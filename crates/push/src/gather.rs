@@ -209,7 +209,6 @@ pub fn gather_from_block_lanes_masked(
 ) -> ([Lanes; 3], [Lanes; 3]) {
     match order {
         ShapeOrder::Cic => gather_lanes::<2>(order, block, fracs),
-        ShapeOrder::Tsc => gather_lanes::<3>(order, block, fracs),
         ShapeOrder::Qsp => gather_lanes::<4>(order, block, fracs),
     }
 }
@@ -404,7 +403,7 @@ mod tests {
         let (geom, mut fields) = setup();
         fields.ez.fill(5.0);
         fields.bx.fill(-2.0);
-        for order in [ShapeOrder::Cic, ShapeOrder::Tsc, ShapeOrder::Qsp] {
+        for order in [ShapeOrder::Cic, ShapeOrder::Qsp] {
             let (e, b) = gather_fields(&geom, order, &fields, 3.3e-6, 4.7e-6, 1.2e-6);
             assert!((e[2] - 5.0).abs() < 1e-12, "{order:?}");
             assert!((b[0] + 2.0).abs() < 1e-12, "{order:?}");
@@ -451,7 +450,7 @@ mod tests {
                 }
             }
         }
-        for order in [ShapeOrder::Cic, ShapeOrder::Tsc, ShapeOrder::Qsp] {
+        for order in [ShapeOrder::Cic, ShapeOrder::Qsp] {
             let mut block = NodeBlock::new();
             for t in 0..20 {
                 let f = t as f64 / 20.0;
@@ -523,7 +522,7 @@ mod tests {
                 }
             }
         }
-        for order in [ShapeOrder::Cic, ShapeOrder::Tsc, ShapeOrder::Qsp] {
+        for order in [ShapeOrder::Cic, ShapeOrder::Qsp] {
             let mut block = NodeBlock::new();
             let (cell, pos, fracs) = pack_in_cell(&geom, [3.4e-6, 4.1e-6, 1.9e-6], |f| {
                 [f * 0.9 + 0.05, (1.0 - f) * 0.8 + 0.1, f * f * 0.7 + 0.2]
@@ -572,7 +571,7 @@ mod tests {
                 }
             }
         }
-        for order in [ShapeOrder::Cic, ShapeOrder::Tsc, ShapeOrder::Qsp] {
+        for order in [ShapeOrder::Cic, ShapeOrder::Qsp] {
             let mut block = NodeBlock::new();
             let (cell, pos, fracs) = pack_in_cell(&geom, [2.6e-6, 5.2e-6, 3.8e-6], |f| {
                 [f * 0.85 + 0.05, (1.0 - f) * 0.7 + 0.15, f * f * 0.6 + 0.25]
@@ -622,7 +621,7 @@ mod tests {
             (rng >> 11) as f64 / (1u64 << 53) as f64
         };
         let mut caught = [false; 2];
-        for order in [ShapeOrder::Cic, ShapeOrder::Tsc, ShapeOrder::Qsp] {
+        for order in [ShapeOrder::Cic, ShapeOrder::Qsp] {
             for poison in [
                 None,
                 Some(f64::INFINITY),

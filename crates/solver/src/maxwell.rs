@@ -1,4 +1,4 @@
-//! Yee and CKC finite-difference Maxwell solvers on the guarded grid.
+//! The CKC finite-difference Maxwell solver on the guarded grid.
 //!
 //! Fields follow the conventional Yee staggering (Ex at (i+1/2, j, k),
 //! Bx at (i, j+1/2, k+1/2), J co-located with E); arrays share nodal
@@ -9,21 +9,19 @@
 //! B -= dt/2 curl E;   E += dt (c^2 curl B - J/eps0);   B -= dt/2 curl E
 //! ```
 //!
-//! The CKC solver replaces the transverse differences in the E update
-//! with Cowan's smoothed stencil (coefficients beta = 1/8 *
-//! (dx_d/dx_t)^2), which moves the numerical light cone onto the grid
-//! diagonal and is stable at CFL = 1 on cubic cells — the configuration
-//! the paper runs.
+//! The E update uses Cowan's transversally smoothed stencil (coefficients
+//! beta = 1/8 * (dx_d/dx_t)^2) in place of Yee's plain differences, which
+//! moves the numerical light cone onto the grid diagonal and is stable at
+//! CFL = 1 on cubic cells — the configuration the paper runs.
 
 use mpic_grid::constants::{C, EPS0};
 use mpic_grid::{Array3, FieldArrays, GridGeometry};
 use mpic_machine::{Exec, Machine, Phase};
 
-/// Which curl discretisation the E update uses.
+/// Which curl discretisation the E update uses (`algo.maxwell_solver`).
+/// The paper runs CKC only, so it is the one value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverKind {
-    /// Classic second-order Yee.
-    Yee,
     /// Cole-Karkkainen-Cowan extended stencil (WarpX `ckc`).
     Ckc,
 }
@@ -31,7 +29,6 @@ pub enum SolverKind {
 /// The FDTD field solver.
 #[derive(Debug, Clone)]
 pub struct MaxwellSolver {
-    kind: SolverKind,
     /// CKC transverse smoothing weights: `beta[d][t]` smooths the
     /// difference along `d` with neighbours displaced along `t`.
     beta: [[f64; 3]; 3],
@@ -40,39 +37,29 @@ pub struct MaxwellSolver {
 
 impl MaxwellSolver {
     /// Builds a solver for the geometry.
-    pub fn new(kind: SolverKind, geom: &GridGeometry) -> Self {
+    pub fn new(_kind: SolverKind, geom: &GridGeometry) -> Self {
         let mut beta = [[0.0; 3]; 3];
         let mut alpha = [1.0; 3];
-        if kind == SolverKind::Ckc {
-            for d in 0..3 {
-                let mut a = 1.0;
-                for t in 0..3 {
-                    if t == d {
-                        continue;
-                    }
-                    let r = geom.dx[d] / geom.dx[t];
-                    beta[d][t] = 0.125 * r * r;
-                    a -= 2.0 * beta[d][t];
+        for d in 0..3 {
+            let mut a = 1.0;
+            for t in 0..3 {
+                if t == d {
+                    continue;
                 }
-                alpha[d] = a;
+                let r = geom.dx[d] / geom.dx[t];
+                beta[d][t] = 0.125 * r * r;
+                a -= 2.0 * beta[d][t];
             }
+            alpha[d] = a;
         }
-        Self { kind, beta, alpha }
+        Self { beta, alpha }
     }
 
-    /// Solver kind.
-    pub fn kind(&self) -> SolverKind {
-        self.kind
-    }
-
-    /// Maximum stable timestep: the Yee limit `1/(c sqrt(sum 1/dx^2))`,
-    /// or CKC's extended limit `min(dx)/c` (the "magic timestep" that
-    /// lets the paper run `warpx.cfl = 1.0` on cubic cells).
+    /// Maximum stable timestep: CKC's extended limit `min(dx)/c` (the
+    /// "magic timestep" that lets the paper run `warpx.cfl = 1.0` on
+    /// cubic cells).
     pub fn max_dt(&self, geom: &GridGeometry) -> f64 {
-        match self.kind {
-            SolverKind::Yee => geom.cfl_dt(1.0),
-            SolverKind::Ckc => geom.dx.iter().cloned().fold(f64::INFINITY, f64::min) / C,
-        }
+        geom.dx.iter().cloned().fold(f64::INFINITY, f64::min) / C
     }
 
     /// Advances fields by one step given the deposited current; charges
@@ -158,7 +145,6 @@ impl MaxwellSolver {
             _ => [0, 1],
         };
         BackDiff {
-            kind: self.kind,
             stride: strides[axis],
             inv_d: 1.0 / dx[axis],
             alpha: self.alpha[axis],
@@ -233,11 +219,10 @@ impl MaxwellSolver {
 /// difference rows are stack arrays (2 x 2 KiB), wider rows go in blocks.
 const ROW_BLOCK: usize = 256;
 
-/// One axis' backward difference, optionally CKC-smoothed transversally:
-/// the axis stride, `1 / d`, the centre weight and the two transverse
-/// taps `(beta, stride)` in ascending axis order.
+/// One axis' backward difference, CKC-smoothed transversally: the axis
+/// stride, `1 / d`, the centre weight and the two transverse taps
+/// `(beta, stride)` in ascending axis order.
 struct BackDiff {
-    kind: SolverKind,
     stride: usize,
     inv_d: f64,
     alpha: f64,
@@ -248,37 +233,25 @@ impl BackDiff {
     /// Differences the `out.len()` cells of `arr` starting at flat index
     /// `at`. Per cell this is the expression tree of the per-cell form
     /// (`reference::diff_back`), with the loops over taps and cells
-    /// interchanged: `alpha d0`, then per live tap the `-1` and the `+1`
+    /// interchanged: `alpha d0`, then per tap the `-1` and the `+1`
     /// neighbour, then `* inv_d`.
     fn row(&self, arr: &[f64], at: usize, out: &mut [f64]) {
         let n = out.len();
         let pair = |c: usize| (&arr[c..c + n], &arr[c - self.stride..c - self.stride + n]);
         let (hi, lo) = pair(at);
-        match self.kind {
-            SolverKind::Yee => {
+        for x in 0..n {
+            out[x] = self.alpha * (hi[x] - lo[x]);
+        }
+        for (beta, st) in self.taps {
+            for c in [at - st, at + st] {
+                let (hi, lo) = pair(c);
                 for x in 0..n {
-                    out[x] = (hi[x] - lo[x]) * self.inv_d;
+                    out[x] += beta * (hi[x] - lo[x]);
                 }
             }
-            SolverKind::Ckc => {
-                for x in 0..n {
-                    out[x] = self.alpha * (hi[x] - lo[x]);
-                }
-                for (beta, st) in self.taps {
-                    if beta == 0.0 {
-                        continue;
-                    }
-                    for c in [at - st, at + st] {
-                        let (hi, lo) = pair(c);
-                        for x in 0..n {
-                            out[x] += beta * (hi[x] - lo[x]);
-                        }
-                    }
-                }
-                for v in out {
-                    *v *= self.inv_d;
-                }
-            }
+        }
+        for v in out {
+            *v *= self.inv_d;
         }
     }
 }
@@ -423,8 +396,8 @@ mod reference {
         }
     }
 
-    /// Backward difference of `arr` along `axis` at (i, j, k), optionally
-    /// CKC-smoothed transversally.
+    /// Backward difference of `arr` along `axis` at (i, j, k), CKC-smoothed
+    /// transversally.
     fn diff_back(
         s: &MaxwellSolver,
         arr: &Array3,
@@ -442,27 +415,22 @@ mod reference {
             let (pi, pj, pk) = shift(i, j, k, axis, -1);
             arr.get(i, j, k) - arr.get(pi, pj, pk)
         };
-        match s.kind {
-            SolverKind::Yee => d0 * inv_d,
-            SolverKind::Ckc => {
-                let mut acc = s.alpha[axis] * d0;
-                for t in 0..3 {
-                    if t == axis || s.beta[axis][t] == 0.0 {
-                        continue;
-                    }
-                    let signs = match m {
-                        Mutant::PlusTapFirst => [1i64, -1],
-                        _ => [-1, 1],
-                    };
-                    for sg in signs {
-                        let (si, sj, sk) = shift(i, j, k, t, sg);
-                        let (pi, pj, pk) = shift(si, sj, sk, axis, -1);
-                        acc += s.beta[axis][t] * (arr.get(si, sj, sk) - arr.get(pi, pj, pk));
-                    }
-                }
-                acc * inv_d
+        let mut acc = s.alpha[axis] * d0;
+        for t in 0..3 {
+            if t == axis {
+                continue;
+            }
+            let signs = match m {
+                Mutant::PlusTapFirst => [1i64, -1],
+                _ => [-1, 1],
+            };
+            for sg in signs {
+                let (si, sj, sk) = shift(i, j, k, t, sg);
+                let (pi, pj, pk) = shift(si, sj, sk, axis, -1);
+                acc += s.beta[axis][t] * (arr.get(si, sj, sk) - arr.get(pi, pj, pk));
             }
         }
+        acc * inv_d
     }
 
     fn push_e(s: &MaxwellSolver, geom: &GridGeometry, f: &mut FieldArrays, dt: f64, m: Mutant) {
@@ -497,15 +465,12 @@ mod tests {
     use super::*;
     use mpic_machine::{MachineConfig, SchedulerPolicy, WorkerPool};
 
-    fn setup(
-        kind: SolverKind,
-        n: usize,
-        cfl: f64,
-    ) -> (GridGeometry, FieldArrays, MaxwellSolver, f64) {
+    /// A cubic `n^3` grid, its solver and `dt = cfl * max_dt`.
+    fn setup(n: usize, cfl: f64) -> (GridGeometry, FieldArrays, MaxwellSolver, f64) {
         let geom = GridGeometry::new([n, n, n], [0.0; 3], [1.0e-6; 3], 2);
         let fields = FieldArrays::new(&geom);
-        let solver = MaxwellSolver::new(kind, &geom);
-        let dt = geom.cfl_dt(cfl);
+        let solver = MaxwellSolver::new(SolverKind::Ckc, &geom);
+        let dt = cfl * solver.max_dt(&geom);
         (geom, fields, solver, dt)
     }
 
@@ -528,7 +493,7 @@ mod tests {
 
     #[test]
     fn vacuum_zero_fields_stay_zero() {
-        let (geom, mut f, solver, dt) = setup(SolverKind::Yee, 8, 0.9);
+        let (geom, mut f, solver, dt) = setup(8, 0.9);
         let pool = WorkerPool::sequential();
         let exec = pool.exec(SchedulerPolicy::Static);
         let mut m = Machine::new(MachineConfig::lx2());
@@ -541,26 +506,9 @@ mod tests {
     }
 
     #[test]
-    fn yee_plane_wave_energy_stable() {
-        let (geom, mut f, solver, dt) = setup(SolverKind::Yee, 16, 0.5);
-        let pool = WorkerPool::sequential();
-        let exec = pool.exec(SchedulerPolicy::Static);
-        seed_plane_wave(&geom, &mut f, exec);
-        let mut m = Machine::new(MachineConfig::lx2());
-        let e0 = f.field_energy(&geom);
-        for _ in 0..200 {
-            solver.step_sharded(&mut m, &geom, &mut f, dt, exec);
-        }
-        let e1 = f.field_energy(&geom);
-        assert!((e1 / e0 - 1.0).abs() < 0.05, "energy drifted {e0} -> {e1}");
-        assert!(f.ex.max_abs() < 10.0, "unstable");
-    }
-
-    #[test]
     fn ckc_stable_at_cfl_one() {
-        // CKC's limit is c dt = dx (where Yee already blew up).
-        let (geom, mut f, solver, _) = setup(SolverKind::Ckc, 16, 1.0);
-        let dt = solver.max_dt(&geom);
+        // CKC's limit is c dt = dx, past Yee's dx / sqrt(3).
+        let (geom, mut f, solver, dt) = setup(16, 1.0);
         assert!((dt - geom.dx[0] / C).abs() < 1e-20);
         let pool = WorkerPool::sequential();
         let exec = pool.exec(SchedulerPolicy::Static);
@@ -578,78 +526,46 @@ mod tests {
     }
 
     #[test]
-    fn yee_unstable_above_cfl_limit() {
-        // Yee's 3-D cubic limit is 1/sqrt(3) ~ 0.577 dx/c; at dt = dx/c
-        // the diagonal checkerboard mode must blow up. (A pure
-        // z-propagating wave would remain marginally stable, so seed
-        // full-3D alternating noise.)
-        let (geom, mut f, solver, _) = setup(SolverKind::Yee, 16, 0.5);
-        let pool = WorkerPool::sequential();
-        let exec = pool.exec(SchedulerPolicy::Static);
-        let g = geom.guard;
-        for k in 0..16 {
-            for j in 0..16 {
-                for i in 0..16 {
-                    let sign = if (i + j + k) % 2 == 0 { 1.0 } else { -1.0 };
-                    f.ex.set(i + g, j + g, k + g, sign * 1e-3);
-                }
-            }
-        }
-        f.fill_guards_periodic_exec(exec);
-        let dt_unstable = geom.dx[0] / C; // CFL = sqrt(3) x limit.
-        let mut m = Machine::new(MachineConfig::lx2());
-        for _ in 0..300 {
-            solver.step_sharded(&mut m, &geom, &mut f, dt_unstable, exec);
-            if f.ex.max_abs() > 1e3 {
-                return; // Blew up as expected.
-            }
-        }
-        panic!("expected instability growth, max {}", f.ex.max_abs());
-    }
-
-    #[test]
     fn sharded_step_is_bit_identical_for_any_worker_count_and_policy() {
-        for kind in [SolverKind::Yee, SolverKind::Ckc] {
-            let (geom, mut base, solver, dt) = setup(kind, 16, 0.5);
-            let pool = WorkerPool::sequential();
-            seed_plane_wave(&geom, &mut base, pool.exec(SchedulerPolicy::Static));
-            base.jx.set(5, 6, 7, 3.0e3); // Current source in the mix.
-            base.jz.set(9, 3, 12, -1.0e3);
-            let run = |workers: usize| {
-                let mut f = base.clone();
-                let mut m = Machine::new(MachineConfig::lx2());
-                let pool = WorkerPool::new(workers);
-                for _ in 0..5 {
-                    let exec = pool.exec(SchedulerPolicy::Static);
-                    solver.step_sharded(&mut m, &geom, &mut f, dt, exec);
-                }
-                (f, m.counters().cycles(Phase::FieldSolve))
-            };
-            let (f1, c1) = run(1);
-            for workers in [2usize, 4, 7, 16] {
-                let (fw, cw) = run(workers);
-                for (name, a, b) in [
-                    ("ex", &f1.ex, &fw.ex),
-                    ("ey", &f1.ey, &fw.ey),
-                    ("ez", &f1.ez, &fw.ez),
-                    ("bx", &f1.bx, &fw.bx),
-                    ("by", &f1.by, &fw.by),
-                    ("bz", &f1.bz, &fw.bz),
-                ] {
-                    assert!(
-                        a.as_slice()
-                            .iter()
-                            .zip(b.as_slice())
-                            .all(|(u, v)| u.to_bits() == v.to_bits()),
-                        "{kind:?} {name}: {workers}-worker solve diverged from sequential"
-                    );
-                }
-                assert_eq!(
-                    c1.to_bits(),
-                    cw.to_bits(),
-                    "{kind:?} cycles diverged ({workers} workers)"
+        let (geom, mut base, solver, dt) = setup(16, 0.5);
+        let pool = WorkerPool::sequential();
+        seed_plane_wave(&geom, &mut base, pool.exec(SchedulerPolicy::Static));
+        base.jx.set(5, 6, 7, 3.0e3); // Current source in the mix.
+        base.jz.set(9, 3, 12, -1.0e3);
+        let run = |workers: usize| {
+            let mut f = base.clone();
+            let mut m = Machine::new(MachineConfig::lx2());
+            let pool = WorkerPool::new(workers);
+            for _ in 0..5 {
+                let exec = pool.exec(SchedulerPolicy::Static);
+                solver.step_sharded(&mut m, &geom, &mut f, dt, exec);
+            }
+            (f, m.counters().cycles(Phase::FieldSolve))
+        };
+        let (f1, c1) = run(1);
+        for workers in [2usize, 4, 7, 16] {
+            let (fw, cw) = run(workers);
+            for (name, a, b) in [
+                ("ex", &f1.ex, &fw.ex),
+                ("ey", &f1.ey, &fw.ey),
+                ("ez", &f1.ez, &fw.ez),
+                ("bx", &f1.bx, &fw.bx),
+                ("by", &f1.by, &fw.by),
+                ("bz", &f1.bz, &fw.bz),
+            ] {
+                assert!(
+                    a.as_slice()
+                        .iter()
+                        .zip(b.as_slice())
+                        .all(|(u, v)| u.to_bits() == v.to_bits()),
+                    "{name}: {workers}-worker solve diverged from sequential"
                 );
             }
+            assert_eq!(
+                c1.to_bits(),
+                cw.to_bits(),
+                "cycles diverged ({workers} workers)"
+            );
         }
     }
 
@@ -695,8 +611,8 @@ mod tests {
             .collect()
     }
 
-    /// The row kernels are the per-cell reference, bit for bit: both
-    /// solver kinds, cubic and LWFA cells, x widths around the vector
+    /// The row kernels are the per-cell reference, bit for bit: cubic and
+    /// LWFA cells, x widths around the vector
     /// width (ragged tails, and past one `ROW_BLOCK`), both guard widths,
     /// sequential and 3-worker slabs.
     #[test]
@@ -705,55 +621,47 @@ mod tests {
         let exec = pool.exec(SchedulerPolicy::Static);
         let cells = [[1.0e-6; 3], [0.5e-6, 0.5e-6, 0.25e-6]];
         let mut case = 0u64;
-        for kind in [SolverKind::Yee, SolverKind::Ckc] {
-            for dx in cells {
-                for width in [1usize, 5, 8, 13, 33, ROW_BLOCK + 3] {
-                    for guard in [1usize, 2] {
-                        case += 1;
-                        let geom = GridGeometry::new([width, 3, 7], [0.0; 3], dx, guard);
-                        let solver = MaxwellSolver::new(kind, &geom);
-                        if kind == SolverKind::Ckc {
-                            assert!(
-                                solver.beta.iter().flatten().filter(|b| **b != 0.0).count() == 6
-                            );
+        for dx in cells {
+            for width in [1usize, 5, 8, 13, 33, ROW_BLOCK + 3] {
+                for guard in [1usize, 2] {
+                    case += 1;
+                    let geom = GridGeometry::new([width, 3, 7], [0.0; 3], dx, guard);
+                    let solver = MaxwellSolver::new(SolverKind::Ckc, &geom);
+                    assert!(solver.beta.iter().flatten().filter(|b| **b != 0.0).count() == 6);
+                    let dt = 0.5 * solver.max_dt(&geom);
+                    let mut base = FieldArrays::new(&geom);
+                    randomise(&mut base, 0x9e37_79b9 + case);
+                    let reference = |m: Mutant| {
+                        let mut f = base.clone();
+                        for _ in 0..3 {
+                            reference::step(&solver, &geom, &mut f, dt, m, exec);
                         }
-                        let dt = 0.5 * solver.max_dt(&geom);
-                        let mut base = FieldArrays::new(&geom);
-                        randomise(&mut base, 0x9e37_79b9 + case);
-                        let reference = |m: Mutant| {
-                            let mut f = base.clone();
-                            for _ in 0..3 {
-                                reference::step(&solver, &geom, &mut f, dt, m, exec);
-                            }
-                            eb_bits(&f)
-                        };
-                        let rows = |workers: usize| {
-                            let mut f = base.clone();
-                            let mut m = Machine::new(MachineConfig::lx2());
-                            let pool = WorkerPool::new(workers);
-                            for _ in 0..3 {
-                                let exec = pool.exec(SchedulerPolicy::Static);
-                                solver.step_sharded(&mut m, &geom, &mut f, dt, exec);
-                            }
-                            (
-                                eb_bits(&f),
-                                m.counters().cycles(Phase::FieldSolve).to_bits(),
-                            )
-                        };
-                        let what = format!("{kind:?} dx {dx:?} width {width} guard {guard}");
-                        let want = reference(Mutant::None);
-                        let (got, cycles) = rows(1);
-                        assert!(got == want, "{what}: rows diverged from the reference");
-                        let (got_w, cycles_w) = rows(3);
-                        assert!(got_w == want, "{what}: 3-worker rows diverged");
-                        assert_eq!(cycles_w, cycles, "{what}: FieldSolve cycles moved");
-                        // The comparison must be sharp enough to catch a
-                        // single changed rounding.
-                        assert!(reference(Mutant::Reciprocal) != want, "{what}: reciprocal");
-                        if kind == SolverKind::Ckc {
-                            assert!(reference(Mutant::PlusTapFirst) != want, "{what}: tap order");
+                        eb_bits(&f)
+                    };
+                    let rows = |workers: usize| {
+                        let mut f = base.clone();
+                        let mut m = Machine::new(MachineConfig::lx2());
+                        let pool = WorkerPool::new(workers);
+                        for _ in 0..3 {
+                            let exec = pool.exec(SchedulerPolicy::Static);
+                            solver.step_sharded(&mut m, &geom, &mut f, dt, exec);
                         }
-                    }
+                        (
+                            eb_bits(&f),
+                            m.counters().cycles(Phase::FieldSolve).to_bits(),
+                        )
+                    };
+                    let what = format!("dx {dx:?} width {width} guard {guard}");
+                    let want = reference(Mutant::None);
+                    let (got, cycles) = rows(1);
+                    assert!(got == want, "{what}: rows diverged from the reference");
+                    let (got_w, cycles_w) = rows(3);
+                    assert!(got_w == want, "{what}: 3-worker rows diverged");
+                    assert_eq!(cycles_w, cycles, "{what}: FieldSolve cycles moved");
+                    // The comparison must be sharp enough to catch a
+                    // single changed rounding.
+                    assert!(reference(Mutant::Reciprocal) != want, "{what}: reciprocal");
+                    assert!(reference(Mutant::PlusTapFirst) != want, "{what}: tap order");
                 }
             }
         }
@@ -761,7 +669,7 @@ mod tests {
 
     #[test]
     fn current_drives_e_field() {
-        let (geom, mut f, solver, dt) = setup(SolverKind::Yee, 8, 0.5);
+        let (geom, mut f, solver, dt) = setup(8, 0.5);
         let pool = WorkerPool::sequential();
         let exec = pool.exec(SchedulerPolicy::Static);
         let mut m = Machine::new(MachineConfig::lx2());
@@ -778,8 +686,5 @@ mod tests {
         let s = MaxwellSolver::new(SolverKind::Ckc, &geom);
         assert!((s.beta[0][1] - 0.125).abs() < 1e-15);
         assert!((s.alpha[0] - 0.5).abs() < 1e-15);
-        let y = MaxwellSolver::new(SolverKind::Yee, &geom);
-        assert_eq!(y.alpha[0], 1.0);
-        assert_eq!(y.beta[0][1], 0.0);
     }
 }

@@ -6,7 +6,7 @@
 //! (8x8 FP64 outer-product-accumulate tiles), a hybrid MPU/VPU execution
 //! pipeline, and an O(1)-amortised incremental particle sorter built on a
 //! Gapped Packed Memory Array — embedded in a complete electromagnetic
-//! PIC stack (CKC/Yee Maxwell solver, Boris pusher, SoA particle tiles,
+//! PIC stack (CKC Maxwell solver, Boris pusher, SoA particle tiles,
 //! moving window, laser antenna).
 //!
 //! This facade crate re-exports the workspace members:
@@ -14,10 +14,10 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`machine`] | `mpic-machine` | emulated LX2 (VPU/MPU/cache) + A800 SIMT model |
-//! | [`grid`] | `mpic-grid` | 3-D arrays, Yee fields, guard cells, tiles |
+//! | [`grid`] | `mpic-grid` | 3-D arrays, Yee-staggered fields, guard cells, tiles |
 //! | [`particles`] | `mpic-particles` | SoA storage, GPMA, sorting, policies |
 //! | [`deposit`] | `mpic-deposit` | shape functions, rhocell, all kernels |
-//! | [`solver`] | `mpic-solver` | Yee/CKC FDTD, boundaries, laser |
+//! | [`solver`] | `mpic-solver` | CKC FDTD, boundaries, laser |
 //! | [`push`] | `mpic-push` | field gather + Boris push |
 //! | [`core`] | `mpic-core` | simulation orchestration + workloads |
 //!

@@ -4,7 +4,7 @@
 //! `parallel_determinism.rs`) compare modes against each other, and
 //! `BENCH_step.json` pins absolute emulated counters for FullOpt/CIC
 //! only — so a pricing slip in the rhocell or direct-scatter kernels, or
-//! at QSP/TSC, that moved every worker count the same way would pass all
+//! at QSP, that moved every worker count the same way would pass all
 //! of them. This file pins the *whole* post-run state of each kernel
 //! family x shape order x `(batching, simd)` pair to a constant: FNV-1a
 //! over `Simulation::snapshot()`, which covers fields, particles, GPMA,
@@ -23,7 +23,7 @@
 //! the two `Baseline` rows also when the GPMA layout a load leaves
 //! changes: that configuration neither sorts nor is shuffled here, so it
 //! steps from the load's index rather than from one the initial sort
-//! lays out. All 18 also change with the snapshot format, whose bytes
+//! lays out. All 16 also change with the snapshot format, whose bytes
 //! they hash — without the state under them moving: format 3 stores
 //! only state a future step reads and that cannot be derived, and
 //! `checkpoint::tests::conf_v3_restore_reencodes_to_v1_bitwise` restores
@@ -49,7 +49,7 @@ const MODES: [(bool, bool); 2] = [(false, false), (true, true)];
 /// Only the sorted matrix configuration (`FullOpt`) runs the cell-run
 /// sweeps: on the direct-scatter and rhocell kernels, sorted or not,
 /// both knobs are no-ops and the two checksums coincide.
-const GOLDENS: [(KernelConfig, ShapeOrder, [u64; 2]); 9] = [
+const GOLDENS: [(KernelConfig, ShapeOrder, [u64; 2]); 8] = [
     (
         KernelConfig::FullOpt,
         ShapeOrder::Cic,
@@ -59,11 +59,6 @@ const GOLDENS: [(KernelConfig, ShapeOrder, [u64; 2]); 9] = [
         KernelConfig::FullOpt,
         ShapeOrder::Qsp,
         [0xe60e04a9b045d0f5, 0xf1087e8158700376],
-    ),
-    (
-        KernelConfig::FullOpt,
-        ShapeOrder::Tsc,
-        [0x623c54037401ceed, 0x6c8d790f10977bbc],
     ),
     (
         KernelConfig::RhocellIncrSortVpu,

@@ -52,15 +52,13 @@ fn conservation_laws_hold() {
 #[test]
 fn energy_stays_bounded() {
     use matrix_pic::core::Simulation;
-    use matrix_pic::grid::{GridGeometry, TileLayout};
 
     let cfg =
         workloads::uniform_plasma_config([8, 8, 8], ShapeOrder::Cic, KernelConfig::FullOpt, 11);
-    let geom = GridGeometry::new(cfg.n_cells, [0.0; 3], cfg.dx, cfg.guard);
-    let layout = TileLayout::new(&geom, cfg.tile_size);
+    let (geom, layout) = cfg.grid();
     // lambda_D ~ dx at u_th = 0.01: n ~ 2.5e21 m^-3.
     let electrons = workloads::load_uniform_plasma(&geom, &layout, 2.5e21, 8, 0.01, 11);
-    let mut sim = Simulation::from_parts(cfg, geom, layout, electrons, None);
+    let mut sim = Simulation::from_parts(cfg, electrons, None);
     sim.run(2);
     let e_early = sim.field_energy() + sim.kinetic_energy();
     sim.run(30);

@@ -184,10 +184,10 @@ fn fuzz_sharded_sort_matches_sequential_for_all_workers_and_policies() {
 fn fuzz_lane_remainder_gather_matches_scalar_bitwise() {
     proptest!(ProptestConfig::with_cases(fuzz_cases(64)).with_corpus("lane_remainder"), |(
         run_lens in prop::collection::vec(0usize..(2 * W + 2), 1..6),
-        order_pick in 0usize..3,
+        order_pick in 0usize..2,
         seed in 0u64..1_000_000,
     )| {
-        let order = [ShapeOrder::Cic, ShapeOrder::Tsc, ShapeOrder::Qsp][order_pick];
+        let order = [ShapeOrder::Cic, ShapeOrder::Qsp][order_pick];
         // Lane-boundary lengths kW-1 / kW / kW+1 ride along on every
         // case: they are exactly where a masked-tail bug would hide.
         let boundary = [W - 1, W, W + 1, 2 * W - 1, 2 * W, 2 * W + 1];

@@ -12,7 +12,7 @@
 
 use matrix_pic::core::{workloads, Simulation};
 use matrix_pic::deposit::{KernelConfig, ShapeOrder};
-use matrix_pic::grid::{FieldArrays, GridGeometry, TileLayout};
+use matrix_pic::grid::FieldArrays;
 use matrix_pic::machine::Phase;
 use matrix_pic::solver::LaserAntenna;
 
@@ -163,8 +163,7 @@ fn conf_periodic_laser_field_solve_is_worker_count_invariant() {
             waist: 3.0e-6,
             z_plane: 4,
         });
-        let geom = GridGeometry::new(cfg.n_cells, [0.0; 3], cfg.dx, cfg.guard);
-        let layout = TileLayout::new(&geom, cfg.tile_size);
+        let (geom, layout) = cfg.grid();
         let electrons = workloads::load_uniform_plasma(
             &geom,
             &layout,
@@ -173,7 +172,7 @@ fn conf_periodic_laser_field_solve_is_worker_count_invariant() {
             workloads::UNIFORM_UTH,
             17,
         );
-        Simulation::from_parts(cfg, geom, layout, electrons, None)
+        Simulation::from_parts(cfg, electrons, None)
     };
     let one = run(build(), 1, 4);
     for workers in [2usize, 4, 7] {
@@ -224,15 +223,14 @@ fn conf_parallel_window_injection_is_worker_count_invariant() {
 
     let build = || {
         let cfg = workloads::lwfa_config([16, 16, 8], ShapeOrder::Cic, KernelConfig::FullOpt, 5);
-        let geom = GridGeometry::new(cfg.n_cells, [0.0; 3], cfg.dx, cfg.guard);
-        let layout = TileLayout::new(&geom, cfg.tile_size);
+        let (_, layout) = cfg.grid();
         let electrons = ParticleContainer::new(&layout, -Q_E, M_E);
         let spec = PlasmaSpec {
             density: workloads::LWFA_DENSITY,
             ppc: 16,
             u_th: 0.01,
         };
-        Simulation::from_parts(cfg, geom, layout, electrons, Some(spec))
+        Simulation::from_parts(cfg, electrons, Some(spec))
     };
     let one = run(build(), 1, 3);
     assert!(one.2 > 0, "window must have injected particles");

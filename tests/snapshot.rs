@@ -8,8 +8,9 @@
 //! state included — across every worker count and execution mode. Corrupted snapshot bytes must produce structured [`SnapshotError`]s,
 //! never panics.
 
+use matrix_pic::core::config::GUARD_CELLS;
 use matrix_pic::core::snapshot::{section, SnapshotError};
-use matrix_pic::core::{workloads, Simulation};
+use matrix_pic::core::{workloads, SimConfig, Simulation};
 use matrix_pic::deposit::{KernelConfig, ShapeOrder};
 use matrix_pic::machine::MachineConfig;
 use matrix_pic::particles::{ParticleTile, INVALID_PARTICLE_ID};
@@ -309,32 +310,96 @@ fn corrupted_snapshot_every_section_checksum_detected() {
     }
 }
 
-/// A snapshot from an incompatible simulation shape is rejected with
-/// `Incompatible` and leaves the target fully untouched.
+/// A snapshot from an incompatible simulation is rejected with
+/// `Incompatible` naming the one field that differs, and leaves the
+/// target fully untouched. Fields a configuration sets are changed in
+/// the target; fields none reaches — `guard` and `solver` are constants,
+/// `dt`, the tile count and the field length follow from the rest — are
+/// edited in the snapshot's `META` words, re-sealed so the decoder, not
+/// the checksum, meets them.
 #[test]
 fn incompatible_snapshot_rejected_and_target_untouched() {
-    let mut small = uniform_sim(2, false);
-    small.run(2);
-    let checkpoint = small.snapshot();
+    let mut source = uniform_sim(2, false);
+    source.run(2);
+    let checkpoint = source.snapshot();
+    let expect_rejected = |target: &mut Simulation, bytes: &[u8], want: &str| {
+        let before = target.snapshot();
+        match target.restore(bytes) {
+            Err(SnapshotError::Incompatible { reason }) if reason == want => {}
+            other => panic!("{want}: expected Incompatible {{ {want} }}, got {other:?}"),
+        }
+        assert!(
+            target.snapshot() == before,
+            "{want}: failed restore mutated the target"
+        );
+    };
 
-    let mut other = workloads::uniform_plasma_sim(
-        [8, 8, 16],
-        UNIFORM_PPC,
+    let base = workloads::uniform_plasma_config(
+        UNIFORM_DIMS,
         ShapeOrder::Cic,
         KernelConfig::FullOpt,
         UNIFORM_SEED,
     );
-    other.run(1);
-    let before = other.snapshot();
-    assert!(matches!(
-        other.restore(&checkpoint),
-        Err(SnapshotError::Incompatible { .. })
-    ));
-    // Failed restores are all-or-nothing: the target state is unchanged.
-    assert!(
-        other.snapshot() == before,
-        "failed restore mutated the target"
-    );
+    let build = |cfg: SimConfig| {
+        let (geom, layout) = cfg.grid();
+        let electrons = workloads::load_uniform_plasma(
+            &geom,
+            &layout,
+            workloads::UNIFORM_DENSITY,
+            UNIFORM_PPC,
+            workloads::UNIFORM_UTH,
+            UNIFORM_SEED,
+        );
+        Simulation::from_parts(cfg, electrons, None)
+    };
+    // Control: the unchanged configuration accepts the snapshot.
+    assert!(build(base.clone()).restore(&checkpoint).is_ok());
+    type Change = fn(&mut SimConfig);
+    let changes: [(&str, Change); 5] = [
+        ("n_cells", |c| c.n_cells = [8, 8, 16]),
+        ("dx", |c| c.dx = [2.0e-6; 3]),
+        ("tile_size", |c| c.tile_size = [4, 8, 8]),
+        ("shape order", |c| c.shape = ShapeOrder::Qsp),
+        ("kernel", |c| c.kernel = KernelConfig::Baseline),
+    ];
+    for (reason, change) in changes {
+        let mut cfg = base.clone();
+        change(&mut cfg);
+        expect_rejected(&mut build(cfg), &checkpoint, reason);
+    }
+
+    // META: n_cells, dx and tile_size (three words each), guard, the
+    // solver id (a u32), shape order, the kernel name (length word, then
+    // bytes), dt, tile count, field length.
+    let (_, meta, _) = section_table(&checkpoint)
+        .into_iter()
+        .find(|(id, ..)| *id == section::META)
+        .expect("a META section");
+    let word = |at: usize| u64::from_le_bytes(checkpoint[at..at + 8].try_into().unwrap());
+    let guard = meta + 9 * 8;
+    let solver = guard + 8;
+    let kernel = solver + 4 + 8;
+    let dt = kernel + 8 + word(kernel) as usize;
+    let tiles = dt + 8;
+    let field_len = tiles + 8;
+    let target = uniform_sim(1, false);
+    assert_eq!(word(guard) as usize, GUARD_CELLS);
+    assert_eq!(checkpoint[solver..solver + 4], 1u32.to_le_bytes());
+    assert_eq!(word(dt), target.dt().to_bits());
+    assert_eq!(word(tiles) as usize, target.electrons.tiles.len());
+    assert_eq!(word(field_len) as usize, target.fields.ex.as_slice().len());
+    for (reason, at) in [
+        ("guard", guard),
+        ("solver", solver),
+        ("dt", dt),
+        ("tile count", tiles),
+        ("field length", field_len),
+    ] {
+        let mut bytes = checkpoint.clone();
+        bytes[at] ^= 1; // The word's lowest bit (little-endian).
+        reseal_at(&mut bytes, at);
+        expect_rejected(&mut uniform_sim(1, false), &bytes, reason);
+    }
 }
 
 /// Asserts `err` is `Malformed { section: PARTICLES }` for the reason
