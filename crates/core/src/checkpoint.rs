@@ -105,9 +105,10 @@ impl Simulation {
 
     /// Restores the state captured by [`Simulation::snapshot`] into this
     /// simulation, which must have been built from the same
-    /// configuration (geometry, solver, kernel, timestep — runtime knobs
-    /// like `num_workers`, `batching` and `simd` may differ; they shape
-    /// host execution, not simulation state).
+    /// configuration (geometry, solver, kernel, timestep). `num_workers`,
+    /// `batching` and `simd` may differ. Only `num_workers` is host-only:
+    /// `batching` and `simd` choose the prices, so the counters and the
+    /// report continue under this simulation's mode, not the writer's.
     ///
     /// Corrupt, truncated or incompatible input returns a structured
     /// [`SnapshotError`] and never panics. Every fallible decode and

@@ -74,8 +74,10 @@ pub struct SimConfig {
     /// The vector half of the cell-run request: see
     /// [`SimConfig::batching`], which engages the sweeps only with this
     /// flag on too; alone it is a no-op. `false` is the default. Like
-    /// `batching` and `num_workers`, a runtime knob that may differ
-    /// freely between a snapshot's save and restore.
+    /// `batching` and `num_workers`, it may differ between a snapshot's
+    /// save and restore, but unlike `num_workers` it is not host-only:
+    /// the two knobs choose the prices, so the restored run's counters
+    /// and report continue under its own mode.
     pub simd: bool,
 }
 

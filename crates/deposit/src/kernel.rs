@@ -142,11 +142,6 @@ impl Depositor {
         self.batching = batching;
     }
 
-    /// Whether the cell-run sweeps were requested.
-    pub fn batching(&self) -> bool {
-        self.batching
-    }
-
     /// Requests the vector units the cell-run sweeps run on
     /// (`SimConfig::simd`): see [`Depositor::mode`].
     pub fn set_simd(&mut self, simd: bool) {

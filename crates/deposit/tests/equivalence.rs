@@ -113,7 +113,6 @@ fn run_both_paths(
         let mut dep = cfg.build(order);
         dep.set_batching(batching);
         dep.set_simd(batching);
-        assert_eq!(dep.batching(), batching);
         dep.prepare(&mut m, &geom, &layout, &mut container);
         dep.sort_step_parallel(&mut m, &geom, &layout, &mut container, false, exec);
         dep.deposit_step_parallel(&mut m, &geom, &layout, &container, &mut fields, exec);

@@ -107,12 +107,8 @@ pub enum FaultKind {
 /// A one-shot fault to inject: `worker` fails at the pool's
 /// `dispatch`-th broadcast (1-based, see [`WorkerPool::dispatch_count`]).
 ///
-/// Armed either programmatically ([`WorkerPool::inject_fault`] — the test
-/// hook) or from the environment at pool construction
-/// ([`FaultPlan::from_env`] — the CI fault matrix). The plan is consumed
-/// when it fires, so a retried dispatch after recovery runs clean; note
-/// that env-armed plans re-arm on every pool construction while the
-/// variables remain set.
+/// Armed only through [`WorkerPool::inject_fault`]. The plan is consumed
+/// when it fires, so a retried dispatch after recovery runs clean.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Worker id to fail (0 = the dispatching thread).
@@ -121,56 +117,6 @@ pub struct FaultPlan {
     pub dispatch: u64,
     /// Panic the job or kill the thread.
     pub kind: FaultKind,
-}
-
-impl FaultPlan {
-    /// Reads `MPIC_FAULT_WORKER` (required), `MPIC_FAULT_DISPATCH`
-    /// (default 1) and `MPIC_FAULT_KIND` (`panic` | `die`, default
-    /// `panic`) from the environment; see [`FaultPlan::parse`].
-    pub fn from_env() -> Option<Self> {
-        let [worker, dispatch, kind] =
-            ["WORKER", "DISPATCH", "KIND"].map(|name| {
-                match std::env::var(format!("MPIC_FAULT_{name}")) {
-                    Err(std::env::VarError::NotPresent) => None,
-                    value => Some(value.unwrap_or_else(|e| panic!("MPIC_FAULT_{name}: {e}"))),
-                }
-            });
-        Self::parse(worker.as_deref(), dispatch.as_deref(), kind.as_deref())
-    }
-
-    /// The plan the three fault variables describe, given their values
-    /// (`None`: unset). No worker, no plan; an unset dispatch is 1 and
-    /// an unset kind is `panic`.
-    ///
-    /// # Panics
-    ///
-    /// On a set but malformed value, naming the variable and the value:
-    /// a worker or dispatch that is not an unsigned integer, dispatch 0
-    /// (ids are 1-based, so it could never fire), or a kind other than
-    /// `panic` and `die`.
-    pub fn parse(worker: Option<&str>, dispatch: Option<&str>, kind: Option<&str>) -> Option<Self> {
-        fn malformed(var: &str, value: &str, expected: &str) -> ! {
-            panic!("{var}={value:?} is malformed: expected {expected}")
-        }
-        let worker = worker.map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| malformed("MPIC_FAULT_WORKER", v, "a worker id"))
-        });
-        let dispatch = dispatch.map_or(1, |v| match v.parse() {
-            Ok(d) if d >= 1 => d,
-            _ => malformed("MPIC_FAULT_DISPATCH", v, "a dispatch id of 1 or more"),
-        });
-        let kind = match kind {
-            None | Some("panic") => FaultKind::Panic,
-            Some("die") => FaultKind::Die,
-            Some(v) => malformed("MPIC_FAULT_KIND", v, "`panic` or `die`"),
-        };
-        Some(Self {
-            worker: worker?,
-            dispatch,
-            kind,
-        })
-    }
 }
 
 /// Caller-declared work units (guard cells, particles, ...) below which
@@ -287,10 +233,7 @@ impl<S: SyncPrims> PoolCore<S> {
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(SharedG {
-            state: S::lock_new(State {
-                fault: FaultPlan::from_env(),
-                ..State::default()
-            }),
+            state: S::lock_new(State::default()),
             work_cv: S::signal_new(),
             done_cv: S::signal_new(),
         });
@@ -320,11 +263,29 @@ impl<S: SyncPrims> PoolCore<S> {
         self.workers
     }
 
-    /// Arms a one-shot fault (the programmatic test hook; the CI fault
-    /// matrix uses [`FaultPlan::from_env`] instead). Replaces any
+    /// Arms a one-shot fault, the only way to arm one. Replaces any
     /// pending plan.
+    ///
+    /// # Panics
+    ///
+    /// On a plan that could never fire, naming the field: a `worker` that
+    /// is not in this pool, or a `dispatch` that is not after
+    /// [`WorkerPool::dispatch_count`].
     pub fn inject_fault(&self, plan: FaultPlan) {
-        self.shared.lock().fault = Some(plan);
+        let mut st = self.shared.lock();
+        assert!(
+            plan.worker < self.workers,
+            "FaultPlan::worker {} is not a worker of a {}-worker pool",
+            plan.worker,
+            self.workers
+        );
+        assert!(
+            plan.dispatch > st.dispatch,
+            "FaultPlan::dispatch {} is not after dispatch_count() {}",
+            plan.dispatch,
+            st.dispatch
+        );
+        st.fault = Some(plan);
     }
 
     /// The pending (not yet fired) fault plan, if any.
@@ -1010,6 +971,25 @@ mod tests {
         pool.broadcast(&|_| {});
         let err = expect_exec_error(|| pool.broadcast(&|_| {}));
         assert_eq!((err.worker, err.dispatch), (1, 3));
+        // A plan that could never fire is refused, naming its field: no
+        // worker 3 in a 3-worker pool, and dispatch 3 has already run.
+        for (worker, dispatch, field) in
+            [(3, 4, "FaultPlan::worker"), (1, 3, "FaultPlan::dispatch")]
+        {
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                pool.inject_fault(FaultPlan {
+                    worker,
+                    dispatch,
+                    kind: FaultKind::Panic,
+                })
+            }))
+            .expect_err(field);
+            let text = payload
+                .downcast_ref::<String>()
+                .expect("a formatted panic message");
+            assert!(text.starts_with(field), "{text}");
+        }
+        assert_eq!(pool.pending_fault(), None);
     }
 
     #[test]
@@ -1087,51 +1067,6 @@ mod tests {
         }))
         .expect_err("panic should propagate");
         assert!(ExecError::from_payload(payload.as_ref()).is_none());
-    }
-
-    #[test]
-    fn fault_plan_env_parsing() {
-        // Exercised via the parser only (no process-global env mutation
-        // in tests): absent worker -> no plan; defaults documented.
-        assert_eq!(FaultPlan::from_env(), None);
-        assert_eq!(FaultPlan::parse(None, Some("3"), Some("die")), None);
-        let plan = |worker, dispatch, kind| FaultPlan {
-            worker,
-            dispatch,
-            kind,
-        };
-        assert_eq!(
-            FaultPlan::parse(Some("2"), None, None),
-            Some(plan(2, 1, FaultKind::Panic))
-        );
-        assert_eq!(
-            FaultPlan::parse(Some("2"), Some("12"), Some("die")),
-            Some(plan(2, 12, FaultKind::Die))
-        );
-        assert_eq!(
-            FaultPlan::parse(Some("0"), Some("9"), Some("panic")),
-            Some(plan(0, 9, FaultKind::Panic))
-        );
-        // A set but malformed variable panics, naming itself and its
-        // value — even when no worker is set.
-        for (worker, dispatch, kind, message) in [
-            (Some("two"), None, None, "MPIC_FAULT_WORKER=\"two\""),
-            (Some("-1"), None, None, "MPIC_FAULT_WORKER=\"-1\""),
-            (Some("2"), Some("x"), None, "MPIC_FAULT_DISPATCH=\"x\""),
-            (Some("2"), Some("0"), None, "MPIC_FAULT_DISPATCH=\"0\""),
-            (Some("2"), Some(""), None, "MPIC_FAULT_DISPATCH=\"\""),
-            (Some("2"), None, Some("dei"), "MPIC_FAULT_KIND=\"dei\""),
-            (Some("2"), None, Some("Die"), "MPIC_FAULT_KIND=\"Die\""),
-            (None, Some("0"), None, "MPIC_FAULT_DISPATCH=\"0\""),
-            (None, None, Some("dei"), "MPIC_FAULT_KIND=\"dei\""),
-        ] {
-            let payload =
-                catch_unwind(|| FaultPlan::parse(worker, dispatch, kind)).expect_err(message);
-            let text = payload
-                .downcast_ref::<String>()
-                .expect("a formatted panic message");
-            assert!(text.starts_with(message), "{text}");
-        }
     }
 
     /// The worker id of the calling thread inside a dispatch: 0 for the

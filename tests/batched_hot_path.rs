@@ -126,7 +126,7 @@ fn conf_batched_path_is_bit_identical_across_workers() {
     // Batching preserves the determinism contract — any worker count,
     // same bits everywhere including per-phase counters.
     let reference = run(uniform(KernelConfig::FullOpt, true), 1, 3);
-    for workers in [2usize, 4, 7] {
+    for workers in [2usize, 3, 4, 7] {
         let got = run(uniform(KernelConfig::FullOpt, true), workers, 3);
         assert_bitwise(&format!("batched FullOpt {workers}w"), &reference, &got);
     }

@@ -74,10 +74,11 @@ fn conf_uniform_plasma_fullopt_is_worker_count_invariant() {
         workloads::uniform_plasma_sim([16, 16, 16], 4, ShapeOrder::Cic, KernelConfig::FullOpt, 42)
     };
     let one = run(build(), 1, 3);
-    let four = run(build(), 4, 3);
-    assert_bit_identical("uniform/FullOpt 1v4", &one, &four);
-    let seven = run(build(), 7, 3); // Ragged shard sizes.
-    assert_bit_identical("uniform/FullOpt 1v7", &one, &seven);
+    // 3 and 7 give ragged shard sizes.
+    for workers in [2usize, 3, 4, 7] {
+        let got = run(build(), workers, 3);
+        assert_bit_identical(&format!("uniform/FullOpt 1v{workers}"), &one, &got);
+    }
 }
 
 #[test]
@@ -116,10 +117,11 @@ fn conf_baseline_direct_scatter_is_worker_count_invariant() {
     let build =
         || workloads::uniform_plasma_sim([8, 8, 8], 4, ShapeOrder::Cic, KernelConfig::Baseline, 3);
     let one = run(build(), 1, 2);
-    let four = run(build(), 4, 2);
-    assert_bit_identical("uniform/Baseline 1v4", &one, &four);
-    let three = run(build(), 3, 2); // Ragged shard sizes.
-    assert_bit_identical("uniform/Baseline 1v3", &one, &three);
+    // 3 and 7 give ragged shard sizes.
+    for workers in [3usize, 4, 7] {
+        let got = run(build(), workers, 2);
+        assert_bit_identical(&format!("uniform/Baseline 1v{workers}"), &one, &got);
+    }
 }
 
 #[test]

@@ -18,12 +18,13 @@ fn sim(workers: usize) -> Simulation {
     s
 }
 
-/// Drives `total` steps with a fault injected a few dispatches into the
-/// post-warmup stepping, and asserts the final state equals the
+/// Drives `total` steps with a fault on `worker` at `offset` dispatches
+/// into the post-warmup stepping, and asserts the final state equals the
 /// crash-free reference bit for bit (via total-state snapshot bytes).
-fn assert_recovery_is_bitwise(kind: FaultKind, workers: usize) {
+fn assert_recovery_is_bitwise(kind: FaultKind, workers: usize, worker: usize, offset: u64) {
     let warmup = 2u64;
     let total = 6u64;
+    let what = format!("{kind:?} w={workers} victim {worker} +{offset}");
 
     let mut reference = sim(workers);
     reference.run(total as usize);
@@ -34,39 +35,56 @@ fn assert_recovery_is_bitwise(kind: FaultKind, workers: usize) {
     // armed on it) survives: the pool is rebuilt when cfg changes.
     faulted.run(warmup as usize);
     faulted.pool().inject_fault(FaultPlan {
-        // Worker 1 exists for every pool with >= 2 workers and, unlike
-        // worker 0, exercises the background-thread failure paths.
-        worker: 1,
-        dispatch: faulted.pool().dispatch_count() + 2,
+        worker,
+        dispatch: faulted.pool().dispatch_count() + offset,
         kind,
     });
     let mut driver = ResilientDriver::new(2, 3);
     let stats = driver
         .run(&mut faulted, (total - warmup) as usize)
-        .expect("recovery should succeed within the retry budget");
+        .unwrap_or_else(|e| panic!("{what}: recovery failed: {e}"));
 
-    assert!(stats.failures >= 1, "the injected fault never fired");
+    assert!(
+        stats.failures >= 1,
+        "{what}: the injected fault never fired"
+    );
     assert!(stats.checkpoints_taken >= 1);
-    if kind == FaultKind::Die {
+    // Worker 0 is the dispatching thread: `Die` on it degrades to a
+    // caught panic, nothing to respawn.
+    if kind == FaultKind::Die && worker != 0 {
         assert_eq!(
             stats.workers_respawned, 1,
-            "a killed worker thread must be respawned exactly once"
+            "{what}: a killed worker thread must be respawned exactly once"
         );
         assert!(faulted.pool().dead_workers().is_empty());
     }
     assert_eq!(faulted.step_index(), total);
     assert!(
         faulted.snapshot() == expected,
-        "{kind:?} w={workers}: recovered state diverged from crash-free run"
+        "{what}: recovered state diverged from crash-free run"
     );
 }
 
+/// The worker counts and dispatch offsets of the recovery matrix.
+const MATRIX_WORKERS: [usize; 4] = [1, 2, 4, 7];
+const MATRIX_OFFSETS: [u64; 2] = [2, 5];
+
 /// A mid-step worker panic rolls back, replays, and lands bitwise equal
-/// to the uninterrupted run — across worker counts.
+/// to the uninterrupted run — on the last worker of every pool size and
+/// on worker 1, which unlike worker 0 exercises the background-thread
+/// failure paths.
 #[test]
 fn conf_fault_injected_worker_panic_recovers_bitwise() {
-    for &workers in &[2usize, 4, 7] {
-        assert_recovery_is_bitwise(FaultKind::Panic, workers);
+    for workers in MATRIX_WORKERS {
+        let mut victims = vec![workers - 1];
+        if workers > 2 {
+            victims.push(1);
+        }
+        for worker in victims {
+            for offset in MATRIX_OFFSETS {
+                assert_recovery_is_bitwise(FaultKind::Panic, workers, worker, offset);
+            }
+        }
     }
 }
 
@@ -74,7 +92,11 @@ fn conf_fault_injected_worker_panic_recovers_bitwise() {
 /// and the run still converges to the bitwise-identical final state.
 #[test]
 fn conf_fault_injected_worker_death_recovers_bitwise() {
-    assert_recovery_is_bitwise(FaultKind::Die, 4);
+    for workers in MATRIX_WORKERS {
+        for offset in MATRIX_OFFSETS {
+            assert_recovery_is_bitwise(FaultKind::Die, workers, workers - 1, offset);
+        }
+    }
 }
 
 /// A dispatcher-thread (worker 0) fault is also caught and rolled back.

@@ -208,6 +208,25 @@ fn conf_snapshot_restores_across_worker_counts() {
         resumed.snapshot() == expected,
         "restoring a w=1 checkpoint into w=7 diverged"
     );
+
+    // The moving window too: written on 4 workers, restored on 7
+    // byte-lossless, and the continuation lands on the writer's bytes.
+    let mut writer = lwfa_sim(4, true);
+    writer.run(3);
+    let checkpoint = writer.snapshot();
+    writer.run(3);
+
+    let mut resumed = lwfa_sim(7, true);
+    resumed.restore(&checkpoint).expect("cross-config restore");
+    assert!(
+        resumed.snapshot() == checkpoint,
+        "lwfa: w=4 -> w=7 round trip is not byte-lossless"
+    );
+    resumed.run(3);
+    assert!(
+        resumed.snapshot() == writer.snapshot(),
+        "lwfa: restoring a w=4 checkpoint into w=7 diverged"
+    );
 }
 
 /// Restore is idempotent at the byte level: restoring a snapshot and
