@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use mpic_core::workloads;
 use mpic_deposit::common::stencil_block;
-use mpic_deposit::{ExecMode, KernelConfig, Rhocell, ShapeOrder};
+use mpic_deposit::{KernelConfig, Rhocell, ShapeOrder};
 use mpic_grid::{FieldArrays, GridGeometry, Tile, TileLayout};
 use mpic_machine::{
     LineCarry, Machine, MachineConfig, Phase, Pricing, SchedulerPolicy, TensorBlock, VAddr,
@@ -215,7 +215,7 @@ fn bench_qsp_streamed_layers(c: &mut Criterion) {
             || sim.electrons.tiles.clone(),
             |mut tiles| {
                 exec.run_counted(&mut m, &mut tiles, &mut scratch, |wm, _, tile, scr| {
-                    ctx.push_tile(wm, ExecMode::Runs, tile, scr)
+                    ctx.push_tile(wm, Pricing::Stream, tile, scr)
                 });
                 tiles
             },
@@ -259,7 +259,7 @@ fn bench_walked_layers(c: &mut Criterion) {
             |mut tiles| {
                 dep.deposit_step_parallel(&mut m, geom, layout, &electrons, &mut fields, exec);
                 exec.run_counted(&mut m, &mut tiles, &mut scratch, |wm, _, tile, scr| {
-                    ctx.push_tile(wm, ExecMode::PerParticle, tile, scr)
+                    ctx.push_tile(wm, Pricing::Walk, tile, scr)
                 });
                 tiles
             },

@@ -34,7 +34,8 @@
 use mpic_deposit::AddrMap;
 use mpic_grid::{Array3, FieldArrays};
 use mpic_machine::{
-    CacheLevelState, CacheSimState, CacheStats, MachineCounters, PerfCounters, Phase, VAddr,
+    CacheLevelState, CacheSimState, CacheStats, MachineCounters, MemStats, PerfCounters, Phase,
+    VAddr,
 };
 use mpic_particles::{GpmaState, ParticleSoA, ParticleTile, RankSortStats};
 use mpic_push::BorisCoeffs;
@@ -130,7 +131,7 @@ impl Simulation {
         // step; it validates the state before mutating anything, so a
         // failure here still leaves `self` untouched. Everything after
         // it is infallible.
-        if !self.machine.mem().restore_cache_state(&cache_state) {
+        if !self.machine.mem().import_state(&cache_state) {
             return Err(SnapshotError::Malformed {
                 section: section::CACHE,
                 reason: "cache state no walk of this geometry can produce",
@@ -155,15 +156,7 @@ impl Simulation {
         self.time = driver.time;
         self.step_index = driver.step_index;
         *self.machine.counters_mut() = counters.perf;
-        // Zero the accumulated cache statistics, then seed them with the
-        // captured totals through the worker-merge path.
-        let _ = self.machine.mem().take_stats();
-        self.machine.mem().absorb_stats(
-            &counters.l1,
-            &counters.l2,
-            counters.streamed_misses,
-            counters.random_misses,
-        );
+        self.machine.mem().set_stats(counters.mem);
         self.machine.mem().restore_alloc_mark(addrs.alloc_mark);
         self.machine.reset_execution_state();
         self.field_addrs = addrs.field_addrs;
@@ -380,21 +373,20 @@ impl Simulation {
         wtr.put_u64(ctr.vector_ops);
         wtr.put_u64(ctr.mopa_ops);
         wtr.put_u64(ctr.tile_transfers);
-        let mem = self.machine.mem_ref();
-        for stats in [mem.l1_stats(), mem.l2_stats()] {
-            wtr.put_u64(stats.hits);
-            wtr.put_u64(stats.misses);
+        let mem = self.machine.mem_ref().stats();
+        for level in [mem.l1, mem.l2] {
+            wtr.put_u64(level.hits);
+            wtr.put_u64(level.misses);
         }
-        let (streamed, random) = mem.miss_split();
-        wtr.put_u64(streamed);
-        wtr.put_u64(random);
+        wtr.put_u64(mem.streamed_misses);
+        wtr.put_u64(mem.random_misses);
         wtr.end_section();
     }
 
     /// `CACHE`: behavioural cache-hierarchy state (tags, LRU, streams).
     fn encode_cache(&self, wtr: &mut SnapshotWriter<'_>) {
         wtr.begin_section(section::CACHE);
-        let cache = self.machine.mem_ref().cache_state();
+        let cache = self.machine.mem_ref().export_state();
         for lvl in [&cache.l1, &cache.l2] {
             wtr.put_vec_u64(&lvl.tags);
             wtr.put_vec_u64(&lvl.stamps);
@@ -538,18 +530,20 @@ fn decode_counters(mut s: SectionReader<'_>) -> Result<MachineCounters, Snapshot
     perf.vector_ops = s.get_u64()?;
     perf.mopa_ops = s.get_u64()?;
     perf.tile_transfers = s.get_u64()?;
-    let mut level_stats = [CacheStats::default(); 2];
-    for stats in &mut level_stats {
-        stats.hits = s.get_u64()?;
-        stats.misses = s.get_u64()?;
-    }
-    Ok(MachineCounters {
-        perf,
-        l1: level_stats[0],
-        l2: level_stats[1],
+    // Struct fields evaluate in the order written: the section order.
+    let mem = MemStats {
+        l1: CacheStats {
+            hits: s.get_u64()?,
+            misses: s.get_u64()?,
+        },
+        l2: CacheStats {
+            hits: s.get_u64()?,
+            misses: s.get_u64()?,
+        },
         streamed_misses: s.get_u64()?,
         random_misses: s.get_u64()?,
-    })
+    };
+    Ok(MachineCounters { perf, mem })
 }
 
 fn decode_cache(mut s: SectionReader<'_>) -> Result<CacheSimState, SnapshotError> {
@@ -718,7 +712,7 @@ mod reference {
     /// the clock is 0 or no slot carries its stamp.
     fn encode_cache_v1(sim: &Simulation, wtr: &mut SnapshotWriter<'_>) {
         wtr.begin_section(section::CACHE);
-        let cache = sim.machine.mem_ref().cache_state();
+        let cache = sim.machine.mem_ref().export_state();
         for lvl in [&cache.l1, &cache.l2] {
             wtr.put_vec_u64(&lvl.tags);
             wtr.put_vec_u64(&lvl.stamps);

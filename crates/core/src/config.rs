@@ -3,7 +3,7 @@
 use mpic_deposit::{KernelConfig, ShapeOrder};
 use mpic_grid::{GridGeometry, TileLayout};
 use mpic_machine::MachineConfig;
-use mpic_solver::{BoundaryKind, LaserAntenna, SolverKind};
+use mpic_solver::{LaserAntenna, SolverKind};
 
 /// Guard cells on each side of every field array. No kernel needs two:
 /// deposit and gather wrap stencil nodes into the physical range
@@ -30,9 +30,10 @@ pub struct SimConfig {
     pub shape: ShapeOrder,
     /// Deposition kernel + sorting configuration.
     pub kernel: KernelConfig,
-    /// Field/particle boundaries along z.
-    pub boundary: BoundaryKind,
-    /// Moving window along z (`warpx.do_moving_window`).
+    /// Moving window along z (`warpx.do_moving_window`). It also sets
+    /// the z boundaries: with the window, fields are damped in absorbing
+    /// layers at both z ends and particles leaving z are removed;
+    /// without it, z is periodic like x and y.
     pub moving_window: bool,
     /// Optional laser antenna (LWFA).
     pub laser: Option<LaserAntenna>,
@@ -51,7 +52,7 @@ pub struct SimConfig {
     /// wall-clock changes.
     pub num_workers: usize,
     /// Together with [`SimConfig::simd`], selects the cell-run sweeps of
-    /// the MatrixPIC kernel (`ExecMode::Runs`): particles are visited in
+    /// the MatrixPIC kernel (`Pricing::Stream`): particles are visited in
     /// GPMA-sorted order, the gather loads each cell's stencil node
     /// block once per same-cell particle run and interpolates + pushes
     /// the run in lane-width packs (value-exact — gathers are read-only

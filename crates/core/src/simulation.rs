@@ -7,7 +7,7 @@ use mpic_grid::{FieldArrays, GridGeometry, TileLayout};
 use mpic_machine::{Machine, Phase, SchedulerPolicy, VAddr, WorkerPool};
 use mpic_particles::{should_sort, Departure, ParticleContainer, ParticleTile, RankSortStats};
 use mpic_push::{BorisCoeffs, PushCtx, PushScratch};
-use mpic_solver::{absorb_z, BoundaryKind, MaxwellSolver};
+use mpic_solver::{absorb_z, MaxwellSolver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -271,12 +271,10 @@ impl Simulation {
         if let Some(laser) = &self.cfg.laser {
             laser.inject(&self.geom, &mut self.fields, self.time);
         }
-        if self.cfg.boundary == BoundaryKind::AbsorbingZ {
-            absorb_z(&self.geom, &mut self.fields);
-        }
 
-        // --- Moving window ----------------------------------------------
+        // --- Moving window (absorbing z) --------------------------------
         if self.cfg.moving_window {
+            absorb_z(&self.geom, &mut self.fields);
             self.advance_window();
         }
 
@@ -318,14 +316,16 @@ impl Simulation {
         if self.push_scratch.len() < workers {
             self.push_scratch.resize_with(workers, PushScratch::default);
         }
-        let absorbing = self.cfg.boundary == BoundaryKind::AbsorbingZ;
         let ctx = PushCtx {
             geom: &self.geom,
             order: self.cfg.shape,
             fields: &self.fields,
             field_addrs: self.field_addrs,
             boris: self.boris,
-            absorb_z: absorbing.then(|| [self.geom.lo[2], self.geom.hi()[2]]),
+            absorb_z: self
+                .cfg
+                .moving_window
+                .then(|| [self.geom.lo[2], self.geom.hi()[2]]),
         };
         self.pool.exec(SchedulerPolicy::Static).run_counted(
             &mut self.machine,

@@ -13,7 +13,7 @@
 use mpic_deposit::{KernelConfig, ShapeOrder};
 use mpic_grid::{GridGeometry, TileLayout};
 use mpic_particles::{Departure, ParticleContainer};
-use mpic_solver::{BoundaryKind, LaserAntenna, SolverKind};
+use mpic_solver::{LaserAntenna, SolverKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -146,7 +146,6 @@ pub fn uniform_plasma_config(
         solver: SolverKind::Ckc,
         shape,
         kernel,
-        boundary: BoundaryKind::Periodic,
         moving_window: false,
         laser: None,
         machine: mpic_machine::MachineConfig::lx2(),
@@ -194,7 +193,6 @@ pub fn lwfa_config(
         solver: SolverKind::Ckc,
         shape,
         kernel,
-        boundary: BoundaryKind::AbsorbingZ,
         moving_window: true,
         laser: Some(laser),
         machine: mpic_machine::MachineConfig::lx2(),

@@ -20,36 +20,6 @@ use crate::rhocell::Rhocell;
 use crate::shape::ShapeOrder;
 use crate::{matrix, rhocell_vec, scalar};
 
-/// How the particle kernels (tile push, staging, deposit) execute this
-/// step. Derived by [`Depositor::mode`] — the one place the
-/// `SimConfig::{batching, simd}` knobs, the sorting strategy and the
-/// kernel family are combined — and never set directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// One particle at a time, every access walking the cache
-    /// simulator. The reference every bitwise test compares against, the
-    /// path of every paper-figure bin, the only path for unsorted input
-    /// (length-1 runs have nothing to amortise) and the only path of the
-    /// direct-scatter and rhocell kernels, which are per-particle by
-    /// design.
-    PerParticle,
-    /// Same-cell particle runs in lane-width packs: each run loads its
-    /// stencil block once and touches the tile accumulator once, at the
-    /// streaming prices. Requires cell-grouped order.
-    Runs,
-}
-
-impl ExecMode {
-    /// The pricing of this mode's memory-bound primitives: the
-    /// per-particle path walks the cache, the cell-run path streams.
-    pub fn pricing(self) -> Pricing {
-        match self {
-            ExecMode::PerParticle => Pricing::Walk,
-            ExecMode::Runs => Pricing::Stream,
-        }
-    }
-}
-
 /// Per-tile context handed to kernels.
 pub struct TileCtx<'a> {
     /// Grid geometry.
@@ -58,7 +28,7 @@ pub struct TileCtx<'a> {
     pub tile: &'a Tile,
     /// Shape order in use.
     pub order: ShapeOrder,
-    /// The step's [`ExecMode::pricing`], which only the matrix kernel's
+    /// The step's [`Depositor::mode`], which only the matrix kernel's
     /// per-run rhocell accumulate reads. Deposited values are
     /// bit-identical across the two modes.
     pub pricing: Pricing,
@@ -148,8 +118,14 @@ impl Depositor {
         self.simd = simd;
     }
 
-    /// The execution mode of this step — the single policy site. The
-    /// cell-run sweeps engage only when both knobs ask for them: each
+    /// The execution mode of this step's particle kernels (tile push,
+    /// staging, deposit): [`Pricing::Walk`] runs the per-particle
+    /// sweeps, [`Pricing::Stream`] the cell-run sweeps. The single
+    /// policy site, where the `SimConfig::{batching, simd}` knobs, the
+    /// sorting strategy and the kernel family are combined; the mode is
+    /// never set directly.
+    ///
+    /// The cell-run sweeps engage only when both knobs ask for them: each
     /// alone is a no-op. They need cell-grouped order, so they engage
     /// only on a sorting strategy: an unsorted configuration stays on
     /// the per-particle reference path whatever the knobs say (a no-op
@@ -158,15 +134,15 @@ impl Depositor {
     /// engage only for the matrix kernel, the one that batches by
     /// design; the direct-scatter and rhocell configurations ignore the
     /// knobs the same way.
-    pub fn mode(&self) -> ExecMode {
+    pub fn mode(&self) -> Pricing {
         let runs = self.batching
             && self.simd
             && self.strategy.provides_sorted_order()
             && self.config.family() == KernelFamily::Matrix;
         if runs {
-            ExecMode::Runs
+            Pricing::Stream
         } else {
-            ExecMode::PerParticle
+            Pricing::Walk
         }
     }
 
@@ -272,7 +248,7 @@ impl Depositor {
                 let addrs = self.addrs.as_ref().expect("prepare() not called");
                 // Three unit-stride position streams, priced like every
                 // other memory-bound phase of the step's mode.
-                let pricing = self.mode().pricing();
+                let pricing = self.mode();
                 // Stream-touch the position arrays: the sweep reads x,y,z
                 // of every particle (VPU-vectorised, Algorithm 1 line 13).
                 m.in_phase(Phase::Sort, |m| {
@@ -347,7 +323,7 @@ impl Depositor {
             prep,
             order: self.order,
             sorted: self.strategy.provides_sorted_order(),
-            pricing: self.mode().pricing(),
+            pricing: self.mode(),
             geom,
             layout,
             container,
@@ -602,9 +578,9 @@ mod tests {
                 dep.set_batching(batching);
                 dep.set_simd(simd);
                 let want = if runs && batching && simd {
-                    ExecMode::Runs
+                    Pricing::Stream
                 } else {
-                    ExecMode::PerParticle
+                    Pricing::Walk
                 };
                 assert_eq!(dep.mode(), want, "{cfg:?} batching={batching} simd={simd}");
             }

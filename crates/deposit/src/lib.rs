@@ -34,7 +34,7 @@ pub use common::{
     stage_particle, velocity_from_u, AddrMap, PrepStyle, Staged, Staging, TileScratch,
 };
 pub use configs::KernelConfig;
-pub use kernel::{Depositor, ExecMode, SortStrategy, StepSortReport};
+pub use kernel::{Depositor, SortStrategy, StepSortReport};
 pub use rhocell::Rhocell;
 pub use scalar::reference_deposit;
 pub use shape::{canonical_flops_per_particle, ShapeOrder};

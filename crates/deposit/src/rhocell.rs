@@ -689,8 +689,8 @@ mod tests {
                     let what = format!("{order:?} {pricing:?} {tile:?}");
                     assert_eq!(format!("{:?}", new.drain_counters()), want, "{what}");
                     assert_eq!(
-                        new.mem_ref().cache_state(),
-                        old.mem_ref().cache_state(),
+                        new.mem_ref().export_state(),
+                        old.mem_ref().export_state(),
                         "{what}"
                     );
                 }

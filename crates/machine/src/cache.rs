@@ -1,4 +1,6 @@
-//! Two-level set-associative cache simulation.
+//! The emulated memory system: a bump allocator handing out virtual
+//! addresses, and the two-level set-associative cache hierarchy that
+//! prices every access to them.
 //!
 //! The deposition kernel is memory-bound (the paper reports 40-70% of PIC
 //! runtime spent there, driven by "poor data locality stemming from the
@@ -12,6 +14,8 @@
 //! The model is a classic inclusive two-level write-allocate hierarchy with
 //! true-LRU replacement per set. Only tags are tracked; data lives in the
 //! host arrays.
+
+use crate::mem::VAddr;
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy)]
@@ -46,6 +50,33 @@ impl CacheStats {
     pub fn merge(&mut self, other: &CacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
+    }
+}
+
+/// Everything a [`MemSystem`] counts: hits and misses per level and the
+/// split of DRAM misses by price. Accounting only — no future access
+/// cost depends on it — so it travels as one value: drained from worker
+/// forks, merged in tile order, written to and set from snapshots.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[must_use]
+pub struct MemStats {
+    /// L1 hit/miss statistics.
+    pub l1: CacheStats,
+    /// L2 hit/miss statistics.
+    pub l2: CacheStats,
+    /// DRAM misses served at streaming (prefetched) cost.
+    pub streamed_misses: u64,
+    /// DRAM misses served at full random latency.
+    pub random_misses: u64,
+}
+
+impl MemStats {
+    /// Adds another statistics value into this one (worker merge).
+    pub(crate) fn merge(&mut self, other: &MemStats) {
+        self.l1.merge(&other.l1);
+        self.l2.merge(&other.l2);
+        self.streamed_misses += other.streamed_misses;
+        self.random_misses += other.random_misses;
     }
 }
 
@@ -104,7 +135,6 @@ struct CacheLevel {
     /// LRU timestamps parallel to `tags`.
     stamps: Vec<u64>,
     clock: u64,
-    stats: CacheStats,
     /// Way hint (host-only): `hint[line & hint_mask]` is the tag slot
     /// where a line with those low bits was last found or placed. A line
     /// a reachable state holds sits in its own set at exactly one way
@@ -136,7 +166,6 @@ impl CacheLevel {
             tags: vec![u64::MAX; slots],
             stamps: vec![0; slots],
             clock: 0,
-            stats: CacheStats::default(),
             hint: vec![0; hints],
             hint_mask: (hints - 1) as u64,
             #[cfg(test)]
@@ -159,9 +188,10 @@ impl CacheLevel {
     }
 
     /// Looks up (and on miss, fills) cache line `line` (a line id:
-    /// byte address `>> line_shift`). Returns `true` on hit.
+    /// byte address `>> line_shift`), counting the hit or miss into
+    /// `stats`. Returns `true` on hit.
     #[inline(always)]
-    fn access(&mut self, line: u64) -> bool {
+    fn access(&mut self, line: u64, stats: &mut CacheStats) -> bool {
         debug_assert_ne!(line, u64::MAX, "the empty-way tag is no line id");
         self.clock += 1;
         let h = (line & self.hint_mask) as usize;
@@ -173,7 +203,7 @@ impl CacheLevel {
             // The hit the scan would find, with its effects: clock tick,
             // stamp refresh, hit count.
             self.stamps[hinted] = self.clock;
-            self.stats.hits += 1;
+            stats.hits += 1;
             return true;
         }
         let base = (line & self.set_mask) as usize * self.ways;
@@ -190,9 +220,9 @@ impl CacheLevel {
             ),
         };
         if hit {
-            self.stats.hits += 1;
+            stats.hits += 1;
         } else {
-            self.stats.misses += 1;
+            stats.misses += 1;
         }
         let slot = base + way;
         #[cfg(test)]
@@ -247,7 +277,7 @@ impl CacheLevel {
 /// Plain-integer image of one level's behavioural state: tags, LRU
 /// stamps and clock — everything that influences the latency of
 /// *future* accesses. Statistics are deliberately excluded: they are
-/// accounting, owned by the counter drain/absorb protocol.
+/// accounting, carried as [`MemStats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheLevelState {
     /// Resident line tags, `tags[set * ways + way]` (`u64::MAX` empty).
@@ -258,11 +288,11 @@ pub struct CacheLevelState {
     pub clock: u64,
 }
 
-/// Complete behavioural state of a [`CacheSim`]: both levels plus the
-/// stream-prefetcher slots and decay tick. Exporting this and importing
-/// it into a hierarchy of identical geometry makes every future access
-/// cost bit-identical to the original — the property checkpoint/restore
-/// builds on.
+/// Complete behavioural state of a [`MemSystem`]'s hierarchy: both
+/// levels plus the stream-prefetcher slots and decay tick. Exporting
+/// this and importing it into a hierarchy of identical geometry makes
+/// every future access cost bit-identical to the original — the
+/// property checkpoint/restore builds on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSimState {
     /// L1 behavioural state.
@@ -279,20 +309,23 @@ pub struct CacheSimState {
 /// Number of hardware stream-prefetcher slots modelled.
 const STREAM_SLOTS: usize = 32;
 
-/// The two-level hierarchy with configurable latencies and a simple
-/// next-line stream prefetcher: a DRAM miss whose line is adjacent to a
-/// recently missed line is treated as prefetched and charged the
-/// (bandwidth-limited) streaming cost instead of full latency. Without
-/// this, sequential SoA sweeps would pay random-access latency and the
-/// sorted-vs-unsorted contrast central to the paper would be understated.
+/// The emulated memory system: a bump allocator handing out virtual
+/// addresses, and the two-level hierarchy with configurable latencies
+/// and a simple next-line stream prefetcher charging accesses to them.
+/// A DRAM miss whose line is adjacent to a recently missed line is
+/// treated as prefetched and charged the (bandwidth-limited) streaming
+/// cost instead of full latency. Without this, sequential SoA sweeps
+/// would pay random-access latency and the sorted-vs-unsorted contrast
+/// central to the paper would be understated.
 #[derive(Debug, Clone)]
-pub struct CacheSim {
+pub struct MemSystem {
     l1: CacheLevel,
     l2: CacheLevel,
     /// `log2` of the line size both levels share.
     line_shift: u32,
     /// Accessed or imported since the last flush; a clean hierarchy
-    /// already equals its flushed state, so [`CacheSim::flush`] skips it.
+    /// already equals its flushed state, so [`MemSystem::flush_cache`]
+    /// skips it.
     dirty: bool,
     l1_hit_cy: f64,
     l2_hit_cy: f64,
@@ -304,14 +337,14 @@ pub struct CacheSim {
     streams: [(u64, u32); STREAM_SLOTS],
     /// Counts random-miss insertions; drives periodic confidence decay.
     decay_tick: u32,
-    /// DRAM misses served at streaming (prefetched) cost.
-    pub streamed_misses: u64,
-    /// DRAM misses served at full random latency.
-    pub random_misses: u64,
+    stats: MemStats,
+    /// The bump allocator's mark: the next virtual address
+    /// [`MemSystem::alloc`] considers.
+    next: u64,
 }
 
-impl CacheSim {
-    /// Builds the hierarchy from geometries and latency parameters.
+impl MemSystem {
+    /// Builds the memory system from geometries and latency parameters.
     pub fn new(
         l1: CacheLevelConfig,
         l2: CacheLevelConfig,
@@ -344,19 +377,53 @@ impl CacheSim {
             stream_cy: dram_cy * 0.15,
             streams: [(u64::MAX, 0); STREAM_SLOTS],
             decay_tick: 0,
-            streamed_misses: 0,
-            random_misses: 0,
+            stats: MemStats::default(),
+            // Start past zero so VAddr(0) is never a valid allocation.
+            next: 4096,
         }
+    }
+
+    /// Reserves `bytes` of virtual address space aligned to `align`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `align` is not a power of two.
+    pub fn alloc(&mut self, bytes: u64, align: u64) -> VAddr {
+        assert!(align.is_power_of_two(), "alignment must be a power of two");
+        let base = (self.next + align - 1) & !(align - 1);
+        self.next = base + bytes;
+        VAddr(base)
+    }
+
+    /// Reserves space for `len` f64 values, cache-line aligned.
+    pub fn alloc_f64(&mut self, len: usize) -> VAddr {
+        self.alloc((len * 8) as u64, self.line_bytes())
+    }
+
+    /// The bump allocator's high-water mark: the next virtual address a
+    /// future [`MemSystem::alloc`] would consider. Checkpoints record it
+    /// so a restored machine reproduces the exact same address stream.
+    pub fn alloc_mark(&self) -> u64 {
+        self.next
+    }
+
+    /// Restores the bump allocator to a mark captured with
+    /// [`MemSystem::alloc_mark`]. Addresses are purely virtual (data
+    /// lives in host arrays), so rewinding the mark is safe as long as
+    /// the caller also restores every `VAddr` handed out after the mark —
+    /// exactly what snapshot restore does.
+    pub fn restore_alloc_mark(&mut self, mark: u64) {
+        self.next = mark;
     }
 
     /// Touches every cache line covered by `[addr, addr + bytes)` and
     /// returns the total charged latency in cycles.
-    pub fn access(&mut self, addr: u64, bytes: u64) -> f64 {
+    pub fn access(&mut self, addr: VAddr, bytes: u64) -> f64 {
         if bytes == 0 {
             return 0.0;
         }
-        let first = addr >> self.line_shift;
-        let last = (addr + bytes - 1) >> self.line_shift;
+        let first = addr.0 >> self.line_shift;
+        let last = (addr.0 + bytes - 1) >> self.line_shift;
         let mut cycles = 0.0;
         for line in first..=last {
             cycles += self.access_line_id(line);
@@ -367,13 +434,13 @@ impl CacheSim {
     /// Touches the single cache line with id `line` (byte address
     /// `>> line_shift()`) and returns its latency. Callers that already
     /// hold line ids — the gather/scatter walks — enter here instead of
-    /// converting line -> address -> line through [`CacheSim::access`].
+    /// converting line -> address -> line through [`MemSystem::access`].
     #[inline]
     pub fn access_line_id(&mut self, line: u64) -> f64 {
         self.dirty = true;
-        if self.l1.access(line) {
+        if self.l1.access(line, &mut self.stats.l1) {
             self.l1_hit_cy
-        } else if self.l2.access(line) {
+        } else if self.l2.access(line, &mut self.stats.l2) {
             self.l2_hit_cy
         } else {
             self.dram_access(line)
@@ -388,7 +455,7 @@ impl CacheSim {
             if *last != u64::MAX && line > *last && line - *last <= 2 {
                 *last = line;
                 *conf = (*conf + 1).min(64);
-                self.streamed_misses += 1;
+                self.stats.streamed_misses += 1;
                 return self.stream_cy;
             }
         }
@@ -412,21 +479,46 @@ impl CacheSim {
                 *conf = conf.saturating_sub(1);
             }
         }
-        self.random_misses += 1;
+        self.stats.random_misses += 1;
         self.dram_cy
     }
 
-    /// L1 statistics.
+    /// The statistics accumulated since the last take or set.
+    pub fn stats(&self) -> MemStats {
+        self.stats
+    }
+
+    /// L1 statistics (`stats().l1`).
     pub fn l1_stats(&self) -> CacheStats {
-        self.l1.stats
+        self.stats.l1
     }
 
-    /// L2 statistics.
+    /// L2 statistics (`stats().l2`).
     pub fn l2_stats(&self) -> CacheStats {
-        self.l2.stats
+        self.stats.l2
     }
 
-    /// Invalidates all cached lines (statistics are preserved).
+    /// Takes (and zeroes) the accumulated statistics.
+    pub(crate) fn take_stats(&mut self) -> MemStats {
+        std::mem::take(&mut self.stats)
+    }
+
+    /// Adds externally accumulated statistics (a worker's) into this
+    /// memory system's totals without touching behavioural state.
+    pub(crate) fn absorb_stats(&mut self, stats: &MemStats) {
+        self.stats.merge(stats);
+    }
+
+    /// Replaces the accumulated statistics (snapshot restore) without
+    /// touching behavioural state.
+    pub fn set_stats(&mut self, stats: MemStats) {
+        self.stats = stats;
+    }
+
+    /// Invalidates all cached lines (statistics are preserved), e.g.
+    /// between benchmark repetitions, or at tile boundaries where each
+    /// tile is modelled as running on a private, initially cold
+    /// per-core cache.
     ///
     /// Resets every piece of *behavioural* state — tags, stream slots and
     /// the decay tick — so that the cost of an access sequence after a
@@ -435,10 +527,10 @@ impl CacheSim {
     ///
     /// Host-side shortcut: a hierarchy that was neither accessed nor
     /// imported into since its last flush already is in the flushed
-    /// state (`flush` never touches LRU clocks or statistics), so the
+    /// state (a flush never touches LRU clocks or statistics), so the
     /// per-tile flushes of phases that never walk the cache return
     /// without refilling the tag arrays.
-    pub fn flush(&mut self) {
+    pub fn flush_cache(&mut self) {
         if !self.dirty {
             return;
         }
@@ -447,26 +539,6 @@ impl CacheSim {
         self.l2.flush();
         self.streams = [(u64::MAX, 0); STREAM_SLOTS];
         self.decay_tick = 0;
-    }
-
-    /// Takes (and zeroes) the accumulated statistics:
-    /// `(l1, l2, streamed_misses, random_misses)`.
-    pub fn take_stats(&mut self) -> (CacheStats, CacheStats, u64, u64) {
-        (
-            std::mem::take(&mut self.l1.stats),
-            std::mem::take(&mut self.l2.stats),
-            std::mem::take(&mut self.streamed_misses),
-            std::mem::take(&mut self.random_misses),
-        )
-    }
-
-    /// Adds externally accumulated statistics (a worker's) into this
-    /// hierarchy's totals without touching behavioural state.
-    pub fn absorb_stats(&mut self, l1: &CacheStats, l2: &CacheStats, streamed: u64, random: u64) {
-        self.l1.stats.merge(l1);
-        self.l2.stats.merge(l2);
-        self.streamed_misses += streamed;
-        self.random_misses += random;
     }
 
     /// Line size in bytes (identical across levels).
@@ -482,8 +554,9 @@ impl CacheSim {
         self.line_shift
     }
 
-    /// Exports the complete behavioural state (see [`CacheSimState`]).
-    /// Non-destructive: the hierarchy is unchanged.
+    /// Exports the hierarchy's complete behavioural state (see
+    /// [`CacheSimState`]). Non-destructive: the memory system is
+    /// unchanged.
     pub fn export_state(&self) -> CacheSimState {
         CacheSimState {
             l1: self.l1.export_state(),
@@ -493,13 +566,14 @@ impl CacheSim {
         }
     }
 
-    /// Imports behavioural state captured by [`CacheSim::export_state`]
+    /// Imports behavioural state captured by [`MemSystem::export_state`]
     /// from a hierarchy of identical geometry. Returns `false` (leaving
     /// this hierarchy untouched) if the state is not one a walk of this
     /// geometry can produce — wrong tag-array lengths, a tag outside its
     /// own set or twice in one set, or a wrong stream slot count — so
     /// corrupt snapshots surface as errors, not panics or silently
-    /// different prices.
+    /// different prices. Statistics and the allocator mark are not part
+    /// of the state.
     pub fn import_state(&mut self, s: &CacheSimState) -> bool {
         // Validate both levels before mutating either: import is
         // all-or-nothing.
@@ -534,10 +608,12 @@ enum HintFault {
 /// over a runtime-length set, line ids by division, every call through
 /// the byte-address entry, and no host-side shortcut (way hint,
 /// clean-flush skip). Kept as the oracle the differential tests replay
-/// [`CacheSim`] against.
+/// [`MemSystem`] against.
 #[cfg(test)]
 mod reference {
-    use super::{CacheLevelConfig, CacheLevelState, CacheSimState, CacheStats, STREAM_SLOTS};
+    use super::{
+        CacheLevelConfig, CacheLevelState, CacheSimState, CacheStats, MemStats, STREAM_SLOTS,
+    };
 
     struct Level {
         cfg: CacheLevelConfig,
@@ -612,8 +688,8 @@ mod reference {
         stream_cy: f64,
         streams: [(u64, u32); STREAM_SLOTS],
         decay_tick: u32,
-        pub streamed_misses: u64,
-        pub random_misses: u64,
+        streamed_misses: u64,
+        random_misses: u64,
     }
 
     impl RefSim {
@@ -686,17 +762,22 @@ mod reference {
             self.decay_tick = 0;
         }
 
-        pub fn take_stats(&mut self) -> (CacheStats, CacheStats, u64, u64) {
-            (
-                std::mem::take(&mut self.l1.stats),
-                std::mem::take(&mut self.l2.stats),
-                std::mem::take(&mut self.streamed_misses),
-                std::mem::take(&mut self.random_misses),
-            )
+        pub fn take_stats(&mut self) -> MemStats {
+            MemStats {
+                l1: std::mem::take(&mut self.l1.stats),
+                l2: std::mem::take(&mut self.l2.stats),
+                streamed_misses: std::mem::take(&mut self.streamed_misses),
+                random_misses: std::mem::take(&mut self.random_misses),
+            }
         }
 
-        pub fn stats(&self) -> (CacheStats, CacheStats) {
-            (self.l1.stats, self.l2.stats)
+        pub fn stats(&self) -> MemStats {
+            MemStats {
+                l1: self.l1.stats,
+                l2: self.l2.stats,
+                streamed_misses: self.streamed_misses,
+                random_misses: self.random_misses,
+            }
         }
 
         pub fn export_state(&self) -> CacheSimState {
@@ -725,36 +806,37 @@ mod tests {
         (level(512, 2), level(2048, 4))
     }
 
-    fn small_sim() -> CacheSim {
+    fn small_sim() -> MemSystem {
         let (l1, l2) = small_levels();
-        CacheSim::new(l1, l2, 1.0, 10.0, 100.0)
+        MemSystem::new(l1, l2, 1.0, 10.0, 100.0)
     }
 
     #[test]
     fn first_access_misses_second_hits() {
         let mut c = small_sim();
-        assert_eq!(c.access(0, 8), 100.0);
-        assert_eq!(c.access(0, 8), 1.0);
-        assert_eq!(c.access(32, 8), 1.0, "same line as addr 0");
+        assert_eq!(c.access(VAddr(0), 8), 100.0);
+        assert_eq!(c.access(VAddr(0), 8), 1.0);
+        assert_eq!(c.access(VAddr(32), 8), 1.0, "same line as addr 0");
     }
 
     #[test]
     fn straddling_access_touches_two_lines() {
         let mut c = small_sim();
-        let cy = c.access(60, 8); // Crosses the 64-byte boundary.
-                                  // First line: random miss (100); second: stream-prefetched (15).
+        // Crosses the 64-byte boundary. First line: random miss (100);
+        // second: stream-prefetched (15).
+        let cy = c.access(VAddr(60), 8);
         assert_eq!(cy, 115.0);
     }
 
     #[test]
     fn sequential_sweep_is_prefetched() {
         let mut c = small_sim();
-        let first = c.access(0, 8);
+        let first = c.access(VAddr(0), 8);
         assert_eq!(first, 100.0);
         // Subsequent sequential lines ride the detected stream.
         let mut total = 0.0;
         for l in 1..10u64 {
-            total += c.access(l * 64, 8);
+            total += c.access(VAddr(l * 64), 8);
         }
         assert_eq!(total, 9.0 * 15.0, "streamed misses at bandwidth cost");
     }
@@ -764,7 +846,7 @@ mod tests {
         let mut c = small_sim();
         let mut total = 0.0;
         for l in [0u64, 100, 37, 999, 555, 777, 222, 444, 888, 333] {
-            total += c.access(l * 64, 8);
+            total += c.access(VAddr(l * 64), 8);
         }
         assert_eq!(total, 10.0 * 100.0);
     }
@@ -773,12 +855,12 @@ mod tests {
     fn lru_evicts_oldest() {
         let mut c = small_sim();
         // Set 0 holds lines whose (line % 4 == 0): addrs 0, 256, 512 map there.
-        c.access(0, 1);
-        c.access(256, 1);
-        c.access(0, 1); // Refresh line 0 so line at 256 is LRU.
-        c.access(512, 1); // Evicts 256 from L1.
-        assert_eq!(c.access(0, 1), 1.0, "line 0 still in L1");
-        let cy = c.access(256, 1);
+        c.access(VAddr(0), 1);
+        c.access(VAddr(256), 1);
+        c.access(VAddr(0), 1); // Refresh line 0 so line at 256 is LRU.
+        c.access(VAddr(512), 1); // Evicts 256 from L1.
+        assert_eq!(c.access(VAddr(0), 1), 1.0, "line 0 still in L1");
+        let cy = c.access(VAddr(256), 1);
         assert_eq!(cy, 10.0, "evicted to L2, hits L2");
     }
 
@@ -787,11 +869,11 @@ mod tests {
         let mut c = small_sim();
         // Touch 16 distinct lines: all fit in L2 (32 lines) but not L1 (8).
         for i in 0..16u64 {
-            c.access(i * 64, 1);
+            c.access(VAddr(i * 64), 1);
         }
         let mut l2_hits = 0;
         for i in 0..16u64 {
-            let cy = c.access(i * 64, 1);
+            let cy = c.access(VAddr(i * 64), 1);
             assert!(cy <= 10.0, "must be served by L1 or L2");
             if cy == 10.0 {
                 l2_hits += 1;
@@ -803,8 +885,8 @@ mod tests {
     #[test]
     fn stats_track_hits_and_misses() {
         let mut c = small_sim();
-        c.access(0, 1);
-        c.access(0, 1);
+        c.access(VAddr(0), 1);
+        c.access(VAddr(0), 1);
         let s = c.l1_stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
@@ -813,15 +895,15 @@ mod tests {
     #[test]
     fn flush_forces_misses_again() {
         let mut c = small_sim();
-        c.access(0, 1);
-        c.flush();
-        assert_eq!(c.access(0, 1), 100.0);
+        c.access(VAddr(0), 1);
+        c.flush_cache();
+        assert_eq!(c.access(VAddr(0), 1), 100.0);
     }
 
     #[test]
     fn zero_byte_access_is_free() {
         let mut c = small_sim();
-        assert_eq!(c.access(0, 0), 0.0);
+        assert_eq!(c.access(VAddr(0), 0), 0.0);
     }
 
     impl CacheLevel {
@@ -838,14 +920,16 @@ mod tests {
                 self.hint[(self.tags[slot] & self.hint_mask) as usize] as usize == slot
             })
         }
+    }
 
+    impl CacheStats {
         /// Accesses so far (hits and misses).
         fn accesses(&self) -> u64 {
-            self.stats.hits + self.stats.misses
+            self.hits + self.misses
         }
     }
 
-    /// Replays one randomised op stream through [`CacheSim`], its way
+    /// Replays one randomised op stream through [`MemSystem`], its way
     /// hints carrying `fault`, and the pre-fast-path [`RefSim`], and
     /// compares, after **every** op, the returned cycles (bitwise), both
     /// levels' statistics, the miss split and the complete exported
@@ -860,7 +944,7 @@ mod tests {
         let latency = [0.5, 12.0, 100.0];
         let geometry = format!("{l1:?} {l2:?} seed={seed}");
         let new_sim = || {
-            let mut sim = CacheSim::new(l1, l2, latency[0], latency[1], latency[2]);
+            let mut sim = MemSystem::new(l1, l2, latency[0], latency[1], latency[2]);
             (sim.l1.fault, sim.l2.fault) = (fault, fault);
             sim
         };
@@ -886,13 +970,13 @@ mod tests {
             let r = next();
             match r % 64 {
                 0 => {
-                    fast.flush();
+                    fast.flush_cache();
                     slow.flush();
                 }
                 1 => {
                     // Twice in a row: the second flush finds it clean.
-                    fast.flush();
-                    fast.flush();
+                    fast.flush_cache();
+                    fast.flush_cache();
                     slow.flush();
                 }
                 2 => {
@@ -909,15 +993,13 @@ mod tests {
                         spare = new_sim();
                     } else {
                         for _ in 0..next() % 256 {
-                            spare.access(next() % (2 * span), 8);
+                            spare.access(VAddr(next() % (2 * span)), 8);
                         }
                     }
                     if !spare.import_state(&state) {
                         return Err(format!("{geometry} op {op}: import refused"));
                     }
-                    let _ = spare.take_stats();
-                    let (l1s, l2s, st, rd) = fast.take_stats();
-                    spare.absorb_stats(&l1s, &l2s, st, rd);
+                    spare.set_stats(fast.stats());
                     std::mem::swap(&mut fast, &mut spare);
                 }
                 kind => {
@@ -935,19 +1017,19 @@ mod tests {
                         1 => 1 + next() % 300,
                         _ => 8,
                     };
-                    let before = (fast.l1.accesses(), fast.l2.accesses());
+                    let before = (fast.stats.l1.accesses(), fast.stats.l2.accesses());
                     let f = if bytes == 8 && addr % 64 <= 56 && next() % 2 == 0 {
                         fast.access_line_id(addr >> fast.line_shift())
                     } else {
-                        fast.access(addr, bytes)
+                        fast.access(VAddr(addr), bytes)
                     };
                     let s = slow.access(addr, bytes);
                     if f.to_bits() != s.to_bits() {
                         return Err(format!("{geometry} op {op}: cycles {f} vs {s}"));
                     }
                     let reached = [
-                        (fast.l1.accesses() > before.0, &fast.l1),
-                        (fast.l2.accesses() > before.1, &fast.l2),
+                        (fast.stats.l1.accesses() > before.0, &fast.l1),
+                        (fast.stats.l2.accesses() > before.1, &fast.l2),
                     ];
                     if reached
                         .iter()
@@ -957,13 +1039,8 @@ mod tests {
                     }
                 }
             }
-            if (fast.l1_stats(), fast.l2_stats()) != slow.stats() {
+            if fast.stats() != slow.stats() {
                 return Err(format!("{geometry} op {op}: statistics"));
-            }
-            if (fast.streamed_misses, fast.random_misses)
-                != (slow.streamed_misses, slow.random_misses)
-            {
-                return Err(format!("{geometry} op {op}: miss split"));
             }
             if fast.export_state() != slow.export_state() {
                 return Err(format!("{geometry} op {op}: state"));
@@ -1029,14 +1106,10 @@ mod tests {
             if state % 3 == 0 {
                 addr = (state >> 16) % 4096 * 8;
             }
-            let (a, b) = (fast.access(addr, 8), slow.access(addr, 8));
+            let (a, b) = (fast.access(VAddr(addr), 8), slow.access(addr, 8));
             assert_eq!(a.to_bits(), b.to_bits(), "latency diverged at access {i}");
         }
-        assert_eq!((fast.l1_stats(), fast.l2_stats()), slow.stats());
-        assert_eq!(
-            (fast.streamed_misses, fast.random_misses),
-            (slow.streamed_misses, slow.random_misses)
-        );
+        assert_eq!(fast.stats(), slow.stats());
         assert_eq!(fast.export_state(), slow.export_state());
     }
 
@@ -1052,14 +1125,14 @@ mod tests {
             if state % 3 != 2 {
                 addr = (state >> 17) % 2048 * 8;
             }
-            a.access(addr, 8);
+            a.access(VAddr(addr), 8);
         }
         let snap = a.export_state();
         let mut b = small_sim();
         assert!(b.import_state(&snap), "matching geometry must import");
         // Continue both with an identical stream: every latency (and the
         // miss split) must match bitwise.
-        let (a_s0, a_r0) = (a.streamed_misses, a.random_misses);
+        let a0 = a.stats();
         for i in 0..5_000u64 {
             state = state
                 .wrapping_mul(6_364_136_223_846_793_005)
@@ -1067,19 +1140,20 @@ mod tests {
             if state % 3 != 2 {
                 addr = (state >> 17) % 2048 * 8;
             }
-            let (x, y) = (a.access(addr, 8), b.access(addr, 8));
+            let (x, y) = (a.access(VAddr(addr), 8), b.access(VAddr(addr), 8));
             assert_eq!(x.to_bits(), y.to_bits(), "latency diverged at {i}");
         }
-        assert_eq!(a.streamed_misses - a_s0, b.streamed_misses);
-        assert_eq!(a.random_misses - a_r0, b.random_misses);
+        let (a1, b1) = (a.stats(), b.stats());
+        assert_eq!(a1.streamed_misses - a0.streamed_misses, b1.streamed_misses);
+        assert_eq!(a1.random_misses - a0.random_misses, b1.random_misses);
     }
 
     #[test]
     fn import_state_refuses_mismatched_geometry() {
         let mut a = small_sim();
-        a.access(0, 8);
+        a.access(VAddr(0), 8);
         let snap = a.export_state();
-        let mut other = CacheSim::new(
+        let mut other = MemSystem::new(
             CacheLevelConfig {
                 size_bytes: 1024,
                 ways: 2,
@@ -1124,11 +1198,11 @@ mod tests {
     #[test]
     fn way_hint_survives_flush_correctly() {
         let mut c = small_sim();
-        c.access(0, 8);
-        assert_eq!(c.access(0, 8), 1.0, "hinted repeat is an L1 hit");
-        c.flush();
+        c.access(VAddr(0), 8);
+        assert_eq!(c.access(VAddr(0), 8), 1.0, "hinted repeat is an L1 hit");
+        c.flush_cache();
         // The hint still names line 0's old slot, but the flush emptied
         // it: post-flush the line is a cold miss again.
-        assert_eq!(c.access(0, 8), 100.0);
+        assert_eq!(c.access(VAddr(0), 8), 100.0);
     }
 }

@@ -92,11 +92,11 @@ impl Phase {
     }
 }
 
-use crate::cache::CacheStats;
+use crate::cache::MemStats;
 
 /// The complete mergeable accounting state of one emulated machine:
 /// per-[`Phase`] cycles and instruction counts ([`PerfCounters`]) plus the
-/// cache-hierarchy statistics the memory simulation accumulates.
+/// statistics its memory system accumulates ([`MemStats`]).
 ///
 /// Parallel tile workers each charge a private `MachineCounters` set
 /// (drained per tile via [`crate::Machine::drain_counters`]) which the
@@ -108,14 +108,8 @@ use crate::cache::CacheStats;
 pub struct MachineCounters {
     /// Cycle and instruction counters.
     pub perf: PerfCounters,
-    /// L1 hit/miss statistics.
-    pub l1: CacheStats,
-    /// L2 hit/miss statistics.
-    pub l2: CacheStats,
-    /// DRAM misses served at streaming (prefetched) cost.
-    pub streamed_misses: u64,
-    /// DRAM misses served at full random latency.
-    pub random_misses: u64,
+    /// Cache hits and misses per level and the DRAM miss split.
+    pub mem: MemStats,
 }
 
 impl MachineCounters {
@@ -129,10 +123,7 @@ impl MachineCounters {
     /// produces the same floating-point totals.
     pub fn merge(&mut self, other: &MachineCounters) {
         self.perf.merge(&other.perf);
-        self.l1.merge(&other.l1);
-        self.l2.merge(&other.l2);
-        self.streamed_misses += other.streamed_misses;
-        self.random_misses += other.random_misses;
+        self.mem.merge(&other.mem);
     }
 }
 
@@ -285,19 +276,19 @@ mod tests {
     fn machine_counters_merge_all_fields() {
         let mut a = MachineCounters::new();
         a.perf.add_cycles(Phase::Compute, 2.0);
-        a.l1.hits = 3;
-        a.random_misses = 1;
+        a.mem.l1.hits = 3;
+        a.mem.random_misses = 1;
         let mut b = MachineCounters::new();
         b.perf.add_cycles(Phase::Compute, 5.0);
-        b.l1.hits = 4;
-        b.l2.misses = 2;
-        b.streamed_misses = 7;
+        b.mem.l1.hits = 4;
+        b.mem.l2.misses = 2;
+        b.mem.streamed_misses = 7;
         a.merge(&b);
         assert_eq!(a.perf.cycles(Phase::Compute), 7.0);
-        assert_eq!(a.l1.hits, 7);
-        assert_eq!(a.l2.misses, 2);
-        assert_eq!(a.streamed_misses, 7);
-        assert_eq!(a.random_misses, 1);
+        assert_eq!(a.mem.l1.hits, 7);
+        assert_eq!(a.mem.l2.misses, 2);
+        assert_eq!(a.mem.streamed_misses, 7);
+        assert_eq!(a.mem.random_misses, 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   ([`PerfCounters`]) — through the [`Meter`] of an open phase scope
 //!   ([`Machine::in_phase`]), which holds the counters it adds to for as
 //!   long as the scope runs — and memory operations consult a two-level
-//!   set-associative cache simulation ([`CacheSim`]) so that data-locality
+//!   set-associative cache model ([`MemSystem`]) so that data-locality
 //!   effects (the whole point of the paper's incremental sorter) are
 //!   reflected in the reported cycle counts.
 //!
@@ -58,14 +58,16 @@ pub mod sync;
 pub mod vect;
 pub mod vreg;
 
-pub use cache::{CacheLevelConfig, CacheLevelState, CacheSim, CacheSimState, CacheStats};
+pub use cache::{
+    CacheLevelConfig, CacheLevelState, CacheSimState, CacheStats, MemStats, MemSystem,
+};
 pub use cost::MachineConfig;
 pub use counters::{MachineCounters, PerfCounters, Phase};
 pub use exec::{Exec, ExecError, FaultKind, FaultPlan, PoolCore, SchedulerPolicy, WorkerPool};
 pub use gpu::{GpuConfig, GpuDepositionReport, GpuModel};
 pub use lines::{LineCarry, TensorBlock};
 pub use machine::{Machine, Meter, Pricing, TileId};
-pub use mem::{MemSystem, VAddr};
+pub use mem::VAddr;
 pub use shard::shard_bounds;
 pub use sync::{StdSync, SyncPrims};
 pub use vect::Lanes;

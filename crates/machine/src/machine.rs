@@ -24,10 +24,11 @@
 //! isolated op (tests, probes); anything that charges in a loop takes
 //! the meter.
 
+use crate::cache::{MemStats, MemSystem};
 use crate::cost::MachineConfig;
 use crate::counters::{MachineCounters, PerfCounters, Phase, Totals};
 use crate::lines::{lane_lines, LineCarry, TensorBlock};
-use crate::mem::{MemSystem, VAddr};
+use crate::mem::VAddr;
 use crate::vreg::{VReg, VLANES};
 
 /// Identifier of an MPU tile register.
@@ -37,22 +38,31 @@ pub struct TileId(pub usize);
 /// Number of architecturally visible MPU tile registers.
 pub const NUM_TILES: usize = 4;
 
-/// How a memory-bound primitive is priced — the timing-model half of an
-/// execution mode, independent of the functional arithmetic. The step
-/// derives it from its mode (`ExecMode::pricing`: the per-particle sweep
-/// walks, the cell-run sweep streams); kernels that only run per
-/// particle, such as the rhocell kernel's accumulates, pass
-/// [`Pricing::Walk`] themselves.
+/// How a memory-bound primitive is priced — the timing-model half of a
+/// step's execution mode, independent of the functional arithmetic —
+/// and so which sweep the particle kernels run: the step's mode
+/// (`Depositor::mode`) is a `Pricing`. The per-particle sweep walks,
+/// the cell-run sweep streams; kernels that only run per particle,
+/// such as the rhocell kernel's accumulates, pass [`Pricing::Walk`]
+/// themselves.
 /// The `*_priced` entry points are the only places that branch on it;
 /// the cell-run block gather has one price and takes none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pricing {
-    /// Every access walks the cache simulator: cost depends on (and
-    /// updates) which lines are resident.
+    /// Every access walks the cache model: cost depends on (and
+    /// updates) which lines are resident. As a step's mode: one
+    /// particle at a time — the reference every bitwise test compares
+    /// against, the path of every paper-figure bin, the only path for
+    /// unsorted input (length-1 runs have nothing to amortise) and the
+    /// only path of the direct-scatter and rhocell kernels, which are
+    /// per-particle by design.
     Walk,
     /// State-free streaming model: a flat bandwidth cost per spanned
     /// line with a footprint roofline crossover, a pure function of the
-    /// call operands (see the streaming-price section below).
+    /// call operands (see the streaming-price section below). As a
+    /// step's mode: same-cell particle runs in lane-width packs, each
+    /// run loading its stencil block once and touching the tile
+    /// accumulator once. Requires cell-grouped order.
     Stream,
 }
 
@@ -100,7 +110,7 @@ impl Machine {
         let mut w = self.clone();
         w.ctr = PerfCounters::new();
         w.mem.flush_cache();
-        let _ = w.mem.take_stats();
+        w.mem.set_stats(MemStats::default());
         w.reset_execution_state();
         w
     }
@@ -109,13 +119,9 @@ impl Machine {
     /// the last drain: per-phase cycles, instruction counts and cache
     /// statistics.
     pub fn drain_counters(&mut self) -> MachineCounters {
-        let (l1, l2, streamed_misses, random_misses) = self.mem.take_stats();
         MachineCounters {
             perf: std::mem::take(&mut self.ctr),
-            l1,
-            l2,
-            streamed_misses,
-            random_misses,
+            mem: self.mem.take_stats(),
         }
     }
 
@@ -123,8 +129,7 @@ impl Machine {
     /// Purely additive: the cache's behavioural state is untouched.
     pub(crate) fn absorb_counters(&mut self, c: &MachineCounters) {
         self.ctr.merge(&c.perf);
-        self.mem
-            .absorb_stats(&c.l1, &c.l2, c.streamed_misses, c.random_misses);
+        self.mem.absorb_stats(&c.mem);
     }
 
     /// The machine configuration.
@@ -1752,7 +1757,7 @@ mod tests {
             "drain must zero the worker"
         );
         assert!(c.perf.cycles(Phase::Reduce) > 0.0);
-        assert_eq!(c.l1.misses + c.l2.misses + c.random_misses, 3); // cold miss at each level
+        assert_eq!(c.mem.l1.misses + c.mem.l2.misses + c.mem.random_misses, 3); // cold miss at each level
         let before = m.counters().total_cycles();
         m.absorb_counters(&c);
         assert_eq!(m.counters().total_cycles(), before + c.perf.total_cycles());
@@ -1851,11 +1856,11 @@ mod tests {
             });
         }
         let [reference, single, multi] = &mut machines;
-        let want_state = reference.mem_ref().cache_state();
+        let want_state = reference.mem_ref().export_state();
         let want = reference.drain_counters();
-        assert!(want.l1.misses > 0 && want.l2.misses > 0 && want.l1.hits > 0);
+        assert!(want.mem.l1.misses > 0 && want.mem.l2.misses > 0 && want.mem.l1.hits > 0);
         for m in [single, multi] {
-            assert_eq!(m.mem_ref().cache_state(), want_state);
+            assert_eq!(m.mem_ref().export_state(), want_state);
             assert_eq!(format!("{:?}", m.drain_counters()), format!("{want:?}"));
             // No base, no charge.
             m.v_touch_gather_priced(Pricing::Walk, &[], &[1, 2, 3], 0);
@@ -2415,8 +2420,8 @@ mod tests {
             }
             if n % 64 == 0 || n + 1 == cases.len() {
                 assert_eq!(
-                    new.mem_ref().cache_state(),
-                    old.mem_ref().cache_state(),
+                    new.mem_ref().export_state(),
+                    old.mem_ref().export_state(),
                     "case {n}: cache state"
                 );
             }
@@ -2980,8 +2985,8 @@ mod tests {
                 }
                 if round % 64 == 0 || round == 599 {
                     assert_eq!(
-                        new.mem_ref().cache_state(),
-                        old.mem_ref().cache_state(),
+                        new.mem_ref().export_state(),
+                        old.mem_ref().export_state(),
                         "round {round}: cache state"
                     );
                 }

@@ -795,11 +795,11 @@ mod tests {
             m.record_flops((n * nodes * 6 * 2) as f64);
         });
         assert_eq!(
-            shared.mem_ref().cache_state(),
-            plain.mem_ref().cache_state()
+            shared.mem_ref().export_state(),
+            plain.mem_ref().export_state()
         );
         let (a, b) = (shared.drain_counters(), plain.drain_counters());
-        assert!(b.l2.misses > 0 && b.l1.hits > 0);
+        assert!(b.mem.l2.misses > 0 && b.mem.l1.hits > 0);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 

@@ -8,9 +8,9 @@
 //! positions, momenta and emulated cycles bit-identical for any worker
 //! count.
 
-use mpic_deposit::{ExecMode, ShapeOrder};
+use mpic_deposit::ShapeOrder;
 use mpic_grid::{FieldArrays, GridGeometry};
-use mpic_machine::{vect::W, Lanes, LineCarry, Machine, Phase, VAddr};
+use mpic_machine::{vect::W, Lanes, LineCarry, Machine, Phase, Pricing, VAddr};
 use mpic_particles::{ParticleTile, PendingMove};
 
 use crate::boris::{boris_push, boris_push_lanes, charge_push, BorisCoeffs};
@@ -38,17 +38,19 @@ pub struct PushCtx<'a> {
 }
 
 impl PushCtx<'_> {
-    /// Pushes one tile in the step's execution mode.
+    /// Pushes one tile in the step's execution mode
+    /// (`Depositor::mode`): [`Pricing::Walk`] runs the per-particle
+    /// sweep, [`Pricing::Stream`] the run sweep.
     pub fn push_tile(
         &self,
         wm: &mut Machine,
-        mode: ExecMode,
+        mode: Pricing,
         tile: &mut ParticleTile,
         scratch: &mut PushScratch,
     ) {
         match mode {
-            ExecMode::PerParticle => self.push_tile_per_particle(wm, tile, scratch),
-            ExecMode::Runs => self.push_tile_runs(wm, tile, scratch),
+            Pricing::Walk => self.push_tile_per_particle(wm, tile, scratch),
+            Pricing::Stream => self.push_tile_runs(wm, tile, scratch),
         }
     }
 

@@ -12,15 +12,6 @@
 
 use mpic_grid::{FieldArrays, GridGeometry};
 
-/// Which boundary treatment a simulation applies along z.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BoundaryKind {
-    /// Fully periodic (uniform plasma workload).
-    Periodic,
-    /// Absorbing damping layers at both z ends (LWFA workload).
-    AbsorbingZ,
-}
-
 /// Damping layer thickness in cells at each z end.
 pub const ABSORBER_CELLS: usize = 8;
 /// Peak damping strength per step at the outermost cell (0..1).

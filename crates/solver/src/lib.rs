@@ -12,6 +12,6 @@ pub mod boundary;
 pub mod laser;
 pub mod maxwell;
 
-pub use boundary::{absorb_z, BoundaryKind};
+pub use boundary::absorb_z;
 pub use laser::LaserAntenna;
 pub use maxwell::{MaxwellSolver, SolverKind};

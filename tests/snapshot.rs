@@ -244,6 +244,23 @@ fn conf_snapshot_round_trip_is_byte_lossless() {
         first == second,
         "snapshot -> restore -> snapshot changed bytes"
     );
+
+    // A target that has run steps of its own holds counters, cache
+    // statistics and cache state the snapshot must replace, not add to.
+    // It runs the per-particle sweeps, whose cache walks count hits and
+    // misses (the cell-run sweeps price by the streaming model and count
+    // none); restore lets the mode differ from the writer's.
+    let mut stepped = lwfa_sim(2, false);
+    stepped.run(2);
+    let stats = stepped.machine.mem_ref().stats();
+    assert!(stats.l1.hits > 0 && stats.l1.misses > 0, "{stats:?}");
+    stepped
+        .restore(&first)
+        .expect("restore onto a stepped target");
+    assert!(
+        first == stepped.snapshot(),
+        "snapshot -> restore onto a stepped target -> snapshot changed bytes"
+    );
 }
 
 // ---------------------------------------------------------------------------
