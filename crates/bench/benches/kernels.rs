@@ -268,6 +268,46 @@ fn bench_walked_layers(c: &mut Criterion) {
     });
 }
 
+/// The machine primitive under every walked charge: one
+/// `MemSystem::walk_lines` call over 4096 line ids on the lx2 hierarchy
+/// per iteration — divide by 4096 for ns per walked line.
+/// `walk_lines_hit_heavy` cycles over 128 lines resident in L1, so every
+/// line is a way-hint hit resolved in the walk's loop;
+/// `walk_lines_miss_heavy` walks random lines over four times the L2
+/// footprint, so nearly every line takes the out-of-line path: the L1
+/// set probe, the L2 access and the DRAM price.
+fn bench_machine_walk(c: &mut Criterion) {
+    const LINES: usize = 4096;
+    let cfg = MachineConfig::lx2();
+    let lines_of = |bytes: usize| (bytes / cfg.l1.line_bytes) as u64;
+    let (l1_lines, l2_lines) = (lines_of(cfg.l1.size_bytes), lines_of(cfg.l2.size_bytes));
+    let mut rng = StdRng::seed_from_u64(11);
+    let streams = [
+        (
+            "walk_lines_hit_heavy",
+            (0..LINES as u64)
+                .map(|i| i % (l1_lines / 2))
+                .collect::<Vec<_>>(),
+        ),
+        (
+            "walk_lines_miss_heavy",
+            (0..LINES).map(|_| rng.gen_range(0..4 * l2_lines)).collect(),
+        ),
+    ];
+    for (name, lines) in streams {
+        c.bench_function(name, |b| {
+            let mut m = Machine::new(cfg.clone());
+            let first = m.mem().alloc_f64(4 * l2_lines as usize * 8).0 >> m.mem().line_shift();
+            let lines: Vec<u64> = lines.iter().map(|&l| first + l).collect();
+            b.iter(|| {
+                let mut cy = 0.0;
+                m.mem().walk_lines(lines.iter().copied(), |lat| cy += lat);
+                std::hint::black_box(cy)
+            });
+        });
+    }
+}
+
 /// The two streamed block charges of the `uniform_qsp` configuration,
 /// alone, over the 512 cells of the upper corner tile of its 32x32x16
 /// grid — the tile whose stencils straddle the periodic wrap on every
@@ -475,6 +515,7 @@ criterion_group!(
     bench_incremental_sort,
     bench_qsp_streamed_layers,
     bench_walked_layers,
+    bench_machine_walk,
     bench_block_charges,
     bench_load,
     bench_checkpoint,

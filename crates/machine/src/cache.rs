@@ -108,7 +108,7 @@ fn first_where(vals: &[u64], pred: impl Fn(u64) -> bool) -> Option<usize> {
 /// first way holding the smallest stamp). Returns `(way, hit)`.
 ///
 /// The only set-probe body of the model: the array form and the slice
-/// fallback of [`CacheLevel::access`] both inline this function.
+/// fallback of [`CacheLevel::probe_line`] both inline this function.
 #[inline(always)]
 fn probe_set(tags: &mut [u64], stamps: &mut [u64], line: u64, clock: u64) -> (usize, bool) {
     debug_assert_eq!(tags.len(), stamps.len());
@@ -177,46 +177,47 @@ impl CacheLevel {
     /// handed over as fixed-size arrays so the body is compiled for that
     /// associativity.
     #[inline(always)]
-    fn probe<const WAYS: usize>(&mut self, base: usize, line: u64) -> (usize, bool) {
+    fn probe<const WAYS: usize>(&mut self, base: usize, line: u64, clock: u64) -> (usize, bool) {
         let tags: &mut [u64; WAYS] = (&mut self.tags[base..base + WAYS])
             .try_into()
             .expect("slice is WAYS long");
         let stamps: &mut [u64; WAYS] = (&mut self.stamps[base..base + WAYS])
             .try_into()
             .expect("slice is WAYS long");
-        probe_set(tags, stamps, line, self.clock)
+        probe_set(tags, stamps, line, clock)
     }
 
-    /// Looks up (and on miss, fills) cache line `line` (a line id:
-    /// byte address `>> line_shift`), counting the hit or miss into
-    /// `stats`. Returns `true` on hit.
+    /// The tag slot the way hint names for `line` (a line id: byte
+    /// address `>> line_shift`) when that slot holds `line`: the hit the
+    /// set probe would find. The caller applies the hit's effects —
+    /// stamp refresh, hit count — at its clock.
     #[inline(always)]
-    fn access(&mut self, line: u64, stats: &mut CacheStats) -> bool {
+    fn hinted_slot(&self, line: u64) -> Option<usize> {
         debug_assert_ne!(line, u64::MAX, "the empty-way tag is no line id");
-        self.clock += 1;
-        let h = (line & self.hint_mask) as usize;
-        let hinted = self.hint[h] as usize;
-        let trusted = self.tags[hinted] == line;
+        let slot = self.hint[(line & self.hint_mask) as usize] as usize;
+        let trusted = self.tags[slot] == line;
         #[cfg(test)]
         let trusted = trusted || self.fault == HintFault::Unchecked;
-        if trusted {
-            // The hit the scan would find, with its effects: clock tick,
-            // stamp refresh, hit count.
-            self.stamps[hinted] = self.clock;
-            stats.hits += 1;
-            return true;
-        }
+        trusted.then_some(slot)
+    }
+
+    /// The set probe for a `line` the way hint missed, at LRU time
+    /// `clock` (already ticked for this access): looks the line up and
+    /// on a miss fills it, counts the hit or miss into `stats`, and
+    /// points the hint at the line's slot. Returns `true` on hit.
+    #[inline(always)]
+    fn probe_line(&mut self, line: u64, clock: u64, stats: &mut CacheStats) -> bool {
         let base = (line & self.set_mask) as usize * self.ways;
         // The lx2 geometries (8-way L1, 16-way L2) get the array form;
         // anything else runs the same body over a slice.
         let (way, hit) = match self.ways {
-            8 => self.probe::<8>(base, line),
-            16 => self.probe::<16>(base, line),
+            8 => self.probe::<8>(base, line, clock),
+            16 => self.probe::<16>(base, line, clock),
             ways => probe_set(
                 &mut self.tags[base..base + ways],
                 &mut self.stamps[base..base + ways],
                 line,
-                self.clock,
+                clock,
             ),
         };
         if hit {
@@ -224,15 +225,28 @@ impl CacheLevel {
         } else {
             stats.misses += 1;
         }
-        let slot = base + way;
         #[cfg(test)]
         let slot_hinted = self.fault != HintFault::NotRefreshed;
         #[cfg(not(test))]
         let slot_hinted = true;
         if slot_hinted {
-            self.hint[h] = slot as u32;
+            self.hint[(line & self.hint_mask) as usize] = (base + way) as u32;
         }
         hit
+    }
+
+    /// Looks up (and on miss, fills) cache line `line`, ticking this
+    /// level's clock and counting the hit or miss into `stats`: the hint
+    /// first, the set probe when it misses. Returns `true` on hit.
+    #[inline(always)]
+    fn access(&mut self, line: u64, stats: &mut CacheStats) -> bool {
+        self.clock += 1;
+        let Some(slot) = self.hinted_slot(line) else {
+            return self.probe_line(line, self.clock, stats);
+        };
+        self.stamps[slot] = self.clock;
+        stats.hits += 1;
+        true
     }
 
     /// Empties every way. The hint stays: an empty way matches no line.
@@ -418,6 +432,7 @@ impl MemSystem {
 
     /// Touches every cache line covered by `[addr, addr + bytes)` and
     /// returns the total charged latency in cycles.
+    #[inline]
     pub fn access(&mut self, addr: VAddr, bytes: u64) -> f64 {
         if bytes == 0 {
             return 0.0;
@@ -425,20 +440,56 @@ impl MemSystem {
         let first = addr.0 >> self.line_shift;
         let last = (addr.0 + bytes - 1) >> self.line_shift;
         let mut cycles = 0.0;
-        for line in first..=last {
-            cycles += self.access_line_id(line);
-        }
+        self.walk_lines(first..=last, |cy| cycles += cy);
         cycles
     }
 
-    /// Touches the single cache line with id `line` (byte address
-    /// `>> line_shift()`) and returns its latency. Callers that already
-    /// hold line ids — the gather/scatter walks — enter here instead of
-    /// converting line -> address -> line through [`MemSystem::access`].
-    #[inline]
-    pub fn access_line_id(&mut self, line: u64) -> f64 {
-        self.dirty = true;
-        if self.l1.access(line, &mut self.stats.l1) {
+    /// Walks the cache lines `lines` (line ids: byte address
+    /// `>> line_shift()`) in order, handing each line's latency to
+    /// `charge` as it is priced — the one walk of the model, behind
+    /// [`MemSystem::access`] and the gather and scatter walks, which
+    /// hold line ids already.
+    ///
+    /// L1's clock and hit count stay in locals for the whole list and
+    /// are written back once at the end. A line found through L1's way
+    /// hint is resolved in the loop: tag compare, stamp store, charge.
+    /// Only a hint miss leaves it, for the out-of-line L1 set probe,
+    /// then L2, then DRAM.
+    #[inline(always)]
+    pub fn walk_lines(
+        &mut self,
+        lines: impl IntoIterator<Item = u64>,
+        mut charge: impl FnMut(f64),
+    ) {
+        let (mut clock, mut hits) = (self.l1.clock, 0);
+        for line in lines {
+            clock += 1;
+            match self.l1.hinted_slot(line) {
+                Some(slot) => {
+                    self.l1.stamps[slot] = clock;
+                    hits += 1;
+                    charge(self.l1_hit_cy);
+                }
+                None => charge(self.walk_hint_miss(line, clock)),
+            }
+        }
+        self.dirty |= clock != self.l1.clock;
+        #[cfg(test)]
+        let write_back = self.l1.fault != HintFault::NotWrittenBack;
+        #[cfg(not(test))]
+        let write_back = true;
+        if write_back {
+            self.l1.clock = clock;
+            self.stats.l1.hits += hits;
+        }
+    }
+
+    /// Prices a line L1's way hint missed, at L1 time `clock`: the L1
+    /// set probe, then L2, then DRAM. Out of line, so the hint-hit loop
+    /// of [`MemSystem::walk_lines`] stays small.
+    #[inline(never)]
+    fn walk_hint_miss(&mut self, line: u64, clock: u64) -> f64 {
+        if self.l1.probe_line(line, clock, &mut self.stats.l1) {
             self.l1_hit_cy
         } else if self.l2.access(line, &mut self.stats.l2) {
             self.l2_hit_cy
@@ -449,25 +500,23 @@ impl MemSystem {
 
     /// Prices a miss of both levels and updates the stream prefetcher.
     fn dram_access(&mut self, line: u64) -> f64 {
-        // Stream detection: adjacent (within 2 lines ahead) of a
-        // tracked miss stream => prefetched.
-        for (last, conf) in &mut self.streams {
+        // One sweep of the slots finds the first tracked miss stream the
+        // line continues (within 2 lines ahead => prefetched) and, in
+        // case none does, the first least-confident slot: a new stream
+        // evicts that one, so an established stream survives scattered
+        // one-off misses.
+        let (mut victim, mut least) = (0, u32::MAX);
+        for (i, (last, conf)) in self.streams.iter_mut().enumerate() {
             if *last != u64::MAX && line > *last && line - *last <= 2 {
                 *last = line;
                 *conf = (*conf + 1).min(64);
                 self.stats.streamed_misses += 1;
                 return self.stream_cy;
             }
+            if *conf < least {
+                (victim, least) = (i, *conf);
+            }
         }
-        // New potential stream: evict the least-confident slot so an
-        // established stream survives scattered one-off misses.
-        let victim = self
-            .streams
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (_, conf))| *conf)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
         self.streams[victim] = (line, 1);
         // Periodic decay so stale streams eventually lose their slot
         // (per-insertion decay would let concurrently-establishing
@@ -602,6 +651,8 @@ enum HintFault {
     Unchecked,
     /// A slow-path probe leaves the hint as it was.
     NotRefreshed,
+    /// A line walk leaves L1's clock and hit count in its locals.
+    NotWrittenBack,
 }
 
 /// The walk as it was before the fast path: a front-to-back `position()`
@@ -922,6 +973,20 @@ mod tests {
         }
     }
 
+    impl MemSystem {
+        /// [`CacheLevel::hint_names_last_line`] for each level an access
+        /// reached since the levels had counted `before` accesses.
+        fn hints_name_last_lines(&self, before: (u64, u64)) -> bool {
+            let reached = [
+                (self.stats.l1.accesses() > before.0, &self.l1),
+                (self.stats.l2.accesses() > before.1, &self.l2),
+            ];
+            reached
+                .iter()
+                .all(|&(reached, lvl)| !reached || lvl.hint_names_last_line())
+        }
+    }
+
     impl CacheStats {
         /// Accesses so far (hits and misses).
         fn accesses(&self) -> u64 {
@@ -929,17 +994,30 @@ mod tests {
         }
     }
 
+    /// Which entries a replay's accesses go through.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Entries {
+        /// Byte ranges through `access`, single lines and line lists
+        /// through `walk_lines`.
+        Mixed,
+        /// Line lists through `walk_lines` only.
+        Batched,
+    }
+
     /// Replays one randomised op stream through [`MemSystem`], its way
-    /// hints carrying `fault`, and the pre-fast-path [`RefSim`], and
-    /// compares, after **every** op, the returned cycles (bitwise), both
-    /// levels' statistics, the miss split and the complete exported
-    /// state; after every access, each level it reached must find its
-    /// last line through the hint. Returns the first divergence.
+    /// hints carrying `fault` and its accesses going through `entries`,
+    /// and the pre-fast-path [`RefSim`], one line at a time, and
+    /// compares, after **every** op, the returned cycles (bitwise, per
+    /// line for a line list), both levels' statistics, the miss split
+    /// and the complete exported state; after every access, each level
+    /// it reached must find its last line through the hint. Returns the
+    /// first divergence.
     fn replay_against_reference(
         l1: CacheLevelConfig,
         l2: CacheLevelConfig,
         seed: u64,
         fault: HintFault,
+        entries: Entries,
     ) -> Result<(), String> {
         let latency = [0.5, 12.0, 100.0];
         let geometry = format!("{l1:?} {l2:?} seed={seed}");
@@ -992,15 +1070,46 @@ mod tests {
                     if next() % 2 == 0 {
                         spare = new_sim();
                     } else {
-                        for _ in 0..next() % 256 {
-                            spare.access(VAddr(next() % (2 * span)), 8);
-                        }
+                        let warm = next() % 256;
+                        spare.walk_lines((0..warm).map(|_| next() % (2 * span) / 64), drop);
                     }
                     if !spare.import_state(&state) {
                         return Err(format!("{geometry} op {op}: import refused"));
                     }
                     spare.set_stats(fast.stats());
                     std::mem::swap(&mut fast, &mut spare);
+                }
+                kind if entries == Entries::Batched || kind < 12 => {
+                    // A list of 1-24 lines in one walk (every access op of
+                    // a batched replay, 8 of the 60 access kinds of a
+                    // mixed one):
+                    // repeats, unit strides, lines sharing a hint entry,
+                    // and jumps.
+                    let mut line = addr / 64;
+                    let lines: Vec<u64> = (0..1 + next() % 24)
+                        .map(|_| {
+                            line = match next() % 4 {
+                                0 => line,
+                                1 => (line + 1) % (span / 64),
+                                2 => line % (hint_bytes / 64) + (next() % 4) * (hint_bytes / 64),
+                                _ => next() % (span / 64),
+                            };
+                            line
+                        })
+                        .collect();
+                    addr = line * 64;
+                    let before = (fast.stats.l1.accesses(), fast.stats.l2.accesses());
+                    let mut walked = Vec::with_capacity(lines.len());
+                    fast.walk_lines(lines.iter().copied(), |cy| walked.push(cy));
+                    for (k, (&l, f)) in lines.iter().zip(walked).enumerate() {
+                        let s = slow.access(l * 64, 1);
+                        if f.to_bits() != s.to_bits() {
+                            return Err(format!("{geometry} op {op} line {k}: cycles {f} vs {s}"));
+                        }
+                    }
+                    if !fast.hints_name_last_lines(before) {
+                        return Err(format!("{geometry} op {op}: last line not hinted"));
+                    }
                 }
                 kind => {
                     addr = match kind % 5 {
@@ -1019,7 +1128,9 @@ mod tests {
                     };
                     let before = (fast.stats.l1.accesses(), fast.stats.l2.accesses());
                     let f = if bytes == 8 && addr % 64 <= 56 && next() % 2 == 0 {
-                        fast.access_line_id(addr >> fast.line_shift())
+                        let mut cy = 0.0;
+                        fast.walk_lines([addr >> fast.line_shift()], |c| cy = c);
+                        cy
                     } else {
                         fast.access(VAddr(addr), bytes)
                     };
@@ -1027,14 +1138,7 @@ mod tests {
                     if f.to_bits() != s.to_bits() {
                         return Err(format!("{geometry} op {op}: cycles {f} vs {s}"));
                     }
-                    let reached = [
-                        (fast.stats.l1.accesses() > before.0, &fast.l1),
-                        (fast.stats.l2.accesses() > before.1, &fast.l2),
-                    ];
-                    if reached
-                        .iter()
-                        .any(|&(reached, lvl)| reached && !lvl.hint_names_last_line())
-                    {
+                    if !fast.hints_name_last_lines(before) {
                         return Err(format!("{geometry} op {op}: last line not hinted"));
                     }
                 }
@@ -1049,7 +1153,7 @@ mod tests {
         Ok(())
     }
 
-    /// The fast walk (array-form probe, line-id entry, way hint,
+    /// The fast walk (array-form probe, line-list entry, way hint,
     /// clean-flush skip) is the reference walk, bit for bit: for the lx2
     /// geometry, which takes the 8- and 16-way array form, and for
     /// geometries that take the slice fallback, down to a single set —
@@ -1059,6 +1163,25 @@ mod tests {
     /// and one not refreshed after a probe loses the last line.
     #[test]
     fn conf_cache_walk_matches_reference_model() {
+        for (g, (l1, l2)) in replay_geometries().into_iter().enumerate() {
+            let seed = 0x9e37_79b9 + g as u64;
+            let replay = |fault| replay_against_reference(l1, l2, seed, fault, Entries::Mixed);
+            if let Err(divergence) = replay(HintFault::None) {
+                panic!("{divergence}");
+            }
+            for fault in [HintFault::Unchecked, HintFault::NotRefreshed] {
+                assert!(
+                    replay(fault).is_err(),
+                    "{fault:?} not caught on {l1:?} {l2:?}"
+                );
+            }
+        }
+    }
+
+    /// The lx2 geometry, which takes the 8- and 16-way array form of the
+    /// probe, and geometries that take the slice fallback, down to a
+    /// single set.
+    fn replay_geometries() -> Vec<(CacheLevelConfig, CacheLevelConfig)> {
         let level = |sets: usize, ways: usize| CacheLevelConfig {
             size_bytes: sets * ways * 64,
             ways,
@@ -1072,14 +1195,31 @@ mod tests {
         }
         // Wider than one eight-way chunk of the probe, and not a multiple.
         geometries.push((level(2, 3), level(4, 20)));
-        for (g, &(l1, l2)) in geometries.iter().enumerate() {
-            let seed = 0x9e37_79b9 + g as u64;
-            if let Err(divergence) = replay_against_reference(l1, l2, seed, HintFault::None) {
+        geometries
+    }
+
+    /// A line list walked in one [`MemSystem::walk_lines`] call prices
+    /// each line as the per-line reference walk does, bit for bit, and
+    /// leaves the same statistics and state — on every replay geometry,
+    /// with the batch entry the only one exercised. Each fault of its
+    /// hint-hit loop is caught: a hint trusted without its tag compare,
+    /// one not refreshed after a probe, and L1's clock and hit count
+    /// left in the walk's locals.
+    #[test]
+    fn conf_batched_walk_matches_per_line_walk_bitwise() {
+        for (g, (l1, l2)) in replay_geometries().into_iter().enumerate() {
+            let seed = 0x5851_f42d + g as u64;
+            let replay = |fault| replay_against_reference(l1, l2, seed, fault, Entries::Batched);
+            if let Err(divergence) = replay(HintFault::None) {
                 panic!("{divergence}");
             }
-            for fault in [HintFault::Unchecked, HintFault::NotRefreshed] {
+            for fault in [
+                HintFault::Unchecked,
+                HintFault::NotRefreshed,
+                HintFault::NotWrittenBack,
+            ] {
                 assert!(
-                    replay_against_reference(l1, l2, seed, fault).is_err(),
+                    replay(fault).is_err(),
                     "{fault:?} not caught on {l1:?} {l2:?}"
                 );
             }

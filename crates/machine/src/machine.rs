@@ -512,9 +512,9 @@ impl Meter<'_> {
     /// memory system, not the meter: this loop may stay out of line.
     fn walk_gather_lines(mem: &mut MemSystem, lane_cy: f64, lines: &[u64], delta: u64) -> f64 {
         let mut cy = lane_cy;
-        for &l in lines {
-            cy += Machine::GATHER_MLP * mem.access_line_id(l.wrapping_add(delta));
-        }
+        mem.walk_lines(lines.iter().map(|&l| l.wrapping_add(delta)), |lat| {
+            cy += Machine::GATHER_MLP * lat;
+        });
         cy
     }
 
@@ -657,18 +657,27 @@ impl Meter<'_> {
     /// is applied separately — e.g. the parallel rhocell reduction, where
     /// workers price the scatter stream per tile while the actual grid
     /// writes happen in a deterministic fixed-order pass.
+    ///
+    /// `base` is f64-aligned, as every [`MemSystem::alloc_f64`] array
+    /// is, so each lane's element lies in one cache line and the lanes
+    /// walk as one line list.
     #[inline]
     pub fn v_touch_scatter_add(&mut self, base: VAddr, idx: &[usize]) {
         assert!(idx.len() <= VLANES);
+        debug_assert!(base.0 % 8 == 0 && self.m.mem.line_bytes() >= 8);
         self.t.vector_ops += 1;
-        let mut cy = 0.0;
-        for (l, &i) in idx.iter().enumerate() {
-            cy += self.m.mem.access(base.offset_f64(i), 8) + self.m.cfg.gather_lane_cy;
+        let (lane_cy, conflict_cy) = (self.m.cfg.gather_lane_cy, self.m.cfg.conflict_lane_cy);
+        let shift = self.m.mem.line_shift();
+        let (mut cy, mut l) = (0.0, 0);
+        let lines = idx.iter().map(|&i| base.offset_f64(i).0 >> shift);
+        self.m.mem.walk_lines(lines, |lat| {
+            cy += lat + lane_cy;
             // Conflict detection: lanes before `l` hitting the same index.
-            if idx[..l].contains(&i) {
-                cy += self.m.cfg.conflict_lane_cy;
+            if idx[..l].contains(&idx[l]) {
+                cy += conflict_cy;
             }
-        }
+            l += 1;
+        });
         self.t.flops_issued += idx.len() as f64;
         self.t.cycles += cy;
     }
@@ -1445,7 +1454,8 @@ mod reference {
         let mut prev = u64::MAX;
         for &l in lines {
             if l != prev {
-                cy += Machine::GATHER_MLP * m.mem.access_line_id(l.wrapping_add(delta));
+                let addr = VAddr(l.wrapping_add(delta) << m.mem.line_shift());
+                cy += Machine::GATHER_MLP * m.mem.access(addr, 1);
                 prev = l;
             }
         }
