@@ -20,7 +20,8 @@
 
 use mpic_bench::{measure_uniform, MEASURE_STEPS};
 use mpic_core::workloads;
-use mpic_deposit::{canonical_flops_per_particle, stage_particle, KernelConfig, ShapeOrder};
+use mpic_deposit::common::stencil_block;
+use mpic_deposit::{canonical_flops_per_particle, KernelConfig, ShapeOrder};
 use mpic_machine::{GpuConfig, GpuModel};
 
 /// Saturating density (paper: PPC 512; scaled for emulation).
@@ -67,33 +68,14 @@ fn main() {
     let dims = geom.dims_with_guard();
     let grid_len = (dims[0] * dims[1] * dims[2]) as u64;
     let order = ShapeOrder::Qsp;
-    let s = order.support();
     let mut addrs: Vec<Vec<u64>> = Vec::new();
     for tile in &sim.electrons.tiles {
         for p in tile.soa.live_indices() {
-            let st = stage_particle(
-                geom,
-                order,
-                -1.0,
-                tile.soa.x[p],
-                tile.soa.y[p],
-                tile.soa.z[p],
-                tile.soa.ux[p],
-                tile.soa.uy[p],
-                tile.soa.uz[p],
-                tile.soa.w[p],
-            );
-            let mut list = Vec::with_capacity(3 * s * s * s);
+            let (cell, _) = geom.locate(tile.soa.x[p], tile.soa.y[p], tile.soa.z[p]);
+            let block = stencil_block(geom, order, cell);
+            let mut list = Vec::with_capacity(3 * block.len());
             for comp in 0..3u64 {
-                for c in 0..s {
-                    for b in 0..s {
-                        for a in 0..s {
-                            let n = mpic_deposit::common::node_index(geom, st.cell, order, a, b, c);
-                            let lin = ((n[2] * dims[1] + n[1]) * dims[0] + n[0]) as u64;
-                            list.push((comp * grid_len + lin) * 8);
-                        }
-                    }
-                }
+                block.for_each_node(|_, lin| list.push((comp * grid_len + lin as u64) * 8));
             }
             addrs.push(list);
         }

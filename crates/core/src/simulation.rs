@@ -401,7 +401,6 @@ impl Simulation {
                         w,
                     };
                     let (cell, _) = self.geom.locate(d.x, d.y, d.z);
-                    let cell = self.geom.wrap_cell(cell);
                     self.window_buckets[self.layout.tile_of_cell(cell)].push(d);
                 }
             }

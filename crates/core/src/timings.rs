@@ -37,10 +37,7 @@ impl StepTimings {
     /// Deposition-kernel cycles (preproc + compute + sort + reduce) —
     /// the paper's complete "Deposition Kernel Time".
     pub fn deposition(&self) -> f64 {
-        self.phase(Phase::Preprocess)
-            + self.phase(Phase::Compute)
-            + self.phase(Phase::Sort)
-            + self.phase(Phase::Reduce)
+        Phase::DEPOSITION.iter().map(|&p| self.phase(p)).sum()
     }
 }
 

@@ -51,7 +51,6 @@ pub fn stage_particle(
     w: f64,
 ) -> Staged {
     let (cell, frac) = geom.locate(x, y, z);
-    let cell = geom.wrap_cell(cell);
     let (vx, vy, vz) = velocity_from_u(ux, uy, uz);
     let qw = charge * w / geom.cell_volume();
     let mut sx = [0.0; MAX_SUPPORT];
@@ -72,12 +71,12 @@ pub fn stage_particle(
 /// Wrapped, guarded node coordinate along axis `d` for support offset
 /// `a` of a particle in physical cell `cell_d`.
 ///
-/// The single source of truth for the periodic node wrap: both the
-/// deposit side ([`node_index`]) and the gather side
-/// (`mpic_push::gather_fields`) must target the same grid nodes, so
-/// both derive their coordinates from this helper.
+/// The per-node specification of the periodic node wrap: [`stencil_block`]
+/// wraps its first node per axis here and steps the rest, and
+/// [`reference_deposit`](crate::scalar::reference_deposit) and the
+/// stencil tests hold the block to this helper node by node.
 #[inline]
-pub fn node_coord(
+pub(crate) fn node_coord(
     geom: &GridGeometry,
     order: ShapeOrder,
     d: usize,
@@ -102,10 +101,11 @@ pub fn node_coord(
 }
 
 /// The stencil of physical cell `cell` as offsets into one guarded grid
-/// array: per axis, the [`node_coord`]s times the axis stride — node
+/// array: per axis, the `node_coord`s times the axis stride — node
 /// `(a, b, c)` of the block is the linear index of stencil node
-/// `(a, b, c)`. What the run gather and the rhocell reduction hand the
-/// machine's block touches, and expand where they need the node list.
+/// `(a, b, c)`, `axis(0)[a] + axis(1)[b] + axis(2)[c]`. The one source
+/// of stencil node indices: every gather and every deposit targets the
+/// nodes of this block, and the block touches hand it to the machine.
 /// Always inlined: it runs per cell and per run, and out of line the
 /// block comes back through memory (the reduction's apply pass measured
 /// 9 % slower with the call).
@@ -127,24 +127,6 @@ pub fn stencil_block(geom: &GridGeometry, order: ShapeOrder, cell: [usize; 3]) -
         }
     }
     TensorBlock::new(order.support(), off)
-}
-
-/// Node index (wrapped periodically) for support offsets `(a, b, c)` of a
-/// particle in cell `cell`, in guarded array coordinates.
-#[inline]
-pub fn node_index(
-    geom: &GridGeometry,
-    cell: [usize; 3],
-    order: ShapeOrder,
-    a: usize,
-    b: usize,
-    c: usize,
-) -> [usize; 3] {
-    [
-        node_coord(geom, order, 0, cell[0], a),
-        node_coord(geom, order, 1, cell[1], b),
-        node_coord(geom, order, 2, cell[2], c),
-    ]
 }
 
 /// Virtual base addresses of the structures a deposition step touches,
@@ -509,8 +491,9 @@ mod tests {
     #[test]
     fn stencil_block_steps_to_the_node_coord_products() {
         // Every cell of a grid narrower than a QSP stencil on two axes
-        // (wrapped offsets repeat) and of an ordinary one.
-        for n_cells in [[2, 3, 9], [8, 8, 8]] {
+        // (wrapped offsets repeat), of one with a one-cell axis (every
+        // offset wraps onto the same node) and of an ordinary one.
+        for n_cells in [[2, 3, 9], [1, 4, 2], [8, 8, 8]] {
             let geom = GridGeometry::new(n_cells, [0.0; 3], [1.0e-6; 3], 2);
             let dims = geom.dims_with_guard();
             for order in [ShapeOrder::Cic, ShapeOrder::Qsp] {
@@ -570,13 +553,15 @@ mod tests {
     }
 
     #[test]
-    fn node_index_wraps_periodically() {
+    fn node_coord_wraps_periodically() {
         let g = geom();
         // QSP starts one node below the cell: offset a=0 -> node -1 -> 7.
-        let n = node_index(&g, [0, 0, 0], ShapeOrder::Qsp, 0, 0, 0);
-        assert_eq!(n, [7 + 2, 7 + 2, 7 + 2]);
-        let n2 = node_index(&g, [0, 0, 0], ShapeOrder::Qsp, 1, 1, 1);
-        assert_eq!(n2, [2, 2, 2]);
+        for d in 0..3 {
+            assert_eq!(node_coord(&g, ShapeOrder::Qsp, d, 0, 0), 7 + 2);
+            assert_eq!(node_coord(&g, ShapeOrder::Qsp, d, 0, 1), 2);
+        }
+        // And the last cell's stencil runs past n: node 8 -> 0.
+        assert_eq!(node_coord(&g, ShapeOrder::Qsp, 0, 7, 2), 2);
     }
 
     #[test]

@@ -75,13 +75,6 @@ impl Rhocell {
         (comp * self.n_cells + cell) * self.nodes + node
     }
 
-    /// Node id for support offsets `(a, b, c)` with x fastest.
-    #[inline]
-    pub fn node_id(&self, a: usize, b: usize, c: usize) -> usize {
-        let s = self.order.support();
-        (c * s + b) * s + a
-    }
-
     /// Adds `v` to one accumulator element.
     #[inline]
     pub fn add(&mut self, comp: usize, cell: usize, node: usize, v: f64) {
@@ -438,14 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn node_id_x_fastest() {
-        let r = Rhocell::new(ShapeOrder::Cic, 1);
-        assert_eq!(r.node_id(1, 0, 0), 1);
-        assert_eq!(r.node_id(0, 1, 0), 2);
-        assert_eq!(r.node_id(0, 0, 1), 4);
-    }
-
-    #[test]
     fn add_and_slices() {
         let mut r = Rhocell::new(ShapeOrder::Cic, 2);
         r.add(1, 1, 3, 2.5);
@@ -459,10 +444,10 @@ mod tests {
     fn reduce_scatter_adds_to_grid() {
         let (geom, tile, mut m) = setup();
         let mut r = Rhocell::new(ShapeOrder::Cic, tile.num_cells());
-        // Cell (0,0,0), Jx, node (1,1,1) => value lands on grid node
-        // (0+1+g, 0+1+g, 0+1+g) with guard g=2.
-        let node = r.node_id(1, 1, 1);
-        r.add(0, 0, node, 7.0);
+        // Cell (0,0,0), Jx, node (1,1,1) — the last of the CIC block's
+        // node order — lands on grid node (0+1+g, 0+1+g, 0+1+g) with
+        // guard g=2.
+        r.add(0, 0, 7, 7.0);
         let dims = geom.dims_with_guard();
         let len = dims[0] * dims[1] * dims[2];
         let mut jx = Array3::zeros(dims[0], dims[1], dims[2]);
@@ -486,9 +471,9 @@ mod tests {
     fn reduce_wraps_periodic_nodes() {
         let (geom, tile, mut m) = setup();
         let mut r = Rhocell::new(ShapeOrder::Qsp, tile.num_cells());
-        // Cell (0,0,0) with QSP: node offset (0,0,0) is cell -1 -> wraps
-        // to physical 7 -> guarded index 9.
-        r.add(2, 0, r.node_id(0, 0, 0), 1.5);
+        // Cell (0,0,0) with QSP: node (0,0,0), the block's first, is
+        // cell -1 -> wraps to physical 7 -> guarded index 9.
+        r.add(2, 0, 0, 1.5);
         let dims = geom.dims_with_guard();
         let len = dims[0] * dims[1] * dims[2];
         let mut jx = Array3::zeros(dims[0], dims[1], dims[2]);

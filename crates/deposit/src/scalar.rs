@@ -15,15 +15,17 @@
 //! even though it was designed without sorting in mind.
 
 use mpic_grid::{Array3, GridGeometry};
-use mpic_machine::{Machine, Phase, VAddr, VReg, VLANES};
+use mpic_machine::{Machine, Phase, TensorBlock, VAddr, VReg, VLANES};
 use mpic_particles::ParticleContainer;
 
-use crate::common::{node_index, stage_particle, Staging, TouchedNodes};
+use crate::common::{node_coord, stage_particle, stencil_block, Staging, TouchedNodes};
 use crate::kernel::TileCtx;
 use crate::shape::ShapeOrder;
 
 /// Computes the exact current deposition of every live particle onto
-/// guarded nodal arrays (x fastest). Pure reference; no cost model.
+/// guarded nodal arrays (x fastest). Pure reference; no cost model: each
+/// node is wrapped on its own by `node_coord`, the per-node
+/// specification the kernels' stencil blocks are held to.
 pub fn reference_deposit(
     geom: &GridGeometry,
     order: ShapeOrder,
@@ -48,11 +50,12 @@ pub fn reference_deposit(
                 tile.soa.uz[p],
                 tile.soa.w[p],
             );
+            let node = |d: usize, off: usize| node_coord(geom, order, d, st.cell[d], off);
             for c in 0..s {
                 for b in 0..s {
                     for a in 0..s {
                         let w = st.sx[a] * st.sy[b] * st.sz[c];
-                        let n = node_index(geom, st.cell, order, a, b, c);
+                        let n = [node(0, a), node(1, b), node(2, c)];
                         jx.add(n[0], n[1], n[2], st.wq[0] * w);
                         jy.add(n[0], n[1], n[2], st.wq[1] * w);
                         jz.add(n[0], n[1], n[2], st.wq[2] * w);
@@ -91,6 +94,14 @@ pub fn deposit_tile(
             // Per-vector staged re-loads: cache-blocked staging, so
             // issue cost only.
             m.v_issue(3 * s + 3);
+            // Each lane's stencil, built once per chunk.
+            let blocks: [TensorBlock; VLANES] = std::array::from_fn(|l| {
+                if l < lanes {
+                    stencil_block(ctx.geom, ctx.order, st.cell[p0 + l])
+                } else {
+                    TensorBlock::EMPTY
+                }
+            });
             for c in 0..s {
                 for b in 0..s {
                     for a in 0..s {
@@ -103,10 +114,9 @@ pub fn deposit_tile(
                         // Per-lane target node (address math).
                         m.v_ops(2);
                         let mut idx = [0usize; VLANES];
-                        for (l, p) in (p0..p0 + lanes).enumerate() {
-                            let g = node_index(ctx.geom, st.cell[p], ctx.order, a, b, c);
-                            idx[l] = jx.idx(g[0], g[1], g[2]);
-                            touched.note(idx[l]);
+                        for (slot, block) in idx.iter_mut().zip(&blocks[..lanes]) {
+                            *slot = block.axis(0)[a] + block.axis(1)[b] + block.axis(2)[c];
+                            touched.note(*slot);
                         }
                         for (comp, arr) in [&mut *jx, &mut *jy, &mut *jz].into_iter().enumerate() {
                             let wq = VReg::from_slice(&st.wq[comp][p0..p0 + lanes]);

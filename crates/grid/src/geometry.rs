@@ -66,10 +66,12 @@ impl GridGeometry {
     }
 
     /// Maps a position to `(cell, frac)` where `cell` is the physical cell
-    /// index (may be outside `[0, n)` for particles in guard regions) and
-    /// `frac` is the normalised intra-cell coordinate in `[0, 1)`.
+    /// holding it, wrapped periodically into `[0, n)` per dimension (a
+    /// position in a guard region or across the periodic seam lands in
+    /// its periodic image), and `frac` is the normalised intra-cell
+    /// coordinate in `[0, 1)`.
     #[inline]
-    pub fn locate(&self, x: f64, y: f64, z: f64) -> ([i64; 3], [f64; 3]) {
+    pub fn locate(&self, x: f64, y: f64, z: f64) -> ([usize; 3], [f64; 3]) {
         let mut cell = [0i64; 3];
         let mut frac = [0f64; 3];
         for (d, &p) in [x, y, z].iter().enumerate() {
@@ -78,19 +80,19 @@ impl GridGeometry {
             cell[d] = c as i64;
             frac[d] = u - c;
         }
-        (cell, frac)
+        (self.wrap_cell(cell), frac)
     }
 
     /// Wraps a (possibly negative) cell index into `[0, n)` per dimension
     /// for periodic boundaries.
     ///
-    /// Almost every caller passes an already-in-range index (positions
-    /// are wrapped at the end of the push, so `locate` lands inside the
-    /// domain except at fractional-rounding edges), and `rem_euclid` on
-    /// `i64` is a hardware divide — the in-range branch skips it on the
-    /// common path. Integer arithmetic, so the two paths agree exactly.
+    /// Almost every position is already inside the domain (positions
+    /// are wrapped at the end of the push, so only fractional-rounding
+    /// edges land outside), and `rem_euclid` on `i64` is a hardware
+    /// divide — the in-range branch skips it on the common path. Integer
+    /// arithmetic, so the two paths agree exactly.
     #[inline]
-    pub fn wrap_cell(&self, cell: [i64; 3]) -> [usize; 3] {
+    fn wrap_cell(&self, cell: [i64; 3]) -> [usize; 3] {
         let mut out = [0usize; 3];
         for d in 0..3 {
             let n = self.n_cells[d] as i64;
@@ -157,9 +159,11 @@ mod tests {
 
     #[test]
     fn locate_negative_positions() {
+        // Half a cell below `lo` is half a cell into the last cell's
+        // periodic image.
         let g = geom();
         let (c, f) = g.locate(-0.5e-6, 0.0, 0.0);
-        assert_eq!(c[0], -1);
+        assert_eq!(c, [7, 0, 0]);
         assert!((f[0] - 0.5).abs() < 1e-9);
     }
 

@@ -109,7 +109,6 @@ impl ParticleTile {
         scratch.keys.clear();
         for i in self.soa.live_indices() {
             let (cell, _) = geom.locate(self.soa.x[i], self.soa.y[i], self.soa.z[i]);
-            let cell = geom.wrap_cell(cell);
             debug_assert!(tile.contains(cell), "particle escaped its tile");
             scratch.live.push(i);
             scratch.keys.push(tile.local_cell_id(cell));
@@ -176,7 +175,7 @@ impl ParticleTile {
                 return INVALID_PARTICLE_ID;
             }
             let (x, y, z) = (soa.x[p], soa.y[p], soa.z[p]);
-            let cell = geom.wrap_cell(geom.locate(x, y, z).0);
+            let (cell, _) = geom.locate(x, y, z);
             if tile.contains(cell) {
                 return tile.local_cell_id(cell);
             }
@@ -217,7 +216,7 @@ impl ParticleTile {
                 return INVALID_PARTICLE_ID;
             }
             let (cell, _) = geom.locate(soa.x[p], soa.y[p], soa.z[p]);
-            tile.local_cell_id(geom.wrap_cell(cell))
+            tile.local_cell_id(cell)
         }));
         *gpma = Gpma::build(cells, tile.num_cells(), gap_ratio);
     }
@@ -225,7 +224,6 @@ impl ParticleTile {
     /// Inserts one particle (injection or cross-tile arrival).
     pub fn insert(&mut self, d: Departure, tile: &Tile, geom: &GridGeometry) -> MoveStats {
         let (cell, _) = geom.locate(d.x, d.y, d.z);
-        let cell = geom.wrap_cell(cell);
         debug_assert!(tile.contains(cell), "insert routed to wrong tile");
         let mut stats = MoveStats::default();
         self.insert_in_bin(d, tile.local_cell_id(cell), &mut stats);
@@ -328,7 +326,7 @@ impl ParticleContainer {
     ) -> Self {
         let mut c = Self::new(layout, charge, mass);
         for d in particles {
-            let cell = geom.wrap_cell(geom.locate(d.x, d.y, d.z).0);
+            let (cell, _) = geom.locate(d.x, d.y, d.z);
             let soa = &mut c.tiles[layout.tile_of_cell(cell)].soa;
             let _ = soa.push(d.x, d.y, d.z, d.ux, d.uy, d.uz, d.w);
         }
@@ -357,7 +355,6 @@ impl ParticleContainer {
     /// Injects a particle, routing it to the owning tile.
     pub fn inject(&mut self, layout: &TileLayout, geom: &GridGeometry, d: Departure) -> MoveStats {
         let (cell, _) = geom.locate(d.x, d.y, d.z);
-        let cell = geom.wrap_cell(cell);
         let t = layout.tile_of_cell(cell);
         self.tiles[t].insert(d, layout.tile(t), geom)
     }
@@ -645,7 +642,7 @@ mod tests {
         /// Nothing moves.
         Stay,
         /// Every particle jumps by up to this many cells per axis; odd
-        /// slots stay unwrapped so `wrap_cell` sees out-of-domain cells.
+        /// slots stay unwrapped so `locate` sees out-of-domain positions.
         Churn(f64),
         /// Every particle jumps one tile width in x.
         LeaveAll,
@@ -895,7 +892,7 @@ mod tests {
                     "{at}: departure order"
                 );
                 for (i, d) in departures.iter().enumerate() {
-                    let cell = geom.wrap_cell(geom.locate(d.x, d.y, d.z).0);
+                    let (cell, _) = geom.locate(d.x, d.y, d.z);
                     let to = layout.tile_of_cell(cell);
                     let leaver = &scratch.leavers[scratch.leave_order[i]];
                     assert_eq!(scratch.leave_dest[i], to, "{at}: destination tile");

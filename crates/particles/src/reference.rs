@@ -52,7 +52,6 @@ pub fn sweep(
             old_bin
         };
         let (cell, _) = geom.locate(pt.soa.x[p], pt.soa.y[p], pt.soa.z[p]);
-        let cell = geom.wrap_cell(cell);
         if tile.contains(cell) {
             let new_bin = tile.local_cell_id(cell);
             if new_bin != old_bin {
@@ -100,7 +99,7 @@ fn insert(pt: &mut ParticleTile, d: Departure, tile: &Tile, geom: &GridGeometry)
 /// Pushes `d` into the tile's SoA and bin map and returns the move that
 /// indexes it.
 fn arrival(pt: &mut ParticleTile, d: Departure, tile: &Tile, geom: &GridGeometry) -> PendingMove {
-    let cell = geom.wrap_cell(geom.locate(d.x, d.y, d.z).0);
+    let (cell, _) = geom.locate(d.x, d.y, d.z);
     assert!(tile.contains(cell), "arrival routed to the wrong tile");
     let bin = tile.local_cell_id(cell);
     let p = pt.soa.push(d.x, d.y, d.z, d.ux, d.uy, d.uz, d.w);
@@ -132,7 +131,7 @@ pub fn incremental_sort(
         stats.merge(&s);
         scanned += n;
     }
-    let owner = |d: &Departure| layout.tile_of_cell(geom.wrap_cell(geom.locate(d.x, d.y, d.z).0));
+    let owner = |d: &Departure| layout.tile_of_cell(geom.locate(d.x, d.y, d.z).0);
     match mutant {
         Mutant::UnstableGrouping => {
             departures.reverse();

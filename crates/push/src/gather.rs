@@ -1,17 +1,22 @@
 //! Grid-to-particle field interpolation.
 //!
-//! Two value paths, bit-identical per particle: [`gather_fields`], the
-//! per-particle reference (one stencil walk per particle), and the
-//! run-scoped pair [`load_node_block`] +
+//! Two value paths, bit-identical per particle:
+//! [`gather_fields_with_cell`], the per-particle reference (one stencil
+//! walk per particle), and the run-scoped pair [`load_node_block`] +
 //! [`gather_from_block_lanes_masked`] — a cell's stencil loaded once,
 //! then interpolated for a lane pack of its particles at a time,
-//! branch-free for every pack length. Two charges mirror them:
+//! branch-free for every pack length. Both take the cell and fraction
+//! from `GridGeometry::locate`, the weights from [`ShapeOrder::weights`]
+//! and the node indices from the deposit side's
+//! [`mpic_deposit::common::stencil_block`], so gather and deposit can
+//! never disagree on node targets. Two charges mirror them:
 //! [`charge_gather`] walks the cache per particle chunk, and
 //! [`charge_gather_run`] prices one block gather per run on the
 //! [`Meter`] of the tile sweep's Gather scope.
 
+use mpic_deposit::common::stencil_block;
 use mpic_deposit::shape::MAX_SUPPORT;
-use mpic_deposit::{stage_particle, ShapeOrder};
+use mpic_deposit::ShapeOrder;
 use mpic_grid::{FieldArrays, GridGeometry};
 use mpic_machine::{
     vect::W, Lanes, LineCarry, Machine, Meter, Phase, Pricing, TensorBlock, VAddr, VLANES,
@@ -35,29 +40,16 @@ impl Default for GatherCost {
 }
 
 /// Interpolates `(E, B)` at one particle position using shape order
-/// `order` (pure; used by the push loop and tests).
+/// `order` and returns them with the particle's wrapped physical cell
+/// (pure; used by the per-particle push sweep, which reuses the cell for
+/// the gather cost model's sampled address stream, and by tests).
 ///
-/// The innermost loop of the whole step runs here (particles x nodes x
-/// six arrays), so the periodic node wrap is hoisted to one pass per
-/// dimension and each node's linear index is computed once and shared by
-/// all six field reads. Weight products keep the `sx * sy * sz`
-/// association of the scalar reference.
-pub fn gather_fields(
-    geom: &GridGeometry,
-    order: ShapeOrder,
-    fields: &FieldArrays,
-    x: f64,
-    y: f64,
-    z: f64,
-) -> ([f64; 3], [f64; 3]) {
-    let (e, b, _) = gather_fields_with_cell(geom, order, fields, x, y, z);
-    (e, b)
-}
-
-/// [`gather_fields`] returning also the particle's wrapped physical
-/// cell, which staging computes anyway — the push loop uses it for the
-/// gather cost model's sampled address stream instead of locating the
-/// particle a second time.
+/// The innermost loop of the per-particle sweep runs here (particles x
+/// nodes x six arrays): the stencil's node indices come from one
+/// [`stencil_block`] per particle, a row's offset is shared by its
+/// nodes and each node's linear index by all six field reads. Weight
+/// products keep the `(sx * sy) * sz` association of the scalar
+/// reference, and nodes are accumulated in its `(c, b, a)` order.
 pub fn gather_fields_with_cell(
     geom: &GridGeometry,
     order: ShapeOrder,
@@ -66,20 +58,13 @@ pub fn gather_fields_with_cell(
     y: f64,
     z: f64,
 ) -> ([f64; 3], [f64; 3], [usize; 3]) {
-    // Reuse the deposition staging to get cell + weights (charge/weight
-    // arguments are irrelevant for the shape factors).
-    let st = stage_particle(geom, order, 1.0, x, y, z, 0.0, 0.0, 0.0, 1.0);
-    let s = order.support();
-    // Guarded node coordinate per support offset, from the shared
-    // deposit-side wrap (`node_coord`) so gather and deposit can never
-    // disagree on node targets — computed 3*s times instead of 3*s^3.
-    let mut ni = [[0usize; 4]; 3];
-    for d in 0..3 {
-        for (a, slot) in ni[d].iter_mut().enumerate().take(s) {
-            *slot = mpic_deposit::common::node_coord(geom, order, d, st.cell[d], a);
-        }
+    let (cell, frac) = geom.locate(x, y, z);
+    let mut sw = [[0.0; MAX_SUPPORT]; 3];
+    for (w, &f) in sw.iter_mut().zip(&frac) {
+        order.weights(f, w);
     }
-    let dims = geom.dims_with_guard();
+    let [sx, sy, sz] = sw;
+    let block = stencil_block(geom, order, cell);
     let (ex, ey, ez) = (
         fields.ex.as_slice(),
         fields.ey.as_slice(),
@@ -92,12 +77,12 @@ pub fn gather_fields_with_cell(
     );
     let mut e = [0.0; 3];
     let mut b = [0.0; 3];
-    for c in 0..s {
-        for bb in 0..s {
-            let row = (ni[2][c] * dims[1] + ni[1][bb]) * dims[0];
-            for a in 0..s {
-                let w = st.sx[a] * st.sy[bb] * st.sz[c];
-                let li = row + ni[0][a];
+    for (&kc, &wc) in block.axis(2).iter().zip(&sz) {
+        for (&kb, &wb) in block.axis(1).iter().zip(&sy) {
+            let row = kc + kb;
+            for (&ka, &wa) in block.axis(0).iter().zip(&sx) {
+                let w = wa * wb * wc;
+                let li = row + ka;
                 e[0] += w * ex[li];
                 e[1] += w * ey[li];
                 e[2] += w * ez[li];
@@ -107,7 +92,7 @@ pub fn gather_fields_with_cell(
             }
         }
     }
-    (e, b, st.cell)
+    (e, b, cell)
 }
 
 /// Maximum stencil nodes of any shape order, sizing the stack-resident
@@ -119,7 +104,8 @@ pub const MAX_STENCIL_NODES: usize = mpic_deposit::shape::MAX_NODES_3D;
 /// One cell's cached stencil: where its support nodes sit in a guarded
 /// field array plus the six field-component values at those nodes, in
 /// node order `(c*s + b)*s + a` with `a` fastest — the same traversal
-/// [`gather_fields`] uses, so interpolating from the block is bit-exact.
+/// [`gather_fields_with_cell`] uses, so interpolating from the block is
+/// bit-exact.
 ///
 /// Loaded once per same-cell particle run by the cell-run sweep and
 /// reused for every particle of the run (gathers are read-only, so the
@@ -151,9 +137,8 @@ impl Default for NodeBlock {
 
 /// Fills `block` with the stencil and field values of the given wrapped
 /// physical `cell` — the once-per-run half of the batched gather. Pure
-/// (no cost charging); the node wrap comes from the shared deposit-side
-/// [`mpic_deposit::common::stencil_block`], so the block can never
-/// disagree with the per-particle gather about node targets.
+/// (no cost charging); the node indices come from the shared
+/// deposit-side [`stencil_block`], as the per-particle gather's do.
 pub fn load_node_block(
     geom: &GridGeometry,
     order: ShapeOrder,
@@ -169,7 +154,7 @@ pub fn load_node_block(
         fields.by.as_slice(),
         fields.bz.as_slice(),
     ];
-    block.stencil = mpic_deposit::common::stencil_block(geom, order, cell);
+    block.stencil = stencil_block(geom, order, cell);
     let vals = &mut block.vals;
     block.stencil.for_each_node(|nd, li| {
         for (comp, arr) in arrays.iter().enumerate() {
@@ -185,7 +170,7 @@ pub fn load_node_block(
 /// lane-parallel Boris push to consume directly — no transpose through
 /// memory. Each lane is one particle: the six accumulators are per
 /// lane, the weights come from the same [`ShapeOrder::weights`]
-/// evaluation as [`gather_fields`], the node loop runs in its `(c, b, a)`
+/// evaluation as [`gather_fields_with_cell`], the node loop runs in its `(c, b, a)`
 /// order and each lane's weight keeps the `(sx * sy) * sz` association,
 /// so every active lane is bit-identical to the per-particle gather at
 /// that position (no cross-lane arithmetic exists to regroup).
@@ -326,14 +311,67 @@ pub fn charge_gather(
 }
 
 #[cfg(test)]
+/// Two executable specifications the live gathers are held to bitwise.
+///
 /// The lane gather as it stood before the branch-free body — weights
 /// particle-major, every node's accumulate masked to the lanes that hold
-/// a particle — kept as the executable specification
-/// `conf_lane_gather_matches_masked_reference_bitwise` holds the new body
-/// to, and — through [`reference::Mutant`] — the near misses that test
-/// must reject.
+/// a particle — is what `conf_lane_gather_matches_masked_reference_bitwise`
+/// holds the new body to, and — through [`reference::Mutant`] — the near
+/// misses that test must reject.
+///
+/// The per-particle gather as it stood before it read its nodes from
+/// `stencil_block` — cell and weights from the deposition staging record,
+/// each axis's node coordinates wrapped one by one, a row walk over the
+/// guarded array — is what `conf_gather_stencil_matches_row_walk_bitwise`
+/// holds [`super::gather_fields_with_cell`] to.
 mod reference {
     use super::*;
+    use mpic_deposit::stage_particle;
+
+    pub fn gather_fields_with_cell(
+        geom: &GridGeometry,
+        order: ShapeOrder,
+        fields: &FieldArrays,
+        x: f64,
+        y: f64,
+        z: f64,
+    ) -> ([f64; 3], [f64; 3], [usize; 3]) {
+        // Charge, momentum and weight are irrelevant for the shape
+        // factors the staging record carries.
+        let st = stage_particle(geom, order, 1.0, x, y, z, 0.0, 0.0, 0.0, 1.0);
+        let s = order.support();
+        let mut ni = [[0usize; MAX_SUPPORT]; 3];
+        for (d, axis) in ni.iter_mut().enumerate() {
+            let n = geom.n_cells[d] as i64;
+            for (a, slot) in axis.iter_mut().enumerate().take(s) {
+                let v = st.cell[d] as i64 + order.start_offset() + a as i64;
+                *slot = v.rem_euclid(n) as usize + geom.guard;
+            }
+        }
+        let dims = geom.dims_with_guard();
+        let arrays = [
+            fields.ex.as_slice(),
+            fields.ey.as_slice(),
+            fields.ez.as_slice(),
+            fields.bx.as_slice(),
+            fields.by.as_slice(),
+            fields.bz.as_slice(),
+        ];
+        let mut acc = [0.0; 6];
+        for c in 0..s {
+            for bb in 0..s {
+                let row = (ni[2][c] * dims[1] + ni[1][bb]) * dims[0];
+                for a in 0..s {
+                    let w = st.sx[a] * st.sy[bb] * st.sz[c];
+                    let li = row + ni[0][a];
+                    for (v, arr) in acc.iter_mut().zip(&arrays) {
+                        *v += w * arr[li];
+                    }
+                }
+            }
+        }
+        ([acc[0], acc[1], acc[2]], [acc[3], acc[4], acc[5]], st.cell)
+    }
 
     /// A deliberate defect the bitwise test must catch.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -404,7 +442,7 @@ mod tests {
         fields.ez.fill(5.0);
         fields.bx.fill(-2.0);
         for order in [ShapeOrder::Cic, ShapeOrder::Qsp] {
-            let (e, b) = gather_fields(&geom, order, &fields, 3.3e-6, 4.7e-6, 1.2e-6);
+            let (e, b, _) = gather_fields_with_cell(&geom, order, &fields, 3.3e-6, 4.7e-6, 1.2e-6);
             assert!((e[2] - 5.0).abs() < 1e-12, "{order:?}");
             assert!((b[0] + 2.0).abs() < 1e-12, "{order:?}");
             assert!(e[0].abs() < 1e-12);
@@ -424,7 +462,7 @@ mod tests {
                 }
             }
         }
-        let (e, _) = gather_fields(&geom, ShapeOrder::Cic, &fields, 2.25e-6, 0.0, 0.0);
+        let (e, _, _) = gather_fields_with_cell(&geom, ShapeOrder::Cic, &fields, 2.25e-6, 0.0, 0.0);
         // x = 2.25 cells -> guarded node coordinate 4.25.
         assert!((e[0] - 4.25).abs() < 1e-12, "got {}", e[0]);
     }
@@ -460,9 +498,8 @@ mod tests {
                     (1.0 + f * 0.31) * 1e-6,
                 );
                 let (cell, frac) = geom.locate(x, y, z);
-                let cell = geom.wrap_cell(cell);
                 load_node_block(&geom, order, &fields, cell, &mut block);
-                let (e_want, b_want) = gather_fields(&geom, order, &fields, x, y, z);
+                let (e_want, b_want, _) = gather_fields_with_cell(&geom, order, &fields, x, y, z);
                 let (e_got, b_got) = gather_from_block_lanes_masked(order, &block, &[frac]);
                 for d in 0..3 {
                     assert_eq!(
@@ -499,7 +536,7 @@ mod tests {
             pos.push(x);
             fracs.push(frac);
         }
-        (geom.wrap_cell(cell), pos, fracs)
+        (cell, pos, fracs)
     }
 
     #[test]
@@ -531,7 +568,8 @@ mod tests {
             for n in [1, W - 1, W] {
                 let (e, b) = gather_from_block_lanes_masked(order, &block, &fracs[..n]);
                 for (l, x) in pos[..n].iter().enumerate() {
-                    let (e_want, b_want) = gather_fields(&geom, order, &fields, x[0], x[1], x[2]);
+                    let (e_want, b_want, _) =
+                        gather_fields_with_cell(&geom, order, &fields, x[0], x[1], x[2]);
                     for d in 0..3 {
                         assert_eq!(
                             e[d].lane(l).to_bits(),
@@ -580,7 +618,8 @@ mod tests {
             for n in 1..=W {
                 let (e, b) = gather_from_block_lanes_masked(order, &block, &fracs[..n]);
                 for (l, x) in pos[..n].iter().enumerate() {
-                    let (e_want, b_want) = gather_fields(&geom, order, &fields, x[0], x[1], x[2]);
+                    let (e_want, b_want, _) =
+                        gather_fields_with_cell(&geom, order, &fields, x[0], x[1], x[2]);
                     for d in 0..3 {
                         assert_eq!(
                             e[d].lane(l).to_bits(),
@@ -683,6 +722,74 @@ mod tests {
     }
 
     #[test]
+    fn conf_gather_stencil_matches_row_walk_bitwise() {
+        // The per-particle gather against the row walk it replaced, for
+        // `(e, b, cell)` bit for bit: random positions (inside the
+        // domain and up to one extent outside it), positions on every
+        // periodic edge of every axis, on an ordinary grid and on one
+        // narrower than the QSP support on every axis (wrapped stencil
+        // offsets repeat, on a one-cell axis all of them).
+        let mut rng = 0x6a09_e667_f3bc_c908_u64;
+        let mut unit = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for n_cells in [[8, 8, 8], [3, 2, 1]] {
+            let geom = GridGeometry::new(n_cells, [-1.5e-6, 0.0, 2.0e-6], [1.0e-6; 3], 2);
+            let mut fields = FieldArrays::new(&geom);
+            for arr in [
+                &mut fields.ex,
+                &mut fields.ey,
+                &mut fields.ez,
+                &mut fields.bx,
+                &mut fields.by,
+                &mut fields.bz,
+            ] {
+                for v in arr.as_mut_slice() {
+                    *v = unit() * 4.0 - 2.0;
+                }
+            }
+            let (lo, hi) = (geom.lo, geom.hi());
+            let mut positions: Vec<[f64; 3]> = (0..200)
+                .map(|_| std::array::from_fn(|d| lo[d] + (unit() * 3.0 - 1.0) * (hi[d] - lo[d])))
+                .collect();
+            let inner: [f64; 3] = std::array::from_fn(|d| lo[d] + 0.37 * (hi[d] - lo[d]));
+            for d in 0..3 {
+                let tiny = geom.dx[d] * 1e-9;
+                for at in [
+                    lo[d],
+                    lo[d] + tiny,
+                    lo[d] - tiny,
+                    f64::from_bits((lo[d] - tiny).to_bits() - 1),
+                    hi[d],
+                    hi[d] - tiny,
+                    hi[d] + tiny,
+                    f64::from_bits(hi[d].to_bits() - 1),
+                ] {
+                    let mut x = inner;
+                    x[d] = at;
+                    positions.push(x);
+                }
+            }
+            for order in [ShapeOrder::Cic, ShapeOrder::Qsp] {
+                for x in &positions {
+                    let got = gather_fields_with_cell(&geom, order, &fields, x[0], x[1], x[2]);
+                    let want =
+                        reference::gather_fields_with_cell(&geom, order, &fields, x[0], x[1], x[2]);
+                    let what = format!("{n_cells:?} {order:?} at {x:?}");
+                    assert_eq!(got.2, want.2, "{what}: cell");
+                    for (g, w) in [got.0, got.1].iter().zip(&[want.0, want.1]) {
+                        let bits = |v: &[f64; 3]| v.map(f64::to_bits);
+                        assert_eq!(bits(g), bits(w), "{what}: {g:?} vs {w:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn lane_gather_rejects_oversized_packs() {
         let block = NodeBlock::new();
         let fracs = vec![[0.5; 3]; W + 1];
@@ -695,7 +802,7 @@ mod tests {
     #[test]
     fn node_block_wraps_periodically() {
         // A boundary cell's block must target the same wrapped nodes the
-        // per-particle gather touches (shared node_coord), so values
+        // per-particle gather touches (shared stencil_block), so values
         // gathered across the periodic seam stay exact.
         let (geom, mut fields) = setup();
         fields.ez.fill(3.25);

@@ -12,6 +12,6 @@ pub mod scratch;
 pub mod sweep;
 
 pub use boris::{boris_push, BorisCoeffs};
-pub use gather::{gather_fields, GatherCost};
+pub use gather::GatherCost;
 pub use scratch::PushScratch;
 pub use sweep::PushCtx;

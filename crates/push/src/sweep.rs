@@ -150,8 +150,7 @@ impl PushCtx<'_> {
         // Register-reuse state: the lines of the last flushed run's block.
         let mut carry = LineCarry::new();
         let locate = |tile: &ParticleTile, p: usize| {
-            let (located, frac) = geom.locate(tile.soa.x[p], tile.soa.y[p], tile.soa.z[p]);
-            (geom.wrap_cell(located), frac)
+            geom.locate(tile.soa.x[p], tile.soa.y[p], tile.soa.z[p])
         };
         let live = &scratch.live;
         let mut head = locate(tile, live[0]);

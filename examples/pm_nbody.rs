@@ -9,6 +9,7 @@
 //! cargo run --release --example pm_nbody
 //! ```
 
+use matrix_pic::deposit::common::stencil_block;
 use matrix_pic::deposit::{stage_particle, ShapeOrder};
 use matrix_pic::grid::{Array3, GridGeometry};
 use matrix_pic::machine::{Machine, MachineConfig, Phase, TileId, VReg};
@@ -52,19 +53,13 @@ fn deposit_mass_mpu(
             k.t_zero(TileId(0));
             k.t_mopa(TileId(0), VReg(a), VReg(b));
         });
-        // Extract the two diagonal blocks onto the grid.
+        // Extract the two diagonal blocks onto the grid: node
+        // `(c * 2 + bb) * 2 + aa` of the particle's stencil block.
         for (h, (st, _)) in pair.iter().enumerate() {
-            for c in 0..2 {
-                for bb in 0..2 {
-                    for aa in 0..2 {
-                        let v = m.tile_value(TileId(0), h * 2 + aa, h * 4 + c * 2 + bb);
-                        let n = matrix_pic::deposit::common::node_index(
-                            geom, st.cell, order, aa, bb, c,
-                        );
-                        rho.add(n[0], n[1], n[2], v);
-                    }
-                }
-            }
+            stencil_block(geom, order, st.cell).for_each_node(|nd, i| {
+                let (aa, bb, c) = (nd % 2, nd / 2 % 2, nd / 4);
+                rho.as_mut_slice()[i] += m.tile_value(TileId(0), h * 2 + aa, h * 4 + c * 2 + bb);
+            });
         }
         i += 2;
     }

@@ -152,7 +152,7 @@ fn container_survives_insert_remove_churn() {
             }
             let owner = |tile: &matrix_pic::particles::ParticleTile, p: usize| {
                 let (x, y, z) = (tile.soa.x[p], tile.soa.y[p], tile.soa.z[p]);
-                layout.tile_of_cell(geom.wrap_cell(geom.locate(x, y, z).0))
+                layout.tile_of_cell(geom.locate(x, y, z).0)
             };
             let mut arrivals = 0;
             for (t, tile) in c.tiles.iter_mut().enumerate() {
@@ -171,7 +171,7 @@ fn container_survives_insert_remove_churn() {
                 for p in tile.soa.live_indices() {
                     prop_assert_eq!(owner(tile, p), t);
                     let (x, y, z) = (tile.soa.x[p], tile.soa.y[p], tile.soa.z[p]);
-                    let cell = geom.wrap_cell(geom.locate(x, y, z).0);
+                    let (cell, _) = geom.locate(x, y, z);
                     prop_assert_eq!(tile.cells[p], layout.tile(t).local_cell_id(cell));
                 }
             }
@@ -302,8 +302,7 @@ fn wrap_is_idempotent_and_in_range() {
             prop_assert!(w1[d] >= geom.lo[d] && w1[d] < geom.hi()[d] + 1e-9);
             prop_assert!((w1[d] - w2[d]).abs() < 1e-9);
         }
-        let (cell, _) = geom.locate(w1[0], w1[1], w1[2]);
-        let c = geom.wrap_cell(cell);
+        let (c, _) = geom.locate(w1[0], w1[1], w1[2]);
         prop_assert!(c[0] < 8 && c[1] < 4 && c[2] < 2);
     });
 }
